@@ -1,8 +1,8 @@
 """Benchmark the segment/triangle intersection kernel.
 
-Compares the numba-compiled loop against the pure-numpy vectorized fallback
-(the variant selected at import time by ``URBANPROP_DISABLE_NUMBA``) on
-random triangle soups, and verifies both produce identical hit parameters.
+Times one batched call of ``segment_triangles`` over S segments against a
+loop of S single-segment calls of the same kernel on the same random
+triangle soup, and checks that both give bit-identical hit parameters.
 
 Usage::
 
@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from urbanprop.kernels import _segment_triangles_loop, _segment_triangles_numpy
+from urbanprop.kernels import segment_triangles
 
 EPS_HIT = 1e-9
 
@@ -34,13 +34,20 @@ def make_segments(rng, n_segments):
     return a, b
 
 
+def per_segment(a, b, soup):
+    return np.stack([segment_triangles(a[i], b[i], *soup, EPS_HIT)
+                     for i in range(a.shape[0])])
+
+
+def batched(a, b, soup):
+    return segment_triangles(a, b, *soup, EPS_HIT)
+
+
 def bench(fn, segs, soup, repeats):
-    a, b = segs
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for i in range(a.shape[0]):
-            fn(a[i], b[i], *soup, EPS_HIT)
+        fn(*segs, soup)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -57,34 +64,21 @@ def main():
     soup = make_soup(rng, args.triangles)
     segs = make_segments(rng, args.segments)
 
-    try:
-        from numba import njit
-        compiled = njit(cache=True)(_segment_triangles_loop)
-    except ImportError:
-        compiled = None
-
-    # correctness cross-check on a subset
-    a, b = segs
-    for i in range(min(50, a.shape[0])):
-        ref = _segment_triangles_numpy(a[i], b[i], *soup, EPS_HIT)
-        if compiled is not None:
-            got = compiled(a[i], b[i], *soup, EPS_HIT)
-            assert np.allclose(got, ref, equal_nan=True), f"mismatch at segment {i}"
+    loop_t = per_segment(*segs, soup)
+    batch_t = batched(*segs, soup)
+    if not np.array_equal(loop_t, batch_t):
+        raise SystemExit("batched and per-segment results differ")
 
     n_ops = args.segments * args.triangles
-    t_np = bench(_segment_triangles_numpy, segs, soup, args.repeats)
+    t_loop = bench(per_segment, segs, soup, args.repeats)
+    t_batch = bench(batched, segs, soup, args.repeats)
     print(f"soup: {args.triangles} triangles, {args.segments} segments, "
-          f"best of {args.repeats}")
-    print(f"numpy fallback : {t_np * 1e3:8.2f} ms  "
-          f"({n_ops / t_np / 1e6:.1f} M tri-tests/s)")
-    if compiled is None:
-        print("numba          : unavailable")
-        return
-    compiled(a[0], b[0], *soup, EPS_HIT)   # warm up / compile
-    t_nb = bench(compiled, segs, soup, args.repeats)
-    print(f"numba loop     : {t_nb * 1e3:8.2f} ms  "
-          f"({n_ops / t_nb / 1e6:.1f} M tri-tests/s)")
-    print(f"speedup        : {t_np / t_nb:8.2f}x")
+          f"best of {args.repeats}; results identical")
+    print(f"per-segment loop : {t_loop * 1e3:8.2f} ms  "
+          f"({n_ops / t_loop / 1e6:.1f} M tri-tests/s)")
+    print(f"batched call     : {t_batch * 1e3:8.2f} ms  "
+          f"({n_ops / t_batch / 1e6:.1f} M tri-tests/s)")
+    print(f"speedup          : {t_loop / t_batch:8.2f}x")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ EPS_PLANE = 1e-6   # face planarity, meters
 EPS_HIT = 1e-9     # endpoint exclusion for occlusion, meters
 EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
 EPS_LEN = 1e-9     # minimal segment length, meters
+EPS_TOP = 0.5      # roof-ring height band, meters
+BOX_PAD = 1e-6     # culling-box padding, meters; keeps the cull conservative
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,11 @@ class GeometryMap:
 
     The triangle soup (``tri_v0/v1/v2``) is derived at construction by fan
     triangulation of every face; ``tri_face`` maps each triangle back to its
-    face index and per-building triangle ids enable subset occlusion tests.
+    face index and ``tri_building`` to its building's position in
+    ``buildings``.  Per building, the load also stores the padded bounding
+    box that occlusion tests cull against (``box_lo``/``box_hi``, shape
+    (3, B): one row per axis, one column per building in ``buildings``
+    order) and the roof-ring vertex ids for ``EPS_TOP``.
     """
 
     vertices: np.ndarray                    # (N, 3) float64
@@ -89,6 +95,9 @@ class GeometryMap:
     tri_v1: np.ndarray = field(init=False, repr=False)
     tri_v2: np.ndarray = field(init=False, repr=False)
     tri_face: np.ndarray = field(init=False, repr=False)
+    tri_building: np.ndarray = field(init=False, repr=False)
+    box_lo: np.ndarray = field(init=False, repr=False)
+    box_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -97,10 +106,8 @@ class GeometryMap:
         self._validate()
         self._triangulate()
         self._by_id = {b.id: b for b in self.buildings}
-        self._tris_of_building = {}
-        for b in self.buildings:
-            mask = np.isin(self.tri_face, b.face_indices)
-            self._tris_of_building[b.id] = np.flatnonzero(mask)
+        self._position = {b.id: i for i, b in enumerate(self.buildings)}
+        self._index_buildings()
 
     # -- construction ------------------------------------------------------
 
@@ -159,6 +166,30 @@ class GeometryMap:
         self.tri_v2 = np.array(v2, dtype=np.float64).reshape(shape)
         self.tri_face = np.array(tf, dtype=np.int64)
 
+    def _index_buildings(self):
+        """Triangle->building index, bounding boxes and roof rings, once."""
+        face_pos = np.array([self._position[f.building_id] for f in self.faces],
+                            dtype=np.int64)
+        self.tri_building = face_pos[self.tri_face]
+        counts = [len(b.vertex_indices) for b in self.buildings]
+        if not counts:
+            self.box_lo = self.box_hi = np.empty((3, 0))
+            self._top = {}
+            return
+        ids = np.concatenate([b.vertex_indices for b in self.buildings])
+        starts = np.cumsum([0] + counts[:-1])
+        pts = self.vertices[ids]
+        hi = np.maximum.reduceat(pts, starts)
+        self.box_lo = np.ascontiguousarray(
+            np.minimum.reduceat(pts, starts).T - BOX_PAD)
+        self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
+        is_top = pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP
+        ring_sizes = np.add.reduceat(is_top.astype(np.int64), starts)
+        rings = np.split(ids[is_top], np.cumsum(ring_sizes)[:-1])
+        for ring in rings:
+            ring.flags.writeable = False
+        self._top = {b.id: ring for b, ring in zip(self.buildings, rings)}
+
     # -- accessors ---------------------------------------------------------
 
     def building(self, building_id):
@@ -170,29 +201,42 @@ class GeometryMap:
     def building_ids(self):
         return [b.id for b in self.buildings]
 
-    def triangles_of(self, building_ids):
-        """Triangle arrays restricted to the given building ids."""
-        if not building_ids:
-            empty = np.empty((0, 3), dtype=np.float64)
-            return empty, empty, empty, np.empty(0, dtype=np.int64)
-        idx = np.concatenate([self._tris_of_building[b] for b in building_ids])
-        return (self.tri_v0[idx], self.tri_v1[idx], self.tri_v2[idx],
-                self.tri_face[idx])
+    def top_vertices(self, building_id):
+        """Indices of the building's roof-ring vertices (read-only array).
 
-    def building_max_z(self, building_id):
-        b = self.building(building_id)
-        return float(self.vertices[list(b.vertex_indices), 2].max())
-
-    def top_vertices(self, building_id, eps_top=0.5):
-        """Indices of the building's roof-ring vertices.
-
-        A vertex is top-level when its height is within ``eps_top`` of the
+        A vertex is top-level when its height is within ``EPS_TOP`` of the
         building's maximum height.
         """
-        b = self.building(building_id)
-        ids = np.array(b.vertex_indices, dtype=np.int64)
-        z = self.vertices[ids, 2]
-        return ids[z >= z.max() - eps_top]
+        try:
+            return self._top[building_id]
+        except KeyError:
+            raise MapValidationError(f"unknown building id {building_id}") from None
+
+    def candidate_triangles(self, a, b, building_ids=None):
+        """Sorted ids of the triangles whose building box a segment meets.
+
+        ``a``/``b`` are (3,) or (S, 3) segment endpoints.  A building is kept
+        when the closed parameter range [0, 1] of any segment overlaps its
+        padded box (slab test, vectorized over segments and boxes), so no
+        triangle an open segment can hit is dropped.  ``building_ids=None``
+        considers every building.
+        """
+        pos = slice(None) if building_ids is None else np.array(
+            [self._position[bid] for bid in building_ids], dtype=np.int64)
+        a = np.asarray(a, dtype=np.float64).reshape(-1, 3, 1)
+        # An axis with d == 0 gives t = -inf/+inf inside/outside the slab.  It
+        # gives NaN, which culls the box, only for a segment in the plane of a
+        # padded face: BOX_PAD away from the building, so it cannot hit it.
+        with np.errstate(all="ignore"):
+            inv = 1.0 / (np.asarray(b, dtype=np.float64).reshape(-1, 3, 1) - a)
+            t_lo = (self.box_lo[:, pos] - a) * inv
+            t_hi = (self.box_hi[:, pos] - a) * inv
+        enter = np.minimum(t_lo, t_hi).max(axis=1)
+        leave = np.maximum(t_lo, t_hi).min(axis=1)
+        met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
+        keep = np.zeros(len(self.buildings), dtype=bool)
+        keep[pos] = met.any(axis=0)
+        return np.flatnonzero(keep[self.tri_building])
 
 
 # -- loading ---------------------------------------------------------------
@@ -296,11 +340,10 @@ def f_block(a, b, gmap, building_ids=None, eps_hit=EPS_HIT):
 
     ``building_ids=None`` tests against every building in the map.
     """
-    if building_ids is None:
-        v0, v1, v2 = gmap.tri_v0, gmap.tri_v1, gmap.tri_v2
-    else:
-        v0, v1, v2, _ = gmap.triangles_of(list(building_ids))
-    return int(kernels.any_hit(a.as_array(), b.as_array(), v0, v1, v2, eps_hit))
+    a, b = a.as_array(), b.as_array()
+    idx = gmap.candidate_triangles(a, b, building_ids)
+    return int(kernels.any_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
+                               gmap.tri_v2[idx], eps_hit))
 
 
 def block_nearest(a, b, gmap, eps_hit=EPS_HIT):
@@ -309,9 +352,10 @@ def block_nearest(a, b, gmap, eps_hit=EPS_HIT):
     Returns ``(blocked, face_index, hit_point)`` with the nearest blocking
     face; ``(False, None, None)`` when the segment is clear.
     """
-    t, idx = kernels.first_hit(a.as_array(), b.as_array(), gmap.tri_v0,
-                               gmap.tri_v1, gmap.tri_v2, eps_hit)
-    if idx < 0:
+    a, b = a.as_array(), b.as_array()
+    idx = gmap.candidate_triangles(a, b)
+    t, i = kernels.first_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
+                             gmap.tri_v2[idx], eps_hit)
+    if i < 0:
         return False, None, None
-    hit = Point3.from_array(a.as_array() + t * (b.as_array() - a.as_array()))
-    return True, int(gmap.tri_face[idx]), hit
+    return True, int(gmap.tri_face[idx[i]]), Point3.from_array(a + t * (b - a))

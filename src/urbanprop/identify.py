@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import Point3, Segment3, f_block, f_proj, f_side, block_nearest
+from .geometry import EPS_HIT, Point3, Segment3, block_nearest, f_side
 from . import kernels
 
-EPS_TOP = 0.5      # roof-ring height band, m
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
 
@@ -115,7 +114,7 @@ def _param_2d(px, py, ax, ay, bx, by):
     return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
 
 
-def compute_breakpoint(tx, rx, blocking_id, gmap, eps_top=EPS_TOP):
+def compute_breakpoint(tx, rx, blocking_id, gmap):
     """Diffraction corner of the first obstructing building.
 
     Among the building's roof-ring corners on the RX side of the first face
@@ -123,8 +122,10 @@ def compute_breakpoint(tx, rx, blocking_id, gmap, eps_top=EPS_TOP):
     the left-side corner, then the lower vertex index.  The corner is
     returned at the height of the TX-RX line at that horizontal location.
     """
-    v0, v1, v2, tfaces = gmap.triangles_of([blocking_id])
-    t, idx = kernels.first_hit(tx.as_array(), rx.as_array(), v0, v1, v2, 1e-9)
+    a, b = tx.as_array(), rx.as_array()
+    tris = gmap.candidate_triangles(a, b, [blocking_id])
+    v0, v1, v2 = gmap.tri_v0[tris], gmap.tri_v1[tris], gmap.tri_v2[tris]
+    _t, idx = kernels.first_hit(a, b, v0, v1, v2, EPS_HIT)
     if idx < 0:
         raise DegenerateGeometryError(
             f"building {blocking_id} does not block the TX-RX segment")
@@ -133,7 +134,7 @@ def compute_breakpoint(tx, rx, blocking_id, gmap, eps_top=EPS_TOP):
     rx_sign = np.sign(rx.as_array() @ nrm - offset)
 
     seg = Segment3(tx, rx)
-    corners = gmap.top_vertices(blocking_id, eps_top)
+    corners = gmap.top_vertices(blocking_id)
     best = None
     for vid in corners:
         c = gmap.vertices[vid]
@@ -168,13 +169,13 @@ def _tie_lt(ka, kb):
 # -- Candidate selection (initial identification) --------------------------
 
 
-def _segment_candidates(a, b, gmap, corridor_width, eps_top, left_only=False):
+def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
     sub = SubSegmentSides(a, b, left_only=left_only)
     seg = Segment3(a, b)
     for bid in gmap.building_ids():
         votes = 0
         n_kept = 0
-        for vid in gmap.top_vertices(bid, eps_top):
+        for vid in gmap.top_vertices(bid):
             vx, vy = gmap.vertices[vid, 0], gmap.vertices[vid, 1]
             t = _param_2d(vx, vy, a.x, a.y, b.x, b.y)
             if not 0.0 <= t <= 1.0:
@@ -194,7 +195,7 @@ def _segment_candidates(a, b, gmap, corridor_width, eps_top, left_only=False):
     return sub
 
 
-def initial_identification(tx, route, gmap, corridor_width=100.0, eps_top=EPS_TOP):
+def initial_identification(tx, route, gmap, corridor_width=100.0):
     """Algorithm-1 pass: per route point, LOS/NLOS split and side candidates.
 
     Returns a list of ``(LinkClassification, [SubSegmentSides, ...])``.
@@ -207,13 +208,12 @@ def initial_identification(tx, route, gmap, corridor_width=100.0, eps_top=EPS_TO
     for r in route:
         cls = classify_link(tx, r, gmap)
         if cls.los:
-            segs = [_segment_candidates(tx, r, gmap, corridor_width, eps_top)]
+            segs = [_segment_candidates(tx, r, gmap, corridor_width)]
         else:
             bp = cls.breakpoint
             segs = [
-                _segment_candidates(tx, bp, gmap, corridor_width, eps_top),
-                _segment_candidates(bp, r, gmap, corridor_width, eps_top,
-                                    left_only=True),
+                _segment_candidates(tx, bp, gmap, corridor_width),
+                _segment_candidates(bp, r, gmap, corridor_width, left_only=True),
             ]
         out.append((cls, segs))
     return out
@@ -222,13 +222,13 @@ def initial_identification(tx, route, gmap, corridor_width=100.0, eps_top=EPS_TO
 # -- Visibility filtering --------------------------------------------------
 
 
-def _building_line_distance(bid, gmap, a, b, eps_top):
-    verts = gmap.top_vertices(bid, eps_top)
+def _building_line_distance(bid, gmap, a, b):
+    verts = gmap.top_vertices(bid)
     return min(_perp_dist_2d(gmap.vertices[v, 0], gmap.vertices[v, 1],
                              a.x, a.y, b.x, b.y) for v in verts)
 
 
-def visible_identification(segs, tx, rx, cls, gmap, rx_index=0, eps_top=EPS_TOP):
+def visible_identification(segs, tx, rx, cls, gmap, rx_index=0):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
     Within a sub-segment, buildings are visited per side in ascending
@@ -239,41 +239,38 @@ def visible_identification(segs, tx, rx, cls, gmap, rx_index=0, eps_top=EPS_TOP)
     visible = []
     for sub in segs:
         vseg = VisibleSegment(sub.a, sub.b)
-        line = Segment3(sub.a, sub.b)
+        line_a, line_d = sub.a.as_array(), Segment3(sub.a, sub.b).direction()
         accepted = []
         for side_name in ("left", "right"):
             cand = getattr(sub, side_name)
             ordered = sorted(
                 cand,
-                key=lambda bid: (_building_line_distance(bid, gmap, sub.a, sub.b,
-                                                         eps_top), bid))
+                key=lambda bid: (_building_line_distance(bid, gmap, sub.a, sub.b),
+                                 bid))
             for bid in ordered:
                 occluders = [x for x in accepted if x != bid]
-                if _is_visible(bid, line, gmap, occluders, eps_top):
+                if _is_visible(bid, line_a, line_d, gmap, occluders):
                     getattr(vseg, side_name).append(bid)
                     accepted.append(bid)
         visible.append(vseg)
     return VisibilitySet(rx_index, cls, list(segs), visible)
 
 
-def _is_visible(bid, line, gmap, occluders, eps_top):
+def _is_visible(bid, line_a, line_d, gmap, occluders):
+    """True when no roof-ring vertex-to-projection segment of ``bid`` onto
+    the line ``line_a + t line_d`` is blocked by an occluder; one kernel call
+    tests every segment."""
     if not occluders:
         return True
-    v0, v1, v2, _ = gmap.triangles_of(occluders)
-    for vid in gmap.top_vertices(bid, eps_top):
-        v = gmap.vertices[vid]
-        proj, _t = f_proj(Point3.from_array(v), line)
-        d = proj.as_array() - v
-        if np.linalg.norm(d) <= 1e-9:
-            continue
-        if kernels.any_hit(v, proj.as_array(), v0, v1, v2, 1e-9):
-            return False
-    return True
+    verts = gmap.vertices[gmap.top_vertices(bid)]
+    t = (verts - line_a) @ line_d / (line_d @ line_d)
+    proj = line_a + t[:, None] * line_d
+    tris = gmap.candidate_triangles(verts, proj, occluders)
+    return not kernels.any_hit(verts, proj, gmap.tri_v0[tris],
+                               gmap.tri_v1[tris], gmap.tri_v2[tris], EPS_HIT)
 
 
-def identify_position(tx, r, gmap, corridor_width=100.0, eps_top=EPS_TOP,
-                      rx_index=0):
+def identify_position(tx, r, gmap, corridor_width=100.0, rx_index=0):
     """Convenience wrapper: both passes for one receiver position."""
-    (cls, segs), = initial_identification(tx, [r], gmap, corridor_width, eps_top)
-    return visible_identification(segs, tx, r, cls, gmap, rx_index=rx_index,
-                                  eps_top=eps_top)
+    (cls, segs), = initial_identification(tx, [r], gmap, corridor_width)
+    return visible_identification(segs, tx, r, cls, gmap, rx_index=rx_index)

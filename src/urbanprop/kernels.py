@@ -1,36 +1,32 @@
-"""Hot geometric kernels: batched open-segment vs. triangle intersection.
+"""Hot geometric kernel: batched open-segment vs. triangle intersection.
 
-Two interchangeable implementations are provided: a numba ``@njit`` loop
-kernel and a vectorized pure-numpy fallback.  Selection happens once at
-import time via the ``URBANPROP_DISABLE_NUMBA`` environment variable (any
-non-empty value other than ``"0"`` disables numba).  Both paths share the
-same Moller-Trumbore math and tolerance conventions, so results are
-bit-for-bit comparable; ``benchmarks/bench_kernels.py`` times them against
-each other.
+One numpy Moller-Trumbore kernel answers S segments against M triangles in
+a single call, with the cross products expanded over array columns.  Every
+(segment, triangle) pair goes through the same element-wise arithmetic, so
+its result does not depend on which other segments or triangles share the
+call; callers may cull the soup or batch segments without changing a bit.
+``benchmarks/bench_kernels.py`` times a batched call against a loop of
+single-segment calls.
 
 Conventions:
     * segments are open: hits closer than ``eps_hit`` (meters) to either
-      endpoint are discarded,
+      endpoint are discarded, and a zero-length segment hits nothing,
     * a miss is encoded as ``np.inf`` in the returned parameter array,
     * the returned parameter ``t`` is the fractional position along a->b.
 """
-
-import os
 
 import numpy as np
 
 _EPS_PARALLEL = 1e-12
 _EPS_BARY = 1e-12
 
-USE_NUMBA = os.environ.get("URBANPROP_DISABLE_NUMBA", "0") in ("", "0")
 
-
-def _segment_triangles_numpy(a, b, v0, v1, v2, eps_hit):
-    """Vectorized Moller-Trumbore over a triangle soup.
+def segment_triangles(a, b, v0, v1, v2, eps_hit):
+    """Vectorized Moller-Trumbore of segments against a triangle soup.
 
     Parameters
     ----------
-    a, b : (3,) float64
+    a, b : (3,) or (S, 3) float64
         Segment endpoints.
     v0, v1, v2 : (M, 3) float64
         Triangle vertices.
@@ -39,91 +35,48 @@ def _segment_triangles_numpy(a, b, v0, v1, v2, eps_hit):
 
     Returns
     -------
-    (M,) float64 array of hit parameters, ``np.inf`` where there is no hit.
+    (M,) float64 array of hit parameters for a single segment, or (S, M)
+    for a batch; ``np.inf`` where there is no hit.
     """
-    d = b - a
-    seg_len = np.sqrt(d @ d)
-    e1 = v1 - v0
-    e2 = v2 - v0
-    pvec = np.cross(np.broadcast_to(d, e2.shape), e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > _EPS_PARALLEL
-    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = a - v0
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-    qvec = np.cross(tvec, e1)
-    v = qvec @ d * inv_det
-    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
-    lo = eps_hit / seg_len
-    hit = (
-        ok
-        & (u >= -_EPS_BARY)
-        & (v >= -_EPS_BARY)
-        & (u + v <= 1.0 + _EPS_BARY)
-        & (t > lo)
-        & (t < 1.0 - lo)
-    )
-    return np.where(hit, t, np.inf)
-
-
-def _segment_triangles_loop(a, b, v0, v1, v2, eps_hit):
-    m = v0.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    dz = b[2] - a[2]
-    seg_len = np.sqrt(dx * dx + dy * dy + dz * dz)
-    lo = eps_hit / seg_len
-    hi = 1.0 - lo
-    for i in range(m):
-        out[i] = np.inf
-        e1x = v1[i, 0] - v0[i, 0]
-        e1y = v1[i, 1] - v0[i, 1]
-        e1z = v1[i, 2] - v0[i, 2]
-        e2x = v2[i, 0] - v0[i, 0]
-        e2y = v2[i, 1] - v0[i, 1]
-        e2z = v2[i, 2] - v0[i, 2]
-        px = dy * e2z - dz * e2y
-        py = dz * e2x - dx * e2z
-        pz = dx * e2y - dy * e2x
-        det = e1x * px + e1y * py + e1z * pz
-        if abs(det) <= _EPS_PARALLEL:
-            continue
+    a = np.asarray(a, dtype=np.float64)
+    single = a.ndim == 1
+    a = a.reshape(-1, 3)
+    d = np.asarray(b, dtype=np.float64).reshape(-1, 3) - a
+    dx, dy, dz = d[:, 0:1], d[:, 1:2], d[:, 2:3]
+    e1x, e1y, e1z = (v1 - v0).T
+    e2x, e2y, e2z = (v2 - v0).T
+    px = dy * e2z - dz * e2y
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
+    det = e1x * px + e1y * py + e1z * pz
+    tx = a[:, 0:1] - v0[:, 0]
+    ty = a[:, 1:2] - v0[:, 1]
+    tz = a[:, 2:3] - v0[:, 2]
+    qx = ty * e1z - tz * e1y
+    qy = tz * e1x - tx * e1z
+    qz = tx * e1y - ty * e1x
+    # det == 0 (parallel, or a zero-length segment) makes inv_det infinite
+    # and u, v, t non-finite; the det test rejects those pairs.  A
+    # zero-length segment also gets lo = inf, so no t passes.
+    with np.errstate(all="ignore"):
         inv_det = 1.0 / det
-        tx = a[0] - v0[i, 0]
-        ty = a[1] - v0[i, 1]
-        tz = a[2] - v0[i, 2]
+        lo = eps_hit / np.sqrt(dx * dx + dy * dy + dz * dz)
         u = (tx * px + ty * py + tz * pz) * inv_det
-        if u < -_EPS_BARY:
-            continue
-        qx = ty * e1z - tz * e1y
-        qy = tz * e1x - tx * e1z
-        qz = tx * e1y - ty * e1x
         v = (dx * qx + dy * qy + dz * qz) * inv_det
-        if v < -_EPS_BARY or u + v > 1.0 + _EPS_BARY:
-            continue
         t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
-        if lo < t < hi:
-            out[i] = t
-    return out
-
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        segment_triangles = njit(cache=True)(_segment_triangles_loop)
-    except ImportError:  # pragma: no cover - numba is a hard dep, but be safe
-        USE_NUMBA = False
-        segment_triangles = _segment_triangles_numpy
-else:
-    segment_triangles = _segment_triangles_numpy
+        hit = ((np.abs(det) > _EPS_PARALLEL)
+               & (np.minimum(u, v) >= -_EPS_BARY)
+               & (u + v <= 1.0 + _EPS_BARY)
+               & (t > lo) & (t < 1.0 - lo))
+    t[~hit] = np.inf
+    return t[0] if single else t
 
 
 def first_hit(a, b, v0, v1, v2, eps_hit):
     """Nearest-to-``a`` hit of the open segment against the soup.
 
-    Returns ``(t, index)`` or ``(np.inf, -1)`` when nothing is hit.
+    Returns ``(t, index)`` or ``(np.inf, -1)`` when nothing is hit; of
+    equally near hits, the lowest triangle index wins.
     """
     if v0.shape[0] == 0:
         return np.inf, -1
@@ -135,7 +88,7 @@ def first_hit(a, b, v0, v1, v2, eps_hit):
 
 
 def any_hit(a, b, v0, v1, v2, eps_hit):
-    """True when any triangle blocks the open segment a->b."""
+    """True when any triangle blocks the open segment a->b, or any of a batch."""
     if v0.shape[0] == 0:
         return False
     t = segment_triangles(a, b, v0, v1, v2, eps_hit)

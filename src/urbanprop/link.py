@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalDomainError
 from .fields import ChainStage, direct_field, recursive_chain, transition_function
 from .geometry import Point3, f_block
-from .identify import EPS_TOP, _param_2d, _perp_dist_2d
+from .identify import _param_2d, _perp_dist_2d
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -70,9 +70,9 @@ class LinkPrediction:
 # -- stage geometry helpers ------------------------------------------------
 
 
-def _ring_neighbors(gmap, bid, vid, eps_top):
+def _ring_neighbors(gmap, bid, vid):
     """Horizontal directions of roof-ring walls adjacent to a corner vertex."""
-    top = set(int(v) for v in gmap.top_vertices(bid, eps_top))
+    top = set(int(v) for v in gmap.top_vertices(bid))
     here = gmap.vertices[vid][:2]
     dirs = []
     b = gmap.building(bid)
@@ -99,7 +99,7 @@ def _angle_from(w, v):
     return np.arctan2(cross, dot)
 
 
-def _wedge_angles(gmap, bid, vid, edge_xy, prev_xy, next_xy, eps_top):
+def _wedge_angles(gmap, bid, vid, edge_xy, prev_xy, next_xy):
     """(alpha, phi) at one corner for incoming prev->edge, outgoing edge->next."""
     inc = edge_xy - prev_xy
     inc_n = np.hypot(inc[0], inc[1])
@@ -107,7 +107,7 @@ def _wedge_angles(gmap, bid, vid, edge_xy, prev_xy, next_xy, eps_top):
     if inc_n < 1e-9:
         return np.pi / 2.0, np.pi  # degenerate: treat as straight transmission
     inc = inc / inc_n
-    walls = _ring_neighbors(gmap, bid, vid, eps_top)
+    walls = _ring_neighbors(gmap, bid, vid)
     if not walls:
         return np.pi / 2.0, np.pi
     screen = max(walls, key=lambda w: abs(w[0] * inc[0] + w[1] * inc[1]))
@@ -119,10 +119,10 @@ def _wedge_angles(gmap, bid, vid, edge_xy, prev_xy, next_xy, eps_top):
     return float(np.clip(alpha, 0.0, np.pi)), float(phi)
 
 
-def _corner_for_line(gmap, bid, a, b, eps_top):
+def _corner_for_line(gmap, bid, a, b):
     """Roof corner of the building nearest the sub-segment line (ties by index)."""
     best = None
-    for vid in gmap.top_vertices(bid, eps_top):
+    for vid in gmap.top_vertices(bid):
         c = gmap.vertices[vid]
         dist = _perp_dist_2d(c[0], c[1], a.x, a.y, b.x, b.y)
         key = (dist, int(vid))
@@ -192,7 +192,7 @@ def _reflection_branch(gmap, vis_opposite, edge, rx):
     return best[1], Point3.from_array(best[2]), best[3], best[4]
 
 
-def extract_chain(vis, tx, rx, gmap, eps_top=EPS_TOP):
+def extract_chain(vis, tx, rx, gmap):
     """Ordered chain stages plus terminal geometry for one receiver position.
 
     Returns ``(stages, terminal)``; both are empty/None when no building is
@@ -205,7 +205,7 @@ def extract_chain(vis, tx, rx, gmap, eps_top=EPS_TOP):
             for bid in getattr(vseg, side):
                 side_of[bid] = side
         for bid, side in side_of.items():
-            vid = _corner_for_line(gmap, bid, vseg.a, vseg.b, eps_top)
+            vid = _corner_for_line(gmap, bid, vseg.a, vseg.b)
             edge, t = _edge_point(gmap, vid, vseg.a, vseg.b)
             entries.append((seg_idx, t, bid, vid, edge, side))
     if not entries:
@@ -225,8 +225,7 @@ def extract_chain(vis, tx, rx, gmap, eps_top=EPS_TOP):
         prev_xy = points[i][:2]
         here_xy = points[i + 1][:2]
         next_xy = points[i + 2][:2]
-        alpha, phi = _wedge_angles(gmap, bid, vid, here_xy, prev_xy, next_xy,
-                                   eps_top)
+        alpha, phi = _wedge_angles(gmap, bid, vid, here_xy, prev_xy, next_xy)
         d_tx = float(np.linalg.norm(points[i + 1] - txa))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
         blocked = bool(f_block(tx, edge, gmap)) if i > 0 else False
@@ -243,7 +242,7 @@ def extract_chain(vis, tx, rx, gmap, eps_top=EPS_TOP):
     edge_xy = last_edge.as_array()[:2]
     inc = edge_xy - prev_xy
     inc_n = np.hypot(inc[0], inc[1])
-    walls = _ring_neighbors(gmap, last_bid, last_vid, eps_top)
+    walls = _ring_neighbors(gmap, last_bid, last_vid)
     if inc_n < 1e-9 or not walls:
         screen, orient = np.array([1.0, 0.0]), 1.0
         beta = np.pi / 2.0
