@@ -16,7 +16,7 @@ from .fields import (ChainStage, RegionKind, WedgeGeometry, classify_region,
 from .link import (LinkPrediction, MaterialConfig, TerminalGeometry,
                    extract_chain, friis_path_loss_db, path_loss,
                    reflection_coefficient, slope_coefficient, total_field)
-from .baselines import BaselineConfig, gpp_path_loss, simplified_path_loss
+from .baselines import BaselineConfig, gpp_path_loss
 from .doppler import (DopplerSample, PathComponent, doppler_shift,
                       enumerate_paths, gpp_doppler_estimate, rms_spread,
                       route_doppler)

@@ -1,12 +1,13 @@
-"""Comparison path-loss models: empirical V2V-urban curves and the
-no-recursion simplified variant of the site-specific model."""
+"""Comparison path-loss model: empirical V2V-urban curves.
+
+The no-recursion simplified variant of the site-specific model is
+``link.total_field(..., simplified=True)``."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalDomainError
-from .link import total_field
 
 # Default V2V-urban coefficients: PL = intercept + slope_d*log10(d) + slope_f*log10(f_GHz)
 GPP_LOS = {"intercept": 38.77, "distance_slope": 16.7, "frequency_slope": 18.2}
@@ -36,11 +37,3 @@ def gpp_path_loss(d3d, freq_ghz, los, cfg=None):
     c = cfg.los if los else cfg.nlos
     return float(c["intercept"] + c["distance_slope"] * np.log10(d3d)
                  + c["frequency_slope"] * np.log10(freq_ghz))
-
-
-def simplified_path_loss(vis, stages, term, material, p_t, tx, rx, k, gmap,
-                         g_r=1.0, pl_cap_db=300.0):
-    """Same terminal composition as the full model, but the chain field is
-    plain free space from the TX to the last diffraction point."""
-    return total_field(vis, stages, term, material, p_t, tx, rx, k, gmap,
-                       g_r=g_r, simplified=True, pl_cap_db=pl_cap_db)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, RouteError
+from .errors import ConfigError, NumericalDomainError, RouteError
 from .geometry import Point3
 from .link import C_LIGHT, MaterialConfig
 
@@ -32,10 +32,15 @@ class ScenarioConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        for name in ("freq_hz", "p_t_watts", "g_r_linear", "corridor_width_m"):
+        for name in ("freq_hz", "p_t_watts", "g_r_linear", "corridor_width_m",
+                     "pl_cap_db"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise ConfigError(f"config field '{name}' must be positive, got {v}")
+        try:
+            self.material      # MaterialConfig checks eps_r and polarization
+        except NumericalDomainError as exc:
+            raise ConfigError(f"config: {exc}") from exc
 
     @property
     def wavenumber(self):

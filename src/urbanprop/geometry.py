@@ -11,14 +11,15 @@ an optional declared origin for provenance only.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import MapValidationError, NumericalDomainError
 from . import kernels
 
-# Default tolerances, overridable per call / per load.
+# Tolerances.
 EPS_PLANE = 1e-6   # face planarity, meters
 EPS_HIT = 1e-9     # endpoint exclusion for occlusion, meters
 EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
@@ -76,141 +77,129 @@ class Building:
 class GeometryMap:
     """Immutable 3D environment: vertices, faces and building groups.
 
-    The triangle soup (``tri_v0/v1/v2``) is derived at construction by fan
-    triangulation of every face; ``tri_face`` maps each triangle back to its
-    face index and ``tri_building`` to its building's position in
-    ``buildings``.  Per building, the load also stores the padded bounding
-    box that occlusion tests cull against (``box_lo``/``box_hi``, shape
-    (3, B): one row per axis, one column per building in ``buildings``
-    order) and the roof-ring vertex ids for ``EPS_TOP``.
+    Construction validates the map and derives, with array operations:
+    ``tri_v0/v1/v2``, the fan-triangulated faces, with ``tri_face`` (face
+    index) and ``tri_building`` (building position in ``buildings``);
+    ``face_normal`` (F, 3), each face's unit normal from its leading
+    vertices (NaN for a degenerate triangle); ``box_lo``/``box_hi`` (3, B),
+    the padded building boxes occlusion tests cull against; ``ids``, the
+    building ids; and the roof-vertex table: ``roof_vertex`` (ring vertex
+    ids within ``EPS_TOP`` of each building's top, ascending per building),
+    ``roof_xy`` and ``roof_owner`` (building position).
     """
 
     vertices: np.ndarray                    # (N, 3) float64
     faces: list                             # list[Face]
     buildings: list                         # list[Building]
     origin: tuple = None                    # provenance only, never used
-    eps_plane: float = EPS_PLANE
-
-    tri_v0: np.ndarray = field(init=False, repr=False)
-    tri_v1: np.ndarray = field(init=False, repr=False)
-    tri_v2: np.ndarray = field(init=False, repr=False)
-    tri_face: np.ndarray = field(init=False, repr=False)
-    tri_building: np.ndarray = field(init=False, repr=False)
-    box_lo: np.ndarray = field(init=False, repr=False)
-    box_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         if self.vertices.size and not np.isfinite(self.vertices).all():
             raise MapValidationError("non-finite vertex coordinate")
-        self._validate()
-        self._triangulate()
-        self._by_id = {b.id: b for b in self.buildings}
+        self.ids = np.array([b.id for b in self.buildings], dtype=np.int64)
+        if len(np.unique(self.ids)) != len(self.ids):
+            raise MapValidationError("duplicate building id")
         self._position = {b.id: i for i, b in enumerate(self.buildings)}
-        self._index_buildings()
+        self._load_faces()
+        self._load_buildings()
 
     # -- construction ------------------------------------------------------
 
-    def _validate(self):
+    def _load_faces(self):
+        """Validate the faces, then store their normals and triangles."""
         n = len(self.vertices)
-        ids = {b.id for b in self.buildings}
-        if len(ids) != len(self.buildings):
-            raise MapValidationError("duplicate building id")
-        for fi, f in enumerate(self.faces):
-            if len(f.vertex_ids) < 3:
-                raise MapValidationError(f"face {fi} has fewer than 3 vertices")
-            for vid in f.vertex_ids:
-                if not 0 <= vid < n:
-                    raise MapValidationError(
-                        f"face {fi} references vertex {vid} of a {n}-vertex map")
-            if f.building_id not in ids:
-                raise MapValidationError(
-                    f"face {fi} references unknown building {f.building_id}")
-            self._check_planar(fi, f)
-        for b in self.buildings:
-            if not b.face_indices:
-                raise MapValidationError(f"building {b.id} has no faces")
-            for vid in b.vertex_indices:
-                if not 0 <= vid < n:
-                    raise MapValidationError(
-                        f"building {b.id} references vertex {vid} out of range")
+        flat, owner, starts, sizes, bad_vertex = _ragged(
+            [f.vertex_ids for f in self.faces], n)
+        face_bid = np.array([f.building_id for f in self.faces], dtype=np.int64)
+        _raise_first_failure(
+            (sizes < 3, lambda i: f"face {i} has fewer than 3 vertices"),
+            (bad_vertex, lambda i: f"face {i} references vertex "
+             f"{_outside(self.faces[i].vertex_ids, n)} of a {n}-vertex map"),
+            (~np.isin(face_bid, self.ids), lambda i: f"face {i} references "
+             f"unknown building {self.faces[i].building_id}"))
 
-    def _check_planar(self, fi, f):
-        pts = self.vertices[list(f.vertex_ids)]
-        if len(pts) == 3:
-            return
-        e1 = pts[1] - pts[0]
-        e2 = pts[2] - pts[0]
-        nrm = np.cross(e1, e2)
-        norm = np.linalg.norm(nrm)
-        if norm == 0.0:
-            raise MapValidationError(f"face {fi} has collinear leading vertices")
-        nrm /= norm
-        dist = np.abs((pts - pts[0]) @ nrm)
-        if dist.max() > self.eps_plane:
-            raise MapValidationError(
-                f"face {fi} is non-planar by {dist.max():.2e} m")
+        v = self.vertices
+        p0 = v[flat[starts]]
+        nrm = np.cross(v[flat[starts + 1]] - p0, v[flat[starts + 2]] - p0)
+        # Row dot products through matmul sum like the 1-D np.linalg.norm,
+        # so each normal equals the one computed face by face, bit for bit.
+        norm = np.sqrt(_row_dot(nrm, nrm))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.face_normal = nrm / norm[:, None]
+            dist = np.abs(_row_dot(v[flat] - p0[owner], self.face_normal[owner]))
+        self.face_normal.flags.writeable = False
+        worst = np.zeros(len(sizes))
+        np.fmax.at(worst, owner, dist)      # skips the NaN of a degenerate face
+        polygon = sizes > 3        # a triangle is planar by construction
+        _raise_first_failure(
+            (polygon & (norm == 0.0),
+             lambda i: f"face {i} has collinear leading vertices"),
+            (polygon & (worst > EPS_PLANE),
+             lambda i: f"face {i} is non-planar by {worst[i]:.2e} m"))
 
-    def _triangulate(self):
-        v0, v1, v2, tf = [], [], [], []
-        for fi, f in enumerate(self.faces):
-            ids = f.vertex_ids
-            for k in range(1, len(ids) - 1):
-                v0.append(self.vertices[ids[0]])
-                v1.append(self.vertices[ids[k]])
-                v2.append(self.vertices[ids[k + 1]])
-                tf.append(fi)
-        shape = (len(v0), 3)
-        self.tri_v0 = np.array(v0, dtype=np.float64).reshape(shape)
-        self.tri_v1 = np.array(v1, dtype=np.float64).reshape(shape)
-        self.tri_v2 = np.array(v2, dtype=np.float64).reshape(shape)
-        self.tri_face = np.array(tf, dtype=np.int64)
-
-    def _index_buildings(self):
-        """Triangle->building index, bounding boxes and roof rings, once."""
-        face_pos = np.array([self._position[f.building_id] for f in self.faces],
-                            dtype=np.int64)
+        # fan triangulation: triangle k of a face is (v[0], v[k + 1], v[k + 2])
+        fans = sizes - 2
+        self.tri_face = np.repeat(np.arange(len(sizes)), fans)
+        first = starts[self.tri_face]
+        k = np.arange(len(self.tri_face)) - np.repeat(np.cumsum(fans) - fans, fans)
+        self.tri_v0 = v[flat[first]]
+        self.tri_v1 = v[flat[first + k + 1]]
+        self.tri_v2 = v[flat[first + k + 2]]
+        order = np.argsort(self.ids)
+        face_pos = order[np.searchsorted(self.ids, face_bid, sorter=order)]
         self.tri_building = face_pos[self.tri_face]
-        counts = [len(b.vertex_indices) for b in self.buildings]
-        if not counts:
-            self.box_lo = self.box_hi = np.empty((3, 0))
-            self._top = {}
-            return
-        ids = np.concatenate([b.vertex_indices for b in self.buildings])
-        starts = np.cumsum([0] + counts[:-1])
-        pts = self.vertices[ids]
+
+    def _load_buildings(self):
+        """Validate the buildings, then store their boxes and roof rings."""
+        n = len(self.vertices)
+        vids, owner, starts, counts, bad_vertex = _ragged(
+            [b.vertex_indices for b in self.buildings], n)
+        no_faces = np.array([not b.face_indices for b in self.buildings], dtype=bool)
+        b = self.buildings
+        _raise_first_failure(
+            (no_faces, lambda i: f"building {b[i].id} has no faces"),
+            (bad_vertex, lambda i: f"building {b[i].id} references vertex "
+             f"{_outside(b[i].vertex_indices, n)} out of range"))
+
+        pts = self.vertices[vids]
         hi = np.maximum.reduceat(pts, starts)
         self.box_lo = np.ascontiguousarray(
             np.minimum.reduceat(pts, starts).T - BOX_PAD)
         self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
         is_top = pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP
-        ring_sizes = np.add.reduceat(is_top.astype(np.int64), starts)
-        rings = np.split(ids[is_top], np.cumsum(ring_sizes)[:-1])
-        for ring in rings:
-            ring.flags.writeable = False
-        self._top = {b.id: ring for b, ring in zip(self.buildings, rings)}
+        ring = np.flatnonzero(is_top)
+        ring = ring[np.lexsort((vids[ring], owner[ring]))]
+        self.roof_vertex = vids[ring]
+        self.roof_vertex.flags.writeable = False
+        self.roof_xy = pts[ring, :2]
+        self.roof_owner = owner[ring]
+        self._ring_edge = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.roof_owner, minlength=len(counts)))))
 
     # -- accessors ---------------------------------------------------------
 
-    def building(self, building_id):
+    def _pos(self, building_id):
         try:
-            return self._by_id[building_id]
+            return self._position[building_id]
         except KeyError:
             raise MapValidationError(f"unknown building id {building_id}") from None
 
+    def building(self, building_id):
+        return self.buildings[self._pos(building_id)]
+
     def building_ids(self):
-        return [b.id for b in self.buildings]
+        return self.ids.tolist()
 
     def top_vertices(self, building_id):
-        """Indices of the building's roof-ring vertices (read-only array).
+        """Indices of the building's roof-ring vertices, ascending (a read-only
+        view into ``roof_vertex``).
 
         A vertex is top-level when its height is within ``EPS_TOP`` of the
         building's maximum height.
         """
-        try:
-            return self._top[building_id]
-        except KeyError:
-            raise MapValidationError(f"unknown building id {building_id}") from None
+        pos = self._pos(building_id)
+        return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
 
     def candidate_triangles(self, a, b, building_ids=None):
         """Sorted ids of the triangles whose building box a segment meets.
@@ -239,10 +228,42 @@ class GeometryMap:
         return np.flatnonzero(keep[self.tri_building])
 
 
+def _ragged(groups, n):
+    """Flat int64 ids of ``groups`` (a list of id sequences), the group of
+    each id, each group's start and size, and which groups hold an id
+    outside [0, n)."""
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64,
+                       count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    bad = np.zeros(len(groups), dtype=bool)
+    bad[owner[(flat < 0) | (flat >= n)]] = True
+    return flat, owner, np.cumsum(sizes) - sizes, sizes, bad
+
+
+def _raise_first_failure(*checks):
+    """Raise for the first item that fails any check, with the message of the
+    first check it fails.  A check is ``(failed, message)``: a boolean array
+    over the items and a function of the item's index."""
+    failed = np.flatnonzero(np.logical_or.reduce([f for f, _msg in checks]))
+    if len(failed):
+        i = int(failed[0])
+        raise MapValidationError(next(msg(i) for f, msg in checks if f[i]))
+
+
+def _outside(ids, n):
+    return next(v for v in ids if not 0 <= v < n)
+
+
+def _row_dot(x, y):
+    """Dot product of each row of ``x`` with the same row of ``y``."""
+    return (x[:, None, :] @ y[:, :, None]).reshape(-1)
+
+
 # -- loading ---------------------------------------------------------------
 
 
-def load_map(path, eps_plane=EPS_PLANE):
+def load_map(path):
     """Load and validate a geometry map from its JSON file.
 
     Schema: ``{"vertices": [[x,y,z], ...], "faces": [{"building": id,
@@ -255,10 +276,10 @@ def load_map(path, eps_plane=EPS_PLANE):
         raise MapValidationError(f"cannot read map file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MapValidationError(f"malformed JSON in {path}: {exc}") from exc
-    return map_from_dict(raw, eps_plane=eps_plane)
+    return map_from_dict(raw)
 
 
-def map_from_dict(raw, eps_plane=EPS_PLANE):
+def map_from_dict(raw):
     for key in ("vertices", "faces", "buildings"):
         if key not in raw:
             raise MapValidationError(f"map is missing the '{key}' array")
@@ -286,14 +307,11 @@ def map_from_dict(raw, eps_plane=EPS_PLANE):
         except (KeyError, TypeError, ValueError) as exc:
             raise MapValidationError(f"bad building entry at index {bi}: {exc}") from exc
         f_idx = tuple(face_of_building.get(bid, ()))
-        if not f_idx:
-            raise MapValidationError(f"building {bid} has no faces")
         v_idx = tuple(sorted({v for fi in f_idx for v in faces[fi].vertex_ids}))
         buildings.append(Building(bid, str(b.get("name", "")), f_idx, v_idx))
 
     origin = tuple(raw["origin"]) if "origin" in raw else None
-    return GeometryMap(vertices, faces, buildings, origin=origin,
-                       eps_plane=eps_plane)
+    return GeometryMap(vertices, faces, buildings, origin=origin)
 
 
 # -- predicates ------------------------------------------------------------
@@ -311,31 +329,52 @@ def f_proj(p, seg):
     return Point3.from_array(a + t * d), t
 
 
-def f_side(p, seg, eps_side=EPS_SIDE):
+def line_2d(pts, a, b):
+    """Where points lie relative to the horizontal line through a->b.
+
+    ``pts`` is (N, 2) or (N, 3); heights are ignored.  Returns arrays
+    ``(t, cross, dist)``: the unclamped line parameter (0 at ``a``, 1 at
+    ``b``), the z-component of the 2D cross product (positive on the left)
+    and the perpendicular distance.  A line with no horizontal length gives
+    NaN ``t`` and ``dist``, without a warning, so no point lies on it.
+    """
+    ax, ay = a.x, a.y
+    dx, dy = b.x - ax, b.y - ay
+    px, py = pts[:, 0], pts[:, 1]
+    cross = dx * (py - ay) - dy * (px - ax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        dist = np.abs(cross) / np.hypot(dx, dy)
+    return t, cross, dist
+
+
+def side_2d(cross):
+    """Sides from ``line_2d`` cross terms: +1 left, -1 right, 0 within ``EPS_SIDE``."""
+    return np.where(np.abs(cross) <= EPS_SIDE, 0, np.sign(cross)).astype(np.int64)
+
+
+def f_side(p, seg):
     """Side of ``p`` relative to a->b on the xy-plane: +1 left, -1 right, 0 collinear.
 
     Heights are ignored; the test is the z-component of the 2D cross product.
     """
-    ax, ay = seg.a.x, seg.a.y
-    cross = (seg.b.x - ax) * (p.y - ay) - (seg.b.y - ay) * (p.x - ax)
-    if abs(cross) <= eps_side:
-        return 0
-    return 1 if cross > 0 else -1
+    _t, cross, _dist = line_2d(np.array([[p.x, p.y]]), seg.a, seg.b)
+    return int(side_2d(cross)[0])
 
 
-def segment_face_intersect(seg, face_index, gmap, eps_hit=EPS_HIT):
+def segment_face_intersect(seg, face_index, gmap):
     """Nearest-to-``a`` intersection of the open segment with one face, or None."""
     mask = gmap.tri_face == face_index
     t, idx = kernels.first_hit(seg.a.as_array(), seg.b.as_array(),
                               gmap.tri_v0[mask], gmap.tri_v1[mask],
-                              gmap.tri_v2[mask], eps_hit)
+                              gmap.tri_v2[mask], EPS_HIT)
     if idx < 0:
         return None
     a = seg.a.as_array()
     return Point3.from_array(a + t * seg.direction())
 
 
-def f_block(a, b, gmap, building_ids=None, eps_hit=EPS_HIT):
+def f_block(a, b, gmap, building_ids=None):
     """1 iff any face of the selected buildings blocks the open segment a-b.
 
     ``building_ids=None`` tests against every building in the map.
@@ -343,10 +382,10 @@ def f_block(a, b, gmap, building_ids=None, eps_hit=EPS_HIT):
     a, b = a.as_array(), b.as_array()
     idx = gmap.candidate_triangles(a, b, building_ids)
     return int(kernels.any_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
-                               gmap.tri_v2[idx], eps_hit))
+                               gmap.tri_v2[idx], EPS_HIT))
 
 
-def block_nearest(a, b, gmap, eps_hit=EPS_HIT):
+def block_nearest(a, b, gmap):
     """All-buildings occlusion test used for LOS classification.
 
     Returns ``(blocked, face_index, hit_point)`` with the nearest blocking
@@ -355,7 +394,7 @@ def block_nearest(a, b, gmap, eps_hit=EPS_HIT):
     a, b = a.as_array(), b.as_array()
     idx = gmap.candidate_triangles(a, b)
     t, i = kernels.first_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
-                             gmap.tri_v2[idx], eps_hit)
+                             gmap.tri_v2[idx], EPS_HIT)
     if i < 0:
         return False, None, None
     return True, int(gmap.tri_face[idx[i]]), Point3.from_array(a + t * (b - a))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import EPS_HIT, Point3, Segment3, block_nearest, f_side
+from .geometry import (EPS_HIT, Point3, Segment3, block_nearest, line_2d,
+                       side_2d)
 from . import kernels
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
@@ -63,32 +64,20 @@ class VisibilitySet:
     sides: list       # list[SubSegmentSides]
     visible: list     # list[VisibleSegment], parallel to ``sides``
 
-    def ordered_visible(self):
-        """Visible buildings in propagation order (sub-segment, then near-to-far
-        interleaved by projection position downstream), deduplicated."""
-        seen = set()
-        out = []
-        for seg in self.visible:
-            for side_name in ("left", "right"):
-                for bid in getattr(seg, side_name):
-                    if bid not in seen:
-                        seen.add(bid)
-                        out.append((bid, seg, side_name))
-        return out
-
     def flat_sides(self):
-        left, right = [], []
-        for seg in self.sides:
-            left += [b for b in seg.left if b not in left]
-            right += [b for b in seg.right if b not in right]
-        return {"left": left, "right": right}
+        return _flatten(self.sides)
 
     def flat_visible(self):
-        left, right = [], []
-        for seg in self.visible:
-            left += [b for b in seg.left if b not in left]
-            right += [b for b in seg.right if b not in right]
-        return {"left": left, "right": right}
+        return _flatten(self.visible)
+
+
+def _flatten(segs):
+    """Left and right building ids over all sub-segments, first occurrence kept."""
+    left, right = [], []
+    for seg in segs:
+        left += [b for b in seg.left if b not in left]
+        right += [b for b in seg.right if b not in right]
+    return {"left": left, "right": right}
 
 
 # -- LOS / breakpoint ------------------------------------------------------
@@ -102,16 +91,6 @@ def classify_link(tx, rx, gmap):
     bid = gmap.faces[face_idx].building_id
     bp = compute_breakpoint(tx, rx, bid, gmap)
     return LinkClassification(False, breakpoint=bp, blocking_building=bid)
-
-
-def _perp_dist_2d(px, py, ax, ay, bx, by):
-    dx, dy = bx - ax, by - ay
-    return abs(dx * (py - ay) - dy * (px - ax)) / np.hypot(dx, dy)
-
-
-def _param_2d(px, py, ax, ay, bx, by):
-    dx, dy = bx - ax, by - ay
-    return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
 
 
 def compute_breakpoint(tx, rx, blocking_id, gmap):
@@ -133,27 +112,26 @@ def compute_breakpoint(tx, rx, blocking_id, gmap):
     offset = nrm @ v0[idx]
     rx_sign = np.sign(rx.as_array() @ nrm - offset)
 
-    seg = Segment3(tx, rx)
-    corners = gmap.top_vertices(blocking_id)
+    ring = gmap.top_vertices(blocking_id)
+    corners = gmap.vertices[ring]
+    tline, cross, dist = line_2d(corners, tx, rx)
+    left = side_2d(cross)
     best = None
-    for vid in corners:
-        c = gmap.vertices[vid]
-        side_of_face = np.sign(c @ nrm - offset)
+    for k, vid in enumerate(ring):
+        side_of_face = np.sign(corners[k] @ nrm - offset)
         # closed half-space: corners lying exactly on the hit plane qualify
         if rx_sign != 0 and side_of_face == -rx_sign:
             continue
-        dist = _perp_dist_2d(c[0], c[1], tx.x, tx.y, rx.x, rx.y)
-        left = f_side(Point3.from_array(c), seg)
         # sort key: distance, then right-before-left inverted (left wins), then index
-        key = (dist, -left, int(vid))
+        key = (dist[k], -left[k], int(vid))
         if best is None or _tie_lt(key, best[0]):
-            best = (key, c)
+            best = (key, k)
     if best is None:
         raise DegenerateGeometryError(
             f"building {blocking_id} has no roof corner on the RX side of the hit face")
-    c = best[1]
-    tline = _param_2d(c[0], c[1], tx.x, tx.y, rx.x, rx.y)
-    z = tx.z + tline * (rx.z - tx.z)
+    k = best[1]
+    c = corners[k]
+    z = tx.z + tline[k] * (rx.z - tx.z)
     return Point3(float(c[0]), float(c[1]), float(z))
 
 
@@ -170,28 +148,23 @@ def _tie_lt(ka, kb):
 
 
 def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
+    """Buildings with a roof-ring vertex beside the sub-segment a->b.
+
+    A vertex counts when it projects inside the sub-segment and lies within
+    ``corridor_width`` of its line; each building goes to the side most of
+    its counted vertices lie on (ties left).  One pass over the map's
+    roof-vertex table.
+    """
     sub = SubSegmentSides(a, b, left_only=left_only)
-    seg = Segment3(a, b)
-    for bid in gmap.building_ids():
-        votes = 0
-        n_kept = 0
-        for vid in gmap.top_vertices(bid):
-            vx, vy = gmap.vertices[vid, 0], gmap.vertices[vid, 1]
-            t = _param_2d(vx, vy, a.x, a.y, b.x, b.y)
-            if not 0.0 <= t <= 1.0:
-                continue
-            if _perp_dist_2d(vx, vy, a.x, a.y, b.x, b.y) > corridor_width:
-                continue
-            n_kept += 1
-            votes += f_side(Point3(float(vx), float(vy), 0.0), seg)
-        if n_kept == 0:
-            continue
-        if votes >= 0:   # majority vote, ties assigned left
-            sub.left.append(bid)
-        elif not left_only:
-            sub.right.append(bid)
-    if left_only:
-        sub.right = []
+    t, cross, dist = line_2d(gmap.roof_xy, a, b)
+    kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
+    owner = gmap.roof_owner[kept]
+    n_buildings = len(gmap.buildings)
+    flanking = np.bincount(owner, minlength=n_buildings) > 0
+    votes = np.bincount(owner, side_2d(cross[kept]), minlength=n_buildings)
+    sub.left = gmap.ids[flanking & (votes >= 0)].tolist()
+    if not left_only:
+        sub.right = gmap.ids[flanking & (votes < 0)].tolist()
     return sub
 
 
@@ -223,9 +196,7 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
 
 
 def _building_line_distance(bid, gmap, a, b):
-    verts = gmap.top_vertices(bid)
-    return min(_perp_dist_2d(gmap.vertices[v, 0], gmap.vertices[v, 1],
-                             a.x, a.y, b.x, b.y) for v in verts)
+    return line_2d(gmap.vertices[gmap.top_vertices(bid)], a, b)[2].min()
 
 
 def visible_identification(segs, tx, rx, cls, gmap, rx_index=0):

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .fields import ChainStage, direct_field, recursive_chain, transition_function
-from .geometry import Point3, f_block
-from .identify import _param_2d, _perp_dist_2d
+from .geometry import Point3, f_block, line_2d
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -36,8 +35,8 @@ class MaterialConfig:
     def __post_init__(self):
         if self.polarization not in ("H", "V"):
             raise NumericalDomainError("polarization must be 'H' or 'V'")
-        if not self.perfect_conductor and self.eps_r <= 1.0:
-            raise NumericalDomainError("eps_r must exceed 1")
+        if not (self.perfect_conductor or 1.0 < self.eps_r < np.inf):
+            raise NumericalDomainError("eps_r must be finite and exceed 1")
 
 
 @dataclass
@@ -99,57 +98,62 @@ def _angle_from(w, v):
     return np.arctan2(cross, dot)
 
 
-def _wedge_angles(gmap, bid, vid, edge_xy, prev_xy, next_xy):
-    """(alpha, phi) at one corner for incoming prev->edge, outgoing edge->next."""
+def _screen_frame(gmap, bid, vid, edge_xy, prev_xy):
+    """Screen wall and orientation at a corner for the incident ray prev->edge.
+
+    Returns ``(screen, orient, alpha_s)``: the roof-ring wall direction most
+    nearly parallel to the ray, the sign that puts the source at a positive
+    angle from it, and that source angle in [0, pi].  None when the ray has
+    no horizontal length or the corner no adjacent ring wall.
+    """
     inc = edge_xy - prev_xy
     inc_n = np.hypot(inc[0], inc[1])
-    out = next_xy - edge_xy
     if inc_n < 1e-9:
-        return np.pi / 2.0, np.pi  # degenerate: treat as straight transmission
-    inc = inc / inc_n
+        return None
     walls = _ring_neighbors(gmap, bid, vid)
     if not walls:
-        return np.pi / 2.0, np.pi
+        return None
+    inc = inc / inc_n
     screen = max(walls, key=lambda w: abs(w[0] * inc[0] + w[1] * inc[1]))
     a_back = _angle_from(screen, -inc)       # direction back toward the source
     orient = 1.0 if a_back >= 0.0 else -1.0
-    alpha_s = orient * a_back                # source angle in [0, pi]
-    phi = (orient * _angle_from(screen, out)) % (2.0 * np.pi)
-    alpha = np.pi - alpha_s
-    return float(np.clip(alpha, 0.0, np.pi)), float(phi)
+    return screen, orient, orient * a_back
+
+
+def _departure(frame, v):
+    """Angle of the 2D direction v from the frame's screen, in [0, 2 pi)."""
+    screen, orient, _alpha_s = frame
+    return float((orient * _angle_from(screen, v)) % (2.0 * np.pi))
+
+
+def _wedge_angles(frame, edge_xy, next_xy):
+    """(alpha, phi) at one corner from its screen frame, outgoing edge->next."""
+    if frame is None:
+        return np.pi / 2.0, np.pi  # degenerate: treat as straight transmission
+    alpha = np.pi - frame[2]
+    return float(np.clip(alpha, 0.0, np.pi)), _departure(frame, next_xy - edge_xy)
 
 
 def _corner_for_line(gmap, bid, a, b):
-    """Roof corner of the building nearest the sub-segment line (ties by index)."""
-    best = None
-    for vid in gmap.top_vertices(bid):
-        c = gmap.vertices[vid]
-        dist = _perp_dist_2d(c[0], c[1], a.x, a.y, b.x, b.y)
-        key = (dist, int(vid))
-        if best is None or key < best[0]:
-            best = (key, int(vid))
-    return best[1]
-
-
-def _edge_point(gmap, vid, a, b):
-    c = gmap.vertices[vid]
-    t = _param_2d(c[0], c[1], a.x, a.y, b.x, b.y)
-    tz = min(max(t, 0.0), 1.0)
-    return Point3(float(c[0]), float(c[1]), float(a.z + tz * (b.z - a.z))), t
+    """Roof corner of the building nearest the sub-segment line (ties by
+    index): ``(vertex id, unclamped line parameter, edge point)``, the edge
+    point being the corner at the height of the line, clamped to a->b."""
+    ring = gmap.top_vertices(bid)
+    c = gmap.vertices[ring]
+    t, _cross, dist = line_2d(c, a, b)
+    k = np.argmin(dist)       # rings ascend, so a tie goes to the lower index
+    tz = min(max(t[k], 0.0), 1.0)
+    edge = Point3(float(c[k, 0]), float(c[k, 1]), float(a.z + tz * (b.z - a.z)))
+    return int(ring[k]), t[k], edge
 
 
 def _vertical_faces(gmap, bid):
+    """(unit normal, first vertex) of each vertical face of the building."""
     out = []
     for fi in gmap.building(bid).face_indices:
-        ids = list(gmap.faces[fi].vertex_ids)
-        pts = gmap.vertices[ids]
-        nrm = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        norm = np.linalg.norm(nrm)
-        if norm == 0.0:
-            continue
-        nrm = nrm / norm
-        if abs(nrm[2]) < 0.1:
-            out.append((fi, nrm, pts[0]))
+        nrm = gmap.face_normal[fi]
+        if abs(nrm[2]) < 0.1:    # False for the NaN normal of a degenerate face
+            out.append((nrm, gmap.vertices[gmap.faces[fi].vertex_ids[0]]))
     return out
 
 
@@ -163,7 +167,7 @@ def _reflection_branch(gmap, vis_opposite, edge, rx):
     x = rx.as_array()
     best = None
     for bid in vis_opposite:
-        for _fi, nrm, p0 in _vertical_faces(gmap, bid):
+        for nrm, p0 in _vertical_faces(gmap, bid):
             d_rx = (x - p0) @ nrm
             d_e = (e - p0) @ nrm
             if d_rx * d_e <= 0.0:
@@ -205,8 +209,7 @@ def extract_chain(vis, tx, rx, gmap):
             for bid in getattr(vseg, side):
                 side_of[bid] = side
         for bid, side in side_of.items():
-            vid = _corner_for_line(gmap, bid, vseg.a, vseg.b)
-            edge, t = _edge_point(gmap, vid, vseg.a, vseg.b)
+            vid, t, edge = _corner_for_line(gmap, bid, vseg.a, vseg.b)
             entries.append((seg_idx, t, bid, vid, edge, side))
     if not entries:
         return [], None
@@ -221,38 +224,27 @@ def extract_chain(vis, tx, rx, gmap):
     txa, rxa = tx.as_array(), rx.as_array()
     points = [txa] + [e[4].as_array() for e in ordered] + [rxa]
     stages = []
-    for i, (seg_idx, _t, bid, vid, edge, _side) in enumerate(ordered):
-        prev_xy = points[i][:2]
+    for i, (_seg, _t, bid, vid, edge, _side) in enumerate(ordered):
         here_xy = points[i + 1][:2]
-        next_xy = points[i + 2][:2]
-        alpha, phi = _wedge_angles(gmap, bid, vid, here_xy, prev_xy, next_xy)
+        frame = _screen_frame(gmap, bid, vid, here_xy, points[i][:2])
+        alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
         d_tx = float(np.linalg.norm(points[i + 1] - txa))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
         blocked = bool(f_block(tx, edge, gmap)) if i > 0 else False
         stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
                                  direct_blocked=blocked))
 
-    last_seg, _t, last_bid, last_vid, last_edge, last_side = ordered[-1]
+    last_seg, _t, _bid, _vid, last_edge, last_side = ordered[-1]
     vseg = vis.visible[last_seg]
     length_direct = float(np.linalg.norm(rxa - last_edge.as_array()))
     d_n = stages[-1].d_tx
 
-    # angles at the final edge, shared orientation with the chain stages
-    prev_xy = points[len(ordered) - 1][:2]
-    edge_xy = last_edge.as_array()[:2]
-    inc = edge_xy - prev_xy
-    inc_n = np.hypot(inc[0], inc[1])
-    walls = _ring_neighbors(gmap, last_bid, last_vid)
-    if inc_n < 1e-9 or not walls:
-        screen, orient = np.array([1.0, 0.0]), 1.0
-        beta = np.pi / 2.0
-    else:
-        inc = inc / inc_n
-        screen = max(walls, key=lambda w: abs(w[0] * inc[0] + w[1] * inc[1]))
-        a_back = _angle_from(screen, -inc)
-        orient = 1.0 if a_back >= 0.0 else -1.0
-        beta = float(orient * a_back)
-    psi = float((orient * _angle_from(screen, rxa[:2] - edge_xy)) % (2 * np.pi))
+    # angles at the final edge, in the screen frame of the last stage (whose
+    # corner it is; ``frame`` and ``here_xy`` are left from that iteration)
+    if frame is None:
+        frame = (np.array([1.0, 0.0]), 1.0, np.pi / 2.0)
+    beta = float(frame[2])
+    psi = _departure(frame, rxa[:2] - here_xy)
 
     opposite = "left" if last_side == "right" else "right"
     vis_opposite = getattr(vseg, opposite)
@@ -263,8 +255,7 @@ def extract_chain(vis, tx, rx, gmap):
                                 psi, beta, d_n, has_reflection=False)
     else:
         r, wall_point, image, incidence = refl
-        theta = float((orient * _angle_from(screen, image[:2] - edge_xy))
-                      % (2 * np.pi))
+        theta = _departure(frame, image[:2] - here_xy)
         term = TerminalGeometry(last_edge, length_direct, max(r, length_direct),
                                 psi, theta, beta, d_n, has_reflection=True,
                                 wall_point=wall_point, wall_incidence=incidence)
@@ -321,7 +312,7 @@ def slope_coefficient(kind, term, k):
 # -- composition and path loss ---------------------------------------------
 
 
-def total_field(vis, stages, term, material, p_t, tx, rx, k, gmap,
+def total_field(vis, stages, term, material, p_t, tx, rx, k,
                 g_r=1.0, simplified=False, pl_cap_db=PL_CAP_DB):
     """Compose the terminal field and convert it to a LinkPrediction.
 

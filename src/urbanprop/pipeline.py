@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineConfig, gpp_path_loss, simplified_path_loss
+from .baselines import BaselineConfig, gpp_path_loss
 from .identify import identify_position
 from .link import LinkPrediction, extract_chain, friis_path_loss_db, total_field
 
@@ -32,10 +32,10 @@ def predict_position(cfg, gmap, rx, index=0, baseline_cfg=None):
     k = cfg.wavenumber
     vis = identify_position(tx, rx, gmap, cfg.corridor_width_m, rx_index=index)
     stages, term = extract_chain(vis, tx, rx, gmap)
-    args = (vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx, k, gmap)
+    args = (vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx, k)
     full = total_field(*args, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
-    simp = simplified_path_loss(*args, g_r=cfg.g_r_linear,
-                                pl_cap_db=cfg.pl_cap_db)
+    simp = total_field(*args, g_r=cfg.g_r_linear, simplified=True,
+                       pl_cap_db=cfg.pl_cap_db)
     d3d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
     pl_gpp = gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9,
                            vis.classification.los,

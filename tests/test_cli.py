@@ -67,6 +67,20 @@ class TestExitCodes:
         assert run(["--config", cfg, "--output", tmp_path / "o",
                     "predict"]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("polarization", "X"), ("eps_r", 0.5),
+        ("pl_cap_db", -5.0), ("pl_cap_db", float("nan"))])
+    def test_bad_config_value_fails_at_load(self, scenario, tmp_path, capsys,
+                                            field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(scenario["route"]),
+                                   field: value}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "predict"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_compare_length_mismatch(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
         ref.write_text("index,value\n0,1.0\n1,2.0\n")

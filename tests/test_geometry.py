@@ -10,7 +10,7 @@ from conftest import build_map, build_map_dict
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop.errors import MapValidationError, NumericalDomainError
 from urbanprop.geometry import (Point3, Segment3, f_block, f_proj, f_side,
-                                map_from_dict, segment_face_intersect)
+                                line_2d, map_from_dict, segment_face_intersect)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -52,6 +52,53 @@ class TestMapLoading:
     def test_top_vertices_are_roof_ring(self, unit_cube_map):
         ids = unit_cube_map.top_vertices(0)
         assert sorted(ids.tolist()) == [4, 5, 6, 7]
+
+    def test_first_bad_face_is_named(self):
+        # faces 0-11 are two valid boxes; only face 13 is non-planar
+        raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
+                              (1, (3.0, 0.0, 4.0, 1.0, 2.0))])
+        n = len(raw["vertices"])
+        raw["vertices"] += [[0.0, 5.0, 0.0], [1.0, 5.0, 0.0], [1.0, 6.0, 0.0],
+                            [0.0, 6.0, 0.5]]
+        raw["faces"] += [{"building": 1, "v": [n, n + 1, n + 2]},
+                         {"building": 1, "v": [n, n + 1, n + 2, n + 3]}]
+        with pytest.raises(MapValidationError,
+                           match=r"^face 13 is non-planar by 5\.00e-01 m$"):
+            map_from_dict(raw)
+
+    def test_collinear_leading_vertices_rejected(self):
+        raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0))])
+        n = len(raw["vertices"])
+        raw["vertices"] += [[0.0, 5.0, 0.0], [1.0, 5.0, 0.0], [2.0, 5.0, 0.0],
+                            [2.0, 6.0, 0.0]]
+        raw["faces"].append({"building": 0, "v": [n, n + 1, n + 2, n + 3]})
+        with pytest.raises(MapValidationError,
+                           match=r"^face 6 has collinear leading vertices$"):
+            map_from_dict(raw)
+
+    def test_load_time_topology_matches_per_face_and_per_building(self):
+        # boxes turned by different angles, so no wall normal is axis-aligned
+        boxes = [(bid, (50.0 * bid, 3.0 * bid, 50.0 * bid + 30.0 + bid,
+                        20.0 + 2.0 * bid, 15.0)) for bid in range(12)]
+        raw = build_map_dict(boxes[7:] + boxes[:7])
+        for k in range(0, len(raw["vertices"]), 8):
+            c, s = np.cos(0.1 + 0.37 * k), np.sin(0.1 + 0.37 * k)
+            raw["vertices"][k:k + 8] = [[c * x - s * y, s * x + c * y, z]
+                                        for x, y, z in raw["vertices"][k:k + 8]]
+        gmap = map_from_dict(raw)
+        for fi, f in enumerate(gmap.faces):
+            pts = gmap.vertices[list(f.vertex_ids)]
+            nrm = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            assert np.array_equal(gmap.face_normal[fi],
+                                  nrm / np.linalg.norm(nrm))
+        assert gmap.ids.tolist() == gmap.building_ids() == [7, 8, 9, 10, 11,
+                                                            0, 1, 2, 3, 4, 5, 6]
+        for pos, bid in enumerate(gmap.building_ids()):
+            ring = gmap.top_vertices(bid)
+            assert ring.tolist() == sorted(ring.tolist())
+            assert np.array_equal(gmap.roof_vertex[gmap.roof_owner == pos], ring)
+            assert np.array_equal(gmap.roof_xy[gmap.roof_owner == pos],
+                                  gmap.vertices[ring, :2])
 
 
 # -- projection --------------------------------------------------------------
@@ -110,6 +157,23 @@ class TestSide:
         s = f_side(pt(px, py), fwd)
         if s != 0:
             assert f_side(pt(px, py), rev) == -s
+
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=5),
+           finite, finite, finite, finite)
+    @settings(max_examples=100)
+    def test_line_2d_equals_scalar_formulas(self, pts, ax, ay, bx, by):
+        # the per-point expressions the vectorized helper must reproduce, bit
+        # for bit; a line with no horizontal length gives NaN t and dist
+        t, cross, dist = line_2d(np.array(pts), pt(ax, ay), pt(bx, by))
+        dx, dy = bx - ax, by - ay
+        with np.errstate(all="ignore"):
+            for k, (px, py) in enumerate(pts):
+                px, py = np.float64(px), np.float64(py)
+                c = dx * (py - ay) - dy * (px - ax)
+                np.testing.assert_equal(
+                    (t[k], cross[k], dist[k]),
+                    (((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy),
+                     c, abs(c) / np.hypot(dx, dy)))
 
 
 # -- occlusion ---------------------------------------------------------------

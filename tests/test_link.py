@@ -1,6 +1,8 @@
 """Link-budget tests: chain extraction geometry, reflection and slope
 coefficients, terminal composition and path-loss conversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,8 +201,8 @@ class TestPathLoss:
         vis = identify_position(tx, rx, gmap)
         stages, term = extract_chain(vis, tx, rx, gmap)
         m = MaterialConfig()
-        pl1 = total_field(vis, stages, term, m, 1.0, tx, rx, K58, gmap).pl_db
-        pl9 = total_field(vis, stages, term, m, 9.0, tx, rx, K58, gmap).pl_db
+        pl1 = total_field(vis, stages, term, m, 1.0, tx, rx, K58).pl_db
+        pl9 = total_field(vis, stages, term, m, 9.0, tx, rx, K58).pl_db
         assert pl1 == pl9
 
     def test_domain_errors(self):
@@ -216,11 +218,19 @@ class TestTotalField:
         vis = identify_position(tx, rx, empty_map)
         stages, term = extract_chain(vis, tx, rx, empty_map)
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
-                           K58, empty_map)
+                           K58)
         d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
         assert pred.los and pred.n_stages == 0
         assert pred.pl_db == pytest.approx(friis_path_loss_db(d, 5.8e9),
                                            abs=1e-9)
+
+    def test_rx_directly_above_tx(self, canyon_map, cfg):
+        # the TX-RX line has no horizontal length: no candidates, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = predict_position(cfg, canyon_map, pt(0, 0, 10))
+        assert res.full.los and res.full.n_stages == 0
+        assert res.full.pl_db == pytest.approx(res.pl_friis_db, abs=1e-9)
 
     def test_nlos_exceeds_matched_los(self, corner_map, cfg):
         # deep-NLOS corner position vs an open-street LOS position at the
@@ -244,6 +254,6 @@ class TestTotalField:
         stages, term = extract_chain(vis, tx, rx, canyon_map)
         # force NLOS-style composition check through the component split:
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
-                           K58, canyon_map)
+                           K58)
         assert pred.e_total == pred.components["direct"] \
             + pred.components["final_I"] + pred.components["final_II"]
