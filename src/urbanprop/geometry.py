@@ -1,13 +1,13 @@
 """3D environment model and the exact geometric predicates under it.
 
-The map is an immutable vertex/face/building structure loaded from JSON.
-Faces are simple planar polygons, fan-triangulated once at load time into a
-triangle soup that all occlusion predicates run against (see ``kernels``).
-All predicates are pure functions, safe to call in parallel.
+The map is loaded from JSON into immutable arrays.  Faces are simple planar
+polygons, fan-triangulated once at load time into a triangle soup that all
+occlusion queries run against (see ``kernels``); the map is the only code
+that culls the soup and calls the kernel.  All predicates are pure
+functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
-y north, z up).  Geographic input must be pre-projected; the loader accepts
-an optional declared origin for provenance only.
+y north, z up).  Geographic input must be pre-projected.
 """
 
 import json
@@ -59,65 +59,56 @@ class Segment3:
         return self.b.as_array() - self.a.as_array()
 
 
-@dataclass(frozen=True)
-class Face:
-    building_id: int
-    vertex_ids: tuple
-
-
-@dataclass(frozen=True)
-class Building:
-    id: int
-    name: str
-    face_indices: tuple
-    vertex_indices: tuple
-
-
-@dataclass
 class GeometryMap:
-    """Immutable 3D environment: vertices, faces and building groups.
+    """Immutable 3D environment, held as arrays built once at load.
 
-    Construction validates the map and derives, with array operations:
-    ``tri_v0/v1/v2``, the fan-triangulated faces, with ``tri_face`` (face
-    index) and ``tri_building`` (building position in ``buildings``);
-    ``face_normal`` (F, 3), each face's unit normal from its leading
-    vertices (NaN for a degenerate triangle); ``box_lo``/``box_hi`` (3, B),
-    the padded building boxes occlusion tests cull against; ``ids``, the
-    building ids; and the roof-vertex table: ``roof_vertex`` (ring vertex
-    ids within ``EPS_TOP`` of each building's top, ascending per building),
-    ``roof_xy`` and ``roof_owner`` (building position).
+    ``GeometryMap(vertices, face_vertices, face_building, ids)`` takes the
+    (N, 3) vertex array, each face's vertex ids and building id, and the
+    building ids.  It validates them and stores, with array operations:
+    ``tri_v0/v1/v2``, the fan-triangulated faces, with ``tri_building``
+    (building position in ``ids``); ``face_normal`` (F, 3), each face's unit
+    normal from its leading vertices (NaN for a degenerate triangle);
+    ``box_lo``/``box_hi`` (3, B), the padded building boxes occlusion tests
+    cull against; the roof-vertex table: ``roof_vertex`` (ring vertex ids
+    within ``EPS_TOP`` of each building's top, ascending per building),
+    ``roof_xy`` and ``roof_owner`` (building position); the ring walls of
+    each roof vertex (``ring_walls``) and each building's vertical faces
+    (``vertical_faces``).  Every occlusion query runs through ``first_hit``
+    and ``any_hit``.
     """
 
-    vertices: np.ndarray                    # (N, 3) float64
-    faces: list                             # list[Face]
-    buildings: list                         # list[Building]
-    origin: tuple = None                    # provenance only, never used
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
+    def __init__(self, vertices, face_vertices, face_building, ids):
+        self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         if self.vertices.size and not np.isfinite(self.vertices).all():
             raise MapValidationError("non-finite vertex coordinate")
-        self.ids = np.array([b.id for b in self.buildings], dtype=np.int64)
+        self.ids = np.array(ids, dtype=np.int64)
         if len(np.unique(self.ids)) != len(self.ids):
             raise MapValidationError("duplicate building id")
-        self._position = {b.id: i for i, b in enumerate(self.buildings)}
-        self._load_faces()
-        self._load_buildings()
+        self._position = {int(bid): i for i, bid in enumerate(self.ids)}
+        self._load_buildings(*self._load_faces(
+            face_vertices, np.array(face_building, dtype=np.int64)))
 
     # -- construction ------------------------------------------------------
 
-    def _load_faces(self):
-        """Validate the faces, then store their normals and triangles."""
+    def _load_faces(self, face_vertices, face_bid):
+        """Validate the faces and store their normals and triangles.  Returns
+        the flat vertex ids of all faces, the face of each, each face's
+        start and size in them, and each face's building position."""
         n = len(self.vertices)
-        flat, owner, starts, sizes, bad_vertex = _ragged(
-            [f.vertex_ids for f in self.faces], n)
-        face_bid = np.array([f.building_id for f in self.faces], dtype=np.int64)
+        sizes = np.fromiter(map(len, face_vertices), dtype=np.int64,
+                            count=len(face_vertices))
+        flat = np.fromiter(chain.from_iterable(face_vertices), dtype=np.int64,
+                           count=int(sizes.sum()))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        outside = (flat < 0) | (flat >= n)
         _raise_first_failure(
             (sizes < 3, lambda i: f"face {i} has fewer than 3 vertices"),
-            (bad_vertex, lambda i: f"face {i} references vertex "
-             f"{_outside(self.faces[i].vertex_ids, n)} of a {n}-vertex map"),
+            (np.bincount(owner[outside], minlength=len(sizes)) > 0,
+             lambda i: f"face {i} references vertex "
+             f"{flat[(owner == i) & outside][0]} of a {n}-vertex map"),
             (~np.isin(face_bid, self.ids), lambda i: f"face {i} references "
-             f"unknown building {self.faces[i].building_id}"))
+             f"unknown building {face_bid[i]}"))
 
         v = self.vertices
         p0 = v[flat[starts]]
@@ -140,42 +131,73 @@ class GeometryMap:
 
         # fan triangulation: triangle k of a face is (v[0], v[k + 1], v[k + 2])
         fans = sizes - 2
-        self.tri_face = np.repeat(np.arange(len(sizes)), fans)
-        first = starts[self.tri_face]
-        k = np.arange(len(self.tri_face)) - np.repeat(np.cumsum(fans) - fans, fans)
+        tri_face = np.repeat(np.arange(len(sizes)), fans)
+        first = starts[tri_face]
+        k = np.arange(len(tri_face)) - np.repeat(np.cumsum(fans) - fans, fans)
         self.tri_v0 = v[flat[first]]
         self.tri_v1 = v[flat[first + k + 1]]
         self.tri_v2 = v[flat[first + k + 2]]
         order = np.argsort(self.ids)
         face_pos = order[np.searchsorted(self.ids, face_bid, sorter=order)]
-        self.tri_building = face_pos[self.tri_face]
+        self.tri_building = face_pos[tri_face]
+        return flat, owner, starts, sizes, face_pos
 
-    def _load_buildings(self):
-        """Validate the buildings, then store their boxes and roof rings."""
-        n = len(self.vertices)
-        vids, owner, starts, counts, bad_vertex = _ragged(
-            [b.vertex_indices for b in self.buildings], n)
-        no_faces = np.array([not b.face_indices for b in self.buildings], dtype=bool)
-        b = self.buildings
+    def _load_buildings(self, flat, owner, starts, sizes, face_pos):
+        """Validate the buildings, then store their boxes, roof rings, ring
+        walls and vertical faces."""
+        n_faces = np.bincount(face_pos, minlength=len(self.ids))
         _raise_first_failure(
-            (no_faces, lambda i: f"building {b[i].id} has no faces"),
-            (bad_vertex, lambda i: f"building {b[i].id} references vertex "
-             f"{_outside(b[i].vertex_indices, n)} out of range"))
+            (n_faces == 0, lambda i: f"building {self.ids[i]} has no faces"))
 
-        pts = self.vertices[vids]
-        hi = np.maximum.reduceat(pts, starts)
+        # each building's vertices, as sorted unique (position, vertex) keys
+        n = len(self.vertices)
+        pair = np.unique(face_pos[owner] * n + flat)
+        pair_b, pair_v = np.divmod(pair, n)
+        counts = np.bincount(pair_b, minlength=len(self.ids))
+        pts = self.vertices[pair_v]
+        starts_b = np.cumsum(counts) - counts
+        hi = np.maximum.reduceat(pts, starts_b)
         self.box_lo = np.ascontiguousarray(
-            np.minimum.reduceat(pts, starts).T - BOX_PAD)
+            np.minimum.reduceat(pts, starts_b).T - BOX_PAD)
         self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
-        is_top = pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP
-        ring = np.flatnonzero(is_top)
-        ring = ring[np.lexsort((vids[ring], owner[ring]))]
-        self.roof_vertex = vids[ring]
+        ring = np.flatnonzero(pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP)
+        self._roof_key = pair[ring]
+        self.roof_vertex = pair_v[ring]
         self.roof_vertex.flags.writeable = False
         self.roof_xy = pts[ring, :2]
-        self.roof_owner = owner[ring]
-        self._ring_edge = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.roof_owner, minlength=len(counts)))))
+        self.roof_owner = pair_b[ring]
+        self._ring_edge = _edges(self.roof_owner, len(self.ids))
+
+        # Ring walls: at each occurrence of a roof vertex in a face of its
+        # building, the unit directions to the previous and then the next
+        # vertex of the face that lie on the same roof ring.  Kept in face
+        # order with duplicates, since the order decides ties in link.
+        k = np.arange(len(flat)) - starts[owner]
+        step = np.stack([(k - 1) % sizes[owner], (k + 1) % sizes[owner]], axis=1)
+        nb = flat[starts[owner, None] + step].reshape(-1)
+        here, here_b = np.repeat(flat, 2), np.repeat(face_pos[owner], 2)
+        row = self._roof_row(here_b, here)
+        d = self.vertices[nb, :2] - self.vertices[here, :2]
+        norm = np.hypot(d[:, 0], d[:, 1])
+        keep = (row >= 0) & (self._roof_row(here_b, nb) >= 0) & (norm > 1e-9)
+        order = np.argsort(row[keep], kind="stable")
+        self.ring_dir = (d[keep] / norm[keep, None])[order]
+        self._ring_dir_edge = _edges(row[keep], len(self.roof_vertex))
+
+        # vertical faces per building, ascending face index; a degenerate
+        # face's NaN normal is not vertical
+        vertical = np.flatnonzero(np.abs(self.face_normal[:, 2]) < 0.1)
+        vertical = vertical[np.argsort(face_pos[vertical], kind="stable")]
+        self.wall_normal = self.face_normal[vertical]
+        self.wall_point = self.vertices[flat[starts[vertical]]]
+        self._wall_edge = _edges(face_pos[vertical], len(self.ids))
+
+    def _roof_row(self, pos, vid):
+        """Row of each (building position, vertex id) pair in the roof-vertex
+        table, or -1 where the vertex is not on that building's roof ring."""
+        key, query = self._roof_key, pos * len(self.vertices) + vid
+        row = np.minimum(np.searchsorted(key, query), len(key) - 1)
+        return np.where(key[row] == query, row, -1)
 
     # -- accessors ---------------------------------------------------------
 
@@ -184,9 +206,6 @@ class GeometryMap:
             return self._position[building_id]
         except KeyError:
             raise MapValidationError(f"unknown building id {building_id}") from None
-
-    def building(self, building_id):
-        return self.buildings[self._pos(building_id)]
 
     def building_ids(self):
         return self.ids.tolist()
@@ -200,6 +219,25 @@ class GeometryMap:
         """
         pos = self._pos(building_id)
         return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
+
+    def ring_walls(self, building_id, vertex_id):
+        """(K, 2) unit horizontal directions of the roof-ring walls at one of
+        the building's roof vertices, in face order, duplicates kept."""
+        row = int(self._roof_row(self._pos(building_id), vertex_id))
+        if row < 0:
+            return self.ring_dir[:0]
+        return self.ring_dir[self._ring_dir_edge[row]:self._ring_dir_edge[row + 1]]
+
+    def vertical_faces(self, building_id):
+        """Unit normals (K, 3) and first vertices (K, 3) of the building's
+        vertical faces, ascending face index."""
+        pos = self._pos(building_id)
+        span = slice(self._wall_edge[pos], self._wall_edge[pos + 1])
+        return self.wall_normal[span], self.wall_point[span]
+
+    def triangle(self, tri):
+        """The three vertices of triangle ``tri`` of the soup."""
+        return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
     def candidate_triangles(self, a, b, building_ids=None):
         """Sorted ids of the triangles whose building box a segment meets.
@@ -223,22 +261,29 @@ class GeometryMap:
         enter = np.minimum(t_lo, t_hi).max(axis=1)
         leave = np.maximum(t_lo, t_hi).min(axis=1)
         met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
-        keep = np.zeros(len(self.buildings), dtype=bool)
+        keep = np.zeros(len(self.ids), dtype=bool)
         keep[pos] = met.any(axis=0)
         return np.flatnonzero(keep[self.tri_building])
 
+    def first_hit(self, a, b, building_ids=None):
+        """Nearest hit of the open segment a->b ((3,) arrays) on the faces of
+        the selected buildings: ``(t, triangle id)``, or ``(inf, -1)`` when
+        nothing is hit; of equally near hits, the lowest triangle id wins.
+        ``building_ids=None`` tests every building."""
+        tris = self.candidate_triangles(a, b, building_ids)
+        t, i = kernels.first_hit(a, b, *self.triangle(tris), EPS_HIT)
+        return t, (int(tris[i]) if i >= 0 else -1)
 
-def _ragged(groups, n):
-    """Flat int64 ids of ``groups`` (a list of id sequences), the group of
-    each id, each group's start and size, and which groups hold an id
-    outside [0, n)."""
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64,
-                       count=int(sizes.sum()))
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    bad = np.zeros(len(groups), dtype=bool)
-    bad[owner[(flat < 0) | (flat >= n)]] = True
-    return flat, owner, np.cumsum(sizes) - sizes, sizes, bad
+    def any_hit(self, a, b, building_ids=None):
+        """True when a face of the selected buildings blocks the open segment
+        a->b, or any segment of an (S, 3) batch."""
+        tris = self.candidate_triangles(a, b, building_ids)
+        return kernels.any_hit(a, b, *self.triangle(tris), EPS_HIT)
+
+
+def _edges(owner, n):
+    """Start offsets (n + 1) of the groups of a sorted group-index array."""
+    return np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
 
 
 def _raise_first_failure(*checks):
@@ -249,10 +294,6 @@ def _raise_first_failure(*checks):
     if len(failed):
         i = int(failed[0])
         raise MapValidationError(next(msg(i) for f, msg in checks if f[i]))
-
-
-def _outside(ids, n):
-    return next(v for v in ids if not 0 <= v < n)
 
 
 def _row_dot(x, y):
@@ -267,7 +308,7 @@ def load_map(path):
     """Load and validate a geometry map from its JSON file.
 
     Schema: ``{"vertices": [[x,y,z], ...], "faces": [{"building": id,
-    "v": [i, ...]}, ...], "buildings": [{"id": id, "name": str?}, ...]}``.
+    "v": [i, ...]}, ...], "buildings": [{"id": id}, ...]}``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -280,38 +321,51 @@ def load_map(path):
 
 
 def map_from_dict(raw):
+    """Check the entries of a parsed map JSON document and build the map.
+
+    Vertex ids and building ids must be integral numbers; keys outside the
+    schema, such as a declared origin, are ignored.
+    """
+    if not isinstance(raw, dict):
+        raise MapValidationError("map must be a JSON object")
     for key in ("vertices", "faces", "buildings"):
-        if key not in raw:
-            raise MapValidationError(f"map is missing the '{key}' array")
-    vertices = np.asarray(raw["vertices"], dtype=np.float64)
+        if not isinstance(raw.get(key), list):
+            raise MapValidationError(f"map has no '{key}' array")
+    try:
+        vertices = np.array(raw["vertices"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MapValidationError(
+            f"'vertices' must be an array of [x, y, z]: {exc}") from exc
     if vertices.size == 0:
         vertices = np.empty((0, 3))
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MapValidationError("'vertices' must be an array of [x, y, z]")
 
-    faces = []
+    face_vertices, face_building = [], []
     for fi, f in enumerate(raw["faces"]):
         try:
-            faces.append(Face(int(f["building"]), tuple(int(v) for v in f["v"])))
+            face_vertices.append([_integral(v) for v in f["v"]])
+            face_building.append(_integral(f["building"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MapValidationError(f"bad face entry at index {fi}: {exc}") from exc
 
-    face_of_building = {}
-    for fi, f in enumerate(faces):
-        face_of_building.setdefault(f.building_id, []).append(fi)
-
-    buildings = []
+    ids = []
     for bi, b in enumerate(raw["buildings"]):
         try:
-            bid = int(b["id"])
+            ids.append(_integral(b["id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MapValidationError(f"bad building entry at index {bi}: {exc}") from exc
-        f_idx = tuple(face_of_building.get(bid, ()))
-        v_idx = tuple(sorted({v for fi in f_idx for v in faces[fi].vertex_ids}))
-        buildings.append(Building(bid, str(b.get("name", "")), f_idx, v_idx))
+    try:
+        return GeometryMap(vertices, face_vertices, face_building, ids)
+    except OverflowError as exc:
+        raise MapValidationError(f"vertex or building id beyond 64 bits: {exc}") from exc
 
-    origin = tuple(raw["origin"]) if "origin" in raw else None
-    return GeometryMap(vertices, faces, buildings, origin=origin)
+
+def _integral(x):
+    """An integer-valued JSON number as an int; ValueError for anything else."""
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
 
 
 # -- predicates ------------------------------------------------------------
@@ -362,39 +416,21 @@ def f_side(p, seg):
     return int(side_2d(cross)[0])
 
 
-def segment_face_intersect(seg, face_index, gmap):
-    """Nearest-to-``a`` intersection of the open segment with one face, or None."""
-    mask = gmap.tri_face == face_index
-    t, idx = kernels.first_hit(seg.a.as_array(), seg.b.as_array(),
-                              gmap.tri_v0[mask], gmap.tri_v1[mask],
-                              gmap.tri_v2[mask], EPS_HIT)
-    if idx < 0:
-        return None
-    a = seg.a.as_array()
-    return Point3.from_array(a + t * seg.direction())
-
-
 def f_block(a, b, gmap, building_ids=None):
     """1 iff any face of the selected buildings blocks the open segment a-b.
 
     ``building_ids=None`` tests against every building in the map.
     """
-    a, b = a.as_array(), b.as_array()
-    idx = gmap.candidate_triangles(a, b, building_ids)
-    return int(kernels.any_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
-                               gmap.tri_v2[idx], EPS_HIT))
+    return int(gmap.any_hit(a.as_array(), b.as_array(), building_ids))
 
 
 def block_nearest(a, b, gmap):
     """All-buildings occlusion test used for LOS classification.
 
-    Returns ``(blocked, face_index, hit_point)`` with the nearest blocking
-    face; ``(False, None, None)`` when the segment is clear.
+    Returns ``(blocked, building_id)``, the building owning the nearest
+    blocking face; ``(False, None)`` when the segment is clear.
     """
-    a, b = a.as_array(), b.as_array()
-    idx = gmap.candidate_triangles(a, b)
-    t, i = kernels.first_hit(a, b, gmap.tri_v0[idx], gmap.tri_v1[idx],
-                             gmap.tri_v2[idx], EPS_HIT)
-    if i < 0:
-        return False, None, None
-    return True, int(gmap.tri_face[idx[i]]), Point3.from_array(a + t * (b - a))
+    _t, tri = gmap.first_hit(a.as_array(), b.as_array())
+    if tri < 0:
+        return False, None
+    return True, int(gmap.ids[gmap.tri_building[tri]])

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import (EPS_HIT, Point3, Segment3, block_nearest, line_2d,
-                       side_2d)
-from . import kernels
+from .geometry import Point3, Segment3, block_nearest, line_2d, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
@@ -85,10 +83,9 @@ def _flatten(segs):
 
 def classify_link(tx, rx, gmap):
     """LOS/NLOS classification of the TX-RX segment against every face."""
-    blocked, face_idx, _hit = block_nearest(tx, rx, gmap)
+    blocked, bid = block_nearest(tx, rx, gmap)
     if not blocked:
         return LinkClassification(True)
-    bid = gmap.faces[face_idx].building_id
     bp = compute_breakpoint(tx, rx, bid, gmap)
     return LinkClassification(False, breakpoint=bp, blocking_building=bid)
 
@@ -101,15 +98,13 @@ def compute_breakpoint(tx, rx, blocking_id, gmap):
     the left-side corner, then the lower vertex index.  The corner is
     returned at the height of the TX-RX line at that horizontal location.
     """
-    a, b = tx.as_array(), rx.as_array()
-    tris = gmap.candidate_triangles(a, b, [blocking_id])
-    v0, v1, v2 = gmap.tri_v0[tris], gmap.tri_v1[tris], gmap.tri_v2[tris]
-    _t, idx = kernels.first_hit(a, b, v0, v1, v2, EPS_HIT)
-    if idx < 0:
+    _t, tri = gmap.first_hit(tx.as_array(), rx.as_array(), [blocking_id])
+    if tri < 0:
         raise DegenerateGeometryError(
             f"building {blocking_id} does not block the TX-RX segment")
-    nrm = np.cross(v1[idx] - v0[idx], v2[idx] - v0[idx])
-    offset = nrm @ v0[idx]
+    v0, v1, v2 = gmap.triangle(tri)
+    nrm = np.cross(v1 - v0, v2 - v0)
+    offset = nrm @ v0
     rx_sign = np.sign(rx.as_array() @ nrm - offset)
 
     ring = gmap.top_vertices(blocking_id)
@@ -159,7 +154,7 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
     t, cross, dist = line_2d(gmap.roof_xy, a, b)
     kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
     owner = gmap.roof_owner[kept]
-    n_buildings = len(gmap.buildings)
+    n_buildings = len(gmap.ids)
     flanking = np.bincount(owner, minlength=n_buildings) > 0
     votes = np.bincount(owner, side_2d(cross[kept]), minlength=n_buildings)
     sub.left = gmap.ids[flanking & (votes >= 0)].tolist()
@@ -199,7 +194,7 @@ def _building_line_distance(bid, gmap, a, b):
     return line_2d(gmap.vertices[gmap.top_vertices(bid)], a, b)[2].min()
 
 
-def visible_identification(segs, tx, rx, cls, gmap, rx_index=0):
+def visible_identification(segs, cls, gmap, rx_index=0):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
     Within a sub-segment, buildings are visited per side in ascending
@@ -236,12 +231,10 @@ def _is_visible(bid, line_a, line_d, gmap, occluders):
     verts = gmap.vertices[gmap.top_vertices(bid)]
     t = (verts - line_a) @ line_d / (line_d @ line_d)
     proj = line_a + t[:, None] * line_d
-    tris = gmap.candidate_triangles(verts, proj, occluders)
-    return not kernels.any_hit(verts, proj, gmap.tri_v0[tris],
-                               gmap.tri_v1[tris], gmap.tri_v2[tris], EPS_HIT)
+    return not gmap.any_hit(verts, proj, occluders)
 
 
 def identify_position(tx, r, gmap, corridor_width=100.0, rx_index=0):
     """Convenience wrapper: both passes for one receiver position."""
     (cls, segs), = initial_identification(tx, [r], gmap, corridor_width)
-    return visible_identification(segs, tx, r, cls, gmap, rx_index=rx_index)
+    return visible_identification(segs, cls, gmap, rx_index=rx_index)

@@ -69,28 +69,6 @@ class LinkPrediction:
 # -- stage geometry helpers ------------------------------------------------
 
 
-def _ring_neighbors(gmap, bid, vid):
-    """Horizontal directions of roof-ring walls adjacent to a corner vertex."""
-    top = set(int(v) for v in gmap.top_vertices(bid))
-    here = gmap.vertices[vid][:2]
-    dirs = []
-    b = gmap.building(bid)
-    for fi in b.face_indices:
-        ids = gmap.faces[fi].vertex_ids
-        n = len(ids)
-        for k, v in enumerate(ids):
-            if v != vid:
-                continue
-            for nb in (ids[(k - 1) % n], ids[(k + 1) % n]):
-                if nb not in top:
-                    continue
-                d = gmap.vertices[nb][:2] - here
-                norm = np.hypot(d[0], d[1])
-                if norm > 1e-9:
-                    dirs.append(d / norm)
-    return dirs
-
-
 def _angle_from(w, v):
     """Signed angle of 2D vector v measured from unit direction w, in (-pi, pi]."""
     cross = w[0] * v[1] - w[1] * v[0]
@@ -110,11 +88,12 @@ def _screen_frame(gmap, bid, vid, edge_xy, prev_xy):
     inc_n = np.hypot(inc[0], inc[1])
     if inc_n < 1e-9:
         return None
-    walls = _ring_neighbors(gmap, bid, vid)
-    if not walls:
+    walls = gmap.ring_walls(bid, vid)
+    if not len(walls):
         return None
     inc = inc / inc_n
-    screen = max(walls, key=lambda w: abs(w[0] * inc[0] + w[1] * inc[1]))
+    # the first wall of equally parallel ones wins
+    screen = walls[np.argmax(np.abs(walls[:, 0] * inc[0] + walls[:, 1] * inc[1]))]
     a_back = _angle_from(screen, -inc)       # direction back toward the source
     orient = 1.0 if a_back >= 0.0 else -1.0
     return screen, orient, orient * a_back
@@ -147,16 +126,6 @@ def _corner_for_line(gmap, bid, a, b):
     return int(ring[k]), t[k], edge
 
 
-def _vertical_faces(gmap, bid):
-    """(unit normal, first vertex) of each vertical face of the building."""
-    out = []
-    for fi in gmap.building(bid).face_indices:
-        nrm = gmap.face_normal[fi]
-        if abs(nrm[2]) < 0.1:    # False for the NaN normal of a degenerate face
-            out.append((nrm, gmap.vertices[gmap.faces[fi].vertex_ids[0]]))
-    return out
-
-
 def _reflection_branch(gmap, vis_opposite, edge, rx):
     """RX image across the nearest visible opposite-side wall.
 
@@ -167,7 +136,7 @@ def _reflection_branch(gmap, vis_opposite, edge, rx):
     x = rx.as_array()
     best = None
     for bid in vis_opposite:
-        for nrm, p0 in _vertical_faces(gmap, bid):
+        for nrm, p0 in zip(*gmap.vertical_faces(bid)):
             d_rx = (x - p0) @ nrm
             d_e = (e - p0) @ nrm
             if d_rx * d_e <= 0.0:

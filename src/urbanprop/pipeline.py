@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineConfig, gpp_path_loss
+from .baselines import gpp_path_loss
 from .identify import identify_position
 from .link import LinkPrediction, extract_chain, friis_path_loss_db, total_field
 
@@ -26,7 +26,7 @@ class PositionResult:
     pl_friis_db: float
 
 
-def predict_position(cfg, gmap, rx, index=0, baseline_cfg=None):
+def predict_position(cfg, gmap, rx, index=0):
     """Run the whole model stack for a single receiver position."""
     tx = cfg.tx
     k = cfg.wavenumber
@@ -38,21 +38,19 @@ def predict_position(cfg, gmap, rx, index=0, baseline_cfg=None):
                        pl_cap_db=cfg.pl_cap_db)
     d3d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
     pl_gpp = gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9,
-                           vis.classification.los,
-                           baseline_cfg or BaselineConfig())
+                           vis.classification.los)
     pl_friis = friis_path_loss_db(d3d, cfg.freq_hz)
     return PositionResult(index, rx, vis, stages, term, full, simp,
                           pl_gpp, pl_friis)
 
 
-def predict_route(cfg, gmap, route, workers=1, baseline_cfg=None):
+def predict_route(cfg, gmap, route, workers=1):
     """Predictions for every route point, in input order."""
     if workers <= 1:
-        return [predict_position(cfg, gmap, rp.position, i, baseline_cfg)
+        return [predict_position(cfg, gmap, rp.position, i)
                 for i, rp in enumerate(route)]
     from concurrent.futures import ProcessPoolExecutor
-    args = [(cfg, gmap, rp.position, i, baseline_cfg)
-            for i, rp in enumerate(route)]
+    args = [(cfg, gmap, rp.position, i) for i, rp in enumerate(route)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_predict_star, args))
 

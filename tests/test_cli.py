@@ -81,6 +81,28 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # the first three raised past main with a traceback; an unread "origin"
+    # key of any type loads
+    @pytest.mark.parametrize("key, value, code", [
+        ("vertices", [["a", 0, 0]], 2), ("vertices", [[0, 0], [1, 2, 3]], 2),
+        ("faces", 5, 2), ("origin", 5, 0)])
+    def test_malformed_map_json(self, scenario, tmp_path, capsys, key, value,
+                                code):
+        raw = build_map_dict(CORNER_BOXES)
+        raw[key] = value
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(map_path),
+                                   "route_path": str(scenario["route"])}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "identify"]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: ")
+        else:
+            assert err == []
+
     def test_compare_length_mismatch(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
         ref.write_text("index,value\n0,1.0\n1,2.0\n")

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_map, build_map_dict
+from conftest import UNIT_CUBE, build_map, build_map_dict
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop.errors import MapValidationError, NumericalDomainError
 from urbanprop.geometry import (Point3, Segment3, f_block, f_proj, f_side,
-                                line_2d, map_from_dict, segment_face_intersect)
+                                line_2d, map_from_dict)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -19,13 +19,99 @@ def pt(x, y, z=0.0):
     return Point3(float(x), float(y), float(z))
 
 
+def _rotated_boxes():
+    """Map dict of 12 boxes turned by different angles, so no wall normal is
+    axis-aligned; building ids are not in map order."""
+    boxes = [(bid, (50.0 * bid, 3.0 * bid, 50.0 * bid + 30.0 + bid,
+                    20.0 + 2.0 * bid, 15.0)) for bid in range(12)]
+    raw = build_map_dict(boxes[7:] + boxes[:7])
+    for k in range(0, len(raw["vertices"]), 8):
+        c, s = np.cos(0.1 + 0.37 * k), np.sin(0.1 + 0.37 * k)
+        raw["vertices"][k:k + 8] = [[c * x - s * y, s * x + c * y, z]
+                                    for x, y, z in raw["vertices"][k:k + 8]]
+    return raw
+
+
+def _l_prism():
+    """One L-shaped building, its roof split into two quads that share an
+    edge, so roof corners repeat across faces."""
+    xy = [(0, 0), (20, 0), (20, 8), (8, 8), (8, 20), (0, 20)]
+    verts = [[x, y, z] for z in (0.0, 12.0) for x, y in xy]
+    walls = [[k, (k + 1) % 6, (k + 1) % 6 + 6, k + 6] for k in range(6)]
+    roof = [[6, 7, 8, 9], [6, 9, 10, 11]]
+    faces = walls + roof + [[3, 2, 1, 0, 5, 4]]
+    return {"vertices": verts, "faces": [{"building": 4, "v": f} for f in faces],
+            "buildings": [{"id": 4}]}
+
+
+def _shared_wall_pair():
+    """A 20 m building (id 1) and a 10 m one (id 0) on either side of the wall
+    x = 10.  Both use the wall's bottom corners and the low roof's corners on
+    it (ids 10 and 13); the tall one's upper wall leans in to a narrower
+    roof, so its roof corners 5 and 6 sit 2 m across from 10 and 13, which
+    are roof vertices of the low building only."""
+    verts = [[0, 0, 0], [10, 0, 0], [10, 10, 0], [0, 10, 0],
+             [0, 0, 20], [8, 0, 20], [8, 10, 20], [0, 10, 20],
+             [20, 0, 0], [20, 10, 0],
+             [10, 0, 10], [20, 0, 10], [20, 10, 10], [10, 10, 10]]
+    tall = [[0, 1, 10, 5, 4], [1, 2, 13, 10], [10, 13, 6, 5], [2, 3, 7, 6, 13],
+            [3, 0, 4, 7], [4, 5, 6, 7], [3, 2, 1, 0]]
+    low = [[1, 8, 11, 10], [8, 9, 12, 11], [9, 2, 13, 12], [2, 1, 10, 13],
+           [10, 11, 12, 13], [2, 9, 8, 1]]
+    faces = [{"building": 1, "v": f} for f in tall]
+    faces += [{"building": 0, "v": f} for f in low]
+    return {"vertices": verts, "faces": faces,
+            "buildings": [{"id": 1}, {"id": 0}]}
+
+
+def _ring_neighbors_loop(raw, gmap, bid, vid):
+    """Ring-wall directions at a corner, walked face by face as
+    ``link._ring_neighbors`` did before the map held them as a table."""
+    top = set(int(v) for v in gmap.top_vertices(bid))
+    here = gmap.vertices[vid][:2]
+    dirs = []
+    for f in raw["faces"]:
+        if f["building"] != bid:
+            continue
+        ids = f["v"]
+        n = len(ids)
+        for k, v in enumerate(ids):
+            if v != vid:
+                continue
+            for nb in (ids[(k - 1) % n], ids[(k + 1) % n]):
+                if nb not in top:
+                    continue
+                d = gmap.vertices[nb][:2] - here
+                norm = np.hypot(d[0], d[1])
+                if norm > 1e-9:
+                    dirs.append(d / norm)
+    return dirs
+
+
+def _vertical_faces_loop(raw, gmap, bid):
+    """(unit normal, first vertex) of each vertical face, as
+    ``link._vertical_faces`` walked them before."""
+    out = []
+    for fi, f in enumerate(raw["faces"]):
+        if f["building"] != bid:
+            continue
+        nrm = gmap.face_normal[fi]
+        if abs(nrm[2]) < 0.1:
+            out.append((nrm, gmap.vertices[f["v"][0]]))
+    return out
+
+
+def _bits(rows, width):
+    return np.array(rows, dtype=np.float64).reshape(-1, width).tobytes()
+
+
 # -- loading / validation ----------------------------------------------------
 
 
 class TestMapLoading:
     def test_unit_cube(self, unit_cube_map):
-        assert len(unit_cube_map.buildings) == 1
-        assert len(unit_cube_map.faces) == 6
+        assert len(unit_cube_map.ids) == 1
+        assert len(unit_cube_map.face_normal) == 6
         assert unit_cube_map.vertices.shape == (8, 3)
 
     def test_dangling_vertex_reference(self):
@@ -35,7 +121,7 @@ class TestMapLoading:
             map_from_dict(raw)
 
     def test_empty_map_is_valid(self, empty_map):
-        assert empty_map.buildings == []
+        assert empty_map.building_ids() == []
         assert empty_map.tri_v0.shape == (0, 3)
 
     def test_non_planar_face_rejected(self):
@@ -52,6 +138,28 @@ class TestMapLoading:
     def test_top_vertices_are_roof_ring(self, unit_cube_map):
         ids = unit_cube_map.top_vertices(0)
         assert sorted(ids.tolist()) == [4, 5, 6, 7]
+
+    # the first two used to load truncated, the face as (0, 1, 5, 4) and the
+    # building as 0; the third raised OverflowError
+    @pytest.mark.parametrize("entry, field, value, message", [
+        ("faces", "v", [0, 1.9, 5, 4],
+         "bad face entry at index 0: 1.9 is not an integer"),
+        ("buildings", "id", 0.6,
+         "bad building entry at index 0: 0.6 is not an integer"),
+        ("buildings", "id", 2 ** 64,
+         "vertex or building id beyond 64 bits: .*")])
+    def test_non_integral_id_rejected(self, entry, field, value, message):
+        raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
+                              (1, (3.0, 0.0, 4.0, 1.0, 2.0))])
+        raw[entry][0][field] = value
+        with pytest.raises(MapValidationError, match=f"^{message}$"):
+            map_from_dict(raw)
+
+    def test_integral_float_ids_load(self):
+        raw = build_map_dict(UNIT_CUBE)
+        raw["faces"][0]["v"] = [float(v) for v in raw["faces"][0]["v"]]
+        raw["buildings"][0]["id"] = 0.0
+        assert map_from_dict(raw).building_ids() == [0]
 
     def test_first_bad_face_is_named(self):
         # faces 0-11 are two valid boxes; only face 13 is non-planar
@@ -77,17 +185,10 @@ class TestMapLoading:
             map_from_dict(raw)
 
     def test_load_time_topology_matches_per_face_and_per_building(self):
-        # boxes turned by different angles, so no wall normal is axis-aligned
-        boxes = [(bid, (50.0 * bid, 3.0 * bid, 50.0 * bid + 30.0 + bid,
-                        20.0 + 2.0 * bid, 15.0)) for bid in range(12)]
-        raw = build_map_dict(boxes[7:] + boxes[:7])
-        for k in range(0, len(raw["vertices"]), 8):
-            c, s = np.cos(0.1 + 0.37 * k), np.sin(0.1 + 0.37 * k)
-            raw["vertices"][k:k + 8] = [[c * x - s * y, s * x + c * y, z]
-                                        for x, y, z in raw["vertices"][k:k + 8]]
+        raw = _rotated_boxes()
         gmap = map_from_dict(raw)
-        for fi, f in enumerate(gmap.faces):
-            pts = gmap.vertices[list(f.vertex_ids)]
+        for fi, f in enumerate(raw["faces"]):
+            pts = gmap.vertices[f["v"]]
             nrm = np.cross(pts[1] - pts[0], pts[2] - pts[0])
             assert np.array_equal(gmap.face_normal[fi],
                                   nrm / np.linalg.norm(nrm))
@@ -99,6 +200,27 @@ class TestMapLoading:
             assert np.array_equal(gmap.roof_vertex[gmap.roof_owner == pos], ring)
             assert np.array_equal(gmap.roof_xy[gmap.roof_owner == pos],
                                   gmap.vertices[ring, :2])
+
+    @pytest.mark.parametrize("make", [_rotated_boxes, _l_prism,
+                                      _shared_wall_pair])
+    def test_wall_tables_match_face_walks(self, make):
+        # same directions and normals bit for bit and in the same order; the
+        # ring-wall order decides link._screen_frame's ties
+        raw = make()
+        gmap = map_from_dict(raw)
+        n_walls = 0
+        for bid in gmap.building_ids():
+            for vid in gmap.top_vertices(bid):
+                walls = gmap.ring_walls(bid, vid)
+                assert walls.shape[1] == 2
+                assert walls.tobytes() == _bits(
+                    _ring_neighbors_loop(raw, gmap, bid, vid), 2)
+                n_walls += len(walls)
+            normals, points = gmap.vertical_faces(bid)
+            loop = _vertical_faces_loop(raw, gmap, bid)
+            assert normals.tobytes() == _bits([n for n, _p in loop], 3)
+            assert points.tobytes() == _bits([p for _n, p in loop], 3)
+        assert n_walls > 0
 
 
 # -- projection --------------------------------------------------------------
@@ -185,13 +307,6 @@ class TestOcclusion:
 
     def test_segment_above_roof(self, unit_cube_map):
         assert f_block(pt(-1, 0.5, 1.5), pt(2, 0.5, 1.5), unit_cube_map) == 0
-
-    def test_face_intersect_point(self, unit_cube_map):
-        # face 3 is the x = 0 wall of the conftest box builder
-        seg = Segment3(pt(-1, 0.5, 0.5), pt(2, 0.5, 0.5))
-        hit = segment_face_intersect(seg, 3, unit_cube_map)
-        assert hit is not None
-        assert np.allclose([hit.x, hit.y, hit.z], [0.0, 0.5, 0.5])
 
     def test_grazing_roof_misses(self, unit_cube_map):
         assert f_block(pt(-1, 0.5, 1.001), pt(2, 0.5, 1.001), unit_cube_map) == 0
