@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError, RouteError
 from .link import C_LIGHT, ETA_0
-from .pipeline import predict_position
+from .pipeline import predict_route
 
 # empirical angular-spread parameter: 11 degrees, applied in radians
 ANGULAR_SPREAD_RAD = np.deg2rad(11.0)
@@ -130,8 +130,7 @@ def route_doppler(cfg, gmap, route, results=None):
     """
     vels = route_velocities(route)
     if results is None:
-        results = [predict_position(cfg, gmap, rp.position, i)
-                   for i, rp in enumerate(route)]
+        results = predict_route(cfg, gmap, route)
     out = []
     for i, (rp, res) in enumerate(zip(route, results)):
         v = vels[i]

@@ -249,7 +249,7 @@ class GeometryMap:
         considers every building.
         """
         pos = slice(None) if building_ids is None else np.array(
-            [self._position[bid] for bid in building_ids], dtype=np.int64)
+            [self._pos(bid) for bid in building_ids], dtype=np.int64)
         a = np.asarray(a, dtype=np.float64).reshape(-1, 3, 1)
         # An axis with d == 0 gives t = -inf/+inf inside/outside the slab.  It
         # gives NaN, which culls the box, only for a segment in the plane of a

@@ -11,7 +11,7 @@ All functions are pure over the immutable map; route positions are
 independent of each other.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,22 +35,19 @@ class LinkClassification:
 
 
 @dataclass
-class SubSegmentSides:
-    """Candidate buildings flanking one propagation sub-segment."""
+class SubSegment:
+    """One propagation sub-segment a->b and the buildings flanking it.
+
+    ``corner`` maps each candidate building id to its roof corner nearest
+    the sub-segment line: ``(distance, vertex id, unclamped line parameter)``.
+    """
 
     a: Point3
     b: Point3
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
     left_only: bool = False   # bp-RX sub-segment considers the left side only
-
-
-@dataclass
-class VisibleSegment:
-    a: Point3
-    b: Point3
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
+    corner: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -59,8 +56,8 @@ class VisibilitySet:
 
     rx_index: int
     classification: LinkClassification
-    sides: list       # list[SubSegmentSides]
-    visible: list     # list[VisibleSegment], parallel to ``sides``
+    sides: list       # list[SubSegment], the candidates
+    visible: list     # list[SubSegment], parallel to ``sides``
 
     def flat_sides(self):
         return _flatten(self.sides)
@@ -147,26 +144,32 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
 
     A vertex counts when it projects inside the sub-segment and lies within
     ``corridor_width`` of its line; each building goes to the side most of
-    its counted vertices lie on (ties left).  One pass over the map's
-    roof-vertex table.
+    its counted vertices lie on (ties left).  The same pass over the map's
+    roof-vertex table records each candidate's roof corner nearest the line.
     """
-    sub = SubSegmentSides(a, b, left_only=left_only)
     t, cross, dist = line_2d(gmap.roof_xy, a, b)
+    owner = gmap.roof_owner
     kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
-    owner = gmap.roof_owner[kept]
     n_buildings = len(gmap.ids)
-    flanking = np.bincount(owner, minlength=n_buildings) > 0
-    votes = np.bincount(owner, side_2d(cross[kept]), minlength=n_buildings)
-    sub.left = gmap.ids[flanking & (votes >= 0)].tolist()
-    if not left_only:
-        sub.right = gmap.ids[flanking & (votes < 0)].tolist()
-    return sub
+    flanking = np.bincount(owner[kept], minlength=n_buildings) > 0
+    votes = np.bincount(owner[kept], side_2d(cross[kept]), minlength=n_buildings)
+    left = flanking & (votes >= 0)
+    right = flanking & (votes < 0) & (not left_only)
+    # first row of each candidate after a stable sort by distance: rings
+    # ascend, so a tie goes to the lower vertex id
+    rows = np.flatnonzero((left | right)[owner])
+    rows = rows[np.lexsort((dist[rows], owner[rows]))]
+    rows = rows[np.diff(owner[rows], prepend=-1) != 0]
+    corner = dict(zip(gmap.ids[owner[rows]].tolist(), zip(
+        dist[rows].tolist(), gmap.roof_vertex[rows].tolist(), t[rows].tolist())))
+    return SubSegment(a, b, gmap.ids[left].tolist(), gmap.ids[right].tolist(),
+                      left_only, corner)
 
 
 def initial_identification(tx, route, gmap, corridor_width=100.0):
     """Algorithm-1 pass: per route point, LOS/NLOS split and side candidates.
 
-    Returns a list of ``(LinkClassification, [SubSegmentSides, ...])``.
+    Returns a list of ``(LinkClassification, [SubSegment, ...])``.
     """
     if not route:
         raise ValueError("route must contain at least one point")
@@ -190,10 +193,6 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
 # -- Visibility filtering --------------------------------------------------
 
 
-def _building_line_distance(bid, gmap, a, b):
-    return line_2d(gmap.vertices[gmap.top_vertices(bid)], a, b)[2].min()
-
-
 def visible_identification(segs, cls, gmap, rx_index=0):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
@@ -204,18 +203,14 @@ def visible_identification(segs, cls, gmap, rx_index=0):
     """
     visible = []
     for sub in segs:
-        vseg = VisibleSegment(sub.a, sub.b)
+        vseg = replace(sub, left=[], right=[])
         line_a, line_d = sub.a.as_array(), Segment3(sub.a, sub.b).direction()
         accepted = []
         for side_name in ("left", "right"):
-            cand = getattr(sub, side_name)
-            ordered = sorted(
-                cand,
-                key=lambda bid: (_building_line_distance(bid, gmap, sub.a, sub.b),
-                                 bid))
+            ordered = sorted(getattr(sub, side_name),
+                             key=lambda bid: (sub.corner[bid][0], bid))
             for bid in ordered:
-                occluders = [x for x in accepted if x != bid]
-                if _is_visible(bid, line_a, line_d, gmap, occluders):
+                if _is_visible(bid, line_a, line_d, gmap, accepted):
                     getattr(vseg, side_name).append(bid)
                     accepted.append(bid)
         visible.append(vseg)

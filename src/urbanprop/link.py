@@ -1,10 +1,10 @@
 """Chain extraction, terminal field composition and path-loss conversion.
 
 From a per-position visibility set this module builds the ordered
-diffraction chain (one stage per visible building, anchored at its roof
-corner nearest the propagation line), composes the LOS/NLOS terminal field
-from the slope-diffraction branches, and converts field strength to
-received power and path loss.
+diffraction chain (one stage per visible building, anchored at the roof
+corner nearest the propagation line that identification recorded),
+composes the LOS/NLOS terminal field from the slope-diffraction branches,
+and converts field strength to received power and path loss.
 
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the footprint wall most nearly parallel to the incident ray, and
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .fields import ChainStage, direct_field, recursive_chain, transition_function
-from .geometry import Point3, f_block, line_2d
+from .geometry import Point3, f_block
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -113,17 +113,12 @@ def _wedge_angles(frame, edge_xy, next_xy):
     return float(np.clip(alpha, 0.0, np.pi)), _departure(frame, next_xy - edge_xy)
 
 
-def _corner_for_line(gmap, bid, a, b):
-    """Roof corner of the building nearest the sub-segment line (ties by
-    index): ``(vertex id, unclamped line parameter, edge point)``, the edge
-    point being the corner at the height of the line, clamped to a->b."""
-    ring = gmap.top_vertices(bid)
-    c = gmap.vertices[ring]
-    t, _cross, dist = line_2d(c, a, b)
-    k = np.argmin(dist)       # rings ascend, so a tie goes to the lower index
-    tz = min(max(t[k], 0.0), 1.0)
-    edge = Point3(float(c[k, 0]), float(c[k, 1]), float(a.z + tz * (b.z - a.z)))
-    return int(ring[k]), t[k], edge
+def _edge_point(gmap, vid, t, a, b):
+    """Roof corner ``vid`` at the height of the line a->b at parameter ``t``,
+    clamped to the sub-segment."""
+    tz = min(max(t, 0.0), 1.0)
+    x, y, _z = gmap.vertices[vid]
+    return Point3(float(x), float(y), float(a.z + tz * (b.z - a.z)))
 
 
 def _reflection_branch(gmap, vis_opposite, edge, rx):
@@ -173,13 +168,11 @@ def extract_chain(vis, tx, rx, gmap):
     """
     entries = []
     for seg_idx, vseg in enumerate(vis.visible):
-        side_of = {}
         for side in ("left", "right"):
             for bid in getattr(vseg, side):
-                side_of[bid] = side
-        for bid, side in side_of.items():
-            vid, t, edge = _corner_for_line(gmap, bid, vseg.a, vseg.b)
-            entries.append((seg_idx, t, bid, vid, edge, side))
+                _dist, vid, t = vseg.corner[bid]
+                edge = _edge_point(gmap, vid, t, vseg.a, vseg.b)
+                entries.append((seg_idx, t, bid, vid, edge, side))
     if not entries:
         return [], None
     entries.sort(key=lambda e: (e[0], e[1], e[2]))

@@ -5,6 +5,7 @@ be evaluated in parallel and reassembled in input order.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,10 +51,7 @@ def predict_route(cfg, gmap, route, workers=1):
         return [predict_position(cfg, gmap, rp.position, i)
                 for i, rp in enumerate(route)]
     from concurrent.futures import ProcessPoolExecutor
-    args = [(cfg, gmap, rp.position, i) for i, rp in enumerate(route)]
+    positions = [rp.position for rp in route]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_predict_star, args))
-
-
-def _predict_star(args):
-    return predict_position(*args)
+        return list(pool.map(predict_position, repeat(cfg), repeat(gmap),
+                             positions, range(len(positions))))

@@ -124,13 +124,16 @@ class TestPredict:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    def test_workers_identical(self, scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["identify", "predict", "doppler"])
+    def test_workers_identical(self, scenario, tmp_path, capsys, command):
+        output = {"identify": "identify.jsonl", "predict": "predict.csv",
+                  "doppler": "doppler.csv"}[command]
         outs = []
         for name, w in (("w1", 1), ("w3", 3)):
             out = tmp_path / name
             assert run(["--config", scenario["config"], "--workers", w,
-                        "--output", out, "predict"]) == 0
-            outs.append((out / "predict.csv").read_bytes())
+                        "--output", out, command]) == 0
+            outs.append((out / output).read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
 

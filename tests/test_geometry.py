@@ -328,6 +328,16 @@ class TestOcclusion:
         assert f_block(a, b, canyon_map, building_ids=[0]) == 1
         assert f_block(a, b, canyon_map, building_ids=[3, 4]) == 0
 
+    @pytest.mark.parametrize("query", [
+        lambda m, a, b: f_block(Point3(*a), Point3(*b), m, building_ids=[7]),
+        lambda m, a, b: m.first_hit(a, b, [7]),
+        lambda m, a, b: m.any_hit(a, b, [7]),
+    ], ids=["f_block", "first_hit", "any_hit"])
+    def test_unknown_building_id(self, unit_cube_map, query):
+        a, b = np.array([-1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5])
+        with pytest.raises(MapValidationError, match="unknown building id 7"):
+            query(unit_cube_map, a, b)
+
 
 def _random_boxes(rng, max_boxes=10):
     boxes = []

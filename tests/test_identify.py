@@ -5,13 +5,15 @@ brute-force oracle on randomized box scenes."""
 import numpy as np
 import pytest
 
-from conftest import CORNER_BOXES, build_map, corner_route
+from conftest import CORNER_BOXES, build_map, canyon_route, corner_route
 from oracles import OracleScene, oracle_identify
+from test_geometry import _rotated_boxes
 from urbanprop.errors import DegenerateGeometryError
-from urbanprop.geometry import Point3, map_from_dict
+from urbanprop.geometry import Point3, line_2d, map_from_dict
 from urbanprop.identify import (classify_link, compute_breakpoint,
                                 identify_position, initial_identification,
                                 visible_identification)
+from urbanprop.link import _edge_point
 
 
 def pt(x, y, z=2.0):
@@ -218,6 +220,74 @@ class TestPerPositionIndependence:
             assert cls1.los == cls.los
             assert [s.left for s in segs1] == [s.left for s in segs]
             assert [s.right for s in segs1] == [s.right for s in segs]
+
+
+# -- nearest-corner record ----------------------------------------------------
+
+
+def _building_line_distance(bid, gmap, a, b):
+    """Per-building distance the visibility sort once computed."""
+    return line_2d(gmap.vertices[gmap.top_vertices(bid)], a, b)[2].min()
+
+
+def _corner_for_line(gmap, bid, a, b):
+    """Per-building corner the chain was once anchored at."""
+    ring = gmap.top_vertices(bid)
+    c = gmap.vertices[ring]
+    t, _cross, dist = line_2d(c, a, b)
+    k = np.argmin(dist)       # rings ascend, so a tie goes to the lower index
+    tz = min(max(t[k], 0.0), 1.0)
+    edge = Point3(float(c[k, 0]), float(c[k, 1]), float(a.z + tz * (b.z - a.z)))
+    return int(ring[k]), t[k], edge
+
+
+def _grid_scene():
+    """4x4 grid of 30 m boxes on a 50 m pitch; routes along the streets run
+    parallel to the walls, so each building has equidistant corners."""
+    boxes = [(4 * i + j, (50.0 * i, 50.0 * j, 50.0 * i + 30.0,
+                          50.0 * j + 30.0, 10.0 + 3.0 * ((i + j) % 4)))
+             for i in range(4) for j in range(4)]
+    route = ([pt(x, 40.0) for x in range(-20, 200, 15)]
+             + [pt(140.0, y) for y in range(-20, 200, 15)])
+    return build_map(boxes), pt(-30.0, 40.0), route
+
+
+def _rotated_scene():
+    route = [pt(5.0 + r * np.cos(a), r * np.sin(a))
+             for r in (150.0, 400.0) for a in np.linspace(0.0, 6.0, 12)]
+    return map_from_dict(_rotated_boxes()), pt(5.0, -5.0), route
+
+
+class TestCornerRecord:
+    @pytest.mark.parametrize("scene", ["canyon", "corner", "rotated", "grid"])
+    def test_record_matches_per_building_corner(self, scene, canyon_map,
+                                                corner_map, tx):
+        """Each candidate's recorded corner equals the per-building
+        computation bit for bit, ties included."""
+        gmap, tx, route = {
+            "canyon": lambda: (canyon_map, tx, canyon_route()),
+            "corner": lambda: (corner_map, tx, corner_route()),
+            "rotated": _rotated_scene,
+            "grid": _grid_scene,
+        }[scene]()
+        checked = ties = 0
+        for _cls, segs in initial_identification(tx, route, gmap):
+            for sub in segs:
+                assert sorted(sub.corner) == sorted(sub.left + sub.right)
+                for bid in sub.left + sub.right:
+                    dist, vid, t = sub.corner[bid]
+                    want_vid, want_t, edge = _corner_for_line(gmap, bid, sub.a, sub.b)
+                    want_dist = _building_line_distance(bid, gmap, sub.a, sub.b)
+                    assert np.float64(dist).tobytes() == want_dist.tobytes()
+                    assert vid == want_vid
+                    assert np.float64(t).tobytes() == want_t.tobytes()
+                    assert _edge_point(gmap, vid, t, sub.a, sub.b) == edge
+                    ring = gmap.vertices[gmap.top_vertices(bid)]
+                    ties += (line_2d(ring, sub.a, sub.b)[2] == want_dist).sum() > 1
+                    checked += 1
+        assert checked >= 10
+        if scene == "grid":
+            assert ties >= 10
 
 
 # -- randomized oracle agreement ---------------------------------------------
