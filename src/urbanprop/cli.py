@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config, load_route, ScenarioConfig
+from .config import csv_rows, load_config, load_route, ScenarioConfig
 from .doppler import route_doppler, route_velocities
 from .errors import ConfigError, DataShapeError, NumericalDomainError, UrbanPropError
 from .geometry import load_map
@@ -88,7 +88,7 @@ def run_predict(args):
 def run_doppler(args):
     cfg, gmap, route = _load_scenario(args)
     results = predict_route(cfg, gmap, route, workers=args.workers)
-    samples = route_doppler(cfg, gmap, route, results=results)
+    samples = route_doppler(cfg, route, results)
     vels = route_velocities(route)
     path = os.path.join(cfg.output_dir, "doppler.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -111,22 +111,21 @@ def run_doppler(args):
 def _read_reference(path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["index", "value"]:
+            reader = csv_rows(fh)
+            if reader.fieldnames != ["index", "value"]:
                 raise DataShapeError(
                     f"reference {path} must have header 'index,value'")
             return [float(row["value"]) for row in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read reference file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataShapeError(f"bad reference value: {exc}") from exc
 
 
 def _read_predictions(path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
+            rows = list(csv_rows(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read predictions file {path}: {exc}") from exc
     cols = {}
@@ -134,7 +133,7 @@ def _read_predictions(path):
         if rows and col in rows[0]:
             try:
                 cols[col] = [float(r[col]) for r in rows]
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DataShapeError(f"bad value in column {col}: {exc}") from exc
     if not cols:
         raise DataShapeError(f"no model columns found in {path}")

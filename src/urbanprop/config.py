@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalDomainError, RouteError
 from .geometry import Point3
-from .link import C_LIGHT, MaterialConfig
+from .link import C_LIGHT, PL_CAP_DB, MaterialConfig
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ScenarioConfig:
     eps_r: float = 6.0
     polarization: str = "V"
     corridor_width_m: float = 100.0
-    pl_cap_db: float = 300.0
+    pl_cap_db: float = PL_CAP_DB
     output_dir: str = "."
 
     def __post_init__(self):
@@ -68,6 +68,8 @@ def load_config(path):
 
 
 def config_from_dict(raw):
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     known = set(ScenarioConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -85,12 +87,21 @@ def config_from_dict(raw):
         raise ConfigError(str(exc)) from exc
 
 
+def csv_rows(fh):
+    """A ``csv.DictReader`` over ``fh`` keyed by the header names stripped of
+    surrounding blanks; ``fieldnames`` is None for an empty file."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is not None:
+        reader.fieldnames = [c.strip() for c in reader.fieldnames]
+    return reader
+
+
 def load_route(path):
     """Route CSV with header ``t,x,y,z``; timestamps strictly increasing."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["t", "x", "y", "z"]:
+            reader = csv_rows(fh)
+            if reader.fieldnames != ["t", "x", "y", "z"]:
                 raise RouteError(f"route {path} must have header 't,x,y,z'")
             points = []
             for i, row in enumerate(reader):

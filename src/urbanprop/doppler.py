@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError, RouteError
-from .link import C_LIGHT, ETA_0
-from .pipeline import predict_route
+from .link import C_LIGHT, received_power
 
 # empirical angular-spread parameter: 11 degrees, applied in radians
 ANGULAR_SPREAD_RAD = np.deg2rad(11.0)
@@ -34,11 +33,6 @@ class DopplerSample:
     spread: float = 0.0
 
 
-def _component_power(e, g_r, freq):
-    lam = C_LIGHT / freq
-    return lam ** 2 * g_r * abs(e) ** 2 / (8.0 * np.pi * ETA_0)
-
-
 def enumerate_paths(pred, tx, rx, term, g_r, freq):
     """Arrival directions and powers of the terminal-field components.
 
@@ -57,18 +51,17 @@ def enumerate_paths(pred, tx, rx, term, g_r, freq):
     if pred.components["direct"] != 0:
         u = unit(tx.as_array() - rxa)
         if u is not None:
-            paths.append(PathComponent(u, _component_power(
+            paths.append(PathComponent(u, received_power(
                 pred.components["direct"], g_r, freq), "direct"))
     if term is not None and pred.components["final_I"] != 0:
         u = unit(term.edge.as_array() - rxa)
         if u is not None:
-            paths.append(PathComponent(u, _component_power(
+            paths.append(PathComponent(u, received_power(
                 pred.components["final_I"], g_r, freq), "diffracted_I"))
     if term is not None and pred.components["final_II"] != 0:
-        anchor = term.wall_point if term.wall_point is not None else term.edge
-        u = unit(anchor.as_array() - rxa)
+        u = unit(term.wall_point.as_array() - rxa)
         if u is not None:
-            paths.append(PathComponent(u, _component_power(
+            paths.append(PathComponent(u, received_power(
                 pred.components["final_II"], g_r, freq), "reflected_II"))
     return [p for p in paths if p.power > 0.0]
 
@@ -122,15 +115,14 @@ def route_velocities(route):
     return v
 
 
-def route_doppler(cfg, gmap, route, results=None):
-    """One (full-model, simplified-model, empirical) sample triple per point.
+def route_doppler(cfg, route, results):
+    """One (full-model, simplified-model, empirical) sample triple per point,
+    from the route's ``pipeline.predict_route`` results.
 
     Returns a list of ``(sample_full, sample_simplified, sigma_gpp)``;
     field-less positions yield zero-path samples with zero spread.
     """
     vels = route_velocities(route)
-    if results is None:
-        results = predict_route(cfg, gmap, route)
     out = []
     for i, (rp, res) in enumerate(zip(route, results)):
         v = vels[i]

@@ -46,19 +46,6 @@ class Point3:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
-@dataclass(frozen=True)
-class Segment3:
-    a: Point3
-    b: Point3
-
-    def __post_init__(self):
-        if np.linalg.norm(self.b.as_array() - self.a.as_array()) <= EPS_LEN:
-            raise NumericalDomainError("degenerate segment: endpoints coincide")
-
-    def direction(self):
-        return self.b.as_array() - self.a.as_array()
-
-
 class GeometryMap:
     """Immutable 3D environment, held as arrays built once at load.
 
@@ -371,18 +358,6 @@ def _integral(x):
 # -- predicates ------------------------------------------------------------
 
 
-def f_proj(p, seg):
-    """Orthogonal projection of ``p`` onto the infinite line through ``seg``.
-
-    Returns ``(point, t)`` where ``t`` is the unclamped line parameter
-    (0 at ``seg.a``, 1 at ``seg.b``).
-    """
-    a = seg.a.as_array()
-    d = seg.direction()
-    t = float((p.as_array() - a) @ d / (d @ d))
-    return Point3.from_array(a + t * d), t
-
-
 def line_2d(pts, a, b):
     """Where points lie relative to the horizontal line through a->b.
 
@@ -407,30 +382,9 @@ def side_2d(cross):
     return np.where(np.abs(cross) <= EPS_SIDE, 0, np.sign(cross)).astype(np.int64)
 
 
-def f_side(p, seg):
-    """Side of ``p`` relative to a->b on the xy-plane: +1 left, -1 right, 0 collinear.
-
-    Heights are ignored; the test is the z-component of the 2D cross product.
-    """
-    _t, cross, _dist = line_2d(np.array([[p.x, p.y]]), seg.a, seg.b)
-    return int(side_2d(cross)[0])
-
-
 def f_block(a, b, gmap, building_ids=None):
     """1 iff any face of the selected buildings blocks the open segment a-b.
 
     ``building_ids=None`` tests against every building in the map.
     """
     return int(gmap.any_hit(a.as_array(), b.as_array(), building_ids))
-
-
-def block_nearest(a, b, gmap):
-    """All-buildings occlusion test used for LOS classification.
-
-    Returns ``(blocked, building_id)``, the building owning the nearest
-    blocking face; ``(False, None)`` when the segment is clear.
-    """
-    _t, tri = gmap.first_hit(a.as_array(), b.as_array())
-    if tri < 0:
-        return False, None
-    return True, int(gmap.ids[gmap.tri_building[tri]])

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
-from .geometry import Point3, Segment3, block_nearest, line_2d, side_2d
+from .errors import DegenerateGeometryError, NumericalDomainError
+from .geometry import EPS_LEN, Point3, line_2d, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
@@ -54,7 +54,6 @@ class SubSegment:
 class VisibilitySet:
     """Per-receiver-position identification result."""
 
-    rx_index: int
     classification: LinkClassification
     sides: list       # list[SubSegment], the candidates
     visible: list     # list[SubSegment], parallel to ``sides``
@@ -79,26 +78,30 @@ def _flatten(segs):
 
 
 def classify_link(tx, rx, gmap):
-    """LOS/NLOS classification of the TX-RX segment against every face."""
-    blocked, bid = block_nearest(tx, rx, gmap)
-    if not blocked:
+    """LOS/NLOS classification of the TX-RX segment against every face.
+
+    One occlusion query over the whole map: the nearest hit triangle (of
+    equally near ones, the lowest id) names the blocking building and
+    anchors the breakpoint.
+    """
+    _t, tri = gmap.first_hit(tx.as_array(), rx.as_array())
+    if tri < 0:
         return LinkClassification(True)
-    bp = compute_breakpoint(tx, rx, bid, gmap)
+    bp = compute_breakpoint(tx, rx, tri, gmap)
+    bid = int(gmap.ids[gmap.tri_building[tri]])
     return LinkClassification(False, breakpoint=bp, blocking_building=bid)
 
 
-def compute_breakpoint(tx, rx, blocking_id, gmap):
-    """Diffraction corner of the first obstructing building.
+def compute_breakpoint(tx, rx, tri, gmap):
+    """Diffraction corner of the building owning triangle ``tri``, the first
+    face the TX-RX segment hits.
 
-    Among the building's roof-ring corners on the RX side of the first face
-    hit, picks the one closest (horizontally) to the TX-RX line; ties go to
-    the left-side corner, then the lower vertex index.  The corner is
-    returned at the height of the TX-RX line at that horizontal location.
+    Among the building's roof-ring corners on the RX side of that face,
+    picks the one closest (horizontally) to the TX-RX line; ties go to the
+    left-side corner, then the lower vertex index.  The corner is returned
+    at the height of the TX-RX line at that horizontal location.
     """
-    _t, tri = gmap.first_hit(tx.as_array(), rx.as_array(), [blocking_id])
-    if tri < 0:
-        raise DegenerateGeometryError(
-            f"building {blocking_id} does not block the TX-RX segment")
+    blocking_id = int(gmap.ids[gmap.tri_building[tri]])
     v0, v1, v2 = gmap.triangle(tri)
     nrm = np.cross(v1 - v0, v2 - v0)
     offset = nrm @ v0
@@ -193,7 +196,7 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
 # -- Visibility filtering --------------------------------------------------
 
 
-def visible_identification(segs, cls, gmap, rx_index=0):
+def visible_identification(segs, cls, gmap):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
     Within a sub-segment, buildings are visited per side in ascending
@@ -204,7 +207,10 @@ def visible_identification(segs, cls, gmap, rx_index=0):
     visible = []
     for sub in segs:
         vseg = replace(sub, left=[], right=[])
-        line_a, line_d = sub.a.as_array(), Segment3(sub.a, sub.b).direction()
+        line_a = sub.a.as_array()
+        line_d = sub.b.as_array() - line_a
+        if np.linalg.norm(line_d) <= EPS_LEN:
+            raise NumericalDomainError("degenerate segment: endpoints coincide")
         accepted = []
         for side_name in ("left", "right"):
             ordered = sorted(getattr(sub, side_name),
@@ -214,7 +220,7 @@ def visible_identification(segs, cls, gmap, rx_index=0):
                     getattr(vseg, side_name).append(bid)
                     accepted.append(bid)
         visible.append(vseg)
-    return VisibilitySet(rx_index, cls, list(segs), visible)
+    return VisibilitySet(cls, list(segs), visible)
 
 
 def _is_visible(bid, line_a, line_d, gmap, occluders):
@@ -229,7 +235,7 @@ def _is_visible(bid, line_a, line_d, gmap, occluders):
     return not gmap.any_hit(verts, proj, occluders)
 
 
-def identify_position(tx, r, gmap, corridor_width=100.0, rx_index=0):
+def identify_position(tx, r, gmap, corridor_width=100.0):
     """Convenience wrapper: both passes for one receiver position."""
     (cls, segs), = initial_identification(tx, [r], gmap, corridor_width)
-    return visible_identification(segs, cls, gmap, rx_index=rx_index)
+    return visible_identification(segs, cls, gmap)

@@ -30,12 +30,11 @@ PL_CAP_DB = 300.0
 class MaterialConfig:
     eps_r: float = 6.0
     polarization: str = "V"          # "H" or "V"
-    perfect_conductor: bool = False
 
     def __post_init__(self):
         if self.polarization not in ("H", "V"):
             raise NumericalDomainError("polarization must be 'H' or 'V'")
-        if not (self.perfect_conductor or 1.0 < self.eps_r < np.inf):
+        if not 1.0 < self.eps_r < np.inf:
             raise NumericalDomainError("eps_r must be finite and exceed 1")
 
 
@@ -50,8 +49,7 @@ class TerminalGeometry:
     theta: float          # departure angle toward the RX wall-image, rad
     beta: float           # arrival angle at the final edge, rad
     d_n: float            # straight TX -> final-edge distance, m
-    has_reflection: bool = True
-    wall_point: Point3 = None      # specular point on the reflecting wall
+    wall_point: Point3 = None      # specular wall point; None: no reflection
     wall_incidence: float = 0.0    # incidence angle from the wall normal, rad
 
 
@@ -214,12 +212,12 @@ def extract_chain(vis, tx, rx, gmap):
         if vis_opposite else None
     if refl is None:
         term = TerminalGeometry(last_edge, length_direct, length_direct, psi,
-                                psi, beta, d_n, has_reflection=False)
+                                psi, beta, d_n)
     else:
         r, wall_point, image, incidence = refl
         theta = _departure(frame, image[:2] - here_xy)
         term = TerminalGeometry(last_edge, length_direct, max(r, length_direct),
-                                psi, theta, beta, d_n, has_reflection=True,
+                                psi, theta, beta, d_n,
                                 wall_point=wall_point, wall_incidence=incidence)
     return stages, term
 
@@ -234,8 +232,6 @@ def reflection_coefficient(theta, material):
     """
     if not 0.0 <= theta < np.pi / 2.0:
         raise NumericalDomainError("theta must be in [0, pi/2)")
-    if material.perfect_conductor:
-        return -1.0 if material.polarization == "H" else 1.0
     eps = material.eps_r
     s2 = np.sin(theta) ** 2
     if eps < s2:
@@ -299,7 +295,7 @@ def total_field(vis, stages, term, material, p_t, tx, rx, k,
         a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
         comp["final_I"] = (e_n * slope_coefficient("I", term, k) * a_i
                            * np.exp(-1j * k * ell))
-        if not los and term.has_reflection:
+        if not los and term.wall_point is not None:
             a_ii = np.sqrt(term.d_n / (r * (term.d_n + r)))
             refl = reflection_coefficient(term.wall_incidence, material)
             comp["final_II"] = (refl * e_n * slope_coefficient("II", term, k)
@@ -314,14 +310,19 @@ def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
     """(received power W, path loss dB, capped flag) from a field phasor."""
     if p_t <= 0.0 or g_r <= 0.0 or freq <= 0.0:
         raise NumericalDomainError("P_t, G_r and freq must be positive")
-    lam = C_LIGHT / freq
-    p_r = lam ** 2 * g_r * abs(e) ** 2 / (8.0 * np.pi * ETA_0)
+    p_r = received_power(e, g_r, freq)
     if p_r <= 0.0:
         return 0.0, pl_cap_db, True
     pl_db = -10.0 * np.log10(p_r / p_t)
     if pl_db > pl_cap_db:
         return p_r, pl_cap_db, True
     return p_r, float(pl_db), False
+
+
+def received_power(e, g_r, freq):
+    """Power (W) a receiver of gain ``g_r`` takes from the field phasor ``e``."""
+    lam = C_LIGHT / freq
+    return lam ** 2 * g_r * abs(e) ** 2 / (8.0 * np.pi * ETA_0)
 
 
 def friis_path_loss_db(d, freq):

@@ -19,7 +19,6 @@ class PositionResult:
     index: int
     rx: object            # Point3
     vis: object           # VisibilitySet
-    stages: list
     term: object          # TerminalGeometry or None
     full: LinkPrediction
     simplified: LinkPrediction
@@ -31,7 +30,7 @@ def predict_position(cfg, gmap, rx, index=0):
     """Run the whole model stack for a single receiver position."""
     tx = cfg.tx
     k = cfg.wavenumber
-    vis = identify_position(tx, rx, gmap, cfg.corridor_width_m, rx_index=index)
+    vis = identify_position(tx, rx, gmap, cfg.corridor_width_m)
     stages, term = extract_chain(vis, tx, rx, gmap)
     args = (vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx, k)
     full = total_field(*args, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
@@ -41,8 +40,7 @@ def predict_position(cfg, gmap, rx, index=0):
     pl_gpp = gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9,
                            vis.classification.los)
     pl_friis = friis_path_loss_db(d3d, cfg.freq_hz)
-    return PositionResult(index, rx, vis, stages, term, full, simp,
-                          pl_gpp, pl_friis)
+    return PositionResult(index, rx, vis, term, full, simp, pl_gpp, pl_friis)
 
 
 def predict_route(cfg, gmap, route, workers=1):

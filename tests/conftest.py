@@ -1,5 +1,8 @@
 """Shared fixtures: canonical box scenes and scenario configuration."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,25 @@ def canyon_route():
 
 def corner_route():
     return [Point3(59.0, y, 2.0) for y in CORNER_ROUTE_Y]
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    """Corner-scene map, route and config files on disk."""
+    root = tmp_path_factory.mktemp("scenario")
+    map_path = root / "map.json"
+    map_path.write_text(json.dumps(build_map_dict(CORNER_BOXES)))
+    route_path = root / "route.csv"
+    with open(route_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "z"])
+        for i, y in enumerate(CORNER_ROUTE_Y):
+            writer.writerow([0.5 * i, 59.0, y, 2.0])
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps({
+        "map_path": str(map_path),
+        "route_path": str(route_path),
+        "tx": [0.0, 0.0, 2.0],
+    }))
+    return {"root": root, "map": map_path, "route": route_path,
+            "config": cfg_path}

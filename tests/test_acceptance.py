@@ -26,7 +26,7 @@ from urbanprop.geometry import Point3
 from urbanprop.identify import identify_position
 from urbanprop.link import MaterialConfig, friis_path_loss_db, reflection_coefficient
 from urbanprop.metrics import ks_distance, rmse
-from urbanprop.pipeline import predict_position
+from urbanprop.pipeline import predict_position, predict_route
 
 C = 299792458.0
 F58 = 5.8e9
@@ -203,7 +203,7 @@ def test_criterion_08_doppler_identities(corner_map, cfg):
     route = [RoutePoint(0.5 * i, p) for i, p in enumerate(corner_route())]
     vels = route_velocities(route)
     for i, (full, simp, _sig) in enumerate(
-            route_doppler(cfg, corner_map, route)):
+            route_doppler(cfg, route, predict_route(cfg, corner_map, route))):
         vmax = float(np.linalg.norm(vels[i])) / LAM58
         assert full.spread <= vmax + 1e-9
         assert simp.spread <= vmax + 1e-9

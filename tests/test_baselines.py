@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import canyon_route, corner_route
-from urbanprop.baselines import BaselineConfig, gpp_path_loss
+from urbanprop.baselines import gpp_path_loss
 from urbanprop.errors import NumericalDomainError
 from urbanprop.pipeline import predict_position
 
@@ -42,17 +42,9 @@ class TestGppPathLoss:
             for f in (1.0, 5.8, 10.0):
                 assert gpp_path_loss(d, f, False) >= gpp_path_loss(d, f, True)
 
-    def test_coefficient_overrides(self):
-        cfg = BaselineConfig(los={"intercept": 10.0, "distance_slope": 20.0,
-                                  "frequency_slope": 0.0})
-        assert gpp_path_loss(100.0, 5.8, True, cfg) == pytest.approx(50.0)
-
     def test_domain_errors(self):
         with pytest.raises(NumericalDomainError):
             gpp_path_loss(0.5, 5.8, True)
-        with pytest.raises(NumericalDomainError):
-            BaselineConfig(los={"intercept": 1.0, "distance_slope": -1.0,
-                                "frequency_slope": 1.0})
 
 
 class TestSimplifiedModel:

@@ -9,28 +9,6 @@ from conftest import CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict
 from urbanprop.cli import main
 
 
-@pytest.fixture(scope="module")
-def scenario(tmp_path_factory):
-    """Corner-scene map, route and config files on disk."""
-    root = tmp_path_factory.mktemp("scenario")
-    map_path = root / "map.json"
-    map_path.write_text(json.dumps(build_map_dict(CORNER_BOXES)))
-    route_path = root / "route.csv"
-    with open(route_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for i, y in enumerate(CORNER_ROUTE_Y):
-            writer.writerow([0.5 * i, 59.0, y, 2.0])
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps({
-        "map_path": str(map_path),
-        "route_path": str(route_path),
-        "tx": [0.0, 0.0, 2.0],
-    }))
-    return {"root": root, "map": map_path, "route": route_path,
-            "config": cfg_path}
-
-
 def run(args):
     return main([str(a) for a in args])
 
@@ -66,6 +44,32 @@ class TestExitCodes:
                                    "bogus": 1}))
         assert run(["--config", cfg, "--output", tmp_path / "o",
                     "predict"]) == 2
+
+    @pytest.mark.parametrize("raw", [5, None, [1, 2]],
+                             ids=["number", "null", "array"])
+    def test_config_not_an_object(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config must be a JSON object"]
+
+    def test_route_header_with_blanks(self, scenario, tmp_path, capsys):
+        route = tmp_path / "route.csv"
+        lines = scenario["route"].read_text().splitlines()
+        route.write_text("\n".join(["t, x, y, z"] + lines[1:]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route),
+                                   "tx": [0.0, 0.0, 2.0]}))
+        outs = []
+        for cfg_path, name in ((scenario["config"], "a"), (cfg, "b")):
+            assert run(["--config", cfg_path, "--output", tmp_path / name,
+                        "predict"]) == 0
+            outs.append((tmp_path / name / "predict.csv").read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("field, value", [
         ("polarization", "X"), ("eps_r", 0.5),
@@ -111,6 +115,21 @@ class TestExitCodes:
         assert run(["--output", tmp_path / "o", "compare",
                     "--reference", ref, "--predictions", prd]) == 3
         assert "rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference, predictions", [
+        ("index,value\n0,1.0\n1\n", "index,pl_model_db\n0,1.0\n1,2.0\n"),
+        ("index,value\n0,1.0\n1,2.0\n", "index,pl_model_db\n0,1.0\n1\n")],
+        ids=["reference", "predictions"])
+    def test_compare_short_row(self, tmp_path, capsys, reference,
+                               predictions):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(reference)
+        prd = tmp_path / "prd.csv"
+        prd.write_text(predictions)
+        assert run(["--output", tmp_path / "o", "compare",
+                    "--reference", ref, "--predictions", prd]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestPredict:
@@ -226,6 +245,18 @@ class TestCompare:
         report = json.loads((out / "compare.json").read_text())
         assert report["rmse_per_model"]["pl_model_db"] == pytest.approx(
             2.0, abs=1e-9)
+
+    def test_headers_with_blanks(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("index, value\n0,1.0\n1,2.0\n")
+        prd = tmp_path / "prd.csv"
+        prd.write_text("index, pl_model_db\n0,1.5\n1,2.5\n")
+        out = tmp_path / "cmp"
+        assert run(["--output", out, "compare", "--reference", ref,
+                    "--predictions", prd]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "compare.json").read_text())
+        assert report["rmse_per_model"]["pl_model_db"] == 0.5
 
 
 class TestPrintDefaults:

@@ -12,7 +12,7 @@ from urbanprop.doppler import (DopplerSample, PathComponent, doppler_shift,
 from urbanprop.errors import (DegenerateGeometryError, NumericalDomainError,
                               RouteError)
 from urbanprop.geometry import Point3
-from urbanprop.pipeline import predict_position
+from urbanprop.pipeline import predict_position, predict_route
 
 F58 = 5.8e9
 LAM = 299792458.0 / F58
@@ -156,7 +156,7 @@ class TestRouteDoppler:
 
     def test_bound_on_fixture(self, corner_map, cfg):
         route = self.make_route(corner_route())
-        samples = route_doppler(cfg, corner_map, route)
+        samples = route_doppler(cfg, route, predict_route(cfg, corner_map, route))
         vels = route_velocities(route)
         for i, (full, simp, sigma) in enumerate(samples):
             vmax = np.linalg.norm(vels[i]) / LAM
@@ -170,7 +170,7 @@ class TestRouteDoppler:
         cfg = ScenarioConfig(tx=Point3(0.0, 0.0, 2.0))
         pts = [Point3(50.0 + V20 * 0.1 * i, 0.0, 2.0) for i in range(5)]
         route = [RoutePoint(0.1 * i, p) for i, p in enumerate(pts)]
-        samples = route_doppler(cfg, empty_map, route)
+        samples = route_doppler(cfg, route, predict_route(cfg, empty_map, route))
         for full, _simp, _sigma in samples:
             assert len(full.shifts) == 1
             assert full.shifts[0] == pytest.approx(-107.48, abs=0.01)

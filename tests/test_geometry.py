@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import UNIT_CUBE, build_map, build_map_dict
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop.errors import MapValidationError, NumericalDomainError
-from urbanprop.geometry import (Point3, Segment3, f_block, f_proj, f_side,
-                                line_2d, map_from_dict)
+from urbanprop.geometry import (Point3, f_block, line_2d, map_from_dict,
+                                side_2d)
+from urbanprop.identify import identify_position
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -223,62 +224,33 @@ class TestMapLoading:
         assert n_walls > 0
 
 
-# -- projection --------------------------------------------------------------
-
-
-class TestProjection:
-    def test_midpoint(self):
-        p, t = f_proj(pt(1, 1), Segment3(pt(0, 0), pt(2, 0)))
-        assert (p.x, p.y, p.z) == (1.0, 0.0, 0.0)
-        assert t == 0.5
-
-    def test_endpoint_identity(self):
-        p, t = f_proj(pt(0, 0), Segment3(pt(0, 0), pt(1, 1)))
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 0.0)
-        assert t == 0.0
-
-    def test_unclamped_parameter(self):
-        p, t = f_proj(pt(3, 4), Segment3(pt(0, 0), pt(1, 0)))
-        assert (p.x, p.y) == (3.0, 0.0)
-        assert t == 3.0
-
-    @given(finite, finite, finite, finite, finite, finite)
-    @settings(max_examples=100)
-    def test_idempotent_and_orthogonal(self, px, py, pz, bx, by, bz):
-        if abs(bx) + abs(by) + abs(bz) < 1e-6:
-            return
-        seg = Segment3(pt(0, 0, 0), Point3(bx, by, bz))
-        p = Point3(px, py, pz)
-        q, _ = f_proj(p, seg)
-        q2, _ = f_proj(q, seg)
-        assert np.linalg.norm(q2.as_array() - q.as_array()) < 1e-9
-        resid = p.as_array() - q.as_array()
-        assert abs(resid @ seg.direction()) < 1e-6
-
-
 # -- side test ---------------------------------------------------------------
+
+
+def f_side(p, a, b):
+    """Side of ``p`` relative to the horizontal line a->b, by the rule the
+    candidate pass applies to the roof table."""
+    return int(side_2d(line_2d(np.array([[p.x, p.y, p.z]]), a, b)[1])[0])
 
 
 class TestSide:
     def test_left(self):
-        assert f_side(pt(0.5, 1), Segment3(pt(0, 0), pt(1, 0))) == 1
+        assert f_side(pt(0.5, 1), pt(0, 0), pt(1, 0)) == 1
 
     def test_right_ignores_height(self):
-        assert f_side(pt(0.5, -1, 5), Segment3(pt(0, 0), pt(1, 0))) == -1
+        assert f_side(pt(0.5, -1, 5), pt(0, 0), pt(1, 0)) == -1
 
     def test_collinear(self):
-        assert f_side(pt(2, 0), Segment3(pt(0, 0), pt(1, 0))) == 0
+        assert f_side(pt(2, 0), pt(0, 0), pt(1, 0)) == 0
 
     @given(finite, finite, finite, finite, finite, finite)
     @settings(max_examples=100)
     def test_antisymmetry(self, px, py, ax, ay, bx, by):
         if (ax - bx) ** 2 + (ay - by) ** 2 < 1e-6:
             return
-        fwd = Segment3(pt(ax, ay), pt(bx, by))
-        rev = Segment3(pt(bx, by), pt(ax, ay))
-        s = f_side(pt(px, py), fwd)
+        s = f_side(pt(px, py), pt(ax, ay), pt(bx, by))
         if s != 0:
-            assert f_side(pt(px, py), rev) == -s
+            assert f_side(pt(px, py), pt(bx, by), pt(ax, ay)) == -s
 
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=5),
            finite, finite, finite, finite)
@@ -384,8 +356,9 @@ class TestOcclusionOracle:
 
 class TestValidation:
     def test_degenerate_segment(self):
-        with pytest.raises(NumericalDomainError):
-            Segment3(pt(1, 1, 1), pt(1, 1, 1))
+        with pytest.raises(NumericalDomainError,
+                           match="degenerate segment: endpoints coincide"):
+            identify_position(pt(1, 1, 1), pt(1, 1, 1), build_map(UNIT_CUBE))
 
     def test_non_finite_point(self):
         with pytest.raises(NumericalDomainError):

@@ -4,10 +4,12 @@ brute-force oracle on randomized box scenes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORNER_BOXES, build_map, canyon_route, corner_route
 from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
+from test_kernels import box_scenes
 from urbanprop.errors import DegenerateGeometryError
 from urbanprop.geometry import Point3, line_2d, map_from_dict
 from urbanprop.identify import (classify_link, compute_breakpoint,
@@ -83,13 +85,79 @@ class TestBreakpoint:
         # distance; left side wins, then the lower vertex index
         gmap = build_map([(0, (10.0, -5.0, 20.0, 5.0, 8.0))])
         tx, rx = Point3(0.0, 0.0, 2.0), Point3(30.0, 0.0, 2.0)
-        bp = compute_breakpoint(tx, rx, 0, gmap)
+        bp = classify_link(tx, rx, gmap).breakpoint
         # left (+y) corners are vertex ids 6 (20,5) and 7 (10,5); id 6 wins
         assert (bp.x, bp.y) == (20.0, 5.0)
 
-    def test_non_blocking_building_rejected(self, corner_map, tx):
-        with pytest.raises(DegenerateGeometryError):
-            compute_breakpoint(tx, pt(10, 0), 3, corner_map)
+
+
+def _two_query_classification(tx, rx, gmap):
+    """``(blocking building, breakpoint)`` as LOS classification once found
+    them, with two occlusion queries: the building owning the nearest hit
+    face of the whole map, then the nearest hit face of that building
+    alone; ``(None, None)`` for a clear link."""
+    a, b = tx.as_array(), rx.as_array()
+    _t, tri = gmap.first_hit(a, b)
+    if tri < 0:
+        return None, None
+    bid = int(gmap.ids[gmap.tri_building[tri]])
+    _t, tri = gmap.first_hit(a, b, [bid])
+    return bid, compute_breakpoint(tx, rx, tri, gmap)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateGeometryError as exc:
+        return str(exc)
+
+
+def _assert_single_query_agrees(tx, rx, gmap):
+    """``classify_link``'s one whole-map query names the same building and
+    anchors the same breakpoint, bit for bit, as the two-query version.
+    Returns True for a blocked link."""
+    want = _outcome(_two_query_classification, tx, rx, gmap)
+    got = _outcome(classify_link, tx, rx, gmap)
+    if isinstance(want, str):
+        assert got == want
+        return True
+    bid, bp = want
+    if bid is None:
+        assert got.los
+        return False
+    assert not got.los and got.blocking_building == bid
+    bits = [np.array([p.x, p.y, p.z]).tobytes() for p in (got.breakpoint, bp)]
+    assert bits[0] == bits[1]
+    return True
+
+
+class TestSingleLosQuery:
+    @pytest.mark.parametrize("scene", ["canyon", "corner"])
+    def test_fixture_routes(self, scene, canyon_map, corner_map, tx):
+        gmap, route = {"canyon": (canyon_map, canyon_route()),
+                       "corner": (corner_map, corner_route())}[scene]
+        blocked = sum(_assert_single_query_agrees(tx, rx, gmap)
+                      for rx in route)
+        if scene == "corner":
+            assert blocked >= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_scenes(), st.data())
+    def test_random_box_cities(self, boxes, data):
+        """Each RX lies beyond a point of a building's box, seen from the TX,
+        so most links are blocked."""
+        gmap = build_map(boxes)
+        coord = st.one_of(st.integers(-25, 25).map(float),
+                          st.floats(-25.0, 25.0))
+        for _ in range(4):
+            tx = np.array([data.draw(coord), data.draw(coord),
+                           data.draw(st.floats(0.5, 20.0))])
+            _bid, (x0, y0, x1, y1, h) = data.draw(st.sampled_from(boxes))
+            aim = np.array([data.draw(st.floats(x0, x1)),
+                            data.draw(st.floats(y0, y1)),
+                            data.draw(st.floats(0.0, h))])
+            rx = aim + data.draw(st.floats(0.1, 2.0)) * (aim - tx)
+            _assert_single_query_agrees(Point3(*tx), Point3(*rx), gmap)
 
 
 # -- candidate sides ---------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_map
 from urbanprop import kernels
-from urbanprop.geometry import EPS_HIT, Point3, block_nearest, f_block
+from urbanprop.geometry import EPS_HIT, Point3, f_block
 
 
 def _soup(gmap, idx=slice(None)):
@@ -33,8 +33,7 @@ class TestZeroLengthSegment:
                 assert not kernels.any_hit(a, a, *soup, EPS_HIT)
                 assert kernels.first_hit(a, a, *soup, EPS_HIT) == (np.inf, -1)
                 assert f_block(Point3(*p), Point3(*p), unit_cube_map) == 0
-                assert block_nearest(Point3(*p), Point3(*p),
-                                     unit_cube_map)[0] is False
+                assert unit_cube_map.first_hit(a, a) == (np.inf, -1)
 
 
 @st.composite

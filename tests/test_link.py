@@ -49,7 +49,7 @@ class TestExtractChain:
         assert term.d_n == pytest.approx(d_hand)
         assert term.length_direct == pytest.approx(
             np.linalg.norm([90.0 - 30.0, -10.0, 0.0]))
-        assert not term.has_reflection
+        assert term.wall_point is None
 
     def test_corner_scene_distances_hand_measured(self, corner_map, tx):
         rx = pt(59, 30)
@@ -70,7 +70,6 @@ class TestExtractChain:
         vis = identify_position(tx, rx, canyon_map)
         stages, term = extract_chain(vis, tx, rx, canyon_map)
         assert len(stages) == 3
-        assert term.has_reflection
         assert term.wall_point is not None
         assert term.length_reflected > term.length_direct
 
@@ -84,12 +83,6 @@ class TestReflectionCoefficient:
         v = reflection_coefficient(0.7, MaterialConfig(1e8, "V"))
         assert abs(h + 1.0) < 1e-3
         assert abs(v - 1.0) < 1e-3
-
-    def test_perfect_conductor_flag(self):
-        m = MaterialConfig(perfect_conductor=True, polarization="H")
-        assert reflection_coefficient(0.3, m) == -1.0
-        m = MaterialConfig(perfect_conductor=True, polarization="V")
-        assert reflection_coefficient(0.3, m) == 1.0
 
     def test_normal_incidence_concrete(self):
         got = reflection_coefficient(0.0, MaterialConfig(6.0, "H"))
