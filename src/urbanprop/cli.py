@@ -31,6 +31,8 @@ def _fmt(v):
 def _load_scenario(args):
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(args.config)
     if args.output:
         cfg.output_dir = args.output
@@ -186,7 +188,8 @@ def build_parser():
         description="Site-specific urban radio propagation simulator")
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool width for route evaluation")
+                        help="worker processes for route evaluation "
+                        "(at least 1)")
     parser.add_argument("--output", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("identify", help="per-position visibility report")

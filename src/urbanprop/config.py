@@ -32,6 +32,12 @@ class ScenarioConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for name in ("map_path", "route_path", "output_dir"):
+            v = getattr(self, name)
+            allowed = str if name == "output_dir" else (str, type(None))
+            if not isinstance(v, allowed):
+                raise ConfigError(f"config field '{name}' must be a string, "
+                                  f"got {v!r}")
         for name in ("freq_hz", "p_t_watts", "g_r_linear", "corridor_width_m",
                      "pl_cap_db"):
             v = getattr(self, name)
@@ -77,9 +83,13 @@ def config_from_dict(raw):
     kwargs = dict(raw)
     if "tx" in kwargs:
         tx = kwargs["tx"]
+        if not (isinstance(tx, list) and len(tx) == 3 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in tx)):
+            raise ConfigError(f"config field 'tx' must be [x, y, z], got {tx!r}")
         try:
-            kwargs["tx"] = Point3(float(tx[0]), float(tx[1]), float(tx[2]))
-        except (TypeError, ValueError, IndexError) as exc:
+            kwargs["tx"] = Point3(*map(float, tx))
+        except (NumericalDomainError, OverflowError) as exc:   # not finite
             raise ConfigError(f"config field 'tx' must be [x, y, z]: {exc}") from exc
     try:
         return ScenarioConfig(**kwargs)

@@ -1,11 +1,13 @@
 """Per-position prediction pipeline: identification -> chain -> fields.
 
 Every function here is pure over the immutable map, so route positions can
-be evaluated in parallel and reassembled in input order.
+be evaluated in parallel and reassembled in input order.  A worker pool gets
+the scene ``(cfg, gmap)`` once per worker, through its initializer, and runs
+the positions in contiguous chunks.
 """
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -43,13 +45,35 @@ def predict_position(cfg, gmap, rx, index=0):
     return PositionResult(index, rx, vis, term, full, simp, pl_gpp, pl_friis)
 
 
+_scene = None   # (cfg, gmap) of a pool worker, set by _init_worker
+
+
+def _init_worker(cfg, gmap):
+    global _scene
+    _scene = (cfg, gmap)
+
+
+def _predict_in_worker(index, rx):
+    cfg, gmap = _scene
+    return predict_position(cfg, gmap, rx, index)
+
+
 def predict_route(cfg, gmap, route, workers=1):
-    """Predictions for every route point, in input order."""
-    if workers <= 1:
-        return [predict_position(cfg, gmap, rp.position, i)
-                for i, rp in enumerate(route)]
-    from concurrent.futures import ProcessPoolExecutor
+    """Predictions for every route point, in input order.
+
+    ``workers`` above 1 evaluates the route's P positions in a process pool
+    of at most P workers; each chunk of ``ceil(P / (4 * workers))``
+    consecutive positions goes to one worker.
+    """
     positions = [rp.position for rp in route]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(predict_position, repeat(cfg), repeat(gmap),
-                             positions, range(len(positions))))
+    workers = min(workers, len(positions))
+    if workers <= 1:
+        return [predict_position(cfg, gmap, rx, i)
+                for i, rx in enumerate(positions)]
+    # imported here: the pool's modules add about 1 MB to a 1-worker run
+    from concurrent.futures import ProcessPoolExecutor
+    chunksize = math.ceil(len(positions) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(cfg, gmap)) as pool:
+        return list(pool.map(_predict_in_worker, range(len(positions)),
+                             positions, chunksize=chunksize))

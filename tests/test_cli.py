@@ -1,11 +1,13 @@
 """End-to-end CLI tests: exit codes, determinism and metric round-trips."""
 
+import concurrent.futures
 import csv
 import json
 
 import pytest
 
 from conftest import CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict
+from urbanprop import pipeline
 from urbanprop.cli import main
 
 
@@ -71,9 +73,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
+    # a tx object escaped as KeyError, a 4-element tx was cut to 3 values and
+    # a number for a path reached open() as a file descriptor (one above any
+    # descriptor limit, so no open file of this process can be read)
     @pytest.mark.parametrize("field, value", [
         ("polarization", "X"), ("eps_r", 0.5),
-        ("pl_cap_db", -5.0), ("pl_cap_db", float("nan"))])
+        ("pl_cap_db", -5.0), ("pl_cap_db", float("nan")),
+        ("tx", {"a": 1}), ("tx", [0.0, 0.0, 2.0, 9.0]), ("tx", ["0", 0, 2]),
+        ("map_path", 10**6), ("route_path", [1]), ("output_dir", 7)])
     def test_bad_config_value_fails_at_load(self, scenario, tmp_path, capsys,
                                             field, value):
         cfg = tmp_path / "cfg.json"
@@ -106,6 +113,18 @@ class TestExitCodes:
             assert len(err) == 1 and err[0].startswith("error: ")
         else:
             assert err == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        # the map does not exist, so only a check made before loading it
+        # gives this message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(tmp_path / "nope.json"),
+                                   "route_path": str(tmp_path / "nope.csv")}))
+        assert run(["--config", cfg, "--workers", workers, "--output",
+                    tmp_path / "o", "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --workers must be at least 1, got {workers}"]
 
     def test_compare_length_mismatch(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
@@ -148,13 +167,68 @@ class TestPredict:
         output = {"identify": "identify.jsonl", "predict": "predict.csv",
                   "doppler": "doppler.csv"}[command]
         outs = []
-        for name, w in (("w1", 1), ("w3", 3)):
+        for name, w in (("w1", 1), ("w2", 2), ("w3", 3)):
             out = tmp_path / name
             assert run(["--config", scenario["config"], "--workers", w,
                         "--output", out, command]) == 0
             outs.append((out / output).read_bytes())
         capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("n_positions, pool_widths", [(2, [2]), (1, [])])
+    def test_pool_width_capped_by_positions(self, scenario, tmp_path, capsys,
+                                            monkeypatch, n_positions,
+                                            pool_widths):
+        route = tmp_path / "route.csv"
+        lines = scenario["route"].read_text().splitlines()
+        route.write_text("\n".join(lines[:1 + n_positions]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route)}))
+        widths = []
+
+        class RecordingExecutor:
+            """Runs the pool's tasks in this process, recording its width."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                widths.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pipeline, "_scene", None, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        outs = []
+        for name, w in (("w1", 1), ("w3", 3)):
+            assert run(["--config", cfg, "--workers", w, "--output",
+                        tmp_path / name, "predict"]) == 0
+            outs.append((tmp_path / name / "predict.csv").read_bytes())
+        capsys.readouterr()
+        assert widths == pool_widths
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,
+                                           workers):
+        route = tmp_path / "route.csv"
+        route.write_text("t,x,y,z\n0,59,0,2\n1,0,0,2\n2,59,6,2\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route),
+                                   "tx": [0.0, 0.0, 2.0]}))
+        assert run(["--config", cfg, "--workers", workers, "--output",
+                    tmp_path / "o", "predict"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: degenerate segment: endpoints coincide"]
 
     def test_columns_and_rows(self, scenario, tmp_path, capsys):
         out = tmp_path / "o"
