@@ -28,6 +28,21 @@ def _fmt(v):
     return f"{v:.10g}"
 
 
+def _make_output_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def _open_output(path):
+    """``path`` opened for writing the command's text output."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _load_scenario(args):
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
@@ -40,15 +55,22 @@ def _load_scenario(args):
         raise ConfigError("config must set 'map_path' and 'route_path'")
     gmap = load_map(cfg.map_path)
     route = load_route(cfg.route_path)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     return cfg, gmap, route
+
+
+def _write_csv(path, header, rows):
+    with _open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_identify(args):
     cfg, gmap, route = _load_scenario(args)
     results = predict_route(cfg, gmap, route, workers=args.workers)
     path = os.path.join(cfg.output_dir, "identify.jsonl")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         for res in results:
             cls = res.vis.classification
             bp = cls.breakpoint
@@ -60,31 +82,24 @@ def run_identify(args):
                 "visible": res.vis.flat_visible(),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    print(path)
-    return 0
+    return path
 
 
 def run_predict(args):
     cfg, gmap, route = _load_scenario(args)
     results = predict_route(cfg, gmap, route, workers=args.workers)
     path = os.path.join(cfg.output_dir, "predict.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "x", "y", "z", "los", "pl_model_db",
-                         "pl_free_space_db", "n_stages", "e_abs", "e_arg",
-                         "pl_simplified_db", "pl_gpp_db"])
-        for res in results:
-            rx = res.rx
-            writer.writerow([
-                res.index, _fmt(rx.x), _fmt(rx.y), _fmt(rx.z),
-                int(res.full.los), _fmt(res.full.pl_db),
-                _fmt(res.pl_friis_db), res.full.n_stages,
-                _fmt(abs(res.full.e_total)),
-                _fmt(float(np.angle(res.full.e_total))),
-                _fmt(res.simplified.pl_db), _fmt(res.pl_gpp_db),
-            ])
-    print(path)
-    return 0
+    _write_csv(path, ["index", "x", "y", "z", "los", "pl_model_db",
+                      "pl_free_space_db", "n_stages", "e_abs", "e_arg",
+                      "pl_simplified_db", "pl_gpp_db"], (
+        [res.index, _fmt(res.rx.x), _fmt(res.rx.y), _fmt(res.rx.z),
+         int(res.full.los), _fmt(res.full.pl_db),
+         _fmt(res.pl_friis_db), res.full.n_stages,
+         _fmt(abs(res.full.e_total)),
+         _fmt(float(np.angle(res.full.e_total))),
+         _fmt(res.simplified.pl_db), _fmt(res.pl_gpp_db)]
+        for res in results))
+    return path
 
 
 def run_doppler(args):
@@ -93,21 +108,16 @@ def run_doppler(args):
     samples = route_doppler(cfg, route, results)
     vels = route_velocities(route)
     path = os.path.join(cfg.output_dir, "doppler.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "x", "y", "speed_mps", "n_paths",
-                         "f_mean_hz", "sigma_d_hz", "sigma_d_3gpp_hz",
-                         "sigma_d_simplified_hz"])
-        for i, (full, simp, sigma_gpp) in enumerate(samples):
-            rx = route[i].position
-            writer.writerow([
-                i, _fmt(rx.x), _fmt(rx.y),
-                _fmt(float(np.linalg.norm(vels[i]))), len(full.shifts),
-                _fmt(full.weighted_mean), _fmt(full.spread), _fmt(sigma_gpp),
-                _fmt(simp.spread),
-            ])
-    print(path)
-    return 0
+    _write_csv(path, ["index", "x", "y", "speed_mps", "n_paths", "f_mean_hz",
+                      "sigma_d_hz", "sigma_d_3gpp_hz",
+                      "sigma_d_simplified_hz"], (
+        [i, _fmt(rp.position.x), _fmt(rp.position.y),
+         _fmt(float(np.linalg.norm(v))), len(full.shifts),
+         _fmt(full.weighted_mean), _fmt(full.spread), _fmt(sigma_gpp),
+         _fmt(simp.spread)]
+        for i, (rp, v, (full, simp, sigma_gpp))
+        in enumerate(zip(route, vels, samples))))
+    return path
 
 
 def _read_reference(path):
@@ -146,7 +156,7 @@ def run_compare(args):
     if not args.reference or not args.predictions:
         raise ConfigError("compare requires --reference and --predictions")
     out_dir = args.output or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     reference = _read_reference(args.reference)
     models = _read_predictions(args.predictions)
     report = {"rmse_per_model": {}, "ks_per_model": {}}
@@ -160,26 +170,21 @@ def run_compare(args):
         _write_cdf(os.path.join(out_dir, f"cdf_{name}.csv"), series)
     _write_cdf(os.path.join(out_dir, "cdf_reference.csv"), reference)
     path = os.path.join(out_dir, "compare.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(path)
-    return 0
+    return path
 
 
 def _write_cdf(path, series):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "cdf"])
-        for x, f in empirical_cdf(series):
-            writer.writerow([_fmt(x), _fmt(f)])
+    _write_csv(path, ["x", "cdf"],
+               ([_fmt(x), _fmt(f)] for x, f in empirical_cdf(series)))
 
 
 def run_print_defaults(args):
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     json.dump(cfg.defaults_dump(), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
 
 
 def build_parser():
@@ -210,20 +215,21 @@ COMMANDS = {
     "print-defaults": run_print_defaults,
 }
 
+# exit code of each error class, most specific first
+EXIT_CODES = ((NumericalDomainError, 4), (DataShapeError, 3), (UrbanPropError, 2))
+
 
 def main(argv=None):
+    """Run one subcommand; print the path of the file it wrote, if any."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except NumericalDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DataShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        path = COMMANDS[args.command](args)
     except UrbanPropError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    if path is not None:
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":

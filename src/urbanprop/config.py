@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,6 +16,10 @@ from .link import C_LIGHT, PL_CAP_DB, MaterialConfig
 class RoutePoint:
     t: float           # seconds
     position: Point3
+
+    def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise NumericalDomainError(f"non-finite timestamp {self.t}")
 
 
 @dataclass
@@ -39,9 +44,12 @@ class ScenarioConfig:
                 raise ConfigError(f"config field '{name}' must be a string, "
                                   f"got {v!r}")
         for name in ("freq_hz", "p_t_watts", "g_r_linear", "corridor_width_m",
-                     "pl_cap_db"):
+                     "pl_cap_db", "eps_r"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
+            if not _is_number(v):
+                raise ConfigError(f"config field '{name}' must be a number, "
+                                  f"got {v!r}")
+            if name != "eps_r" and not (np.isfinite(v) and v > 0.0):
                 raise ConfigError(f"config field '{name}' must be positive, got {v}")
         try:
             self.material      # MaterialConfig checks eps_r and polarization
@@ -83,9 +91,8 @@ def config_from_dict(raw):
     kwargs = dict(raw)
     if "tx" in kwargs:
         tx = kwargs["tx"]
-        if not (isinstance(tx, list) and len(tx) == 3 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in tx)):
+        if not (isinstance(tx, list) and len(tx) == 3
+                and all(map(_is_number, tx))):
             raise ConfigError(f"config field 'tx' must be [x, y, z], got {tx!r}")
         try:
             kwargs["tx"] = Point3(*map(float, tx))
@@ -95,6 +102,11 @@ def config_from_dict(raw):
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _is_number(v):
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def csv_rows(fh):

@@ -26,8 +26,6 @@ class PathComponent:
 
 @dataclass
 class DopplerSample:
-    index: int
-    velocity: np.ndarray       # m/s
     shifts: list = field(default_factory=list)   # Hz per path
     weighted_mean: float = 0.0
     spread: float = 0.0
@@ -41,29 +39,22 @@ def enumerate_paths(pred, tx, rx, term, g_r, freq):
     motion toward a source yields a positive shift and motion away a negative
     one.
     """
-    paths = []
+    ends = [("direct", "direct", tx)]
+    if term is not None:
+        ends += [("final_I", "diffracted_I", term.edge),
+                 ("final_II", "reflected_II", term.wall_point)]
     rxa = rx.as_array()
-
-    def unit(v):
+    paths = []
+    for name, kind, end in ends:
+        e = pred.components[name]
+        if e == 0:
+            continue
+        v = end.as_array() - rxa
         n = np.linalg.norm(v)
-        return v / n if n > 0 else None
-
-    if pred.components["direct"] != 0:
-        u = unit(tx.as_array() - rxa)
-        if u is not None:
-            paths.append(PathComponent(u, received_power(
-                pred.components["direct"], g_r, freq), "direct"))
-    if term is not None and pred.components["final_I"] != 0:
-        u = unit(term.edge.as_array() - rxa)
-        if u is not None:
-            paths.append(PathComponent(u, received_power(
-                pred.components["final_I"], g_r, freq), "diffracted_I"))
-    if term is not None and pred.components["final_II"] != 0:
-        u = unit(term.wall_point.as_array() - rxa)
-        if u is not None:
-            paths.append(PathComponent(u, received_power(
-                pred.components["final_II"], g_r, freq), "reflected_II"))
-    return [p for p in paths if p.power > 0.0]
+        power = received_power(e, g_r, freq)
+        if n > 0 and power > 0.0:
+            paths.append(PathComponent(v / n, power, kind))
+    return paths
 
 
 def doppler_shift(v, u, freq):
@@ -75,7 +66,7 @@ def doppler_shift(v, u, freq):
     return float(np.asarray(v, dtype=np.float64) @ u / lam)
 
 
-def rms_spread(paths, v, freq, index=0):
+def rms_spread(paths, v, freq):
     """Power-weighted mean shift and RMS spread over the path set."""
     if not paths:
         raise DegenerateGeometryError("no propagation path with positive power")
@@ -86,8 +77,7 @@ def rms_spread(paths, v, freq, index=0):
     shifts = np.array([doppler_shift(v, p.arrival_unit, freq) for p in paths])
     mean = float((powers * shifts).sum() / total)
     spread = float(np.sqrt((powers * (shifts - mean) ** 2).sum() / total))
-    return DopplerSample(index, np.asarray(v, dtype=np.float64),
-                         list(shifts), mean, spread)
+    return DopplerSample(list(shifts), mean, spread)
 
 
 def gpp_doppler_estimate(v_mag, freq):
@@ -102,8 +92,7 @@ def route_velocities(route):
     """Central finite-difference velocities (forward/backward at the ends)."""
     if len(route) < 2:
         raise RouteError("route must contain at least two points for Doppler")
-    pos = np.array([[rp.position.x, rp.position.y, rp.position.z]
-                    for rp in route])
+    pos = np.array([rp.position.as_array() for rp in route])
     t = np.array([rp.t for rp in route])
     if np.any(np.diff(t) <= 0.0):
         raise RouteError("route timestamps must be strictly increasing")
@@ -124,16 +113,15 @@ def route_doppler(cfg, route, results):
     """
     vels = route_velocities(route)
     out = []
-    for i, (rp, res) in enumerate(zip(route, results)):
-        v = vels[i]
+    for rp, res, v in zip(route, results, vels):
         samples = []
         for pred in (res.full, res.simplified):
             paths = enumerate_paths(pred, cfg.tx, rp.position, res.term,
                                     cfg.g_r_linear, cfg.freq_hz)
             if paths:
-                samples.append(rms_spread(paths, v, cfg.freq_hz, index=i))
+                samples.append(rms_spread(paths, v, cfg.freq_hz))
             else:
-                samples.append(DopplerSample(i, v))
+                samples.append(DopplerSample())
         sigma_gpp = gpp_doppler_estimate(float(np.linalg.norm(v)), cfg.freq_hz)
         out.append((samples[0], samples[1], sigma_gpp))
     return out

@@ -102,13 +102,9 @@ def classify_region(g):
     return RegionKind.SHADOW
 
 
-def _incidence_angles(g):
-    a_s = np.pi - g.alpha
-    return g.phi - a_s, g.phi + a_s
-
-
-def _diffraction_term(cos_half, k_d):
-    """sec(ang/2) * F(2 kD cos^2(ang/2)), finite through the boundary."""
+def diffraction_term(cos_half, k_d):
+    """sec(ang/2) * F(2 kD cos^2(ang/2)), finite through the boundary: the
+    UTD edge term of the chain stages and of ``link.slope_coefficient``."""
     x = 2.0 * k_d * cos_half * cos_half
     if x < 1e-24:
         # limit of sec * F as the cosine vanishes; the sign flip across the
@@ -127,14 +123,15 @@ def halfplane_fields(e0, g):
     Returns a dict with keys ``"t"``, ``"r"``, ``"d"``.
     """
     e0 = complex(e0)
-    phi_i, phi_r = _incidence_angles(g)
+    a_s = np.pi - g.alpha       # incidence angle from the screen
+    phi_i, phi_r = g.phi - a_s, g.phi + a_s
     k_d = g.k * g.distance
     e_t = e0 * np.exp(1j * k_d * np.cos(phi_i))
     e_r = -e0 * np.exp(1j * k_d * np.cos(phi_r))
     pref = -e0 * np.exp(-1j * k_d) * np.exp(-1j * np.pi / 4.0) / (
         2.0 * np.sqrt(2.0 * np.pi * k_d))
-    e_d = pref * (_diffraction_term(np.cos(phi_i / 2.0), k_d)
-                  - _diffraction_term(np.cos(phi_r / 2.0), k_d))
+    e_d = pref * (diffraction_term(np.cos(phi_i / 2.0), k_d)
+                  - diffraction_term(np.cos(phi_r / 2.0), k_d))
     return {"t": e_t, "r": e_r, "d": e_d}
 
 

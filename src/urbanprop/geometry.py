@@ -252,20 +252,26 @@ class GeometryMap:
         keep[pos] = met.any(axis=0)
         return np.flatnonzero(keep[self.tri_building])
 
-    def first_hit(self, a, b, building_ids=None):
-        """Nearest hit of the open segment a->b ((3,) arrays) on the faces of
-        the selected buildings: ``(t, triangle id)``, or ``(inf, -1)`` when
-        nothing is hit; of equally near hits, the lowest triangle id wins.
-        ``building_ids=None`` tests every building."""
-        tris = self.candidate_triangles(a, b, building_ids)
-        t, i = kernels.first_hit(a, b, *self.triangle(tris), EPS_HIT)
-        return t, (int(tris[i]) if i >= 0 else -1)
+    def first_hit(self, a, b):
+        """Nearest hit of the open segment a->b ((3,) arrays) on the map's
+        faces: ``(t, triangle id)``, or ``(inf, -1)`` when nothing is hit; of
+        equally near hits, the lowest triangle id wins."""
+        tris = self.candidate_triangles(a, b)
+        if len(tris):
+            t = kernels.segment_triangles(a, b, *self.triangle(tris), EPS_HIT)
+            i = int(np.argmin(t))       # the first index wins a tie
+            if np.isfinite(t[i]):
+                return float(t[i]), int(tris[i])
+        return np.inf, -1
 
     def any_hit(self, a, b, building_ids=None):
         """True when a face of the selected buildings blocks the open segment
         a->b, or any segment of an (S, 3) batch."""
         tris = self.candidate_triangles(a, b, building_ids)
-        return kernels.any_hit(a, b, *self.triangle(tris), EPS_HIT)
+        if not len(tris):
+            return False
+        t = kernels.segment_triangles(a, b, *self.triangle(tris), EPS_HIT)
+        return bool(np.isfinite(t).any())
 
 
 def _edges(owner, n):
@@ -382,9 +388,6 @@ def side_2d(cross):
     return np.where(np.abs(cross) <= EPS_SIDE, 0, np.sign(cross)).astype(np.int64)
 
 
-def f_block(a, b, gmap, building_ids=None):
-    """1 iff any face of the selected buildings blocks the open segment a-b.
-
-    ``building_ids=None`` tests against every building in the map.
-    """
-    return int(gmap.any_hit(a.as_array(), b.as_array(), building_ids))
+def f_block(a, b, gmap):
+    """1 iff any face of the map blocks the open segment a-b."""
+    return int(gmap.any_hit(a.as_array(), b.as_array()))

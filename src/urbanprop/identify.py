@@ -46,7 +46,6 @@ class SubSegment:
     b: Point3
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
-    left_only: bool = False   # bp-RX sub-segment considers the left side only
     corner: dict = field(default_factory=dict)
 
 
@@ -147,7 +146,8 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
 
     A vertex counts when it projects inside the sub-segment and lies within
     ``corridor_width`` of its line; each building goes to the side most of
-    its counted vertices lie on (ties left).  The same pass over the map's
+    its counted vertices lie on (ties left); ``left_only`` (the bp-RX
+    sub-segment) keeps the left side only.  The same pass over the map's
     roof-vertex table records each candidate's roof corner nearest the line.
     """
     t, cross, dist = line_2d(gmap.roof_xy, a, b)
@@ -166,7 +166,7 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
     corner = dict(zip(gmap.ids[owner[rows]].tolist(), zip(
         dist[rows].tolist(), gmap.roof_vertex[rows].tolist(), t[rows].tolist())))
     return SubSegment(a, b, gmap.ids[left].tolist(), gmap.ids[right].tolist(),
-                      left_only, corner)
+                      corner)
 
 
 def initial_identification(tx, route, gmap, corridor_width=100.0):

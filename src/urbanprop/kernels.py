@@ -1,10 +1,11 @@
 """Hot geometric kernel: batched open-segment vs. triangle intersection.
 
-One numpy Moller-Trumbore kernel answers S segments against M triangles in
-a single call, with the cross products expanded over array columns.  Every
-(segment, triangle) pair goes through the same element-wise arithmetic, so
-its result does not depend on which other segments or triangles share the
-call; callers may cull the soup or batch segments without changing a bit.
+``segment_triangles``, one numpy Moller-Trumbore kernel, answers S segments
+against M triangles in a single call, with the cross products expanded over
+array columns.  Every (segment, triangle) pair goes through the same
+element-wise arithmetic, so its result does not depend on which other
+segments or triangles share the call: ``geometry.GeometryMap`` culls the
+soup before the call and reduces the hits after it without changing a bit.
 ``benchmarks/bench_kernels.py`` times a batched call against a loop of
 single-segment calls.
 
@@ -71,25 +72,3 @@ def segment_triangles(a, b, v0, v1, v2, eps_hit):
     t[~hit] = np.inf
     return t[0] if single else t
 
-
-def first_hit(a, b, v0, v1, v2, eps_hit):
-    """Nearest-to-``a`` hit of the open segment against the soup.
-
-    Returns ``(t, index)`` or ``(np.inf, -1)`` when nothing is hit; of
-    equally near hits, the lowest triangle index wins.
-    """
-    if v0.shape[0] == 0:
-        return np.inf, -1
-    t = segment_triangles(a, b, v0, v1, v2, eps_hit)
-    i = int(np.argmin(t))
-    if not np.isfinite(t[i]):
-        return np.inf, -1
-    return float(t[i]), i
-
-
-def any_hit(a, b, v0, v1, v2, eps_hit):
-    """True when any triangle blocks the open segment a->b, or any of a batch."""
-    if v0.shape[0] == 0:
-        return False
-    t = segment_triangles(a, b, v0, v1, v2, eps_hit)
-    return bool(np.isfinite(t).any())

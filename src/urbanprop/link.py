@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError
-from .fields import ChainStage, direct_field, recursive_chain, transition_function
+from .fields import ChainStage, diffraction_term, direct_field, recursive_chain
 from .geometry import Point3, f_block
 
 C_LIGHT = 299792458.0
@@ -164,38 +164,33 @@ def extract_chain(vis, tx, rx, gmap):
     Returns ``(stages, terminal)``; both are empty/None when no building is
     visible (free-space link).
     """
-    entries = []
+    first = {}      # building id -> its entry in its first sub-segment
     for seg_idx, vseg in enumerate(vis.visible):
         for side in ("left", "right"):
             for bid in getattr(vseg, side):
                 _dist, vid, t = vseg.corner[bid]
-                edge = _edge_point(gmap, vid, t, vseg.a, vseg.b)
-                entries.append((seg_idx, t, bid, vid, edge, side))
-    if not entries:
+                first.setdefault(bid, (seg_idx, t, bid, vid, side))
+    if not first:
         return [], None
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    # deduplicate buildings appearing in several sub-segments, first wins
-    seen, ordered = set(), []
-    for e in entries:
-        if e[2] not in seen:
-            seen.add(e[2])
-            ordered.append(e)
+    ordered = sorted(first.values())     # by sub-segment, line parameter, id
+    edges = [_edge_point(gmap, vid, t, vis.visible[seg].a, vis.visible[seg].b)
+             for seg, t, _bid, vid, _side in ordered]
 
     txa, rxa = tx.as_array(), rx.as_array()
-    points = [txa] + [e[4].as_array() for e in ordered] + [rxa]
+    points = [txa] + [e.as_array() for e in edges] + [rxa]
     stages = []
-    for i, (_seg, _t, bid, vid, edge, _side) in enumerate(ordered):
+    for i, (_seg, _t, bid, vid, _side) in enumerate(ordered):
         here_xy = points[i + 1][:2]
         frame = _screen_frame(gmap, bid, vid, here_xy, points[i][:2])
         alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
         d_tx = float(np.linalg.norm(points[i + 1] - txa))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
-        blocked = bool(f_block(tx, edge, gmap)) if i > 0 else False
+        blocked = bool(f_block(tx, edges[i], gmap)) if i > 0 else False
         stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
                                  direct_blocked=blocked))
 
-    last_seg, _t, _bid, _vid, last_edge, last_side = ordered[-1]
-    vseg = vis.visible[last_seg]
+    last_seg, _t, _bid, _vid, last_side = ordered[-1]
+    last_edge = edges[-1]
     length_direct = float(np.linalg.norm(rxa - last_edge.as_array()))
     d_n = stages[-1].d_tx
 
@@ -207,18 +202,14 @@ def extract_chain(vis, tx, rx, gmap):
     psi = _departure(frame, rxa[:2] - here_xy)
 
     opposite = "left" if last_side == "right" else "right"
-    vis_opposite = getattr(vseg, opposite)
-    refl = _reflection_branch(gmap, vis_opposite, last_edge, rx) \
-        if vis_opposite else None
-    if refl is None:
-        term = TerminalGeometry(last_edge, length_direct, length_direct, psi,
-                                psi, beta, d_n)
-    else:
+    refl = _reflection_branch(gmap, getattr(vis.visible[last_seg], opposite),
+                              last_edge, rx)
+    r, wall_point, theta, incidence = length_direct, None, psi, 0.0
+    if refl is not None:
         r, wall_point, image, incidence = refl
         theta = _departure(frame, image[:2] - here_xy)
-        term = TerminalGeometry(last_edge, length_direct, max(r, length_direct),
-                                psi, theta, beta, d_n,
-                                wall_point=wall_point, wall_incidence=incidence)
+    term = TerminalGeometry(last_edge, length_direct, max(r, length_direct),
+                            psi, theta, beta, d_n, wall_point, incidence)
     return stages, term
 
 
@@ -241,18 +232,9 @@ def reflection_coefficient(theta, material):
     return float((np.cos(theta) - root) / (np.cos(theta) + root))
 
 
-def _slope_term(trig_val, k, length):
-    """F(X)/(-trig) with X = 2 k length trig^2, finite through trig -> 0."""
-    x = 2.0 * k * length * trig_val * trig_val
-    if x < 1e-24:
-        sign = 1.0 if trig_val >= 0.0 else -1.0
-        return -sign * np.sqrt(2.0 * np.pi * k * length) * np.exp(1j * np.pi / 4.0)
-    return transition_function(x) / (-trig_val)
-
-
 def slope_coefficient(kind, term, k):
     """Terminal slope-diffraction coefficient for branch I (direct departure)
-    or II (wall-reflected departure)."""
+    or II (wall-reflected departure), from the chain's UTD edge term."""
     if kind == "I":
         depart, length = term.psi, term.length_direct
     elif kind == "II":
@@ -264,7 +246,8 @@ def slope_coefficient(kind, term, k):
     s = np.sin((depart - term.beta) / 2.0)
     c = np.cos((depart + term.beta) / 2.0)
     pref = -np.exp(-1j * np.pi / 4.0) / (2.0 * np.sqrt(2.0 * np.pi * k))
-    return pref * (_slope_term(s, k, l_red) - _slope_term(c, k, l_red))
+    k_l = k * l_red
+    return pref * (diffraction_term(c, k_l) - diffraction_term(s, k_l))
 
 
 # -- composition and path loss ---------------------------------------------

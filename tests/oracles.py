@@ -77,35 +77,39 @@ def segment_blocked_by_boxes(a, b, boxes, eps_hit=EPS_HIT):
 # -- triangle primitive (for the all-triangle occlusion oracle) --------------
 
 
-def triangle_hit_t(a, b, v0, v1, v2, eps_hit=EPS_HIT):
-    """Parameter t of the open segment a-b crossing one triangle, or None.
+def _cross(u, w):
+    """Cross products of the rows of ``u`` and ``w``, column by column."""
+    return np.stack([u[..., 1] * w[..., 2] - u[..., 2] * w[..., 1],
+                     u[..., 2] * w[..., 0] - u[..., 0] * w[..., 2],
+                     u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]], axis=-1)
 
-    Plane intersection followed by an inside test on signed edge areas; a
-    formulation deliberately different from the package kernel.
+
+def _dot(u, w):
+    """Dot products of the rows of ``u`` and ``w``, column by column."""
+    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+
+
+def segment_blocked_by_triangles(a, b, v0, v1, v2, eps_hit=EPS_HIT):
+    """True when the open segment a-b crosses any triangle (v0, v1, v2) of
+    the (M, 3) vertex arrays.
+
+    Plane intersection followed by an inside test on signed edge areas, for
+    all triangles at once; a formulation deliberately different from the
+    package kernel.
     """
     a = np.asarray(a, float)
     d = np.asarray(b, float) - a
-    n = np.cross(v1 - v0, v2 - v0)
-    denom = n @ d
-    if abs(denom) < 1e-15:
-        return None
-    t = (n @ (v0 - a)) / denom
-    seg_len = np.linalg.norm(d)
-    eps_t = eps_hit / seg_len
-    if not eps_t < t < 1.0 - eps_t:
-        return None
-    p = a + t * d
-    s0 = np.cross(v1 - v0, p - v0) @ n
-    s1 = np.cross(v2 - v1, p - v1) @ n
-    s2 = np.cross(v0 - v2, p - v2) @ n
-    if s0 >= 0 and s1 >= 0 and s2 >= 0:
-        return float(t)
-    return None
-
-
-def segment_blocked_by_triangles(a, b, tris, eps_hit=EPS_HIT):
-    return any(triangle_hit_t(a, b, v0, v1, v2, eps_hit) is not None
-               for v0, v1, v2 in tris)
+    n = _cross(v1 - v0, v2 - v0)
+    denom = _dot(n, d)
+    eps_t = eps_hit / np.sqrt(_dot(d, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _dot(n, v0 - a) / denom
+        p = a + t[:, None] * d
+        inside = ((_dot(_cross(v1 - v0, p - v0), n) >= 0)
+                  & (_dot(_cross(v2 - v1, p - v1), n) >= 0)
+                  & (_dot(_cross(v0 - v2, p - v2), n) >= 0))
+        crossed = (np.abs(denom) >= 1e-15) & (eps_t < t) & (t < 1.0 - eps_t)
+    return bool(np.any(crossed & inside))
 
 
 # -- building-identification oracle ------------------------------------------

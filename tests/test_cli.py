@@ -80,7 +80,9 @@ class TestExitCodes:
         ("polarization", "X"), ("eps_r", 0.5),
         ("pl_cap_db", -5.0), ("pl_cap_db", float("nan")),
         ("tx", {"a": 1}), ("tx", [0.0, 0.0, 2.0, 9.0]), ("tx", ["0", 0, 2]),
-        ("map_path", 10**6), ("route_path", [1]), ("output_dir", 7)])
+        ("map_path", 10**6), ("route_path", [1]), ("output_dir", 7),
+        ("corridor_width_m", True), ("freq_hz", True), ("freq_hz", "5.8e9"),
+        ("pl_cap_db", [1, 2]), ("p_t_watts", False), ("eps_r", "6")])
     def test_bad_config_value_fails_at_load(self, scenario, tmp_path, capsys,
                                             field, value):
         cfg = tmp_path / "cfg.json"
@@ -91,6 +93,61 @@ class TestExitCodes:
                     "predict"]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # a bool passed as a number (a 1 m corridor, "freq_hz": true in the
+    # dump), and other types failed inside numpy
+    @pytest.mark.parametrize("field, value", [
+        ("freq_hz", True), ("freq_hz", "5.8e9"), ("pl_cap_db", [1, 2])])
+    def test_non_number_config_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        assert run(["--config", cfg, "print-defaults"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: config field '{field}' must be a number, got {value!r}"]
+
+    # both loaded, and doppler exited 0 with rows of nan
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_route_time(self, scenario, tmp_path, capsys, bad):
+        rows = scenario["route"].read_text().splitlines()
+        rows[2] = ",".join([bad] + rows[2].split(",")[1:])
+        route = tmp_path / "route.csv"
+        route.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route)}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "doppler"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad route row 1: non-finite timestamp {bad}"]
+        assert not (tmp_path / "o").exists()
+
+    # os.makedirs raised FileExistsError past main (exit 1, a traceback)
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_output_path_is_a_file(self, scenario, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        ref = tmp_path / "ref.csv"
+        ref.write_text("index,value\n0,1.0\n")
+        prd = tmp_path / "prd.csv"
+        prd.write_text("index,pl_model_db\n0,1.0\n")
+        args = {"predict": ["--config", scenario["config"], "--output", out,
+                            "predict"],
+                "compare": ["--output", out, "compare", "--reference", ref,
+                            "--predictions", prd]}[command]
+        assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot create output directory {out}")
+
+    def test_output_file_cannot_be_opened(self, scenario, tmp_path, capsys):
+        (tmp_path / "o" / "predict.csv").mkdir(parents=True)
+        assert run(["--config", scenario["config"], "--output", tmp_path / "o",
+                    "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot write output file ")
 
     # the first three raised past main with a traceback; an unread "origin"
     # key of any type loads

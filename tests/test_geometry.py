@@ -297,14 +297,13 @@ class TestOcclusion:
 
     def test_building_subset(self, canyon_map):
         a, b = pt(0, 22, 2), pt(140, 22, 2)   # down the left building row
-        assert f_block(a, b, canyon_map, building_ids=[0]) == 1
-        assert f_block(a, b, canyon_map, building_ids=[3, 4]) == 0
+        a, b = a.as_array(), b.as_array()
+        assert canyon_map.any_hit(a, b, [0]) is True
+        assert canyon_map.any_hit(a, b, [3, 4]) is False
 
     @pytest.mark.parametrize("query", [
-        lambda m, a, b: f_block(Point3(*a), Point3(*b), m, building_ids=[7]),
-        lambda m, a, b: m.first_hit(a, b, [7]),
         lambda m, a, b: m.any_hit(a, b, [7]),
-    ], ids=["f_block", "first_hit", "any_hit"])
+    ], ids=["any_hit"])
     def test_unknown_building_id(self, unit_cube_map, query):
         a, b = np.array([-1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5])
         with pytest.raises(MapValidationError, match="unknown building id 7"):
@@ -333,7 +332,7 @@ class TestOcclusionOracle:
         for _scene in range(25):
             boxes = _random_boxes(rng)
             gmap = build_map(boxes)
-            tris = list(zip(gmap.tri_v0, gmap.tri_v1, gmap.tri_v2))
+            tris = (gmap.tri_v0, gmap.tri_v1, gmap.tri_v2)
             slabs = [(np.array([b[0], b[1], 0.0]), np.array([b[2], b[3], b[4]]))
                      for _bid, b in boxes]
             a = rng.uniform(-80, 80, (400, 3))
@@ -347,7 +346,7 @@ class TestOcclusionOracle:
                     a[i], b[i], slabs)
                 if degen:
                     continue
-                tri_blocked = segment_blocked_by_triangles(a[i], b[i], tris)
+                tri_blocked = segment_blocked_by_triangles(a[i], b[i], *tris)
                 got = f_block(Point3(*a[i]), Point3(*b[i]), gmap)
                 assert got == int(blocked) == int(tri_blocked)
                 n_checked += 1

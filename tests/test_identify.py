@@ -10,8 +10,9 @@ from conftest import CORNER_BOXES, build_map, canyon_route, corner_route
 from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
 from test_kernels import box_scenes
+from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError
-from urbanprop.geometry import Point3, line_2d, map_from_dict
+from urbanprop.geometry import EPS_HIT, Point3, line_2d, map_from_dict
 from urbanprop.identify import (classify_link, compute_breakpoint,
                                 identify_position, initial_identification,
                                 visible_identification)
@@ -101,7 +102,9 @@ def _two_query_classification(tx, rx, gmap):
     if tri < 0:
         return None, None
     bid = int(gmap.ids[gmap.tri_building[tri]])
-    _t, tri = gmap.first_hit(a, b, [bid])
+    tris = gmap.candidate_triangles(a, b, [bid])
+    t = kernels.segment_triangles(a, b, *gmap.triangle(tris), EPS_HIT)
+    tri = int(tris[np.argmin(t)])     # the lowest id of equally near hits
     return bid, compute_breakpoint(tx, rx, tri, gmap)
 
 
@@ -186,7 +189,7 @@ class TestInitialIdentification:
         (cls, segs), = initial_identification(tx, route, corner_map)
         assert not cls.los
         assert len(segs) == 2
-        assert segs[1].left_only and segs[1].right == []
+        assert segs[1].right == []
         # TX-bp runs down street A: building 0 left, building 1 right
         assert segs[0].left == [0] and segs[0].right == [1]
         # bp-RX runs up street B: left side is the west row

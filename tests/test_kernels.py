@@ -30,8 +30,9 @@ class TestZeroLengthSegment:
             for p in ([0.5, 0.5, 0.5], [0.0, 0.5, 0.5], [0.3, 0.2, 1.0],
                       [3.0, 3.0, 3.0]):
                 a = np.array(p)
-                assert not kernels.any_hit(a, a, *soup, EPS_HIT)
-                assert kernels.first_hit(a, a, *soup, EPS_HIT) == (np.inf, -1)
+                assert np.all(np.isinf(
+                    kernels.segment_triangles(a, a, *soup, EPS_HIT)))
+                assert not unit_cube_map.any_hit(a, a)
                 assert f_block(Point3(*p), Point3(*p), unit_cube_map) == 0
                 assert unit_cube_map.first_hit(a, a) == (np.inf, -1)
 
@@ -94,6 +95,7 @@ class TestCullChangesNothing:
 
             batch_idx = gmap.candidate_triangles(a, b)
             assert np.all(np.isinf(np.delete(full, batch_idx, axis=1)))
+            assert gmap.any_hit(a, b) is bool(np.isfinite(full).any())
             in_subset = np.isin(gmap.tri_building,
                                 [gmap.building_ids().index(x) for x in subset])
             for i in range(len(a)):
@@ -105,21 +107,20 @@ class TestCullChangesNothing:
                 assert np.array_equal(culled, full[i, idx])
                 assert np.all(np.isinf(np.delete(full[i], idx)))
 
-                t_full, i_full = kernels.first_hit(a[i], b[i], *_soup(gmap),
-                                                   EPS_HIT)
-                t_cull, i_cull = kernels.first_hit(a[i], b[i],
-                                                   *_soup(gmap, idx), EPS_HIT)
-                assert t_cull == t_full
-                assert (idx[i_cull] if i_cull >= 0 else -1) == i_full
+                # unculled reference: the nearest hit over the whole soup,
+                # the lowest triangle id of equally near ones
+                i_full = int(np.argmin(full[i]))
+                t_full = full[i, i_full]
+                if not np.isfinite(t_full):
+                    t_full, i_full = np.inf, -1
+                assert gmap.first_hit(a[i], b[i]) == (t_full, i_full)
                 blocked = bool(np.isfinite(full[i]).any())
-                assert kernels.any_hit(a[i], b[i], *_soup(gmap, idx),
-                                       EPS_HIT) is blocked
+                assert gmap.any_hit(a[i], b[i]) is blocked
                 assert f_block(Point3(*a[i]), Point3(*b[i]), gmap) == blocked
 
                 sub_idx = gmap.candidate_triangles(a[i], b[i], subset)
                 assert np.all(in_subset[sub_idx])
                 sub_full = np.where(in_subset, full[i], np.inf)
                 assert np.all(np.isinf(np.delete(sub_full, sub_idx)))
-                assert f_block(Point3(*a[i]), Point3(*b[i]), gmap,
-                               building_ids=subset) == np.isfinite(
-                                   sub_full).any()
+                assert gmap.any_hit(a[i], b[i], subset) == np.isfinite(
+                    sub_full).any()

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import build_map, corner_route
 from urbanprop.errors import NumericalDomainError
@@ -154,6 +155,41 @@ class TestSlopeCoefficient:
         t = term_geom(1.0, 1.0, 0.5, 10.0, 10.0, 20.0)
         with pytest.raises(NumericalDomainError):
             slope_coefficient("III", t, K58)
+
+    @settings(max_examples=300, deadline=None)
+    @given(depart=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+           beta=st.floats(0.0, np.pi),
+           length=st.floats(1e-3, 1e4), d_n=st.floats(1e-3, 1e4),
+           kind=st.sampled_from(["I", "II"]))
+    def test_shares_the_chain_edge_term(self, depart, beta, length, d_n, kind):
+        # the terminal branches use the chain's edge term, sec * F; away from
+        # its vanishing-cosine limit that equals F/(-trig) of each branch's
+        # own former term, bit for bit
+        s = np.sin((depart - beta) / 2.0)
+        c = np.cos((depart + beta) / 2.0)
+        assume(min(abs(s), abs(c)) >= 1e-6)
+        t = term_geom(depart, depart, beta, length, length, d_n)
+        got = slope_coefficient(kind, t, K58)
+        want = _slope_coefficient_with_own_term(depart, beta, length, d_n, K58)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+def _own_slope_term(trig_val, k, length):
+    """The terminal branches' former edge term: F(X)/(-trig) with
+    X = 2 k length trig^2, finite through trig -> 0."""
+    x = 2.0 * k * length * trig_val * trig_val
+    if x < 1e-24:
+        sign = 1.0 if trig_val >= 0.0 else -1.0
+        return -sign * np.sqrt(2.0 * np.pi * k * length) * np.exp(1j * np.pi / 4.0)
+    return transition_function(x) / (-trig_val)
+
+
+def _slope_coefficient_with_own_term(depart, beta, length, d_n, k):
+    l_red = length * d_n / (d_n + length)
+    s = np.sin((depart - beta) / 2.0)
+    c = np.cos((depart + beta) / 2.0)
+    pref = -np.exp(-1j * np.pi / 4.0) / (2.0 * np.sqrt(2.0 * np.pi * k))
+    return pref * (_own_slope_term(s, k, l_red) - _own_slope_term(c, k, l_red))
 
 
 class TestAmplitudeFactors:
