@@ -6,7 +6,7 @@ uniform boundary corrections, plus empirical and simplified baselines and
 an evaluation harness.
 """
 
-from .geometry import GeometryMap, Point3, load_map
+from .geometry import GeometryMap, load_map
 from .identify import (LinkClassification, VisibilitySet, classify_link,
                        compute_breakpoint, identify_position,
                        initial_identification, visible_identification)
@@ -21,7 +21,7 @@ from .doppler import (DopplerSample, PathComponent, doppler_shift,
                       enumerate_paths, gpp_doppler_estimate, rms_spread,
                       route_doppler)
 from .metrics import empirical_cdf, ks_distance, rmse, scatter_density
-from .config import RoutePoint, ScenarioConfig, load_config, load_route
+from .config import Route, ScenarioConfig, load_config, load_route
 from .pipeline import PositionResult, predict_position, predict_route
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ def run_identify(args):
             rec = {
                 "index": res.index,
                 "los": cls.los,
-                "bp": None if bp is None else [bp.x, bp.y, bp.z],
+                "bp": None if bp is None else bp.tolist(),
                 "sides": res.vis.flat_sides(),
                 "visible": res.vis.flat_visible(),
             }
@@ -92,7 +92,7 @@ def run_predict(args):
     _write_csv(path, ["index", "x", "y", "z", "los", "pl_model_db",
                       "pl_free_space_db", "n_stages", "e_abs", "e_arg",
                       "pl_simplified_db", "pl_gpp_db"], (
-        [res.index, _fmt(res.rx.x), _fmt(res.rx.y), _fmt(res.rx.z),
+        [res.index, *map(_fmt, res.rx),
          int(res.full.los), _fmt(res.full.pl_db),
          _fmt(res.pl_friis_db), res.full.n_stages,
          _fmt(abs(res.full.e_total)),
@@ -111,12 +111,12 @@ def run_doppler(args):
     _write_csv(path, ["index", "x", "y", "speed_mps", "n_paths", "f_mean_hz",
                       "sigma_d_hz", "sigma_d_3gpp_hz",
                       "sigma_d_simplified_hz"], (
-        [i, _fmt(rp.position.x), _fmt(rp.position.y),
+        [i, _fmt(xyz[0]), _fmt(xyz[1]),
          _fmt(float(np.linalg.norm(v))), len(full.shifts),
          _fmt(full.weighted_mean), _fmt(full.spread), _fmt(sigma_gpp),
          _fmt(simp.spread)]
-        for i, (rp, v, (full, simp, sigma_gpp))
-        in enumerate(zip(route, vels, samples))))
+        for i, (xyz, v, (full, simp, sigma_gpp))
+        in enumerate(zip(route.xyz, vels, samples))))
     return path
 
 
@@ -155,10 +155,10 @@ def _read_predictions(path):
 def run_compare(args):
     if not args.reference or not args.predictions:
         raise ConfigError("compare requires --reference and --predictions")
-    out_dir = args.output or "."
-    _make_output_dir(out_dir)
     reference = _read_reference(args.reference)
     models = _read_predictions(args.predictions)
+    out_dir = args.output or "."
+    _make_output_dir(out_dir)
     report = {"rmse_per_model": {}, "ks_per_model": {}}
     for name, series in sorted(models.items()):
         if len(series) != len(reference):

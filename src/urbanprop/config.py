@@ -3,30 +3,36 @@
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .errors import ConfigError, NumericalDomainError, RouteError
-from .geometry import Point3
 from .link import C_LIGHT, PL_CAP_DB, MaterialConfig
 
 
 @dataclass(frozen=True)
-class RoutePoint:
-    t: float           # seconds
-    position: Point3
+class Route:
+    """Receiver route from ``load_route``: read-only float64 timestamps ``t``
+    (P,), in seconds and strictly increasing, and positions ``xyz`` (P, 3)."""
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise NumericalDomainError(f"non-finite timestamp {self.t}")
+    t: np.ndarray
+    xyz: np.ndarray
+
+
+def _read_only(values):
+    """A float64 array copy of ``values`` that cannot be written to."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
 class ScenarioConfig:
     map_path: str = None
     route_path: str = None
-    tx: Point3 = field(default_factory=lambda: Point3(0.0, 0.0, 2.0))
+    tx: np.ndarray = field(default_factory=lambda: _read_only([0.0, 0.0, 2.0]))
     freq_hz: float = 5.8e9
     p_t_watts: float = 1.0
     g_r_linear: float = 1.0
@@ -49,7 +55,7 @@ class ScenarioConfig:
             if not _is_number(v):
                 raise ConfigError(f"config field '{name}' must be a number, "
                                   f"got {v!r}")
-            if name != "eps_r" and not (np.isfinite(v) and v > 0.0):
+            if name != "eps_r" and not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"config field '{name}' must be positive, got {v}")
         try:
             self.material      # MaterialConfig checks eps_r and polarization
@@ -66,7 +72,7 @@ class ScenarioConfig:
 
     def defaults_dump(self):
         d = asdict(self)
-        d["tx"] = [self.tx.x, self.tx.y, self.tx.z]
+        d["tx"] = self.tx.tolist()
         return d
 
 
@@ -92,21 +98,18 @@ def config_from_dict(raw):
     if "tx" in kwargs:
         tx = kwargs["tx"]
         if not (isinstance(tx, list) and len(tx) == 3
-                and all(map(_is_number, tx))):
-            raise ConfigError(f"config field 'tx' must be [x, y, z], got {tx!r}")
-        try:
-            kwargs["tx"] = Point3(*map(float, tx))
-        except (NumericalDomainError, OverflowError) as exc:   # not finite
-            raise ConfigError(f"config field 'tx' must be [x, y, z]: {exc}") from exc
-    try:
-        return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+                and all(map(_is_number, tx)) and all(map(math.isfinite, tx))):
+            raise ConfigError(f"config field 'tx' must be [x, y, z] of finite "
+                              f"numbers, got {tx!r}")
+        kwargs["tx"] = _read_only(tx)
+    return ScenarioConfig(**kwargs)
 
 
 def _is_number(v):
-    """True for a JSON number: an int or a float, but not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for a JSON number a float can hold: a float, or an int within
+    the float range (not a bool)."""
+    return isinstance(v, float) or (type(v) is int
+                                    and abs(v) <= sys.float_info.max)
 
 
 def csv_rows(fh):
@@ -119,26 +122,32 @@ def csv_rows(fh):
 
 
 def load_route(path):
-    """Route CSV with header ``t,x,y,z``; timestamps strictly increasing."""
+    """Route CSV with header ``t,x,y,z``, finite values and strictly
+    increasing timestamps, as a ``Route`` of read-only arrays."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv_rows(fh)
             if reader.fieldnames != ["t", "x", "y", "z"]:
                 raise RouteError(f"route {path} must have header 't,x,y,z'")
-            points = []
+            table = []
             for i, row in enumerate(reader):
                 try:
-                    points.append(RoutePoint(
-                        float(row["t"]),
-                        Point3(float(row["x"]), float(row["y"]), float(row["z"]))))
+                    t, *xyz = (float(row[c]) for c in "txyz")
                 except (TypeError, ValueError) as exc:
                     raise RouteError(f"bad route row {i}: {exc}") from exc
+                if not math.isfinite(t):
+                    raise RouteError(f"bad route row {i}: non-finite timestamp {t}")
+                if not all(map(math.isfinite, xyz)):
+                    raise RouteError(f"bad route row {i}: non-finite coordinate "
+                                     f"in {xyz}")
+                table.append((t, *xyz))
     except OSError as exc:
         raise RouteError(f"cannot read route file {path}: {exc}") from exc
-    if not points:
+    if not table:
         raise RouteError("route must contain at least one point")
-    for i in range(1, len(points)):
-        if points[i].t <= points[i - 1].t:
-            raise RouteError(
-                f"route timestamps must be strictly increasing (row {i})")
-    return points
+    table = np.array(table)
+    late = np.flatnonzero(np.diff(table[:, 0]) <= 0.0)
+    if len(late):
+        raise RouteError(
+            f"route timestamps must be strictly increasing (row {late[0] + 1})")
+    return Route(_read_only(table[:, 0]), _read_only(table[:, 1:]))

@@ -43,13 +43,12 @@ def enumerate_paths(pred, tx, rx, term, g_r, freq):
     if term is not None:
         ends += [("final_I", "diffracted_I", term.edge),
                  ("final_II", "reflected_II", term.wall_point)]
-    rxa = rx.as_array()
     paths = []
     for name, kind, end in ends:
         e = pred.components[name]
         if e == 0:
             continue
-        v = end.as_array() - rxa
+        v = end - rx
         n = np.linalg.norm(v)
         power = received_power(e, g_r, freq)
         if n > 0 and power > 0.0:
@@ -89,17 +88,17 @@ def gpp_doppler_estimate(v_mag, freq):
 
 
 def route_velocities(route):
-    """Central finite-difference velocities (forward/backward at the ends)."""
-    if len(route) < 2:
+    """Central finite-difference velocities (forward/backward at the ends)
+    of a ``config.Route``."""
+    t, pos = route.t, route.xyz
+    if len(t) < 2:
         raise RouteError("route must contain at least two points for Doppler")
-    pos = np.array([rp.position.as_array() for rp in route])
-    t = np.array([rp.t for rp in route])
     if np.any(np.diff(t) <= 0.0):
         raise RouteError("route timestamps must be strictly increasing")
     v = np.empty_like(pos)
     v[0] = (pos[1] - pos[0]) / (t[1] - t[0])
     v[-1] = (pos[-1] - pos[-2]) / (t[-1] - t[-2])
-    if len(route) > 2:
+    if len(t) > 2:
         v[1:-1] = (pos[2:] - pos[:-2]) / (t[2:] - t[:-2])[:, None]
     return v
 
@@ -113,10 +112,10 @@ def route_doppler(cfg, route, results):
     """
     vels = route_velocities(route)
     out = []
-    for rp, res, v in zip(route, results, vels):
+    for rx, res, v in zip(route.xyz, results, vels):
         samples = []
         for pred in (res.full, res.simplified):
-            paths = enumerate_paths(pred, cfg.tx, rp.position, res.term,
+            paths = enumerate_paths(pred, cfg.tx, rx, res.term,
                                     cfg.g_r_linear, cfg.freq_hz)
             if paths:
                 samples.append(rms_spread(paths, v, cfg.freq_hz))

@@ -7,16 +7,16 @@ that culls the soup and calls the kernel.  All predicates are pure
 functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
-y north, z up).  Geographic input must be pre-projected.
+y north, z up).  Geographic input must be pre-projected.  A point is a
+``(3,)`` float64 array ``[x, y, z]``.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import MapValidationError, NumericalDomainError
+from .errors import MapValidationError
 from . import kernels
 
 # Tolerances.
@@ -26,24 +26,6 @@ EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
 EPS_LEN = 1e-9     # minimal segment length, meters
 EPS_TOP = 0.5      # roof-ring height band, meters
 BOX_PAD = 1e-6     # culling-box padding, meters; keeps the cull conservative
-
-
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise NumericalDomainError(f"non-finite coordinate in {self!r}")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 class GeometryMap:
@@ -193,9 +175,6 @@ class GeometryMap:
             return self._position[building_id]
         except KeyError:
             raise MapValidationError(f"unknown building id {building_id}") from None
-
-    def building_ids(self):
-        return self.ids.tolist()
 
     def top_vertices(self, building_id):
         """Indices of the building's roof-ring vertices, ascending (a read-only
@@ -367,14 +346,15 @@ def _integral(x):
 def line_2d(pts, a, b):
     """Where points lie relative to the horizontal line through a->b.
 
-    ``pts`` is (N, 2) or (N, 3); heights are ignored.  Returns arrays
-    ``(t, cross, dist)``: the unclamped line parameter (0 at ``a``, 1 at
-    ``b``), the z-component of the 2D cross product (positive on the left)
-    and the perpendicular distance.  A line with no horizontal length gives
-    NaN ``t`` and ``dist``, without a warning, so no point lies on it.
+    ``pts`` is (N, 2) or (N, 3) and ``a``/``b`` are points; heights are
+    ignored.  Returns arrays ``(t, cross, dist)``: the unclamped line
+    parameter (0 at ``a``, 1 at ``b``), the z-component of the 2D cross
+    product (positive on the left) and the perpendicular distance.  A line
+    with no horizontal length gives NaN ``t`` and ``dist``, without a
+    warning, so no point lies on it.
     """
-    ax, ay = a.x, a.y
-    dx, dy = b.x - ax, b.y - ay
+    ax, ay = a[0], a[1]
+    dx, dy = b[0] - ax, b[1] - ay
     px, py = pts[:, 0], pts[:, 1]
     cross = dx * (py - ay) - dy * (px - ax)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -390,4 +370,4 @@ def side_2d(cross):
 
 def f_block(a, b, gmap):
     """1 iff any face of the map blocks the open segment a-b."""
-    return int(gmap.any_hit(a.as_array(), b.as_array()))
+    return int(gmap.any_hit(a, b))

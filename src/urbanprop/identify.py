@@ -7,6 +7,7 @@ near-to-far visibility filtering where a building is kept only if none of
 its roof-ring vertex-to-projection segments is blocked by an already
 accepted building.
 
+Points (TX, RX, breakpoint, sub-segment ends) are ``(3,)`` float64 arrays.
 All functions are pure over the immutable map; route positions are
 independent of each other.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import EPS_LEN, Point3, line_2d, side_2d
+from .geometry import EPS_LEN, line_2d, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
@@ -24,7 +25,7 @@ EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 @dataclass(frozen=True)
 class LinkClassification:
     los: bool
-    breakpoint: Point3 = None
+    breakpoint: np.ndarray = None
     blocking_building: int = None
 
     def __post_init__(self):
@@ -42,8 +43,8 @@ class SubSegment:
     the sub-segment line: ``(distance, vertex id, unclamped line parameter)``.
     """
 
-    a: Point3
-    b: Point3
+    a: np.ndarray
+    b: np.ndarray
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
     corner: dict = field(default_factory=dict)
@@ -83,7 +84,7 @@ def classify_link(tx, rx, gmap):
     equally near ones, the lowest id) names the blocking building and
     anchors the breakpoint.
     """
-    _t, tri = gmap.first_hit(tx.as_array(), rx.as_array())
+    _t, tri = gmap.first_hit(tx, rx)
     if tri < 0:
         return LinkClassification(True)
     bp = compute_breakpoint(tx, rx, tri, gmap)
@@ -98,13 +99,14 @@ def compute_breakpoint(tx, rx, tri, gmap):
     Among the building's roof-ring corners on the RX side of that face,
     picks the one closest (horizontally) to the TX-RX line; ties go to the
     left-side corner, then the lower vertex index.  The corner is returned
-    at the height of the TX-RX line at that horizontal location.
+    at the height of the TX-RX line at that horizontal location.  A TX-RX
+    line with no horizontal length has no breakpoint.
     """
     blocking_id = int(gmap.ids[gmap.tri_building[tri]])
     v0, v1, v2 = gmap.triangle(tri)
     nrm = np.cross(v1 - v0, v2 - v0)
     offset = nrm @ v0
-    rx_sign = np.sign(rx.as_array() @ nrm - offset)
+    rx_sign = np.sign(rx @ nrm - offset)
 
     ring = gmap.top_vertices(blocking_id)
     corners = gmap.vertices[ring]
@@ -124,9 +126,11 @@ def compute_breakpoint(tx, rx, tri, gmap):
         raise DegenerateGeometryError(
             f"building {blocking_id} has no roof corner on the RX side of the hit face")
     k = best[1]
-    c = corners[k]
-    z = tx.z + tline[k] * (rx.z - tx.z)
-    return Point3(float(c[0]), float(c[1]), float(z))
+    z = tx[2] + tline[k] * (rx[2] - tx[2])
+    if not np.isfinite(z):
+        raise DegenerateGeometryError(
+            "the TX-RX line has no horizontal length; no breakpoint")
+    return np.array([corners[k, 0], corners[k, 1], z])
 
 
 def _tie_lt(ka, kb):
@@ -172,9 +176,10 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
 def initial_identification(tx, route, gmap, corridor_width=100.0):
     """Algorithm-1 pass: per route point, LOS/NLOS split and side candidates.
 
+    ``route`` is a sequence of RX points, such as a ``Route``'s ``xyz``.
     Returns a list of ``(LinkClassification, [SubSegment, ...])``.
     """
-    if not route:
+    if len(route) == 0:
         raise ValueError("route must contain at least one point")
     if corridor_width <= 0.0:
         raise ValueError("corridor_width must be positive")
@@ -207,8 +212,7 @@ def visible_identification(segs, cls, gmap):
     visible = []
     for sub in segs:
         vseg = replace(sub, left=[], right=[])
-        line_a = sub.a.as_array()
-        line_d = sub.b.as_array() - line_a
+        line_d = sub.b - sub.a
         if np.linalg.norm(line_d) <= EPS_LEN:
             raise NumericalDomainError("degenerate segment: endpoints coincide")
         accepted = []
@@ -216,7 +220,7 @@ def visible_identification(segs, cls, gmap):
             ordered = sorted(getattr(sub, side_name),
                              key=lambda bid: (sub.corner[bid][0], bid))
             for bid in ordered:
-                if _is_visible(bid, line_a, line_d, gmap, accepted):
+                if _is_visible(bid, sub.a, line_d, gmap, accepted):
                     getattr(vseg, side_name).append(bid)
                     accepted.append(bid)
         visible.append(vseg)

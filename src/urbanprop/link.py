@@ -10,7 +10,7 @@ Wedge angles are measured in the horizontal plane at each corner: the
 screen is the footprint wall most nearly parallel to the incident ray, and
 the orientation is chosen so the source lies at a positive angle from the
 screen.  Distances are full 3D lengths with edge points taken at the height
-of the propagation line.
+of the propagation line.  Points are ``(3,)`` float64 arrays.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .fields import ChainStage, diffraction_term, direct_field, recursive_chain
-from .geometry import Point3, f_block
+from .geometry import f_block
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -42,14 +42,14 @@ class MaterialConfig:
 class TerminalGeometry:
     """Final-edge geometry feeding the two terminal branches."""
 
-    edge: Point3          # last diffraction corner (at line height)
+    edge: np.ndarray      # last diffraction corner (at line height)
     length_direct: float  # final edge -> RX, m  (L)
     length_reflected: float  # final edge -> wall -> RX path length, m  (r)
     psi: float            # departure angle toward RX, rad
     theta: float          # departure angle toward the RX wall-image, rad
     beta: float           # arrival angle at the final edge, rad
     d_n: float            # straight TX -> final-edge distance, m
-    wall_point: Point3 = None      # specular wall point; None: no reflection
+    wall_point: np.ndarray = None  # specular wall point; None: no reflection
     wall_incidence: float = 0.0    # incidence angle from the wall normal, rad
 
 
@@ -116,17 +116,16 @@ def _edge_point(gmap, vid, t, a, b):
     clamped to the sub-segment."""
     tz = min(max(t, 0.0), 1.0)
     x, y, _z = gmap.vertices[vid]
-    return Point3(float(x), float(y), float(a.z + tz * (b.z - a.z)))
+    return np.array([x, y, a[2] + tz * (b[2] - a[2])])
 
 
-def _reflection_branch(gmap, vis_opposite, edge, rx):
-    """RX image across the nearest visible opposite-side wall.
+def _reflection_branch(gmap, vis_opposite, e, x):
+    """Image of the RX ``x`` across the nearest visible opposite-side wall,
+    seen from the final edge ``e``.
 
     Returns (r, wall_point, image, incidence) or None when no wall yields a
     valid specular construction.
     """
-    e = edge.as_array()
-    x = rx.as_array()
     best = None
     for bid in vis_opposite:
         for nrm, p0 in zip(*gmap.vertical_faces(bid)):
@@ -155,7 +154,7 @@ def _reflection_branch(gmap, vis_opposite, edge, rx):
                 best = (key, r, wall_point, image, incidence)
     if best is None:
         return None
-    return best[1], Point3.from_array(best[2]), best[3], best[4]
+    return best[1:]
 
 
 def extract_chain(vis, tx, rx, gmap):
@@ -176,14 +175,13 @@ def extract_chain(vis, tx, rx, gmap):
     edges = [_edge_point(gmap, vid, t, vis.visible[seg].a, vis.visible[seg].b)
              for seg, t, _bid, vid, _side in ordered]
 
-    txa, rxa = tx.as_array(), rx.as_array()
-    points = [txa] + [e.as_array() for e in edges] + [rxa]
+    points = [tx, *edges, rx]
     stages = []
     for i, (_seg, _t, bid, vid, _side) in enumerate(ordered):
         here_xy = points[i + 1][:2]
         frame = _screen_frame(gmap, bid, vid, here_xy, points[i][:2])
         alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
-        d_tx = float(np.linalg.norm(points[i + 1] - txa))
+        d_tx = float(np.linalg.norm(points[i + 1] - tx))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
         blocked = bool(f_block(tx, edges[i], gmap)) if i > 0 else False
         stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
@@ -191,7 +189,7 @@ def extract_chain(vis, tx, rx, gmap):
 
     last_seg, _t, _bid, _vid, last_side = ordered[-1]
     last_edge = edges[-1]
-    length_direct = float(np.linalg.norm(rxa - last_edge.as_array()))
+    length_direct = float(np.linalg.norm(rx - last_edge))
     d_n = stages[-1].d_tx
 
     # angles at the final edge, in the screen frame of the last stage (whose
@@ -199,7 +197,7 @@ def extract_chain(vis, tx, rx, gmap):
     if frame is None:
         frame = (np.array([1.0, 0.0]), 1.0, np.pi / 2.0)
     beta = float(frame[2])
-    psi = _departure(frame, rxa[:2] - here_xy)
+    psi = _departure(frame, rx[:2] - here_xy)
 
     opposite = "left" if last_side == "right" else "right"
     refl = _reflection_branch(gmap, getattr(vis.visible[last_seg], opposite),
@@ -260,7 +258,7 @@ def total_field(vis, stages, term, material, p_t, tx, rx, k,
     ``simplified=True`` replaces the recursive chain field with plain free
     space from TX to the final edge (no intermediate region fields).
     """
-    d3d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
+    d3d = float(np.linalg.norm(rx - tx))
     los = vis.classification.los
     freq = k * C_LIGHT / (2.0 * np.pi)
 

@@ -1,7 +1,8 @@
 """Per-position prediction pipeline: identification -> chain -> fields.
 
 Every function here is pure over the immutable map, so route positions can
-be evaluated in parallel and reassembled in input order.  A worker pool gets
+be evaluated in parallel and reassembled in input order.  A receiver
+position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  A worker pool gets
 the scene ``(cfg, gmap)`` once per worker, through its initializer, and runs
 the positions in contiguous chunks.
 """
@@ -19,7 +20,7 @@ from .link import LinkPrediction, extract_chain, friis_path_loss_db, total_field
 @dataclass
 class PositionResult:
     index: int
-    rx: object            # Point3
+    rx: np.ndarray
     vis: object           # VisibilitySet
     term: object          # TerminalGeometry or None
     full: LinkPrediction
@@ -38,7 +39,7 @@ def predict_position(cfg, gmap, rx, index=0):
     full = total_field(*args, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
     simp = total_field(*args, g_r=cfg.g_r_linear, simplified=True,
                        pl_cap_db=cfg.pl_cap_db)
-    d3d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
+    d3d = float(np.linalg.norm(rx - tx))
     pl_gpp = gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9,
                            vis.classification.los)
     pl_friis = friis_path_loss_db(d3d, cfg.freq_hz)
@@ -59,13 +60,13 @@ def _predict_in_worker(index, rx):
 
 
 def predict_route(cfg, gmap, route, workers=1):
-    """Predictions for every route point, in input order.
+    """Predictions for every point of a ``config.Route``, in input order.
 
     ``workers`` above 1 evaluates the route's P positions in a process pool
     of at most P workers; each chunk of ``ceil(P / (4 * workers))``
     consecutive positions goes to one worker.
     """
-    positions = [rp.position for rp in route]
+    positions = route.xyz
     workers = min(workers, len(positions))
     if workers <= 1:
         return [predict_position(cfg, gmap, rx, i)

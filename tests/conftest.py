@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from urbanprop.config import ScenarioConfig
-from urbanprop.geometry import Point3, map_from_dict
+from urbanprop.geometry import map_from_dict
 
 
 def box_entry(bid, x0, y0, x1, y1, h, z0=0.0):
@@ -73,7 +73,7 @@ CORNER_BOXES = [
     (5, (68.0, 48.0, 100.0, 80.0, 25.0)),
 ]
 
-TX = Point3(0.0, 0.0, 2.0)
+TX = np.array([0.0, 0.0, 2.0])
 
 CANYON_ROUTE_X = [5.0, 15.0, 30.0, 45.0, 55.0, 75.0, 95.0, 115.0, 135.0]
 CORNER_ROUTE_Y = [0.0, 6.0, 14.0, 22.0, 30.0, 45.0, 52.0, 60.0]
@@ -110,11 +110,11 @@ def cfg():
 
 
 def canyon_route():
-    return [Point3(x, 0.0, 2.0) for x in CANYON_ROUTE_X]
+    return [np.array([x, 0.0, 2.0]) for x in CANYON_ROUTE_X]
 
 
 def corner_route():
-    return [Point3(59.0, y, 2.0) for y in CORNER_ROUTE_Y]
+    return [np.array([59.0, y, 2.0]) for y in CORNER_ROUTE_Y]
 
 
 @pytest.fixture(scope="module")

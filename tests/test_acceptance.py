@@ -17,12 +17,11 @@ from oracles import OracleScene, oracle_identify
 from test_fields import sommerfeld_halfplane, transition_quadrature
 from test_identify import random_scene
 from urbanprop.cli import main as cli_main
-from urbanprop.config import RoutePoint, ScenarioConfig
+from urbanprop.config import Route, ScenarioConfig
 from urbanprop.doppler import (PathComponent, gpp_doppler_estimate,
                                route_doppler, route_velocities, rms_spread)
 from urbanprop.baselines import gpp_path_loss
 from urbanprop.fields import WedgeGeometry, region_total_field, transition_function
-from urbanprop.geometry import Point3
 from urbanprop.identify import identify_position
 from urbanprop.link import MaterialConfig, friis_path_loss_db, reflection_coefficient
 from urbanprop.metrics import ks_distance, rmse
@@ -44,11 +43,11 @@ def test_criterion_01_friis_reduction(empty_map):
     for _ in range(100):
         d = float(rng.uniform(1.0, 2000.0))
         f = float(rng.uniform(0.5e9, 30e9))
-        cfg = ScenarioConfig(tx=Point3(0.0, 0.0, 2.0), freq_hz=f)
+        cfg = ScenarioConfig(tx=np.array([0.0, 0.0, 2.0]), freq_hz=f)
         u = rng.normal(size=3)
         u[2] = abs(u[2]) * 0.01
         u = u / np.linalg.norm(u)
-        rx = Point3(*(cfg.tx.as_array() + d * u))
+        rx = cfg.tx + d * u
         res = predict_position(cfg, empty_map, rx)
         assert abs(res.full.pl_db - friis_path_loss_db(d, f)) < 1e-9
     assert time.perf_counter() - t0 < 1.0
@@ -137,13 +136,11 @@ def test_criterion_05_visibility_oracle():
             rec, degen = oracle_identify(tx, rx, scene, 100.0)
             if degen:
                 continue
-            vis = identify_position(Point3(*tx), Point3(*rx), gmap, 100.0)
+            vis = identify_position(tx, rx, gmap, 100.0)
             cls = vis.classification
             assert cls.los == rec["los"]
             if not cls.los:
-                bp = np.array([cls.breakpoint.x, cls.breakpoint.y,
-                               cls.breakpoint.z])
-                assert np.allclose(bp, rec["bp"], atol=1e-9)
+                assert np.allclose(cls.breakpoint, rec["bp"], atol=1e-9)
             assert vis.flat_sides() == rec["sides"]
             assert vis.flat_visible() == rec["visible"]
             checked += 1
@@ -200,7 +197,7 @@ def test_criterion_08_doppler_identities(corner_map, cfg):
     assert s.spread == abs(s.shifts[0])     # exactly the pair shift
     assert s.spread == pytest.approx(50.0, abs=1e-9)
     assert s.weighted_mean == 0.0
-    route = [RoutePoint(0.5 * i, p) for i, p in enumerate(corner_route())]
+    route = Route(0.5 * np.arange(len(CORNER_ROUTE_Y)), np.array(corner_route()))
     vels = route_velocities(route)
     for i, (full, simp, _sig) in enumerate(
             route_doppler(cfg, route, predict_route(cfg, corner_map, route))):
@@ -247,20 +244,18 @@ def test_criterion_11_qualitative_shape(corner_map, cfg):
     """NLOS exceeds LOS at matched distance; the empirical NLOS curve is
     geometry-flat and monotone in distance; the simplified model departs from
     the full model on multi-edge segments."""
-    nlos_rx = Point3(59.0, 45.0, 2.0)
+    nlos_rx = np.array([59.0, 45.0, 2.0])
     nlos = predict_position(cfg, corner_map, nlos_rx)
     assert not nlos.full.los
-    d = float(np.linalg.norm(nlos_rx.as_array() - TX.as_array()))
-    los = predict_position(cfg, corner_map, Point3(d, 0.0, 2.0))
+    d = float(np.linalg.norm(nlos_rx - TX))
+    los = predict_position(cfg, corner_map, np.array([d, 0.0, 2.0]))
     assert los.full.los
     assert nlos.full.pl_db > los.full.pl_db
 
     # empirical curve: same distance -> same value regardless of geometry,
     # strictly monotone in distance
     assert gpp_path_loss(d, 5.8, False) == gpp_path_loss(d, 5.8, False)
-    dists = sorted(float(np.linalg.norm(
-        Point3(59.0, y, 2.0).as_array() - TX.as_array()))
-        for y in CORNER_ROUTE_Y)
+    dists = sorted(float(np.linalg.norm(rx - TX)) for rx in corner_route())
     pls = [gpp_path_loss(x, 5.8, False) for x in dists]
     assert all(b > a for a, b in zip(pls, pls[1:]))
 

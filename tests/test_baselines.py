@@ -49,14 +49,12 @@ class TestGppPathLoss:
 
 class TestSimplifiedModel:
     def test_empty_map_identical(self, empty_map, cfg):
-        from urbanprop.geometry import Point3
-        res = predict_position(cfg, empty_map, Point3(120.0, 10.0, 2.0))
+        res = predict_position(cfg, empty_map, np.array([120.0, 10.0, 2.0]))
         assert res.simplified.pl_db == res.full.pl_db
 
     def test_single_stage_identical(self, canyon_map, cfg):
         # receiver beside the first (left-only) block: one-stage chain
-        from urbanprop.geometry import Point3
-        res = predict_position(cfg, canyon_map, Point3(30.0, 0.0, 2.0))
+        res = predict_position(cfg, canyon_map, np.array([30.0, 0.0, 2.0]))
         assert res.full.n_stages == 1
         assert abs(res.simplified.pl_db - res.full.pl_db) < 1e-9
 

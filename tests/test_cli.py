@@ -73,16 +73,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    # a tx object escaped as KeyError, a 4-element tx was cut to 3 values and
-    # a number for a path reached open() as a file descriptor (one above any
-    # descriptor limit, so no open file of this process can be read)
+    # a tx object escaped as KeyError, a 4-element tx was cut to 3 values, a
+    # number for a path reached open() as a file descriptor (one above any
+    # descriptor limit, so no open file of this process can be read), and an
+    # integer too large for a float loaded or failed inside numpy
     @pytest.mark.parametrize("field, value", [
         ("polarization", "X"), ("eps_r", 0.5),
         ("pl_cap_db", -5.0), ("pl_cap_db", float("nan")),
         ("tx", {"a": 1}), ("tx", [0.0, 0.0, 2.0, 9.0]), ("tx", ["0", 0, 2]),
         ("map_path", 10**6), ("route_path", [1]), ("output_dir", 7),
         ("corridor_width_m", True), ("freq_hz", True), ("freq_hz", "5.8e9"),
-        ("pl_cap_db", [1, 2]), ("p_t_watts", False), ("eps_r", "6")])
+        ("pl_cap_db", [1, 2]), ("p_t_watts", False), ("eps_r", "6"),
+        pytest.param("eps_r", 10**400, id="eps_r-1e400"),
+        pytest.param("freq_hz", 10**400, id="freq_hz-1e400"),
+        pytest.param("p_t_watts", 10**400, id="p_t_watts-1e400"),
+        pytest.param("tx", [0, float("nan"), 2], id="tx-nan"),
+        pytest.param("tx", [float("inf"), 0, 2], id="tx-inf")])
     def test_bad_config_value_fails_at_load(self, scenario, tmp_path, capsys,
                                             field, value):
         cfg = tmp_path / "cfg.json"
@@ -95,9 +101,11 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     # a bool passed as a number (a 1 m corridor, "freq_hz": true in the
-    # dump), and other types failed inside numpy
+    # dump), other types failed inside numpy, and an integer too large for a
+    # float was dumped
     @pytest.mark.parametrize("field, value", [
-        ("freq_hz", True), ("freq_hz", "5.8e9"), ("pl_cap_db", [1, 2])])
+        ("freq_hz", True), ("freq_hz", "5.8e9"), ("pl_cap_db", [1, 2]),
+        pytest.param("eps_r", 10**400, id="eps_r-1e400")])
     def test_non_number_config_field(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: value}))
@@ -122,6 +130,41 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: bad route row 1: non-finite timestamp {bad}"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_route_coordinate(self, scenario, tmp_path, capsys,
+                                         bad):
+        rows = scenario["route"].read_text().splitlines()
+        t, _x, y, z = rows[2].split(",")
+        route = tmp_path / "route.csv"
+        route.write_text("\n".join(rows[:2] + [f"{t},{bad},{y},{z}"]
+                                   + rows[3:]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route)}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad route row 1: non-finite coordinate in "
+                       f"[{bad}, {float(y)}, {float(z)}]"]
+        assert not (tmp_path / "o").exists()
+
+    # compare created the output directory before reading its inputs
+    @pytest.mark.parametrize("missing", ["reference", "predictions"])
+    def test_failed_compare_leaves_no_output_dir(self, tmp_path, capsys,
+                                                 missing):
+        inputs = {"reference": tmp_path / "ref.csv",
+                  "predictions": tmp_path / "prd.csv"}
+        inputs["reference"].write_text("index,value\n0,1.0\n")
+        inputs["predictions"].write_text("index,pl_model_db\n0,1.0\n")
+        inputs[missing] = tmp_path / "missing.csv"
+        out = tmp_path / "newout"
+        assert run(["--output", out, "compare",
+                    "--reference", inputs["reference"],
+                    "--predictions", inputs["predictions"]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing}")
+        assert not out.exists()
 
     # os.makedirs raised FileExistsError past main (exit 1, a traceback)
     @pytest.mark.parametrize("command", ["predict", "compare"])
@@ -397,6 +440,13 @@ class TestPrintDefaults:
         assert dump["freq_hz"] == 5.8e9
         assert dump["tx"] == [0.0, 0.0, 2.0]
         assert dump["polarization"] == "V"
+
+    def test_dump_keeps_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_r": 7, "freq_hz": 2400000000}))
+        assert run(["--config", cfg, "print-defaults"]) == 0
+        out = capsys.readouterr().out
+        assert '"eps_r": 7,' in out and '"freq_hz": 2400000000,' in out
 
     def test_dump_reflects_config(self, scenario, capsys):
         assert run(["--config", scenario["config"], "print-defaults"]) == 0

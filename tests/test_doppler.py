@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import TX, corner_route
-from urbanprop.config import RoutePoint, ScenarioConfig
+from urbanprop.config import Route, ScenarioConfig
 from urbanprop.doppler import (DopplerSample, PathComponent, doppler_shift,
                                enumerate_paths, gpp_doppler_estimate,
                                rms_spread, route_doppler, route_velocities)
 from urbanprop.errors import (DegenerateGeometryError, NumericalDomainError,
                               RouteError)
-from urbanprop.geometry import Point3
 from urbanprop.pipeline import predict_position, predict_route
 
 F58 = 5.8e9
@@ -108,37 +107,35 @@ class TestEmpiricalEstimate:
 
 class TestRouteVelocities:
     def test_central_differences(self):
-        route = [RoutePoint(0.0, Point3(0, 0, 0)),
-                 RoutePoint(1.0, Point3(10, 0, 0)),
-                 RoutePoint(2.0, Point3(30, 0, 0))]
+        route = Route(np.array([0.0, 1.0, 2.0]),
+                      np.array([[0.0, 0, 0], [10, 0, 0], [30, 0, 0]]))
         v = route_velocities(route)
         assert np.allclose(v[0], [10, 0, 0])
         assert np.allclose(v[1], [15, 0, 0])
         assert np.allclose(v[2], [20, 0, 0])
 
     def test_non_monotone_rejected(self):
-        route = [RoutePoint(0.0, Point3(0, 0, 0)),
-                 RoutePoint(0.0, Point3(1, 0, 0))]
+        route = Route(np.array([0.0, 0.0]), np.array([[0.0, 0, 0], [1, 0, 0]]))
         with pytest.raises(RouteError):
             route_velocities(route)
 
     def test_too_short_rejected(self):
         with pytest.raises(RouteError):
-            route_velocities([RoutePoint(0.0, Point3(0, 0, 0))])
+            route_velocities(Route(np.array([0.0]), np.zeros((1, 3))))
 
 
 class TestEnumeratePaths:
     def test_open_field_single_path(self, empty_map, cfg):
-        rx = Point3(80.0, 0.0, 2.0)
+        rx = np.array([80.0, 0.0, 2.0])
         res = predict_position(cfg, empty_map, rx)
         paths = enumerate_paths(res.full, cfg.tx, rx, res.term, 1.0, F58)
         assert len(paths) == 1
         assert np.allclose(paths[0].arrival_unit,
-                           (cfg.tx.as_array() - rx.as_array()) / 80.0,
+                           (cfg.tx - rx) / 80.0,
                            atol=1e-9)
 
     def test_nlos_components(self, corner_map, cfg):
-        rx = Point3(59.0, 30.0, 2.0)
+        rx = np.array([59.0, 30.0, 2.0])
         res = predict_position(cfg, corner_map, rx)
         assert not res.full.los
         paths = enumerate_paths(res.full, cfg.tx, rx, res.term, 1.0, F58)
@@ -152,7 +149,7 @@ class TestEnumeratePaths:
 
 class TestRouteDoppler:
     def make_route(self, points, dt=0.5):
-        return [RoutePoint(i * dt, p) for i, p in enumerate(points)]
+        return Route(dt * np.arange(len(points)), np.array(points))
 
     def test_bound_on_fixture(self, corner_map, cfg):
         route = self.make_route(corner_route())
@@ -167,9 +164,9 @@ class TestRouteDoppler:
                 gpp_doppler_estimate(float(np.linalg.norm(vels[i])), F58))
 
     def test_receding_los_route(self, empty_map):
-        cfg = ScenarioConfig(tx=Point3(0.0, 0.0, 2.0))
-        pts = [Point3(50.0 + V20 * 0.1 * i, 0.0, 2.0) for i in range(5)]
-        route = [RoutePoint(0.1 * i, p) for i, p in enumerate(pts)]
+        cfg = ScenarioConfig(tx=np.array([0.0, 0.0, 2.0]))
+        pts = [[50.0 + V20 * 0.1 * i, 0.0, 2.0] for i in range(5)]
+        route = Route(0.1 * np.arange(5), np.array(pts))
         samples = route_doppler(cfg, route, predict_route(cfg, empty_map, route))
         for full, _simp, _sigma in samples:
             assert len(full.shifts) == 1

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from conftest import UNIT_CUBE, build_map, build_map_dict
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop.errors import MapValidationError, NumericalDomainError
-from urbanprop.geometry import (Point3, f_block, line_2d, map_from_dict,
-                                side_2d)
+from urbanprop.geometry import f_block, line_2d, map_from_dict, side_2d
 from urbanprop.identify import identify_position
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 def pt(x, y, z=0.0):
-    return Point3(float(x), float(y), float(z))
+    return np.array([x, y, z], dtype=np.float64)
 
 
 def _rotated_boxes():
@@ -122,7 +121,7 @@ class TestMapLoading:
             map_from_dict(raw)
 
     def test_empty_map_is_valid(self, empty_map):
-        assert empty_map.building_ids() == []
+        assert empty_map.ids.tolist() == []
         assert empty_map.tri_v0.shape == (0, 3)
 
     def test_non_planar_face_rejected(self):
@@ -160,7 +159,7 @@ class TestMapLoading:
         raw = build_map_dict(UNIT_CUBE)
         raw["faces"][0]["v"] = [float(v) for v in raw["faces"][0]["v"]]
         raw["buildings"][0]["id"] = 0.0
-        assert map_from_dict(raw).building_ids() == [0]
+        assert map_from_dict(raw).ids.tolist() == [0]
 
     def test_first_bad_face_is_named(self):
         # faces 0-11 are two valid boxes; only face 13 is non-planar
@@ -193,9 +192,8 @@ class TestMapLoading:
             nrm = np.cross(pts[1] - pts[0], pts[2] - pts[0])
             assert np.array_equal(gmap.face_normal[fi],
                                   nrm / np.linalg.norm(nrm))
-        assert gmap.ids.tolist() == gmap.building_ids() == [7, 8, 9, 10, 11,
-                                                            0, 1, 2, 3, 4, 5, 6]
-        for pos, bid in enumerate(gmap.building_ids()):
+        assert gmap.ids.tolist() == [7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6]
+        for pos, bid in enumerate(gmap.ids.tolist()):
             ring = gmap.top_vertices(bid)
             assert ring.tolist() == sorted(ring.tolist())
             assert np.array_equal(gmap.roof_vertex[gmap.roof_owner == pos], ring)
@@ -210,7 +208,7 @@ class TestMapLoading:
         raw = make()
         gmap = map_from_dict(raw)
         n_walls = 0
-        for bid in gmap.building_ids():
+        for bid in gmap.ids.tolist():
             for vid in gmap.top_vertices(bid):
                 walls = gmap.ring_walls(bid, vid)
                 assert walls.shape[1] == 2
@@ -230,7 +228,7 @@ class TestMapLoading:
 def f_side(p, a, b):
     """Side of ``p`` relative to the horizontal line a->b, by the rule the
     candidate pass applies to the roof table."""
-    return int(side_2d(line_2d(np.array([[p.x, p.y, p.z]]), a, b)[1])[0])
+    return int(side_2d(line_2d(p[None, :], a, b)[1])[0])
 
 
 class TestSide:
@@ -289,15 +287,14 @@ class TestOcclusion:
     def test_symmetry(self, canyon_map):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = Point3(*rng.uniform(-10, 140, 3))
-            b = Point3(*rng.uniform(-10, 140, 3))
-            if np.linalg.norm(a.as_array() - b.as_array()) < 1e-3:
+            a = rng.uniform(-10, 140, 3)
+            b = rng.uniform(-10, 140, 3)
+            if np.linalg.norm(a - b) < 1e-3:
                 continue
             assert f_block(a, b, canyon_map) == f_block(b, a, canyon_map)
 
     def test_building_subset(self, canyon_map):
         a, b = pt(0, 22, 2), pt(140, 22, 2)   # down the left building row
-        a, b = a.as_array(), b.as_array()
         assert canyon_map.any_hit(a, b, [0]) is True
         assert canyon_map.any_hit(a, b, [3, 4]) is False
 
@@ -347,7 +344,7 @@ class TestOcclusionOracle:
                 if degen:
                     continue
                 tri_blocked = segment_blocked_by_triangles(a[i], b[i], *tris)
-                got = f_block(Point3(*a[i]), Point3(*b[i]), gmap)
+                got = f_block(a[i], b[i], gmap)
                 assert got == int(blocked) == int(tri_blocked)
                 n_checked += 1
         assert n_checked >= 8000
@@ -358,7 +355,3 @@ class TestValidation:
         with pytest.raises(NumericalDomainError,
                            match="degenerate segment: endpoints coincide"):
             identify_position(pt(1, 1, 1), pt(1, 1, 1), build_map(UNIT_CUBE))
-
-    def test_non_finite_point(self):
-        with pytest.raises(NumericalDomainError):
-            Point3(np.nan, 0.0, 0.0)

@@ -56,7 +56,7 @@ def _grid_scene():
 
 
 def scenes():
-    tx = [TX.x, TX.y, TX.z]
+    tx = TX.tolist()
     canyon = (CANYON_BOXES, tx, [(x, 0.0) for x in CANYON_ROUTE_X])
     return {"canyon": canyon, "grid100": _grid_scene()}
 

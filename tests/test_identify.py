@@ -12,7 +12,7 @@ from test_geometry import _rotated_boxes
 from test_kernels import box_scenes
 from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError
-from urbanprop.geometry import EPS_HIT, Point3, line_2d, map_from_dict
+from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict
 from urbanprop.identify import (classify_link, compute_breakpoint,
                                 identify_position, initial_identification,
                                 visible_identification)
@@ -20,7 +20,7 @@ from urbanprop.link import _edge_point
 
 
 def pt(x, y, z=2.0):
-    return Point3(float(x), float(y), float(z))
+    return np.array([x, y, z], dtype=np.float64)
 
 
 # -- LOS / NLOS classification ----------------------------------------------
@@ -57,38 +57,46 @@ class TestBreakpoint:
         cls = classify_link(tx, rx, corner_map)
         assert not cls.los and cls.blocking_building == 0
         bp = cls.breakpoint
-        assert (bp.x, bp.y) == (20.0, 8.0)
-        assert bp.z == pytest.approx(2.0)
+        assert (bp[0], bp[1]) == (20.0, 8.0)
+        assert bp[2] == pytest.approx(2.0)
 
     def test_single_corner_cube(self):
         # one cube at a street corner: the exhaustive check over its four
         # roof corners selects the corner facing the street intersection
         gmap = build_map([(0, (60.0, 10.0, 90.0, 40.0, 12.0))])
-        tx, rx = Point3(0.0, 0.0, 2.0), Point3(80.0, 45.0, 2.0)
+        tx, rx = pt(0.0, 0.0), pt(80.0, 45.0)
         cls = classify_link(tx, rx, gmap)
         assert not cls.los
         dists = {(cx, cy): abs(80.0 * cy - 45.0 * cx) / np.hypot(80.0, 45.0)
                  for cx in (60.0, 90.0) for cy in (10.0, 40.0)}
         best = min(dists, key=dists.get)
-        assert (cls.breakpoint.x, cls.breakpoint.y) == best == (60.0, 40.0)
+        assert tuple(cls.breakpoint[:2]) == best == (60.0, 40.0)
 
     def test_breakpoint_height_follows_line(self, corner_map):
-        tx = Point3(0.0, 0.0, 2.0)
-        rx = Point3(59.0, 14.0, 10.0)
+        tx = pt(0.0, 0.0)
+        rx = pt(59.0, 14.0, 10.0)
         cls = classify_link(tx, rx, corner_map)
         bp = cls.breakpoint
         # height is taken on the TX-RX line at the corner's projected position
-        t = (bp.x * rx.x + bp.y * rx.y) / (rx.x ** 2 + rx.y ** 2)
-        assert bp.z == pytest.approx(2.0 + (10.0 - 2.0) * t, abs=1e-9)
+        t = (bp[0] * rx[0] + bp[1] * rx[1]) / (rx[0] ** 2 + rx[1] ** 2)
+        assert bp[2] == pytest.approx(2.0 + (10.0 - 2.0) * t, abs=1e-9)
 
     def test_symmetric_slab_tie_rule(self):
         # slab centred on the line: front/back corners on each side tie in
         # distance; left side wins, then the lower vertex index
         gmap = build_map([(0, (10.0, -5.0, 20.0, 5.0, 8.0))])
-        tx, rx = Point3(0.0, 0.0, 2.0), Point3(30.0, 0.0, 2.0)
+        tx, rx = pt(0.0, 0.0), pt(30.0, 0.0)
         bp = classify_link(tx, rx, gmap).breakpoint
         # left (+y) corners are vertex ids 6 (20,5) and 7 (10,5); id 6 wins
-        assert (bp.x, bp.y) == (20.0, 5.0)
+        assert (bp[0], bp[1]) == (20.0, 5.0)
+
+    def test_vertical_link_has_no_breakpoint(self):
+        # the roof blocks a TX-RX line with no horizontal length; the
+        # breakpoint height came out NaN and failed as a bare domain error
+        gmap = build_map([(0, (0.0, 0.0, 10.0, 10.0, 10.0))])
+        with pytest.raises(DegenerateGeometryError,
+                           match="^the TX-RX line has no horizontal length"):
+            classify_link(pt(5, 5, 20), pt(5, 5, 5), gmap)
 
 
 
@@ -97,13 +105,12 @@ def _two_query_classification(tx, rx, gmap):
     them, with two occlusion queries: the building owning the nearest hit
     face of the whole map, then the nearest hit face of that building
     alone; ``(None, None)`` for a clear link."""
-    a, b = tx.as_array(), rx.as_array()
-    _t, tri = gmap.first_hit(a, b)
+    _t, tri = gmap.first_hit(tx, rx)
     if tri < 0:
         return None, None
     bid = int(gmap.ids[gmap.tri_building[tri]])
-    tris = gmap.candidate_triangles(a, b, [bid])
-    t = kernels.segment_triangles(a, b, *gmap.triangle(tris), EPS_HIT)
+    tris = gmap.candidate_triangles(tx, rx, [bid])
+    t = kernels.segment_triangles(tx, rx, *gmap.triangle(tris), EPS_HIT)
     tri = int(tris[np.argmin(t)])     # the lowest id of equally near hits
     return bid, compute_breakpoint(tx, rx, tri, gmap)
 
@@ -129,8 +136,7 @@ def _assert_single_query_agrees(tx, rx, gmap):
         assert got.los
         return False
     assert not got.los and got.blocking_building == bid
-    bits = [np.array([p.x, p.y, p.z]).tobytes() for p in (got.breakpoint, bp)]
-    assert bits[0] == bits[1]
+    assert got.breakpoint.tobytes() == bp.tobytes()
     return True
 
 
@@ -160,7 +166,7 @@ class TestSingleLosQuery:
                             data.draw(st.floats(y0, y1)),
                             data.draw(st.floats(0.0, h))])
             rx = aim + data.draw(st.floats(0.1, 2.0)) * (aim - tx)
-            _assert_single_query_agrees(Point3(*tx), Point3(*rx), gmap)
+            _assert_single_query_agrees(tx, rx, gmap)
 
 
 # -- candidate sides ---------------------------------------------------------
@@ -286,6 +292,10 @@ class TestPerPositionIndependence:
     def test_batch_equals_single(self, corner_map, tx):
         route = corner_route()
         batch = initial_identification(tx, route, corner_map)
+        # a (P, 3) array, as a Route holds the positions, reads the same
+        as_array = initial_identification(tx, np.array(route), corner_map)
+        assert ([(c.los, [(s.left, s.right) for s in segs]) for c, segs in as_array]
+                == [(c.los, [(s.left, s.right) for s in segs]) for c, segs in batch])
         for r, (cls, segs) in zip(route, batch):
             (cls1, segs1), = initial_identification(tx, [r], corner_map)
             assert cls1.los == cls.los
@@ -308,7 +318,7 @@ def _corner_for_line(gmap, bid, a, b):
     t, _cross, dist = line_2d(c, a, b)
     k = np.argmin(dist)       # rings ascend, so a tie goes to the lower index
     tz = min(max(t[k], 0.0), 1.0)
-    edge = Point3(float(c[k, 0]), float(c[k, 1]), float(a.z + tz * (b.z - a.z)))
+    edge = np.array([c[k, 0], c[k, 1], a[2] + tz * (b[2] - a[2])])
     return int(ring[k]), t[k], edge
 
 
@@ -352,7 +362,8 @@ class TestCornerRecord:
                     assert np.float64(dist).tobytes() == want_dist.tobytes()
                     assert vid == want_vid
                     assert np.float64(t).tobytes() == want_t.tobytes()
-                    assert _edge_point(gmap, vid, t, sub.a, sub.b) == edge
+                    assert (_edge_point(gmap, vid, t, sub.a, sub.b).tobytes()
+                            == edge.tobytes())
                     ring = gmap.vertices[gmap.top_vertices(bid)]
                     ties += (line_2d(ring, sub.a, sub.b)[2] == want_dist).sum() > 1
                     checked += 1
@@ -395,13 +406,11 @@ class TestOracleAgreement:
                 rec, degen = oracle_identify(tx, rx, scene, 100.0)
                 if degen:
                     continue
-                vis = identify_position(Point3(*tx), Point3(*rx), gmap, 100.0)
+                vis = identify_position(tx, rx, gmap, 100.0)
                 cls = vis.classification
                 assert cls.los == rec["los"]
                 if not cls.los:
-                    bp = np.array([cls.breakpoint.x, cls.breakpoint.y,
-                                   cls.breakpoint.z])
-                    assert np.allclose(bp, rec["bp"], atol=1e-9)
+                    assert np.allclose(cls.breakpoint, rec["bp"], atol=1e-9)
                 assert vis.flat_sides() == rec["sides"]
                 assert vis.flat_visible() == rec["visible"]
                 checked += 1

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_map
 from urbanprop import kernels
-from urbanprop.geometry import EPS_HIT, Point3, f_block
+from urbanprop.geometry import EPS_HIT, f_block
 
 
 def _soup(gmap, idx=slice(None)):
@@ -33,7 +33,7 @@ class TestZeroLengthSegment:
                 assert np.all(np.isinf(
                     kernels.segment_triangles(a, a, *soup, EPS_HIT)))
                 assert not unit_cube_map.any_hit(a, a)
-                assert f_block(Point3(*p), Point3(*p), unit_cube_map) == 0
+                assert f_block(a, a, unit_cube_map) == 0
                 assert unit_cube_map.first_hit(a, a) == (np.inf, -1)
 
 
@@ -97,7 +97,7 @@ class TestCullChangesNothing:
             assert np.all(np.isinf(np.delete(full, batch_idx, axis=1)))
             assert gmap.any_hit(a, b) is bool(np.isfinite(full).any())
             in_subset = np.isin(gmap.tri_building,
-                                [gmap.building_ids().index(x) for x in subset])
+                                [gmap.ids.tolist().index(x) for x in subset])
             for i in range(len(a)):
                 idx = gmap.candidate_triangles(a[i], b[i])
                 assert np.all(np.diff(idx) > 0)
@@ -116,7 +116,7 @@ class TestCullChangesNothing:
                 assert gmap.first_hit(a[i], b[i]) == (t_full, i_full)
                 blocked = bool(np.isfinite(full[i]).any())
                 assert gmap.any_hit(a[i], b[i]) is blocked
-                assert f_block(Point3(*a[i]), Point3(*b[i]), gmap) == blocked
+                assert f_block(a[i], b[i], gmap) == blocked
 
                 sub_idx = gmap.candidate_triangles(a[i], b[i], subset)
                 assert np.all(in_subset[sub_idx])

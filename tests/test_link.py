@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import build_map, corner_route
 from urbanprop.errors import NumericalDomainError
 from urbanprop.fields import direct_field, transition_function
-from urbanprop.geometry import Point3
 from urbanprop.identify import identify_position
 from urbanprop.link import (MaterialConfig, TerminalGeometry, extract_chain,
                             friis_path_loss_db, path_loss,
@@ -22,7 +21,7 @@ K58 = 2.0 * np.pi * 5.8e9 / 299792458.0
 
 
 def pt(x, y, z=2.0):
-    return Point3(float(x), float(y), float(z))
+    return np.array([x, y, z], dtype=np.float64)
 
 
 # -- chain extraction --------------------------------------------------------
@@ -43,8 +42,8 @@ class TestExtractChain:
         # nearest roof corner to the street line is (30, 10) or (60, 10);
         # both are 10 m off the line, the lower vertex index (30, 10) wins
         edge = term.edge
-        assert (edge.x, edge.y) == (30.0, 10.0)
-        assert edge.z == pytest.approx(2.0)   # line height
+        assert (edge[0], edge[1]) == (30.0, 10.0)
+        assert edge[2] == pytest.approx(2.0)   # line height
         d_hand = np.linalg.norm([30.0, 10.0, 0.0])
         assert stages[0].d_tx == pytest.approx(d_hand)
         assert term.d_n == pytest.approx(d_hand)
@@ -62,7 +61,7 @@ class TestExtractChain:
         for st in stages:
             assert st.d_tx > 0 and st.dist_next > 0
         assert term.length_direct == pytest.approx(
-            float(np.linalg.norm(rx.as_array() - term.edge.as_array())))
+            float(np.linalg.norm(rx - term.edge)))
         assert term.length_reflected >= term.length_direct
 
     def test_canyon_reflection_branch(self, canyon_map, tx):
@@ -248,7 +247,7 @@ class TestTotalField:
         stages, term = extract_chain(vis, tx, rx, empty_map)
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
                            K58)
-        d = float(np.linalg.norm(rx.as_array() - tx.as_array()))
+        d = float(np.linalg.norm(rx - tx))
         assert pred.los and pred.n_stages == 0
         assert pred.pl_db == pytest.approx(friis_path_loss_db(d, 5.8e9),
                                            abs=1e-9)
@@ -266,7 +265,7 @@ class TestTotalField:
         # same 3D distance
         nlos = predict_position(cfg, corner_map, pt(59, 45))
         assert not nlos.full.los
-        d = float(np.linalg.norm(pt(59, 45).as_array() - cfg.tx.as_array()))
+        d = float(np.linalg.norm(pt(59, 45) - cfg.tx))
         los = predict_position(cfg, corner_map, pt(d, 0))
         assert los.full.los
         assert nlos.full.pl_db > los.full.pl_db
