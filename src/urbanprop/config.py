@@ -12,7 +12,7 @@ from .errors import ConfigError, NumericalDomainError, RouteError
 from .link import C_LIGHT, PL_CAP_DB, MaterialConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Route:
     """Receiver route from ``load_route``: read-only float64 timestamps ``t``
     (P,), in seconds and strictly increasing, and positions ``xyz`` (P, 3)."""
@@ -28,7 +28,7 @@ def _read_only(values):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioConfig:
     map_path: str = None
     route_path: str = None

@@ -17,7 +17,7 @@ from .link import C_LIGHT, received_power
 ANGULAR_SPREAD_RAD = np.deg2rad(11.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathComponent:
     arrival_unit: np.ndarray   # unit 3-vector from the RX toward the source
     power: float               # W

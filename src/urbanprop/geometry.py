@@ -3,8 +3,8 @@
 The map is loaded from JSON into immutable arrays.  Faces are simple planar
 polygons, fan-triangulated once at load time into a triangle soup that all
 occlusion queries run against (see ``kernels``); the map is the only code
-that culls the soup and calls the kernel.  All predicates are pure
-functions, safe to call in parallel.
+that culls the soup, pairs segments with triangles and calls the kernel.
+All predicates are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -38,12 +38,13 @@ class GeometryMap:
     (building position in ``ids``); ``face_normal`` (F, 3), each face's unit
     normal from its leading vertices (NaN for a degenerate triangle);
     ``box_lo``/``box_hi`` (3, B), the padded building boxes occlusion tests
-    cull against; the roof-vertex table: ``roof_vertex`` (ring vertex ids
-    within ``EPS_TOP`` of each building's top, ascending per building),
-    ``roof_xy`` and ``roof_owner`` (building position); the ring walls of
-    each roof vertex (``ring_walls``) and each building's vertical faces
-    (``vertical_faces``).  Every occlusion query runs through ``first_hit``
-    and ``any_hit``.
+    cull against, and each building's triangle ids; the roof-vertex table:
+    ``roof_vertex`` (ring vertex ids within ``EPS_TOP`` of each building's
+    top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
+    position); the ring walls of each roof vertex (``ring_walls``) and each
+    building's vertical faces (``vertical_faces``).  Every occlusion query
+    (``first_hit``, ``any_hit``, ``segment_hits``) culls per (segment, box)
+    and tests the kept (segment, triangle) pairs in one kernel call.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -109,6 +110,9 @@ class GeometryMap:
         order = np.argsort(self.ids)
         face_pos = order[np.searchsorted(self.ids, face_bid, sorter=order)]
         self.tri_building = face_pos[tri_face]
+        self._tri_by_building = np.argsort(self.tri_building, kind="stable")
+        self._tri_edge = _edges(self.tri_building, len(self.ids))
+        self._tri_count = np.diff(self._tri_edge)
         return flat, owner, starts, sizes, face_pos
 
     def _load_buildings(self, flat, owner, starts, sizes, face_pos):
@@ -205,52 +209,57 @@ class GeometryMap:
         """The three vertices of triangle ``tri`` of the soup."""
         return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
-    def candidate_triangles(self, a, b, building_ids=None):
-        """Sorted ids of the triangles whose building box a segment meets.
-
-        ``a``/``b`` are (3,) or (S, 3) segment endpoints.  A building is kept
-        when the closed parameter range [0, 1] of any segment overlaps its
-        padded box (slab test, vectorized over segments and boxes), so no
-        triangle an open segment can hit is dropped.  ``building_ids=None``
-        considers every building.
-        """
-        pos = slice(None) if building_ids is None else np.array(
-            [self._pos(bid) for bid in building_ids], dtype=np.int64)
-        a = np.asarray(a, dtype=np.float64).reshape(-1, 3, 1)
+    def _pairs(self, a, b, building_ids=None):
+        """``(met, seg, col, tri, t)`` for the (S, 3) or (3,) segments a->b:
+        ``met`` (S, K) marks each segment whose closed range [0, 1] overlaps
+        the padded box of column k's building (``building_ids``, or every
+        building by position), so no triangle an open segment can hit is
+        culled.  Each (segment, box) in ``met`` is expanded into one pair per
+        triangle of the building, ascending; ``t`` is each pair's hit."""
+        a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
+        pos = (np.arange(len(self.ids)) if building_ids is None else np.array(
+            [self._pos(bid) for bid in building_ids], dtype=np.int64))
         # An axis with d == 0 gives t = -inf/+inf inside/outside the slab.  It
         # gives NaN, which culls the box, only for a segment in the plane of a
         # padded face: BOX_PAD away from the building, so it cannot hit it.
         with np.errstate(all="ignore"):
-            inv = 1.0 / (np.asarray(b, dtype=np.float64).reshape(-1, 3, 1) - a)
-            t_lo = (self.box_lo[:, pos] - a) * inv
-            t_hi = (self.box_hi[:, pos] - a) * inv
+            inv = 1.0 / (b - a)[:, :, None]
+            t_lo = (self.box_lo.take(pos, axis=1) - a[:, :, None]) * inv
+            t_hi = (self.box_hi.take(pos, axis=1) - a[:, :, None]) * inv
         enter = np.minimum(t_lo, t_hi).max(axis=1)
         leave = np.maximum(t_lo, t_hi).min(axis=1)
         met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
-        keep = np.zeros(len(self.ids), dtype=bool)
-        keep[pos] = met.any(axis=0)
-        return np.flatnonzero(keep[self.tri_building])
+        seg, col = np.nonzero(met)
+        first, count = self._tri_edge[pos[col]], self._tri_count[pos[col]]
+        offset = np.repeat(first - np.cumsum(count) + count, count)
+        tri = self._tri_by_building[offset + np.arange(len(offset))]
+        seg, col = np.repeat(seg, count), np.repeat(col, count)
+        t = (kernels.segment_triangles(a[seg], b[seg], *self.triangle(tri),
+                                       EPS_HIT) if len(tri) else np.empty(0))
+        return met, seg, col, tri, t
 
     def first_hit(self, a, b):
         """Nearest hit of the open segment a->b ((3,) arrays) on the map's
         faces: ``(t, triangle id)``, or ``(inf, -1)`` when nothing is hit; of
         equally near hits, the lowest triangle id wins."""
-        tris = self.candidate_triangles(a, b)
-        if len(tris):
-            t = kernels.segment_triangles(a, b, *self.triangle(tris), EPS_HIT)
-            i = int(np.argmin(t))       # the first index wins a tie
-            if np.isfinite(t[i]):
-                return float(t[i]), int(tris[i])
-        return np.inf, -1
+        *_, tri, t = self._pairs(a, b)
+        t_min = t.min(initial=np.inf)
+        return ((float(t_min), int(tri[t == t_min].min())) if t_min < np.inf
+                else (np.inf, -1))
 
     def any_hit(self, a, b, building_ids=None):
         """True when a face of the selected buildings blocks the open segment
         a->b, or any segment of an (S, 3) batch."""
-        tris = self.candidate_triangles(a, b, building_ids)
-        if not len(tris):
-            return False
-        t = kernels.segment_triangles(a, b, *self.triangle(tris), EPS_HIT)
-        return bool(np.isfinite(t).any())
+        return bool(np.isfinite(self._pairs(a, b, building_ids)[-1]).any())
+
+    def segment_hits(self, a, b, building_ids=None):
+        """(S, K) booleans for the segments a->b: True where a face of column
+        k's building (``building_ids``, or every building by position in
+        ``ids``) blocks segment s."""
+        met, seg, col, _tri, t = self._pairs(a, b, building_ids)
+        hits = np.zeros_like(met)
+        hits[seg[np.isfinite(t)], col[np.isfinite(t)]] = True
+        return hits
 
 
 def _edges(owner, n):
@@ -369,5 +378,7 @@ def side_2d(cross):
 
 
 def f_block(a, b, gmap):
-    """1 iff any face of the map blocks the open segment a-b."""
-    return int(gmap.any_hit(a, b))
+    """1 iff any face of the map blocks the open segment a-b; one 0/1 per
+    row of (S, 3) endpoints."""
+    blocked = gmap.segment_hits(a, b).any(axis=1).astype(np.int64)
+    return blocked if np.ndim(a) == 2 else int(blocked[0])

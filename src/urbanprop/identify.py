@@ -22,7 +22,7 @@ from .geometry import EPS_LEN, line_2d, side_2d
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkClassification:
     los: bool
     breakpoint: np.ndarray = None
@@ -35,7 +35,7 @@ class LinkClassification:
             raise ValueError("NLOS link requires breakpoint and blocking building")
 
 
-@dataclass
+@dataclass(eq=False)
 class SubSegment:
     """One propagation sub-segment a->b and the buildings flanking it.
 
@@ -207,36 +207,41 @@ def visible_identification(segs, cls, gmap):
     Within a sub-segment, buildings are visited per side in ascending
     perpendicular distance to the sub-segment line (ties by id) and kept
     only if no roof-ring vertex-to-projection segment is blocked by a
-    previously accepted building.  Sub-segments are filtered independently.
+    previously accepted building, read from one blocked-by matrix per
+    sub-segment.  Sub-segments are filtered independently.
     """
     visible = []
     for sub in segs:
-        vseg = replace(sub, left=[], right=[])
         line_d = sub.b - sub.a
         if np.linalg.norm(line_d) <= EPS_LEN:
             raise NumericalDomainError("degenerate segment: endpoints coincide")
+        left, right = (sorted(ids, key=lambda bid: (sub.corner[bid][0], bid))
+                       for ids in (sub.left, sub.right))
+        cands = left + right
+        blocked = _blocked_by(cands, sub.a, line_d, gmap)
         accepted = []
-        for side_name in ("left", "right"):
-            ordered = sorted(getattr(sub, side_name),
-                             key=lambda bid: (sub.corner[bid][0], bid))
-            for bid in ordered:
-                if _is_visible(bid, sub.a, line_d, gmap, accepted):
-                    getattr(vseg, side_name).append(bid)
-                    accepted.append(bid)
-        visible.append(vseg)
+        for i in range(len(cands)):
+            if not blocked[i, accepted].any():
+                accepted.append(i)
+        visible.append(replace(
+            sub, left=[cands[i] for i in accepted if i < len(left)],
+            right=[cands[i] for i in accepted if i >= len(left)]))
     return VisibilitySet(cls, list(segs), visible)
 
 
-def _is_visible(bid, line_a, line_d, gmap, occluders):
-    """True when no roof-ring vertex-to-projection segment of ``bid`` onto
-    the line ``line_a + t line_d`` is blocked by an occluder; one kernel call
-    tests every segment."""
-    if not occluders:
-        return True
-    verts = gmap.vertices[gmap.top_vertices(bid)]
-    t = (verts - line_a) @ line_d / (line_d @ line_d)
-    proj = line_a + t[:, None] * line_d
-    return not gmap.any_hit(verts, proj, occluders)
+def _blocked_by(cands, line_a, line_d, gmap):
+    """(K, K) booleans: True at [i, j] when a face of candidate j blocks a
+    roof-ring vertex-to-projection segment of candidate i onto the line
+    ``line_a + t line_d``; one occlusion query tests every segment."""
+    if len(cands) < 2:
+        return np.zeros((len(cands), len(cands)), dtype=bool)
+    rings = [gmap.vertices[gmap.top_vertices(bid)] for bid in cands]
+    # one matmul per ring: a stacked one can round a one-vertex ring apart
+    t = np.concatenate([(v - line_a) @ line_d for v in rings]) / (line_d @ line_d)
+    hits = gmap.segment_hits(np.concatenate(rings),
+                             line_a + t[:, None] * line_d, cands)
+    sizes = [len(v) for v in rings]
+    return np.logical_or.reduceat(hits, np.cumsum(sizes) - sizes, axis=0)
 
 
 def identify_position(tx, r, gmap, corridor_width=100.0):

@@ -38,7 +38,7 @@ class MaterialConfig:
             raise NumericalDomainError("eps_r must be finite and exceed 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class TerminalGeometry:
     """Final-edge geometry feeding the two terminal branches."""
 
@@ -176,6 +176,9 @@ def extract_chain(vis, tx, rx, gmap):
              for seg, t, _bid, vid, _side in ordered]
 
     points = [tx, *edges, rx]
+    # whether the TX->edge ray of each stage after the first is blocked
+    blocked = [0, *f_block(np.broadcast_to(tx, (len(edges) - 1, 3)),
+                           np.array(edges[1:]), gmap)]
     stages = []
     for i, (_seg, _t, bid, vid, _side) in enumerate(ordered):
         here_xy = points[i + 1][:2]
@@ -183,9 +186,8 @@ def extract_chain(vis, tx, rx, gmap):
         alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
         d_tx = float(np.linalg.norm(points[i + 1] - tx))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
-        blocked = bool(f_block(tx, edges[i], gmap)) if i > 0 else False
         stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
-                                 direct_blocked=blocked))
+                                 direct_blocked=bool(blocked[i])))
 
     last_seg, _t, _bid, _vid, last_side = ordered[-1]
     last_edge = edges[-1]

@@ -17,7 +17,7 @@ from .identify import identify_position
 from .link import LinkPrediction, extract_chain, friis_path_loss_db, total_field
 
 
-@dataclass
+@dataclass(eq=False)
 class PositionResult:
     index: int
     rx: np.ndarray

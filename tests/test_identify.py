@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORNER_BOXES, build_map, canyon_route, corner_route
 from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
-from test_kernels import box_scenes
+from test_kernels import box_scenes, dense
 from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict
@@ -109,7 +109,7 @@ def _two_query_classification(tx, rx, gmap):
     if tri < 0:
         return None, None
     bid = int(gmap.ids[gmap.tri_building[tri]])
-    tris = gmap.candidate_triangles(tx, rx, [bid])
+    tris = np.flatnonzero(gmap.tri_building == gmap.tri_building[tri])
     t = kernels.segment_triangles(tx, rx, *gmap.triangle(tris), EPS_HIT)
     tri = int(tris[np.argmin(t)])     # the lowest id of equally near hits
     return bid, compute_breakpoint(tx, rx, tri, gmap)
@@ -339,18 +339,23 @@ def _rotated_scene():
     return map_from_dict(_rotated_boxes()), pt(5.0, -5.0), route
 
 
+def _fixture_scene(scene, canyon_map, corner_map, tx):
+    """``(map, tx, route)`` of a named fixture scene."""
+    return {
+        "canyon": lambda: (canyon_map, tx, canyon_route()),
+        "corner": lambda: (corner_map, tx, corner_route()),
+        "rotated": _rotated_scene,
+        "grid": _grid_scene,
+    }[scene]()
+
+
 class TestCornerRecord:
     @pytest.mark.parametrize("scene", ["canyon", "corner", "rotated", "grid"])
     def test_record_matches_per_building_corner(self, scene, canyon_map,
                                                 corner_map, tx):
         """Each candidate's recorded corner equals the per-building
         computation bit for bit, ties included."""
-        gmap, tx, route = {
-            "canyon": lambda: (canyon_map, tx, canyon_route()),
-            "corner": lambda: (corner_map, tx, corner_route()),
-            "rotated": _rotated_scene,
-            "grid": _grid_scene,
-        }[scene]()
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
         checked = ties = 0
         for _cls, segs in initial_identification(tx, route, gmap):
             for sub in segs:
@@ -370,6 +375,55 @@ class TestCornerRecord:
         assert checked >= 10
         if scene == "grid":
             assert ties >= 10
+
+
+# -- one occlusion query per sub-segment ------------------------------------
+
+
+def _is_visible(bid, line_a, line_d, gmap, occluders):
+    """True when no roof-ring vertex-to-projection segment of ``bid`` onto
+    the line ``line_a + t line_d`` is blocked by an occluder, by the dense
+    kernel over the occluders' triangles."""
+    if not occluders:
+        return True
+    verts = gmap.vertices[gmap.top_vertices(bid)]
+    t = (verts - line_a) @ line_d / (line_d @ line_d)
+    proj = line_a + t[:, None] * line_d
+    pos = [gmap.ids.tolist().index(o) for o in occluders]
+    tris = np.flatnonzero(np.isin(gmap.tri_building, pos))
+    return not np.isfinite(dense(verts, proj, *gmap.triangle(tris))).any()
+
+
+def _scan_per_building(sub, gmap):
+    """Visible ``(left, right)`` of a sub-segment as the filter once found
+    them: each candidate, near to far, tested alone against the buildings
+    accepted before it."""
+    line_d = sub.b - sub.a
+    accepted, kept = [], {"left": [], "right": []}
+    for side in ("left", "right"):
+        for bid in sorted(getattr(sub, side),
+                          key=lambda b: (sub.corner[b][0], b)):
+            if _is_visible(bid, sub.a, line_d, gmap, accepted):
+                kept[side].append(bid)
+                accepted.append(bid)
+    return kept["left"], kept["right"]
+
+
+class TestVisibilityScan:
+    @pytest.mark.parametrize("scene", ["canyon", "corner", "rotated", "grid"])
+    def test_matches_per_building_scan(self, scene, canyon_map, corner_map,
+                                       tx):
+        """The blocked-by matrix scan keeps the same buildings, in the same
+        order, as one occlusion test per candidate."""
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
+        hidden = 0
+        for cls, segs in initial_identification(tx, route, gmap):
+            vis = visible_identification(segs, cls, gmap)
+            for sub, vseg in zip(segs, vis.visible):
+                assert (vseg.left, vseg.right) == _scan_per_building(sub, gmap)
+                hidden += len(sub.left + sub.right) - len(vseg.left + vseg.right)
+        if scene == "grid":
+            assert hidden >= 10
 
 
 # -- randomized oracle agreement ---------------------------------------------

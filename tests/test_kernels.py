@@ -1,11 +1,12 @@
-"""The batched occlusion kernel and the bounding-box cull in front of it.
+"""The row-wise occlusion kernel and the map's per-segment pair path.
 
-The cull may only drop triangles the kernel would miss, so culled queries
-must reproduce the unculled kernel over the whole soup bit for bit; and a
-batched call must equal its single-segment calls stacked.  Scenes use
-integer box coordinates so that segments can end exactly on a face, lie in
-a face plane, or run parallel to an axis (where the slab test divides by
-zero).
+The map culls each segment against each building box, tests the surviving
+(segment, triangle) pairs in one kernel call and reduces the hits.  The cull
+may only drop pairs the kernel would miss, so every reduction must equal the
+dense kernel, every segment against every triangle of the soup, bit for
+bit.  Scenes use integer box coordinates so that segments can end
+exactly on a face, lie in a face plane or in the plane of a padded box face,
+or run parallel to an axis (where the slab test divides by zero).
 """
 
 import warnings
@@ -13,13 +14,21 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_map
+from conftest import build_map, build_map_dict
 from urbanprop import kernels
-from urbanprop.geometry import EPS_HIT, f_block
+from urbanprop.geometry import BOX_PAD, EPS_HIT, f_block, map_from_dict
 
 
 def _soup(gmap, idx=slice(None)):
     return gmap.tri_v0[idx], gmap.tri_v1[idx], gmap.tri_v2[idx]
+
+
+def dense(a, b, v0, v1, v2):
+    """(S, M) hit parameters of every segment against every triangle, one
+    kernel row per (segment, triangle) pair."""
+    seg, tri = np.indices((len(a), len(v0))).reshape(2, -1)
+    return kernels.segment_triangles(a[seg], b[seg], v0[tri], v1[tri],
+                                     v2[tri], EPS_HIT).reshape(len(a), -1)
 
 
 class TestZeroLengthSegment:
@@ -51,12 +60,18 @@ def box_scenes(draw):
 
 @st.composite
 def segment_batches(draw, boxes):
-    """1-6 segments whose coordinates are free, on a box face plane, or
-    (for the end point) copied from the start point, so the segment runs
-    parallel to that axis."""
-    planes = [sorted({b[0] for _, b in boxes} | {b[2] for _, b in boxes}),
-              sorted({b[1] for _, b in boxes} | {b[3] for _, b in boxes}),
-              sorted({0.0} | {b[4] for _, b in boxes})]
+    """1-6 segments whose coordinates are free, on a box face plane, on the
+    plane of a padded box face, on a box's mid-plane (so ends fall inside
+    boxes), or (for the end point) copied from the start point, so the
+    segment runs parallel to that axis or has zero length."""
+    lo = [[b[0] for _, b in boxes], [b[1] for _, b in boxes],
+          [0.0] * len(boxes)]
+    hi = [[b[2] for _, b in boxes], [b[3] for _, b in boxes],
+          [b[4] for _, b in boxes]]
+    planes = [sorted(set(lo[k]) | set(hi[k]) | {c - BOX_PAD for c in lo[k]}
+                     | {c + BOX_PAD for c in hi[k]}
+                     | {(x + y) / 2.0 for x, y in zip(lo[k], hi[k])})
+              for k in range(3)]
     free = st.floats(-25.0, 25.0, allow_nan=False)
 
     def coord(axis):
@@ -65,7 +80,10 @@ def segment_batches(draw, boxes):
     a, b = [], []
     for _ in range(draw(st.integers(1, 6))):
         p = [coord(k) for k in range(3)]
-        q = [p[k] if draw(st.booleans()) else coord(k) for k in range(3)]
+        if draw(st.integers(0, 7)) == 0:
+            q = list(p)
+        else:
+            q = [p[k] if draw(st.booleans()) else coord(k) for k in range(3)]
         a.append(p)
         b.append(q)
     return np.array(a), np.array(b)
@@ -73,54 +91,90 @@ def segment_batches(draw, boxes):
 
 @st.composite
 def scene_and_segments(draw):
+    """A box city, a subset of its building ids and a segment batch.  The
+    faces may be shuffled, so triangle ids interleave the buildings."""
     boxes = draw(box_scenes())
+    raw = build_map_dict(boxes)
+    if draw(st.booleans()):
+        raw["faces"] = draw(st.permutations(raw["faces"]))
     ids = [bid for bid, _ in boxes]
     subset = draw(st.lists(st.sampled_from(ids), unique=True))
-    return boxes, subset, draw(segment_batches(boxes))
+    return map_from_dict(raw), subset, draw(segment_batches(boxes))
+
+
+def _nearest(row):
+    """The dense reference of ``first_hit``: the nearest hit and the lowest
+    triangle id of equally near ones, or ``(inf, -1)``."""
+    i = int(np.argmin(row))
+    return (row[i], i) if np.isfinite(row[i]) else (np.inf, -1)
 
 
 class TestCullChangesNothing:
     @settings(max_examples=300, deadline=None)
     @given(scene_and_segments())
     def test_culled_equals_unculled(self, case):
-        boxes, subset, (a, b) = case
-        gmap = build_map(boxes)
+        gmap, subset, (a, b) = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full = kernels.segment_triangles(a, b, *_soup(gmap), EPS_HIT)
-            stacked = np.stack([
-                kernels.segment_triangles(a[i], b[i], *_soup(gmap), EPS_HIT)
-                for i in range(len(a))])
-            assert np.array_equal(full, stacked)
-
-            batch_idx = gmap.candidate_triangles(a, b)
-            assert np.all(np.isinf(np.delete(full, batch_idx, axis=1)))
-            assert gmap.any_hit(a, b) is bool(np.isfinite(full).any())
-            in_subset = np.isin(gmap.tri_building,
-                                [gmap.ids.tolist().index(x) for x in subset])
+            full = dense(a, b, *_soup(gmap))
+            # one segment broadcast against the soup gives the same bits
             for i in range(len(a)):
-                idx = gmap.candidate_triangles(a[i], b[i])
-                assert np.all(np.diff(idx) > 0)
-                assert np.all(np.isin(idx, batch_idx))
-                culled = kernels.segment_triangles(a[i], b[i],
-                                                   *_soup(gmap, idx), EPS_HIT)
-                assert np.array_equal(culled, full[i, idx])
-                assert np.all(np.isinf(np.delete(full[i], idx)))
+                for seg in (a[i], a[i:i + 1]):
+                    assert (kernels.segment_triangles(
+                        seg, b[i], *_soup(gmap), EPS_HIT).tobytes()
+                        == full[i].tobytes())
 
-                # unculled reference: the nearest hit over the whole soup,
-                # the lowest triangle id of equally near ones
-                i_full = int(np.argmin(full[i]))
-                t_full = full[i, i_full]
-                if not np.isfinite(t_full):
-                    t_full, i_full = np.inf, -1
-                assert gmap.first_hit(a[i], b[i]) == (t_full, i_full)
-                blocked = bool(np.isfinite(full[i]).any())
-                assert gmap.any_hit(a[i], b[i]) is blocked
-                assert f_block(a[i], b[i], gmap) == blocked
+            blocked = np.isfinite(full)
+            owner = gmap.tri_building
+            by_building = np.stack([blocked[:, owner == k].any(axis=1)
+                                    for k in range(len(gmap.ids))], axis=1)
+            assert np.array_equal(gmap.segment_hits(a, b), by_building)
+            cols = [gmap.ids.tolist().index(x) for x in subset]
+            assert np.array_equal(gmap.segment_hits(a, b, subset),
+                                  by_building[:, cols])
+            assert gmap.any_hit(a, b) is bool(blocked.any())
+            assert gmap.any_hit(a, b, subset) is bool(
+                by_building[:, cols].any())
+            assert np.array_equal(f_block(a, b, gmap), blocked.any(axis=1))
+            for i in range(len(a)):
+                assert gmap.first_hit(a[i], b[i]) == _nearest(full[i])
+                assert gmap.any_hit(a[i], b[i]) is bool(blocked[i].any())
+                assert f_block(a[i], b[i], gmap) == blocked[i].any()
+                assert gmap.any_hit(a[i], b[i], subset) is bool(
+                    by_building[i, cols].any())
 
-                sub_idx = gmap.candidate_triangles(a[i], b[i], subset)
-                assert np.all(in_subset[sub_idx])
-                sub_full = np.where(in_subset, full[i], np.inf)
-                assert np.all(np.isinf(np.delete(sub_full, sub_idx)))
-                assert gmap.any_hit(a[i], b[i], subset) == np.isfinite(
-                    sub_full).any()
+    def test_tie_goes_to_lowest_id_across_interleaved_buildings(self):
+        """Two boxes share the wall plane x = 1 and the segment crosses it
+        on both fan diagonals, so four triangles of two buildings tie.  The
+        second building's faces come first in the map, so its triangles
+        have the lower ids although its pairs come later in the pair list."""
+        raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
+                              (1, (1.0, 0.0, 2.0, 1.0, 1.0))])
+        raw["faces"] = raw["faces"][6:] + raw["faces"][:6]
+        gmap = map_from_dict(raw)
+        a, b = np.array([[0.5, 0.5, 0.5]]), np.array([[1.5, 0.5, 0.5]])
+        row = dense(a, b, *_soup(gmap))[0]
+        assert (row == 0.5).sum() == 4
+        t, tri = gmap.first_hit(a[0], b[0])
+        assert (t, tri) == _nearest(row)
+        assert gmap.ids[gmap.tri_building[tri]] == 1
+
+
+def test_triangles_tested_counts_pairs(canyon_map, monkeypatch):
+    """One kernel call per query; its rows are the (segment, triangle)
+    pairs that survive the per-segment cull, not segments x triangles."""
+    calls = []
+    kernel = kernels.segment_triangles
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "segment_triangles", counting)
+    # each segment crosses one box of the canyon: 12 triangles each
+    a = np.array([[75.0, 0.0, 5.0], [35.0, 40.0, 5.0]])
+    b = np.array([[75.0, -40.0, 5.0], [35.0, 0.0, 5.0]])
+    assert f_block(a, b, canyon_map).tolist() == [1, 1]
+    assert calls == [24]
+    assert build_map([]).first_hit(a[0], b[0]) == (np.inf, -1)
+    assert calls == [24]

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import CORNER_BOXES, build_map
-from urbanprop.config import Route
+from test_identify import _grid_scene
+from urbanprop import kernels
+from urbanprop.config import Route, ScenarioConfig
+from urbanprop.doppler import PathComponent
 from urbanprop.geometry import GeometryMap
-from urbanprop.pipeline import predict_route
+from urbanprop.pipeline import predict_position, predict_route
 
 
 def corner_street_route(n):
@@ -64,3 +67,47 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
     predict_route(cfg, gmap, corner_street_route(12), workers=2)
     assert len(pickles) <= 2
 
+
+
+def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
+    """One kernel call at most for the LOS query, one per sub-segment's
+    visibility filter and one per chain, however many candidates."""
+    gmap, tx, route = _grid_scene()
+    cfg = ScenarioConfig(tx=tx)
+    calls = []
+    kernel = kernels.segment_triangles
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "segment_triangles", counting)
+    most = 0
+    for rx in route:
+        calls.clear()
+        res = predict_position(cfg, gmap, rx)
+        assert len(calls) <= 1 + len(res.vis.visible) + 1
+        most = max(most, sum(len(s.left + s.right) for s in res.vis.sides))
+    assert most >= 8
+
+
+def test_array_holding_results_compare_by_identity(cfg, corner_map):
+    """Results with array fields compare and hash by identity; the generated
+    ``==`` compared the arrays and raised, and ``hash`` raised on an NLOS
+    classification."""
+    rx = np.array([59.0, 30.0, 2.0])
+    first, second = (predict_position(cfg, corner_map, rx) for _ in range(2))
+    assert not first.vis.classification.los
+    route = corner_street_route(3)
+    pairs = [
+        (first, second),
+        (first.vis.classification, second.vis.classification),
+        (first.vis.sides[0], second.vis.sides[0]),
+        (first.term, second.term),
+        (route, Route(route.t, route.xyz)),
+        (cfg, ScenarioConfig(tx=cfg.tx)),
+        (PathComponent(rx, 1.0, "direct"), PathComponent(rx, 1.0, "direct")),
+    ]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y}) == 2 and hash(x) == hash(x)
