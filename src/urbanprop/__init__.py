@@ -17,11 +17,10 @@ from .link import (LinkPrediction, MaterialConfig, TerminalGeometry,
                    extract_chain, friis_path_loss_db, path_loss,
                    reflection_coefficient, slope_coefficient, total_field)
 from .baselines import gpp_path_loss
-from .doppler import (DopplerSample, PathComponent, doppler_shift,
-                      enumerate_paths, gpp_doppler_estimate, rms_spread,
+from .doppler import (doppler_shift, gpp_doppler_estimate, rms_spread,
                       route_doppler)
 from .metrics import empirical_cdf, ks_distance, rmse, scatter_density
 from .config import Route, ScenarioConfig, load_config, load_route
-from .pipeline import PositionResult, predict_position, predict_route
+from .pipeline import RouteResult, predict_position, predict_route
 
 __version__ = "0.1.0"

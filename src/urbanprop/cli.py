@@ -43,7 +43,9 @@ def _open_output(path):
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _load_scenario(args):
+def _predict(args, check_route=None):
+    """Config, route and ``RouteResult`` of a scenario command; its output
+    directory is made once the route passes ``check_route``."""
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
     if args.workers < 1:
@@ -55,68 +57,60 @@ def _load_scenario(args):
         raise ConfigError("config must set 'map_path' and 'route_path'")
     gmap = load_map(cfg.map_path)
     route = load_route(cfg.route_path)
+    if check_route is not None:
+        check_route(route)
     _make_output_dir(cfg.output_dir)
-    return cfg, gmap, route
+    return cfg, route, predict_route(cfg, gmap, route, workers=args.workers)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, columns):
+    """Write ``columns`` (header -> values) as CSV; floats through ``_fmt``."""
+    cells = [[_fmt(v) if isinstance(v, float) else v for v in values]
+             for values in columns.values()]
     with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def run_identify(args):
-    cfg, gmap, route = _load_scenario(args)
-    results = predict_route(cfg, gmap, route, workers=args.workers)
+    cfg, route, res = _predict(args)
     path = os.path.join(cfg.output_dir, "identify.jsonl")
     with _open_output(path) as fh:
-        for res in results:
-            cls = res.vis.classification
-            bp = cls.breakpoint
-            rec = {
-                "index": res.index,
-                "los": cls.los,
-                "bp": None if bp is None else bp.tolist(),
-                "sides": res.vis.flat_sides(),
-                "visible": res.vis.flat_visible(),
-            }
+        for i, (los, bp, sides, visible) in enumerate(zip(
+                res.los.tolist(), res.breakpoint, res.sides, res.visible)):
+            rec = {"index": i, "los": los,
+                   "bp": None if los else bp.tolist(),
+                   "sides": sides, "visible": visible}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return path
 
 
 def run_predict(args):
-    cfg, gmap, route = _load_scenario(args)
-    results = predict_route(cfg, gmap, route, workers=args.workers)
+    cfg, route, res = _predict(args)
     path = os.path.join(cfg.output_dir, "predict.csv")
-    _write_csv(path, ["index", "x", "y", "z", "los", "pl_model_db",
-                      "pl_free_space_db", "n_stages", "e_abs", "e_arg",
-                      "pl_simplified_db", "pl_gpp_db"], (
-        [res.index, *map(_fmt, res.rx),
-         int(res.full.los), _fmt(res.full.pl_db),
-         _fmt(res.pl_friis_db), res.full.n_stages,
-         _fmt(abs(res.full.e_total)),
-         _fmt(float(np.angle(res.full.e_total))),
-         _fmt(res.simplified.pl_db), _fmt(res.pl_gpp_db)]
-        for res in results))
+    x, y, z = route.xyz.T
+    # abs and angle one phasor at a time: numpy's array abs rounds differently
+    _write_csv(path, {
+        "index": range(len(x)), "x": x, "y": y, "z": z,
+        "los": res.los.astype(int), "pl_model_db": res.pl_model_db,
+        "pl_free_space_db": res.pl_free_space_db, "n_stages": res.n_stages,
+        "e_abs": [abs(e) for e in res.e_total],
+        "e_arg": [float(np.angle(e)) for e in res.e_total],
+        "pl_simplified_db": res.pl_simplified_db, "pl_gpp_db": res.pl_gpp_db})
     return path
 
 
 def run_doppler(args):
-    cfg, gmap, route = _load_scenario(args)
-    results = predict_route(cfg, gmap, route, workers=args.workers)
-    samples = route_doppler(cfg, route, results)
-    vels = route_velocities(route)
+    cfg, route, res = _predict(args, check_route=route_velocities)
+    speed, _shifts, power, mean, spread, sigma_gpp = route_doppler(
+        cfg, route, res)
     path = os.path.join(cfg.output_dir, "doppler.csv")
-    _write_csv(path, ["index", "x", "y", "speed_mps", "n_paths", "f_mean_hz",
-                      "sigma_d_hz", "sigma_d_3gpp_hz",
-                      "sigma_d_simplified_hz"], (
-        [i, _fmt(xyz[0]), _fmt(xyz[1]),
-         _fmt(float(np.linalg.norm(v))), len(full.shifts),
-         _fmt(full.weighted_mean), _fmt(full.spread), _fmt(sigma_gpp),
-         _fmt(simp.spread)]
-        for i, (xyz, v, (full, simp, sigma_gpp))
-        in enumerate(zip(route.xyz, vels, samples))))
+    _write_csv(path, {
+        "index": range(len(speed)), "x": route.xyz[:, 0], "y": route.xyz[:, 1],
+        "speed_mps": speed, "n_paths": np.count_nonzero(power[:, 0], axis=1),
+        "f_mean_hz": mean[:, 0], "sigma_d_hz": spread[:, 0],
+        "sigma_d_3gpp_hz": sigma_gpp, "sigma_d_simplified_hz": spread[:, 1]})
     return path
 
 
@@ -177,8 +171,8 @@ def run_compare(args):
 
 
 def _write_cdf(path, series):
-    _write_csv(path, ["x", "cdf"],
-               ([_fmt(x), _fmt(f)] for x, f in empirical_cdf(series)))
+    x, cdf = zip(*empirical_cdf(series))
+    _write_csv(path, {"x": x, "cdf": cdf})
 
 
 def run_print_defaults(args):

@@ -1,90 +1,53 @@
-"""Per-path Doppler shifts and power-weighted RMS Doppler spread.
+"""Per-path Doppler shifts and power-weighted RMS Doppler spread over the
+columns of a route's ``pipeline.RouteResult``.
 
 Paths come from the component decomposition of the terminal field (direct,
 terminal-diffraction branch, wall-reflected branch); per-stage intermediate
 diffraction is already folded into the chain field and is not emitted as a
-separate path.
+separate path.  Each row keeps the bits of the arithmetic on its own paths:
+dot products go through ``geometry.row_dot``, absent paths add ``-0.0``.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, NumericalDomainError, RouteError
-from .link import C_LIGHT, received_power
+from .errors import NumericalDomainError, RouteError
+from .geometry import row_dot
+from .link import C_LIGHT
 
 # empirical angular-spread parameter: 11 degrees, applied in radians
 ANGULAR_SPREAD_RAD = np.deg2rad(11.0)
 
 
-@dataclass(frozen=True, eq=False)
-class PathComponent:
-    arrival_unit: np.ndarray   # unit 3-vector from the RX toward the source
-    power: float               # W
-    kind: str                  # direct | diffracted_I | reflected_II
-
-
-@dataclass
-class DopplerSample:
-    shifts: list = field(default_factory=list)   # Hz per path
-    weighted_mean: float = 0.0
-    spread: float = 0.0
-
-
-def enumerate_paths(pred, tx, rx, term, g_r, freq):
-    """Arrival directions and powers of the terminal-field components.
-
-    Each arrival direction points from the receiver back toward the last
-    interaction point of its component (TX, terminal edge, or wall point), so
-    motion toward a source yields a positive shift and motion away a negative
-    one.
-    """
-    ends = [("direct", "direct", tx)]
-    if term is not None:
-        ends += [("final_I", "diffracted_I", term.edge),
-                 ("final_II", "reflected_II", term.wall_point)]
-    paths = []
-    for name, kind, end in ends:
-        e = pred.components[name]
-        if e == 0:
-            continue
-        v = end - rx
-        n = np.linalg.norm(v)
-        power = received_power(e, g_r, freq)
-        if n > 0 and power > 0.0:
-            paths.append(PathComponent(v / n, power, kind))
-    return paths
-
-
 def doppler_shift(v, u, freq):
-    """Single-path shift (v . u)/lambda in Hz; ``u`` must be unit length."""
-    u = np.asarray(u, dtype=np.float64)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-6:
+    """Shift (v . u)/lambda in Hz of each unit arrival direction ``u``
+    (..., 3) for the velocity ``v`` (..., 3), broadcasting over rows."""
+    v, u = np.asarray(v, dtype=np.float64), np.asarray(u, dtype=np.float64)
+    if np.any(np.abs(np.sqrt(row_dot(u, u)) - 1.0) > 1e-6):
         raise NumericalDomainError("direction vector must be unit length")
-    lam = C_LIGHT / freq
-    return float(np.asarray(v, dtype=np.float64) @ u / lam)
+    return row_dot(v, u) / (C_LIGHT / freq)
 
 
-def rms_spread(paths, v, freq):
-    """Power-weighted mean shift and RMS spread over the path set."""
-    if not paths:
-        raise DegenerateGeometryError("no propagation path with positive power")
-    powers = np.array([p.power for p in paths])
-    total = powers.sum()
-    if total <= 0.0:
-        raise DegenerateGeometryError("total path power is zero")
-    shifts = np.array([doppler_shift(v, p.arrival_unit, freq) for p in paths])
-    mean = float((powers * shifts).sum() / total)
-    spread = float(np.sqrt((powers * (shifts - mean) ** 2).sum() / total))
-    return DopplerSample(list(shifts), mean, spread)
+def rms_spread(shifts, power):
+    """Power-weighted mean shift and RMS spread over the last axis.
+
+    Paths with zero power are absent, whatever their shift (NaN included);
+    where no path has power, the mean and the spread are 0.
+    """
+    on = power > 0.0
+    total = np.where(on, power, -0.0).sum(axis=-1)
+    some = total > 0.0
+    total = np.where(some, total, 1.0)
+    mean = np.where(on, power * shifts, -0.0).sum(axis=-1) / total
+    dev = np.where(on, power * (shifts - mean[..., None]) ** 2, -0.0)
+    spread = np.sqrt(dev.sum(axis=-1) / total)
+    return np.where(some, mean, 0.0), np.where(some, spread, 0.0)
 
 
 def gpp_doppler_estimate(v_mag, freq):
-    """Empirical spread f_max * angular-spread (Hz)."""
-    if v_mag < 0.0:
+    """Empirical spread f_max * angular-spread (Hz) of each speed."""
+    if np.any(np.asarray(v_mag) < 0.0):
         raise NumericalDomainError("speed must be non-negative")
-    lam = C_LIGHT / freq
-    return float(v_mag / lam * ANGULAR_SPREAD_RAD)
+    return v_mag / (C_LIGHT / freq) * ANGULAR_SPREAD_RAD
 
 
 def route_velocities(route):
@@ -98,29 +61,29 @@ def route_velocities(route):
     v = np.empty_like(pos)
     v[0] = (pos[1] - pos[0]) / (t[1] - t[0])
     v[-1] = (pos[-1] - pos[-2]) / (t[-1] - t[-2])
-    if len(t) > 2:
-        v[1:-1] = (pos[2:] - pos[:-2]) / (t[2:] - t[:-2])[:, None]
+    v[1:-1] = (pos[2:] - pos[:-2]) / (t[2:] - t[:-2])[:, None]
     return v
 
 
-def route_doppler(cfg, route, results):
-    """One (full-model, simplified-model, empirical) sample triple per point,
-    from the route's ``pipeline.predict_route`` results.
+def route_doppler(cfg, route, result):
+    """Doppler columns of a route from its ``pipeline.RouteResult``:
+    ``(speed, shifts, power, mean, spread, sigma_gpp)``.
 
-    Returns a list of ``(sample_full, sample_simplified, sigma_gpp)``;
-    field-less positions yield zero-path samples with zero spread.
+    ``shifts`` (P, 3) are those of the direct, final_I and final_II paths,
+    arriving from the TX, the terminal edge and the wall point (NaN where
+    there is none); ``power`` (P, 2, 3) is the full and simplified models'
+    path power, 0 where a path is absent; ``mean`` and ``spread`` are (P, 2).
     """
     vels = route_velocities(route)
-    out = []
-    for rx, res, v in zip(route.xyz, results, vels):
-        samples = []
-        for pred in (res.full, res.simplified):
-            paths = enumerate_paths(pred, cfg.tx, rx, res.term,
-                                    cfg.g_r_linear, cfg.freq_hz)
-            if paths:
-                samples.append(rms_spread(paths, v, cfg.freq_hz))
-            else:
-                samples.append(DopplerSample())
-        sigma_gpp = gpp_doppler_estimate(float(np.linalg.norm(v)), cfg.freq_hz)
-        out.append((samples[0], samples[1], sigma_gpp))
-    return out
+    ends = np.stack(np.broadcast_arrays(cfg.tx, result.edge,
+                                        result.wall_point), axis=1)
+    arrival = ends - route.xyz[:, None, :]
+    dist = np.sqrt(row_dot(arrival, arrival))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = arrival / dist[..., None]
+    shifts = doppler_shift(vels[:, None, :], unit, cfg.freq_hz)
+    power = np.where((dist > 0.0)[:, None, :], result.power, 0.0)
+    mean, spread = rms_spread(shifts[:, None, :], power)
+    speed = np.sqrt(row_dot(vels, vels))
+    return (speed, shifts, power, mean, spread,
+            gpp_doppler_estimate(speed, cfg.freq_hz))

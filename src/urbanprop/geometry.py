@@ -85,10 +85,10 @@ class GeometryMap:
         nrm = np.cross(v[flat[starts + 1]] - p0, v[flat[starts + 2]] - p0)
         # Row dot products through matmul sum like the 1-D np.linalg.norm,
         # so each normal equals the one computed face by face, bit for bit.
-        norm = np.sqrt(_row_dot(nrm, nrm))
+        norm = np.sqrt(row_dot(nrm, nrm))
         with np.errstate(divide="ignore", invalid="ignore"):
             self.face_normal = nrm / norm[:, None]
-            dist = np.abs(_row_dot(v[flat] - p0[owner], self.face_normal[owner]))
+            dist = np.abs(row_dot(v[flat] - p0[owner], self.face_normal[owner]))
         self.face_normal.flags.writeable = False
         worst = np.zeros(len(sizes))
         np.fmax.at(worst, owner, dist)      # skips the NaN of a degenerate face
@@ -209,13 +209,14 @@ class GeometryMap:
         """The three vertices of triangle ``tri`` of the soup."""
         return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
-    def _pairs(self, a, b, building_ids=None):
+    def _pairs(self, a, b, building_ids=None, mask=None):
         """``(met, seg, col, tri, t)`` for the (S, 3) or (3,) segments a->b:
         ``met`` (S, K) marks each segment whose closed range [0, 1] overlaps
         the padded box of column k's building (``building_ids``, or every
         building by position), so no triangle an open segment can hit is
-        culled.  Each (segment, box) in ``met`` is expanded into one pair per
-        triangle of the building, ascending; ``t`` is each pair's hit."""
+        culled, and the optional (S, K) ``mask`` keeps.  Each (segment, box)
+        in ``met`` is expanded into one pair per triangle of the building,
+        ascending; ``t`` is each pair's hit."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
         pos = (np.arange(len(self.ids)) if building_ids is None else np.array(
             [self._pos(bid) for bid in building_ids], dtype=np.int64))
@@ -229,6 +230,8 @@ class GeometryMap:
         enter = np.minimum(t_lo, t_hi).max(axis=1)
         leave = np.maximum(t_lo, t_hi).min(axis=1)
         met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
+        if mask is not None:
+            met &= mask
         seg, col = np.nonzero(met)
         first, count = self._tri_edge[pos[col]], self._tri_count[pos[col]]
         offset = np.repeat(first - np.cumsum(count) + count, count)
@@ -252,11 +255,11 @@ class GeometryMap:
         a->b, or any segment of an (S, 3) batch."""
         return bool(np.isfinite(self._pairs(a, b, building_ids)[-1]).any())
 
-    def segment_hits(self, a, b, building_ids=None):
+    def segment_hits(self, a, b, building_ids=None, mask=None):
         """(S, K) booleans for the segments a->b: True where a face of column
         k's building (``building_ids``, or every building by position in
-        ``ids``) blocks segment s."""
-        met, seg, col, _tri, t = self._pairs(a, b, building_ids)
+        ``ids``) blocks segment s; only pairs an (S, K) ``mask`` keeps."""
+        met, seg, col, _tri, t = self._pairs(a, b, building_ids, mask)
         hits = np.zeros_like(met)
         hits[seg[np.isfinite(t)], col[np.isfinite(t)]] = True
         return hits
@@ -277,9 +280,9 @@ def _raise_first_failure(*checks):
         raise MapValidationError(next(msg(i) for f, msg in checks if f[i]))
 
 
-def _row_dot(x, y):
-    """Dot product of each row of ``x`` with the same row of ``y``."""
-    return (x[:, None, :] @ y[:, :, None]).reshape(-1)
+def row_dot(x, y):
+    """Row-wise dot product over the last axis, bit for bit a 1-D ``x @ y``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 # -- loading ---------------------------------------------------------------

@@ -232,15 +232,17 @@ def visible_identification(segs, cls, gmap):
 def _blocked_by(cands, line_a, line_d, gmap):
     """(K, K) booleans: True at [i, j] when a face of candidate j blocks a
     roof-ring vertex-to-projection segment of candidate i onto the line
-    ``line_a + t line_d``; one occlusion query tests every segment."""
+    ``line_a + t line_d``.  One occlusion query tests every segment against
+    the earlier candidates j < i, the only entries the near-to-far scan reads."""
     if len(cands) < 2:
         return np.zeros((len(cands), len(cands)), dtype=bool)
     rings = [gmap.vertices[gmap.top_vertices(bid)] for bid in cands]
     # one matmul per ring: a stacked one can round a one-vertex ring apart
     t = np.concatenate([(v - line_a) @ line_d for v in rings]) / (line_d @ line_d)
-    hits = gmap.segment_hits(np.concatenate(rings),
-                             line_a + t[:, None] * line_d, cands)
     sizes = [len(v) for v in rings]
+    earlier = np.arange(len(cands)) < np.repeat(np.arange(len(cands)), sizes)[:, None]
+    hits = gmap.segment_hits(np.concatenate(rings),
+                             line_a + t[:, None] * line_d, cands, earlier)
     return np.logical_or.reduceat(hits, np.cumsum(sizes) - sizes, axis=0)
 
 

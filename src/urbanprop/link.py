@@ -56,7 +56,6 @@ class TerminalGeometry:
 @dataclass
 class LinkPrediction:
     pl_db: float
-    p_r: float
     e_total: complex
     components: dict      # {"direct", "final_I", "final_II"} -> complex
     los: bool
@@ -285,8 +284,8 @@ def total_field(vis, stages, term, material, p_t, tx, rx, k,
                                 * a_ii * np.exp(-1j * k * r))
 
     e_total = comp["direct"] + comp["final_I"] + comp["final_II"]
-    p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq, pl_cap_db=pl_cap_db)
-    return LinkPrediction(pl_db, p_r, e_total, comp, los, n_stages, capped)
+    _p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq, pl_cap_db=pl_cap_db)
+    return LinkPrediction(pl_db, e_total, comp, los, n_stages, capped)
 
 
 def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):

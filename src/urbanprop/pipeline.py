@@ -1,36 +1,54 @@
-"""Per-position prediction pipeline: identification -> chain -> fields.
+"""Per-position prediction pipeline: identification -> chain -> fields, with
+the rows of a route gathered into one table of columns.
 
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
-position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  A worker pool gets
-the scene ``(cfg, gmap)`` once per worker, through its initializer, and runs
-the positions in contiguous chunks.
+position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  A worker
+pool gets the scene ``(cfg, gmap)`` once per worker, through its initializer,
+and returns the rows of contiguous chunks of positions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import gpp_path_loss
 from .identify import identify_position
-from .link import LinkPrediction, extract_chain, friis_path_loss_db, total_field
+from .link import extract_chain, friis_path_loss_db, received_power, total_field
+
+NO_POINT = np.full(3, np.nan)
 
 
 @dataclass(eq=False)
-class PositionResult:
-    index: int
-    rx: np.ndarray
-    vis: object           # VisibilitySet
-    term: object          # TerminalGeometry or None
-    full: LinkPrediction
-    simplified: LinkPrediction
-    pl_gpp_db: float
-    pl_friis_db: float
+class RouteResult:
+    """Route columns: (P,) or (P, k) arrays, one row per route position.
+
+    ``breakpoint``, the terminal ``edge`` and its ``wall_point`` are (P, 3),
+    NaN where there is none.  ``sides``/``visible`` hold ``{"left": ids,
+    "right": ids}`` dicts.  ``e_total`` is the full-model field; ``power``
+    (P, 2, 3) holds the received power (W) of the direct, final_I and
+    final_II components, full model first.
+    """
+
+    los: np.ndarray
+    breakpoint: np.ndarray
+    sides: np.ndarray
+    visible: np.ndarray
+    n_stages: np.ndarray
+    pl_model_db: np.ndarray
+    pl_simplified_db: np.ndarray
+    pl_gpp_db: np.ndarray
+    pl_free_space_db: np.ndarray
+    e_total: np.ndarray
+    power: np.ndarray
+    edge: np.ndarray
+    wall_point: np.ndarray
 
 
-def predict_position(cfg, gmap, rx, index=0):
-    """Run the whole model stack for a single receiver position."""
+def predict_position(cfg, gmap, rx):
+    """Run the whole model stack for a single receiver position: a
+    ``RouteResult`` of one row."""
     tx = cfg.tx
     k = cfg.wavenumber
     vis = identify_position(tx, rx, gmap, cfg.corridor_width_m)
@@ -39,11 +57,33 @@ def predict_position(cfg, gmap, rx, index=0):
     full = total_field(*args, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
     simp = total_field(*args, g_r=cfg.g_r_linear, simplified=True,
                        pl_cap_db=cfg.pl_cap_db)
+    los = vis.classification.los
     d3d = float(np.linalg.norm(rx - tx))
-    pl_gpp = gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9,
-                           vis.classification.los)
-    pl_friis = friis_path_loss_db(d3d, cfg.freq_hz)
-    return PositionResult(index, rx, vis, term, full, simp, pl_gpp, pl_friis)
+    wall = None if term is None else term.wall_point
+    row = dict(
+        los=los, breakpoint=NO_POINT if los else vis.classification.breakpoint,
+        sides=vis.flat_sides(), visible=vis.flat_visible(),
+        n_stages=full.n_stages, pl_model_db=full.pl_db,
+        pl_simplified_db=simp.pl_db,
+        pl_gpp_db=gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9, los),
+        pl_free_space_db=friis_path_loss_db(d3d, cfg.freq_hz),
+        e_total=full.e_total,
+        # scalar received_power: numpy's array abs and ** 2 round differently
+        power=[[received_power(e, cfg.g_r_linear, cfg.freq_hz)
+                for e in pred.components.values()] for pred in (full, simp)],
+        edge=NO_POINT if term is None else term.edge,
+        wall_point=NO_POINT if wall is None else wall)
+    return RouteResult(**{name: np.array([v]) for name, v in row.items()})
+
+
+def _concat(parts):
+    """One ``RouteResult`` of the rows of ``parts``, in order."""
+    return RouteResult(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(RouteResult)))
+
+
+def _predict_rows(cfg, gmap, positions):
+    return _concat([predict_position(cfg, gmap, rx) for rx in positions])
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker
@@ -54,27 +94,25 @@ def _init_worker(cfg, gmap):
     _scene = (cfg, gmap)
 
 
-def _predict_in_worker(index, rx):
-    cfg, gmap = _scene
-    return predict_position(cfg, gmap, rx, index)
+def _predict_in_worker(positions):
+    return _predict_rows(*_scene, positions)
 
 
 def predict_route(cfg, gmap, route, workers=1):
-    """Predictions for every point of a ``config.Route``, in input order.
+    """The ``RouteResult`` of every point of a ``config.Route``, in input order.
 
     ``workers`` above 1 evaluates the route's P positions in a process pool
     of at most P workers; each chunk of ``ceil(P / (4 * workers))``
-    consecutive positions goes to one worker.
+    consecutive positions goes to one worker, which returns its rows.
     """
     positions = route.xyz
     workers = min(workers, len(positions))
     if workers <= 1:
-        return [predict_position(cfg, gmap, rx, i)
-                for i, rx in enumerate(positions)]
+        return _predict_rows(cfg, gmap, positions)
     # imported here: the pool's modules add about 1 MB to a 1-worker run
     from concurrent.futures import ProcessPoolExecutor
-    chunksize = math.ceil(len(positions) / (4 * workers))
+    size = math.ceil(len(positions) / (4 * workers))
+    chunks = [positions[i:i + size] for i in range(0, len(positions), size)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(cfg, gmap)) as pool:
-        return list(pool.map(_predict_in_worker, range(len(positions)),
-                             positions, chunksize=chunksize))
+        return _concat(list(pool.map(_predict_in_worker, chunks)))

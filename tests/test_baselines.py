@@ -50,19 +50,19 @@ class TestGppPathLoss:
 class TestSimplifiedModel:
     def test_empty_map_identical(self, empty_map, cfg):
         res = predict_position(cfg, empty_map, np.array([120.0, 10.0, 2.0]))
-        assert res.simplified.pl_db == res.full.pl_db
+        assert res.pl_simplified_db[0] == res.pl_model_db[0]
 
     def test_single_stage_identical(self, canyon_map, cfg):
         # receiver beside the first (left-only) block: one-stage chain
         res = predict_position(cfg, canyon_map, np.array([30.0, 0.0, 2.0]))
-        assert res.full.n_stages == 1
-        assert abs(res.simplified.pl_db - res.full.pl_db) < 1e-9
+        assert res.n_stages[0] == 1
+        assert abs(res.pl_simplified_db[0] - res.pl_model_db[0]) < 1e-9
 
     def test_multi_stage_differs(self, corner_map, cfg):
         seen = False
         for rx in corner_route():
             res = predict_position(cfg, corner_map, rx)
-            if res.full.n_stages >= 2 and not res.full.los:
-                assert abs(res.simplified.pl_db - res.full.pl_db) > 1.0
+            if res.n_stages[0] >= 2 and not res.los[0]:
+                assert abs(res.pl_simplified_db[0] - res.pl_model_db[0]) > 1.0
                 seen = True
         assert seen

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict
-from urbanprop import pipeline
+from urbanprop import cli, pipeline
 from urbanprop.cli import main
 
 
@@ -148,6 +148,25 @@ class TestExitCodes:
         assert err == [f"error: bad route row 1: non-finite coordinate in "
                        f"[{bad}, {float(y)}, {float(z)}]"]
         assert not (tmp_path / "o").exists()
+
+    # the whole route was predicted before Doppler refused it, and the
+    # output directory was left behind
+    def test_one_point_doppler_route(self, scenario, tmp_path, capsys,
+                                     monkeypatch):
+        route = tmp_path / "route.csv"
+        route.write_text("t,x,y,z\n0,59,0,2\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route)}))
+        calls = []
+        monkeypatch.setattr(cli, "predict_route",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--output", out, "doppler"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: route must contain at least two points for "
+                       "Doppler"]
+        assert calls == [] and not out.exists()
 
     # compare created the output directory before reading its inputs
     @pytest.mark.parametrize("missing", ["reference", "predictions"])

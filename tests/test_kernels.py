@@ -132,6 +132,10 @@ class TestCullChangesNothing:
             cols = [gmap.ids.tolist().index(x) for x in subset]
             assert np.array_equal(gmap.segment_hits(a, b, subset),
                                   by_building[:, cols])
+            # a mask leaves out the (segment, building) pairs it drops
+            mask = np.arange(len(a))[:, None] % 3 != np.arange(len(cols))
+            assert np.array_equal(gmap.segment_hits(a, b, subset, mask),
+                                  by_building[:, cols] & mask)
             assert gmap.any_hit(a, b) is bool(blocked.any())
             assert gmap.any_hit(a, b, subset) is bool(
                 by_building[:, cols].any())

@@ -257,24 +257,24 @@ class TestTotalField:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = predict_position(cfg, canyon_map, pt(0, 0, 10))
-        assert res.full.los and res.full.n_stages == 0
-        assert res.full.pl_db == pytest.approx(res.pl_friis_db, abs=1e-9)
+        assert res.los[0] and res.n_stages[0] == 0
+        assert res.pl_model_db[0] == pytest.approx(res.pl_free_space_db[0], abs=1e-9)
 
     def test_nlos_exceeds_matched_los(self, corner_map, cfg):
         # deep-NLOS corner position vs an open-street LOS position at the
         # same 3D distance
         nlos = predict_position(cfg, corner_map, pt(59, 45))
-        assert not nlos.full.los
+        assert not nlos.los[0]
         d = float(np.linalg.norm(pt(59, 45) - cfg.tx))
         los = predict_position(cfg, corner_map, pt(d, 0))
-        assert los.full.los
-        assert nlos.full.pl_db > los.full.pl_db
+        assert los.los[0]
+        assert nlos.pl_model_db[0] > los.pl_model_db[0]
 
     def test_shadow_attenuates_below_friis(self, corner_map, cfg):
         for rx in corner_route():
             res = predict_position(cfg, corner_map, rx)
-            if not res.full.los:
-                assert res.full.pl_db >= res.pl_friis_db
+            if not res.los[0]:
+                assert res.pl_model_db[0] >= res.pl_free_space_db[0]
 
     def test_reflected_branch_composition(self, canyon_map, tx):
         rx = pt(95, 0)

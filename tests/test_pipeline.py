@@ -9,9 +9,10 @@ from conftest import CORNER_BOXES, build_map
 from test_identify import _grid_scene
 from urbanprop import kernels
 from urbanprop.config import Route, ScenarioConfig
-from urbanprop.doppler import PathComponent
 from urbanprop.geometry import GeometryMap
-from urbanprop.pipeline import predict_position, predict_route
+from urbanprop.identify import identify_position
+from urbanprop.link import extract_chain
+from urbanprop.pipeline import RouteResult, predict_position, predict_route
 
 
 def corner_street_route(n):
@@ -21,37 +22,24 @@ def corner_street_route(n):
                  np.stack([np.full(n, 59.0), y, np.full(n, 2.0)], axis=1))
 
 
-def assert_same(a, b):
-    """``a`` equals ``b`` through dataclass fields, lists, tuples and dicts;
-    arrays must match in dtype, shape and bytes (dataclass ``==`` cannot
-    compare array fields)."""
-    assert type(a) is type(b)
-    if isinstance(a, np.ndarray):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    elif dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            assert_same(getattr(a, f.name), getattr(b, f.name))
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert_same(x, y)
-    elif isinstance(a, dict):
-        assert list(a) == list(b)
-        for key in a:
-            assert_same(a[key], b[key])
-    else:
-        assert a == b
-
-
 # (positions, workers): chunks of ceil(P / 4w) = 2 and 3 positions leave a
-# shorter last chunk; the last case has fewer positions than workers.
-@pytest.mark.parametrize("n, workers", [(11, 2), (17, 2), (2, 3)])
+# shorter last chunk; (2, 3) has fewer positions than workers.
+@pytest.mark.parametrize("n, workers", [(11, 1), (11, 2), (17, 2), (2, 3),
+                                        (17, 3)])
 def test_pool_matches_serial(cfg, corner_map, n, workers):
+    """Every column matches the serial route in dtype, shape and bytes
+    (object columns by value)."""
     route = corner_street_route(n)
     serial = predict_route(cfg, corner_map, route)
     pooled = predict_route(cfg, corner_map, route, workers=workers)
-    assert [r.index for r in pooled] == list(range(n))
-    assert_same(pooled, serial)
+    assert len(serial.los) == n
+    for f in dataclasses.fields(RouteResult):
+        a, b = getattr(pooled, f.name), getattr(serial, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        if a.dtype == object:
+            assert a.tolist() == b.tolist(), f.name
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
@@ -86,8 +74,10 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     for rx in route:
         calls.clear()
         res = predict_position(cfg, gmap, rx)
-        assert len(calls) <= 1 + len(res.vis.visible) + 1
-        most = max(most, sum(len(s.left + s.right) for s in res.vis.sides))
+        sub_segments = 1 if res.los[0] else 2
+        assert len(calls) <= 1 + sub_segments + 1
+        sides = res.sides[0]
+        most = max(most, len(sides["left"] + sides["right"]))
     assert most >= 8
 
 
@@ -97,16 +87,17 @@ def test_array_holding_results_compare_by_identity(cfg, corner_map):
     classification."""
     rx = np.array([59.0, 30.0, 2.0])
     first, second = (predict_position(cfg, corner_map, rx) for _ in range(2))
-    assert not first.vis.classification.los
+    assert not first.los[0]
+    vis, other = (identify_position(cfg.tx, rx, corner_map) for _ in range(2))
     route = corner_street_route(3)
     pairs = [
         (first, second),
-        (first.vis.classification, second.vis.classification),
-        (first.vis.sides[0], second.vis.sides[0]),
-        (first.term, second.term),
+        (vis.classification, other.classification),
+        (vis.sides[0], other.sides[0]),
+        (extract_chain(vis, cfg.tx, rx, corner_map)[1],
+         extract_chain(other, cfg.tx, rx, corner_map)[1]),
         (route, Route(route.t, route.xyz)),
         (cfg, ScenarioConfig(tx=cfg.tx)),
-        (PathComponent(rx, 1.0, "direct"), PathComponent(rx, 1.0, "direct")),
     ]
     for x, y in pairs:
         assert x == x and x != y
