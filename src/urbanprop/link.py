@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .fields import ChainStage, diffraction_term, direct_field, recursive_chain
-from .geometry import f_block
+from .geometry import f_block, row_dot
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -53,13 +53,16 @@ class TerminalGeometry:
     wall_incidence: float = 0.0    # incidence angle from the wall normal, rad
 
 
-@dataclass
+@dataclass(eq=False)
 class LinkPrediction:
+    """Both field models at one position: the full model's field and cap
+    flag, and ``power`` (2, 3) of each component (W), full model first."""
+
     pl_db: float
+    pl_simplified_db: float
     e_total: complex
     components: dict      # {"direct", "final_I", "final_II"} -> complex
-    los: bool
-    n_stages: int = 0
+    power: np.ndarray
     capped: bool = False
 
 
@@ -123,37 +126,32 @@ def _reflection_branch(gmap, vis_opposite, e, x):
     seen from the final edge ``e``.
 
     Returns (r, wall_point, image, incidence) or None when no wall yields a
-    valid specular construction.
+    valid specular construction.  Of equally near walls the first, in
+    building-then-face order, wins.
     """
-    best = None
-    for bid in vis_opposite:
-        for nrm, p0 in zip(*gmap.vertical_faces(bid)):
-            d_rx = (x - p0) @ nrm
-            d_e = (e - p0) @ nrm
-            if d_rx * d_e <= 0.0:
-                continue  # edge and RX must face the same wall side
-            image = x - 2.0 * d_rx * nrm
-            seg = image - e
-            denom = seg @ nrm
-            if abs(denom) < 1e-12:
-                continue
-            t = ((p0 - e) @ nrm) / denom
-            if not 0.0 < t < 1.0:
-                continue
-            wall_point = e + t * seg
-            r = float(np.linalg.norm(image - e))
-            inc_dir = wall_point - e
-            inc_norm = np.linalg.norm(inc_dir)
-            if inc_norm < 1e-9 or r <= 0.0:
-                continue
-            incidence = float(np.arccos(
-                np.clip(abs(inc_dir @ nrm) / inc_norm, -1.0, 1.0)))
-            key = abs(d_rx)
-            if best is None or key < best[0]:
-                best = (key, r, wall_point, image, incidence)
-    if best is None:
+    if not vis_opposite:
         return None
-    return best[1:]
+    nrm, p0 = (np.concatenate(a) for a in zip(
+        *[gmap.vertical_faces(bid) for bid in vis_opposite]))
+    d_rx = row_dot(x - p0, nrm)
+    image = x - 2.0 * d_rx[:, None] * nrm
+    seg = image - e
+    denom = row_dot(seg, nrm)
+    # walls (nearly) parallel to the image ray give huge or NaN t: masked
+    with np.errstate(all="ignore"):
+        t = row_dot(p0 - e, nrm) / denom
+        wall_point = e + t[:, None] * seg
+        inc_dir = wall_point - e
+        inc_norm = np.sqrt(row_dot(inc_dir, inc_dir))
+    # edge and RX on the same wall side, a specular point inside the segment
+    valid = ((d_rx * row_dot(e - p0, nrm) > 0.0) & (np.abs(denom) >= 1e-12)
+             & (0.0 < t) & (t < 1.0) & (inc_norm >= 1e-9))
+    if not valid.any():
+        return None
+    i = np.flatnonzero(valid)[np.argmin(np.abs(d_rx[valid]))]
+    incidence = float(np.arccos(
+        np.clip(abs(inc_dir[i] @ nrm[i]) / inc_norm[i], -1.0, 1.0)))
+    return float(np.linalg.norm(seg[i])), wall_point[i], image[i], incidence
 
 
 def extract_chain(vis, tx, rx, gmap):
@@ -252,40 +250,40 @@ def slope_coefficient(kind, term, k):
 # -- composition and path loss ---------------------------------------------
 
 
-def total_field(vis, stages, term, material, p_t, tx, rx, k,
-                g_r=1.0, simplified=False, pl_cap_db=PL_CAP_DB):
-    """Compose the terminal field and convert it to a LinkPrediction.
-
-    ``simplified=True`` replaces the recursive chain field with plain free
-    space from TX to the final edge (no intermediate region fields).
-    """
-    d3d = float(np.linalg.norm(rx - tx))
+def total_field(vis, stages, term, material, p_t, tx, rx, freq,
+                g_r=1.0, pl_cap_db=PL_CAP_DB):
+    """Both models' terminal field as a LinkPrediction: the same terminal
+    branches, fed with the recursive chain field at the final edge (full
+    model) or with free space from the TX to it (simplified model)."""
+    k = 2.0 * np.pi * freq / C_LIGHT
     los = vis.classification.los
-    freq = k * C_LIGHT / (2.0 * np.pi)
-
-    comp = {"direct": 0j, "final_I": 0j, "final_II": 0j}
-    if los:
-        comp["direct"] = direct_field(p_t, d3d, k)
-
-    n_stages = len(stages)
-    if n_stages:
-        if simplified:
-            e_n = direct_field(p_t, term.d_n, k)
-        else:
-            e_n, _trace = recursive_chain(p_t, stages, k)
+    direct = direct_field(p_t, float(np.linalg.norm(rx - tx)), k) if los else 0j
+    comps = [(direct, 0j, 0j)] * 2       # full, simplified
+    if stages:
+        e_full, _trace = recursive_chain(p_t, stages, k)
         ell, r = term.length_direct, term.length_reflected
+        s_i = slope_coefficient("I", term, k)
         a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
-        comp["final_I"] = (e_n * slope_coefficient("I", term, k) * a_i
-                           * np.exp(-1j * k * ell))
-        if not los and term.wall_point is not None:
+        ph_i = np.exp(-1j * k * ell)
+        reflected = not los and term.wall_point is not None
+        if reflected:
             a_ii = np.sqrt(term.d_n / (r * (term.d_n + r)))
             refl = reflection_coefficient(term.wall_incidence, material)
-            comp["final_II"] = (refl * e_n * slope_coefficient("II", term, k)
-                                * a_ii * np.exp(-1j * k * r))
+            s_ii = slope_coefficient("II", term, k)
+            ph_ii = np.exp(-1j * k * r)
+        comps = [(direct, e_n * s_i * a_i * ph_i,
+                  refl * e_n * s_ii * a_ii * ph_ii if reflected else 0j)
+                 for e_n in (e_full, direct_field(p_t, term.d_n, k))]
 
-    e_total = comp["direct"] + comp["final_I"] + comp["final_II"]
-    _p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq, pl_cap_db=pl_cap_db)
-    return LinkPrediction(pl_db, e_total, comp, los, n_stages, capped)
+    e_total, e_simplified = (c[0] + c[1] + c[2] for c in comps)
+    (_p, pl_db, capped), (_p, pl_simplified_db, _capped) = (
+        path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
+        for e in (e_total, e_simplified))
+    # scalar received_power: numpy's array abs and ** 2 round differently
+    power = np.array([[received_power(e, g_r, freq) for e in c] for c in comps])
+    return LinkPrediction(pl_db, pl_simplified_db, e_total,
+                          dict(zip(("direct", "final_I", "final_II"), comps[0])),
+                          power, capped)
 
 
 def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import gpp_path_loss
 from .identify import identify_position
-from .link import extract_chain, friis_path_loss_db, received_power, total_field
+from .link import extract_chain, friis_path_loss_db, total_field
 
 NO_POINT = np.full(3, np.nan)
 
@@ -50,27 +50,21 @@ def predict_position(cfg, gmap, rx):
     """Run the whole model stack for a single receiver position: a
     ``RouteResult`` of one row."""
     tx = cfg.tx
-    k = cfg.wavenumber
     vis = identify_position(tx, rx, gmap, cfg.corridor_width_m)
     stages, term = extract_chain(vis, tx, rx, gmap)
-    args = (vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx, k)
-    full = total_field(*args, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
-    simp = total_field(*args, g_r=cfg.g_r_linear, simplified=True,
-                       pl_cap_db=cfg.pl_cap_db)
+    pred = total_field(vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx,
+                       cfg.freq_hz, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
     los = vis.classification.los
     d3d = float(np.linalg.norm(rx - tx))
     wall = None if term is None else term.wall_point
     row = dict(
         los=los, breakpoint=NO_POINT if los else vis.classification.breakpoint,
         sides=vis.flat_sides(), visible=vis.flat_visible(),
-        n_stages=full.n_stages, pl_model_db=full.pl_db,
-        pl_simplified_db=simp.pl_db,
+        n_stages=len(stages), pl_model_db=pred.pl_db,
+        pl_simplified_db=pred.pl_simplified_db,
         pl_gpp_db=gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9, los),
         pl_free_space_db=friis_path_loss_db(d3d, cfg.freq_hz),
-        e_total=full.e_total,
-        # scalar received_power: numpy's array abs and ** 2 round differently
-        power=[[received_power(e, cfg.g_r_linear, cfg.freq_hz)
-                for e in pred.components.values()] for pred in (full, simp)],
+        e_total=pred.e_total, power=pred.power,
         edge=NO_POINT if term is None else term.edge,
         wall_point=NO_POINT if wall is None else wall)
     return RouteResult(**{name: np.array([v]) for name, v in row.items()})

@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_map, corner_route
+from conftest import build_map, canyon_route, corner_route
+from test_identify import _grid_scene
+from test_kernels import box_scenes
+from urbanprop.config import ScenarioConfig
 from urbanprop.errors import NumericalDomainError
-from urbanprop.fields import direct_field, transition_function
+from urbanprop.fields import direct_field, recursive_chain, transition_function
 from urbanprop.identify import identify_position
-from urbanprop.link import (MaterialConfig, TerminalGeometry, extract_chain,
-                            friis_path_loss_db, path_loss,
+from urbanprop.link import (C_LIGHT, MaterialConfig, TerminalGeometry,
+                            _edge_point, _reflection_branch, extract_chain,
+                            friis_path_loss_db, path_loss, received_power,
                             reflection_coefficient, slope_coefficient,
                             total_field)
 from urbanprop.pipeline import predict_position
 
-K58 = 2.0 * np.pi * 5.8e9 / 299792458.0
+F58 = 5.8e9
+K58 = 2.0 * np.pi * F58 / 299792458.0
 
 
 def pt(x, y, z=2.0):
@@ -72,6 +77,92 @@ class TestExtractChain:
         assert len(stages) == 3
         assert term.wall_point is not None
         assert term.length_reflected > term.length_direct
+
+
+# -- wall image --------------------------------------------------------------
+
+
+def _reflection_branch_loop(gmap, vis_opposite, e, x):
+    """Reference wall image: the scalar scan over buildings and their walls,
+    keeping the first strictly nearer wall."""
+    best = None
+    for bid in vis_opposite:
+        for nrm, p0 in zip(*gmap.vertical_faces(bid)):
+            d_rx = (x - p0) @ nrm
+            d_e = (e - p0) @ nrm
+            if d_rx * d_e <= 0.0:
+                continue
+            image = x - 2.0 * d_rx * nrm
+            seg = image - e
+            denom = seg @ nrm
+            if abs(denom) < 1e-12:
+                continue
+            t = ((p0 - e) @ nrm) / denom
+            if not 0.0 < t < 1.0:
+                continue
+            wall_point = e + t * seg
+            r = float(np.linalg.norm(image - e))
+            inc_dir = wall_point - e
+            inc_norm = np.linalg.norm(inc_dir)
+            if inc_norm < 1e-9 or r <= 0.0:
+                continue
+            incidence = float(np.arccos(
+                np.clip(abs(inc_dir @ nrm) / inc_norm, -1.0, 1.0)))
+            key = abs(d_rx)
+            if best is None or key < best[0]:
+                best = (key, r, wall_point, image, incidence)
+    return None if best is None else best[1:]
+
+
+def _same_image(gmap, ids, e, x):
+    """Whether the array pass gives the scalar scan's image bit for bit;
+    returns True when there is one."""
+    got = _reflection_branch(gmap, ids, e, x)
+    want = _reflection_branch_loop(gmap, ids, e, x)
+    if want is None:
+        assert got is None
+        return False
+    r, wall_point, image, incidence = got
+    assert (r, incidence) == (want[0], want[3])
+    assert wall_point.tobytes() == want[1].tobytes()
+    assert image.tobytes() == want[2].tobytes()
+    return True
+
+
+class TestReflectionBranch:
+    @pytest.mark.parametrize("scene", ["canyon", "corner", "grid"])
+    def test_matches_wall_scan_on_routes(self, scene, canyon_map, corner_map,
+                                         tx):
+        """Every candidate corner of every sub-segment, against either
+        side's candidates, as the final edge."""
+        gmap, tx, route = {
+            "canyon": lambda: (canyon_map, tx, canyon_route()),
+            "corner": lambda: (corner_map, tx, corner_route()),
+            "grid": _grid_scene}[scene]()
+        images = 0
+        for rx in route:
+            for seg in identify_position(tx, rx, gmap).sides:
+                for bid in seg.left + seg.right:
+                    _dist, vid, t = seg.corner[bid]
+                    e = _edge_point(gmap, vid, t, seg.a, seg.b)
+                    for ids in (seg.left, seg.right):
+                        images += _same_image(gmap, ids, e, rx)
+        assert images >= 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_scenes(), st.data())
+    def test_matches_wall_scan_in_box_cities(self, boxes, data):
+        """Integer coordinates put walls at equal distances, so ties occur."""
+        gmap = build_map(boxes)
+        ids = data.draw(st.permutations([bid for bid, _box in boxes]))
+        ids = ids[:data.draw(st.integers(0, len(ids)))]
+        coord = st.one_of(st.integers(-25, 25).map(float),
+                          st.floats(-25.0, 25.0))
+        for _ in range(4):
+            e, x = (np.array([data.draw(coord), data.draw(coord),
+                              data.draw(st.floats(0.0, 15.0))])
+                    for _point in range(2))
+            _same_image(gmap, ids, e, x)
 
 
 # -- reflection coefficient --------------------------------------------------
@@ -229,9 +320,9 @@ class TestPathLoss:
         vis = identify_position(tx, rx, gmap)
         stages, term = extract_chain(vis, tx, rx, gmap)
         m = MaterialConfig()
-        pl1 = total_field(vis, stages, term, m, 1.0, tx, rx, K58).pl_db
-        pl9 = total_field(vis, stages, term, m, 9.0, tx, rx, K58).pl_db
-        assert pl1 == pl9
+        p1 = total_field(vis, stages, term, m, 1.0, tx, rx, F58)
+        p9 = total_field(vis, stages, term, m, 9.0, tx, rx, F58)
+        assert (p1.pl_db, p1.pl_simplified_db) == (p9.pl_db, p9.pl_simplified_db)
 
     def test_domain_errors(self):
         with pytest.raises(NumericalDomainError):
@@ -246,9 +337,10 @@ class TestTotalField:
         vis = identify_position(tx, rx, empty_map)
         stages, term = extract_chain(vis, tx, rx, empty_map)
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
-                           K58)
+                           F58)
         d = float(np.linalg.norm(rx - tx))
-        assert pred.los and pred.n_stages == 0
+        assert vis.classification.los and stages == []
+        assert pred.pl_simplified_db == pred.pl_db
         assert pred.pl_db == pytest.approx(friis_path_loss_db(d, 5.8e9),
                                            abs=1e-9)
 
@@ -282,6 +374,93 @@ class TestTotalField:
         stages, term = extract_chain(vis, tx, rx, canyon_map)
         # force NLOS-style composition check through the component split:
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
-                           K58)
+                           F58)
         assert pred.e_total == pred.components["direct"] \
             + pred.components["final_I"] + pred.components["final_II"]
+
+
+def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
+                    simplified, pl_cap_db):
+    """Reference: one model's ``(pl_db, components, capped)``, composed on
+    its own, the way each model was once computed by a call of its own."""
+    d3d = float(np.linalg.norm(rx - tx))
+    los = vis.classification.los
+    freq = k * C_LIGHT / (2.0 * np.pi)
+    comp = {"direct": 0j, "final_I": 0j, "final_II": 0j}
+    if los:
+        comp["direct"] = direct_field(p_t, d3d, k)
+    if stages:
+        if simplified:
+            e_n = direct_field(p_t, term.d_n, k)
+        else:
+            e_n, _trace = recursive_chain(p_t, stages, k)
+        ell, r = term.length_direct, term.length_reflected
+        a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
+        comp["final_I"] = (e_n * slope_coefficient("I", term, k) * a_i
+                           * np.exp(-1j * k * ell))
+        if not los and term.wall_point is not None:
+            a_ii = np.sqrt(term.d_n / (r * (term.d_n + r)))
+            refl = reflection_coefficient(term.wall_incidence, material)
+            comp["final_II"] = (refl * e_n * slope_coefficient("II", term, k)
+                                * a_ii * np.exp(-1j * k * r))
+    e_total = comp["direct"] + comp["final_I"] + comp["final_II"]
+    _p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq,
+                                    pl_cap_db=pl_cap_db)
+    return pl_db, comp, capped
+
+
+def _bits(values):
+    return np.array(list(values), dtype=np.complex128).tobytes()
+
+
+class TestOneComposition:
+    @pytest.mark.parametrize("scene", ["canyon", "corner", "grid"])
+    def test_matches_two_calls(self, scene, canyon_map, corner_map, tx):
+        """Both models' path loss, components and powers equal those of a
+        separate composition per model, bit for bit."""
+        gmap, tx, route = {
+            "canyon": lambda: (canyon_map, tx, canyon_route()),
+            "corner": lambda: (corner_map, tx, corner_route()),
+            "grid": _grid_scene}[scene]()
+        cfg = ScenarioConfig(tx=tx, g_r_linear=2.0, pl_cap_db=150.0)
+        reflected = differ = 0
+        for rx in route:
+            vis = identify_position(tx, rx, gmap)
+            stages, term = extract_chain(vis, tx, rx, gmap)
+            pred = total_field(vis, stages, term, cfg.material, 1.0, tx, rx,
+                               F58, g_r=2.0, pl_cap_db=150.0)
+            models = [_two_call_field(vis, stages, term, cfg.material, 1.0,
+                                      tx, rx, K58, 2.0, simplified, 150.0)
+                      for simplified in (False, True)]
+            (pl, comp, capped), (pl_s, comp_s, _capped) = models
+            assert (pred.pl_db, pred.pl_simplified_db, pred.capped) == (
+                pl, pl_s, capped)
+            assert pred.components.keys() == comp.keys()
+            assert _bits(pred.components.values()) == _bits(comp.values())
+            assert _bits([pred.e_total]) == _bits([sum(comp.values())])
+            assert pred.power.tobytes() == np.array(
+                [[received_power(e, 2.0, F58) for e in c.values()]
+                 for c in (comp, comp_s)]).tobytes()
+            reflected += pred.power[0, 2] > 0.0
+            differ += pred.pl_db != pred.pl_simplified_db
+        # the canyon street is LOS throughout, so no wall term enters there
+        assert differ and (reflected or scene == "canyon")
+
+    def test_power_at_configured_frequency(self, corner_map, tx):
+        """At 60 GHz, k c / 2 pi is not the configured frequency; the
+        component powers are taken at the configured one."""
+        freq = 60e9
+        k = 2.0 * np.pi * freq / C_LIGHT
+        assert k * C_LIGHT / (2.0 * np.pi) != freq
+        apart = 0
+        for rx in corner_route():
+            vis = identify_position(tx, rx, corner_map)
+            stages, term = extract_chain(vis, tx, rx, corner_map)
+            pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx,
+                               rx, freq)
+            powers = [received_power(e, 1.0, freq)
+                      for e in pred.components.values()]
+            assert pred.power[0].tolist() == powers
+            apart += powers != [received_power(e, 1.0, k * C_LIGHT / (
+                2.0 * np.pi)) for e in pred.components.values()]
+        assert apart
