@@ -1,8 +1,8 @@
 """Comparison path-loss model: the empirical V2V-urban curves, with fixed
 LOS and NLOS coefficients.
 
-The no-recursion simplified variant of the site-specific model is
-``link.total_field(..., simplified=True)``."""
+The no-recursion simplified variant of the site-specific model comes with
+the full model from ``link.total_field``, as ``pl_simplified_db``."""
 
 import numpy as np
 

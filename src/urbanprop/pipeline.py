@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import gpp_path_loss
+from .errors import RouteError
 from .identify import identify_position
 from .link import extract_chain, friis_path_loss_db, total_field
 
@@ -100,6 +101,8 @@ def predict_route(cfg, gmap, route, workers=1):
     consecutive positions goes to one worker, which returns its rows.
     """
     positions = route.xyz
+    if not len(positions):
+        raise RouteError("route must contain at least one point")
     workers = min(workers, len(positions))
     if workers <= 1:
         return _predict_rows(cfg, gmap, positions)

@@ -56,6 +56,21 @@ class TestRmsSpread:
         _mean, spread = rms_spread(np.array([f]), np.array([1.0]))
         assert spread == 0.0
 
+    def test_single_powered_path_random(self):
+        # p * f / p misses f in the last bit for about one power in ten; a
+        # single powered path must still give its own shift and no spread
+        rng = np.random.default_rng(22)
+        shifts = rng.normal(size=(20000, 3)) * 300.0
+        power = rng.uniform(size=(20000, 3)) * 10.0 ** rng.uniform(
+            -15, 0, size=(20000, 1))
+        path = rng.integers(0, 3, size=20000)
+        power[np.arange(3) != path[:, None]] = 0.0
+        own = shifts[np.arange(20000), path]
+        assert ((power * shifts).sum(axis=1) / power.sum(axis=1) != own).any()
+        mean, spread = rms_spread(shifts, power)
+        assert (mean == own).all()
+        assert (spread == 0.0).all()
+
     def test_symmetric_pair(self):
         v = [50.0 * LAM, 0, 0]   # shifts are exactly +-50 Hz
         shifts = doppler_shift(v, [[1, 0, 0], [-1, 0, 0]], F58)
@@ -186,7 +201,8 @@ class TestPathPowers:
 
 def scalar_doppler(cfg, rx, v, power, edge, wall):
     """(mean, spread) of each model at one position by the per-path
-    arithmetic: 1-D norms and dot products, sums over present paths only."""
+    arithmetic: 1-D norms and dot products, sums over present paths only,
+    and a single present path's own shift as the mean."""
     lam = 299792458.0 / cfg.freq_hz
     out = []
     for model_power in power:
@@ -202,7 +218,7 @@ def scalar_doppler(cfg, rx, v, power, edge, wall):
             continue
         ps, fs = np.array(ps), np.array(fs)
         total = ps.sum()
-        mean = float((ps * fs).sum() / total)
+        mean = fs[0] if len(fs) == 1 else float((ps * fs).sum() / total)
         out.append((mean, float(np.sqrt((ps * (fs - mean) ** 2).sum() / total))))
     return out
 

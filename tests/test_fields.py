@@ -18,10 +18,21 @@ QUAD = dict(limit=4000, epsabs=1e-13, epsrel=1e-13)
 
 
 def fresnel_quadrature(u):
-    """Adaptive-quadrature reference for int_0^u exp(-j tau^2) dtau."""
-    # full_output suppresses the roundoff warning on long oscillatory tails
-    re = quad(lambda t: np.cos(t * t), 0.0, u, full_output=1, **QUAD)[0]
-    im = quad(lambda t: -np.sin(t * t), 0.0, u, full_output=1, **QUAD)[0]
+    """Adaptive-quadrature reference for int_0^u exp(-j tau^2) dtau.
+
+    With s = tau^2 it is int_0^(u^2) exp(-j s) / (2 sqrt(s)) ds: QUADPACK's
+    QAWS takes the 1/sqrt(s) end-point singularity on [0, min(u^2, 1)] and
+    QAWO the cos/sin oscillation on the rest (Piessens et al., 1983).
+    """
+    head, end = min(u * u, 1.0), u * u
+    alg = dict(weight="alg", wvar=(-0.5, 0.0), **QUAD)
+    re = quad(lambda s: 0.5 * np.cos(s), 0.0, head, **alg)[0]
+    im = -quad(lambda s: 0.5 * np.sin(s), 0.0, head, **alg)[0]
+    if end > 1.0:
+        def amplitude(s):
+            return 0.5 / np.sqrt(s)
+        re += quad(amplitude, 1.0, end, weight="cos", wvar=1.0, **QUAD)[0]
+        im -= quad(amplitude, 1.0, end, weight="sin", wvar=1.0, **QUAD)[0]
     return complex(re, im)
 
 

@@ -1,5 +1,6 @@
 """Route evaluation through the worker pool against the serial path."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import CORNER_BOXES, build_map
 from test_identify import _grid_scene
 from urbanprop import kernels
 from urbanprop.config import Route, ScenarioConfig
+from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import extract_chain
@@ -40,6 +42,18 @@ def test_pool_matches_serial(cfg, corner_map, n, workers):
             assert a.tolist() == b.tolist(), f.name
         else:
             assert a.tobytes() == b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_route_rejected_before_any_pool(cfg, corner_map, monkeypatch,
+                                             workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(RouteError, match="at least one point"):
+        predict_route(cfg, corner_map, Route(np.empty(0), np.empty((0, 3))),
+                      workers=workers)
 
 
 def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
