@@ -41,7 +41,7 @@ class GeometryMap:
     cull against, and each building's triangle ids; the roof-vertex table:
     ``roof_vertex`` (ring vertex ids within ``EPS_TOP`` of each building's
     top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
-    position); the ring walls of each roof vertex (``ring_walls``) and each
+    position); the ring walls at each roof-table row (``ring_walls``) and each
     building's vertical faces (``vertical_faces``).  Every occlusion query
     (``first_hit``, ``any_hit``, ``segment_hits``) culls per (segment, box)
     and tests the kept (segment, triangle) pairs in one kernel call.
@@ -134,7 +134,7 @@ class GeometryMap:
             np.minimum.reduceat(pts, starts_b).T - BOX_PAD)
         self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
         ring = np.flatnonzero(pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP)
-        self._roof_key = pair[ring]
+        roof_key = pair[ring]
         self.roof_vertex = pair_v[ring]
         self.roof_vertex.flags.writeable = False
         self.roof_xy = pts[ring, :2]
@@ -148,14 +148,17 @@ class GeometryMap:
         k = np.arange(len(flat)) - starts[owner]
         step = np.stack([(k - 1) % sizes[owner], (k + 1) % sizes[owner]], axis=1)
         nb = flat[starts[owner, None] + step].reshape(-1)
-        here, here_b = np.repeat(flat, 2), np.repeat(face_pos[owner], 2)
-        row = self._roof_row(here_b, here)
+        here = np.repeat(flat, 2)
+        # roof-table rows of the (building, vertex) keys of both ends
+        query = np.repeat(face_pos[owner], 2) * n + np.stack([here, nb])
+        row = np.minimum(np.searchsorted(roof_key, query), len(roof_key) - 1)
         d = self.vertices[nb, :2] - self.vertices[here, :2]
         norm = np.hypot(d[:, 0], d[:, 1])
-        keep = (row >= 0) & (self._roof_row(here_b, nb) >= 0) & (norm > 1e-9)
-        order = np.argsort(row[keep], kind="stable")
+        keep = (roof_key[row] == query).all(axis=0) & (norm > 1e-9)
+        row = row[0, keep]
+        order = np.argsort(row, kind="stable")
         self.ring_dir = (d[keep] / norm[keep, None])[order]
-        self._ring_dir_edge = _edges(row[keep], len(self.roof_vertex))
+        self._ring_dir_edge = _edges(row, len(self.roof_vertex))
 
         # vertical faces per building, ascending face index; a degenerate
         # face's NaN normal is not vertical
@@ -164,13 +167,6 @@ class GeometryMap:
         self.wall_normal = self.face_normal[vertical]
         self.wall_point = self.vertices[flat[starts[vertical]]]
         self._wall_edge = _edges(face_pos[vertical], len(self.ids))
-
-    def _roof_row(self, pos, vid):
-        """Row of each (building position, vertex id) pair in the roof-vertex
-        table, or -1 where the vertex is not on that building's roof ring."""
-        key, query = self._roof_key, pos * len(self.vertices) + vid
-        row = np.minimum(np.searchsorted(key, query), len(key) - 1)
-        return np.where(key[row] == query, row, -1)
 
     # -- accessors ---------------------------------------------------------
 
@@ -190,12 +186,9 @@ class GeometryMap:
         pos = self._pos(building_id)
         return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
 
-    def ring_walls(self, building_id, vertex_id):
-        """(K, 2) unit horizontal directions of the roof-ring walls at one of
-        the building's roof vertices, in face order, duplicates kept."""
-        row = int(self._roof_row(self._pos(building_id), vertex_id))
-        if row < 0:
-            return self.ring_dir[:0]
+    def ring_walls(self, row):
+        """(K, 2) unit horizontal directions of the roof-ring walls at the
+        roof vertex in roof-table row ``row``, in face order, duplicates kept."""
         return self.ring_dir[self._ring_dir_edge[row]:self._ring_dir_edge[row + 1]]
 
     def vertical_faces(self, building_id):

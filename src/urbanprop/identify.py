@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import EPS_LEN, line_2d, side_2d
+from .geometry import EPS_LEN, line_2d, row_dot, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 
@@ -40,7 +40,8 @@ class SubSegment:
     """One propagation sub-segment a->b and the buildings flanking it.
 
     ``corner`` maps each candidate building id to its roof corner nearest
-    the sub-segment line: ``(distance, vertex id, unclamped line parameter)``.
+    the sub-segment line: ``(distance, roof-table row, unclamped line
+    parameter)``, the row indexing the map's ``roof_vertex``/``roof_xy``.
     """
 
     a: np.ndarray
@@ -96,11 +97,14 @@ def compute_breakpoint(tx, rx, tri, gmap):
     """Diffraction corner of the building owning triangle ``tri``, the first
     face the TX-RX segment hits.
 
-    Among the building's roof-ring corners on the RX side of that face,
-    picks the one closest (horizontally) to the TX-RX line; ties go to the
-    left-side corner, then the lower vertex index.  The corner is returned
-    at the height of the TX-RX line at that horizontal location.  A TX-RX
-    line with no horizontal length has no breakpoint.
+    Among the building's roof-ring corners on the RX side of that face (the
+    closed half-space), takes those within ``EPS_TIE`` of the smallest
+    horizontal distance to the TX-RX line and picks the left-side one, then
+    the lower vertex index.  Each corner is measured against the nearest,
+    so of a chain of near-ties spanning more than ``EPS_TIE`` the far end is
+    out.  The corner is returned at the height of the TX-RX line at that
+    horizontal location.  A TX-RX line with no horizontal length has no
+    breakpoint.
     """
     blocking_id = int(gmap.ids[gmap.tri_building[tri]])
     v0, v1, v2 = gmap.triangle(tri)
@@ -110,36 +114,18 @@ def compute_breakpoint(tx, rx, tri, gmap):
 
     ring = gmap.top_vertices(blocking_id)
     corners = gmap.vertices[ring]
-    tline, cross, dist = line_2d(corners, tx, rx)
-    left = side_2d(cross)
-    best = None
-    for k, vid in enumerate(ring):
-        side_of_face = np.sign(corners[k] @ nrm - offset)
-        # closed half-space: corners lying exactly on the hit plane qualify
-        if rx_sign != 0 and side_of_face == -rx_sign:
-            continue
-        # sort key: distance, then right-before-left inverted (left wins), then index
-        key = (dist[k], -left[k], int(vid))
-        if best is None or _tie_lt(key, best[0]):
-            best = (key, k)
-    if best is None:
+    ok = (rx_sign == 0) | (np.sign(row_dot(corners, nrm) - offset) != -rx_sign)
+    if not ok.any():
         raise DegenerateGeometryError(
             f"building {blocking_id} has no roof corner on the RX side of the hit face")
-    k = best[1]
-    z = tx[2] + tline[k] * (rx[2] - tx[2])
-    if not np.isfinite(z):
+    tline, cross, dist = line_2d(corners, tx, rx)
+    if not np.isfinite(tline).all():
         raise DegenerateGeometryError(
             "the TX-RX line has no horizontal length; no breakpoint")
+    near = np.flatnonzero(ok & (dist <= dist[ok].min() + EPS_TIE))
+    k = near[np.lexsort((ring[near], -side_2d(cross[near])))[0]]
+    z = tx[2] + tline[k] * (rx[2] - tx[2])
     return np.array([corners[k, 0], corners[k, 1], z])
-
-
-def _tie_lt(ka, kb):
-    # lexicographic with a tolerance on the leading distance component
-    if ka[0] < kb[0] - EPS_TIE:
-        return True
-    if ka[0] > kb[0] + EPS_TIE:
-        return False
-    return ka[1:] < kb[1:]
 
 
 # -- Candidate selection (initial identification) --------------------------
@@ -168,7 +154,7 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
     rows = rows[np.lexsort((dist[rows], owner[rows]))]
     rows = rows[np.diff(owner[rows], prepend=-1) != 0]
     corner = dict(zip(gmap.ids[owner[rows]].tolist(), zip(
-        dist[rows].tolist(), gmap.roof_vertex[rows].tolist(), t[rows].tolist())))
+        dist[rows].tolist(), rows.tolist(), t[rows].tolist())))
     return SubSegment(a, b, gmap.ids[left].tolist(), gmap.ids[right].tolist(),
                       corner)
 

@@ -76,8 +76,9 @@ def _angle_from(w, v):
     return np.arctan2(cross, dot)
 
 
-def _screen_frame(gmap, bid, vid, edge_xy, prev_xy):
-    """Screen wall and orientation at a corner for the incident ray prev->edge.
+def _screen_frame(gmap, row, edge_xy, prev_xy):
+    """Screen wall and orientation at the corner in roof-table row ``row``
+    for the incident ray prev->edge.
 
     Returns ``(screen, orient, alpha_s)``: the roof-ring wall direction most
     nearly parallel to the ray, the sign that puts the source at a positive
@@ -88,7 +89,7 @@ def _screen_frame(gmap, bid, vid, edge_xy, prev_xy):
     inc_n = np.hypot(inc[0], inc[1])
     if inc_n < 1e-9:
         return None
-    walls = gmap.ring_walls(bid, vid)
+    walls = gmap.ring_walls(row)
     if not len(walls):
         return None
     inc = inc / inc_n
@@ -113,11 +114,11 @@ def _wedge_angles(frame, edge_xy, next_xy):
     return float(np.clip(alpha, 0.0, np.pi)), _departure(frame, next_xy - edge_xy)
 
 
-def _edge_point(gmap, vid, t, a, b):
-    """Roof corner ``vid`` at the height of the line a->b at parameter ``t``,
-    clamped to the sub-segment."""
+def _edge_point(gmap, row, t, a, b):
+    """Roof corner in roof-table row ``row`` at the height of the line a->b
+    at parameter ``t``, clamped to the sub-segment."""
     tz = min(max(t, 0.0), 1.0)
-    x, y, _z = gmap.vertices[vid]
+    x, y = gmap.roof_xy[row]
     return np.array([x, y, a[2] + tz * (b[2] - a[2])])
 
 
@@ -164,29 +165,29 @@ def extract_chain(vis, tx, rx, gmap):
     for seg_idx, vseg in enumerate(vis.visible):
         for side in ("left", "right"):
             for bid in getattr(vseg, side):
-                _dist, vid, t = vseg.corner[bid]
-                first.setdefault(bid, (seg_idx, t, bid, vid, side))
+                _dist, row, t = vseg.corner[bid]
+                first.setdefault(bid, (seg_idx, t, bid, row, side))
     if not first:
         return [], None
     ordered = sorted(first.values())     # by sub-segment, line parameter, id
-    edges = [_edge_point(gmap, vid, t, vis.visible[seg].a, vis.visible[seg].b)
-             for seg, t, _bid, vid, _side in ordered]
+    edges = [_edge_point(gmap, row, t, vis.visible[seg].a, vis.visible[seg].b)
+             for seg, t, _bid, row, _side in ordered]
 
     points = [tx, *edges, rx]
     # whether the TX->edge ray of each stage after the first is blocked
     blocked = [0, *f_block(np.broadcast_to(tx, (len(edges) - 1, 3)),
                            np.array(edges[1:]), gmap)]
     stages = []
-    for i, (_seg, _t, bid, vid, _side) in enumerate(ordered):
+    for i, (_seg, _t, _bid, row, _side) in enumerate(ordered):
         here_xy = points[i + 1][:2]
-        frame = _screen_frame(gmap, bid, vid, here_xy, points[i][:2])
+        frame = _screen_frame(gmap, row, here_xy, points[i][:2])
         alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
         d_tx = float(np.linalg.norm(points[i + 1] - tx))
         dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
         stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
                                  direct_blocked=bool(blocked[i])))
 
-    last_seg, _t, _bid, _vid, last_side = ordered[-1]
+    last_seg, _t, _bid, _row, last_side = ordered[-1]
     last_edge = edges[-1]
     length_direct = float(np.linalg.norm(rx - last_edge))
     d_n = stages[-1].d_tx

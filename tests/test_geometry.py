@@ -207,19 +207,20 @@ class TestMapLoading:
         # ring-wall order decides link._screen_frame's ties
         raw = make()
         gmap = map_from_dict(raw)
-        n_walls = 0
-        for bid in gmap.ids.tolist():
-            for vid in gmap.top_vertices(bid):
-                walls = gmap.ring_walls(bid, vid)
+        n_walls = n_rows = 0
+        for pos, bid in enumerate(gmap.ids.tolist()):
+            for row in np.flatnonzero(gmap.roof_owner == pos):
+                walls = gmap.ring_walls(row)
                 assert walls.shape[1] == 2
-                assert walls.tobytes() == _bits(
-                    _ring_neighbors_loop(raw, gmap, bid, vid), 2)
+                assert walls.tobytes() == _bits(_ring_neighbors_loop(
+                    raw, gmap, bid, gmap.roof_vertex[row]), 2)
                 n_walls += len(walls)
+                n_rows += 1
             normals, points = gmap.vertical_faces(bid)
             loop = _vertical_faces_loop(raw, gmap, bid)
             assert normals.tobytes() == _bits([n for n, _p in loop], 3)
             assert points.tobytes() == _bits([p for _n, p in loop], 3)
-        assert n_walls > 0
+        assert n_walls > 0 and n_rows == len(gmap.roof_vertex)
 
 
 # -- side test ---------------------------------------------------------------

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORNER_BOXES, build_map, canyon_route, corner_route
+from conftest import (CORNER_BOXES, build_map, build_map_dict, canyon_route,
+                      corner_route)
+from identity import prism
 from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
 from test_kernels import box_scenes, dense
 from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError
-from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict
-from urbanprop.identify import (classify_link, compute_breakpoint,
+from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
+from urbanprop.identify import (EPS_TIE, classify_link, compute_breakpoint,
                                 identify_position, initial_identification,
                                 visible_identification)
 from urbanprop.link import _edge_point
@@ -97,6 +99,155 @@ class TestBreakpoint:
         with pytest.raises(DegenerateGeometryError,
                            match="^the TX-RX line has no horizontal length"):
             classify_link(pt(5, 5, 20), pt(5, 5, 5), gmap)
+
+    def test_no_corner_on_rx_side_is_checked_first(self):
+        # building 0 is a low wall across the line plus a tall tower behind
+        # the TX, so its roof ring is the tower's top only and lies on the
+        # TX side of every wall face; a vertical link through the wall's
+        # roof also has no horizontal length, and the corner error wins
+        raw = build_map_dict([(0, (10.0, -10.0, 12.0, 10.0, 5.0)),
+                              (1, (-5.0, 20.0, -3.0, 22.0, 30.0))])
+        raw["faces"] = [{**f, "building": 0} for f in raw["faces"]]
+        raw["buildings"] = [{"id": 0}]
+        gmap = map_from_dict(raw)
+        for rx in (pt(20.0, 0.0), pt(11.0, 0.0, 1.0)):
+            tx = pt(0.0, 0.0) if rx[2] == 2.0 else pt(11.0, 0.0, 20.0)
+            with pytest.raises(DegenerateGeometryError, match="^building 0 has "
+                               "no roof corner on the RX side of the hit face$"):
+                classify_link(tx, rx, gmap)
+
+    def test_chained_near_ties_keep_the_lower_id(self):
+        # three right-side corners 0.6e-9 m apart: (16, -5 - 0.6e-9) and
+        # (20, -5) lie within EPS_TIE of the nearest, (12, -5 - 1.2e-9) does
+        # not; the lower vertex id wins among the two.  A corner-by-corner
+        # scan with a tolerance comparator picked (20, -5).
+        xy = [(20.0, 8.0), (10.0, 8.0), (10.0, -5.0 - 1.2e-9),
+              (12.0, -5.0 - 1.2e-9), (16.0, -5.0 - 0.6e-9), (20.0, -5.0)]
+        verts, faces = prism(0, xy, 20.0, 0)
+        # vertex ids in ring order from (12, -5 - 1.2e-9)
+        order = [3, 4, 5, 0, 1, 2]
+        perm = order + [6 + k for k in order]
+        remap = {old: new for new, old in enumerate(perm)}
+        raw = {"vertices": [verts[k] for k in perm],
+               "faces": [{**f, "v": [remap[v] for v in f["v"]]} for f in faces],
+               "buildings": [{"id": 0}]}
+        gmap = map_from_dict(raw)
+        bp = classify_link(pt(0.0, 0.0), pt(40.0, 0.0), gmap).breakpoint
+        assert bp.tolist() == [16.0, -5.0 - 0.6e-9, 2.0]
+        assert _scan_breakpoint(pt(0.0, 0.0), pt(40.0, 0.0),
+                                gmap.first_hit(pt(0.0, 0.0), pt(40.0, 0.0))[1],
+                                gmap)[0].tolist() == [20.0, -5.0, 2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_corner_scan(self, data):
+        """Bit for bit the per-corner scan wherever the eligible corners
+        within 2 EPS_TIE of each other tie to 1e-12 m, the only places the
+        scan's comparator is transitive."""
+        gmap = map_from_dict(data.draw(prism_cities()))
+        coord = st.one_of(st.integers(-25, 25).map(float),
+                          st.floats(-25.0, 25.0))
+        for _ in range(4):
+            pos = data.draw(st.integers(0, len(gmap.ids) - 1))
+            lo, hi = gmap.box_lo[:, pos], gmap.box_hi[:, pos]
+            aim = np.array([data.draw(st.floats(a, b)) for a, b in zip(lo, hi)])
+            tx = np.array([data.draw(coord), data.draw(coord),
+                           data.draw(st.floats(0.5, 20.0))])
+            if data.draw(st.booleans()):
+                # a line parallel to the x axis at an integer y through the
+                # box: equidistant corners on unturned footprints
+                tx[1] = aim[1] = data.draw(st.integers(
+                    int(np.ceil(lo[1])), int(np.floor(hi[1]))))
+            rx = aim + data.draw(st.floats(0.1, 2.0)) * (aim - tx)
+            _t, tri = gmap.first_hit(tx, rx)
+            if tri < 0:
+                continue
+            want, dist = _scan_breakpoint(tx, rx, tri, gmap)
+            gap = np.abs(dist[:, None] - dist)
+            if ((gap <= 2.0 * EPS_TIE) & (gap > 1e-12)).any():
+                continue
+            got = _outcome(compute_breakpoint, tx, rx, tri, gmap)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def _scan_breakpoint(tx, rx, tri, gmap):
+    """``compute_breakpoint`` as the corner-by-corner scan it once was, with
+    a tolerance comparator on distance, then (-side, vertex id): the
+    breakpoint or the error message, and the eligible corners' distances."""
+    blocking_id = int(gmap.ids[gmap.tri_building[tri]])
+    v0, v1, v2 = gmap.triangle(tri)
+    nrm = np.cross(v1 - v0, v2 - v0)
+    offset = nrm @ v0
+    rx_sign = np.sign(rx @ nrm - offset)
+    ring = gmap.top_vertices(blocking_id)
+    corners = gmap.vertices[ring]
+    tline, cross, dist = line_2d(corners, tx, rx)
+    left = side_2d(cross)
+    best, eligible = None, []
+    for k, vid in enumerate(ring):
+        if rx_sign != 0 and np.sign(corners[k] @ nrm - offset) == -rx_sign:
+            continue
+        eligible.append(dist[k])
+        key = (dist[k], -left[k], int(vid))
+        if best is None or _tie_lt(key, best[0]):
+            best = (key, k)
+    if best is None:
+        return (f"building {blocking_id} has no roof corner on the RX side "
+                f"of the hit face"), np.array(eligible)
+    k = best[1]
+    z = tx[2] + tline[k] * (rx[2] - tx[2])
+    if not np.isfinite(z):
+        return ("the TX-RX line has no horizontal length; no breakpoint",
+                np.array(eligible))
+    return np.array([corners[k, 0], corners[k, 1], z]), np.array(eligible)
+
+
+def _tie_lt(ka, kb):
+    # lexicographic with a tolerance on the leading distance component
+    if ka[0] < kb[0] - EPS_TIE:
+        return True
+    if ka[0] > kb[0] + EPS_TIE:
+        return False
+    return ka[1:] < kb[1:]
+
+
+@st.composite
+def prism_cities(draw):
+    """Map dict of 1-5 prisms on integer footprints (boxes, boxes with a
+    collinear vertex mid-edge, hexagons, L-shapes), integer heights, the
+    whole city turned by 0 or a random angle; equal distances abound."""
+    verts, faces = [], []
+    n = draw(st.integers(1, 5))
+    for bid in range(n):
+        x0, y0 = draw(st.integers(-20, 15)), draw(st.integers(-20, 15))
+        x1, y1 = x0 + draw(st.integers(3, 10)), y0 + draw(st.integers(3, 10))
+        kind = draw(st.sampled_from(["box", "mid-edge", "hexagon", "L"]))
+        if kind == "box":
+            xy = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        elif kind == "mid-edge":
+            xy = [(x0, y0), (x1, y0), (x1, y1),
+                  (draw(st.integers(x0 + 1, x1 - 1)), y1), (x0, y1)]
+        elif kind == "hexagon":
+            ym = draw(st.integers(y0 + 1, y1 - 1))
+            xy = [(x0 + 1, y0), (x1 - 1, y0), (x1, ym), (x1 - 1, y1),
+                  (x0 + 1, y1), (x0, ym)]
+        else:
+            a = draw(st.integers(1, min(x1 - x0, y1 - y0) - 1))
+            xy = [(x0, y0), (x1, y0), (x1, y0 + a), (x0 + a, y0 + a),
+                  (x0 + a, y1), (x0, y1)]
+        v, f = prism(bid, [(float(x), float(y)) for x, y in xy],
+                     float(draw(st.integers(1, 15))), len(verts))
+        verts += v
+        faces += f
+    turn = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi)))
+    c, s = np.cos(turn), np.sin(turn)
+    verts = [[c * x - s * y, s * x + c * y, z] if turn else [x, y, z]
+             for x, y, z in verts]
+    return {"vertices": verts, "faces": faces,
+            "buildings": [{"id": bid} for bid in range(n)]}
 
 
 
@@ -361,13 +512,13 @@ class TestCornerRecord:
             for sub in segs:
                 assert sorted(sub.corner) == sorted(sub.left + sub.right)
                 for bid in sub.left + sub.right:
-                    dist, vid, t = sub.corner[bid]
+                    dist, row, t = sub.corner[bid]
                     want_vid, want_t, edge = _corner_for_line(gmap, bid, sub.a, sub.b)
                     want_dist = _building_line_distance(bid, gmap, sub.a, sub.b)
                     assert np.float64(dist).tobytes() == want_dist.tobytes()
-                    assert vid == want_vid
+                    assert gmap.roof_vertex[row] == want_vid
                     assert np.float64(t).tobytes() == want_t.tobytes()
-                    assert (_edge_point(gmap, vid, t, sub.a, sub.b).tobytes()
+                    assert (_edge_point(gmap, row, t, sub.a, sub.b).tobytes()
                             == edge.tobytes())
                     ring = gmap.vertices[gmap.top_vertices(bid)]
                     ties += (line_2d(ring, sub.a, sub.b)[2] == want_dist).sum() > 1

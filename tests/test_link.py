@@ -143,8 +143,8 @@ class TestReflectionBranch:
         for rx in route:
             for seg in identify_position(tx, rx, gmap).sides:
                 for bid in seg.left + seg.right:
-                    _dist, vid, t = seg.corner[bid]
-                    e = _edge_point(gmap, vid, t, seg.a, seg.b)
+                    _dist, row, t = seg.corner[bid]
+                    e = _edge_point(gmap, row, t, seg.a, seg.b)
                     for ids in (seg.left, seg.right):
                         images += _same_image(gmap, ids, e, rx)
         assert images >= 10
