@@ -31,20 +31,22 @@ def rms_spread(shifts, power):
     """Power-weighted mean shift and RMS spread over the last axis.
 
     Paths with zero power are absent, whatever their shift (NaN included);
-    where no path has power, the mean and the spread are 0, and where one
-    path has power, the mean is its shift (``p * f / p`` can miss it by a
-    bit) and the spread exactly 0.
+    where no path has power, the mean and the spread are 0.  Both sums run
+    over the shifts taken relative to the first powered path's, ``ref``:
+    the mean is ``ref + sum(p (f - ref)) / sum(p)``, so powered paths that
+    share one shift (a single one included) give exactly that shift and a
+    spread of exactly 0, where ``sum(p f) / sum(p)`` can miss it by a bit.
     """
     on = power > 0.0
     total = np.where(on, power, -0.0).sum(axis=-1)
     some = total > 0.0
     total = np.where(some, total, 1.0)
-    mean = np.where(on, power * shifts, -0.0).sum(axis=-1) / total
-    mean = np.where(on.sum(axis=-1) == 1,
-                    np.where(on, shifts, -0.0).sum(axis=-1), mean)
-    dev = np.where(on, power * (shifts - mean[..., None]) ** 2, -0.0)
+    ref = np.take_along_axis(shifts, on.argmax(axis=-1)[..., None], axis=-1)
+    rel = shifts - ref
+    offset = np.where(on, power * rel, -0.0).sum(axis=-1) / total
+    dev = np.where(on, power * (rel - offset[..., None]) ** 2, -0.0)
     spread = np.sqrt(dev.sum(axis=-1) / total)
-    return np.where(some, mean, 0.0), np.where(some, spread, 0.0)
+    return np.where(some, ref[..., 0] + offset, 0.0), np.where(some, spread, 0.0)
 
 
 def gpp_doppler_estimate(v_mag, freq):

@@ -57,16 +57,28 @@ class TestRmsSpread:
         assert spread == 0.0
 
     def test_single_powered_path_random(self):
-        # p * f / p misses f in the last bit for about one power in ten; a
-        # single powered path must still give its own shift and no spread
+        # p * f / p misses f in the last bit for about one power in ten, and
+        # (p1 f + p2 f) / (p1 + p2) for about one pair in three; a single
+        # powered path, or powered paths sharing one shift, must still give
+        # that shift and no spread
         rng = np.random.default_rng(22)
         shifts = rng.normal(size=(20000, 3)) * 300.0
         power = rng.uniform(size=(20000, 3)) * 10.0 ** rng.uniform(
             -15, 0, size=(20000, 1))
         path = rng.integers(0, 3, size=20000)
-        power[np.arange(3) != path[:, None]] = 0.0
         own = shifts[np.arange(20000), path]
-        assert ((power * shifts).sum(axis=1) / power.sum(axis=1) != own).any()
+        single = np.where(np.arange(3) == path[:, None], power, 0.0)
+        # two or three powered paths at one shift; a dropped path's shift
+        # is NaN, as for an absent path
+        dropped = rng.integers(-1, 3, size=20000)[:, None] == np.arange(3)
+        shared = np.where(dropped, 0.0, power)
+        shifts = np.concatenate([shifts, np.where(dropped, np.nan, own[:, None])])
+        power = np.concatenate([single, shared])
+        own = np.concatenate([own, own])
+        naive = (np.where(power > 0.0, power * shifts, 0.0).sum(axis=1)
+                 / power.sum(axis=1))
+        assert (naive[:20000] != own[:20000]).any()
+        assert (naive[20000:] != own[20000:]).any()
         mean, spread = rms_spread(shifts, power)
         assert (mean == own).all()
         assert (spread == 0.0).all()
@@ -201,8 +213,8 @@ class TestPathPowers:
 
 def scalar_doppler(cfg, rx, v, power, edge, wall):
     """(mean, spread) of each model at one position by the per-path
-    arithmetic: 1-D norms and dot products, sums over present paths only,
-    and a single present path's own shift as the mean."""
+    arithmetic: 1-D norms and dot products, and sums over present paths
+    only, of the shifts relative to the first present path's."""
     lam = 299792458.0 / cfg.freq_hz
     out = []
     for model_power in power:
@@ -216,10 +228,11 @@ def scalar_doppler(cfg, rx, v, power, edge, wall):
         if not ps:
             out.append((0.0, 0.0))
             continue
-        ps, fs = np.array(ps), np.array(fs)
+        ps, rel = np.array(ps), np.array(fs) - fs[0]
         total = ps.sum()
-        mean = fs[0] if len(fs) == 1 else float((ps * fs).sum() / total)
-        out.append((mean, float(np.sqrt((ps * (fs - mean) ** 2).sum() / total))))
+        offset = float((ps * rel).sum() / total)
+        out.append((fs[0] + offset,
+                    float(np.sqrt((ps * (rel - offset) ** 2).sum() / total))))
     return out
 
 
