@@ -8,6 +8,7 @@ data-shape error, 4 numerical-domain error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -121,11 +122,9 @@ def _read_reference(path):
             if reader.fieldnames != ["index", "value"]:
                 raise DataShapeError(
                     f"reference {path} must have header 'index,value'")
-            return [float(row["value"]) for row in reader]
+            return _finite_column([row["value"] for row in reader], "reference")
     except OSError as exc:
         raise ConfigError(f"cannot read reference file {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataShapeError(f"bad reference value: {exc}") from exc
 
 
 def _read_predictions(path):
@@ -137,13 +136,26 @@ def _read_predictions(path):
     cols = {}
     for col in MODEL_COLUMNS:
         if rows and col in rows[0]:
-            try:
-                cols[col] = [float(r[col]) for r in rows]
-            except (TypeError, ValueError) as exc:
-                raise DataShapeError(f"bad value in column {col}: {exc}") from exc
+            cols[col] = _finite_column([r[col] for r in rows],
+                                       f"predictions column {col}")
     if not cols:
         raise DataShapeError(f"no model columns found in {path}")
     return cols
+
+
+def _finite_column(cells, what):
+    """The CSV ``cells`` as floats; DataShapeError naming the first row that
+    is missing, not a number or not finite."""
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            v = float(cell)
+        except (TypeError, ValueError) as exc:
+            raise DataShapeError(f"bad {what} row {i}: {exc}") from exc
+        if not math.isfinite(v):
+            raise DataShapeError(f"bad {what} row {i}: non-finite value {v}")
+        values.append(v)
+    return values
 
 
 def run_compare(args):

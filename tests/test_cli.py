@@ -256,10 +256,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("reference, predictions", [
         ("index,value\n0,1.0\n1\n", "index,pl_model_db\n0,1.0\n1,2.0\n"),
-        ("index,value\n0,1.0\n1,2.0\n", "index,pl_model_db\n0,1.0\n1\n")],
-        ids=["reference", "predictions"])
+        ("index,value\n0,1.0\n1,2.0\n", "index,pl_model_db\n0,1.0\n1\n"),
+        *[(f"index,value\n0,1.0\n1,{v}\n", "index,pl_model_db\n0,1.0\n1,2.0\n")
+          for v in ("nan", "inf", "-inf")],
+        *[("index,value\n0,1.0\n1,2.0\n", f"index,pl_model_db\n0,1.0\n1,{v}\n")
+          for v in ("nan", "inf", "-inf")]],
+        ids=["reference", "predictions", "reference-nan", "reference-inf",
+             "reference--inf", "predictions-nan", "predictions-inf",
+             "predictions--inf"])
     def test_compare_short_row(self, tmp_path, capsys, reference,
                                predictions):
+        # a row without a finite value names the row, exits 3 and writes
+        # nothing: NaN and inf would reach compare.json as NaN/Infinity,
+        # which strict JSON parsers reject
         ref = tmp_path / "ref.csv"
         ref.write_text(reference)
         prd = tmp_path / "prd.csv"
@@ -268,6 +277,8 @@ class TestExitCodes:
                     "--reference", ref, "--predictions", prd]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert " row 1: " in err[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredict:
