@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericalDomainError, RouteError
-from .link import C_LIGHT, PL_CAP_DB, MaterialConfig
+from .link import PL_CAP_DB, MaterialConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +61,6 @@ class ScenarioConfig:
             self.material      # MaterialConfig checks eps_r and polarization
         except NumericalDomainError as exc:
             raise ConfigError(f"config: {exc}") from exc
-
-    @property
-    def wavenumber(self):
-        return 2.0 * np.pi * self.freq_hz / C_LIGHT
 
     @property
     def material(self):
