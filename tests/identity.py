@@ -55,15 +55,12 @@ def _grid_module():
     return module
 
 
-def _timed(xy, z=1.5, dt=0.5):
-    """Route rows ``(t, x, y, z)``, one every ``dt`` seconds."""
+def _l_route(east, y0, x_turn, north, z=1.5, dt=0.5):
+    """Route rows ``(t, x, y, z)``, one every ``dt`` seconds: east along
+    ``y = y0`` through the x values ``east``, then north along ``x = x_turn``
+    through the y values ``north``."""
+    xy = [(x, y0) for x in east] + [(x_turn, y) for y in north]
     return [(k * dt, x, y, z) for k, (x, y) in enumerate(xy)]
-
-
-def _l_route(east, y0, x_turn, north):
-    """East along ``y = y0`` through the x values ``east``, then north along
-    ``x = x_turn`` through the y values ``north``."""
-    return _timed([(x, y0) for x in east] + [(x_turn, y) for y in north])
 
 
 def _mirror_y(raw, tx, route):

@@ -110,8 +110,8 @@ class TestBreakpoint:
         raw["faces"] = [{**f, "building": 0} for f in raw["faces"]]
         raw["buildings"] = [{"id": 0}]
         gmap = map_from_dict(raw)
-        for rx in (pt(20.0, 0.0), pt(11.0, 0.0, 1.0)):
-            tx = pt(0.0, 0.0) if rx[2] == 2.0 else pt(11.0, 0.0, 20.0)
+        for tx, rx in ((pt(0.0, 0.0), pt(20.0, 0.0)),
+                       (pt(11.0, 0.0, 20.0), pt(11.0, 0.0, 1.0))):
             with pytest.raises(DegenerateGeometryError, match="^building 0 has "
                                "no roof corner on the RX side of the hit face$"):
                 classify_link(tx, rx, gmap)
@@ -121,17 +121,15 @@ class TestBreakpoint:
         # (20, -5) lie within EPS_TIE of the nearest, (12, -5 - 1.2e-9) does
         # not; the lower vertex id wins among the two.  A corner-by-corner
         # scan with a tolerance comparator picked (20, -5).
-        xy = [(20.0, 8.0), (10.0, 8.0), (10.0, -5.0 - 1.2e-9),
-              (12.0, -5.0 - 1.2e-9), (16.0, -5.0 - 0.6e-9), (20.0, -5.0)]
+        xy = [(12.0, -5.0 - 1.2e-9), (16.0, -5.0 - 0.6e-9), (20.0, -5.0),
+              (20.0, 8.0), (10.0, 8.0), (10.0, -5.0 - 1.2e-9)]
         verts, faces = prism(0, xy, 20.0, 0)
-        # vertex ids in ring order from (12, -5 - 1.2e-9)
-        order = [3, 4, 5, 0, 1, 2]
-        perm = order + [6 + k for k in order]
-        remap = {old: new for new, old in enumerate(perm)}
-        raw = {"vertices": [verts[k] for k in perm],
-               "faces": [{**f, "v": [remap[v] for v in f["v"]]} for f in faces],
-               "buildings": [{"id": 0}]}
-        gmap = map_from_dict(raw)
+        for f in faces[6:]:
+            # roof and floor listed from vertex 3: the leading three of
+            # the nearly collinear run would fail the planarity check
+            f["v"] = f["v"][3:] + f["v"][:3]
+        gmap = map_from_dict({"vertices": verts, "faces": faces,
+                              "buildings": [{"id": 0}]})
         bp = classify_link(pt(0.0, 0.0), pt(40.0, 0.0), gmap).breakpoint
         assert bp.tolist() == [16.0, -5.0 - 0.6e-9, 2.0]
         assert _scan_breakpoint(pt(0.0, 0.0), pt(40.0, 0.0),
