@@ -242,11 +242,9 @@ def prism_cities(draw):
         faces += f
     turn = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi)))
     c, s = np.cos(turn), np.sin(turn)
-    verts = [[c * x - s * y, s * x + c * y, z] if turn else [x, y, z]
-             for x, y, z in verts]
+    verts = [[c * x - s * y, s * x + c * y, z] for x, y, z in verts]
     return {"vertices": verts, "faces": faces,
             "buildings": [{"id": bid} for bid in range(n)]}
-
 
 
 def _two_query_classification(tx, rx, gmap):
