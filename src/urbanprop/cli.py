@@ -130,17 +130,15 @@ def _read_reference(path):
 def _read_predictions(path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv_rows(fh))
+            reader = csv_rows(fh)
+            rows = list(reader)
     except OSError as exc:
         raise ConfigError(f"cannot read predictions file {path}: {exc}") from exc
-    cols = {}
-    for col in MODEL_COLUMNS:
-        if rows and col in rows[0]:
-            cols[col] = _finite_column([r[col] for r in rows],
-                                       f"predictions column {col}")
-    if not cols:
+    names = [col for col in MODEL_COLUMNS if col in (reader.fieldnames or ())]
+    if not names:
         raise DataShapeError(f"no model columns found in {path}")
-    return cols
+    return {col: _finite_column([r[col] for r in rows],
+                                f"predictions column {col}") for col in names}
 
 
 def _finite_column(cells, what):
@@ -163,14 +161,17 @@ def run_compare(args):
         raise ConfigError("compare requires --reference and --predictions")
     reference = _read_reference(args.reference)
     models = _read_predictions(args.predictions)
-    out_dir = args.output or "."
-    _make_output_dir(out_dir)
-    report = {"rmse_per_model": {}, "ks_per_model": {}}
     for name, series in sorted(models.items()):
         if len(series) != len(reference):
             raise DataShapeError(
                 f"model '{name}' has {len(series)} rows, reference has "
                 f"{len(reference)}")
+        if not series:
+            raise DataShapeError(f"model '{name}' and the reference have no rows")
+    out_dir = args.output or "."
+    _make_output_dir(out_dir)
+    report = {"rmse_per_model": {}, "ks_per_model": {}}
+    for name, series in sorted(models.items()):
         report["rmse_per_model"][name] = rmse(reference, series)
         report["ks_per_model"][name] = ks_distance(reference, series)
         _write_cdf(os.path.join(out_dir, f"cdf_{name}.csv"), series)

@@ -203,16 +203,30 @@ class GeometryMap:
         return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
     def _pairs(self, a, b, building_ids=None, mask=None):
-        """``(met, seg, col, tri, t)`` for the (S, 3) or (3,) segments a->b:
-        ``met`` (S, K) marks each segment whose closed range [0, 1] overlaps
-        the padded box of column k's building (``building_ids``, or every
-        building by position), so no triangle an open segment can hit is
-        culled, and the optional (S, K) ``mask`` keeps.  Each (segment, box)
-        in ``met`` is expanded into one pair per triangle of the building,
-        ascending; ``t`` is each pair's hit."""
+        """``(shape, seg, col, tri, t)`` for the (S, 3) or (3,) segments a->b
+        against the (S, K) ``shape`` of columns: ``building_ids``, or every
+        building by position.  A segment meets column k's building when its
+        closed range [0, 1] overlaps the building's padded box, so no
+        triangle an open segment can hit is culled, and the optional (S, K)
+        ``mask`` keeps the pair.  Each (segment, column) met is expanded into
+        one pair per triangle of the building, ascending; ``t`` is each
+        pair's hit.  A whole-map query first drops the boxes outside the
+        bounding box of all its segments, which the slab test would drop
+        too, so its pairs and their order are the same."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
-        pos = (np.arange(len(self.ids)) if building_ids is None else np.array(
-            [self._pos(bid) for bid in building_ids], dtype=np.int64))
+        if building_ids is None:
+            # BOX_PAD on the bounding box keeps the cull looser than the
+            # slab test below, whose rounding can admit a box a segment
+            # end only touches to within an ulp
+            ends = np.concatenate([a, b])
+            lo = np.fmin.reduce(ends, axis=0, initial=np.inf) - BOX_PAD
+            hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
+            pos = np.flatnonzero(((self.box_lo <= hi[:, None])
+                                  & (self.box_hi >= lo[:, None])).all(axis=0))
+        else:
+            pos = np.array([self._pos(bid) for bid in building_ids],
+                           dtype=np.int64)
+        shape = (len(a), len(self.ids) if building_ids is None else len(pos))
         # An axis with d == 0 gives t = -inf/+inf inside/outside the slab.  It
         # gives NaN, which culls the box, only for a segment in the plane of a
         # padded face: BOX_PAD away from the building, so it cannot hit it.
@@ -224,24 +238,31 @@ class GeometryMap:
         leave = np.maximum(t_lo, t_hi).min(axis=1)
         met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
         if mask is not None:
-            met &= mask
+            met &= mask if building_ids is not None else mask[:, pos]
         seg, col = np.nonzero(met)
         first, count = self._tri_edge[pos[col]], self._tri_count[pos[col]]
         offset = np.repeat(first - np.cumsum(count) + count, count)
         tri = self._tri_by_building[offset + np.arange(len(offset))]
+        if building_ids is None:
+            col = pos[col]
         seg, col = np.repeat(seg, count), np.repeat(col, count)
         t = (kernels.segment_triangles(a[seg], b[seg], *self.triangle(tri),
                                        EPS_HIT) if len(tri) else np.empty(0))
-        return met, seg, col, tri, t
+        return shape, seg, col, tri, t
 
     def first_hit(self, a, b):
-        """Nearest hit of the open segment a->b ((3,) arrays) on the map's
-        faces: ``(t, triangle id)``, or ``(inf, -1)`` when nothing is hit; of
-        equally near hits, the lowest triangle id wins."""
-        *_, tri, t = self._pairs(a, b)
-        t_min = t.min(initial=np.inf)
-        return ((float(t_min), int(tri[t == t_min].min())) if t_min < np.inf
-                else (np.inf, -1))
+        """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
+        faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
+        nothing is hit; of equally near hits, the lowest triangle id wins.
+        (3,) endpoints give one ``(t, triangle id)`` of scalars."""
+        (n, _k), seg, _col, tri, t = self._pairs(a, b)
+        first = np.lexsort((tri, t, seg))
+        first = first[np.diff(seg[first], prepend=-1) != 0]
+        first = first[np.isfinite(t[first])]
+        t_min, tri_min = np.full(n, np.inf), np.full(n, -1)
+        t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
+        return ((float(t_min[0]), int(tri_min[0])) if np.ndim(b) == 1
+                else (t_min, tri_min))
 
     def any_hit(self, a, b, building_ids=None):
         """True when a face of the selected buildings blocks the open segment
@@ -252,8 +273,8 @@ class GeometryMap:
         """(S, K) booleans for the segments a->b: True where a face of column
         k's building (``building_ids``, or every building by position in
         ``ids``) blocks segment s; only pairs an (S, K) ``mask`` keeps."""
-        met, seg, col, _tri, t = self._pairs(a, b, building_ids, mask)
-        hits = np.zeros_like(met)
+        shape, seg, col, _tri, t = self._pairs(a, b, building_ids, mask)
+        hits = np.zeros(shape, dtype=bool)
         hits[seg[np.isfinite(t)], col[np.isfinite(t)]] = True
         return hits
 
@@ -351,8 +372,10 @@ def _integral(x):
 def line_2d(pts, a, b):
     """Where points lie relative to the horizontal line through a->b.
 
-    ``pts`` is (N, 2) or (N, 3) and ``a``/``b`` are points; heights are
-    ignored.  Returns arrays ``(t, cross, dist)``: the unclamped line
+    ``pts`` is (N, 2) or (N, 3) and ``a``/``b`` are points, or (3, S, 1)
+    stacks of S lines for (S, N) results; heights are ignored.  Each entry
+    is computed alone, so it has the bits of the one-line call.  Returns
+    arrays ``(t, cross, dist)``: the unclamped line
     parameter (0 at ``a``, 1 at ``b``), the z-component of the 2D cross
     product (positive on the left) and the perpendicular distance.  A line
     with no horizontal length gives NaN ``t`` and ``dist``, without a

@@ -1,11 +1,11 @@
 """Significant-building identification along a receiver route.
 
-Two passes per receiver position: candidate selection by side of the
-propagation line (with NLOS links split at the breakpoint into TX-bp and
-bp-RX sub-segments, the latter contributing left-side buildings only), then
-near-to-far visibility filtering where a building is kept only if none of
-its roof-ring vertex-to-projection segments is blocked by an already
-accepted building.
+Two passes: candidate selection by side of the propagation line (with NLOS
+links split at the breakpoint into TX-bp and bp-RX sub-segments, the latter
+contributing left-side buildings only), run once over a batch of route
+positions, then, per position, near-to-far visibility filtering where a
+building is kept only if none of its roof-ring vertex-to-projection
+segments is blocked by an already accepted building.
 
 Points (TX, RX, breakpoint, sub-segment ends) are ``(3,)`` float64 arrays.
 All functions are pure over the immutable map; route positions are
@@ -20,6 +20,7 @@ from .errors import DegenerateGeometryError, NumericalDomainError
 from .geometry import EPS_LEN, line_2d, row_dot, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
+CULL_MARGIN = 1.0  # candidate cull margin beyond the corridor, m
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +80,20 @@ def _flatten(segs):
 
 
 def classify_link(tx, rx, gmap):
-    """LOS/NLOS classification of the TX-RX segment against every face.
+    """LOS/NLOS classification of the TX-RX segments against every face.
 
-    One occlusion query over the whole map: the nearest hit triangle (of
-    equally near ones, the lowest id) names the blocking building and
-    anchors the breakpoint.
+    ``rx`` is a (P, 3) route, for a list of P ``LinkClassification``, or one
+    (3,) point, for one.  One occlusion query over the whole map classifies
+    every link: its nearest hit triangle (of equally near ones, the lowest
+    id) names the blocking building and anchors the breakpoint.
     """
-    _t, tri = gmap.first_hit(tx, rx)
-    if tri < 0:
-        return LinkClassification(True)
-    bp = compute_breakpoint(tx, rx, tri, gmap)
-    bid = int(gmap.ids[gmap.tri_building[tri]])
-    return LinkClassification(False, breakpoint=bp, blocking_building=bid)
+    route = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
+    _t, tris = gmap.first_hit(np.broadcast_to(tx, route.shape), route)
+    out = [LinkClassification(True) if tri < 0 else LinkClassification(
+        False, breakpoint=compute_breakpoint(tx, r, tri, gmap),
+        blocking_building=int(gmap.ids[gmap.tri_building[tri]]))
+        for r, tri in zip(route, tris.tolist())]
+    return out if np.ndim(rx) == 2 else out[0]
 
 
 def compute_breakpoint(tx, rx, tri, gmap):
@@ -131,57 +134,67 @@ def compute_breakpoint(tx, rx, tri, gmap):
 # -- Candidate selection (initial identification) --------------------------
 
 
-def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
-    """Buildings with a roof-ring vertex beside the sub-segment a->b.
-
-    A vertex counts when it projects inside the sub-segment and lies within
-    ``corridor_width`` of its line; each building goes to the side most of
-    its counted vertices lie on (ties left); ``left_only`` (the bp-RX
-    sub-segment) keeps the left side only.  The same pass over the map's
-    roof-vertex table records each candidate's roof corner nearest the line.
-    """
-    t, cross, dist = line_2d(gmap.roof_xy, a, b)
-    owner = gmap.roof_owner
-    kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
-    n_buildings = len(gmap.ids)
-    flanking = np.bincount(owner[kept], minlength=n_buildings) > 0
-    votes = np.bincount(owner[kept], side_2d(cross[kept]), minlength=n_buildings)
-    left = flanking & (votes >= 0)
-    right = flanking & (votes < 0) & (not left_only)
-    # first row of each candidate after a stable sort by distance: rings
-    # ascend, so a tie goes to the lower vertex id
-    rows = np.flatnonzero((left | right)[owner])
-    rows = rows[np.lexsort((dist[rows], owner[rows]))]
-    rows = rows[np.diff(owner[rows], prepend=-1) != 0]
-    corner = dict(zip(gmap.ids[owner[rows]].tolist(), zip(
-        dist[rows].tolist(), rows.tolist(), t[rows].tolist())))
-    return SubSegment(a, b, gmap.ids[left].tolist(), gmap.ids[right].tolist(),
-                      corner)
-
-
 def initial_identification(tx, route, gmap, corridor_width=100.0):
-    """Algorithm-1 pass: per route point, LOS/NLOS split and side candidates.
+    """Algorithm-1 pass over route points: LOS/NLOS split and side candidates.
 
-    ``route`` is a sequence of RX points, such as a ``Route``'s ``xyz``.
-    Returns a list of ``(LinkClassification, [SubSegment, ...])``.
+    ``route`` is a sequence of RX points, such as a ``Route``'s ``xyz``.  One
+    LOS query classifies every point; one pass over the map's roof-vertex
+    table then finds the buildings beside every sub-segment.  A vertex
+    counts when it projects inside the sub-segment and lies within
+    ``corridor_width`` of its line; each building goes to the side most of
+    its counted vertices lie on (ties left), and the bp-RX sub-segment keeps
+    the left side only.  The same pass records each candidate's roof corner
+    nearest the line.  Returns a list of ``(LinkClassification,
+    [SubSegment, ...])``.
     """
+    route = np.asarray(route, dtype=np.float64).reshape(-1, 3)
     if len(route) == 0:
         raise ValueError("route must contain at least one point")
     if corridor_width <= 0.0:
         raise ValueError("corridor_width must be positive")
-    out = []
-    for r in route:
-        cls = classify_link(tx, r, gmap)
-        if cls.los:
-            segs = [_segment_candidates(tx, r, gmap, corridor_width)]
-        else:
-            bp = cls.breakpoint
-            segs = [
-                _segment_candidates(tx, bp, gmap, corridor_width),
-                _segment_candidates(bp, r, gmap, corridor_width, left_only=True),
-            ]
-        out.append((cls, segs))
-    return out
+    classes = classify_link(tx, route, gmap)
+    ends = [[(tx, r)] if cls.los else [(tx, cls.breakpoint), (cls.breakpoint, r)]
+            for cls, r in zip(classes, route)]
+    pairs = [ab for segs in ends for ab in segs]
+    left_only = np.array([k == 1 for segs in ends for k in range(len(segs))])
+    a, b = (np.array([ab[k] for ab in pairs]) for k in (0, 1))
+    # Only a building with a roof vertex in the sub-segments' joint xy
+    # bounding box, widened by the corridor, can flank one.  The margin
+    # keeps every vertex whose rounded t and dist could pass at the
+    # corridor's edge; all rows of those buildings are kept, since a
+    # candidate's nearest corner may lie outside the box.
+    reach = corridor_width + CULL_MARGIN
+    xy = np.concatenate([a, b])[:, :2]
+    near = ((gmap.roof_xy >= xy.min(axis=0) - reach)
+            & (gmap.roof_xy <= xy.max(axis=0) + reach)).all(axis=1)
+    rows = np.flatnonzero(np.isin(gmap.roof_owner, gmap.roof_owner[near]))
+    owner = gmap.roof_owner[rows]
+    # (SS, R): every sub-segment's line against every kept row
+    t, cross, dist = line_2d(gmap.roof_xy[rows], a.T[:, :, None], b.T[:, :, None])
+    kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
+    ss, col = np.nonzero(kept)
+    shape = (len(pairs), len(gmap.ids))
+    key = ss * shape[1] + owner[col]
+    flanking = np.bincount(key, minlength=np.prod(shape)).reshape(shape) > 0
+    votes = np.bincount(key, side_2d(cross[kept]),
+                        minlength=np.prod(shape)).reshape(shape)
+    left = flanking & (votes >= 0)
+    right = flanking & (votes < 0) & ~left_only[:, None]
+    # first row of each (sub-segment, candidate) after a stable sort by
+    # distance: rings ascend, so a tie goes to the lower vertex id
+    ss, col = np.nonzero((left | right)[:, owner])
+    order = np.lexsort((dist[ss, col], owner[col], ss))
+    ss, col = ss[order], col[order]
+    first = np.diff(ss * shape[1] + owner[col], prepend=-1) != 0
+    ss, col = ss[first], col[first]
+    corners = list(zip(gmap.ids[owner[col]].tolist(), zip(
+        dist[ss, col].tolist(), rows[col].tolist(), t[ss, col].tolist())))
+    edge = np.searchsorted(ss, np.arange(len(pairs) + 1)).tolist()
+    subs = iter([SubSegment(sa, sb, gmap.ids[left[i]].tolist(),
+                            gmap.ids[right[i]].tolist(),
+                            dict(corners[edge[i]:edge[i + 1]]))
+                 for i, (sa, sb) in enumerate(pairs)])
+    return [(cls, [next(subs) for _ in segs]) for cls, segs in zip(classes, ends)]
 
 
 # -- Visibility filtering --------------------------------------------------

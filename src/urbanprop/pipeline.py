@@ -1,11 +1,14 @@
-"""Per-position prediction pipeline: identification -> chain -> fields, with
-the rows of a route gathered into one table of columns.
+"""Route prediction pipeline: identification -> chain -> fields, with the
+rows of a route gathered into one table of columns.
 
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
-position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  A worker
-pool gets the scene ``(cfg, gmap)`` once per worker, through its initializer,
-and returns the rows of contiguous chunks of positions.
+position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
+route is walked in blocks of ``BLOCK`` positions: one candidate pass
+(``identify.initial_identification``) per block, then visibility, chain and
+fields per position.  A worker pool gets the scene ``(cfg, gmap)`` once per
+worker, through its initializer, and returns the rows of contiguous chunks
+of positions.
 """
 
 import math
@@ -13,12 +16,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import identify
 from .baselines import gpp_path_loss
 from .errors import RouteError
 from .identify import identify_position
 from .link import extract_chain, friis_path_loss_db, total_field
 
 NO_POINT = np.full(3, np.nan)
+# Positions identified together: enough to spread the fixed cost of the LOS
+# query and the candidate pass, few enough that their arrays stay small.
+BLOCK = 16
 
 
 @dataclass(eq=False)
@@ -47,11 +54,15 @@ class RouteResult:
     wall_point: np.ndarray
 
 
-def predict_position(cfg, gmap, rx):
+def predict_position(cfg, gmap, rx, ident=None):
     """Run the whole model stack for a single receiver position: a
-    ``RouteResult`` of one row."""
+    ``RouteResult`` of one row.  ``ident`` is the position's
+    ``(LinkClassification, [SubSegment, ...])`` from
+    ``identify.initial_identification``; without it the position is
+    identified alone."""
     tx = cfg.tx
-    vis = identify_position(tx, rx, gmap, cfg.corridor_width_m)
+    vis = (identify_position(tx, rx, gmap, cfg.corridor_width_m) if ident is None
+           else identify.visible_identification(ident[1], ident[0], gmap))
     stages, term = extract_chain(vis, tx, rx, gmap)
     pred = total_field(vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx,
                        cfg.freq_hz, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
@@ -78,7 +89,15 @@ def _concat(parts):
 
 
 def _predict_rows(cfg, gmap, positions):
-    return _concat([predict_position(cfg, gmap, rx) for rx in positions])
+    rows = []
+    for i in range(0, len(positions), BLOCK):
+        block = positions[i:i + BLOCK]
+        # through the module, so that a wrapper set on its attribute sees it
+        idents = identify.initial_identification(cfg.tx, block, gmap,
+                                                 cfg.corridor_width_m)
+        rows += [predict_position(cfg, gmap, rx, ident)
+                 for rx, ident in zip(block, idents)]
+    return _concat(rows)
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker

@@ -253,6 +253,26 @@ class TestExitCodes:
         assert run(["--output", tmp_path / "o", "compare",
                     "--reference", ref, "--predictions", prd]) == 3
         assert "rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # the model columns were read from the first data row, so a header-only
+    # file named none
+    @pytest.mark.parametrize("reference, message", [
+        ("index,value\n0,1.0\n",
+         "error: model 'pl_model_db' has 0 rows, reference has 1"),
+        ("index,value\n",
+         "error: model 'pl_model_db' and the reference have no rows")],
+        ids=["0-vs-1", "0-vs-0"])
+    def test_compare_header_only_predictions(self, tmp_path, capsys,
+                                             reference, message):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(reference)
+        prd = tmp_path / "prd.csv"
+        prd.write_text("index,pl_model_db\n")
+        assert run(["--output", tmp_path / "o", "compare",
+                    "--reference", ref, "--predictions", prd]) == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("reference, predictions", [
         ("index,value\n0,1.0\n1\n", "index,pl_model_db\n0,1.0\n1,2.0\n"),

@@ -15,9 +15,9 @@ from test_kernels import box_scenes, dense
 from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
-from urbanprop.identify import (EPS_TIE, classify_link, compute_breakpoint,
-                                identify_position, initial_identification,
-                                visible_identification)
+from urbanprop.identify import (EPS_TIE, LinkClassification, classify_link,
+                                compute_breakpoint, identify_position,
+                                initial_identification, visible_identification)
 from urbanprop.link import _edge_point
 
 
@@ -448,6 +448,166 @@ class TestPerPositionIndependence:
             assert cls1.los == cls.los
             assert [s.left for s in segs1] == [s.left for s in segs]
             assert [s.right for s in segs1] == [s.right for s in segs]
+
+
+# -- route identification against the per-position passes ------------------
+
+
+def _position_classification(tx, rx, gmap):
+    """``classify_link`` as it was: one whole-map query per position."""
+    _t, tri = gmap.first_hit(tx, rx)
+    if tri < 0:
+        return LinkClassification(True)
+    return LinkClassification(
+        False, breakpoint=compute_breakpoint(tx, rx, tri, gmap),
+        blocking_building=int(gmap.ids[gmap.tri_building[tri]]))
+
+
+def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
+    """Candidate selection as it was: one pass over the whole roof-vertex
+    table per sub-segment."""
+    t, cross, dist = line_2d(gmap.roof_xy, a, b)
+    owner = gmap.roof_owner
+    kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
+    n_buildings = len(gmap.ids)
+    flanking = np.bincount(owner[kept], minlength=n_buildings) > 0
+    votes = np.bincount(owner[kept], side_2d(cross[kept]), minlength=n_buildings)
+    left = flanking & (votes >= 0)
+    right = flanking & (votes < 0) & (not left_only)
+    rows = np.flatnonzero((left | right)[owner])
+    rows = rows[np.lexsort((dist[rows], owner[rows]))]
+    rows = rows[np.diff(owner[rows], prepend=-1) != 0]
+    corner = dict(zip(gmap.ids[owner[rows]].tolist(), zip(
+        dist[rows].tolist(), rows.tolist(), t[rows].tolist())))
+    return gmap.ids[left].tolist(), gmap.ids[right].tolist(), corner
+
+
+def _per_position_identification(tx, route, gmap, corridor_width):
+    """``initial_identification`` as it was, position by position: each
+    position's classification and its sub-segments' ``(a, b, left, right,
+    corner)``, or the message of the first ``DegenerateGeometryError``."""
+    out = []
+    for r in route:
+        cls = _outcome(_position_classification, tx, r, gmap)
+        if isinstance(cls, str):
+            return cls
+        ends = ([(tx, r, False)] if cls.los else
+                [(tx, cls.breakpoint, False), (cls.breakpoint, r, True)])
+        out.append((cls, [(a, b, *_segment_candidates(a, b, gmap, corridor_width,
+                                                      left_only))
+                          for a, b, left_only in ends]))
+    return out
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_route_identification(tx, route, gmap, corridor_width=100.0):
+    """One ``initial_identification`` over the route equals the per-position
+    passes: classifications, breakpoint and end bits, side lists and corner
+    records, key order included.  Returns the number of NLOS positions."""
+    want = _per_position_identification(tx, route, gmap, corridor_width)
+    got = _outcome(initial_identification, tx, np.array(route), gmap,
+                   corridor_width)
+    if isinstance(want, str):
+        assert got == want
+        return 0
+    assert len(got) == len(want)
+    for (cls, segs), (cls0, segs0) in zip(got, want):
+        assert (cls.los, cls.blocking_building, _bits(cls.breakpoint)) == (
+            cls0.los, cls0.blocking_building, _bits(cls0.breakpoint))
+        assert len(segs) == len(segs0)
+        for sub, (a, b, left, right, corner) in zip(segs, segs0):
+            assert (_bits(sub.a), _bits(sub.b)) == (_bits(a), _bits(b))
+            assert (sub.left, sub.right) == (left, right)
+            assert [(k, _bits(v[0]), v[1], _bits(v[2]))
+                    for k, v in sub.corner.items()] == [
+                (k, _bits(v[0]), v[1], _bits(v[2])) for k, v in corner.items()]
+    return sum(not cls.los for cls, _segs in got)
+
+
+class TestRouteIdentification:
+    @pytest.mark.parametrize("scene", ["canyon", "corner", "rotated", "grid"])
+    def test_fixture_routes(self, scene, canyon_map, corner_map, tx):
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
+        nlos = _assert_route_identification(tx, route, gmap)
+        if scene in ("corner", "grid"):
+            assert nlos >= 3
+
+    def test_single_point_keeps_scalar_classification(self, corner_map, tx):
+        route = np.array(corner_route())
+        batch = classify_link(tx, route, corner_map)
+        assert isinstance(batch, list) and len(batch) == len(route)
+        for rx, cls in zip(route, batch):
+            one = classify_link(tx, rx, corner_map)
+            assert (one.los, one.blocking_building, _bits(one.breakpoint)) == (
+                cls.los, cls.blocking_building, _bits(cls.breakpoint))
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_scenes(), st.data())
+    def test_random_box_cities(self, boxes, data):
+        """Routes of 1-6 RX aimed through the boxes, so most links are
+        blocked, at a corridor width from 1 to 100 m."""
+        gmap = build_map(boxes)
+        coord = st.one_of(st.integers(-25, 25).map(float),
+                          st.floats(-25.0, 25.0))
+        tx = np.array([data.draw(coord), data.draw(coord),
+                       data.draw(st.floats(0.5, 20.0))])
+        route = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            _bid, (x0, y0, x1, y1, h) = data.draw(st.sampled_from(boxes))
+            aim = np.array([data.draw(st.floats(x0, x1)),
+                            data.draw(st.floats(y0, y1)),
+                            data.draw(st.floats(0.0, h))])
+            route.append(aim + data.draw(st.floats(0.1, 2.0)) * (aim - tx))
+        width = data.draw(st.one_of(st.integers(1, 100).map(float),
+                                    st.floats(1.0, 100.0)))
+        _assert_route_identification(tx, route, gmap, width)
+
+    @pytest.mark.parametrize("width", [10.0, 25.0])
+    def test_vertices_on_the_corridor_edge(self, width):
+        """Roof vertices at exactly ``dist == corridor_width`` and at the
+        line parameters t = 0 and t = 1 count; so a cull that trims the
+        corridor by any amount drops them."""
+        tx, rx = pt(0.0, 0.0), pt(100.0, 0.0)
+        boxes = [(0, (-20.0, width, 0.0, width + 10.0, 10.0)),     # t = 0
+                 (1, (100.0, -width - 10.0, 120.0, -width, 10.0)),  # t = 1
+                 (2, (40.0, width, 60.0, width + 10.0, 10.0)),
+                 (3, (40.0, -width - 10.0, 60.0, -width, 10.0)),
+                 (4, (-30.0, -width - 5.0, -20.0, -width, 10.0)),   # t < 0
+                 (5, (70.0, 3.0, 72.0, 8.0, 20.0))]     # blocks (100, 8)
+        gmap = build_map(boxes)
+        route = [rx, pt(48.0, 0.0), pt(100.0, 8.0), pt(100.0, -3.0)]
+        assert _assert_route_identification(tx, route, gmap, width) == 1
+        (_cls, (sub,)), (_cls, (near,)) = initial_identification(
+            tx, route[:2], gmap, width)
+        assert sub.left == [0, 2, 5] and sub.right == [1, 3]
+        assert near.left == [0, 2] and near.right == [3]
+
+    def test_nearest_corner_beyond_the_corridor_box(self, tx):
+        """A candidate's nearest roof corner is searched over its whole ring,
+        even where it lies far outside the sub-segment's corridor."""
+        verts, faces = prism(0, [(95.0, 4.0), (400.0, 1.0), (400.0, 10.0),
+                                 (95.0, 10.0)], 10.0, 0)
+        gmap = map_from_dict({"vertices": verts, "faces": faces,
+                              "buildings": [{"id": 0}]})
+        _assert_route_identification(tx, [pt(100.0, 0.0)], gmap, 5.0)
+        (_cls, (sub,)), = initial_identification(tx, [pt(100.0, 0.0)], gmap, 5.0)
+        dist, row, _t = sub.corner[0]
+        assert sub.left == [0] and dist == 1.0
+        assert gmap.roof_xy[row].tolist() == [400.0, 1.0]
+
+    def test_first_degenerate_position_reports(self):
+        """A block reports the degenerate breakpoint of its first such
+        position, as the per-position passes did."""
+        gmap = build_map([(0, (0.0, 0.0, 10.0, 10.0, 10.0)),
+                          (1, (20.0, 0.0, 30.0, 10.0, 10.0))])
+        tx = pt(5.0, 5.0, 20.0)
+        route = [pt(-5.0, 5.0), pt(5.0, 5.0, 5.0), pt(25.0, 5.0, 5.0)]
+        with pytest.raises(DegenerateGeometryError, match="no horizontal"):
+            initial_identification(tx, route, gmap)
+        _assert_route_identification(tx, route, gmap)
 
 
 # -- nearest-corner record ----------------------------------------------------

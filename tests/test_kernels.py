@@ -10,6 +10,7 @@ or run parallel to an axis (where the slab test divides by zero).
 """
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -140,12 +141,54 @@ class TestCullChangesNothing:
             assert gmap.any_hit(a, b, subset) is bool(
                 by_building[:, cols].any())
             assert np.array_equal(f_block(a, b, gmap), blocked.any(axis=1))
+            t, tri = gmap.first_hit(a, b)
+            assert (t.dtype, tri.dtype, t.shape, tri.shape) == (
+                np.float64, np.int64, (len(a),), (len(a),))
             for i in range(len(a)):
                 assert gmap.first_hit(a[i], b[i]) == _nearest(full[i])
+                # the batch row holds the same bits as the one-row call
+                one_t, one_tri = gmap.first_hit(a[i], b[i])
+                assert t[i].tobytes() == np.float64(one_t).tobytes()
+                assert tri[i] == one_tri
                 assert gmap.any_hit(a[i], b[i]) is bool(blocked[i].any())
                 assert f_block(a[i], b[i], gmap) == blocked[i].any()
                 assert gmap.any_hit(a[i], b[i], subset) is bool(
                     by_building[i, cols].any())
+
+    @settings(max_examples=300, deadline=None)
+    @given(scene_and_segments())
+    def test_whole_map_cull_keeps_every_pair(self, case):
+        """A whole-map query hands the kernel the same (segment, triangle)
+        rows, in the same order, as a query naming every building, which
+        skips the bounding-box cull; so ``kernels.triangles_tested`` does
+        not change."""
+        gmap, _subset, (a, b) = case
+        rows = []
+        kernel = kernels.segment_triangles
+
+        def recording(*args):
+            rows.append(args[:5])
+            return kernel(*args)
+
+        every = gmap.ids.tolist()
+        with patch.object(kernels, "segment_triangles", recording):
+            culled = gmap.segment_hits(a, b)
+            assert len(rows) <= 1
+            whole, rows[:] = rows[:], []
+            assert np.array_equal(gmap.segment_hits(a, b, every), culled)
+        assert len(rows) == len(whole)
+        for got, want in zip(whole, rows):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_empty_batch(self, canyon_map):
+        """Zero segments, as a one-stage chain's ``f_block`` passes, give
+        empty results without a kernel call."""
+        none = np.empty((0, 3))
+        t, tri = canyon_map.first_hit(none, none)
+        assert t.shape == tri.shape == (0,)
+        assert canyon_map.segment_hits(none, none).shape == (0, 5)
+        assert f_block(none, none, canyon_map).shape == (0,)
+        assert not canyon_map.any_hit(none, none)
 
     def test_tie_goes_to_lowest_id_across_interleaved_buildings(self):
         """Two boxes share the wall plane x = 1 and the segment crosses it
@@ -162,6 +205,14 @@ class TestCullChangesNothing:
         t, tri = gmap.first_hit(a[0], b[0])
         assert (t, tri) == _nearest(row)
         assert gmap.ids[gmap.tri_building[tri]] == 1
+        # in a batch, behind a segment that hits nothing and one that hits
+        # the first building only
+        a3 = np.array([[5.0, 5.0, 5.0], [0.5, -1.0, 0.5], a[0]])
+        b3 = np.array([[6.0, 6.0, 6.0], [0.5, 0.5, 0.5], b[0]])
+        t3, tri3 = gmap.first_hit(a3, b3)
+        assert (t3[0], tri3[0]) == (np.inf, -1)
+        assert tri3[1] >= 0 and (t3[1], tri3[1]) == gmap.first_hit(a3[1], b3[1])
+        assert (t3[2], tri3[2]) == (t, tri)
 
 
 def test_triangles_tested_counts_pairs(canyon_map, monkeypatch):

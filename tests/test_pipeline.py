@@ -2,19 +2,21 @@
 
 import concurrent.futures
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from conftest import CORNER_BOXES, build_map
 from test_identify import _grid_scene
-from urbanprop import kernels
+from urbanprop import identify, kernels
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import extract_chain
-from urbanprop.pipeline import RouteResult, predict_position, predict_route
+from urbanprop.pipeline import (BLOCK, RouteResult, predict_position,
+                                predict_route)
 
 
 def corner_street_route(n):
@@ -35,8 +37,12 @@ def test_pool_matches_serial(cfg, corner_map, n, workers):
     serial = predict_route(cfg, corner_map, route)
     pooled = predict_route(cfg, corner_map, route, workers=workers)
     assert len(serial.los) == n
+    assert_same_columns(pooled, serial)
+
+
+def assert_same_columns(got, want):
     for f in dataclasses.fields(RouteResult):
-        a, b = getattr(pooled, f.name), getattr(serial, f.name)
+        a, b = getattr(got, f.name), getattr(want, f.name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
         if a.dtype == object:
             assert a.tolist() == b.tolist(), f.name
@@ -73,17 +79,28 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
 
 def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     """One kernel call at most for the LOS query, one per sub-segment's
-    visibility filter and one per chain, however many candidates."""
+    visibility filter and one per chain, however many candidates; over a
+    route, one LOS query per block of positions."""
     gmap, tx, route = _grid_scene()
     cfg = ScenarioConfig(tx=tx)
     calls = []
     kernel = kernels.segment_triangles
+    classify = identify.classify_link
+    in_classify = []
 
     def counting(*args):
-        calls.append(1)
+        calls.append(bool(in_classify))
         return kernel(*args)
 
+    def classifying(*args):
+        in_classify.append(1)
+        try:
+            return classify(*args)
+        finally:
+            in_classify.pop()
+
     monkeypatch.setattr(kernels, "segment_triangles", counting)
+    monkeypatch.setattr(identify, "classify_link", classifying)
     most = 0
     for rx in route:
         calls.clear()
@@ -93,6 +110,25 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
         sides = res.sides[0]
         most = max(most, len(sides["left"] + sides["right"]))
     assert most >= 8
+    calls.clear()
+    res = predict_route(cfg, gmap, Route(np.arange(len(route), dtype=np.float64),
+                                         np.array(route)))
+    assert len(route) > BLOCK and (~res.los).sum() >= 3
+    assert sum(calls) <= math.ceil(len(route) / BLOCK)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_route_equals_routes_of_one(cfg, corner_map, workers):
+    """Identification a block at a time gives every column the bytes of the
+    positions evaluated one by one, on a route of more than two blocks
+    whose length is not a multiple of the block."""
+    route = corner_street_route(2 * BLOCK + 5)
+    got = predict_route(cfg, corner_map, route, workers=workers)
+    want = [predict_position(cfg, corner_map, rx) for rx in route.xyz]
+    assert 0 < got.los.sum() < len(route.xyz)
+    assert_same_columns(got, RouteResult(*(
+        np.concatenate([getattr(row, f.name) for row in want])
+        for f in dataclasses.fields(RouteResult))))
 
 
 def test_array_holding_results_compare_by_identity(cfg, corner_map):
