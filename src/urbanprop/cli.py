@@ -61,6 +61,10 @@ def _predict(args, check_route=None):
     if check_route is not None:
         check_route(route)
     _make_output_dir(cfg.output_dir)
+    ran = min(args.workers, len(route.t))   # predict_route's pool width
+    if ran < args.workers:
+        print(f"warning: {args.workers} workers asked for, {ran} ran: no "
+              "more than the route's positions", file=sys.stderr)
     return cfg, route, predict_route(cfg, gmap, route, workers=args.workers)
 
 

@@ -54,7 +54,7 @@ class GeometryMap:
         self.ids = np.array(ids, dtype=np.int64)
         if len(np.unique(self.ids)) != len(self.ids):
             raise MapValidationError("duplicate building id")
-        self._position = {int(bid): i for i, bid in enumerate(self.ids)}
+        self._position = dict(zip(self.ids.tolist(), range(len(self.ids))))
         self._load_buildings(*self._load_faces(
             face_vertices, np.array(face_building, dtype=np.int64)))
 
@@ -80,15 +80,18 @@ class GeometryMap:
             (~np.isin(face_bid, self.ids), lambda i: f"face {i} references "
              f"unknown building {face_bid[i]}"))
 
-        v = self.vertices
-        p0 = v[flat[starts]]
-        nrm = np.cross(v[flat[starts + 1]] - p0, v[flat[starts + 2]] - p0)
+        # rows are gathered with take: the same copy as fancy indexing, faster
+        v = self.vertices.take(flat, axis=0)    # at each face-vertex occurrence
+        p0 = v.take(starts, axis=0)
+        nrm = np.cross(v.take(starts + 1, axis=0) - p0,
+                       v.take(starts + 2, axis=0) - p0)
         # Row dot products through matmul sum like the 1-D np.linalg.norm,
         # so each normal equals the one computed face by face, bit for bit.
         norm = np.sqrt(row_dot(nrm, nrm))
         with np.errstate(divide="ignore", invalid="ignore"):
             self.face_normal = nrm / norm[:, None]
-            dist = np.abs(row_dot(v[flat] - p0[owner], self.face_normal[owner]))
+            dist = np.abs(row_dot(v - np.repeat(p0, sizes, axis=0),
+                                  np.repeat(self.face_normal, sizes, axis=0)))
         self.face_normal.flags.writeable = False
         worst = np.zeros(len(sizes))
         np.fmax.at(worst, owner, dist)      # skips the NaN of a degenerate face
@@ -104,9 +107,9 @@ class GeometryMap:
         tri_face = np.repeat(np.arange(len(sizes)), fans)
         first = starts[tri_face]
         k = np.arange(len(tri_face)) - np.repeat(np.cumsum(fans) - fans, fans)
-        self.tri_v0 = v[flat[first]]
-        self.tri_v1 = v[flat[first + k + 1]]
-        self.tri_v2 = v[flat[first + k + 2]]
+        self.tri_v0 = v.take(first, axis=0)
+        self.tri_v1 = v.take(first + k + 1, axis=0)
+        self.tri_v2 = v.take(first + k + 2, axis=0)
         order = np.argsort(self.ids)
         face_pos = order[np.searchsorted(self.ids, face_bid, sorter=order)]
         self.tri_building = face_pos[tri_face]
@@ -124,10 +127,12 @@ class GeometryMap:
 
         # each building's vertices, as sorted unique (position, vertex) keys
         n = len(self.vertices)
-        pair = np.unique(face_pos[owner] * n + flat)
+        key = face_pos[owner] * n + flat       # one per face-vertex occurrence
+        pair = np.sort(key)
+        pair = pair[np.diff(pair, prepend=-1) != 0]
         pair_b, pair_v = np.divmod(pair, n)
         counts = np.bincount(pair_b, minlength=len(self.ids))
-        pts = self.vertices[pair_v]
+        pts = self.vertices.take(pair_v, axis=0)
         starts_b = np.cumsum(counts) - counts
         hi = np.maximum.reduceat(pts, starts_b)
         self.box_lo = np.ascontiguousarray(
@@ -144,28 +149,30 @@ class GeometryMap:
         # Ring walls: at each occurrence of a roof vertex in a face of its
         # building, the unit directions to the previous and then the next
         # vertex of the face that lie on the same roof ring.  Kept in face
-        # order with duplicates, since the order decides ties in link.
-        k = np.arange(len(flat)) - starts[owner]
-        step = np.stack([(k - 1) % sizes[owner], (k + 1) % sizes[owner]], axis=1)
-        nb = flat[starts[owner, None] + step].reshape(-1)
-        here = np.repeat(flat, 2)
-        # roof-table rows of the (building, vertex) keys of both ends
-        query = np.repeat(face_pos[owner], 2) * n + np.stack([here, nb])
-        row = np.minimum(np.searchsorted(roof_key, query), len(roof_key) - 1)
-        d = self.vertices[nb, :2] - self.vertices[here, :2]
+        # order with duplicates, since the order decides ties in link.  Only
+        # the occurrences of roof vertices are paired with their neighbours.
+        row = np.searchsorted(roof_key, key)    # each occurrence's roof row,
+        row[roof_key.take(row, mode="clip") != key] = -1    # -1 off the roof
+        here = np.repeat(np.flatnonzero(row >= 0), 2)
+        o = owner[here]
+        step = np.tile([-1, 1], len(here) // 2)     # previous, then next
+        nb = starts[o] + (here - starts[o] + step) % sizes[o]
+        on_roof = row[nb] >= 0
+        here, nb = here[on_roof], nb[on_roof]
+        xy = self.vertices[:, :2]
+        d = xy.take(flat[nb], axis=0) - xy.take(flat[here], axis=0)
         norm = np.hypot(d[:, 0], d[:, 1])
-        keep = (roof_key[row] == query).all(axis=0) & (norm > 1e-9)
-        row = row[0, keep]
-        order = np.argsort(row, kind="stable")
-        self.ring_dir = (d[keep] / norm[keep, None])[order]
-        self._ring_dir_edge = _edges(row, len(self.roof_vertex))
+        wall = np.flatnonzero(norm > 1e-9)
+        wall = wall[np.argsort(row[here[wall]], kind="stable")]
+        self.ring_dir = d[wall] / norm[wall, None]
+        self._ring_dir_edge = _edges(row[here[wall]], len(self.roof_vertex))
 
         # vertical faces per building, ascending face index; a degenerate
         # face's NaN normal is not vertical
         vertical = np.flatnonzero(np.abs(self.face_normal[:, 2]) < 0.1)
         vertical = vertical[np.argsort(face_pos[vertical], kind="stable")]
         self.wall_normal = self.face_normal[vertical]
-        self.wall_point = self.vertices[flat[starts[vertical]]]
+        self.wall_point = self.vertices.take(flat[starts[vertical]], axis=0)
         self._wall_edge = _edges(face_pos[vertical], len(self.ids))
 
     # -- accessors ---------------------------------------------------------
@@ -322,7 +329,9 @@ def map_from_dict(raw):
     """Check the entries of a parsed map JSON document and build the map.
 
     Vertex ids and building ids must be integral numbers; keys outside the
-    schema, such as a declared origin, are ignored.
+    schema, such as a declared origin, are ignored.  The entries are checked
+    in bulk; only a document with a bad entry or an integral float id is
+    walked entry by entry, which names the first bad entry.
     """
     if not isinstance(raw, dict):
         raise MapValidationError("map must be a JSON object")
@@ -339,24 +348,42 @@ def map_from_dict(raw):
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MapValidationError("'vertices' must be an array of [x, y, z]")
 
+    faces, buildings = raw["faces"], raw["buildings"]
+    try:
+        face_vertices = [f["v"] for f in faces]
+        face_building = [f["building"] for f in faces]
+        ids = [b["id"] for b in buildings]
+        # one pass of type over all ids: int only, so not a bool or a float
+        checked = (set(map(type, face_vertices)) <= {list}
+                   and set(map(type, chain(chain.from_iterable(face_vertices),
+                                           face_building, ids))) <= {int})
+    except (KeyError, TypeError, ValueError):
+        checked = False
+    if not checked:
+        face_vertices, face_building, ids = _entries(faces, buildings)
+    try:
+        return GeometryMap(vertices, face_vertices, face_building, ids)
+    except OverflowError as exc:
+        raise MapValidationError(f"vertex or building id beyond 64 bits: {exc}") from exc
+
+
+def _entries(faces, buildings):
+    """Face vertex ids, face building ids and building ids, entry by entry:
+    integral floats become ints, and the first bad entry is named."""
     face_vertices, face_building = [], []
-    for fi, f in enumerate(raw["faces"]):
+    for fi, f in enumerate(faces):
         try:
             face_vertices.append([_integral(v) for v in f["v"]])
             face_building.append(_integral(f["building"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MapValidationError(f"bad face entry at index {fi}: {exc}") from exc
-
     ids = []
-    for bi, b in enumerate(raw["buildings"]):
+    for bi, b in enumerate(buildings):
         try:
             ids.append(_integral(b["id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MapValidationError(f"bad building entry at index {bi}: {exc}") from exc
-    try:
-        return GeometryMap(vertices, face_vertices, face_building, ids)
-    except OverflowError as exc:
-        raise MapValidationError(f"vertex or building id beyond 64 bits: {exc}") from exc
+    return face_vertices, face_building, ids
 
 
 def _integral(x):

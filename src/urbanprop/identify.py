@@ -111,7 +111,10 @@ def compute_breakpoint(tx, rx, tri, gmap):
     """
     blocking_id = int(gmap.ids[gmap.tri_building[tri]])
     v0, v1, v2 = gmap.triangle(tri)
-    nrm = np.cross(v1 - v0, v2 - v0)
+    # np.cross written out by component: the same bits, without its
+    # per-call axis handling, which cost more than the rest of this function
+    (ax, ay, az), (bx, by, bz) = (v1 - v0).tolist(), (v2 - v0).tolist()
+    nrm = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
     offset = nrm @ v0
     rx_sign = np.sign(rx @ nrm - offset)
 

@@ -89,15 +89,18 @@ def _concat(parts):
 
 
 def _predict_rows(cfg, gmap, positions):
-    rows = []
+    """The ``RouteResult`` of ``positions``; each block's rows are joined
+    once the block is done, so only one block's single-row results are
+    held at a time."""
+    blocks = []
     for i in range(0, len(positions), BLOCK):
         block = positions[i:i + BLOCK]
         # through the module, so that a wrapper set on its attribute sees it
         idents = identify.initial_identification(cfg.tx, block, gmap,
                                                  cfg.corridor_width_m)
-        rows += [predict_position(cfg, gmap, rx, ident)
-                 for rx, ident in zip(block, idents)]
-    return _concat(rows)
+        blocks.append(_concat([predict_position(cfg, gmap, rx, ident)
+                               for rx, ident in zip(block, idents)]))
+    return _concat(blocks)
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker

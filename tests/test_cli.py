@@ -357,14 +357,17 @@ class TestPredict:
         monkeypatch.setattr(pipeline, "_scene", None, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingExecutor)
-        outs = []
+        outs, errs = [], []
         for name, w in (("w1", 1), ("w3", 3)):
             assert run(["--config", cfg, "--workers", w, "--output",
                         tmp_path / name, "predict"]) == 0
             outs.append((tmp_path / name / "predict.csv").read_bytes())
-        capsys.readouterr()
+            errs.append(capsys.readouterr().err)
         assert widths == pool_widths
         assert outs[0] == outs[1]
+        # the clamp is reported in one line; 1 worker is never clamped
+        assert errs == ["", f"warning: 3 workers asked for, {n_positions} "
+                        "ran: no more than the route's positions\n"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,

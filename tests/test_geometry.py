@@ -1,18 +1,23 @@
 """Geometry model and predicate tests, including the brute-force occlusion
 oracle on random box scenes."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_CUBE, build_map, build_map_dict
+from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop.errors import MapValidationError, NumericalDomainError
 from urbanprop.geometry import f_block, line_2d, map_from_dict, side_2d
 from urbanprop.identify import identify_position
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+MISSING = object()      # an entry key to delete
 
 
 def pt(x, y, z=0.0):
@@ -62,6 +67,27 @@ def _shared_wall_pair():
     faces += [{"building": 0, "v": f} for f in low]
     return {"vertices": verts, "faces": faces,
             "buildings": [{"id": 1}, {"id": 0}]}
+
+
+def _box_grid(seed, n=10):
+    """Map dict of an n x n grid of 30 m boxes on a 50 m pitch, heights
+    drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return build_map_dict([
+        (j * n + i, (50.0 * i + 10.0, 50.0 * j + 10.0, 50.0 * i + 40.0,
+                     50.0 * j + 40.0, round(rng.uniform(10.0, 40.0), 3)))
+        for j in range(n) for i in range(n)])
+
+
+def _array_digest(gmap):
+    """sha256 over the name, dtype, shape and bytes of every array the map
+    holds, in name order."""
+    h = hashlib.sha256()
+    for name, value in sorted(vars(gmap).items()):
+        if isinstance(value, np.ndarray):
+            h.update(f"{name} {value.dtype.str} {value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
 
 
 def _ring_neighbors_loop(raw, gmap, bid, vid):
@@ -140,18 +166,45 @@ class TestMapLoading:
         assert sorted(ids.tolist()) == [4, 5, 6, 7]
 
     # the first two used to load truncated, the face as (0, 1, 5, 4) and the
-    # building as 0; the third raised OverflowError
+    # building as 0; the third raised OverflowError.  The rest sit at a late
+    # index (an entry is ``name`` for index 0, or ``(name, index)``), so the
+    # bulk check must hand them to the entry loop that names them.
     @pytest.mark.parametrize("entry, field, value, message", [
         ("faces", "v", [0, 1.9, 5, 4],
          "bad face entry at index 0: 1.9 is not an integer"),
         ("buildings", "id", 0.6,
          "bad building entry at index 0: 0.6 is not an integer"),
         ("buildings", "id", 2 ** 64,
+         "vertex or building id beyond 64 bits: .*"),
+        (("faces", 7), "v", [True, 1, 5, 4],
+         "bad face entry at index 7: True is not an integer"),
+        (("faces", 7), "building", False,
+         "bad face entry at index 7: False is not an integer"),
+        (("buildings", 1), "id", True,
+         "bad building entry at index 1: True is not an integer"),
+        (("faces", 7), "building", "1",
+         "bad face entry at index 7: '1' is not an integer"),
+        (("buildings", 1), "id", "1",
+         "bad building entry at index 1: '1' is not an integer"),
+        (("faces", 7), "v", MISSING, "bad face entry at index 7: 'v'"),
+        (("buildings", 1), "id", MISSING,
+         "bad building entry at index 1: 'id'"),
+        (("faces", 7), "v", 6,
+         "bad face entry at index 7: 'int' object is not iterable"),
+        (("faces", 7), "v", "0154",
+         "bad face entry at index 7: '0' is not an integer"),
+        (("faces", 7), "v", [0, 1, 5, 4.5],
+         "bad face entry at index 7: 4.5 is not an integer"),
+        (("buildings", 1), "id", 2 ** 64,
          "vertex or building id beyond 64 bits: .*")])
     def test_non_integral_id_rejected(self, entry, field, value, message):
         raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
                               (1, (3.0, 0.0, 4.0, 1.0, 2.0))])
-        raw[entry][0][field] = value
+        name, index = (entry, 0) if isinstance(entry, str) else entry
+        if value is MISSING:
+            del raw[name][index][field]
+        else:
+            raw[name][index][field] = value
         with pytest.raises(MapValidationError, match=f"^{message}$"):
             map_from_dict(raw)
 
@@ -221,6 +274,23 @@ class TestMapLoading:
             assert normals.tobytes() == _bits([n for n, _p in loop], 3)
             assert points.tobytes() == _bits([p for _n, p in loop], 3)
         assert n_walls > 0 and n_rows == len(gmap.roof_vertex)
+
+    # Digests of every array the loader builds: a faster way to build the
+    # map must reproduce them bit for bit.
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: _box_grid(7),
+         "5d3d2c3a361c1654338d618c47214b3cae2547ca1e72509a550e2f824304f2f3"),
+        (_rotated_boxes,
+         "e73162150767ab483eaa63736cb418c331498ae144c29cb8026a6fbf4a5f2d5e"),
+        (_l_prism,
+         "2a028ebb1b31fff5e6ec18b46891960479aacd055c67c54403602237ab8bfaa8"),
+        (_shared_wall_pair,
+         "7a39ce0cfebba2033ca823aaa40e1a3bed54bec6a796b20c1edd915876d8c30a"),
+        (lambda: polygon_city(0),
+         "7534e4715ff38c7774f222ff97ab087fae8f7f62b241ccd67b63ab6201537215")],
+        ids=["grid10", "rotated", "l_prism", "shared_wall", "polygons6"])
+    def test_arrays_are_pinned(self, make, digest):
+        assert _array_digest(map_from_dict(make())) == digest
 
 
 # -- side test ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import extract_chain
-from urbanprop.pipeline import (BLOCK, RouteResult, predict_position,
-                                predict_route)
+from urbanprop.pipeline import (BLOCK, RouteResult, _concat,
+                                predict_position, predict_route)
 
 
 def corner_street_route(n):
@@ -152,3 +153,32 @@ def test_array_holding_results_compare_by_identity(cfg, corner_map):
     for x, y in pairs:
         assert x == x and x != y
         assert len({x, y}) == 2 and hash(x) == hash(x)
+
+
+def _transient_bytes(fn):
+    """Traced peak minus what is still held once ``fn()`` has returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
+def test_transient_memory_bounded_by_the_block(cfg, corner_map):
+    """The route's rows are joined a block at a time, so the memory a route
+    needs beyond its result stays under half of what holding one single-row
+    result per position until the end needs (about 1.2 MB at 640
+    positions), and grows less than the route does."""
+    predict_route(cfg, corner_map, corner_street_route(BLOCK))   # warm caches
+    transient = {n: _transient_bytes(lambda: predict_route(
+        cfg, corner_map, corner_street_route(n))) for n in (160, 640)}
+    res = predict_route(cfg, corner_map, corner_street_route(640))
+    per_position = _transient_bytes(lambda: _concat([
+        RouteResult(*(getattr(res, f.name)[i:i + 1].copy()
+                      for f in dataclasses.fields(RouteResult)))
+        for i in range(640)]))
+    assert transient[640] < per_position / 2
+    assert transient[640] < 2 * transient[160]
