@@ -10,16 +10,15 @@ from .geometry import GeometryMap, load_map
 from .identify import (LinkClassification, VisibilitySet, classify_link,
                        compute_breakpoint, identify_position,
                        initial_identification, visible_identification)
-from .fields import (ChainStage, RegionKind, WedgeGeometry, classify_region,
-                     direct_field, fresnel_integral, halfplane_fields,
-                     recursive_chain, region_total_field, transition_function)
+from .fields import (ChainStage, direct_field, recursive_chain, stage_transfer,
+                     transition_function)
 from .link import (LinkPrediction, MaterialConfig, TerminalGeometry,
                    extract_chain, friis_path_loss_db, path_loss,
                    reflection_coefficient, slope_coefficient, total_field)
 from .baselines import gpp_path_loss
 from .doppler import (doppler_shift, gpp_doppler_estimate, rms_spread,
                       route_doppler)
-from .metrics import empirical_cdf, ks_distance, rmse, scatter_density
+from .metrics import empirical_cdf, ks_distance, rmse
 from .config import Route, ScenarioConfig, load_config, load_route
 from .pipeline import RouteResult, predict_position, predict_route
 

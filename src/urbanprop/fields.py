@@ -1,8 +1,7 @@
-"""Complex-field mathematics for half-plane diffraction.
-
-Implements the Fresnel integral, the Kouyoumjian-style transition function,
-region classification at a wedge, the uniform (F-corrected) half-plane
-fields and the recursive multiple-diffraction chain.
+"""Complex-field mathematics for half-plane diffraction: the Kouyoumjian-style
+transition function, the UTD edge term, the transfer factor of one stage
+(the field behind a stage is linear in the field at its edge, so a stage is
+one complex factor) and the recursive multiple-diffraction chain.
 
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
@@ -15,14 +14,11 @@ exp(-j k d).
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-from scipy.special import fresnel, modfresnelm
+from scipy.special import modfresnelm
 
 from .errors import NumericalDomainError
-
-SQRT_PI = np.sqrt(np.pi)
 
 # Transition-function branch thresholds.  The asymptotic series takes over
 # only where its truncation error is far below the 1e-6 accuracy target
@@ -30,18 +26,6 @@ SQRT_PI = np.sqrt(np.pi)
 # form is kept only for arguments too small to matter numerically.
 F_ASYMPTOTIC_MIN = 500.0
 F_SMALL_MAX = 1e-12
-
-
-def fresnel_integral(u):
-    """``int_0^u exp(-j tau^2) dtau`` for real u >= 0.
-
-    Evaluated through the scipy Fresnel sine/cosine integrals, accurate to
-    machine precision (far inside the 1e-8 contract).
-    """
-    if not np.isfinite(u) or u < 0.0:
-        raise NumericalDomainError(f"fresnel_integral requires finite u >= 0, got {u}")
-    s, c = fresnel(u * np.sqrt(2.0 / np.pi))
-    return np.sqrt(np.pi / 2.0) * complex(c, -s)
 
 
 def transition_function(x):
@@ -64,44 +48,6 @@ def transition_function(x):
     return 2j * sx * np.exp(1j * x) * fm
 
 
-class RegionKind(Enum):
-    REFLECTION = "reflection"
-    TRANSMISSION = "transmission"
-    SHADOW = "shadow"
-
-
-@dataclass(frozen=True)
-class WedgeGeometry:
-    """One half-plane stage: wedge angle, observation angle, distance, wavenumber."""
-
-    alpha: float   # rad, in [0, pi]
-    phi: float     # rad, in [0, 2*pi)
-    distance: float  # edge-to-observation distance, m
-    k: float       # wavenumber, rad/m
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= np.pi:
-            raise NumericalDomainError(f"alpha must be in [0, pi], got {self.alpha}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise NumericalDomainError(f"phi must be in [0, 2*pi), got {self.phi}")
-        if self.distance <= 0.0 or self.k <= 0.0:
-            raise NumericalDomainError("distance and k must be positive")
-
-
-def classify_region(g):
-    """Region of the observation angle: reflection / transmission / shadow.
-
-    Boundaries sit at ``alpha`` and ``2*pi - alpha`` (identical whether the
-    wedge angle is given directly in [0, pi/2] or renormalized from
-    [pi/2, pi]); a boundary angle belongs to the region listed first.
-    """
-    if g.phi <= g.alpha:
-        return RegionKind.REFLECTION
-    if g.phi <= 2.0 * np.pi - g.alpha:
-        return RegionKind.TRANSMISSION
-    return RegionKind.SHADOW
-
-
 def diffraction_term(cos_half, k_d):
     """sec(ang/2) * F(2 kD cos^2(ang/2)), finite through the boundary: the
     UTD edge term of the chain stages and of ``link.slope_coefficient``."""
@@ -114,36 +60,34 @@ def diffraction_term(cos_half, k_d):
     return transition_function(x) / cos_half
 
 
-def halfplane_fields(e0, g):
-    """Incident, reflected and diffracted field phasors at the observation point.
+def stage_transfer(alpha, phi, distance, k):
+    """Transfer factor of one half-plane stage: the total field at
+    ``distance`` from the edge and angle ``phi``, per unit field at the edge.
 
-    The diffracted term carries the uniform F-correction on each secant so
-    that the total field stays finite and continuous at the GO boundaries.
-
-    Returns a dict with keys ``"t"``, ``"r"``, ``"d"``.
+    The incident (t), reflected (r) and diffracted (d) terms sum to t + r + d
+    up to ``alpha``, t + d up to ``2*pi - alpha`` and d beyond; a boundary
+    angle belongs to the region listed first.  The F-corrected secants of d
+    keep the factor finite and continuous at both GO boundaries.
     """
-    e0 = complex(e0)
-    a_s = np.pi - g.alpha       # incidence angle from the screen
-    phi_i, phi_r = g.phi - a_s, g.phi + a_s
-    k_d = g.k * g.distance
-    e_t = e0 * np.exp(1j * k_d * np.cos(phi_i))
-    e_r = -e0 * np.exp(1j * k_d * np.cos(phi_r))
-    pref = -e0 * np.exp(-1j * k_d) * np.exp(-1j * np.pi / 4.0) / (
+    if not 0.0 <= alpha <= np.pi:
+        raise NumericalDomainError(f"alpha must be in [0, pi], got {alpha}")
+    if not 0.0 <= phi < 2.0 * np.pi:
+        raise NumericalDomainError(f"phi must be in [0, 2*pi), got {phi}")
+    if distance <= 0.0 or k <= 0.0:
+        raise NumericalDomainError("distance and k must be positive")
+    a_s = np.pi - alpha       # incidence angle from the screen
+    phi_i, phi_r = phi - a_s, phi + a_s
+    k_d = k * distance
+    pref = -np.exp(-1j * k_d) * np.exp(-1j * np.pi / 4.0) / (
         2.0 * np.sqrt(2.0 * np.pi * k_d))
-    e_d = pref * (diffraction_term(np.cos(phi_i / 2.0), k_d)
-                  - diffraction_term(np.cos(phi_r / 2.0), k_d))
-    return {"t": e_t, "r": e_r, "d": e_d}
-
-
-def region_total_field(e0, g):
-    """Total field per the region table: Et+Er+Ed / Et+Ed / Ed."""
-    f = halfplane_fields(e0, g)
-    region = classify_region(g)
-    if region is RegionKind.REFLECTION:
-        return f["t"] + f["r"] + f["d"]
-    if region is RegionKind.TRANSMISSION:
-        return f["t"] + f["d"]
-    return f["d"]
+    d = pref * (diffraction_term(np.cos(phi_i / 2.0), k_d)
+                - diffraction_term(np.cos(phi_r / 2.0), k_d))
+    if phi > 2.0 * np.pi - alpha:
+        return d
+    t = np.exp(1j * k_d * np.cos(phi_i))
+    if phi > alpha:
+        return t + d
+    return t - np.exp(1j * k_d * np.cos(phi_r)) + d
 
 
 def direct_field(p_t, d, k):
@@ -174,38 +118,22 @@ class ChainStage:
             raise NumericalDomainError("stage distances must be positive")
 
 
-@dataclass
-class StageTrace:
-    stage: ChainStage
-    region: RegionKind = None
-    e_total: complex = 0j
-
-
 def recursive_chain(p_t, stages, k):
-    """Field at the last edge of the chain, plus the per-stage trace.
+    """Field at the last edge of the chain.
 
-    E_1 = E_dir(d_1); E_n = E_dir(d_n) + E_z[E_{n-1}, alpha_{n-1},
-    phi_{n-1}, D_{n-1}] for n >= 2, where the per-stage direct term is
-    dropped for edges whose view of the TX is blocked.
+    E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
+    tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
+    per-stage direct term dropped for edges whose view of the TX is blocked.
     """
     if not stages:
         raise NumericalDomainError("recursive_chain requires at least one stage")
-    trace = []
-    e_prev = None
-    for n, st in enumerate(stages):
-        try:
-            if n == 0:
-                e_here = direct_field(p_t, st.d_tx, k)
-                region = None
-            else:
-                prev = stages[n - 1]
-                g = WedgeGeometry(prev.alpha, prev.phi, prev.dist_next, k)
-                region = classify_region(g)
-                e_here = region_total_field(e_prev, g)
-                if not st.direct_blocked:
-                    e_here += direct_field(p_t, st.d_tx, k)
-        except NumericalDomainError as exc:
-            raise NumericalDomainError(f"stage {n}: {exc}") from exc
-        trace.append(StageTrace(st, region, e_here))
-        e_prev = e_here
-    return e_prev, trace
+    n = 0
+    try:
+        e = direct_field(p_t, stages[0].d_tx, k)
+        for n, (prev, st) in enumerate(zip(stages, stages[1:]), start=1):
+            e = e * stage_transfer(prev.alpha, prev.phi, prev.dist_next, k)
+            if not st.direct_blocked:
+                e += direct_field(p_t, st.d_tx, k)
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(f"stage {n}: {exc}") from exc
+    return e

@@ -12,6 +12,7 @@ y north, z up).  Geographic input must be pre-projected.  A point is a
 """
 
 import json
+import numbers
 from itertools import chain
 
 import numpy as np
@@ -49,8 +50,9 @@ class GeometryMap:
 
     def __init__(self, vertices, face_vertices, face_building, ids):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-        if self.vertices.size and not np.isfinite(self.vertices).all():
-            raise MapValidationError("non-finite vertex coordinate")
+        if not np.isfinite(self.vertices).all():
+            i = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0]
+            raise MapValidationError(f"non-finite vertex coordinate at index {i}")
         self.ids = np.array(ids, dtype=np.int64)
         if len(np.unique(self.ids)) != len(self.ids):
             raise MapValidationError("duplicate building id")
@@ -328,25 +330,31 @@ def load_map(path):
 def map_from_dict(raw):
     """Check the entries of a parsed map JSON document and build the map.
 
-    Vertex ids and building ids must be integral numbers; keys outside the
-    schema, such as a declared origin, are ignored.  The entries are checked
-    in bulk; only a document with a bad entry or an integral float id is
-    walked entry by entry, which names the first bad entry.
+    Coordinates must be real numbers, vertex and building ids integral
+    ones; keys outside the schema, such as a declared origin, are ignored.
+    The entries are checked in bulk; only a document with a bad entry or an
+    integral float id is walked entry by entry, naming the first bad one.
     """
     if not isinstance(raw, dict):
         raise MapValidationError("map must be a JSON object")
     for key in ("vertices", "faces", "buildings"):
         if not isinstance(raw.get(key), list):
             raise MapValidationError(f"map has no '{key}' array")
+    coords = raw["vertices"]
     try:
-        vertices = np.array(raw["vertices"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        flat = list(chain.from_iterable(coords))
+    except TypeError as exc:
         raise MapValidationError(
             f"'vertices' must be an array of [x, y, z]: {exc}") from exc
-    if vertices.size == 0:
-        vertices = np.empty((0, 3))
-    if vertices.ndim != 2 or vertices.shape[1] != 3:
+    # one type pass over the coordinates: np.array converts bools, strs, nulls
+    bad = {t for t in set(map(type, flat))
+           if t is bool or not issubclass(t, numbers.Real)}
+    if bad:
+        i, x = next((i, x) for i, v in enumerate(coords) for x in v if type(x) in bad)
+        raise MapValidationError(f"bad vertex entry at index {i}: {x!r} is not a number")
+    if set(map(len, coords)) - {3}:
         raise MapValidationError("'vertices' must be an array of [x, y, z]")
+    vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
 
     faces, buildings = raw["faces"], raw["buildings"]
     try:

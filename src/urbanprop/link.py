@@ -261,7 +261,7 @@ def total_field(vis, stages, term, material, p_t, tx, rx, freq,
     direct = direct_field(p_t, float(np.linalg.norm(rx - tx)), k) if los else 0j
     comps = [(direct, 0j, 0j)] * 2       # full, simplified
     if stages:
-        e_full, _trace = recursive_chain(p_t, stages, k)
+        e_full = recursive_chain(p_t, stages, k)
         ell, r = term.length_direct, term.length_reflected
         s_i = slope_coefficient("I", term, k)
         a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
@@ -292,11 +292,12 @@ def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
     if p_t <= 0.0 or g_r <= 0.0 or freq <= 0.0:
         raise NumericalDomainError("P_t, G_r and freq must be positive")
     p_r = received_power(e, g_r, freq)
+    cap = float(pl_cap_db)      # an integer cap must not make an int column
     if p_r <= 0.0:
-        return 0.0, pl_cap_db, True
+        return 0.0, cap, True
     pl_db = -10.0 * np.log10(p_r / p_t)
-    if pl_db > pl_cap_db:
-        return p_r, pl_cap_db, True
+    if pl_db > cap:
+        return p_r, cap, True
     return p_r, float(pl_db), False
 
 

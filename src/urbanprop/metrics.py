@@ -1,5 +1,4 @@
-"""Evaluation metrics: RMSE, empirical CDFs, two-sample KS distance and
-scatter-density export."""
+"""Evaluation metrics: RMSE, empirical CDFs and two-sample KS distance."""
 
 import numpy as np
 
@@ -37,23 +36,3 @@ def empirical_cdf(samples):
     f = np.cumsum(counts) / x.size
     return list(zip(xs.tolist(), f.tolist()))
 
-
-def scatter_density(x, y, bins=50):
-    """2D histogram normalized to unit maximum.
-
-    Returns ``(counts, x_edges, y_edges)`` with counts scaled so the densest
-    bin equals 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size == 0 or y.size == 0 or x.size != y.size:
-        raise DataShapeError("scatter_density requires equal non-empty samples")
-    if np.isscalar(bins):
-        if int(bins) < 1:
-            raise DataShapeError("bins must be >= 1 per axis")
-        bins = int(bins)
-    counts, xe, ye = np.histogram2d(x, y, bins=bins)
-    peak = counts.max()
-    if peak > 0:
-        counts = counts / peak
-    return counts, xe, ye

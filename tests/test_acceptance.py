@@ -21,7 +21,7 @@ from urbanprop.config import Route, ScenarioConfig
 from urbanprop.doppler import (doppler_shift, gpp_doppler_estimate,
                                route_doppler, route_velocities, rms_spread)
 from urbanprop.baselines import gpp_path_loss
-from urbanprop.fields import WedgeGeometry, region_total_field, transition_function
+from urbanprop.fields import stage_transfer, transition_function
 from urbanprop.identify import identify_position
 from urbanprop.link import MaterialConfig, friis_path_loss_db, reflection_coefficient
 from urbanprop.metrics import ks_distance, rmse
@@ -66,8 +66,7 @@ def test_criterion_02_exact_halfplane_oracle():
     for k_d in (100.0, 1e3, 1e4):
         regions = set()
         for phi in angles:
-            g = WedgeGeometry(alpha, phi, k_d, 1.0)
-            got = region_total_field(1.0, g)
+            got = stage_transfer(alpha, phi, k_d, 1.0)
             ref = sommerfeld_halfplane(1.0, alpha, phi, k_d)
             assert abs(abs(got) - abs(ref)) <= 0.02 * abs(ref)
             regions.add("R" if phi <= bounds[0] else
@@ -95,10 +94,8 @@ def test_criterion_03_boundary_continuity():
     for alpha_deg, k_d in CONTINUITY_GEOMETRIES:
         alpha = np.deg2rad(alpha_deg)
         for phi_b in (alpha, 2.0 * np.pi - alpha):
-            lo = region_total_field(
-                1.0, WedgeGeometry(alpha, phi_b - delta, k_d, 1.0))
-            hi = region_total_field(
-                1.0, WedgeGeometry(alpha, phi_b + delta, k_d, 1.0))
+            lo = stage_transfer(alpha, phi_b - delta, k_d, 1.0)
+            hi = stage_transfer(alpha, phi_b + delta, k_d, 1.0)
             assert abs(hi - lo) < 0.01
 
 

@@ -208,6 +208,19 @@ class TestMapLoading:
         with pytest.raises(MapValidationError, match=f"^{message}$"):
             map_from_dict(raw)
 
+    # np.array converts the first three to numbers; each used to load, or
+    # fail without naming the vertex
+    @pytest.mark.parametrize("index, value, message", [
+        (0, ["0", False, "0e0"], "bad vertex entry at index 0: '0' is not a number"),
+        (5, [1.0, True, 0.0], "bad vertex entry at index 5: True is not a number"),
+        (3, [0.0, None, 1.0], "bad vertex entry at index 3: None is not a number"),
+        (6, [float("inf"), 0.0, 0.0], "non-finite vertex coordinate at index 6")])
+    def test_non_numeric_coordinate_rejected(self, index, value, message):
+        raw = build_map_dict(UNIT_CUBE)
+        raw["vertices"][index] = value
+        with pytest.raises(MapValidationError, match=f"^{message}$"):
+            map_from_dict(raw)
+
     def test_integral_float_ids_load(self):
         raw = build_map_dict(UNIT_CUBE)
         raw["faces"][0]["v"] = [float(v) for v in raw["faces"][0]["v"]]

@@ -393,7 +393,7 @@ def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
         if simplified:
             e_n = direct_field(p_t, term.d_n, k)
         else:
-            e_n, _trace = recursive_chain(p_t, stages, k)
+            e_n = recursive_chain(p_t, stages, k)
         ell, r = term.length_direct, term.length_reflected
         a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
         comp["final_I"] = (e_n * slope_coefficient("I", term, k) * a_i

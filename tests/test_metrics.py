@@ -1,4 +1,4 @@
-"""Metric identities: RMSE, KS distance, CDFs and scatter density."""
+"""Metric identities: RMSE, KS distance and CDFs."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanprop.errors import DataShapeError
-from urbanprop.metrics import empirical_cdf, ks_distance, rmse, scatter_density
+from urbanprop.metrics import empirical_cdf, ks_distance, rmse
 
 series = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1,
                   max_size=40)
@@ -76,25 +76,3 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(DataShapeError):
             empirical_cdf([])
-
-
-class TestScatterDensity:
-    def test_uniform_grid_is_flat(self):
-        g = np.linspace(0, 1, 10)
-        x, y = np.meshgrid(g, g)
-        counts, _xe, _ye = scatter_density(x.ravel(), y.ravel(), bins=10)
-        assert counts.max() == 1.0
-        assert np.all(counts == 1.0)
-
-    def test_normalized_to_unit_peak(self):
-        rng = np.random.default_rng(4)
-        counts, _xe, _ye = scatter_density(rng.normal(size=500),
-                                           rng.normal(size=500))
-        assert counts.max() == 1.0
-        assert counts.min() >= 0.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(DataShapeError):
-            scatter_density([1, 2], [1, 2, 3])
-        with pytest.raises(DataShapeError):
-            scatter_density([1, 2], [1, 2], bins=0)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CORNER_BOXES, build_map
+from conftest import CORNER_BOXES, TX, build_map
 from test_identify import _grid_scene
 from urbanprop import identify, kernels
 from urbanprop.config import Route, ScenarioConfig
@@ -49,6 +49,16 @@ def assert_same_columns(got, want):
             assert a.tolist() == b.tolist(), f.name
         else:
             assert a.tobytes() == b.tobytes(), f.name
+
+
+def test_integer_cap_gives_float_path_loss(corner_map):
+    """A route whose rows are all capped at an integer ``pl_cap_db`` still
+    has float64 path-loss columns."""
+    cfg = ScenarioConfig(tx=TX, pl_cap_db=50)
+    res = predict_route(cfg, corner_map, corner_street_route(5))
+    for col in (res.pl_model_db, res.pl_simplified_db):
+        assert col.dtype == np.float64
+        assert col.tolist() == [50.0] * 5
 
 
 @pytest.mark.parametrize("workers", [1, 2])
