@@ -13,6 +13,7 @@ y north, z up).  Geographic input must be pre-projected.  A point is a
 
 import json
 import numbers
+import sys
 from itertools import chain
 
 import numpy as np
@@ -27,6 +28,7 @@ EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
 EPS_LEN = 1e-9     # minimal segment length, meters
 EPS_TOP = 0.5      # roof-ring height band, meters
 BOX_PAD = 1e-6     # culling-box padding, meters; keeps the cull conservative
+KERNEL_ROWS = 512  # pairs per kernel call; bounds its ~430 B/pair temporaries
 
 
 class GeometryMap:
@@ -44,8 +46,9 @@ class GeometryMap:
     top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
     position); the ring walls at each roof-table row (``ring_walls``) and each
     building's vertical faces (``vertical_faces``).  Every occlusion query
-    (``first_hit``, ``any_hit``, ``segment_hits``) culls per (segment, box)
-    and tests the kept (segment, triangle) pairs in one kernel call.
+    (``first_hit``, ``any_hit``, ``segment_hits``, ``pair_hits``) culls per
+    (segment, box) and tests the kept (segment, triangle) pairs in kernel
+    calls of at most ``KERNEL_ROWS`` pairs.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -211,22 +214,15 @@ class GeometryMap:
         """The three vertices of triangle ``tri`` of the soup."""
         return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
-    def _pairs(self, a, b, building_ids=None, mask=None):
-        """``(shape, seg, col, tri, t)`` for the (S, 3) or (3,) segments a->b
-        against the (S, K) ``shape`` of columns: ``building_ids``, or every
-        building by position.  A segment meets column k's building when its
-        closed range [0, 1] overlaps the building's padded box, so no
-        triangle an open segment can hit is culled, and the optional (S, K)
-        ``mask`` keeps the pair.  Each (segment, column) met is expanded into
-        one pair per triangle of the building, ascending; ``t`` is each
-        pair's hit.  A whole-map query first drops the boxes outside the
-        bounding box of all its segments, which the slab test would drop
-        too, so its pairs and their order are the same."""
+    def _query(self, a, b, building_ids=None):
+        """``(shape, seg, col, tri, t)``: ``_pairs`` of the (S, 3) or (3,)
+        segments a->b against each of the (S, K) ``shape`` of columns,
+        ``building_ids`` or every building by position; a whole-map query
+        first keeps the boxes meeting its segments' joint bounding box."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
         if building_ids is None:
-            # BOX_PAD on the bounding box keeps the cull looser than the
-            # slab test below, whose rounding can admit a box a segment
-            # end only touches to within an ulp
+            # BOX_PAD keeps the cull looser than the slab test, whose rounding
+            # can admit a box a segment end only touches to within an ulp
             ends = np.concatenate([a, b])
             lo = np.fmin.reduce(ends, axis=0, initial=np.inf) - BOX_PAD
             hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
@@ -236,35 +232,42 @@ class GeometryMap:
             pos = np.array([self._pos(bid) for bid in building_ids],
                            dtype=np.int64)
         shape = (len(a), len(self.ids) if building_ids is None else len(pos))
-        # An axis with d == 0 gives t = -inf/+inf inside/outside the slab.  It
-        # gives NaN, which culls the box, only for a segment in the plane of a
-        # padded face: BOX_PAD away from the building, so it cannot hit it.
+        seg, col = np.indices((len(a), len(pos))).reshape(2, -1)
+        row, tri, t = self._pairs(a, b, seg, pos[col])
+        col = col[row] if building_ids is not None else pos[col[row]]
+        return shape, seg[row], col, tri, t
+
+    def _pairs(self, a, b, seg, pos):
+        """``(row, tri, t)``: each (segment ``seg``, building position ``pos``)
+        row whose segment's closed range [0, 1] meets the padded box (so no
+        triangle an open segment can hit is culled) as one pair per triangle
+        of the building, ascending, with the pair's row and hit ``t``."""
+        # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
+        # (culled) in the plane of a padded face, too far away to hit it.
         with np.errstate(all="ignore"):
-            inv = 1.0 / (b - a)[:, :, None]
-            t_lo = (self.box_lo.take(pos, axis=1) - a[:, :, None]) * inv
-            t_hi = (self.box_hi.take(pos, axis=1) - a[:, :, None]) * inv
+            inv = (1.0 / (b - a))[seg]
+            t_lo = (self.box_lo.T[pos] - a[seg]) * inv
+            t_hi = (self.box_hi.T[pos] - a[seg]) * inv
         enter = np.minimum(t_lo, t_hi).max(axis=1)
         leave = np.maximum(t_lo, t_hi).min(axis=1)
-        met = np.maximum(enter, 0.0) <= np.minimum(leave, 1.0)
-        if mask is not None:
-            met &= mask if building_ids is not None else mask[:, pos]
-        seg, col = np.nonzero(met)
-        first, count = self._tri_edge[pos[col]], self._tri_count[pos[col]]
+        row = np.flatnonzero(np.maximum(enter, 0.0) <= np.minimum(leave, 1.0))
+        first, count = self._tri_edge[pos[row]], self._tri_count[pos[row]]
         offset = np.repeat(first - np.cumsum(count) + count, count)
         tri = self._tri_by_building[offset + np.arange(len(offset))]
-        if building_ids is None:
-            col = pos[col]
-        seg, col = np.repeat(seg, count), np.repeat(col, count)
-        t = (kernels.segment_triangles(a[seg], b[seg], *self.triangle(tri),
-                                       EPS_HIT) if len(tri) else np.empty(0))
-        return shape, seg, col, tri, t
+        row = np.repeat(row, count)
+        seg, t = seg[row], np.empty(len(tri))
+        for i in range(0, len(tri), KERNEL_ROWS):
+            s, k = seg[i:i + KERNEL_ROWS], tri[i:i + KERNEL_ROWS]
+            t[i:i + KERNEL_ROWS] = kernels.segment_triangles(
+                a[s], b[s], *self.triangle(k), EPS_HIT)
+        return row, tri, t
 
     def first_hit(self, a, b):
         """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
         faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
         nothing is hit; of equally near hits, the lowest triangle id wins.
         (3,) endpoints give one ``(t, triangle id)`` of scalars."""
-        (n, _k), seg, _col, tri, t = self._pairs(a, b)
+        (n, _k), seg, _col, tri, t = self._query(a, b)
         first = np.lexsort((tri, t, seg))
         first = first[np.diff(seg[first], prepend=-1) != 0]
         first = first[np.isfinite(t[first])]
@@ -276,16 +279,33 @@ class GeometryMap:
     def any_hit(self, a, b, building_ids=None):
         """True when a face of the selected buildings blocks the open segment
         a->b, or any segment of an (S, 3) batch."""
-        return bool(np.isfinite(self._pairs(a, b, building_ids)[-1]).any())
+        return bool(np.isfinite(self._query(a, b, building_ids)[-1]).any())
 
-    def segment_hits(self, a, b, building_ids=None, mask=None):
+    def segment_hits(self, a, b, building_ids=None):
         """(S, K) booleans for the segments a->b: True where a face of column
         k's building (``building_ids``, or every building by position in
-        ``ids``) blocks segment s; only pairs an (S, K) ``mask`` keeps."""
-        shape, seg, col, _tri, t = self._pairs(a, b, building_ids, mask)
+        ``ids``) blocks segment s."""
+        shape, seg, col, _tri, t = self._query(a, b, building_ids)
         hits = np.zeros(shape, dtype=bool)
         hits[seg[np.isfinite(t)], col[np.isfinite(t)]] = True
         return hits
+
+    def pair_hits(self, a, b, edge, group, pos):
+        """(N,) booleans: True where a face of the building at position
+        ``pos[n]`` blocks an open segment of group ``group[n]``; group g is
+        the non-empty rows ``edge[g]:edge[g + 1]`` of the (S, 3) a->b (all
+        three are int arrays).  A pair whose group's box, padded by
+        ``BOX_PAD``, misses the building's is dropped, as the slab test
+        would drop it; the rest are slab-tested per segment."""
+        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).take(group, axis=0)
+        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).take(group, axis=0)
+        pair = np.flatnonzero(((self.box_lo.T[pos] <= hi + BOX_PAD)
+                               & (self.box_hi.T[pos] >= lo - BOX_PAD)).all(axis=1))
+        start, size = edge[group[pair]], np.diff(edge)[group[pair]]
+        pair = np.repeat(pair, size)
+        seg = np.arange(len(pair)) + np.repeat(start - np.cumsum(size) + size, size)
+        row, _tri, t = self._pairs(a, b, seg, pos[pair])
+        return np.bincount(pair[row[np.isfinite(t)]], minlength=len(group)) > 0
 
 
 def _edges(owner, n):
@@ -354,7 +374,11 @@ def map_from_dict(raw):
         raise MapValidationError(f"bad vertex entry at index {i}: {x!r} is not a number")
     if set(map(len, coords)) - {3}:
         raise MapValidationError("'vertices' must be an array of [x, y, z]")
-    vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    try:
+        vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:   # a JSON integer beyond the float range
+        i = next(k for k, x in enumerate(flat) if abs(x) > sys.float_info.max) // 3
+        raise MapValidationError(f"bad vertex entry at index {i}: too large") from None
 
     faces, buildings = raw["faces"], raw["buildings"]
     try:

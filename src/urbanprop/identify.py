@@ -2,10 +2,11 @@
 
 Two passes: candidate selection by side of the propagation line (with NLOS
 links split at the breakpoint into TX-bp and bp-RX sub-segments, the latter
-contributing left-side buildings only), run once over a batch of route
-positions, then, per position, near-to-far visibility filtering where a
-building is kept only if none of its roof-ring vertex-to-projection
-segments is blocked by an already accepted building.
+contributing left-side buildings only) and the blocked-by matrices of the
+visibility filter, both once over a batch of route positions, then, per
+position, near-to-far visibility filtering where a building is kept only if
+none of its roof-ring vertex-to-projection segments is blocked by an
+already accepted building.
 
 Points (TX, RX, breakpoint, sub-segment ends) are ``(3,)`` float64 arrays.
 All functions are pure over the immutable map; route positions are
@@ -43,6 +44,9 @@ class SubSegment:
     ``corner`` maps each candidate building id to its roof corner nearest
     the sub-segment line: ``(distance, roof-table row, unclamped line
     parameter)``, the row indexing the map's ``roof_vertex``/``roof_xy``.
+    ``near`` lists the candidates left then right, each by distance, then
+    id; ``blocked`` (K, K) is True at [i, j < i] when a face of ``near[j]``
+    blocks a roof-ring vertex-to-projection segment of ``near[i]``.
     """
 
     a: np.ndarray
@@ -50,6 +54,8 @@ class SubSegment:
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
     corner: dict = field(default_factory=dict)
+    near: list = field(default_factory=list)
+    blocked: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), bool))
 
 
 @dataclass
@@ -147,7 +153,8 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
     ``corridor_width`` of its line; each building goes to the side most of
     its counted vertices lie on (ties left), and the bp-RX sub-segment keeps
     the left side only.  The same pass records each candidate's roof corner
-    nearest the line.  Returns a list of ``(LinkClassification,
+    nearest the line, and one occlusion query fills every sub-segment's
+    blocked-by matrix.  Returns a list of ``(LinkClassification,
     [SubSegment, ...])``.
     """
     route = np.asarray(route, dtype=np.float64).reshape(-1, 3)
@@ -192,12 +199,43 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
     ss, col = ss[first], col[first]
     corners = list(zip(gmap.ids[owner[col]].tolist(), zip(
         dist[ss, col].tolist(), rows[col].tolist(), t[ss, col].tolist())))
-    edge = np.searchsorted(ss, np.arange(len(pairs) + 1)).tolist()
+    # the visiting order: sub-segment, side (left first), distance, id
+    edge = np.searchsorted(ss, np.arange(len(pairs) + 1))
+    near = owner[col][np.lexsort((gmap.ids[owner[col]], dist[ss, col],
+                                  right[ss, owner[col]], ss))]
+    blocked = _blocked_by_block(near, ss, edge, a, b, gmap)
+    near, edge = gmap.ids[near].tolist(), edge.tolist()
     subs = iter([SubSegment(sa, sb, gmap.ids[left[i]].tolist(),
                             gmap.ids[right[i]].tolist(),
-                            dict(corners[edge[i]:edge[i + 1]]))
+                            dict(corners[edge[i]:edge[i + 1]]),
+                            near[edge[i]:edge[i + 1]], blocked[i])
                  for i, (sa, sb) in enumerate(pairs)])
     return [(cls, [next(subs) for _ in segs]) for cls, segs in zip(classes, ends)]
+
+
+def _blocked_by_block(pos, ss, edge, a, b, gmap):
+    """Each sub-segment a->b's blocked-by matrix, from one ``pair_hits``
+    query of every candidate (``pos``, building positions in visiting order
+    per sub-segment ``ss``, starting at ``edge``) against the earlier
+    candidates of its sub-segment, the only entries the scan reads."""
+    k = np.arange(len(ss)) - edge[ss]          # place in its sub-segment
+    # each candidate's roof-table rows: the table ascends by building
+    lo = np.searchsorted(gmap.roof_owner, pos)
+    size = np.searchsorted(gmap.roof_owner, pos, side="right") - lo
+    rows = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    verts = gmap.vertices[gmap.roof_vertex[rows]]
+    line_a, line_d = (np.repeat(x[ss], size, axis=0) for x in (a, b - a))
+    t = row_dot(verts - line_a, line_d) / row_dot(line_d, line_d)
+    i = np.repeat(np.arange(len(ss)), k)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(k) - k, k) + edge[ss[i]]
+    hits = gmap.pair_hits(verts, line_a + t[:, None] * line_d,
+                          np.concatenate(([0], np.cumsum(size))), i, pos[j])
+    n = np.diff(edge)
+    base = np.cumsum(n * n) - n * n
+    flat = np.zeros(int((n * n).sum()), dtype=bool)
+    flat[(base[ss[i]] + k[i] * n[ss[i]] + k[j])[hits]] = True
+    return [flat[o:o + m * m].reshape(m, m)
+            for o, m in zip(base.tolist(), n.tolist())]
 
 
 # -- Visibility filtering --------------------------------------------------
@@ -206,46 +244,23 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
 def visible_identification(segs, cls, gmap):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
-    Within a sub-segment, buildings are visited per side in ascending
-    perpendicular distance to the sub-segment line (ties by id) and kept
-    only if no roof-ring vertex-to-projection segment is blocked by a
-    previously accepted building, read from one blocked-by matrix per
-    sub-segment.  Sub-segments are filtered independently.
+    Within a sub-segment, buildings are visited in ``near`` order and kept
+    only if no previously accepted building blocks one of their roof-ring
+    vertex-to-projection segments, as read from the record's blocked-by
+    matrix.  Sub-segments are filtered independently; ``gmap`` is unused.
     """
     visible = []
     for sub in segs:
-        line_d = sub.b - sub.a
-        if np.linalg.norm(line_d) <= EPS_LEN:
+        if np.linalg.norm(sub.b - sub.a) <= EPS_LEN:
             raise NumericalDomainError("degenerate segment: endpoints coincide")
-        left, right = (sorted(ids, key=lambda bid: (sub.corner[bid][0], bid))
-                       for ids in (sub.left, sub.right))
-        cands = left + right
-        blocked = _blocked_by(cands, sub.a, line_d, gmap)
         accepted = []
-        for i in range(len(cands)):
-            if not blocked[i, accepted].any():
+        for i, row in enumerate(sub.blocked.tolist()):
+            if not any(row[j] for j in accepted):
                 accepted.append(i)
         visible.append(replace(
-            sub, left=[cands[i] for i in accepted if i < len(left)],
-            right=[cands[i] for i in accepted if i >= len(left)]))
+            sub, left=[sub.near[i] for i in accepted if i < len(sub.left)],
+            right=[sub.near[i] for i in accepted if i >= len(sub.left)]))
     return VisibilitySet(cls, list(segs), visible)
-
-
-def _blocked_by(cands, line_a, line_d, gmap):
-    """(K, K) booleans: True at [i, j] when a face of candidate j blocks a
-    roof-ring vertex-to-projection segment of candidate i onto the line
-    ``line_a + t line_d``.  One occlusion query tests every segment against
-    the earlier candidates j < i, the only entries the near-to-far scan reads."""
-    if len(cands) < 2:
-        return np.zeros((len(cands), len(cands)), dtype=bool)
-    rings = [gmap.vertices[gmap.top_vertices(bid)] for bid in cands]
-    # one matmul per ring: a stacked one can round a one-vertex ring apart
-    t = np.concatenate([(v - line_a) @ line_d for v in rings]) / (line_d @ line_d)
-    sizes = [len(v) for v in rings]
-    earlier = np.arange(len(cands)) < np.repeat(np.arange(len(cands)), sizes)[:, None]
-    hits = gmap.segment_hits(np.concatenate(rings),
-                             line_a + t[:, None] * line_d, cands, earlier)
-    return np.logical_or.reduceat(hits, np.cumsum(sizes) - sizes, axis=0)
 
 
 def identify_position(tx, r, gmap, corridor_width=100.0):

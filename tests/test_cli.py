@@ -26,6 +26,19 @@ class TestExitCodes:
                     "predict"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_coordinate_beyond_float_range(self, scenario, tmp_path, capsys):
+        raw = build_map_dict(CORNER_BOXES)
+        raw["vertices"][0][0] = 10 ** 400
+        bad_map = tmp_path / "map.json"
+        bad_map.write_text(json.dumps(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(bad_map),
+                                   "route_path": str(scenario["route"])}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "identify"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad vertex entry at index 0: too large"]
+
     def test_missing_config_flag(self, capsys):
         assert run(["predict"]) == 2
 

@@ -209,12 +209,15 @@ class TestMapLoading:
             map_from_dict(raw)
 
     # np.array converts the first three to numbers; each used to load, or
-    # fail without naming the vertex
+    # fail without naming the vertex.  An integer beyond the float range
+    # raised a bare OverflowError.
     @pytest.mark.parametrize("index, value, message", [
         (0, ["0", False, "0e0"], "bad vertex entry at index 0: '0' is not a number"),
         (5, [1.0, True, 0.0], "bad vertex entry at index 5: True is not a number"),
         (3, [0.0, None, 1.0], "bad vertex entry at index 3: None is not a number"),
-        (6, [float("inf"), 0.0, 0.0], "non-finite vertex coordinate at index 6")])
+        (6, [float("inf"), 0.0, 0.0], "non-finite vertex coordinate at index 6"),
+        (2, [10 ** 400, 0.0, 0.0], "bad vertex entry at index 2: too large"),
+        (7, [0.0, 1.0, -2 * 10 ** 308], "bad vertex entry at index 7: too large")])
     def test_non_numeric_coordinate_rejected(self, index, value, message):
         raw = build_map_dict(UNIT_CUBE)
         raw["vertices"][index] = value

@@ -2,6 +2,8 @@
 candidate sides and visibility filtering, checked against an independent
 brute-force oracle on randomized box scenes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
 from test_kernels import box_scenes, dense
 from urbanprop import kernels
-from urbanprop.errors import DegenerateGeometryError
+from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
 from urbanprop.identify import (EPS_TIE, LinkClassification, classify_link,
                                 compute_breakpoint, identify_position,
@@ -731,6 +733,61 @@ class TestVisibilityScan:
                 hidden += len(sub.left + sub.right) - len(vseg.left + vseg.right)
         if scene == "grid":
             assert hidden >= 10
+
+
+class TestBlockEqualsAlone:
+    @pytest.mark.parametrize("width", [100.0, 10.0])
+    @pytest.mark.parametrize("scene", ["corner", "rotated", "grid"])
+    def test_block_of_16_matches_each_position_alone(self, scene, width,
+                                                     canyon_map, corner_map,
+                                                     tx):
+        """Each position of a 16-position block keeps the visible buildings
+        it keeps alone, sub-segment by sub-segment, and the block computes
+        the blocked-by matrices of its own identification.  A block mixes
+        LOS and NLOS positions; at 10 m, sub-segments with no and with one
+        candidate occur."""
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
+        sizes, mixed = set(), False
+        for start in range(0, len(route), 16):
+            block = route[start:start + 16]
+            idents = initial_identification(tx, block, gmap, width)
+            mixed |= len({cls.los for cls, _segs in idents}) == 2
+            for rx, (cls, segs) in zip(block, idents):
+                got = visible_identification(segs, cls, gmap)
+                want = identify_position(tx, rx, gmap, width)
+                assert got.flat_visible() == want.flat_visible()
+                for sub, one, vis, vis_one in zip(segs, want.sides, got.visible,
+                                                  want.visible):
+                    assert sub.near == one.near
+                    assert sub.blocked.tobytes() == one.blocked.tobytes()
+                    assert (vis.left, vis.right) == (vis_one.left, vis_one.right)
+                    sizes.add(min(len(sub.near), 2))
+        assert mixed
+        if width == 10.0:
+            assert sizes == {0, 1, 2}
+
+    @pytest.mark.parametrize("scene", ["corner", "rotated", "grid"])
+    def test_receiver_at_the_transmitter_inside_a_block(self, scene,
+                                                        canyon_map,
+                                                        corner_map, tx):
+        """rx == tx in the middle of a block gives a zero-length sub-segment:
+        the block pass raises and warns nothing, the other positions keep
+        their own result, and the filter still rejects that position."""
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
+        block = route[:7] + [tx.copy()] + route[7:15]
+        assert len(block) == min(16, len(route) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idents = initial_identification(tx, block, gmap)
+        for k, (rx, (cls, segs)) in enumerate(zip(block, idents)):
+            if k == 7:
+                assert cls.los and segs[0].near == []
+                with pytest.raises(NumericalDomainError,
+                                   match="degenerate segment: endpoints coincide"):
+                    visible_identification(segs, cls, gmap)
+                continue
+            assert (visible_identification(segs, cls, gmap).flat_visible()
+                    == identify_position(tx, rx, gmap).flat_visible())
 
 
 # -- randomized oracle agreement ---------------------------------------------

@@ -1,10 +1,10 @@
 """The row-wise occlusion kernel and the map's per-segment pair path.
 
 The map culls each segment against each building box, tests the surviving
-(segment, triangle) pairs in one kernel call and reduces the hits.  The cull
-may only drop pairs the kernel would miss, so every reduction must equal the
-dense kernel, every segment against every triangle of the soup, bit for
-bit.  Scenes use integer box coordinates so that segments can end
+(segment, triangle) pairs in kernel calls of at most ``KERNEL_ROWS`` pairs
+and reduces the hits.  The cull may only drop pairs the kernel would miss,
+so every reduction must equal the dense kernel, every segment against every
+triangle of the soup, bit for bit.  Scenes use integer box coordinates so that segments can end
 exactly on a face, lie in a face plane or in the plane of a padded box face,
 or run parallel to an axis (where the slab test divides by zero).
 """
@@ -16,6 +16,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_map, build_map_dict
+from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
+from test_geometry import _random_boxes
 from urbanprop import kernels
 from urbanprop.geometry import BOX_PAD, EPS_HIT, f_block, map_from_dict
 
@@ -133,10 +135,17 @@ class TestCullChangesNothing:
             cols = [gmap.ids.tolist().index(x) for x in subset]
             assert np.array_equal(gmap.segment_hits(a, b, subset),
                                   by_building[:, cols])
-            # a mask leaves out the (segment, building) pairs it drops
+            # a pair list holds only the (segment, building) pairs it names,
+            # one segment per group or the whole batch in one group
             mask = np.arange(len(a))[:, None] % 3 != np.arange(len(cols))
-            assert np.array_equal(gmap.segment_hits(a, b, subset, mask),
-                                  by_building[:, cols] & mask)
+            seg, k = np.nonzero(mask)
+            pos = np.array(cols, dtype=np.int64)[k]
+            got = gmap.pair_hits(a, b, np.arange(len(a) + 1), seg, pos)
+            assert np.array_equal(got, by_building[seg, pos])
+            one = gmap.pair_hits(a, b, np.array([0, len(a)]),
+                                 np.zeros(len(cols), dtype=np.int64),
+                                 np.array(cols, dtype=np.int64))
+            assert np.array_equal(one, by_building[:, cols].any(axis=0))
             assert gmap.any_hit(a, b) is bool(blocked.any())
             assert gmap.any_hit(a, b, subset) is bool(
                 by_building[:, cols].any())
@@ -187,6 +196,9 @@ class TestCullChangesNothing:
         t, tri = canyon_map.first_hit(none, none)
         assert t.shape == tri.shape == (0,)
         assert canyon_map.segment_hits(none, none).shape == (0, 5)
+        no_pair = np.empty(0, dtype=np.int64)
+        assert canyon_map.pair_hits(none, none, np.zeros(1, dtype=np.int64),
+                                    no_pair, no_pair).shape == (0,)
         assert f_block(none, none, canyon_map).shape == (0,)
         assert not canyon_map.any_hit(none, none)
 
@@ -233,3 +245,42 @@ def test_triangles_tested_counts_pairs(canyon_map, monkeypatch):
     assert calls == [24]
     assert build_map([]).first_hit(a[0], b[0]) == (np.inf, -1)
     assert calls == [24]
+
+
+class TestPairHits:
+    def test_matches_triangle_oracle(self):
+        """Each (segment group, building) pair equals the independent
+        triangle oracle over the group's segments and the building's
+        triangles, with the coarse cull on.  Grazing segments (slab margin
+        under 1e-6) are left out as degenerate."""
+        rng = np.random.default_rng(5150)
+        checked = culled = hit = 0
+        for _scene in range(20):
+            boxes = _random_boxes(rng)
+            gmap = build_map(boxes)
+            sizes = rng.integers(1, 6, 30)
+            edge = np.concatenate(([0], np.cumsum(sizes)))
+            a = rng.uniform(-80.0, 80.0, (edge[-1], 3))
+            a[:, 2] = rng.uniform(0.1, 30.0, edge[-1])
+            b = a + rng.uniform(-40.0, 40.0, a.shape)
+            group = np.repeat(np.arange(len(sizes)), len(boxes))
+            pos = np.tile(np.arange(len(boxes)), len(sizes))
+            got = gmap.pair_hits(a, b, edge, group, pos)
+            for n, (g, p) in enumerate(zip(group.tolist(), pos.tolist())):
+                tris = gmap.triangle(np.flatnonzero(gmap.tri_building == p))
+                x0, y0, x1, y1, h = boxes[p][1]
+                slab = (np.array([x0, y0, 0.0]), np.array([x1, y1, h]))
+                segs = range(edge[g], edge[g + 1])
+                if any(segment_blocked_by_boxes(a[s], b[s], [slab])[3]
+                       for s in segs):
+                    continue
+                want = any(segment_blocked_by_triangles(a[s], b[s], *tris)
+                           for s in segs)
+                assert got[n] == want
+                ends = np.concatenate([a[segs], b[segs]])
+                culled += bool((ends.min(axis=0) > slab[1]).any()
+                               or (ends.max(axis=0) < slab[0]).any())
+                checked += 1
+                hit += want
+        assert checked >= 2000 and culled >= 500 and hit >= 50
+

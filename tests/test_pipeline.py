@@ -10,7 +10,7 @@ import pytest
 
 from conftest import CORNER_BOXES, TX, build_map
 from test_identify import _grid_scene
-from urbanprop import identify, kernels
+from urbanprop import geometry, identify, kernels
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
@@ -89,9 +89,9 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
 
 
 def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
-    """One kernel call at most for the LOS query, one per sub-segment's
-    visibility filter and one per chain, however many candidates; over a
-    route, one LOS query per block of positions."""
+    """One kernel call at most for the LOS query, one for the visibility
+    filter of the position's block and one per chain, however many
+    candidates; over a route, one LOS query per block of positions."""
     gmap, tx, route = _grid_scene()
     cfg = ScenarioConfig(tx=tx)
     calls = []
@@ -116,8 +116,7 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     for rx in route:
         calls.clear()
         res = predict_position(cfg, gmap, rx)
-        sub_segments = 1 if res.los[0] else 2
-        assert len(calls) <= 1 + sub_segments + 1
+        assert len(calls) <= 3
         sides = res.sides[0]
         most = max(most, len(sides["left"] + sides["right"]))
     assert most >= 8
@@ -126,6 +125,31 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
                                          np.array(route)))
     assert len(route) > BLOCK and (~res.los).sum() >= 3
     assert sum(calls) <= math.ceil(len(route) / BLOCK)
+
+
+@pytest.mark.parametrize("rows", [None, 40])
+def test_kernel_calls_stay_within_the_slice(monkeypatch, rows):
+    """No kernel call of a route gets more pairs than ``KERNEL_ROWS``; with
+    a smaller constant, more queries are cut, and the columns keep their
+    bytes."""
+    gmap, tx, route = _grid_scene()
+    cfg = ScenarioConfig(tx=tx)
+    route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
+    want = predict_route(cfg, gmap, route)
+    calls = []
+    kernel = kernels.segment_triangles
+
+    def recording(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "segment_triangles", recording)
+    if rows is not None:
+        monkeypatch.setattr(geometry, "KERNEL_ROWS", rows)
+    assert_same_columns(predict_route(cfg, gmap, route), want)
+    assert max(calls) <= geometry.KERNEL_ROWS
+    if rows is not None:
+        assert calls.count(rows) >= 10
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
