@@ -64,7 +64,7 @@ class VisibilitySet:
 
     classification: LinkClassification
     sides: list       # list[SubSegment], the candidates
-    visible: list     # list[SubSegment], parallel to ``sides``
+    visible: list     # list[SubSegment], parallel to ``sides`` (same near, blocked)
 
     def flat_sides(self):
         return _flatten(self.sides)
