@@ -127,7 +127,7 @@ def _read_reference(path):
                 raise DataShapeError(
                     f"reference {path} must have header 'index,value'")
             return _finite_column([row["value"] for row in reader], "reference")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read reference file {path}: {exc}") from exc
 
 
@@ -136,7 +136,7 @@ def _read_predictions(path):
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv_rows(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read predictions file {path}: {exc}") from exc
     names = [col for col in MODEL_COLUMNS if col in (reader.fieldnames or ())]
     if not names:

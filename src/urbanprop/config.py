@@ -78,7 +78,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, not UTF-8, or an over-long integer
         raise ConfigError(f"malformed JSON in config {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -137,7 +137,7 @@ def load_route(path):
                     raise RouteError(f"bad route row {i}: non-finite coordinate "
                                      f"in {xyz}")
                 table.append((t, *xyz))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RouteError(f"cannot read route file {path}: {exc}") from exc
     if not table:
         raise RouteError("route must contain at least one point")

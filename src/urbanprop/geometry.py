@@ -44,11 +44,12 @@ class GeometryMap:
     cull against, and each building's triangle ids; the roof-vertex table:
     ``roof_vertex`` (ring vertex ids within ``EPS_TOP`` of each building's
     top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
-    position); the ring walls at each roof-table row (``ring_walls``) and each
-    building's vertical faces (``vertical_faces``).  Every occlusion query
-    (``first_hit``, ``any_hit``, ``segment_hits``, ``pair_hits``) culls per
-    (segment, box) and tests the kept (segment, triangle) pairs in kernel
-    calls of at most ``KERNEL_ROWS`` pairs.
+    position); the ring walls at each roof-table row (``ring_dir``, rows by
+    ``ring_wall_rows``) and each building's vertical faces
+    (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Every
+    occlusion query (``first_hit``, ``any_hit``, ``segment_hits``,
+    ``pair_hits``) culls per (segment, box) and tests the kept (segment,
+    triangle) pairs in kernel calls of at most ``KERNEL_ROWS`` pairs.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -198,17 +199,18 @@ class GeometryMap:
         pos = self._pos(building_id)
         return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
 
-    def ring_walls(self, row):
-        """(K, 2) unit horizontal directions of the roof-ring walls at the
-        roof vertex in roof-table row ``row``, in face order, duplicates kept."""
-        return self.ring_dir[self._ring_dir_edge[row]:self._ring_dir_edge[row + 1]]
+    def ring_wall_rows(self, rows):
+        """The ``ring_dir`` rows of the ring walls at each roof-table row of
+        the int array ``rows``, joined, and the number at each."""
+        size = self._ring_dir_edge[rows + 1] - self._ring_dir_edge[rows]
+        return ranges(self._ring_dir_edge[rows], size), size
 
-    def vertical_faces(self, building_id):
-        """Unit normals (K, 3) and first vertices (K, 3) of the building's
-        vertical faces, ascending face index."""
-        pos = self._pos(building_id)
-        span = slice(self._wall_edge[pos], self._wall_edge[pos + 1])
-        return self.wall_normal[span], self.wall_point[span]
+    def wall_rows(self, building_ids):
+        """The ``wall_normal``/``wall_point`` rows of each building's
+        vertical faces, joined, and the number of each."""
+        pos = np.array([self._pos(bid) for bid in building_ids], dtype=np.int64)
+        size = self._wall_edge[pos + 1] - self._wall_edge[pos]
+        return ranges(self._wall_edge[pos], size), size
 
     def triangle(self, tri):
         """The three vertices of triangle ``tri`` of the soup."""
@@ -250,10 +252,10 @@ class GeometryMap:
             t_hi = (self.box_hi.T[pos] - a[seg]) * inv
         enter = np.minimum(t_lo, t_hi).max(axis=1)
         leave = np.maximum(t_lo, t_hi).min(axis=1)
+        del inv, t_lo, t_hi         # not held through the kernel slices
         row = np.flatnonzero(np.maximum(enter, 0.0) <= np.minimum(leave, 1.0))
-        first, count = self._tri_edge[pos[row]], self._tri_count[pos[row]]
-        offset = np.repeat(first - np.cumsum(count) + count, count)
-        tri = self._tri_by_building[offset + np.arange(len(offset))]
+        count = self._tri_count[pos[row]]
+        tri = self._tri_by_building[ranges(self._tri_edge[pos[row]], count)]
         row = np.repeat(row, count)
         seg, t = seg[row], np.empty(len(tri))
         for i in range(0, len(tri), KERNEL_ROWS):
@@ -297,15 +299,20 @@ class GeometryMap:
         three are int arrays).  A pair whose group's box, padded by
         ``BOX_PAD``, misses the building's is dropped, as the slab test
         would drop it; the rest are slab-tested per segment."""
-        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).take(group, axis=0)
-        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).take(group, axis=0)
-        pair = np.flatnonzero(((self.box_lo.T[pos] <= hi + BOX_PAD)
-                               & (self.box_hi.T[pos] >= lo - BOX_PAD)).all(axis=1))
-        start, size = edge[group[pair]], np.diff(edge)[group[pair]]
+        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]) - BOX_PAD
+        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]) + BOX_PAD
+        pair = np.flatnonzero(((self.box_lo.T[pos] <= hi[group])
+                               & (self.box_hi.T[pos] >= lo[group])).all(axis=1))
+        size = np.diff(edge)[group[pair]]
+        seg = ranges(edge[group[pair]], size)
         pair = np.repeat(pair, size)
-        seg = np.arange(len(pair)) + np.repeat(start - np.cumsum(size) + size, size)
         row, _tri, t = self._pairs(a, b, seg, pos[pair])
         return np.bincount(pair[row[np.isfinite(t)]], minlength=len(group)) > 0
+
+
+def ranges(lo, size):
+    """The index ranges ``lo[i]:lo[i] + size[i]`` of int arrays, joined."""
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
 def _edges(owner, n):
@@ -342,7 +349,7 @@ def load_map(path):
             raw = json.load(fh)
     except OSError as exc:
         raise MapValidationError(f"cannot read map file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, not UTF-8, or an over-long integer
         raise MapValidationError(f"malformed JSON in {path}: {exc}") from exc
     return map_from_dict(raw)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import EPS_LEN, line_2d, row_dot, side_2d
+from .geometry import EPS_LEN, line_2d, ranges, row_dot, side_2d
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 CULL_MARGIN = 1.0  # candidate cull margin beyond the corridor, m
@@ -203,6 +203,7 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
     edge = np.searchsorted(ss, np.arange(len(pairs) + 1))
     near = owner[col][np.lexsort((gmap.ids[owner[col]], dist[ss, col],
                                   right[ss, owner[col]], ss))]
+    del t, cross, dist, kept, votes   # not held through the query
     blocked = _blocked_by_block(near, ss, edge, a, b, gmap)
     near, edge = gmap.ids[near].tolist(), edge.tolist()
     subs = iter([SubSegment(sa, sb, gmap.ids[left[i]].tolist(),
@@ -222,8 +223,7 @@ def _blocked_by_block(pos, ss, edge, a, b, gmap):
     # each candidate's roof-table rows: the table ascends by building
     lo = np.searchsorted(gmap.roof_owner, pos)
     size = np.searchsorted(gmap.roof_owner, pos, side="right") - lo
-    rows = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-    verts = gmap.vertices[gmap.roof_vertex[rows]]
+    verts = gmap.vertices[gmap.roof_vertex[ranges(lo, size)]]
     line_a, line_d = (np.repeat(x[ss], size, axis=0) for x in (a, b - a))
     t = row_dot(verts - line_a, line_d) / row_dot(line_d, line_d)
     i = np.repeat(np.arange(len(ss)), k)

@@ -1,16 +1,19 @@
 """Chain extraction, terminal field composition and path-loss conversion.
 
-From a per-position visibility set this module builds the ordered
-diffraction chain (one stage per visible building, anchored at the roof
-corner nearest the propagation line that identification recorded),
-composes the LOS/NLOS terminal field from the slope-diffraction branches,
-and converts field strength to received power and path loss.
+From the visibility sets of a block of positions this module builds their
+ordered diffraction chains (one stage per visible building, anchored at the
+roof corner nearest the propagation line that identification recorded) in
+array passes over the stacked stages, composes each position's LOS/NLOS
+terminal field from the slope-diffraction branches, and converts field
+strength to received power and path loss.
 
 Wedge angles are measured in the horizontal plane at each corner: the
-screen is the footprint wall most nearly parallel to the incident ray, and
+screen is the first ring wall most nearly parallel to the incident ray, and
 the orientation is chosen so the source lies at a positive angle from the
-screen.  Distances are full 3D lengths with edge points taken at the height
-of the propagation line.  Points are ``(3,)`` float64 arrays.
+screen; a corner without ring walls or incident horizontal length takes
+straight-transmission angles, and its terminal the x axis as screen.
+Distances are full 3D lengths with edge points taken at the height of the
+propagation line.  Points are ``(3,)`` float64 arrays.
 """
 
 from dataclasses import dataclass
@@ -66,74 +69,33 @@ class LinkPrediction:
     capped: bool = False
 
 
-# -- stage geometry helpers ------------------------------------------------
+# -- chain geometry, a block of positions at a time -----------------------
 
 
-def _angle_from(w, v):
-    """Signed angle of 2D vector v measured from unit direction w, in (-pi, pi]."""
-    cross = w[0] * v[1] - w[1] * v[0]
-    dot = w[0] * v[0] + w[1] * v[1]
-    return np.arctan2(cross, dot)
+def _angle(w, v):
+    """Signed angles of the 2D rows v from the unit rows w, in (-pi, pi]."""
+    return np.arctan2(w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0],
+                      w[:, 0] * v[:, 0] + w[:, 1] * v[:, 1])
 
 
-def _screen_frame(gmap, row, edge_xy, prev_xy):
-    """Screen wall and orientation at the corner in roof-table row ``row``
-    for the incident ray prev->edge.
-
-    Returns ``(screen, orient, alpha_s)``: the roof-ring wall direction most
-    nearly parallel to the ray, the sign that puts the source at a positive
-    angle from it, and that source angle in [0, pi].  None when the ray has
-    no horizontal length or the corner no adjacent ring wall.
-    """
-    inc = edge_xy - prev_xy
-    inc_n = np.hypot(inc[0], inc[1])
-    if inc_n < 1e-9:
-        return None
-    walls = gmap.ring_walls(row)
-    if not len(walls):
-        return None
-    inc = inc / inc_n
-    # the first wall of equally parallel ones wins
-    screen = walls[np.argmax(np.abs(walls[:, 0] * inc[0] + walls[:, 1] * inc[1]))]
-    a_back = _angle_from(screen, -inc)       # direction back toward the source
-    orient = 1.0 if a_back >= 0.0 else -1.0
-    return screen, orient, orient * a_back
+def _first_per_group(group, key):
+    """The first row of each group after a stable sort by ``key``."""
+    order = np.lexsort((key, group))
+    return order[np.diff(group[order], prepend=-1) != 0]
 
 
-def _departure(frame, v):
-    """Angle of the 2D direction v from the frame's screen, in [0, 2 pi)."""
-    screen, orient, _alpha_s = frame
-    return float((orient * _angle_from(screen, v)) % (2.0 * np.pi))
+def _reflection_branch(gmap, opposite, e, x):
+    """Image of each RX ``x[n]`` across the nearest wall of the buildings
+    ``opposite[n]`` (a list of ids), seen from the final edge ``e[n]``.
 
-
-def _wedge_angles(frame, edge_xy, next_xy):
-    """(alpha, phi) at one corner from its screen frame, outgoing edge->next."""
-    if frame is None:
-        return np.pi / 2.0, np.pi  # degenerate: treat as straight transmission
-    alpha = np.pi - frame[2]
-    return float(np.clip(alpha, 0.0, np.pi)), _departure(frame, next_xy - edge_xy)
-
-
-def _edge_point(gmap, row, t, a, b):
-    """Roof corner in roof-table row ``row`` at the height of the line a->b
-    at parameter ``t``, clamped to the sub-segment."""
-    tz = min(max(t, 0.0), 1.0)
-    x, y = gmap.roof_xy[row]
-    return np.array([x, y, a[2] + tz * (b[2] - a[2])])
-
-
-def _reflection_branch(gmap, vis_opposite, e, x):
-    """Image of the RX ``x`` across the nearest visible opposite-side wall,
-    seen from the final edge ``e``.
-
-    Returns (r, wall_point, image, incidence) or None when no wall yields a
-    valid specular construction.  Of equally near walls the first, in
+    Returns ``(n, r, wall_point, image, incidence)``, arrays over the rows n
+    with a valid specular construction.  Of equally near walls the first, in
     building-then-face order, wins.
     """
-    if not vis_opposite:
-        return None
-    nrm, p0 = (np.concatenate(a) for a in zip(
-        *[gmap.vertical_faces(bid) for bid in vis_opposite]))
+    w, size = gmap.wall_rows([bid for ids in opposite for bid in ids])
+    group = np.repeat(np.repeat(np.arange(len(opposite)),
+                                [len(ids) for ids in opposite]), size)
+    nrm, p0, e, x = gmap.wall_normal[w], gmap.wall_point[w], e[group], x[group]
     d_rx = row_dot(x - p0, nrm)
     image = x - 2.0 * d_rx[:, None] * nrm
     seg = image - e
@@ -145,70 +107,105 @@ def _reflection_branch(gmap, vis_opposite, e, x):
         inc_dir = wall_point - e
         inc_norm = np.sqrt(row_dot(inc_dir, inc_dir))
     # edge and RX on the same wall side, a specular point inside the segment
-    valid = ((d_rx * row_dot(e - p0, nrm) > 0.0) & (np.abs(denom) >= 1e-12)
-             & (0.0 < t) & (t < 1.0) & (inc_norm >= 1e-9))
-    if not valid.any():
-        return None
-    i = np.flatnonzero(valid)[np.argmin(np.abs(d_rx[valid]))]
-    incidence = float(np.arccos(
-        np.clip(abs(inc_dir[i] @ nrm[i]) / inc_norm[i], -1.0, 1.0)))
-    return float(np.linalg.norm(seg[i])), wall_point[i], image[i], incidence
+    i = np.flatnonzero((d_rx * row_dot(e - p0, nrm) > 0.0)
+                       & (np.abs(denom) >= 1e-12) & (0.0 < t) & (t < 1.0)
+                       & (inc_norm >= 1e-9))
+    i = i[_first_per_group(group[i], np.abs(d_rx[i]))]
+    incidence = np.arccos(np.clip(
+        np.abs(row_dot(inc_dir[i], nrm[i])) / inc_norm[i], -1.0, 1.0))
+    return (group[i], np.sqrt(row_dot(seg[i], seg[i])), wall_point[i],
+            image[i], incidence)
 
 
-def extract_chain(vis, tx, rx, gmap):
-    """Ordered chain stages plus terminal geometry for one receiver position.
+def chain_table(vis_list, tx, rxs, gmap):
+    """The chains of a block of positions (``VisibilitySet``s ``vis_list``,
+    receivers ``rxs`` (P, 3)): one ``(vis, stages, terminal)`` per
+    position, ``stages`` as tuples of ``ChainStage`` fields.
 
-    Returns ``(stages, terminal)``; both are empty/None when no building is
-    visible (free-space link).
+    A position's stages are its visible buildings, each from its first
+    sub-segment, sorted by sub-segment, line parameter and id.  The stages
+    of all positions are stacked, so one ``f_block`` query tests the
+    TX->edge rays of every stage but the first of each chain, and each
+    quantity is one array pass.
     """
-    first = {}      # building id -> its entry in its first sub-segment
-    for seg_idx, vseg in enumerate(vis.visible):
-        for side in ("left", "right"):
-            for bid in getattr(vseg, side):
-                _dist, row, t = vseg.corner[bid]
-                first.setdefault(bid, (seg_idx, t, bid, row, side))
-    if not first:
-        return [], None
-    ordered = sorted(first.values())     # by sub-segment, line parameter, id
-    edges = [_edge_point(gmap, row, t, vis.visible[seg].a, vis.visible[seg].b)
-             for seg, t, _bid, row, _side in ordered]
+    rows, start = [], [0]    # (sub-segment, t, id, roof row, side, sub)
+    for vis in vis_list:
+        first = {}
+        for s, sub in enumerate(vis.visible):
+            for side, ids in enumerate((sub.left, sub.right)):
+                for bid in ids:
+                    _dist, row, t = sub.corner[bid]
+                    first.setdefault(bid, (s, t, bid, row, side, sub))
+        rows += sorted(first.values())
+        start.append(len(rows))
+    if not rows:
+        return [(vis, [], None) for vis in vis_list]
+    _s, t, _bid, row, side, subs = zip(*rows)
+    row = np.array(row)
+    a_z, b_z = (np.array([getattr(sub, k)[2] for sub in subs]) for k in "ab")
+    edge = np.column_stack([gmap.roof_xy[row],
+                            a_z + np.clip(t, 0.0, 1.0) * (b_z - a_z)])
+    has = np.diff(start) > 0
+    head, last = np.array(start[:-1])[has], np.array(start[1:])[has] - 1
+    prev, nxt = np.roll(edge, 1, axis=0), np.roll(edge, -1, axis=0)
+    prev[head], nxt[last] = tx, rxs[has]
+    rest = np.ones(len(rows), dtype=bool)
+    rest[head] = False
+    blocked = np.zeros(len(rows), dtype=bool)
+    blocked[rest] = f_block(np.broadcast_to(tx, (rest.sum(), 3)), edge[rest], gmap)
 
-    points = [tx, *edges, rx]
-    # whether the TX->edge ray of each stage after the first is blocked
-    blocked = [0, *f_block(np.broadcast_to(tx, (len(edges) - 1, 3)),
-                           np.array(edges[1:]), gmap)]
-    stages = []
-    for i, (_seg, _t, _bid, row, _side) in enumerate(ordered):
-        here_xy = points[i + 1][:2]
-        frame = _screen_frame(gmap, row, here_xy, points[i][:2])
-        alpha, phi = _wedge_angles(frame, here_xy, points[i + 2][:2])
-        d_tx = float(np.linalg.norm(points[i + 1] - tx))
-        dist_next = float(np.linalg.norm(points[i + 2] - points[i + 1]))
-        stages.append(ChainStage(d_tx, max(dist_next, 1e-9), alpha, phi,
-                                 direct_blocked=bool(blocked[i])))
+    # the screen frame: the first wall of equally parallel ones wins
+    inc = edge[:, :2] - prev[:, :2]
+    inc_n = np.hypot(inc[:, 0], inc[:, 1])
+    w, size = gmap.ring_wall_rows(row)
+    framed = (inc_n >= 1e-9) & (size > 0)
+    group = np.repeat(np.arange(len(rows)), size)
+    w, group = w[framed[group]], group[framed[group]]
+    with np.errstate(all="ignore"):
+        inc = inc / inc_n[:, None]
+    walls = gmap.ring_dir[w]
+    score = np.abs(walls[:, 0] * inc[group, 0] + walls[:, 1] * inc[group, 1])
+    screen = np.tile([1.0, 0.0], (len(rows), 1))
+    screen[framed] = walls[_first_per_group(group, -score)]
+    a_back = _angle(screen[framed], -inc[framed])   # back toward the source
+    orient, alpha_s = np.ones(len(rows)), np.full(len(rows), np.pi / 2.0)
+    orient[framed] = np.where(a_back >= 0.0, 1.0, -1.0)
+    alpha_s[framed] = orient[framed] * a_back
 
-    last_seg, _t, _bid, _row, last_side = ordered[-1]
-    last_edge = edges[-1]
-    length_direct = float(np.linalg.norm(rx - last_edge))
-    d_n = stages[-1].d_tx
+    def depart(k, v):   # angles of the 2D rows v from the screens of stages k
+        return (orient[k] * _angle(screen[k], v)) % (2.0 * np.pi)
 
-    # angles at the final edge, in the screen frame of the last stage (whose
-    # corner it is; ``frame`` and ``here_xy`` are left from that iteration)
-    if frame is None:
-        frame = (np.array([1.0, 0.0]), 1.0, np.pi / 2.0)
-    beta = float(frame[2])
-    psi = _departure(frame, rx[:2] - here_xy)
+    out, to_tx = nxt - edge, edge - tx
+    dist_next, d_tx = np.sqrt(row_dot(out, out)), np.sqrt(row_dot(to_tx, to_tx))
+    phi = depart(slice(None), out[:, :2])
+    stages = list(zip(d_tx.tolist(), np.maximum(dist_next, 1e-9).tolist(),
+                      np.clip(np.pi - alpha_s, 0.0, np.pi).tolist(),
+                      np.where(framed, phi, np.pi).tolist(), blocked.tolist()))
 
-    opposite = "left" if last_side == "right" else "right"
-    refl = _reflection_branch(gmap, getattr(vis.visible[last_seg], opposite),
-                              last_edge, rx)
-    r, wall_point, theta, incidence = length_direct, None, psi, 0.0
-    if refl is not None:
-        r, wall_point, image, incidence = refl
-        theta = _departure(frame, image[:2] - here_xy)
-    term = TerminalGeometry(last_edge, length_direct, max(r, length_direct),
-                            psi, theta, beta, d_n, wall_point, incidence)
-    return stages, term
+    # the terminal, in the screen frame of the last stage, whose corner it is
+    hit, r, wall_point, image, incidence = _reflection_branch(
+        gmap, [(subs[k].right, subs[k].left)[side[k]] for k in last.tolist()],
+        edge[last], rxs[has])
+    theta = phi[last]
+    theta[hit] = depart(last[hit], image[:, :2] - edge[last[hit], :2])
+    refl = dict(zip(hit.tolist(), zip(r.tolist(), wall_point, incidence.tolist())))
+    terminal = []
+    for q, k in enumerate(last.tolist()):
+        ell = float(dist_next[k])
+        r_q, wall_q, incidence_q = refl.get(q, (ell, None, 0.0))
+        terminal.append(TerminalGeometry(
+            edge[k], ell, max(r_q, ell), float(phi[k]), float(theta[q]),
+            float(alpha_s[k]), float(d_tx[k]), wall_q, incidence_q))
+    terminal = iter(terminal)
+    return [(vis, stages[lo:hi], next(terminal) if hi > lo else None)
+            for vis, lo, hi in zip(vis_list, start, start[1:])]
+
+
+def extract_chain(table, i):
+    """Position i's ``(stages, terminal)`` cut from a ``chain_table``; an
+    empty list and None when no building is visible (free-space link)."""
+    _vis, stages, term = table[i]
+    return [ChainStage(*row) for row in stages], term
 
 
 # -- terminal coefficients -------------------------------------------------

@@ -4,11 +4,11 @@ rows of a route gathered into one table of columns.
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
 position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
-route is walked in blocks of ``BLOCK`` positions: one candidate pass
-(``identify.initial_identification``) per block, then visibility, chain and
-fields per position.  A worker pool gets the scene ``(cfg, gmap)`` once per
-worker, through its initializer, and returns the rows of contiguous chunks
-of positions.
+route is walked in blocks of ``BLOCK`` positions: one candidate pass, the
+visibility scans and one chain pass (``link.chain_table``) per block, then
+each position's chain cut and fields.  A worker pool gets the scene ``(cfg,
+gmap)`` once per worker, through its initializer, and returns the rows of
+contiguous chunks of positions.
 """
 
 import math
@@ -20,11 +20,11 @@ from . import identify
 from .baselines import gpp_path_loss
 from .errors import RouteError
 from .identify import identify_position
-from .link import extract_chain, friis_path_loss_db, total_field
+from .link import chain_table, extract_chain, friis_path_loss_db, total_field
 
 NO_POINT = np.full(3, np.nan)
-# Positions identified together: enough to spread the fixed cost of the LOS
-# query and the candidate pass, few enough that their arrays stay small.
+# Positions identified together: enough to spread the fixed cost of the
+# block passes, few enough that their arrays stay small.
 BLOCK = 16
 
 
@@ -54,16 +54,17 @@ class RouteResult:
     wall_point: np.ndarray
 
 
-def predict_position(cfg, gmap, rx, ident=None):
+def predict_position(cfg, gmap, rx, table=None, i=0):
     """Run the whole model stack for a single receiver position: a
-    ``RouteResult`` of one row.  ``ident`` is the position's
-    ``(LinkClassification, [SubSegment, ...])`` from
-    ``identify.initial_identification``; without it the position is
-    identified alone."""
+    ``RouteResult`` of one row.  ``table`` is the ``link.chain_table`` of
+    the position's block and ``i`` its row there; without it the position
+    is identified and its chain built as a block of one."""
     tx = cfg.tx
-    vis = (identify_position(tx, rx, gmap, cfg.corridor_width_m) if ident is None
-           else identify.visible_identification(ident[1], ident[0], gmap))
-    stages, term = extract_chain(vis, tx, rx, gmap)
+    if table is None:
+        table = chain_table([identify_position(tx, rx, gmap, cfg.corridor_width_m)],
+                            tx, np.reshape(rx, (1, 3)), gmap)
+    vis = table[i][0]
+    stages, term = extract_chain(table, i)
     pred = total_field(vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx,
                        cfg.freq_hz, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
     los = vis.classification.los
@@ -98,8 +99,10 @@ def _predict_rows(cfg, gmap, positions):
         # through the module, so that a wrapper set on its attribute sees it
         idents = identify.initial_identification(cfg.tx, block, gmap,
                                                  cfg.corridor_width_m)
-        blocks.append(_concat([predict_position(cfg, gmap, rx, ident)
-                               for rx, ident in zip(block, idents)]))
+        table = chain_table([identify.visible_identification(segs, cls, gmap)
+                             for cls, segs in idents], cfg.tx, block, gmap)
+        blocks.append(_concat([predict_position(cfg, gmap, rx, table, k)
+                               for k, rx in enumerate(block)]))
     return _concat(blocks)
 
 

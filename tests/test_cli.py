@@ -246,6 +246,43 @@ class TestExitCodes:
         else:
             assert err == []
 
+    # a file that is not UTF-8, or a JSON integer past Python's 4,300-digit
+    # limit, raised past main (exit 1, a traceback)
+    @pytest.mark.parametrize("reader, content", [
+        ("config", b"\xff\xfe{}"),
+        ("config", b'{"eps_r": ' + b"9" * 5000 + b"}"),
+        ("map", b"\xff\xfe{}"),
+        ("map", "long"),
+        ("route", b"t,x,y,z\n0,59,0,2\n\xff\xfe,59,6,2\n"),
+        ("reference", b"index,value\n0,1.0\n\xff\xfe,2.0\n"),
+        ("predictions", b"index,pl_model_db\n0,1.0\n\xff\xfe,2.0\n")],
+        ids=["config-utf16", "config-digits", "map-utf16", "map-digits",
+             "route", "reference", "predictions"])
+    def test_unreadable_input_file(self, scenario, tmp_path, capsys, reader,
+                                   content):
+        bad = tmp_path / f"{reader}.bad"
+        if content == "long":
+            content = json.dumps(build_map_dict(CORNER_BOXES)).replace(
+                "[20.0, 8.0, 0.0]", "[" + "9" * 5000 + ", 8.0, 0.0]", 1).encode()
+        bad.write_bytes(content)
+        files = {"map_path": str(scenario["map"]),
+                 "route_path": str(scenario["route"])}
+        files.update({"map": {"map_path": str(bad)},
+                      "route": {"route_path": str(bad)}}.get(reader, {}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(files))
+        ref, prd = tmp_path / "ref.csv", tmp_path / "prd.csv"
+        ref.write_text("index,value\n0,1.0\n")
+        prd.write_text("index,pl_model_db\n0,1.0\n")
+        args = {"reference": ["compare", "--reference", bad, "--predictions", prd],
+                "predictions": ["compare", "--reference", ref,
+                                "--predictions", bad]}.get(reader, [
+            "--config", bad if reader == "config" else cfg, "predict"])
+        assert run(["--output", tmp_path / "o", *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(bad) in err[0]
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one(self, tmp_path, capsys, workers):
         # the map does not exist, so only a check made before loading it

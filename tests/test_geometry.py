@@ -273,19 +273,20 @@ class TestMapLoading:
                                       _shared_wall_pair])
     def test_wall_tables_match_face_walks(self, make):
         # same directions and normals bit for bit and in the same order; the
-        # ring-wall order decides link._screen_frame's ties
+        # ring-wall order decides the screen wall's ties in link.chain_table
         raw = make()
         gmap = map_from_dict(raw)
         n_walls = n_rows = 0
         for pos, bid in enumerate(gmap.ids.tolist()):
             for row in np.flatnonzero(gmap.roof_owner == pos):
-                walls = gmap.ring_walls(row)
+                walls = gmap.ring_dir[gmap.ring_wall_rows(np.array([row]))[0]]
                 assert walls.shape[1] == 2
                 assert walls.tobytes() == _bits(_ring_neighbors_loop(
                     raw, gmap, bid, gmap.roof_vertex[row]), 2)
                 n_walls += len(walls)
                 n_rows += 1
-            normals, points = gmap.vertical_faces(bid)
+            w = gmap.wall_rows([bid])[0]
+            normals, points = gmap.wall_normal[w], gmap.wall_point[w]
             loop = _vertical_faces_loop(raw, gmap, bid)
             assert normals.tobytes() == _bits([n for n, _p in loop], 3)
             assert points.tobytes() == _bits([p for _n, p in loop], 3)

@@ -3,6 +3,7 @@ candidate sides and visibility filtering, checked against an independent
 brute-force oracle on randomized box scenes."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from test_kernels import box_scenes, dense
 from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
-from urbanprop.identify import (EPS_TIE, LinkClassification, classify_link,
+from urbanprop.identify import (EPS_TIE, LinkClassification, VisibilitySet,
+                                classify_link,
                                 compute_breakpoint, identify_position,
                                 initial_identification, visible_identification)
-from urbanprop.link import _edge_point
+from urbanprop.link import chain_table
 
 
 def pt(x, y, z=2.0):
@@ -631,6 +633,16 @@ def _corner_for_line(gmap, bid, a, b):
     return int(ring[k]), t[k], edge
 
 
+def _edge_points(gmap, tx, entries):
+    """An iterator over the chain-table edge of each ``(sub, bid)``: the
+    recorded corner of candidate ``bid`` of sub-segment ``sub`` at the
+    height of its line, each the one stage of a chain."""
+    vis = [VisibilitySet(None, [sub], [replace(sub, left=[bid], right=[])])
+           for sub, bid in entries]
+    rxs = np.array([sub.b for sub, _bid in entries]).reshape(-1, 3)
+    return iter([term.edge for _vis, _stages, term in chain_table(vis, tx, rxs, gmap)])
+
+
 def _grid_scene():
     """4x4 grid of 30 m boxes on a 50 m pitch; routes along the streets run
     parallel to the walls, so each building has equidistant corners."""
@@ -666,7 +678,11 @@ class TestCornerRecord:
         computation bit for bit, ties included."""
         gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
         checked = ties = 0
-        for _cls, segs in initial_identification(tx, route, gmap):
+        idents = initial_identification(tx, route, gmap)
+        edges = _edge_points(gmap, tx, [(sub, bid) for _cls, segs in idents
+                                        for sub in segs
+                                        for bid in sub.left + sub.right])
+        for _cls, segs in idents:
             for sub in segs:
                 assert sorted(sub.corner) == sorted(sub.left + sub.right)
                 for bid in sub.left + sub.right:
@@ -676,8 +692,7 @@ class TestCornerRecord:
                     assert np.float64(dist).tobytes() == want_dist.tobytes()
                     assert gmap.roof_vertex[row] == want_vid
                     assert np.float64(t).tobytes() == want_t.tobytes()
-                    assert (_edge_point(gmap, row, t, sub.a, sub.b).tobytes()
-                            == edge.tobytes())
+                    assert next(edges).tobytes() == edge.tobytes()
                     ring = gmap.vertices[gmap.top_vertices(bid)]
                     ties += (line_2d(ring, sub.a, sub.b)[2] == want_dist).sum() > 1
                     checked += 1

@@ -2,24 +2,28 @@
 coefficients, terminal composition and path-loss conversion."""
 
 import warnings
+from collections import Counter
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_map, canyon_route, corner_route
-from test_identify import _grid_scene
+from conftest import CORNER_BOXES, build_map_dict, build_map, canyon_route, corner_route
+from test_identify import _edge_points, _fixture_scene, _grid_scene
 from test_kernels import box_scenes
 from urbanprop.config import ScenarioConfig
-from urbanprop.errors import NumericalDomainError
+from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
 from urbanprop.fields import direct_field, recursive_chain, transition_function
-from urbanprop.identify import identify_position
+from urbanprop.geometry import map_from_dict
+from urbanprop.identify import (identify_position, initial_identification,
+                                visible_identification)
 from urbanprop.link import (C_LIGHT, MaterialConfig, TerminalGeometry,
-                            _edge_point, _reflection_branch, extract_chain,
+                            _reflection_branch, chain_table, extract_chain,
                             friis_path_loss_db, path_loss, received_power,
                             reflection_coefficient, slope_coefficient,
                             total_field)
-from urbanprop.pipeline import predict_position
+from urbanprop.pipeline import BLOCK, predict_position
 
 F58 = 5.8e9
 K58 = 2.0 * np.pi * F58 / 299792458.0
@@ -32,17 +36,22 @@ def pt(x, y, z=2.0):
 # -- chain extraction --------------------------------------------------------
 
 
+def _chain(vis, tx, rx, gmap):
+    """``extract_chain`` of one position, cut from its chain table of one."""
+    return extract_chain(chain_table([vis], tx, rx[None], gmap), 0)
+
+
 class TestExtractChain:
     def test_empty_visibility(self, empty_map, tx):
         vis = identify_position(tx, pt(50, 0), empty_map)
-        stages, term = extract_chain(vis, tx, pt(50, 0), empty_map)
+        stages, term = _chain(vis, tx, pt(50, 0), empty_map)
         assert stages == [] and term is None
 
     def test_single_left_building(self, tx):
         gmap = build_map([(0, (30.0, 10.0, 60.0, 20.0, 15.0))])
         rx = pt(90, 0)
         vis = identify_position(tx, rx, gmap)
-        stages, term = extract_chain(vis, tx, rx, gmap)
+        stages, term = _chain(vis, tx, rx, gmap)
         assert len(stages) == 1
         # nearest roof corner to the street line is (30, 10) or (60, 10);
         # both are 10 m off the line, the lower vertex index (30, 10) wins
@@ -59,7 +68,7 @@ class TestExtractChain:
     def test_corner_scene_distances_hand_measured(self, corner_map, tx):
         rx = pt(59, 30)
         vis = identify_position(tx, rx, corner_map)
-        stages, term = extract_chain(vis, tx, rx, corner_map)
+        stages, term = _chain(vis, tx, rx, corner_map)
         assert len(stages) >= 1
         # every stage distance equals the straight-line distance between the
         # TX and that stage's corner at line height
@@ -73,7 +82,7 @@ class TestExtractChain:
         # flanked street: the last stage sees an opposite-side wall
         rx = pt(95, 0)
         vis = identify_position(tx, rx, canyon_map)
-        stages, term = extract_chain(vis, tx, rx, canyon_map)
+        stages, term = _chain(vis, tx, rx, canyon_map)
         assert len(stages) == 3
         assert term.wall_point is not None
         assert term.length_reflected > term.length_direct
@@ -87,7 +96,8 @@ def _reflection_branch_loop(gmap, vis_opposite, e, x):
     keeping the first strictly nearer wall."""
     best = None
     for bid in vis_opposite:
-        for nrm, p0 in zip(*gmap.vertical_faces(bid)):
+        w = gmap.wall_rows([bid])[0]
+        for nrm, p0 in zip(gmap.wall_normal[w], gmap.wall_point[w]):
             d_rx = (x - p0) @ nrm
             d_e = (e - p0) @ nrm
             if d_rx * d_e <= 0.0:
@@ -114,19 +124,38 @@ def _reflection_branch_loop(gmap, vis_opposite, e, x):
     return None if best is None else best[1:]
 
 
-def _same_image(gmap, ids, e, x):
-    """Whether the array pass gives the scalar scan's image bit for bit;
-    returns True when there is one."""
-    got = _reflection_branch(gmap, ids, e, x)
-    want = _reflection_branch_loop(gmap, ids, e, x)
-    if want is None:
-        assert got is None
-        return False
-    r, wall_point, image, incidence = got
-    assert (r, incidence) == (want[0], want[3])
-    assert wall_point.tobytes() == want[1].tobytes()
-    assert image.tobytes() == want[2].tobytes()
-    return True
+def _same_images(gmap, opposite, e, x):
+    """Whether each row of the stacked pass (the ids ``opposite[n]``, the
+    edge ``e[n]`` and the RX ``x[n]``) gives the scalar scan's image bit for
+    bit; returns how many rows have one."""
+    hit, *cols = _reflection_branch(gmap, opposite, np.reshape(e, (-1, 3)),
+                                    np.reshape(x, (-1, 3)))
+    found = dict(zip(hit.tolist(), zip(*cols)))
+    for n, ids in enumerate(opposite):
+        got = found.get(n)
+        want = _reflection_branch_loop(gmap, ids, e[n], x[n])
+        if want is None:
+            assert got is None
+            continue
+        r, wall_point, image, incidence = got
+        assert (r, incidence) == (want[0], want[3])
+        assert wall_point.tobytes() == want[1].tobytes()
+        assert image.tobytes() == want[2].tobytes()
+    return len(hit)
+
+
+def _route_images(gmap, tx, route, corridor=100.0):
+    """The stacked pass over every candidate corner of every sub-segment of
+    ``route``, as the final edge, against either side's candidates; returns
+    how many rows have an image."""
+    entries = [(sub, bid, rx) for rx, (_cls, segs) in zip(
+        route, initial_identification(tx, route, gmap, corridor))
+        for sub in segs for bid in sub.left + sub.right]
+    edges = list(_edge_points(gmap, tx, [(sub, bid) for sub, bid, _rx in entries]))
+    opposite = [ids for sub, _bid, _rx in entries for ids in (sub.left, sub.right)]
+    e, x = (np.repeat(np.reshape(v, (-1, 3)), 2, axis=0)
+            for v in (edges, [rx for _sub, _bid, rx in entries]))
+    return _same_images(gmap, opposite, e, x)
 
 
 class TestReflectionBranch:
@@ -139,14 +168,7 @@ class TestReflectionBranch:
             "canyon": lambda: (canyon_map, tx, canyon_route()),
             "corner": lambda: (corner_map, tx, corner_route()),
             "grid": _grid_scene}[scene]()
-        images = 0
-        for rx in route:
-            for seg in identify_position(tx, rx, gmap).sides:
-                for bid in seg.left + seg.right:
-                    _dist, row, t = seg.corner[bid]
-                    e = _edge_point(gmap, row, t, seg.a, seg.b)
-                    for ids in (seg.left, seg.right):
-                        images += _same_image(gmap, ids, e, rx)
+        images = _route_images(gmap, tx, route)
         assert images >= 10
 
     @settings(max_examples=200, deadline=None)
@@ -158,11 +180,98 @@ class TestReflectionBranch:
         ids = ids[:data.draw(st.integers(0, len(ids)))]
         coord = st.one_of(st.integers(-25, 25).map(float),
                           st.floats(-25.0, 25.0))
-        for _ in range(4):
-            e, x = (np.array([data.draw(coord), data.draw(coord),
-                              data.draw(st.floats(0.0, 15.0))])
-                    for _point in range(2))
-            _same_image(gmap, ids, e, x)
+        e, x = (np.array([[data.draw(coord), data.draw(coord),
+                           data.draw(st.floats(0.0, 15.0))]
+                          for _row in range(4)]) for _point in range(2))
+        _same_images(gmap, [ids] * 4, e, x)
+
+
+# -- one chain pass per block -------------------------------------------------
+
+
+def _spire_scene():
+    """The corner scene with a pyramid (building 6) beside street B: its
+    apex, the only roof corner, has no ring wall, so its stage takes the
+    straight-transmission angles."""
+    raw = build_map_dict(CORNER_BOXES)
+    base = len(raw["vertices"])
+    raw["vertices"] += [[52.0, 20.0, 0.0], [56.0, 20.0, 0.0],
+                        [56.0, 24.0, 0.0], [52.0, 24.0, 0.0], [54.0, 22.0, 30.0]]
+    raw["faces"] += [{"building": 6, "v": [base + i, base + (i + 1) % 4, base + 4]}
+                     for i in range(4)]
+    raw["faces"].append({"building": 6, "v": [base + 3, base + 2, base + 1, base]})
+    raw["buildings"].append({"id": 6})
+    route = [pt(59.0, y) for y in np.linspace(0.0, 70.0, 20)]
+    return map_from_dict(raw), pt(0, 0), route
+
+
+def _chain_bits(stages, term):
+    """Every field of a chain, each as its type and bytes."""
+    def bits(v):
+        return type(v), np.asarray(v).tobytes()
+    return ([[bits(v) for v in astuple(st)] for st in stages],
+            term and [bits(getattr(term, f.name)) for f in fields(term)])
+
+
+def _block_equals_alone(gmap, tx, route, corridor):
+    """Assert that every position of each block of ``route`` gets the chain
+    of its block of one; returns a tally of what the blocks held."""
+    seen = dict.fromkeys(["los", "nlos", "no stage", "one stage", "straight",
+                          "wall", "no wall"], 0)
+    route = np.array(route)
+    for i in range(0, len(route), BLOCK):
+        block = route[i:i + BLOCK]
+        vis = [visible_identification(segs, cls, gmap) for cls, segs in
+               initial_identification(tx, block, gmap, corridor)]
+        table = chain_table(vis, tx, block, gmap)
+        for k in range(len(block)):
+            stages, term = extract_chain(table, k)
+            alone = extract_chain(chain_table(vis[k:k + 1], tx, block[k:k + 1],
+                                              gmap), 0)
+            assert _chain_bits(stages, term) == _chain_bits(*alone)
+            seen["los" if vis[k].classification.los else "nlos"] += 1
+            seen["no stage"] += not stages
+            seen["one stage"] += len(stages) == 1
+            seen["straight"] += sum((st.alpha, st.phi) == (np.pi / 2.0, np.pi)
+                                    for st in stages)
+            if term is not None:
+                seen["no wall" if term.wall_point is None else "wall"] += 1
+    return seen
+
+
+class TestChainBlockEqualsAlone:
+    @pytest.mark.parametrize("corridor", [100.0, 10.0])
+    def test_fixture_blocks(self, corridor, canyon_map, corner_map, tx):
+        """A block of 16 positions gives each the chain fields of a block of
+        one, bit for bit, on blocks that mix LOS and NLOS positions and,
+        over the scenes, chains of every kind; the stacked reflection of the
+        blocks' corners matches the scalar scan."""
+        seen = Counter()
+        for scene in ("grid", "rotated", "corner", "spire"):
+            gmap, tx, route = (_spire_scene() if scene == "spire" else
+                               _fixture_scene(scene, canyon_map, corner_map, tx))
+            got = _block_equals_alone(gmap, tx, route, corridor)
+            assert got["los"] and got["nlos"], scene
+            seen.update(got)
+            _route_images(gmap, tx, route, corridor)
+        assert all(seen.values()), seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_scenes(), st.data())
+    def test_box_city_blocks(self, boxes, data):
+        """Touching and overlapping boxes give corners shared by two
+        buildings, so zero-length incident rays occur."""
+        gmap = build_map(boxes)
+        coord = st.integers(-30, 30).map(float)
+        tx = np.array([data.draw(coord), data.draw(coord), 2.0])
+        route = [np.array([data.draw(coord), data.draw(coord), 1.5])
+                 for _ in range(data.draw(st.integers(1, 20)))]
+        assume(all(np.hypot(*(r - tx)[:2]) > 0.0 for r in route))
+        try:
+            _block_equals_alone(gmap, tx, route, data.draw(
+                st.sampled_from([100.0, 10.0])))
+        except (DegenerateGeometryError, NumericalDomainError):
+            assume(False)
 
 
 # -- reflection coefficient --------------------------------------------------
@@ -318,7 +427,7 @@ class TestPathLoss:
         gmap = build_map([(0, (30.0, 10.0, 60.0, 20.0, 15.0))])
         tx, rx = pt(0, 0), pt(90, 0)
         vis = identify_position(tx, rx, gmap)
-        stages, term = extract_chain(vis, tx, rx, gmap)
+        stages, term = _chain(vis, tx, rx, gmap)
         m = MaterialConfig()
         p1 = total_field(vis, stages, term, m, 1.0, tx, rx, F58)
         p9 = total_field(vis, stages, term, m, 9.0, tx, rx, F58)
@@ -335,7 +444,7 @@ class TestTotalField:
     def test_empty_map_is_friis(self, empty_map, tx):
         rx = pt(200, 40)
         vis = identify_position(tx, rx, empty_map)
-        stages, term = extract_chain(vis, tx, rx, empty_map)
+        stages, term = _chain(vis, tx, rx, empty_map)
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
                            F58)
         d = float(np.linalg.norm(rx - tx))
@@ -371,7 +480,7 @@ class TestTotalField:
     def test_reflected_branch_composition(self, canyon_map, tx):
         rx = pt(95, 0)
         vis = identify_position(tx, rx, canyon_map)
-        stages, term = extract_chain(vis, tx, rx, canyon_map)
+        stages, term = _chain(vis, tx, rx, canyon_map)
         # force NLOS-style composition check through the component split:
         pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx, rx,
                            F58)
@@ -426,7 +535,7 @@ class TestOneComposition:
         reflected = differ = 0
         for rx in route:
             vis = identify_position(tx, rx, gmap)
-            stages, term = extract_chain(vis, tx, rx, gmap)
+            stages, term = _chain(vis, tx, rx, gmap)
             pred = total_field(vis, stages, term, cfg.material, 1.0, tx, rx,
                                F58, g_r=2.0, pl_cap_db=150.0)
             models = [_two_call_field(vis, stages, term, cfg.material, 1.0,
@@ -455,7 +564,7 @@ class TestOneComposition:
         apart = 0
         for rx in corner_route():
             vis = identify_position(tx, rx, corner_map)
-            stages, term = extract_chain(vis, tx, rx, corner_map)
+            stages, term = _chain(vis, tx, rx, corner_map)
             pred = total_field(vis, stages, term, MaterialConfig(), 1.0, tx,
                                rx, freq)
             powers = [received_power(e, 1.0, freq)

@@ -4,18 +4,19 @@ import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import CORNER_BOXES, TX, build_map
 from test_identify import _grid_scene
-from urbanprop import geometry, identify, kernels
+from test_link import _chain
+from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
-from urbanprop.link import extract_chain
 from urbanprop.pipeline import (BLOCK, RouteResult, _concat,
                                 predict_position, predict_route)
 
@@ -127,6 +128,31 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     assert sum(calls) <= math.ceil(len(route) / BLOCK)
 
 
+def test_hooked_names_run_per_block_and_per_position(monkeypatch):
+    """Over a route, the chain's ``f_block`` query runs at most once per
+    block, and ``extract_chain``, ``total_field`` and ``predict_position``,
+    as looked up in ``pipeline``, once per position: the benchmark times
+    and counts those layers through wrappers set on these names."""
+    gmap, tx, route = _grid_scene()
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in [(link, "f_block"), (pipeline, "extract_chain"),
+                      (pipeline, "total_field"), (pipeline, "predict_position")]:
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
+        np.arange(len(route), dtype=np.float64), np.array(route)))
+    assert len(route) > BLOCK and res.n_stages.sum() > len(route)
+    assert 0 < calls["f_block"] <= math.ceil(len(route) / BLOCK)
+    for name in ("extract_chain", "total_field", "predict_position"):
+        assert calls[name] == len(route), name
+
+
 @pytest.mark.parametrize("rows", [None, 40])
 def test_kernel_calls_stay_within_the_slice(monkeypatch, rows):
     """No kernel call of a route gets more pairs than ``KERNEL_ROWS``; with
@@ -179,8 +205,8 @@ def test_array_holding_results_compare_by_identity(cfg, corner_map):
         (first, second),
         (vis.classification, other.classification),
         (vis.sides[0], other.sides[0]),
-        (extract_chain(vis, cfg.tx, rx, corner_map)[1],
-         extract_chain(other, cfg.tx, rx, corner_map)[1]),
+        (_chain(vis, cfg.tx, rx, corner_map)[1],
+         _chain(other, cfg.tx, rx, corner_map)[1]),
         (route, Route(route.t, route.xyz)),
         (cfg, ScenarioConfig(tx=cfg.tx)),
     ]
@@ -216,3 +242,21 @@ def test_transient_memory_bounded_by_the_block(cfg, corner_map):
         for i in range(640)]))
     assert transient[640] < per_position / 2
     assert transient[640] < 2 * transient[160]
+
+
+def test_route_peak_memory_pinned():
+    """The traced peak of a route on the grid fixture (30 positions, two
+    blocks) stays under 500 KB: 465 KB measured once the block queries stop
+    holding their dead intermediates through the kernel slices, 575 KB
+    before."""
+    gmap, tx, route = _grid_scene()
+    cfg = ScenarioConfig(tx=tx)
+    route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
+    predict_route(cfg, gmap, route)                      # warm caches
+    tracemalloc.start()
+    try:
+        predict_route(cfg, gmap, route)
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * 1024
