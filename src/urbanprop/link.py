@@ -189,16 +189,15 @@ def chain_table(vis_list, tx, rxs, gmap):
     theta = phi[last]
     theta[hit] = depart(last[hit], image[:, :2] - edge[last[hit], :2])
     refl = dict(zip(hit.tolist(), zip(r.tolist(), wall_point, incidence.tolist())))
-    terminal = []
-    for q, k in enumerate(last.tolist()):
+    terminal = [None] * len(vis_list)
+    for q, (p, k) in enumerate(zip(np.flatnonzero(has).tolist(), last.tolist())):
         ell = float(dist_next[k])
         r_q, wall_q, incidence_q = refl.get(q, (ell, None, 0.0))
-        terminal.append(TerminalGeometry(
+        terminal[p] = TerminalGeometry(
             edge[k], ell, max(r_q, ell), float(phi[k]), float(theta[q]),
-            float(alpha_s[k]), float(d_tx[k]), wall_q, incidence_q))
-    terminal = iter(terminal)
-    return [(vis, stages[lo:hi], next(terminal) if hi > lo else None)
-            for vis, lo, hi in zip(vis_list, start, start[1:])]
+            float(alpha_s[k]), float(d_tx[k]), wall_q, incidence_q)
+    return [(vis, stages[lo:hi], term) for vis, lo, hi, term
+            in zip(vis_list, start, start[1:], terminal)]
 
 
 def extract_chain(table, i):
