@@ -13,7 +13,7 @@ from .identify import (LinkClassification, VisibilitySet, classify_link,
 from .fields import (ChainStage, direct_field, recursive_chain, stage_transfer,
                      transition_function)
 from .link import (LinkPrediction, MaterialConfig, TerminalGeometry,
-                   extract_chain, friis_path_loss_db, path_loss,
+                   chain_table, extract_chain, friis_path_loss_db, path_loss,
                    reflection_coefficient, slope_coefficient, total_field)
 from .baselines import gpp_path_loss
 from .doppler import (doppler_shift, gpp_doppler_estimate, rms_spread,
