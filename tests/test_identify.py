@@ -19,9 +19,9 @@ from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
 from urbanprop.identify import (EPS_TIE, LinkClassification, VisibilitySet,
-                                classify_link,
-                                compute_breakpoint, identify_position,
-                                initial_identification, visible_identification)
+                                classify_link, compute_breakpoint,
+                                identify_position, initial_identification,
+                                visible_identification)
 from urbanprop.link import chain_table
 
 
@@ -640,7 +640,8 @@ def _edge_points(gmap, tx, entries):
     vis = [VisibilitySet(None, [sub], [replace(sub, left=[bid], right=[])])
            for sub, bid in entries]
     rxs = np.array([sub.b for sub, _bid in entries]).reshape(-1, 3)
-    return iter([term.edge for _vis, _stages, term in chain_table(vis, tx, rxs, gmap)])
+    return iter([term.edge for _vis, _stages, term
+                 in chain_table(vis, tx, rxs, gmap)])
 
 
 def _grid_scene():
