@@ -3,6 +3,11 @@ transition function, the UTD edge term, the transfer factor of one stage
 (the field behind a stage is linear in the field at its edge, so a stage is
 one complex factor) and the recursive multiple-diffraction chain.
 
+Every function takes arrays and works elementwise; a scalar argument is a
+0-d array and gives a scalar.  The recursion runs over a ``StageTable``,
+the stage rows of a block of chains, one stage index at a time with arrays
+over the chains.
+
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
 boundary) for alpha in [0, pi].  Internally the incidence angle measured
@@ -27,6 +32,50 @@ from .errors import NumericalDomainError
 F_ASYMPTOTIC_MIN = 500.0
 F_SMALL_MAX = 1e-12
 
+# One row per chain stage: the TX-to-edge distance, the edge-to-next-point
+# distance (for a chain's last stage the edge-to-terminal distance, which
+# the recursion does not consume), the wedge angle, the observation angle
+# toward the next point, and whether the edge's view of the TX is blocked,
+# which zeroes the stage's free-space term (never on a chain's first stage,
+# the recursion base).
+STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
+                  ("phi", "f8"), ("blocked", "?")])
+
+
+@dataclass(eq=False)
+class StageTable:
+    """The stages of a block's chains: chain i is the ``STAGE`` rows
+    ``stages[start[i]:start[i + 1]]``, in chain order."""
+
+    start: np.ndarray    # (P + 1,) row offsets
+    stages: np.ndarray   # (S,) STAGE rows
+
+
+def cmul(a, b):
+    """The elementwise product ``a * b`` of complex arrays, each real product
+    rounded on its own as numpy's scalar product does; its array loops may
+    fuse a multiply with an add, so a block's fields would lose the bits of
+    the same fields computed one position at a time."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
+def _check(faults, name=lambda j, c: ""):
+    """Raise for the first element, in order, that fails one of ``faults``,
+    ``(failed, message, values)`` triples: the message of its first listed
+    failure, with its value, after ``name(element, failure index)``."""
+    if not any(np.any(failed) for failed, _m, _v in faults):
+        return
+    failed = np.array(np.broadcast_arrays(*(np.atleast_1d(f) for f, _m, _v in faults)))
+    j = int(failed.any(axis=0).argmax())
+    c = int(failed[:, j].argmax())
+    _f, message, values = faults[c]
+    raise NumericalDomainError(name(j, c) + message.format(
+        np.broadcast_to(values, failed.shape[1:])[j]))
+
 
 def transition_function(x):
     """Transition function F(X) regularizing diffraction near GO boundaries.
@@ -36,28 +85,40 @@ def transition_function(x):
     (the modified negative Fresnel integral); a 4-term asymptotic series takes
     over for large arguments.  |F| is in (0, 1] and arg F in [0, pi/4].
     """
-    if not np.isfinite(x) or x <= 0.0:
-        raise NumericalDomainError(f"transition_function requires finite X > 0, got {x}")
-    if x >= F_ASYMPTOTIC_MIN:
-        xi = 1.0 / x
-        return 1.0 + xi * (0.5j + xi * (-0.75 + xi * -1.875j))
-    if x < F_SMALL_MAX:
-        return np.sqrt(np.pi * x) * np.exp(1j * (np.pi / 4.0 + x))
+    x = np.asarray(x, dtype=np.float64)
+    _check([(~(np.isfinite(x) & (x > 0.0)),
+             "transition_function requires finite X > 0, got {}", x)])
     sx = np.sqrt(x)
-    fm = complex(modfresnelm(sx)[0])
-    return 2j * sx * np.exp(1j * x) * fm
+    f = cmul(cmul(2j * sx, np.exp(1j * x)), modfresnelm(sx)[0])
+    xi = 1.0 / x
+    f = np.where(x >= F_ASYMPTOTIC_MIN,
+                 1.0 + xi * (0.5j + xi * (-0.75 + xi * -1.875j)), f)
+    return np.where(x < F_SMALL_MAX,
+                    np.sqrt(np.pi * x) * np.exp(1j * (np.pi / 4.0 + x)), f)[()]
 
 
 def diffraction_term(cos_half, k_d):
     """sec(ang/2) * F(2 kD cos^2(ang/2)), finite through the boundary: the
     UTD edge term of the chain stages and of ``link.slope_coefficient``."""
     x = 2.0 * k_d * cos_half * cos_half
-    if x < 1e-24:
-        # limit of sec * F as the cosine vanishes; the sign flip across the
-        # boundary is what cancels the GO step
-        sign = 1.0 if cos_half >= 0.0 else -1.0
-        return sign * np.sqrt(2.0 * np.pi * k_d) * np.exp(1j * np.pi / 4.0)
-    return transition_function(x) / cos_half
+    near = x < 1e-24
+    # limit of sec * F as the cosine vanishes; the sign flip across the
+    # boundary is what cancels the GO step
+    limit = (np.where(cos_half >= 0.0, 1.0, -1.0) * np.sqrt(2.0 * np.pi * k_d)
+             * np.exp(1j * np.pi / 4.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = transition_function(np.where(near, 1.0, x)) / cos_half
+    return np.where(near, limit, term)[()]
+
+
+def _transfer_faults(alpha, phi, distance, k):
+    """``stage_transfer``'s domain checks, as ``_check`` faults."""
+    return [(~((0.0 <= alpha) & (alpha <= np.pi)),
+             "alpha must be in [0, pi], got {}", alpha),
+            (~((0.0 <= phi) & (phi < 2.0 * np.pi)),
+             "phi must be in [0, 2*pi), got {}", phi),
+            ((distance <= 0.0) | (k <= 0.0), "distance and k must be positive",
+             distance)]
 
 
 def stage_transfer(alpha, phi, distance, k):
@@ -69,71 +130,60 @@ def stage_transfer(alpha, phi, distance, k):
     angle belongs to the region listed first.  The F-corrected secants of d
     keep the factor finite and continuous at both GO boundaries.
     """
-    if not 0.0 <= alpha <= np.pi:
-        raise NumericalDomainError(f"alpha must be in [0, pi], got {alpha}")
-    if not 0.0 <= phi < 2.0 * np.pi:
-        raise NumericalDomainError(f"phi must be in [0, 2*pi), got {phi}")
-    if distance <= 0.0 or k <= 0.0:
-        raise NumericalDomainError("distance and k must be positive")
+    alpha, phi, distance = (np.asarray(v, dtype=np.float64)
+                            for v in (alpha, phi, distance))
+    _check(_transfer_faults(alpha, phi, distance, k))
     a_s = np.pi - alpha       # incidence angle from the screen
     phi_i, phi_r = phi - a_s, phi + a_s
     k_d = k * distance
-    pref = -np.exp(-1j * k_d) * np.exp(-1j * np.pi / 4.0) / (
+    pref = cmul(-np.exp(-1j * k_d), np.exp(-1j * np.pi / 4.0)) / (
         2.0 * np.sqrt(2.0 * np.pi * k_d))
-    d = pref * (diffraction_term(np.cos(phi_i / 2.0), k_d)
-                - diffraction_term(np.cos(phi_r / 2.0), k_d))
-    if phi > 2.0 * np.pi - alpha:
-        return d
+    d = cmul(pref, diffraction_term(np.cos(phi_i / 2.0), k_d)
+             - diffraction_term(np.cos(phi_r / 2.0), k_d))
     t = np.exp(1j * k_d * np.cos(phi_i))
-    if phi > alpha:
-        return t + d
-    return t - np.exp(1j * k_d * np.cos(phi_r)) + d
+    return np.where(phi > 2.0 * np.pi - alpha, d, np.where(
+        phi > alpha, t + d, t - np.exp(1j * k_d * np.cos(phi_r)) + d))[()]
 
 
 def direct_field(p_t, d, k):
     """Free-space field phasor ``2 sqrt(15 P_t)/d * exp(-j k d)`` in V/m."""
-    if p_t <= 0.0 or d <= 0.0 or k <= 0.0:
+    if p_t <= 0.0 or k <= 0.0 or np.any(np.asarray(d) <= 0.0):
         raise NumericalDomainError("direct_field requires positive P_t, d and k")
     return 2.0 * np.sqrt(15.0 * p_t) / d * np.exp(-1j * k * d)
 
 
-@dataclass(frozen=True)
-class ChainStage:
-    """Per-edge geometry of the diffraction chain.
-
-    ``dist_next`` is the edge-to-next-edge distance (for the final stage it
-    is the edge-to-terminal distance and is not consumed by the recursion).
-    ``direct_blocked`` zeroes the per-stage free-space term when the edge
-    cannot see the TX; it never applies to the first stage (recursion base).
-    """
-
-    d_tx: float        # TX-to-edge distance, m
-    dist_next: float   # edge-to-next-point distance, m
-    alpha: float       # wedge angle, rad
-    phi: float         # observation angle toward the next point, rad
-    direct_blocked: bool = False
-
-    def __post_init__(self):
-        if self.d_tx <= 0.0 or self.dist_next <= 0.0:
-            raise NumericalDomainError("stage distances must be positive")
-
-
-def recursive_chain(p_t, stages, k):
-    """Field at the last edge of the chain.
+def recursive_chain(p_t, table, k):
+    """Field at the last edge of each chain of the ``StageTable`` ``table``,
+    0 for a chain without stages; the table needs a stage.
 
     E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
     tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
     per-stage direct term dropped for edges whose view of the TX is blocked.
+    The recurrence runs over the stage index, all chains at once.  One check
+    over the table first names its first bad stage in row order: ``stage
+    n`` is the stage whose evaluation reads the bad value, so a chain's last
+    wedge is never checked.
     """
-    if not stages:
+    start, s = np.asarray(table.start), table.stages
+    if not len(s):
         raise NumericalDomainError("recursive_chain requires at least one stage")
-    n = 0
-    try:
-        e = direct_field(p_t, stages[0].d_tx, k)
-        for n, (prev, st) in enumerate(zip(stages, stages[1:]), start=1):
-            e = e * stage_transfer(prev.alpha, prev.phi, prev.dist_next, k)
-            if not st.direct_blocked:
-                e += direct_field(p_t, st.d_tx, k)
-    except NumericalDomainError as exc:
-        raise NumericalDomainError(f"stage {n}: {exc}") from exc
+    size = np.diff(start)
+    n = np.arange(len(s)) - np.repeat(start[:-1], size)   # index in its chain
+    used = n + 1 < np.repeat(size, size)                 # read by the next stage
+    alpha, phi, dist = s["alpha"], s["phi"], s["dist_next"]
+    _check([((s["d_tx"] <= 0.0) | (dist <= 0.0),
+             "stage distances must be positive", dist)]
+           + [(failed & used, message, v) for failed, message, v
+              in _transfer_faults(alpha, phi, dist, k)[:2]],
+           lambda j, c: f"stage {n[j] + (c > 0)}: ")
+    tau = np.zeros(len(s), dtype=np.complex128)
+    tau[used] = stage_transfer(alpha[used], phi[used], dist[used], k)
+    direct = direct_field(p_t, s["d_tx"], k)
+    e = np.zeros(len(size), dtype=np.complex128)
+    e[size > 0] = direct[start[:-1][size > 0]]
+    for m in range(1, size.max()):
+        on = np.flatnonzero(size > m)
+        row = start[on] + m
+        e_m = cmul(e[on], tau[row - 1])
+        e[on] = np.where(s["blocked"][row], e_m, e_m + direct[row])
     return e

@@ -1,11 +1,12 @@
-"""Chain extraction, terminal field composition and path-loss conversion.
+"""Chain extraction, the block field pass and path-loss conversion.
 
 From the visibility sets of a block of positions this module builds their
 ordered diffraction chains (one stage per visible building, anchored at the
-roof corner nearest the propagation line that identification recorded) in
-array passes over the stacked stages, composes each position's LOS/NLOS
-terminal field from the slope-diffraction branches, and converts field
-strength to received power and path loss.
+roof corner nearest the propagation line that identification recorded) as
+one table of stage and terminal columns, in array passes over the stacked
+stages.  One more pass over those columns computes both field models of the
+whole block: the chain recursion, the slope-diffraction terminal branches,
+the wall reflection and the conversion to received power and path loss.
 
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
@@ -20,13 +21,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import gpp_path_loss
 from .errors import NumericalDomainError
-from .fields import ChainStage, diffraction_term, direct_field, recursive_chain
-from .geometry import f_block, row_dot
+from .fields import (STAGE, StageTable, cmul, diffraction_term, direct_field,
+                     recursive_chain)
+from .geometry import EPS_LEN, f_block, row_dot
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
 PL_CAP_DB = 300.0
+
+# The terminal of a chain, in the screen frame of its last stage: the last
+# diffraction corner (at line height); its distances to the RX, direct (L)
+# and by the wall image (r); the departure angles toward the RX (psi) and
+# its wall image (theta); the arrival angle (beta); the straight TX-corner
+# distance (d_n); the specular wall point (NaN: no reflection) and the
+# incidence angle there from the wall normal.
+TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
+                     ("length_reflected", "f8"), ("psi", "f8"), ("theta", "f8"),
+                     ("beta", "f8"), ("d_n", "f8"), ("wall_point", "f8", 3),
+                     ("wall_incidence", "f8")])
 
 
 @dataclass(frozen=True)
@@ -42,31 +56,29 @@ class MaterialConfig:
 
 
 @dataclass(eq=False)
-class TerminalGeometry:
-    """Final-edge geometry feeding the two terminal branches."""
+class ChainTable(StageTable):
+    """The chains of a block of positions: their stage rows, and per
+    position its ``VisibilitySet`` and ``TERMINAL`` row (NaN without one)."""
 
-    edge: np.ndarray      # last diffraction corner (at line height)
-    length_direct: float  # final edge -> RX, m  (L)
-    length_reflected: float  # final edge -> wall -> RX path length, m  (r)
-    psi: float            # departure angle toward RX, rad
-    theta: float          # departure angle toward the RX wall-image, rad
-    beta: float           # arrival angle at the final edge, rad
-    d_n: float            # straight TX -> final-edge distance, m
-    wall_point: np.ndarray = None  # specular wall point; None: no reflection
-    wall_incidence: float = 0.0    # incidence angle from the wall normal, rad
+    vis: list
+    terminal: np.ndarray
 
 
 @dataclass(eq=False)
 class LinkPrediction:
-    """Both field models at one position: the full model's field and cap
-    flag, and ``power`` (2, 3) of each component (W), full model first."""
+    """Both field models and the empirical references at one position, or
+    their (P,) columns over a block: the full model's field, its components
+    ``{"direct", "final_I", "final_II"}`` and cap flag, and ``power`` (2, 3)
+    of each component (W), full model first."""
 
     pl_db: float
     pl_simplified_db: float
     e_total: complex
-    components: dict      # {"direct", "final_I", "final_II"} -> complex
+    components: dict
     power: np.ndarray
-    capped: bool = False
+    capped: bool
+    pl_gpp_db: float
+    pl_free_space_db: float
 
 
 # -- chain geometry, a block of positions at a time -----------------------
@@ -118,14 +130,14 @@ def _reflection_branch(gmap, opposite, e, x):
 
 
 def chain_table(vis_list, tx, rxs, gmap):
-    """The chains of a block of positions (``VisibilitySet``s ``vis_list``,
-    receivers ``rxs`` (P, 3)): one ``(vis, stages, terminal)`` per
-    position, ``stages`` as tuples of ``ChainStage`` fields.
+    """The ``ChainTable`` of a block of positions (``VisibilitySet``s
+    ``vis_list``, receivers ``rxs`` (P, 3)).
 
     A position's stages are its visible buildings, each from its first
-    sub-segment, sorted by sub-segment, line parameter and id.  The stages
-    of all positions are stacked, so one ``f_block`` query tests the
-    TX->edge rays of every stage but the first of each chain, and each
+    sub-segment, sorted by sub-segment, line parameter and id; a building
+    whose corner lies at the TX cannot diffract toward it and takes none.
+    The stages of all positions are stacked, so one ``f_block`` query tests
+    the TX->edge rays of every stage but the first of each chain, and each
     quantity is one array pass.
     """
     rows, start = [], [0]    # (sub-segment, t, id, roof row, side, sub)
@@ -138,20 +150,24 @@ def chain_table(vis_list, tx, rxs, gmap):
                     first.setdefault(bid, (s, t, bid, row, side, sub))
         rows += sorted(first.values())
         start.append(len(rows))
-    if not rows:
-        return [(vis, [], None) for vis in vis_list]
-    _s, t, _bid, row, side, subs = zip(*rows)
-    row = np.array(row)
+    _s, t, _bid, row, side, subs = zip(*rows) if rows else [()] * 6
+    row = np.array(row, dtype=np.int64)
     a_z, b_z = (np.array([getattr(sub, k)[2] for sub in subs]) for k in "ab")
     edge = np.column_stack([gmap.roof_xy[row],
                             a_z + np.clip(t, 0.0, 1.0) * (b_z - a_z)])
+    keep = np.flatnonzero(np.sqrt(row_dot(edge - tx, edge - tx)) > EPS_LEN)
+    start = np.searchsorted(keep, start)
+    row, edge, subs = row[keep], edge[keep], [subs[k] for k in keep.tolist()]
+    terminal = np.full(len(vis_list), np.nan, TERMINAL)
+    if not len(row):
+        return ChainTable(start, np.zeros(0, STAGE), vis_list, terminal)
     has = np.diff(start) > 0
-    head, last = np.array(start[:-1])[has], np.array(start[1:])[has] - 1
+    head, last = start[:-1][has], start[1:][has] - 1
     prev, nxt = np.roll(edge, 1, axis=0), np.roll(edge, -1, axis=0)
     prev[head], nxt[last] = tx, rxs[has]
-    rest = np.ones(len(rows), dtype=bool)
+    rest = np.ones(len(row), dtype=bool)
     rest[head] = False
-    blocked = np.zeros(len(rows), dtype=bool)
+    blocked = np.zeros(len(row), dtype=bool)
     blocked[rest] = f_block(np.broadcast_to(tx, (rest.sum(), 3)), edge[rest], gmap)
 
     # the screen frame: the first wall of equally parallel ones wins
@@ -159,16 +175,16 @@ def chain_table(vis_list, tx, rxs, gmap):
     inc_n = np.hypot(inc[:, 0], inc[:, 1])
     w, size = gmap.ring_wall_rows(row)
     framed = (inc_n >= 1e-9) & (size > 0)
-    group = np.repeat(np.arange(len(rows)), size)
+    group = np.repeat(np.arange(len(row)), size)
     w, group = w[framed[group]], group[framed[group]]
     with np.errstate(all="ignore"):
         inc = inc / inc_n[:, None]
     walls = gmap.ring_dir[w]
     score = np.abs(walls[:, 0] * inc[group, 0] + walls[:, 1] * inc[group, 1])
-    screen = np.tile([1.0, 0.0], (len(rows), 1))
+    screen = np.tile([1.0, 0.0], (len(row), 1))
     screen[framed] = walls[_first_per_group(group, -score)]
     a_back = _angle(screen[framed], -inc[framed])   # back toward the source
-    orient, alpha_s = np.ones(len(rows)), np.full(len(rows), np.pi / 2.0)
+    orient, alpha_s = np.ones(len(row)), np.full(len(row), np.pi / 2.0)
     orient[framed] = np.where(a_back >= 0.0, 1.0, -1.0)
     alpha_s[framed] = orient[framed] * a_back
 
@@ -178,33 +194,32 @@ def chain_table(vis_list, tx, rxs, gmap):
     out, to_tx = nxt - edge, edge - tx
     dist_next, d_tx = np.sqrt(row_dot(out, out)), np.sqrt(row_dot(to_tx, to_tx))
     phi = depart(slice(None), out[:, :2])
-    stages = list(zip(d_tx.tolist(), np.maximum(dist_next, 1e-9).tolist(),
-                      np.clip(np.pi - alpha_s, 0.0, np.pi).tolist(),
-                      np.where(framed, phi, np.pi).tolist(), blocked.tolist()))
+    stages = np.empty(len(row), STAGE)
+    stages["d_tx"], stages["dist_next"] = d_tx, np.maximum(dist_next, 1e-9)
+    stages["alpha"] = np.clip(np.pi - alpha_s, 0.0, np.pi)
+    stages["phi"], stages["blocked"] = np.where(framed, phi, np.pi), blocked
 
     # the terminal, in the screen frame of the last stage, whose corner it is
     hit, r, wall_point, image, incidence = _reflection_branch(
         gmap, [(subs[k].right, subs[k].left)[side[k]] for k in last.tolist()],
         edge[last], rxs[has])
-    theta = phi[last]
+    ell, theta = dist_next[last], phi[last]
     theta[hit] = depart(last[hit], image[:, :2] - edge[last[hit], :2])
-    refl = dict(zip(hit.tolist(), zip(r.tolist(), wall_point, incidence.tolist())))
-    terminal = [None] * len(vis_list)
-    for q, (p, k) in enumerate(zip(np.flatnonzero(has).tolist(), last.tolist())):
-        ell = float(dist_next[k])
-        r_q, wall_q, incidence_q = refl.get(q, (ell, None, 0.0))
-        terminal[p] = TerminalGeometry(
-            edge[k], ell, max(r_q, ell), float(phi[k]), float(theta[q]),
-            float(alpha_s[k]), float(d_tx[k]), wall_q, incidence_q)
-    return [(vis, stages[lo:hi], term) for vis, lo, hi, term
-            in zip(vis_list, start, start[1:], terminal)]
+    length_r, wall, wall_inc = ell.copy(), np.full((len(last), 3), np.nan), np.zeros(len(last))
+    length_r[hit], wall[hit], wall_inc[hit] = np.maximum(r, ell[hit]), wall_point, incidence
+    for name, column in zip(TERMINAL.names, (
+            edge[last], ell, length_r, phi[last], theta, alpha_s[last],
+            d_tx[last], wall, wall_inc)):
+        terminal[name][has] = column
+    return ChainTable(start, stages, vis_list, terminal)
 
 
 def extract_chain(table, i):
-    """Position i's ``(stages, terminal)`` cut from a ``chain_table``; an
-    empty list and None when no building is visible (free-space link)."""
-    _vis, stages, term = table[i]
-    return [ChainStage(*row) for row in stages], term
+    """Position i's ``(stages, terminal)`` cut from a ``chain_table``: its
+    ``STAGE`` rows and its ``TERMINAL`` row; no rows and None when no
+    building is visible (free-space link)."""
+    lo, hi = table.start[i], table.start[i + 1]
+    return table.stages[lo:hi], table.terminal[i] if hi > lo else None
 
 
 # -- terminal coefficients -------------------------------------------------
@@ -215,95 +230,109 @@ def reflection_coefficient(theta, material):
 
     ``theta`` is the incidence angle from the wall normal, in [0, pi/2).
     """
-    if not 0.0 <= theta < np.pi / 2.0:
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
     eps = material.eps_r
     s2 = np.sin(theta) ** 2
-    if eps < s2:
+    if np.any(eps < s2):
         raise NumericalDomainError("eps_r below sin^2(theta)")
     a = 1.0 if material.polarization == "H" else 1.0 / eps
     root = a * np.sqrt(eps - s2)
-    return float((np.cos(theta) - root) / (np.cos(theta) + root))
+    return (np.cos(theta) - root) / (np.cos(theta) + root)
 
 
 def slope_coefficient(kind, term, k):
-    """Terminal slope-diffraction coefficient for branch I (direct departure)
-    or II (wall-reflected departure), from the chain's UTD edge term."""
+    """Terminal slope-diffraction coefficient of the ``TERMINAL`` rows
+    ``term`` for branch I (direct departure) or II (wall-reflected
+    departure), from the chain's UTD edge term."""
     if kind == "I":
-        depart, length = term.psi, term.length_direct
+        depart, length = term["psi"], term["length_direct"]
     elif kind == "II":
-        depart, length = term.theta, term.length_reflected
+        depart, length = term["theta"], term["length_reflected"]
     else:
         raise NumericalDomainError("kind must be 'I' or 'II'")
-    d_n = term.d_n
+    d_n = term["d_n"]
     l_red = length * d_n / (d_n + length)   # reduced distance parameter
-    s = np.sin((depart - term.beta) / 2.0)
-    c = np.cos((depart + term.beta) / 2.0)
+    s = np.sin((depart - term["beta"]) / 2.0)
+    c = np.cos((depart + term["beta"]) / 2.0)
     pref = -np.exp(-1j * np.pi / 4.0) / (2.0 * np.sqrt(2.0 * np.pi * k))
     k_l = k * l_red
-    return pref * (diffraction_term(c, k_l) - diffraction_term(s, k_l))
+    return cmul(pref, diffraction_term(c, k_l) - diffraction_term(s, k_l))
 
 
-# -- composition and path loss ---------------------------------------------
+# -- the block's fields and path loss ----------------------------------------
 
 
-def total_field(vis, stages, term, material, p_t, tx, rx, freq,
-                g_r=1.0, pl_cap_db=PL_CAP_DB):
-    """Both models' terminal field as a LinkPrediction: the same terminal
-    branches, fed with the recursive chain field at the final edge (full
-    model) or with free space from the TX to it (simplified model)."""
+def _branch(e_n, kind, term, k):
+    """(H, 2) terminal branch fields of the chain fields ``e_n`` (H, 2)."""
+    d_n, length = term["d_n"], term["length_direct" if kind == "I"
+                                     else "length_reflected"]
+    return cmul(cmul(e_n, slope_coefficient(kind, term, k)[:, None])
+                * np.sqrt(d_n / (length * (d_n + length)))[:, None],
+                np.exp(-1j * k * length)[:, None])
+
+
+def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
+                 pl_cap_db=PL_CAP_DB):
+    """Both field models of every position of a ``chain_table``, as the
+    columns of one ``LinkPrediction``: the same terminal branches, fed with
+    the recursive chain field at the final edge (full model) or with free
+    space from the TX to it (simplified model), plus the direct field where
+    the link is LOS; and the empirical and free-space path losses."""
     k = 2.0 * np.pi * freq / C_LIGHT
-    los = vis.classification.los
-    direct = direct_field(p_t, float(np.linalg.norm(rx - tx)), k) if los else 0j
-    comps = [(direct, 0j, 0j)] * 2       # full, simplified
-    if stages:
-        e_full = recursive_chain(p_t, stages, k)
-        ell, r = term.length_direct, term.length_reflected
-        s_i = slope_coefficient("I", term, k)
-        a_i = np.sqrt(term.d_n / (ell * (term.d_n + ell)))
-        ph_i = np.exp(-1j * k * ell)
-        reflected = not los and term.wall_point is not None
-        if reflected:
-            a_ii = np.sqrt(term.d_n / (r * (term.d_n + r)))
-            refl = reflection_coefficient(term.wall_incidence, material)
-            s_ii = slope_coefficient("II", term, k)
-            ph_ii = np.exp(-1j * k * r)
-        comps = [(direct, e_n * s_i * a_i * ph_i,
-                  refl * e_n * s_ii * a_ii * ph_ii if reflected else 0j)
-                 for e_n in (e_full, direct_field(p_t, term.d_n, k))]
+    los = np.array([vis.classification.los for vis in table.vis], dtype=bool)
+    to_rx = rxs - tx
+    d3d = np.sqrt(row_dot(to_rx, to_rx))
+    comps = np.zeros((len(los), 2, 3), dtype=np.complex128)  # direct, I, II
+    comps[los, :, 0] = direct_field(p_t, d3d[los], k)[:, None]
+    h = np.flatnonzero(np.diff(table.start))
+    if len(h):
+        term = table.terminal[h]
+        e_n = np.stack([recursive_chain(p_t, table, k)[h],
+                        direct_field(p_t, term["d_n"], k)], axis=1)
+        comps[h, :, 1] = _branch(e_n, "I", term, k)
+        w = np.flatnonzero(~los[h] & ~np.isnan(term["wall_point"][:, 0]))
+        refl = reflection_coefficient(term["wall_incidence"][w], material)
+        comps[h[w], :, 2] = _branch(refl[:, None] * e_n[w], "II", term[w], k)
+    e = comps[:, :, 0] + comps[:, :, 1] + comps[:, :, 2]
+    _p_r, pl_db, capped = path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
+    return LinkPrediction(
+        pl_db[:, 0], pl_db[:, 1], e[:, 0],
+        dict(zip(("direct", "final_I", "final_II"), comps[:, 0].T)),
+        received_power(comps, g_r, freq), capped[:, 0],
+        gpp_path_loss(np.maximum(d3d, 1.0), freq / 1e9, los),
+        friis_path_loss_db(d3d, freq))
 
-    e_total, e_simplified = (c[0] + c[1] + c[2] for c in comps)
-    (_p, pl_db, capped), (_p, pl_simplified_db, _capped) = (
-        path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
-        for e in (e_total, e_simplified))
-    # scalar received_power: numpy's array abs and ** 2 round differently
-    power = np.array([[received_power(e, g_r, freq) for e in c] for c in comps])
-    return LinkPrediction(pl_db, pl_simplified_db, e_total,
-                          dict(zip(("direct", "final_I", "final_II"), comps[0])),
-                          power, capped)
+
+def total_field(fields, i):
+    """Position i's ``LinkPrediction`` cut from its block's ``chain_fields``."""
+    return LinkPrediction(
+        fields.pl_db[i], fields.pl_simplified_db[i], fields.e_total[i],
+        {name: c[i] for name, c in fields.components.items()},
+        fields.power[i], fields.capped[i], fields.pl_gpp_db[i],
+        fields.pl_free_space_db[i])
 
 
 def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
-    """(received power W, path loss dB, capped flag) from a field phasor."""
+    """(received power W, path loss dB, capped flag) from field phasors; the
+    path loss is a float even for an integer cap."""
     if p_t <= 0.0 or g_r <= 0.0 or freq <= 0.0:
         raise NumericalDomainError("P_t, G_r and freq must be positive")
     p_r = received_power(e, g_r, freq)
-    cap = float(pl_cap_db)      # an integer cap must not make an int column
-    if p_r <= 0.0:
-        return 0.0, cap, True
-    pl_db = -10.0 * np.log10(p_r / p_t)
-    if pl_db > cap:
-        return p_r, cap, True
-    return p_r, float(pl_db), False
+    with np.errstate(divide="ignore"):
+        pl_db = -10.0 * np.log10(p_r / p_t)
+    capped = pl_db > pl_cap_db
+    return p_r, np.where(capped, float(pl_cap_db), pl_db)[()], capped
 
 
 def received_power(e, g_r, freq):
     """Power (W) a receiver of gain ``g_r`` takes from the field phasor ``e``."""
     lam = C_LIGHT / freq
-    return lam ** 2 * g_r * abs(e) ** 2 / (8.0 * np.pi * ETA_0)
+    return lam ** 2 * g_r * np.hypot(e.real, e.imag) ** 2 / (8.0 * np.pi * ETA_0)
 
 
 def friis_path_loss_db(d, freq):
     """Free-space reference 20 log10(4 pi d / lambda)."""
     lam = C_LIGHT / freq
-    return float(20.0 * np.log10(4.0 * np.pi * d / lam))
+    return 20.0 * np.log10(4.0 * np.pi * d / lam)

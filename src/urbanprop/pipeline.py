@@ -5,8 +5,9 @@ Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
 position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
 route is walked in blocks of ``BLOCK`` positions: one candidate pass, the
-visibility scans and one chain pass (``link.chain_table``) per block, then
-each position's chain cut and fields.  A worker pool gets the scene ``(cfg,
+visibility scans, one chain pass (``link.chain_table``) and one field pass
+(``link.chain_fields``) per block, then each position's cut of them.  A
+worker pool gets the scene ``(cfg,
 gmap)`` once per worker, through its initializer, and returns the rows of
 contiguous chunks of positions.
 """
@@ -17,10 +18,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import identify
-from .baselines import gpp_path_loss
 from .errors import RouteError
 from .identify import identify_position
-from .link import chain_table, extract_chain, friis_path_loss_db, total_field
+from .link import chain_fields, chain_table, extract_chain, total_field
 
 NO_POINT = np.full(3, np.nan)
 # Positions identified together: enough to spread the fixed cost of the
@@ -54,32 +54,34 @@ class RouteResult:
     wall_point: np.ndarray
 
 
-def predict_position(cfg, gmap, rx, table=None, i=0):
+def _block_passes(cfg, gmap, rxs, vis_list):
+    """The ``(chain_table, chain_fields)`` of a block of positions."""
+    table = chain_table(vis_list, cfg.tx, rxs, gmap)
+    return table, chain_fields(table, cfg.material, cfg.p_t_watts, cfg.tx, rxs,
+                               cfg.freq_hz, g_r=cfg.g_r_linear,
+                               pl_cap_db=cfg.pl_cap_db)
+
+
+def predict_position(cfg, gmap, rx, block=None, i=0):
     """Run the whole model stack for a single receiver position: a
-    ``RouteResult`` of one row.  ``table`` is the ``link.chain_table`` of
+    ``RouteResult`` of one row.  ``block`` is the ``_block_passes`` pair of
     the position's block and ``i`` its row there; without it the position
-    is identified and its chain built as a block of one."""
-    tx = cfg.tx
-    if table is None:
-        table = chain_table([identify_position(tx, rx, gmap, cfg.corridor_width_m)],
-                            tx, np.reshape(rx, (1, 3)), gmap)
-    vis = table[i][0]
-    stages, term = extract_chain(table, i)
-    pred = total_field(vis, stages, term, cfg.material, cfg.p_t_watts, tx, rx,
-                       cfg.freq_hz, g_r=cfg.g_r_linear, pl_cap_db=cfg.pl_cap_db)
+    is identified and its chain and fields computed as a block of one."""
+    if block is None:
+        block = _block_passes(cfg, gmap, np.reshape(rx, (1, 3)), [
+            identify_position(cfg.tx, rx, gmap, cfg.corridor_width_m)])
+    table, preds = block
+    stages, _term = extract_chain(table, i)
+    pred = total_field(preds, i)
+    vis, term = table.vis[i], table.terminal[i]
     los = vis.classification.los
-    d3d = float(np.linalg.norm(rx - tx))
-    wall = None if term is None else term.wall_point
     row = dict(
         los=los, breakpoint=NO_POINT if los else vis.classification.breakpoint,
         sides=vis.flat_sides(), visible=vis.flat_visible(),
         n_stages=len(stages), pl_model_db=pred.pl_db,
-        pl_simplified_db=pred.pl_simplified_db,
-        pl_gpp_db=gpp_path_loss(max(d3d, 1.0), cfg.freq_hz / 1e9, los),
-        pl_free_space_db=friis_path_loss_db(d3d, cfg.freq_hz),
-        e_total=pred.e_total, power=pred.power,
-        edge=NO_POINT if term is None else term.edge,
-        wall_point=NO_POINT if wall is None else wall)
+        pl_simplified_db=pred.pl_simplified_db, pl_gpp_db=pred.pl_gpp_db,
+        pl_free_space_db=pred.pl_free_space_db, e_total=pred.e_total,
+        power=pred.power, edge=term["edge"], wall_point=term["wall_point"])
     return RouteResult(**{name: np.array([v]) for name, v in row.items()})
 
 
@@ -99,9 +101,10 @@ def _predict_rows(cfg, gmap, positions):
         # through the module, so that a wrapper set on its attribute sees it
         idents = identify.initial_identification(cfg.tx, block, gmap,
                                                  cfg.corridor_width_m)
-        table = chain_table([identify.visible_identification(segs, cls, gmap)
-                             for cls, segs in idents], cfg.tx, block, gmap)
-        blocks.append(_concat([predict_position(cfg, gmap, rx, table, k)
+        passes = _block_passes(cfg, gmap, block, [
+            identify.visible_identification(segs, cls, gmap)
+            for cls, segs in idents])
+        blocks.append(_concat([predict_position(cfg, gmap, rx, passes, k)
                                for k, rx in enumerate(block)]))
     return _concat(blocks)
 

@@ -5,7 +5,12 @@ program output by output.
     PYTHONPATH=src python tests/identity.py OUT_BEFORE
     ... change the program ...
     PYTHONPATH=src python tests/identity.py OUT_AFTER
-    diff -r OUT_BEFORE OUT_AFTER
+    PYTHONPATH=src python tests/identity.py --compare OUT_BEFORE OUT_AFTER
+
+``--compare`` prints every cell that differs between the two trees, with
+its relative difference, and exits 1 if a file, row or column is missing
+on one side, an exact field (``EXACT``) differs, or a number differs by
+more than ``COMPARE_REL`` relative; else 0.
 
 Each scene's outputs go to ``OUT/<scene>/``; its input files are written to
 a temporary directory, so only outputs are compared.  The scenes:
@@ -43,6 +48,10 @@ from urbanprop import cli
 SCENE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "scene.py"
 
 COMMANDS = ("identify", "predict", "doppler")
+
+# output fields compared exactly; every other field is a number
+EXACT = {"index", "los", "bp", "sides", "visible", "n_stages", "n_paths"}
+COMPARE_REL = 1e-9
 
 Scene = namedtuple("Scene", "name map tx route workers")
 
@@ -186,7 +195,62 @@ def run(out):
                     raise SystemExit(f"{scene.name} {command}: exit {code}")
 
 
+def _cells(path):
+    """``{(row, field): value}`` of an output file: CSV cells as text,
+    JSONL fields as parsed."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".jsonl"):
+            rows = [json.loads(line) for line in fh]
+        else:
+            rows = list(csv.DictReader(fh))
+    return {(i, k): v for i, row in enumerate(rows) for k, v in row.items()}
+
+
+def relative_difference(a, b):
+    """|a - b| / max(|a|, |b|) of two numbers written as text: 0 when they
+    are equal, inf when either is not a finite number."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.inf
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(before, after, out=sys.stdout):
+    """Print each differing cell of two output trees; 1 if one fails (see
+    the module docstring), else 0."""
+    names = sorted({os.path.relpath(os.path.join(d, f), root)
+                    for root in (before, after)
+                    for d, _dirs, files in os.walk(root) for f in files})
+    failed = changed = 0
+    for name in names:
+        paths = [os.path.join(root, name) for root in (before, after)]
+        if not all(map(os.path.isfile, paths)):
+            print(f"{name}: only in {paths[os.path.isfile(paths[1])]}", file=out)
+            failed += 1
+            continue
+        cells = [_cells(p) for p in paths]
+        for row, field in sorted(cells[0].keys() | cells[1].keys()):
+            a, b = (c.get((row, field), "<missing>") for c in cells)
+            if a == b:
+                continue
+            diff = math.inf if field in EXACT else relative_difference(a, b)
+            print(f"{name} row {row} {field}: {a} -> {b} (relative {diff:.3g})",
+                  file=out)
+            changed += 1
+            failed += not diff <= COMPARE_REL
+    print(f"{changed} cells differ in {len(names)} files; {failed} fail",
+          file=out)
+    return int(failed > 0)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        raise SystemExit(compare(*sys.argv[2:]))
     if len(sys.argv) != 2:
-        raise SystemExit(f"usage: {sys.argv[0]} OUT")
+        raise SystemExit(f"usage: {sys.argv[0]} OUT | --compare BEFORE AFTER")
     run(sys.argv[1])

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict
+from test_identify import GRID_BOXES, _grid_scene
 from urbanprop import cli, pipeline
 from urbanprop.cli import main
 
@@ -432,6 +433,33 @@ class TestPredict:
                     tmp_path / "o", "predict"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: degenerate segment: endpoints coincide"]
+
+    def test_tx_at_a_roof_corner(self, tmp_path, capsys):
+        """A TX at a roof corner of building 0 runs every command (exit 0):
+        identification keeps building 0 in the visible sets, and the
+        chains anchored at that corner leave it out."""
+        (tmp_path / "map.json").write_text(json.dumps(build_map_dict(GRID_BOXES)))
+        route = _grid_scene()[2]
+        (tmp_path / "route.csv").write_text("t,x,y,z\n" + "".join(
+            f"{k},{x},{y},{z}\n" for k, (x, y, z) in enumerate(route)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(tmp_path / "map.json"),
+                                   "route_path": str(tmp_path / "route.csv"),
+                                   "tx": [30.0, 30.0, 12.0]}))
+        for command in ("identify", "predict", "doppler"):
+            assert run(["--config", cfg, "--output", tmp_path / "o",
+                        command]) == 0, command
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "o" / "identify.jsonl") as fh:
+            ids = [set(sum(json.loads(line)["visible"].values(), []))
+                   for line in fh]
+        with open(tmp_path / "o" / "predict.csv", newline="") as fh:
+            n_stages = [int(r["n_stages"]) for r in csv.DictReader(fh)]
+        assert len(n_stages) == len(route)
+        # building 0 visible, its stage dropped where its corner is the TX's
+        assert any(0 in b and n == len(b) - 1 for b, n in zip(ids, n_stages))
+        assert all(n == len(b) - (0 in b and n < len(b))
+                   for b, n in zip(ids, n_stages))
 
     def test_columns_and_rows(self, scenario, tmp_path, capsys):
         out = tmp_path / "o"

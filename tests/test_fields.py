@@ -2,6 +2,8 @@
 exact half-plane solution as reference for the stage transfer factor, its
 region rules, and the recursion chain against a per-component reference."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from urbanprop.errors import NumericalDomainError
-from urbanprop.fields import (ChainStage, diffraction_term, direct_field,
-                              recursive_chain, stage_transfer,
+from urbanprop.fields import (STAGE, StageTable, diffraction_term,
+                              direct_field, recursive_chain, stage_transfer,
                               transition_function)
 
 QUAD = dict(limit=4000, epsabs=1e-13, epsrel=1e-13)
@@ -274,6 +276,17 @@ class TestDirectField:
             direct_field(0.0, 1.0, 1.0)
 
 
+# one stage of a chain, as a row of the stage table
+Stage = namedtuple("Stage", STAGE.names, defaults=(False,))
+
+
+def stage_table(chains):
+    """The ``StageTable`` of ``chains``, lists of ``Stage``s."""
+    return StageTable(np.cumsum([0] + [len(c) for c in chains]),
+                      np.array([tuple(st) for c in chains for st in c],
+                               dtype=STAGE))
+
+
 def component_chain(p_t, stages, k):
     """Reference recursion: each stage's components of the field at its edge,
     summed per the region table, plus the next edge's direct field.  Also
@@ -286,7 +299,7 @@ def component_chain(p_t, stages, k):
         terms = halfplane_components(1.0, prev.alpha, prev.phi, k_d)
         e = component_stage(e, prev.alpha, prev.phi, k_d)
         scale *= sum(map(abs, terms))
-        if not st.direct_blocked:
+        if not st.blocked:
             e_dir = direct_field(p_t, st.d_tx, k)
             e += e_dir
             scale += abs(e_dir)
@@ -294,66 +307,114 @@ def component_chain(p_t, stages, k):
 
 
 @st.composite
-def chain_stages(draw):
-    """1-7 stages; about a tenth of the wedges are full screens (alpha = pi)."""
+def chain_stages(draw, min_size=1):
+    """``min_size``-7 stages; about a tenth of the wedges are full screens
+    (alpha = pi)."""
     def stage():
         return st.builds(
-            ChainStage, st.floats(1.0, 2000.0), st.floats(1e-3, 500.0),
+            Stage, st.floats(1.0, 2000.0), st.floats(1e-3, 500.0),
             st.integers(0, 9).flatmap(lambda i: st.just(np.pi) if i == 0
                                       else st.floats(0.0, np.pi)),
             st.floats(0.0, 2 * np.pi, exclude_max=True), st.booleans())
-    return draw(st.lists(stage(), min_size=1, max_size=7))
+    return draw(st.lists(stage(), min_size=min_size, max_size=7))
 
 
 class TestRecursiveChain:
     def test_single_stage_is_free_space(self):
-        st1 = ChainStage(40.0, 10.0, np.pi / 2, np.pi)
-        assert recursive_chain(2.0, [st1], 1.5) == direct_field(2.0, 40.0, 1.5)
+        st1 = Stage(40.0, 10.0, np.pi / 2, np.pi)
+        assert recursive_chain(2.0, stage_table([[st1]]), 1.5)[0] \
+            == direct_field(2.0, 40.0, 1.5)
 
     def test_two_stage_shadow_loses_energy(self):
         # deep-shadow first wedge, second edge cannot see the TX
-        st1 = ChainStage(50.0, 30.0, np.deg2rad(80), np.deg2rad(350))
-        st2 = ChainStage(80.0, 20.0, np.deg2rad(80), np.deg2rad(300),
-                         direct_blocked=True)
-        e = recursive_chain(1.0, [st1, st2], 121.0)
+        st1 = Stage(50.0, 30.0, np.deg2rad(80), np.deg2rad(350))
+        st2 = Stage(80.0, 20.0, np.deg2rad(80), np.deg2rad(300), blocked=True)
+        e = recursive_chain(1.0, stage_table([[st1, st2]]), 121.0)[0]
         assert abs(e) < abs(direct_field(1.0, 80.0, 121.0))
         e1 = direct_field(1.0, 50.0, 121.0)
         shadow = halfplane_components(e1, st1.alpha, st1.phi, 121.0 * 30.0)[2]
         assert abs(e - shadow) <= 1e-12 * abs(shadow)
 
     def test_linear_in_sqrt_power(self):
-        st1 = ChainStage(50.0, 30.0, np.deg2rad(80), np.deg2rad(350))
-        st2 = ChainStage(80.0, 20.0, np.deg2rad(80), np.deg2rad(200))
-        e1 = recursive_chain(1.0, [st1, st2], 10.0)
-        e9 = recursive_chain(9.0, [st1, st2], 10.0)
+        st1 = Stage(50.0, 30.0, np.deg2rad(80), np.deg2rad(350))
+        st2 = Stage(80.0, 20.0, np.deg2rad(80), np.deg2rad(200))
+        e1, e9 = (recursive_chain(p_t, stage_table([[st1, st2]]), 10.0)[0]
+                  for p_t in (1.0, 9.0))
         assert abs(e9 - 3.0 * e1) < 1e-9 * abs(e1)
 
-    @given(chain_stages(), st.floats(1.0, 250.0))
+    @given(st.lists(chain_stages(min_size=0), min_size=1, max_size=16),
+           st.floats(1.0, 250.0))
     @settings(max_examples=300, deadline=None)
-    def test_matches_component_recursion(self, stages, k):
-        """One factor per stage gives the per-component recursion within
-        1e-12 of its magnitude scale (|E| itself unless terms cancel), and
-        the same exact zeros where a full screen nulls the chain."""
-        got = recursive_chain(1.0, stages, k)
-        want, scale = component_chain(1.0, stages, k)
-        assert abs(got - want) <= 1e-12 * scale
-        # a full screen (alpha = pi) zeroes its stage exactly, so a chain
-        # with no direct term after one is exactly 0 in both forms; other
-        # cancellations (alpha = 0 at phi just below 2 pi) leave residues
-        # that differ by rounding, held to the bound above
-        if any(prev.alpha == np.pi and all(s.direct_blocked for s in stages[n:])
-               for n, prev in enumerate(stages[:-1], start=1)):
-            assert got == want == 0
+    def test_matches_component_recursion(self, chains, k):
+        """One table of 1-16 chains, one recurrence over them: one factor per
+        stage gives each chain's per-component recursion within 1e-12 of its
+        magnitude scale (|E| itself unless terms cancel), and the same exact
+        zeros where a full screen nulls the chain; a chain without stages
+        gets 0, and a table without stages is rejected."""
+        if not any(chains):
+            with pytest.raises(NumericalDomainError):
+                recursive_chain(1.0, stage_table(chains), k)
+            return
+        block = recursive_chain(1.0, stage_table(chains), k)
+        assert block.shape == (len(chains),)
+        for got, stages in zip(block, chains):
+            if not stages:
+                assert got == 0
+                continue
+            want, scale = component_chain(1.0, stages, k)
+            assert abs(got - want) <= 1e-12 * scale
+            # a full screen (alpha = pi) zeroes its stage exactly, so a chain
+            # with no direct term after one is exactly 0 in both forms; other
+            # cancellations (alpha = 0 at phi just below 2 pi) leave residues
+            # that differ by rounding, held to the bound above
+            if any(prev.alpha == np.pi and all(s.blocked for s in stages[n:])
+                   for n, prev in enumerate(stages[:-1], start=1)):
+                assert got == want == 0
+
+    @given(chain_stages(), st.floats(1.0, 250.0), st.integers(0, 15))
+    @settings(max_examples=50, deadline=None)
+    def test_block_equals_alone(self, stages, k, at):
+        """A chain gets the bits of its table of one in any row of a block."""
+        others = [[Stage(30.0 + n, 7.0, 1.0, 3.0)] * (n % 4) for n in range(16)]
+        block = recursive_chain(1.0, stage_table(
+            others[:at] + [stages] + others[at:]), k)
+        alone = recursive_chain(1.0, stage_table([stages]), k)
+        assert block[at:at + 1].tobytes() == alone.tobytes()
 
     def test_empty_chain_rejected(self):
         with pytest.raises(NumericalDomainError):
-            recursive_chain(1.0, [], 1.0)
+            recursive_chain(1.0, stage_table([[]]), 1.0)
 
     def test_stage_error_carries_index(self):
-        bad = ChainStage(10.0, 5.0, np.pi / 2, np.pi)
-        object.__setattr__(bad, "alpha", -1.0)
+        bad = Stage(10.0, 5.0, -1.0, np.pi)
         # the bad wedge of stage 1 is consumed when evaluating stage 2
         with pytest.raises(NumericalDomainError,
                            match=r"^stage 2: alpha must be in \[0, pi\], got -1.0$"):
-            recursive_chain(1.0, [ChainStage(5.0, 5.0, 1.0, 1.0), bad,
-                                  ChainStage(9.0, 5.0, 1.0, 1.0)], 1.0)
+            recursive_chain(1.0, stage_table([[Stage(5.0, 5.0, 1.0, 1.0), bad,
+                                               Stage(9.0, 5.0, 1.0, 1.0)]]), 1.0)
+
+    def test_block_error_names_the_first_bad_stage(self):
+        """The check runs over the whole table before any field: the first
+        bad stage in row order is named, here the first of the third chain,
+        read by its stage 1, ahead of a later chain's bad phi."""
+        good = [Stage(5.0, 5.0, 1.0, 1.0), Stage(9.0, 5.0, 1.0, 1.0)]
+        chains = [good, [], [Stage(7.0, 5.0, 4.0, 1.0)] + good,
+                  [Stage(7.0, 5.0, 1.0, 7.0)] + good]
+        with pytest.raises(NumericalDomainError,
+                           match=r"^stage 1: alpha must be in \[0, pi\], got 4.0$"):
+            recursive_chain(1.0, stage_table(chains), 1.0)
+        with pytest.raises(NumericalDomainError,
+                           match=r"^stage 1: phi must be in \[0, 2\*pi\), got 7.0$"):
+            recursive_chain(1.0, stage_table(chains[3:]), 1.0)
+        with pytest.raises(NumericalDomainError,
+                           match="^stage 2: stage distances must be positive$"):
+            recursive_chain(1.0, stage_table(
+                [good, good + [Stage(0.0, 5.0, 1.0, 1.0)]]), 1.0)
+
+    def test_last_wedge_is_not_checked(self):
+        """A chain's last wedge is not read by the recursion, so a bad one
+        there does not raise, in any row of a block."""
+        good = [Stage(5.0, 5.0, 1.0, 1.0), Stage(9.0, 5.0, 1.0, 1.0)]
+        chains = [good, good + [Stage(7.0, 5.0, -1.0, 9.0)], good]
+        block = recursive_chain(1.0, stage_table(chains), 1.0)
+        assert np.all(np.isfinite(block)) and block[0] == block[2]

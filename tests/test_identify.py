@@ -640,19 +640,21 @@ def _edge_points(gmap, tx, entries):
     vis = [VisibilitySet(None, [sub], [replace(sub, left=[bid], right=[])])
            for sub, bid in entries]
     rxs = np.array([sub.b for sub, _bid in entries]).reshape(-1, 3)
-    return iter([term.edge for _vis, _stages, term
-                 in chain_table(vis, tx, rxs, gmap)])
+    return iter(chain_table(vis, tx, rxs, gmap).terminal["edge"])
+
+
+# 4x4 grid of 30 m boxes on a 50 m pitch
+GRID_BOXES = [(4 * i + j, (50.0 * i, 50.0 * j, 50.0 * i + 30.0,
+                           50.0 * j + 30.0, 10.0 + 3.0 * ((i + j) % 4)))
+              for i in range(4) for j in range(4)]
 
 
 def _grid_scene():
-    """4x4 grid of 30 m boxes on a 50 m pitch; routes along the streets run
-    parallel to the walls, so each building has equidistant corners."""
-    boxes = [(4 * i + j, (50.0 * i, 50.0 * j, 50.0 * i + 30.0,
-                          50.0 * j + 30.0, 10.0 + 3.0 * ((i + j) % 4)))
-             for i in range(4) for j in range(4)]
+    """The grid boxes; routes along the streets run parallel to the walls,
+    so each building has equidistant corners."""
     route = ([pt(x, 40.0) for x in range(-20, 200, 15)]
              + [pt(140.0, y) for y in range(-20, 200, 15)])
-    return build_map(boxes), pt(-30.0, 40.0), route
+    return build_map(GRID_BOXES), pt(-30.0, 40.0), route
 
 
 def _rotated_scene():

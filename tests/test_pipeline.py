@@ -11,12 +11,12 @@ import pytest
 
 from conftest import CORNER_BOXES, TX, build_map
 from test_identify import _grid_scene
-from test_link import _chain
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
+from urbanprop.link import chain_table
 from urbanprop.pipeline import (BLOCK, RouteResult, _concat,
                                 predict_position, predict_route)
 
@@ -129,10 +129,11 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
 
 
 def test_hooked_names_run_per_block_and_per_position(monkeypatch):
-    """Over a route, the chain's ``f_block`` query runs at most once per
-    block, and ``extract_chain``, ``total_field`` and ``predict_position``,
-    as looked up in ``pipeline``, once per position: the benchmark times
-    and counts those layers through wrappers set on these names."""
+    """Over a route, the chain's ``f_block`` query and the field pass's
+    ``recursive_chain`` run at most once per block, and ``extract_chain``,
+    ``total_field`` and ``predict_position``, as looked up in ``pipeline``,
+    once per position: the benchmark times and counts those layers through
+    wrappers set on these names."""
     gmap, tx, route = _grid_scene()
     calls = Counter()
 
@@ -142,13 +143,15 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in [(link, "f_block"), (pipeline, "extract_chain"),
+    for mod, name in [(link, "f_block"), (link, "recursive_chain"),
+                      (pipeline, "extract_chain"),
                       (pipeline, "total_field"), (pipeline, "predict_position")]:
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
         np.arange(len(route), dtype=np.float64), np.array(route)))
     assert len(route) > BLOCK and res.n_stages.sum() > len(route)
     assert 0 < calls["f_block"] <= math.ceil(len(route) / BLOCK)
+    assert 0 < calls["recursive_chain"] <= math.ceil(len(route) / BLOCK)
     for name in ("extract_chain", "total_field", "predict_position"):
         assert calls[name] == len(route), name
 
@@ -205,8 +208,8 @@ def test_array_holding_results_compare_by_identity(cfg, corner_map):
         (first, second),
         (vis.classification, other.classification),
         (vis.sides[0], other.sides[0]),
-        (_chain(vis, cfg.tx, rx, corner_map)[1],
-         _chain(other, cfg.tx, rx, corner_map)[1]),
+        (chain_table([vis], cfg.tx, rx[None], corner_map),
+         chain_table([other], cfg.tx, rx[None], corner_map)),
         (route, Route(route.t, route.xyz)),
         (cfg, ScenarioConfig(tx=cfg.tx)),
     ]
@@ -260,3 +263,27 @@ def test_route_peak_memory_pinned():
     finally:
         tracemalloc.stop()
     assert peak < 500 * 1024
+
+
+def test_tx_at_a_roof_corner():
+    """A TX mounted at a roof corner of building 0: where that corner
+    anchors building 0's stage, the building cannot diffract toward the TX
+    and its stage is dropped; the visible sets are identification's own."""
+    gmap, _tx, route = _grid_scene()
+    tx = np.array([30.0, 30.0, 12.0])
+    res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
+        np.arange(len(route), dtype=np.float64), np.array(route)))
+    idents = [identify_position(tx, rx, gmap) for rx in route]
+    assert res.visible.tolist() == [v.flat_visible() for v in idents]
+
+    def anchored_at_tx(vis):    # building 0's first sub-segment and corner
+        return next(((s, gmap.roof_xy[sub.corner[0][1]].tolist())
+                     for s, sub in enumerate(vis.visible)
+                     if 0 in sub.left + sub.right), None) == (0, [30.0, 30.0])
+
+    dropped = [anchored_at_tx(v) for v in idents]
+    ids = [set(sum(v.flat_visible().values(), [])) for v in idents]
+    assert sum(dropped) >= 3 and any(0 in b and not d
+                                     for b, d in zip(ids, dropped))
+    assert res.n_stages.tolist() == [len(b) - d for b, d in zip(ids, dropped)]
+    assert np.isfinite(res.pl_model_db).all()
