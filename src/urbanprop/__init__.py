@@ -10,7 +10,7 @@ from .geometry import GeometryMap, load_map
 from .identify import (LinkClassification, VisibilitySet, classify_link,
                        compute_breakpoint, identify_position,
                        initial_identification, visible_identification)
-from .fields import (StageTable, direct_field, recursive_chain, stage_transfer,
+from .fields import (STAGE, direct_field, recursive_chain, stage_transfer,
                      transition_function)
 from .link import (ChainTable, LinkPrediction, MaterialConfig, chain_fields,
                    chain_table, extract_chain, friis_path_loss_db, path_loss,

@@ -1,12 +1,9 @@
 """Complex-field mathematics for half-plane diffraction: the Kouyoumjian-style
 transition function, the UTD edge term, the transfer factor of one stage
 (the field behind a stage is linear in the field at its edge, so a stage is
-one complex factor) and the recursive multiple-diffraction chain.
-
-Every function takes arrays and works elementwise; a scalar argument is a
-0-d array and gives a scalar.  The recursion runs over a ``StageTable``,
-the stage rows of a block of chains, one stage index at a time with arrays
-over the chains.
+one complex factor) and the recursive multiple-diffraction chain.  Each
+function works elementwise on arrays, and a scalar is a 0-d array; the
+recursion runs over the stage rows of a block of chains at once.
 
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
@@ -17,8 +14,6 @@ sign flips of the secant terms, so the total field is continuous across
 both boundaries.  Time convention is exp(+j w t) with outgoing phase
 exp(-j k d).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import modfresnelm
@@ -32,30 +27,18 @@ from .errors import NumericalDomainError
 F_ASYMPTOTIC_MIN = 500.0
 F_SMALL_MAX = 1e-12
 
-# One row per chain stage: the TX-to-edge distance, the edge-to-next-point
-# distance (for a chain's last stage the edge-to-terminal distance, which
-# the recursion does not consume), the wedge angle, the observation angle
-# toward the next point, and whether the edge's view of the TX is blocked,
-# which zeroes the stage's free-space term (never on a chain's first stage,
-# the recursion base).
+# A chain stage: TX-to-edge distance, edge-to-next-point distance (for the
+# last stage, to the terminal; not read by the recursion), wedge angle,
+# observation angle toward the next point, and whether the edge's view of
+# the TX is blocked, which drops its free-space term (never on the first).
 STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
                   ("phi", "f8"), ("blocked", "?")])
 
 
-@dataclass(eq=False)
-class StageTable:
-    """The stages of a block's chains: chain i is the ``STAGE`` rows
-    ``stages[start[i]:start[i + 1]]``, in chain order."""
-
-    start: np.ndarray    # (P + 1,) row offsets
-    stages: np.ndarray   # (S,) STAGE rows
-
-
 def cmul(a, b):
-    """The elementwise product ``a * b`` of complex arrays, each real product
-    rounded on its own as numpy's scalar product does; its array loops may
-    fuse a multiply with an add, so a block's fields would lose the bits of
-    the same fields computed one position at a time."""
+    """Elementwise complex ``a * b`` with each real product rounded on its
+    own, as numpy's scalar product does; its array loops may fuse them, and
+    a block's fields would lose the bits of one position's."""
     a, b = np.asarray(a), np.asarray(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
@@ -64,17 +47,16 @@ def cmul(a, b):
 
 
 def _check(faults, name=lambda j, c: ""):
-    """Raise for the first element, in order, that fails one of ``faults``,
-    ``(failed, message, values)`` triples: the message of its first listed
-    failure, with its value, after ``name(element, failure index)``."""
-    if not any(np.any(failed) for failed, _m, _v in faults):
-        return
-    failed = np.array(np.broadcast_arrays(*(np.atleast_1d(f) for f, _m, _v in faults)))
-    j = int(failed.any(axis=0).argmax())
-    c = int(failed[:, j].argmax())
-    _f, message, values = faults[c]
-    raise NumericalDomainError(name(j, c) + message.format(
-        np.broadcast_to(values, failed.shape[1:])[j]))
+    """Raise for the first element, in order, failing one of the masks of
+    ``faults``, ``(failed, message, values)`` triples: its first failure's
+    message, formatted with its value, after ``name(element, failure)``."""
+    if any(failed.any() for failed, _m, _v in faults):
+        failed = np.array(np.broadcast_arrays(*(np.ravel(f) for f, _m, _v in faults)))
+        j = int(failed.any(axis=0).argmax())
+        c = int(failed[:, j].argmax())
+        _f, message, values = faults[c]
+        raise NumericalDomainError(name(j, c) + message.format(
+            np.broadcast_to(values, failed.shape[1:])[j]))
 
 
 def transition_function(x):
@@ -86,15 +68,16 @@ def transition_function(x):
     over for large arguments.  |F| is in (0, 1] and arg F in [0, pi/4].
     """
     x = np.asarray(x, dtype=np.float64)
-    _check([(~(np.isfinite(x) & (x > 0.0)),
+    _check([(~((0.0 < x) & (x < np.inf)),
              "transition_function requires finite X > 0, got {}", x)])
-    sx = np.sqrt(x)
-    f = cmul(cmul(2j * sx, np.exp(1j * x)), modfresnelm(sx)[0])
-    xi = 1.0 / x
-    f = np.where(x >= F_ASYMPTOTIC_MIN,
-                 1.0 + xi * (0.5j + xi * (-0.75 + xi * -1.875j)), f)
-    return np.where(x < F_SMALL_MAX,
-                    np.sqrt(np.pi * x) * np.exp(1j * (np.pi / 4.0 + x)), f)[()]
+    f = np.empty(x.shape, dtype=np.complex128)
+    big, small = x >= F_ASYMPTOTIC_MIN, x < F_SMALL_MAX
+    xi, xs, rest = 1.0 / x[big], x[small], x[~big]
+    f[big] = 1.0 + xi * (0.5j + xi * (-0.75 + xi * -1.875j))
+    sx = np.sqrt(rest)
+    f[~big] = cmul(cmul(2j * sx, np.exp(1j * rest)), modfresnelm(sx)[0])
+    f[small] = np.sqrt(np.pi * xs) * np.exp(1j * (np.pi / 4.0 + xs))
+    return f[()]
 
 
 def diffraction_term(cos_half, k_d):
@@ -106,8 +89,7 @@ def diffraction_term(cos_half, k_d):
     # boundary is what cancels the GO step
     limit = (np.where(cos_half >= 0.0, 1.0, -1.0) * np.sqrt(2.0 * np.pi * k_d)
              * np.exp(1j * np.pi / 4.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = transition_function(np.where(near, 1.0, x)) / cos_half
+    term = transition_function(np.where(near, 1.0, x)) / np.where(near, 1.0, cos_half)
     return np.where(near, limit, term)[()]
 
 
@@ -138,8 +120,8 @@ def stage_transfer(alpha, phi, distance, k):
     k_d = k * distance
     pref = cmul(-np.exp(-1j * k_d), np.exp(-1j * np.pi / 4.0)) / (
         2.0 * np.sqrt(2.0 * np.pi * k_d))
-    d = cmul(pref, diffraction_term(np.cos(phi_i / 2.0), k_d)
-             - diffraction_term(np.cos(phi_r / 2.0), k_d))
+    terms = diffraction_term(np.cos(np.array([phi_i, phi_r]) / 2.0), k_d)
+    d = cmul(pref, terms[0] - terms[1])
     t = np.exp(1j * k_d * np.cos(phi_i))
     return np.where(phi > 2.0 * np.pi - alpha, d, np.where(
         phi > alpha, t + d, t - np.exp(1j * k_d * np.cos(phi_r)) + d))[()]
@@ -153,16 +135,16 @@ def direct_field(p_t, d, k):
 
 
 def recursive_chain(p_t, table, k):
-    """Field at the last edge of each chain of the ``StageTable`` ``table``,
-    0 for a chain without stages; the table needs a stage.
+    """Field at the last edge of each chain of ``table`` (chain i is the
+    ``STAGE`` rows ``table.stages[table.start[i]:table.start[i + 1]]``), 0
+    for a chain without stages; a table without stages is rejected.
 
     E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
     tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
-    per-stage direct term dropped for edges whose view of the TX is blocked.
-    The recurrence runs over the stage index, all chains at once.  One check
-    over the table first names its first bad stage in row order: ``stage
-    n`` is the stage whose evaluation reads the bad value, so a chain's last
-    wedge is never checked.
+    per-stage direct term dropped for edges whose view of the TX is blocked;
+    the recurrence steps over the stage index, all chains at once.  One
+    check first names the table's first bad stage in row order: ``stage n``
+    reads the bad value, so a chain's last wedge is never checked.
     """
     start, s = np.asarray(table.start), table.stages
     if not len(s):
@@ -178,12 +160,13 @@ def recursive_chain(p_t, table, k):
            lambda j, c: f"stage {n[j] + (c > 0)}: ")
     tau = np.zeros(len(s), dtype=np.complex128)
     tau[used] = stage_transfer(alpha[used], phi[used], dist[used], k)
-    direct = direct_field(p_t, s["d_tx"], k)
-    e = np.zeros(len(size), dtype=np.complex128)
-    e[size > 0] = direct[start[:-1][size > 0]]
+    # (chain, stage index) tables; a chain past its end keeps its field
+    live = np.arange(size.max()) < size[:, None]
+    row = np.where(live, start[:-1, None] + np.arange(size.max()), 0)
+    tau, direct = tau[row], direct_field(p_t, s["d_tx"], k)[row]
+    blocked = s["blocked"][row]
+    e = np.where(live[:, 0], direct[:, 0], 0.0)
     for m in range(1, size.max()):
-        on = np.flatnonzero(size > m)
-        row = start[on] + m
-        e_m = cmul(e[on], tau[row - 1])
-        e[on] = np.where(s["blocked"][row], e_m, e_m + direct[row])
+        e_m = cmul(e, tau[:, m - 1])
+        e = np.where(live[:, m], np.where(blocked[:, m], e_m, e_m + direct[:, m]), e)
     return e

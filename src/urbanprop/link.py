@@ -1,12 +1,11 @@
-"""Chain extraction, the block field pass and path-loss conversion.
+"""Chain extraction, terminal field composition and path-loss conversion.
 
 From the visibility sets of a block of positions this module builds their
 ordered diffraction chains (one stage per visible building, anchored at the
 roof corner nearest the propagation line that identification recorded) as
-one table of stage and terminal columns, in array passes over the stacked
-stages.  One more pass over those columns computes both field models of the
-whole block: the chain recursion, the slope-diffraction terminal branches,
-the wall reflection and the conversion to received power and path loss.
+one table of stage and terminal columns, then composes every position's
+LOS/NLOS terminal field from the slope-diffraction branches and converts
+field strength to received power and path loss; each is one array pass.
 
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
@@ -23,20 +22,18 @@ import numpy as np
 
 from .baselines import gpp_path_loss
 from .errors import NumericalDomainError
-from .fields import (STAGE, StageTable, cmul, diffraction_term, direct_field,
-                     recursive_chain)
+from .fields import STAGE, cmul, diffraction_term, direct_field, recursive_chain
 from .geometry import EPS_LEN, f_block, row_dot
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
 PL_CAP_DB = 300.0
 
-# The terminal of a chain, in the screen frame of its last stage: the last
-# diffraction corner (at line height); its distances to the RX, direct (L)
-# and by the wall image (r); the departure angles toward the RX (psi) and
-# its wall image (theta); the arrival angle (beta); the straight TX-corner
-# distance (d_n); the specular wall point (NaN: no reflection) and the
-# incidence angle there from the wall normal.
+# A chain's terminal, in the screen frame of its last stage: that corner
+# (at line height), its distances to the RX direct (L) and by the wall (r),
+# departure angles toward the RX (psi) and its wall image (theta), arrival
+# angle (beta), straight TX distance (d_n), and the specular wall point
+# (NaN: no reflection) with its incidence angle from the wall normal.
 TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
                      ("length_reflected", "f8"), ("psi", "f8"), ("theta", "f8"),
                      ("beta", "f8"), ("d_n", "f8"), ("wall_point", "f8", 3),
@@ -56,12 +53,15 @@ class MaterialConfig:
 
 
 @dataclass(eq=False)
-class ChainTable(StageTable):
-    """The chains of a block of positions: their stage rows, and per
-    position its ``VisibilitySet`` and ``TERMINAL`` row (NaN without one)."""
+class ChainTable:
+    """The chains of a block of positions: position i's ``STAGE`` rows are
+    ``stages[start[i]:start[i + 1]]``; ``vis`` and ``terminal`` hold its
+    ``VisibilitySet`` and ``TERMINAL`` row (NaN without a chain)."""
 
-    vis: list
-    terminal: np.ndarray
+    start: np.ndarray
+    stages: np.ndarray
+    vis: list = None
+    terminal: np.ndarray = None
 
 
 @dataclass(eq=False)
@@ -245,32 +245,23 @@ def reflection_coefficient(theta, material):
 def slope_coefficient(kind, term, k):
     """Terminal slope-diffraction coefficient of the ``TERMINAL`` rows
     ``term`` for branch I (direct departure) or II (wall-reflected
-    departure), from the chain's UTD edge term."""
-    if kind == "I":
-        depart, length = term["psi"], term["length_direct"]
-    elif kind == "II":
-        depart, length = term["theta"], term["length_reflected"]
-    else:
+    departure), from the chain's UTD edge term; ``kind`` is "I", "II" or an
+    array of them, one per row."""
+    reflected = np.asarray(kind) == "II"
+    if not np.all(reflected | (np.asarray(kind) == "I")):
         raise NumericalDomainError("kind must be 'I' or 'II'")
+    depart = np.where(reflected, term["theta"], term["psi"])
+    length = np.where(reflected, term["length_reflected"], term["length_direct"])
     d_n = term["d_n"]
     l_red = length * d_n / (d_n + length)   # reduced distance parameter
     s = np.sin((depart - term["beta"]) / 2.0)
     c = np.cos((depart + term["beta"]) / 2.0)
     pref = -np.exp(-1j * np.pi / 4.0) / (2.0 * np.sqrt(2.0 * np.pi * k))
-    k_l = k * l_red
-    return cmul(pref, diffraction_term(c, k_l) - diffraction_term(s, k_l))
+    terms = diffraction_term(np.array([c, s]), k * l_red)
+    return cmul(pref, terms[0] - terms[1])
 
 
-# -- the block's fields and path loss ----------------------------------------
-
-
-def _branch(e_n, kind, term, k):
-    """(H, 2) terminal branch fields of the chain fields ``e_n`` (H, 2)."""
-    d_n, length = term["d_n"], term["length_direct" if kind == "I"
-                                     else "length_reflected"]
-    return cmul(cmul(e_n, slope_coefficient(kind, term, k)[:, None])
-                * np.sqrt(d_n / (length * (d_n + length)))[:, None],
-                np.exp(-1j * k * length)[:, None])
+# -- the block's fields ------------------------------------------------------
 
 
 def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
@@ -291,10 +282,19 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
         term = table.terminal[h]
         e_n = np.stack([recursive_chain(p_t, table, k)[h],
                         direct_field(p_t, term["d_n"], k)], axis=1)
-        comps[h, :, 1] = _branch(e_n, "I", term, k)
+        # branch I of every chain, then branch II where a wall reflects
         w = np.flatnonzero(~los[h] & ~np.isnan(term["wall_point"][:, 0]))
-        refl = reflection_coefficient(term["wall_incidence"][w], material)
-        comps[h[w], :, 2] = _branch(refl[:, None] * e_n[w], "II", term[w], k)
+        kind = np.repeat(["I", "II"], [len(h), len(w)])
+        term = term[np.concatenate([np.arange(len(h)), w])]
+        length = np.where(kind == "II", term["length_reflected"],
+                          term["length_direct"])
+        source = np.concatenate([e_n, reflection_coefficient(
+            term["wall_incidence"][len(h):], material)[:, None] * e_n[w]])
+        d_n = term["d_n"]
+        branch = cmul(cmul(source, slope_coefficient(kind, term, k)[:, None])
+                      * np.sqrt(d_n / (length * (d_n + length)))[:, None],
+                      np.exp(-1j * k * length)[:, None])
+        comps[h, :, 1], comps[h[w], :, 2] = branch[:len(h)], branch[len(h):]
     e = comps[:, :, 0] + comps[:, :, 1] + comps[:, :, 2]
     _p_r, pl_db, capped = path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
     return LinkPrediction(

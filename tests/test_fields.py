@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from urbanprop.errors import NumericalDomainError
-from urbanprop.fields import (STAGE, StageTable, diffraction_term,
-                              direct_field, recursive_chain, stage_transfer,
+from urbanprop.fields import (STAGE, diffraction_term, direct_field,
+                              recursive_chain, stage_transfer,
                               transition_function)
+from urbanprop.link import ChainTable
 
 QUAD = dict(limit=4000, epsabs=1e-13, epsrel=1e-13)
 
@@ -281,8 +282,8 @@ Stage = namedtuple("Stage", STAGE.names, defaults=(False,))
 
 
 def stage_table(chains):
-    """The ``StageTable`` of ``chains``, lists of ``Stage``s."""
-    return StageTable(np.cumsum([0] + [len(c) for c in chains]),
+    """The ``ChainTable`` of the stages of ``chains``, lists of ``Stage``s."""
+    return ChainTable(np.cumsum([0] + [len(c) for c in chains]),
                       np.array([tuple(st) for c in chains for st in c],
                                dtype=STAGE))
 

@@ -14,12 +14,11 @@ from test_identify import _edge_points, _fixture_scene, _grid_scene
 from test_kernels import box_scenes
 from urbanprop.config import ScenarioConfig
 from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
-from urbanprop.fields import (StageTable, direct_field, recursive_chain,
-                              transition_function)
+from urbanprop.fields import direct_field, recursive_chain, transition_function
 from urbanprop.geometry import map_from_dict
 from urbanprop.identify import (identify_position, initial_identification,
                                 visible_identification)
-from urbanprop.link import (C_LIGHT, TERMINAL, MaterialConfig,
+from urbanprop.link import (C_LIGHT, TERMINAL, ChainTable, MaterialConfig,
                             _reflection_branch, chain_fields, chain_table,
                             extract_chain, friis_path_loss_db, path_loss,
                             received_power, reflection_coefficient,
@@ -529,7 +528,7 @@ def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
         if simplified:
             e_n = direct_field(p_t, term["d_n"], k)
         else:
-            e_n = recursive_chain(p_t, StageTable([0, len(stages)], stages),
+            e_n = recursive_chain(p_t, ChainTable([0, len(stages)], stages),
                                   k)[0]
         ell, r = term["length_direct"], term["length_reflected"]
         a_i = np.sqrt(term["d_n"] / (ell * (term["d_n"] + ell)))
