@@ -1,9 +1,9 @@
 """Complex-field mathematics for half-plane diffraction: the Kouyoumjian-style
 transition function, the UTD edge term, the transfer factor of one stage
 (the field behind a stage is linear in the field at its edge, so a stage is
-one complex factor) and the recursive multiple-diffraction chain.  Each
-function works elementwise on arrays, and a scalar is a 0-d array; the
-recursion runs over the stage rows of a block of chains at once.
+one complex factor) and the recursive multiple-diffraction chain, over the
+stages of a block of chains at once.  Every function works elementwise on
+arrays, a scalar being a 0-d array.
 
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
@@ -28,7 +28,7 @@ F_ASYMPTOTIC_MIN = 500.0
 F_SMALL_MAX = 1e-12
 
 # A chain stage: TX-to-edge distance, edge-to-next-point distance (for the
-# last stage, to the terminal; not read by the recursion), wedge angle,
+# last stage, to the terminal: not read by the recursion), wedge angle,
 # observation angle toward the next point, and whether the edge's view of
 # the TX is blocked, which drops its free-space term (never on the first).
 STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
@@ -47,9 +47,9 @@ def cmul(a, b):
 
 
 def _check(faults, name=lambda j, c: ""):
-    """Raise for the first element, in order, failing one of the masks of
-    ``faults``, ``(failed, message, values)`` triples: its first failure's
-    message, formatted with its value, after ``name(element, failure)``."""
+    """Raise for the first element, in order, failing one of ``faults``,
+    ``(failed mask, message, values)``: its first failure's message, with
+    its value, after ``name(element, failure)``."""
     if any(failed.any() for failed, _m, _v in faults):
         failed = np.array(np.broadcast_arrays(*(np.ravel(f) for f, _m, _v in faults)))
         j = int(failed.any(axis=0).argmax())
@@ -93,14 +93,12 @@ def diffraction_term(cos_half, k_d):
     return np.where(near, limit, term)[()]
 
 
-def _transfer_faults(alpha, phi, distance, k):
-    """``stage_transfer``'s domain checks, as ``_check`` faults."""
+def _angle_faults(alpha, phi):
+    """The wedge and observation angle checks of stages, as ``_check`` faults."""
     return [(~((0.0 <= alpha) & (alpha <= np.pi)),
              "alpha must be in [0, pi], got {}", alpha),
             (~((0.0 <= phi) & (phi < 2.0 * np.pi)),
-             "phi must be in [0, 2*pi), got {}", phi),
-            ((distance <= 0.0) | (k <= 0.0), "distance and k must be positive",
-             distance)]
+             "phi must be in [0, 2*pi), got {}", phi)]
 
 
 def stage_transfer(alpha, phi, distance, k):
@@ -114,7 +112,8 @@ def stage_transfer(alpha, phi, distance, k):
     """
     alpha, phi, distance = (np.asarray(v, dtype=np.float64)
                             for v in (alpha, phi, distance))
-    _check(_transfer_faults(alpha, phi, distance, k))
+    _check(_angle_faults(alpha, phi) + [((distance <= 0.0) | (k <= 0.0),
+                                          "distance and k must be positive", 0)])
     a_s = np.pi - alpha       # incidence angle from the screen
     phi_i, phi_r = phi - a_s, phi + a_s
     k_d = k * distance
@@ -135,16 +134,16 @@ def direct_field(p_t, d, k):
 
 
 def recursive_chain(p_t, table, k):
-    """Field at the last edge of each chain of ``table`` (chain i is the
-    ``STAGE`` rows ``table.stages[table.start[i]:table.start[i + 1]]``), 0
-    for a chain without stages; a table without stages is rejected.
+    """Field at the last edge of each chain of ``table``, whose chain i is
+    the ``STAGE`` rows ``stages[start[i]:start[i + 1]]``; 0 for a chain
+    without stages, and a table without stages is rejected.
 
     E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
     tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
     per-stage direct term dropped for edges whose view of the TX is blocked;
-    the recurrence steps over the stage index, all chains at once.  One
-    check first names the table's first bad stage in row order: ``stage n``
-    reads the bad value, so a chain's last wedge is never checked.
+    the recurrence steps over n for all chains at once.  One check names the
+    first bad stage in row order: ``stage n`` reads the bad value, so a
+    chain's last wedge is never checked.
     """
     start, s = np.asarray(table.start), table.stages
     if not len(s):
@@ -153,14 +152,12 @@ def recursive_chain(p_t, table, k):
     n = np.arange(len(s)) - np.repeat(start[:-1], size)   # index in its chain
     used = n + 1 < np.repeat(size, size)                 # read by the next stage
     alpha, phi, dist = s["alpha"], s["phi"], s["dist_next"]
-    _check([((s["d_tx"] <= 0.0) | (dist <= 0.0),
-             "stage distances must be positive", dist)]
-           + [(failed & used, message, v) for failed, message, v
-              in _transfer_faults(alpha, phi, dist, k)[:2]],
+    _check([((s["d_tx"] <= 0.0) | (dist <= 0.0), "stage distances must be positive",
+             0)] + [(f & used, m, v) for f, m, v in _angle_faults(alpha, phi)],
            lambda j, c: f"stage {n[j] + (c > 0)}: ")
     tau = np.zeros(len(s), dtype=np.complex128)
     tau[used] = stage_transfer(alpha[used], phi[used], dist[used], k)
-    # (chain, stage index) tables; a chain past its end keeps its field
+    # (chain, n) tables; a chain past its end keeps its field
     live = np.arange(size.max()) < size[:, None]
     row = np.where(live, start[:-1, None] + np.arange(size.max()), 0)
     tau, direct = tau[row], direct_field(p_t, s["d_tx"], k)[row]

@@ -1,11 +1,11 @@
 """Chain extraction, terminal field composition and path-loss conversion.
 
 From the visibility sets of a block of positions this module builds their
-ordered diffraction chains (one stage per visible building, anchored at the
-roof corner nearest the propagation line that identification recorded) as
-one table of stage and terminal columns, then composes every position's
-LOS/NLOS terminal field from the slope-diffraction branches and converts
-field strength to received power and path loss; each is one array pass.
+diffraction chains (one stage per visible building, anchored at the roof
+corner nearest the propagation line that identification recorded) as one
+table of stage and terminal columns, then composes every position's
+LOS/NLOS terminal field from the slope-diffraction branches and converts it
+to received power and path loss; each quantity is one array pass.
 
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
@@ -29,11 +29,10 @@ C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
 PL_CAP_DB = 300.0
 
-# A chain's terminal, in the screen frame of its last stage: that corner
-# (at line height), its distances to the RX direct (L) and by the wall (r),
-# departure angles toward the RX (psi) and its wall image (theta), arrival
-# angle (beta), straight TX distance (d_n), and the specular wall point
-# (NaN: no reflection) with its incidence angle from the wall normal.
+# A chain's terminal, in the frame of its last stage: that corner, its RX
+# distances direct (L) and by the wall (r), departure angles toward the RX
+# (psi) and its wall image (theta), arrival angle (beta), TX distance (d_n),
+# and the specular wall point (NaN: none) and its incidence angle.
 TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
                      ("length_reflected", "f8"), ("psi", "f8"), ("theta", "f8"),
                      ("beta", "f8"), ("d_n", "f8"), ("wall_point", "f8", 3),
@@ -54,9 +53,9 @@ class MaterialConfig:
 
 @dataclass(eq=False)
 class ChainTable:
-    """The chains of a block of positions: position i's ``STAGE`` rows are
-    ``stages[start[i]:start[i + 1]]``; ``vis`` and ``terminal`` hold its
-    ``VisibilitySet`` and ``TERMINAL`` row (NaN without a chain)."""
+    """A block's chains: position i's ``STAGE`` rows are
+    ``stages[start[i]:start[i + 1]]``, with its ``VisibilitySet`` and its
+    ``TERMINAL`` row (NaN without a chain)."""
 
     start: np.ndarray
     stages: np.ndarray
@@ -68,13 +67,12 @@ class ChainTable:
 class LinkPrediction:
     """Both field models and the empirical references at one position, or
     their (P,) columns over a block: the full model's field, its components
-    ``{"direct", "final_I", "final_II"}`` and cap flag, and ``power`` (2, 3)
-    of each component (W), full model first."""
+    and cap flag, and ``power`` (2, 3) of each component (W), full first."""
 
     pl_db: float
     pl_simplified_db: float
     e_total: complex
-    components: dict
+    components: dict      # {"direct", "final_I", "final_II"} -> complex
     power: np.ndarray
     capped: bool
     pl_gpp_db: float
@@ -157,7 +155,8 @@ def chain_table(vis_list, tx, rxs, gmap):
                             a_z + np.clip(t, 0.0, 1.0) * (b_z - a_z)])
     keep = np.flatnonzero(np.sqrt(row_dot(edge - tx, edge - tx)) > EPS_LEN)
     start = np.searchsorted(keep, start)
-    row, edge, subs = row[keep], edge[keep], [subs[k] for k in keep.tolist()]
+    row, edge = row[keep], edge[keep]
+    opposite = [(subs[k].right, subs[k].left)[side[k]] for k in keep.tolist()]
     terminal = np.full(len(vis_list), np.nan, TERMINAL)
     if not len(row):
         return ChainTable(start, np.zeros(0, STAGE), vis_list, terminal)
@@ -201,35 +200,32 @@ def chain_table(vis_list, tx, rxs, gmap):
 
     # the terminal, in the screen frame of the last stage, whose corner it is
     hit, r, wall_point, image, incidence = _reflection_branch(
-        gmap, [(subs[k].right, subs[k].left)[side[k]] for k in last.tolist()],
-        edge[last], rxs[has])
-    ell, theta = dist_next[last], phi[last]
-    theta[hit] = depart(last[hit], image[:, :2] - edge[last[hit], :2])
-    length_r, wall, wall_inc = ell.copy(), np.full((len(last), 3), np.nan), np.zeros(len(last))
-    length_r[hit], wall[hit], wall_inc[hit] = np.maximum(r, ell[hit]), wall_point, incidence
-    for name, column in zip(TERMINAL.names, (
-            edge[last], ell, length_r, phi[last], theta, alpha_s[last],
-            d_tx[last], wall, wall_inc)):
-        terminal[name][has] = column
+        gmap, [opposite[k] for k in last.tolist()], edge[last], rxs[has])
+    term = np.zeros(len(last), TERMINAL)
+    term["edge"], term["psi"], term["beta"] = edge[last], phi[last], alpha_s[last]
+    term["length_direct"] = term["length_reflected"] = dist_next[last]
+    term["theta"], term["d_n"], term["wall_point"] = phi[last], d_tx[last], np.nan
+    term["theta"][hit] = depart(last[hit], image[:, :2] - edge[last[hit], :2])
+    term["length_reflected"][hit] = np.maximum(r, dist_next[last[hit]])
+    term["wall_point"][hit], term["wall_incidence"][hit] = wall_point, incidence
+    terminal[has] = term
     return ChainTable(start, stages, vis_list, terminal)
 
 
 def extract_chain(table, i):
     """Position i's ``(stages, terminal)`` cut from a ``chain_table``: its
-    ``STAGE`` rows and its ``TERMINAL`` row; no rows and None when no
-    building is visible (free-space link)."""
+    ``STAGE`` rows and ``TERMINAL`` row; no rows and None when no building
+    is visible (free-space link)."""
     lo, hi = table.start[i], table.start[i + 1]
     return table.stages[lo:hi], table.terminal[i] if hi > lo else None
 
 
-# -- terminal coefficients -------------------------------------------------
+# -- terminal coefficients and the block's fields ----------------------------
 
 
 def reflection_coefficient(theta, material):
-    """Fresnel wall reflection coefficient for H or V polarization.
-
-    ``theta`` is the incidence angle from the wall normal, in [0, pi/2).
-    """
+    """Fresnel wall reflection coefficient for H or V polarization at the
+    incidence angles ``theta`` from the wall normal, in [0, pi/2)."""
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
@@ -237,8 +233,7 @@ def reflection_coefficient(theta, material):
     s2 = np.sin(theta) ** 2
     if np.any(eps < s2):
         raise NumericalDomainError("eps_r below sin^2(theta)")
-    a = 1.0 if material.polarization == "H" else 1.0 / eps
-    root = a * np.sqrt(eps - s2)
+    root = (1.0 if material.polarization == "H" else 1.0 / eps) * np.sqrt(eps - s2)
     return (np.cos(theta) - root) / (np.cos(theta) + root)
 
 
@@ -261,20 +256,16 @@ def slope_coefficient(kind, term, k):
     return cmul(pref, terms[0] - terms[1])
 
 
-# -- the block's fields ------------------------------------------------------
-
-
 def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
                  pl_cap_db=PL_CAP_DB):
-    """Both field models of every position of a ``chain_table``, as the
-    columns of one ``LinkPrediction``: the same terminal branches, fed with
-    the recursive chain field at the final edge (full model) or with free
-    space from the TX to it (simplified model), plus the direct field where
-    the link is LOS; and the empirical and free-space path losses."""
+    """Both field models of every position of a ``chain_table``, as
+    ``LinkPrediction`` columns: the same terminal branches, fed with the
+    recursive chain field at the final edge (full model) or with free space
+    from the TX to it (simplified model), and the direct field where the
+    link is LOS; and the empirical and free-space path losses."""
     k = 2.0 * np.pi * freq / C_LIGHT
     los = np.array([vis.classification.los for vis in table.vis], dtype=bool)
-    to_rx = rxs - tx
-    d3d = np.sqrt(row_dot(to_rx, to_rx))
+    d3d = np.sqrt(row_dot(rxs - tx, rxs - tx))
     comps = np.zeros((len(los), 2, 3), dtype=np.complex128)  # direct, I, II
     comps[los, :, 0] = direct_field(p_t, d3d[los], k)[:, None]
     h = np.flatnonzero(np.diff(table.start))
@@ -286,14 +277,13 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
         w = np.flatnonzero(~los[h] & ~np.isnan(term["wall_point"][:, 0]))
         kind = np.repeat(["I", "II"], [len(h), len(w)])
         term = term[np.concatenate([np.arange(len(h)), w])]
-        length = np.where(kind == "II", term["length_reflected"],
-                          term["length_direct"])
         source = np.concatenate([e_n, reflection_coefficient(
             term["wall_incidence"][len(h):], material)[:, None] * e_n[w]])
-        d_n = term["d_n"]
+        d_n, ell = term["d_n"], np.where(kind == "II", term["length_reflected"],
+                                         term["length_direct"])
         branch = cmul(cmul(source, slope_coefficient(kind, term, k)[:, None])
-                      * np.sqrt(d_n / (length * (d_n + length)))[:, None],
-                      np.exp(-1j * k * length)[:, None])
+                      * np.sqrt(d_n / (ell * (d_n + ell)))[:, None],
+                      np.exp(-1j * k * ell)[:, None])
         comps[h, :, 1], comps[h[w], :, 2] = branch[:len(h)], branch[len(h):]
     e = comps[:, :, 0] + comps[:, :, 1] + comps[:, :, 2]
     _p_r, pl_db, capped = path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
@@ -307,11 +297,9 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
 
 def total_field(fields, i):
     """Position i's ``LinkPrediction`` cut from its block's ``chain_fields``."""
-    return LinkPrediction(
-        fields.pl_db[i], fields.pl_simplified_db[i], fields.e_total[i],
-        {name: c[i] for name, c in fields.components.items()},
-        fields.power[i], fields.capped[i], fields.pl_gpp_db[i],
-        fields.pl_free_space_db[i])
+    return LinkPrediction(**{name: {key: c[i] for key, c in column.items()}
+                             if name == "components" else column[i]
+                             for name, column in vars(fields).items()})
 
 
 def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
@@ -334,5 +322,4 @@ def received_power(e, g_r, freq):
 
 def friis_path_loss_db(d, freq):
     """Free-space reference 20 log10(4 pi d / lambda)."""
-    lam = C_LIGHT / freq
-    return 20.0 * np.log10(4.0 * np.pi * d / lam)
+    return 20.0 * np.log10(4.0 * np.pi * d / (C_LIGHT / freq))

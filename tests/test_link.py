@@ -213,6 +213,13 @@ def _spire_scene():
     return map_from_dict(raw), pt(0, 0), route
 
 
+def _tx_corner_scene():
+    """The grid fixture with the TX at a roof corner of building 0: the
+    stages anchored at that corner are dropped from their chains."""
+    gmap, _tx, route = _grid_scene()
+    return gmap, pt(30.0, 30.0, 12.0), route
+
+
 def _chain_bits(stages, term):
     """Every field of a chain, as its stage rows' and terminal row's bytes."""
     return stages.tobytes(), None if term is None else term.tobytes()
@@ -272,9 +279,11 @@ class TestChainBlockEqualsAlone:
         over the scenes, chains of every kind; the stacked reflection of the
         blocks' corners matches the scalar scan."""
         seen = Counter()
-        for scene in ("grid", "rotated", "corner", "spire"):
-            gmap, tx, route = (_spire_scene() if scene == "spire" else
-                               _fixture_scene(scene, canyon_map, corner_map, tx))
+        for scene in ("grid", "rotated", "corner", "spire", "tx corner"):
+            gmap, tx, route = (
+                _spire_scene() if scene == "spire" else
+                _tx_corner_scene() if scene == "tx corner" else
+                _fixture_scene(scene, canyon_map, corner_map, tx))
             got = _block_equals_alone(gmap, tx, route, corridor)
             assert got["mixed block"], scene
             seen.update(got)
