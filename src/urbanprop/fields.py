@@ -1,9 +1,8 @@
 """Complex-field mathematics for half-plane diffraction: the Kouyoumjian-style
 transition function, the UTD edge term, the transfer factor of one stage
 (the field behind a stage is linear in the field at its edge, so a stage is
-one complex factor) and the recursive multiple-diffraction chain, over the
-stages of a block of chains at once.  Every function works elementwise on
-arrays, a scalar being a 0-d array.
+one complex factor) and the recursive multiple-diffraction chain; each
+works elementwise on arrays, the chain over a block of chains at once.
 
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
@@ -27,10 +26,9 @@ from .errors import NumericalDomainError
 F_ASYMPTOTIC_MIN = 500.0
 F_SMALL_MAX = 1e-12
 
-# A chain stage: TX-to-edge distance, edge-to-next-point distance (for the
-# last stage, to the terminal: not read by the recursion), wedge angle,
-# observation angle toward the next point, and whether the edge's view of
-# the TX is blocked, which drops its free-space term (never on the first).
+# A chain stage: distances TX-to-edge and edge-to-next point (the terminal,
+# for the last stage), wedge and observation angles, and whether the edge's
+# view of the TX is blocked, which drops its direct term (not on the first).
 STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
                   ("phi", "f8"), ("blocked", "?")])
 
@@ -46,19 +44,6 @@ def cmul(a, b):
     return out[()]
 
 
-def _check(faults, name=lambda j, c: ""):
-    """Raise for the first element, in order, failing one of ``faults``,
-    ``(failed mask, message, values)``: its first failure's message, with
-    its value, after ``name(element, failure)``."""
-    if any(failed.any() for failed, _m, _v in faults):
-        failed = np.array(np.broadcast_arrays(*(np.ravel(f) for f, _m, _v in faults)))
-        j = int(failed.any(axis=0).argmax())
-        c = int(failed[:, j].argmax())
-        _f, message, values = faults[c]
-        raise NumericalDomainError(name(j, c) + message.format(
-            np.broadcast_to(values, failed.shape[1:])[j]))
-
-
 def transition_function(x):
     """Transition function F(X) regularizing diffraction near GO boundaries.
 
@@ -68,8 +53,9 @@ def transition_function(x):
     over for large arguments.  |F| is in (0, 1] and arg F in [0, pi/4].
     """
     x = np.asarray(x, dtype=np.float64)
-    _check([(~((0.0 < x) & (x < np.inf)),
-             "transition_function requires finite X > 0, got {}", x)])
+    bad = ~((0.0 < x) & (x < np.inf))
+    if bad.any():
+        raise NumericalDomainError(f"transition_function requires finite X > 0, got {x[bad][0]}")
     f = np.empty(x.shape, dtype=np.complex128)
     big, small = x >= F_ASYMPTOTIC_MIN, x < F_SMALL_MAX
     xi, xs, rest = 1.0 / x[big], x[small], x[~big]
@@ -93,12 +79,19 @@ def diffraction_term(cos_half, k_d):
     return np.where(near, limit, term)[()]
 
 
-def _angle_faults(alpha, phi):
-    """The wedge and observation angle checks of stages, as ``_check`` faults."""
-    return [(~((0.0 <= alpha) & (alpha <= np.pi)),
-             "alpha must be in [0, pi], got {}", alpha),
-            (~((0.0 <= phi) & (phi < 2.0 * np.pi)),
-             "phi must be in [0, 2*pi), got {}", phi)]
+def _check_stages(alpha, phi, distance, k, name=lambda j, c: ""):
+    """Raise for the first element, in order, outside ``stage_transfer``'s
+    domain, naming its first failed check c after ``name(element, c)``."""
+    alpha, phi, distance = (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (alpha, phi, distance))))
+    failed = np.array([~((0.0 <= alpha) & (alpha <= np.pi)),
+                       ~((0.0 <= phi) & (phi < 2.0 * np.pi)), (distance <= 0.0) | (k <= 0.0)])
+    if failed.any():
+        j = int(failed.any(axis=0).argmax())
+        c = int(failed[:, j].argmax())
+        raise NumericalDomainError(name(j, c) + (
+            f"alpha must be in [0, pi], got {alpha[j]}", f"phi must be in "
+            f"[0, 2*pi), got {phi[j]}", "distance and k must be positive")[c])
 
 
 def stage_transfer(alpha, phi, distance, k):
@@ -110,10 +103,7 @@ def stage_transfer(alpha, phi, distance, k):
     angle belongs to the region listed first.  The F-corrected secants of d
     keep the factor finite and continuous at both GO boundaries.
     """
-    alpha, phi, distance = (np.asarray(v, dtype=np.float64)
-                            for v in (alpha, phi, distance))
-    _check(_angle_faults(alpha, phi) + [((distance <= 0.0) | (k <= 0.0),
-                                          "distance and k must be positive", 0)])
+    _check_stages(alpha, phi, distance, k)
     a_s = np.pi - alpha       # incidence angle from the screen
     phi_i, phi_r = phi - a_s, phi + a_s
     k_d = k * distance
@@ -134,16 +124,14 @@ def direct_field(p_t, d, k):
 
 
 def recursive_chain(p_t, table, k):
-    """Field at the last edge of each chain of ``table``, whose chain i is
-    the ``STAGE`` rows ``stages[start[i]:start[i + 1]]``; 0 for a chain
-    without stages, and a table without stages is rejected.
+    """Field at the last edge of each chain of ``table``, chain i the
+    ``STAGE`` rows ``stages[start[i]:start[i + 1]]`` (0 without stages).
 
     E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
     tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
-    per-stage direct term dropped for edges whose view of the TX is blocked;
-    the recurrence steps over n for all chains at once.  One check names the
-    first bad stage in row order: ``stage n`` reads the bad value, so a
-    chain's last wedge is never checked.
+    per-stage direct term dropped for edges whose view of the TX is blocked.
+    One check first names the table's first bad stage: ``stage n`` reads
+    the bad value, so a chain's last wedge is not checked.
     """
     start, s = np.asarray(table.start), table.stages
     if not len(s):
@@ -152,9 +140,9 @@ def recursive_chain(p_t, table, k):
     n = np.arange(len(s)) - np.repeat(start[:-1], size)   # index in its chain
     used = n + 1 < np.repeat(size, size)                 # read by the next stage
     alpha, phi, dist = s["alpha"], s["phi"], s["dist_next"]
-    _check([((s["d_tx"] <= 0.0) | (dist <= 0.0), "stage distances must be positive",
-             0)] + [(f & used, m, v) for f, m, v in _angle_faults(alpha, phi)],
-           lambda j, c: f"stage {n[j] + (c > 0)}: ")
+    _check_stages(np.where(used, alpha, 0.0), np.where(used, phi, 0.0),
+                  np.minimum(s["d_tx"], dist), k,
+                  lambda j, c: f"stage {n[j] + (c < 2)}: ")
     tau = np.zeros(len(s), dtype=np.complex128)
     tau[used] = stage_transfer(alpha[used], phi[used], dist[used], k)
     # (chain, n) tables; a chain past its end keeps its field

@@ -1,11 +1,9 @@
-"""Chain extraction, terminal field composition and path-loss conversion.
-
-From the visibility sets of a block of positions this module builds their
-diffraction chains (one stage per visible building, anchored at the roof
-corner nearest the propagation line that identification recorded) as one
-table of stage and terminal columns, then composes every position's
-LOS/NLOS terminal field from the slope-diffraction branches and converts it
-to received power and path loss; each quantity is one array pass.
+"""Chain extraction, terminal field composition and path-loss conversion,
+for a block of positions at a time: one table of the stage and terminal
+columns of their diffraction chains (one stage per visible building, at the
+roof corner nearest the propagation line that identification recorded),
+then every position's LOS/NLOS terminal field from the slope-diffraction
+branches, its received power and path loss, each quantity in one pass.
 
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
@@ -29,10 +27,10 @@ C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
 PL_CAP_DB = 300.0
 
-# A chain's terminal, in the frame of its last stage: that corner, its RX
-# distances direct (L) and by the wall (r), departure angles toward the RX
-# (psi) and its wall image (theta), arrival angle (beta), TX distance (d_n),
-# and the specular wall point (NaN: none) and its incidence angle.
+# A chain's terminal in the frame of its last stage: that corner, distances
+# to the RX direct (L) and by the wall (r), departures toward the RX (psi)
+# and its wall image (theta), arrival (beta), TX distance (d_n), and the
+# specular wall point (NaN: none) and its incidence.
 TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
                      ("length_reflected", "f8"), ("psi", "f8"), ("theta", "f8"),
                      ("beta", "f8"), ("d_n", "f8"), ("wall_point", "f8", 3),
@@ -53,9 +51,8 @@ class MaterialConfig:
 
 @dataclass(eq=False)
 class ChainTable:
-    """A block's chains: position i's ``STAGE`` rows are
-    ``stages[start[i]:start[i + 1]]``, with its ``VisibilitySet`` and its
-    ``TERMINAL`` row (NaN without a chain)."""
+    """A block's chains: position i's ``STAGE`` rows ``stages[start[i]:
+    start[i + 1]]``, ``VisibilitySet`` and ``TERMINAL`` row (NaN: none)."""
 
     start: np.ndarray
     stages: np.ndarray
@@ -66,8 +63,8 @@ class ChainTable:
 @dataclass(eq=False)
 class LinkPrediction:
     """Both field models and the empirical references at one position, or
-    their (P,) columns over a block: the full model's field, its components
-    and cap flag, and ``power`` (2, 3) of each component (W), full first."""
+    their (P,) columns over a block; ``power`` (2, 3) holds each component's
+    power (W), full model first."""
 
     pl_db: float
     pl_simplified_db: float
@@ -77,9 +74,6 @@ class LinkPrediction:
     capped: bool
     pl_gpp_db: float
     pl_free_space_db: float
-
-
-# -- chain geometry, a block of positions at a time -----------------------
 
 
 def _angle(w, v):
@@ -132,11 +126,9 @@ def chain_table(vis_list, tx, rxs, gmap):
     ``vis_list``, receivers ``rxs`` (P, 3)).
 
     A position's stages are its visible buildings, each from its first
-    sub-segment, sorted by sub-segment, line parameter and id; a building
-    whose corner lies at the TX cannot diffract toward it and takes none.
-    The stages of all positions are stacked, so one ``f_block`` query tests
-    the TX->edge rays of every stage but the first of each chain, and each
-    quantity is one array pass.
+    sub-segment, sorted by sub-segment, line parameter and id, but for one
+    anchored at the TX, which cannot diffract toward it.  One ``f_block``
+    query tests the TX->edge rays of every stage but the first of each chain.
     """
     rows, start = [], [0]    # (sub-segment, t, id, roof row, side, sub)
     for vis in vis_list:
@@ -156,7 +148,6 @@ def chain_table(vis_list, tx, rxs, gmap):
     keep = np.flatnonzero(np.sqrt(row_dot(edge - tx, edge - tx)) > EPS_LEN)
     start = np.searchsorted(keep, start)
     row, edge = row[keep], edge[keep]
-    opposite = [(subs[k].right, subs[k].left)[side[k]] for k in keep.tolist()]
     terminal = np.full(len(vis_list), np.nan, TERMINAL)
     if not len(row):
         return ChainTable(start, np.zeros(0, STAGE), vis_list, terminal)
@@ -200,7 +191,8 @@ def chain_table(vis_list, tx, rxs, gmap):
 
     # the terminal, in the screen frame of the last stage, whose corner it is
     hit, r, wall_point, image, incidence = _reflection_branch(
-        gmap, [opposite[k] for k in last.tolist()], edge[last], rxs[has])
+        gmap, [(subs[k].right, subs[k].left)[side[k]] for k in keep[last].tolist()],
+        edge[last], rxs[has])
     term = np.zeros(len(last), TERMINAL)
     term["edge"], term["psi"], term["beta"] = edge[last], phi[last], alpha_s[last]
     term["length_direct"] = term["length_reflected"] = dist_next[last]
@@ -213,19 +205,15 @@ def chain_table(vis_list, tx, rxs, gmap):
 
 
 def extract_chain(table, i):
-    """Position i's ``(stages, terminal)`` cut from a ``chain_table``: its
-    ``STAGE`` rows and ``TERMINAL`` row; no rows and None when no building
-    is visible (free-space link)."""
+    """Position i's ``(STAGE rows, TERMINAL row)`` cut from a ``chain_table``;
+    no rows and None when no building is visible (free-space link)."""
     lo, hi = table.start[i], table.start[i + 1]
     return table.stages[lo:hi], table.terminal[i] if hi > lo else None
 
 
-# -- terminal coefficients and the block's fields ----------------------------
-
-
 def reflection_coefficient(theta, material):
-    """Fresnel wall reflection coefficient for H or V polarization at the
-    incidence angles ``theta`` from the wall normal, in [0, pi/2)."""
+    """Fresnel wall reflection coefficient for H or V polarization at
+    incidence ``theta`` from the wall normal, in [0, pi/2)."""
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
@@ -239,12 +227,11 @@ def reflection_coefficient(theta, material):
 
 def slope_coefficient(kind, term, k):
     """Terminal slope-diffraction coefficient of the ``TERMINAL`` rows
-    ``term`` for branch I (direct departure) or II (wall-reflected
-    departure), from the chain's UTD edge term; ``kind`` is "I", "II" or an
-    array of them, one per row."""
-    reflected = np.asarray(kind) == "II"
-    if not np.all(reflected | (np.asarray(kind) == "I")):
+    ``term`` for ``kind`` (per row) I, direct departure, or II,
+    wall-reflected departure, from the chain's UTD edge term."""
+    if not set(np.ravel(kind)) <= {"I", "II"}:
         raise NumericalDomainError("kind must be 'I' or 'II'")
+    reflected = np.asarray(kind) == "II"
     depart = np.where(reflected, term["theta"], term["psi"])
     length = np.where(reflected, term["length_reflected"], term["length_direct"])
     d_n = term["d_n"]
@@ -258,11 +245,10 @@ def slope_coefficient(kind, term, k):
 
 def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
                  pl_cap_db=PL_CAP_DB):
-    """Both field models of every position of a ``chain_table``, as
-    ``LinkPrediction`` columns: the same terminal branches, fed with the
-    recursive chain field at the final edge (full model) or with free space
-    from the TX to it (simplified model), and the direct field where the
-    link is LOS; and the empirical and free-space path losses."""
+    """``LinkPrediction`` columns of a ``chain_table``: both models' terminal
+    branches, fed with the recursive chain field at the final edge (full
+    model) or free space from the TX to it (simplified), plus the direct
+    field where LOS; and the empirical and free-space path losses."""
     k = 2.0 * np.pi * freq / C_LIGHT
     los = np.array([vis.classification.los for vis in table.vis], dtype=bool)
     d3d = np.sqrt(row_dot(rxs - tx, rxs - tx))
@@ -303,8 +289,7 @@ def total_field(fields, i):
 
 
 def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
-    """(received power W, path loss dB, capped flag) from field phasors; the
-    path loss is a float even for an integer cap."""
+    """(received power W, path loss dB (float), capped flag) of phasors."""
     if p_t <= 0.0 or g_r <= 0.0 or freq <= 0.0:
         raise NumericalDomainError("P_t, G_r and freq must be positive")
     p_r = received_power(e, g_r, freq)

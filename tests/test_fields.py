@@ -408,7 +408,7 @@ class TestRecursiveChain:
                            match=r"^stage 1: phi must be in \[0, 2\*pi\), got 7.0$"):
             recursive_chain(1.0, stage_table(chains[3:]), 1.0)
         with pytest.raises(NumericalDomainError,
-                           match="^stage 2: stage distances must be positive$"):
+                           match="^stage 2: distance and k must be positive$"):
             recursive_chain(1.0, stage_table(
                 [good, good + [Stage(0.0, 5.0, 1.0, 1.0)]]), 1.0)
 
