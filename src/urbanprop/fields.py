@@ -34,9 +34,8 @@ STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
 
 
 def cmul(a, b):
-    """Elementwise complex ``a * b`` with each real product rounded on its
-    own, as numpy's scalar product does; its array loops may fuse them, and
-    a block's fields would lose the bits of one position's."""
+    """Complex ``a * b``, each real product rounded alone as numpy's scalar
+    product does; its array loops may fuse them, changing a block's bits."""
     a, b = np.asarray(a), np.asarray(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
@@ -55,7 +54,8 @@ def transition_function(x):
     x = np.asarray(x, dtype=np.float64)
     bad = ~((0.0 < x) & (x < np.inf))
     if bad.any():
-        raise NumericalDomainError(f"transition_function requires finite X > 0, got {x[bad][0]}")
+        raise NumericalDomainError(
+            f"transition_function requires finite X > 0, got {x[bad][0]}")
     f = np.empty(x.shape, dtype=np.complex128)
     big, small = x >= F_ASYMPTOTIC_MIN, x < F_SMALL_MAX
     xi, xs, rest = 1.0 / x[big], x[small], x[~big]
@@ -87,8 +87,7 @@ def _check_stages(alpha, phi, distance, k, name=lambda j, c: ""):
     failed = np.array([~((0.0 <= alpha) & (alpha <= np.pi)),
                        ~((0.0 <= phi) & (phi < 2.0 * np.pi)), (distance <= 0.0) | (k <= 0.0)])
     if failed.any():
-        j = int(failed.any(axis=0).argmax())
-        c = int(failed[:, j].argmax())
+        j, c = divmod(int(failed.T.argmax()), 3)   # first element, first check
         raise NumericalDomainError(name(j, c) + (
             f"alpha must be in [0, pi], got {alpha[j]}", f"phi must be in "
             f"[0, 2*pi), got {phi[j]}", "distance and k must be positive")[c])
@@ -124,15 +123,12 @@ def direct_field(p_t, d, k):
 
 
 def recursive_chain(p_t, table, k):
-    """Field at the last edge of each chain of ``table``, chain i the
-    ``STAGE`` rows ``stages[start[i]:start[i + 1]]`` (0 without stages).
-
-    E_1 = E_dir(d_1); E_n = E_dir(d_n) + tau_{n-1} E_{n-1} for n >= 2, with
-    tau_{n-1} the ``stage_transfer`` of edge n-1 over D_{n-1}, and the
-    per-stage direct term dropped for edges whose view of the TX is blocked.
-    One check first names the table's first bad stage: ``stage n`` reads
-    the bad value, so a chain's last wedge is not checked.
-    """
+    """Field at the last edge of each chain i of ``table``, its ``STAGE``
+    rows ``stages[start[i]:start[i + 1]]`` (0 without stages): E_1 = E_dir(d_1),
+    E_n = E_dir(d_n) + tau_{n-1} E_{n-1}, tau_{n-1} the ``stage_transfer`` of
+    edge n-1 over D_{n-1}, with the direct term dropped for edges whose view
+    of the TX is blocked.  One check first names the table's first bad
+    stage: ``stage n`` reads the bad value, so a last wedge is not checked."""
     start, s = np.asarray(table.start), table.stages
     if not len(s):
         raise NumericalDomainError("recursive_chain requires at least one stage")

@@ -1,10 +1,8 @@
 """Chain extraction, terminal field composition and path-loss conversion,
-for a block of positions at a time: one table of the stage and terminal
-columns of their diffraction chains (one stage per visible building, at the
-roof corner nearest the propagation line that identification recorded),
-then every position's LOS/NLOS terminal field from the slope-diffraction
-branches, its received power and path loss, each quantity in one pass.
-
+a block of positions at a time: one table of the stage and terminal columns
+of their chains (a stage per visible building, at the roof corner nearest
+the propagation line), then each position's LOS/NLOS terminal field from
+the slope-diffraction branches and its path loss, each quantity one pass.
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
 the orientation is chosen so the source lies at a positive angle from the
@@ -27,10 +25,9 @@ C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
 PL_CAP_DB = 300.0
 
-# A chain's terminal in the frame of its last stage: that corner, distances
-# to the RX direct (L) and by the wall (r), departures toward the RX (psi)
-# and its wall image (theta), arrival (beta), TX distance (d_n), and the
-# specular wall point (NaN: none) and its incidence.
+# A chain's terminal in its last stage's frame: that corner, RX distances
+# direct (L) and by the wall (r), departures toward the RX (psi) and its
+# image (theta), arrival (beta), TX distance (d_n), wall point (NaN: none).
 TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
                      ("length_reflected", "f8"), ("psi", "f8"), ("theta", "f8"),
                      ("beta", "f8"), ("d_n", "f8"), ("wall_point", "f8", 3),
@@ -63,8 +60,7 @@ class ChainTable:
 @dataclass(eq=False)
 class LinkPrediction:
     """Both field models and the empirical references at one position, or
-    their (P,) columns over a block; ``power`` (2, 3) holds each component's
-    power (W), full model first."""
+    (P,) columns over a block; ``power`` (2, 3): component powers (W)."""
 
     pl_db: float
     pl_simplified_db: float
@@ -90,12 +86,9 @@ def _first_per_group(group, key):
 
 def _reflection_branch(gmap, opposite, e, x):
     """Image of each RX ``x[n]`` across the nearest wall of the buildings
-    ``opposite[n]`` (a list of ids), seen from the final edge ``e[n]``.
-
-    Returns ``(n, r, wall_point, image, incidence)``, arrays over the rows n
-    with a valid specular construction.  Of equally near walls the first, in
-    building-then-face order, wins.
-    """
+    ``opposite[n]`` (a list of ids), seen from the final edge ``e[n]``:
+    ``(n, r, wall_point, image, incidence)`` over the rows n with a specular
+    point.  Of equally near walls the first, by building and face, wins."""
     w, size = gmap.wall_rows([bid for ids in opposite for bid in ids])
     group = np.repeat(np.repeat(np.arange(len(opposite)),
                                 [len(ids) for ids in opposite]), size)
@@ -122,8 +115,7 @@ def _reflection_branch(gmap, opposite, e, x):
 
 
 def chain_table(vis_list, tx, rxs, gmap):
-    """The ``ChainTable`` of a block of positions (``VisibilitySet``s
-    ``vis_list``, receivers ``rxs`` (P, 3)).
+    """The ``ChainTable`` of ``VisibilitySet``s ``vis_list`` at ``rxs`` (P, 3).
 
     A position's stages are its visible buildings, each from its first
     sub-segment, sorted by sub-segment, line parameter and id, but for one
@@ -159,7 +151,6 @@ def chain_table(vis_list, tx, rxs, gmap):
     rest[head] = False
     blocked = np.zeros(len(row), dtype=bool)
     blocked[rest] = f_block(np.broadcast_to(tx, (rest.sum(), 3)), edge[rest], gmap)
-
     # the screen frame: the first wall of equally parallel ones wins
     inc = edge[:, :2] - prev[:, :2]
     inc_n = np.hypot(inc[:, 0], inc[:, 1])
@@ -180,7 +171,6 @@ def chain_table(vis_list, tx, rxs, gmap):
 
     def depart(k, v):   # angles of the 2D rows v from the screens of stages k
         return (orient[k] * _angle(screen[k], v)) % (2.0 * np.pi)
-
     out, to_tx = nxt - edge, edge - tx
     dist_next, d_tx = np.sqrt(row_dot(out, out)), np.sqrt(row_dot(to_tx, to_tx))
     phi = depart(slice(None), out[:, :2])
@@ -188,7 +178,6 @@ def chain_table(vis_list, tx, rxs, gmap):
     stages["d_tx"], stages["dist_next"] = d_tx, np.maximum(dist_next, 1e-9)
     stages["alpha"] = np.clip(np.pi - alpha_s, 0.0, np.pi)
     stages["phi"], stages["blocked"] = np.where(framed, phi, np.pi), blocked
-
     # the terminal, in the screen frame of the last stage, whose corner it is
     hit, r, wall_point, image, incidence = _reflection_branch(
         gmap, [(subs[k].right, subs[k].left)[side[k]] for k in keep[last].tolist()],
@@ -217,10 +206,8 @@ def reflection_coefficient(theta, material):
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
-    eps = material.eps_r
+    eps = material.eps_r       # above 1, so above sin^2(theta)
     s2 = np.sin(theta) ** 2
-    if np.any(eps < s2):
-        raise NumericalDomainError("eps_r below sin^2(theta)")
     root = (1.0 if material.polarization == "H" else 1.0 / eps) * np.sqrt(eps - s2)
     return (np.cos(theta) - root) / (np.cos(theta) + root)
 
@@ -231,9 +218,8 @@ def slope_coefficient(kind, term, k):
     wall-reflected departure, from the chain's UTD edge term."""
     if not set(np.ravel(kind)) <= {"I", "II"}:
         raise NumericalDomainError("kind must be 'I' or 'II'")
-    reflected = np.asarray(kind) == "II"
-    depart = np.where(reflected, term["theta"], term["psi"])
-    length = np.where(reflected, term["length_reflected"], term["length_direct"])
+    depart, length = (np.where(np.asarray(kind) == "II", term[b], term[a]) for a, b
+                      in (("psi", "theta"), ("length_direct", "length_reflected")))
     d_n = term["d_n"]
     l_red = length * d_n / (d_n + length)   # reduced distance parameter
     s = np.sin((depart - term["beta"]) / 2.0)
@@ -245,10 +231,9 @@ def slope_coefficient(kind, term, k):
 
 def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
                  pl_cap_db=PL_CAP_DB):
-    """``LinkPrediction`` columns of a ``chain_table``: both models' terminal
-    branches, fed with the recursive chain field at the final edge (full
-    model) or free space from the TX to it (simplified), plus the direct
-    field where LOS; and the empirical and free-space path losses."""
+    """``LinkPrediction`` columns of a ``chain_table``: the terminal branches
+    fed with the recursive chain field at the final edge (full model) or free
+    space to it (simplified), plus the direct field where LOS."""
     k = 2.0 * np.pi * freq / C_LIGHT
     los = np.array([vis.classification.los for vis in table.vis], dtype=bool)
     d3d = np.sqrt(row_dot(rxs - tx, rxs - tx))
@@ -261,8 +246,7 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
                         direct_field(p_t, term["d_n"], k)], axis=1)
         # branch I of every chain, then branch II where a wall reflects
         w = np.flatnonzero(~los[h] & ~np.isnan(term["wall_point"][:, 0]))
-        kind = np.repeat(["I", "II"], [len(h), len(w)])
-        term = term[np.concatenate([np.arange(len(h)), w])]
+        kind, term = np.repeat(["I", "II"], [len(h), len(w)]), term[np.r_[:len(h), w]]
         source = np.concatenate([e_n, reflection_coefficient(
             term["wall_incidence"][len(h):], material)[:, None] * e_n[w]])
         d_n, ell = term["d_n"], np.where(kind == "II", term["length_reflected"],
@@ -301,8 +285,8 @@ def path_loss(e, p_t, g_r, freq, pl_cap_db=PL_CAP_DB):
 
 def received_power(e, g_r, freq):
     """Power (W) a receiver of gain ``g_r`` takes from the field phasor ``e``."""
-    lam = C_LIGHT / freq
-    return lam ** 2 * g_r * np.hypot(e.real, e.imag) ** 2 / (8.0 * np.pi * ETA_0)
+    return (C_LIGHT / freq) ** 2 * g_r * np.hypot(e.real, e.imag) ** 2 / (
+        8.0 * np.pi * ETA_0)
 
 
 def friis_path_loss_db(d, freq):

@@ -58,15 +58,12 @@ def _block_passes(cfg, gmap, rxs, vis_list):
     """The ``(chain_table, chain_fields)`` of a block of positions."""
     table = chain_table(vis_list, cfg.tx, rxs, gmap)
     return table, chain_fields(table, cfg.material, cfg.p_t_watts, cfg.tx, rxs,
-                               cfg.freq_hz, g_r=cfg.g_r_linear,
-                               pl_cap_db=cfg.pl_cap_db)
+                               cfg.freq_hz, cfg.g_r_linear, cfg.pl_cap_db)
 
 
 def predict_position(cfg, gmap, rx, block=None, i=0):
-    """Run the whole model stack for a single receiver position: a
-    ``RouteResult`` of one row.  ``block`` is the ``_block_passes`` pair of
-    the position's block and ``i`` its row there; without it the position
-    is identified and its chain and fields computed as a block of one."""
+    """The ``RouteResult`` row of one receiver position, cut from the
+    ``_block_passes`` of its block at row ``i``, or of a block of one."""
     if block is None:
         block = _block_passes(cfg, gmap, np.reshape(rx, (1, 3)), [
             identify_position(cfg.tx, rx, gmap, cfg.corridor_width_m)])
@@ -92,9 +89,8 @@ def _concat(parts):
 
 
 def _predict_rows(cfg, gmap, positions):
-    """The ``RouteResult`` of ``positions``; each block's rows are joined
-    once the block is done, so only one block's single-row results are
-    held at a time."""
+    """The ``RouteResult`` of ``positions``, each block's rows joined once it
+    is done, so that one block's single-row results are held at a time."""
     blocks = []
     for i in range(0, len(positions), BLOCK):
         block = positions[i:i + BLOCK]
