@@ -36,8 +36,7 @@ STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
 def cmul(a, b):
     """Complex ``a * b``, each real product rounded alone as numpy's scalar
     product does; its array loops may fuse them, changing a block's bits."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out[()]
@@ -85,7 +84,8 @@ def _check_stages(alpha, phi, distance, k, name=lambda j, c: ""):
     alpha, phi, distance = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (alpha, phi, distance))))
     failed = np.array([~((0.0 <= alpha) & (alpha <= np.pi)),
-                       ~((0.0 <= phi) & (phi < 2.0 * np.pi)), (distance <= 0.0) | (k <= 0.0)])
+                       ~((0.0 <= phi) & (phi < 2.0 * np.pi)),
+                       (distance <= 0.0) | (k <= 0.0)])
     if failed.any():
         j, c = divmod(int(failed.T.argmax()), 3)   # first element, first check
         raise NumericalDomainError(name(j, c) + (
@@ -135,12 +135,11 @@ def recursive_chain(p_t, table, k):
     size = np.diff(start)
     n = np.arange(len(s)) - np.repeat(start[:-1], size)   # index in its chain
     used = n + 1 < np.repeat(size, size)                 # read by the next stage
-    alpha, phi, dist = s["alpha"], s["phi"], s["dist_next"]
-    _check_stages(np.where(used, alpha, 0.0), np.where(used, phi, 0.0),
-                  np.minimum(s["d_tx"], dist), k,
+    _check_stages(np.where(used, s["alpha"], 0.0), np.where(used, s["phi"], 0.0),
+                  np.minimum(s["d_tx"], s["dist_next"]), k,
                   lambda j, c: f"stage {n[j] + (c < 2)}: ")
     tau = np.zeros(len(s), dtype=np.complex128)
-    tau[used] = stage_transfer(alpha[used], phi[used], dist[used], k)
+    tau[used] = stage_transfer(s["alpha"][used], s["phi"][used], s["dist_next"][used], k)
     # (chain, n) tables; a chain past its end keeps its field
     live = np.arange(size.max()) < size[:, None]
     row = np.where(live, start[:-1, None] + np.arange(size.max()), 0)

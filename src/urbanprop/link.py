@@ -3,6 +3,7 @@ a block of positions at a time: one table of the stage and terminal columns
 of their chains (a stage per visible building, at the roof corner nearest
 the propagation line), then each position's LOS/NLOS terminal field from
 the slope-diffraction branches and its path loss, each quantity one pass.
+
 Wedge angles are measured in the horizontal plane at each corner: the
 screen is the first ring wall most nearly parallel to the incident ray, and
 the orientation is chosen so the source lies at a positive angle from the

@@ -7,9 +7,8 @@ position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
 route is walked in blocks of ``BLOCK`` positions: one candidate pass, the
 visibility scans, one chain pass (``link.chain_table``) and one field pass
 (``link.chain_fields``) per block, then each position's cut of them.  A
-worker pool gets the scene ``(cfg,
-gmap)`` once per worker, through its initializer, and returns the rows of
-contiguous chunks of positions.
+worker pool gets the scene ``(cfg, gmap)`` once per worker, through its
+initializer, and returns the rows of contiguous chunks of positions.
 """
 
 import math
