@@ -36,9 +36,9 @@ STAGE = np.dtype([("d_tx", "f8"), ("dist_next", "f8"), ("alpha", "f8"),
 def cmul(a, b):
     """Complex ``a * b``, each real product rounded alone as numpy's scalar
     product does; its array loops may fuse them, changing a block's bits."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, a.real * b.imag + a.imag * b.real
     return out[()]
 
 
