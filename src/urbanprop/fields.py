@@ -1,8 +1,7 @@
-"""Complex-field mathematics for half-plane diffraction: the Kouyoumjian-style
-transition function, the UTD edge term, the transfer factor of one stage
-(the field behind a stage is linear in the field at its edge, so a stage is
-one complex factor) and the recursive multiple-diffraction chain; each
-works elementwise on arrays, the chain over a block of chains at once.
+"""Complex-field mathematics for half-plane diffraction, elementwise on arrays:
+the Kouyoumjian-style transition function, the UTD edge term, the transfer
+factor of a stage (the field behind a stage is linear in the field at its
+edge: one complex factor) and the recursive chain, a block of chains at once.
 
 Angle convention: ``alpha`` is the wedge angle with GO boundaries at
 ``phi = alpha`` (reflection boundary) and ``phi = 2*pi - alpha`` (shadow
@@ -81,8 +80,7 @@ def diffraction_term(cos_half, k_d):
 def _check_stages(alpha, phi, distance, k, name=lambda j, c: ""):
     """Raise for the first element, in order, outside ``stage_transfer``'s
     domain, naming its first failed check c after ``name(element, c)``."""
-    alpha, phi, distance = (np.ravel(v) for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (alpha, phi, distance))))
+    alpha, phi, distance = map(np.ravel, np.broadcast_arrays(alpha, phi, distance))
     failed = np.array([~((0.0 <= alpha) & (alpha <= np.pi)),
                        ~((0.0 <= phi) & (phi < 2.0 * np.pi)),
                        (distance <= 0.0) | (k <= 0.0)])

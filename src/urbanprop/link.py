@@ -177,6 +177,7 @@ def chain_table(vis_list, tx, rxs, gmap):
     phi = depart(slice(None), out[:, :2])
     stages = np.empty(len(row), STAGE)
     stages["d_tx"], stages["dist_next"] = d_tx, np.maximum(dist_next, 1e-9)
+    stages["dist_next"][last] = dist_next[last]    # L: an RX at the corner fails
     stages["alpha"] = np.clip(np.pi - alpha_s, 0.0, np.pi)
     stages["phi"], stages["blocked"] = np.where(framed, phi, np.pi), blocked
     # the terminal, in the screen frame of the last stage, whose corner it is
@@ -207,8 +208,10 @@ def reflection_coefficient(theta, material):
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
-    eps = material.eps_r       # above 1, so above sin^2(theta)
+    eps = material.eps_r
     s2 = np.sin(theta) ** 2
+    if np.any(eps < s2):
+        raise NumericalDomainError("eps_r below sin^2(theta)")
     root = (1.0 if material.polarization == "H" else 1.0 / eps) * np.sqrt(eps - s2)
     return (np.cos(theta) - root) / (np.cos(theta) + root)
 
@@ -250,10 +253,9 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
         kind, term = np.repeat(["I", "II"], [len(h), len(w)]), term[np.r_[:len(h), w]]
         source = np.concatenate([e_n, reflection_coefficient(
             term["wall_incidence"][len(h):], material)[:, None] * e_n[w]])
-        d_n, ell = term["d_n"], np.where(kind == "II", term["length_reflected"],
-                                         term["length_direct"])
+        ell = np.where(kind == "II", term["length_reflected"], term["length_direct"])
         branch = cmul(cmul(source, slope_coefficient(kind, term, k)[:, None])
-                      * np.sqrt(d_n / (ell * (d_n + ell)))[:, None],
+                      * np.sqrt(term["d_n"] / (ell * (term["d_n"] + ell)))[:, None],
                       np.exp(-1j * k * ell)[:, None])
         comps[h, :, 1], comps[h[w], :, 2] = branch[:len(h)], branch[len(h):]
     e = comps[:, :, 0] + comps[:, :, 1] + comps[:, :, 2]

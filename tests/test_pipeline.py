@@ -13,7 +13,7 @@ from conftest import CORNER_BOXES, TX, build_map
 from test_identify import _grid_scene
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
-from urbanprop.errors import RouteError
+from urbanprop.errors import NumericalDomainError, RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import chain_table
@@ -287,3 +287,14 @@ def test_tx_at_a_roof_corner():
                                      for b, d in zip(ids, dropped))
     assert res.n_stages.tolist() == [len(b) - d for b, d in zip(ids, dropped)]
     assert np.isfinite(res.pl_model_db).all()
+
+
+def test_rx_at_its_chains_last_corner():
+    """An RX at the roof corner its chain ends at has no terminal distance
+    (L = 0): a domain error naming that stage, before any field is
+    computed, not a division by zero."""
+    gmap = build_map([(0, (0.0, 0.0, 10.0, 10.0, 1.0))])
+    cfg = ScenarioConfig(tx=np.array([-20.0, 3.0, 2.0]))
+    with pytest.raises(NumericalDomainError,
+                       match="^stage 0: distance and k must be positive$"):
+        predict_route(cfg, gmap, Route(np.zeros(1), np.array([[0.0, 0.0, 1.5]])))
