@@ -54,8 +54,8 @@ class ChainTable:
 
     start: np.ndarray
     stages: np.ndarray
-    vis: list = None
-    terminal: np.ndarray = None
+    vis: list
+    terminal: np.ndarray
 
 
 @dataclass(eq=False)

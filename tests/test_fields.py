@@ -285,7 +285,7 @@ def stage_table(chains):
     """The ``ChainTable`` of the stages of ``chains``, lists of ``Stage``s."""
     return ChainTable(np.cumsum([0] + [len(c) for c in chains]),
                       np.array([tuple(st) for c in chains for st in c],
-                               dtype=STAGE))
+                               dtype=STAGE), None, None)
 
 
 def component_chain(p_t, stages, k):

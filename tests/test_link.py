@@ -263,8 +263,8 @@ def _block_equals_alone(gmap, tx, route, corridor):
             seen["los" if vis[k].classification.los else "nlos"] += 1
             seen["no stage"] += len(stages) == 0
             seen["one stage"] += len(stages) == 1
-            seen["straight"] += sum((st["alpha"], st["phi"]) == (np.pi / 2.0, np.pi)
-                                    for st in stages)
+            seen["straight"] += sum(
+                (st["alpha"], st["phi"]) == (np.pi / 2.0, np.pi) for st in stages)
             if term is not None:
                 seen["no wall" if np.isnan(term["wall_point"]).all()
                      else "wall"] += 1
@@ -275,9 +275,9 @@ class TestChainBlockEqualsAlone:
     @pytest.mark.parametrize("corridor", [100.0, 10.0])
     def test_fixture_blocks(self, corridor, canyon_map, corner_map, tx):
         """A block of 16 positions gives each the chain and the field
-        columns of a block of one, bit for bit, on blocks that mix LOS and NLOS positions and,
-        over the scenes, chains of every kind; the stacked reflection of the
-        blocks' corners matches the scalar scan."""
+        columns of a block of one, bit for bit, on blocks that mix LOS and
+        NLOS positions and, over the scenes, chains of every kind; the
+        stacked reflection of the blocks' corners matches the scalar scan."""
         seen = Counter()
         for scene in ("grid", "rotated", "corner", "spire", "tx corner"):
             gmap, tx, route = (
@@ -534,8 +534,8 @@ def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
         if simplified:
             e_n = direct_field(p_t, term["d_n"], k)
         else:
-            e_n = recursive_chain(p_t, ChainTable([0, len(stages)], stages),
-                                  k)[0]
+            e_n = recursive_chain(p_t, ChainTable([0, len(stages)], stages,
+                                                  None, None), k)[0]
         ell, r = term["length_direct"], term["length_reflected"]
         a_i = np.sqrt(term["d_n"] / (ell * (term["d_n"] + ell)))
         comp["final_I"] = (e_n * slope_coefficient("I", term, k) * a_i
