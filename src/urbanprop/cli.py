@@ -95,13 +95,12 @@ def run_predict(args):
     cfg, route, res = _predict(args)
     path = os.path.join(cfg.output_dir, "predict.csv")
     x, y, z = route.xyz.T
-    # abs and angle one phasor at a time: numpy's array abs rounds differently
     _write_csv(path, {
         "index": range(len(x)), "x": x, "y": y, "z": z,
         "los": res.los.astype(int), "pl_model_db": res.pl_model_db,
         "pl_free_space_db": res.pl_free_space_db, "n_stages": res.n_stages,
-        "e_abs": [abs(e) for e in res.e_total],
-        "e_arg": [float(np.angle(e)) for e in res.e_total],
+        "e_abs": np.hypot(res.e_total.real, res.e_total.imag),
+        "e_arg": np.angle(res.e_total),
         "pl_simplified_db": res.pl_simplified_db, "pl_gpp_db": res.pl_gpp_db})
     return path
 

@@ -1,10 +1,12 @@
 """3D environment model and the exact geometric predicates under it.
 
 The map is loaded from JSON into immutable arrays.  Faces are simple planar
-polygons, fan-triangulated once at load time into a triangle soup that all
-occlusion queries run against (see ``kernels``); the map is the only code
-that culls the soup, pairs segments with triangles and calls the kernel.
-All predicates are pure functions, safe to call in parallel.
+polygons, fan-triangulated once at load time into a triangle soup that the
+map's three occlusion queries run against (see ``kernels``): the first
+face hit (``first_hit``), a blocked flag per segment (``segment_hits``) and
+per (segment group, building) pair (``pair_hits``).  The map is the only
+code that culls the soup, pairs segments with triangles and calls the
+kernel.  All predicates are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -46,10 +48,10 @@ class GeometryMap:
     top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
     position); the ring walls at each roof-table row (``ring_dir``, rows by
     ``ring_wall_rows``) and each building's vertical faces
-    (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Every
-    occlusion query (``first_hit``, ``any_hit``, ``segment_hits``,
-    ``pair_hits``) culls per (segment, box) and tests the kept (segment,
-    triangle) pairs in kernel calls of at most ``KERNEL_ROWS`` pairs.
+    (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its three
+    occlusion queries (``first_hit``, ``segment_hits``, ``pair_hits``) cull
+    per (segment, box) and test the kept (segment, triangle) pairs in
+    kernel calls of at most ``KERNEL_ROWS`` pairs.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -205,10 +207,10 @@ class GeometryMap:
         size = self._ring_dir_edge[rows + 1] - self._ring_dir_edge[rows]
         return ranges(self._ring_dir_edge[rows], size), size
 
-    def wall_rows(self, building_ids):
-        """The ``wall_normal``/``wall_point`` rows of each building's
-        vertical faces, joined, and the number of each."""
-        pos = np.array([self._pos(bid) for bid in building_ids], dtype=np.int64)
+    def wall_rows(self, bids):
+        """The ``wall_normal``/``wall_point`` rows of the vertical faces of the
+        building ids ``bids``, joined, and the number of each."""
+        pos = np.array([self._pos(bid) for bid in bids], dtype=np.int64)
         size = self._wall_edge[pos + 1] - self._wall_edge[pos]
         return ranges(self._wall_edge[pos], size), size
 
@@ -216,28 +218,20 @@ class GeometryMap:
         """The three vertices of triangle ``tri`` of the soup."""
         return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
 
-    def _query(self, a, b, building_ids=None):
-        """``(shape, seg, col, tri, t)``: ``_pairs`` of the (S, 3) or (3,)
-        segments a->b against each of the (S, K) ``shape`` of columns,
-        ``building_ids`` or every building by position; a whole-map query
-        first keeps the boxes meeting its segments' joint bounding box."""
+    def _query(self, a, b):
+        """``(n, seg, tri, t)``: ``_pairs`` of the n segments a->b ((S, 3) or
+        (3,)) and the buildings whose boxes meet their joint bounding box."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
-        if building_ids is None:
-            # BOX_PAD keeps the cull looser than the slab test, whose rounding
-            # can admit a box a segment end only touches to within an ulp
-            ends = np.concatenate([a, b])
-            lo = np.fmin.reduce(ends, axis=0, initial=np.inf) - BOX_PAD
-            hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
-            pos = np.flatnonzero(((self.box_lo <= hi[:, None])
-                                  & (self.box_hi >= lo[:, None])).all(axis=0))
-        else:
-            pos = np.array([self._pos(bid) for bid in building_ids],
-                           dtype=np.int64)
-        shape = (len(a), len(self.ids) if building_ids is None else len(pos))
+        # BOX_PAD keeps the cull looser than the slab test, whose rounding
+        # can admit a box a segment end only touches to within an ulp
+        ends = np.concatenate([a, b])
+        lo = np.fmin.reduce(ends, axis=0, initial=np.inf) - BOX_PAD
+        hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
+        pos = np.flatnonzero(((self.box_lo <= hi[:, None])
+                              & (self.box_hi >= lo[:, None])).all(axis=0))
         seg, col = np.indices((len(a), len(pos))).reshape(2, -1)
         row, tri, t = self._pairs(a, b, seg, pos[col])
-        col = col[row] if building_ids is not None else pos[col[row]]
-        return shape, seg[row], col, tri, t
+        return len(a), seg[row], tri, t
 
     def _pairs(self, a, b, seg, pos):
         """``(row, tri, t)``: each (segment ``seg``, building position ``pos``)
@@ -269,7 +263,7 @@ class GeometryMap:
         faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
         nothing is hit; of equally near hits, the lowest triangle id wins.
         (3,) endpoints give one ``(t, triangle id)`` of scalars."""
-        (n, _k), seg, _col, tri, t = self._query(a, b)
+        n, seg, tri, t = self._query(a, b)
         first = np.lexsort((tri, t, seg))
         first = first[np.diff(seg[first], prepend=-1) != 0]
         first = first[np.isfinite(t[first])]
@@ -278,19 +272,11 @@ class GeometryMap:
         return ((float(t_min[0]), int(tri_min[0])) if np.ndim(b) == 1
                 else (t_min, tri_min))
 
-    def any_hit(self, a, b, building_ids=None):
-        """True when a face of the selected buildings blocks the open segment
-        a->b, or any segment of an (S, 3) batch."""
-        return bool(np.isfinite(self._query(a, b, building_ids)[-1]).any())
-
-    def segment_hits(self, a, b, building_ids=None):
-        """(S, K) booleans for the segments a->b: True where a face of column
-        k's building (``building_ids``, or every building by position in
-        ``ids``) blocks segment s."""
-        shape, seg, col, _tri, t = self._query(a, b, building_ids)
-        hits = np.zeros(shape, dtype=bool)
-        hits[seg[np.isfinite(t)], col[np.isfinite(t)]] = True
-        return hits
+    def segment_hits(self, a, b):
+        """(S,) booleans for the (S, 3) segments a->b: True where a face of
+        the map blocks segment s."""
+        n, seg, _tri, t = self._query(a, b)
+        return np.bincount(seg[np.isfinite(t)], minlength=n) > 0
 
     def pair_hits(self, a, b, edge, group, pos):
         """(N,) booleans: True where a face of the building at position
@@ -463,7 +449,7 @@ def side_2d(cross):
 
 
 def f_block(a, b, gmap):
-    """1 iff any face of the map blocks the open segment a-b; one 0/1 per
-    row of (S, 3) endpoints."""
-    blocked = gmap.segment_hits(a, b).any(axis=1).astype(np.int64)
+    """1 iff a face of the map blocks the open segment a-b, per row of (S, 3)
+    endpoints: ``segment_hits`` as ints, kept for the benchmark's hook."""
+    blocked = gmap.segment_hits(a, b).astype(np.int64)
     return blocked if np.ndim(a) == 2 else int(blocked[0])

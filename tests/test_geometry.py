@@ -381,18 +381,13 @@ class TestOcclusion:
                 continue
             assert f_block(a, b, canyon_map) == f_block(b, a, canyon_map)
 
-    def test_building_subset(self, canyon_map):
-        a, b = pt(0, 22, 2), pt(140, 22, 2)   # down the left building row
-        assert canyon_map.any_hit(a, b, [0]) is True
-        assert canyon_map.any_hit(a, b, [3, 4]) is False
-
     @pytest.mark.parametrize("query", [
-        lambda m, a, b: m.any_hit(a, b, [7]),
-    ], ids=["any_hit"])
+        lambda m: m.top_vertices(7),
+        lambda m: m.wall_rows([7]),
+    ], ids=["top_vertices", "wall_rows"])
     def test_unknown_building_id(self, unit_cube_map, query):
-        a, b = np.array([-1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5])
         with pytest.raises(MapValidationError, match="unknown building id 7"):
-            query(unit_cube_map, a, b)
+            query(unit_cube_map)
 
 
 def _random_boxes(rng, max_boxes=10):

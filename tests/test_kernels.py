@@ -44,7 +44,6 @@ class TestZeroLengthSegment:
                 a = np.array(p)
                 assert np.all(np.isinf(
                     kernels.segment_triangles(a, a, *soup, EPS_HIT)))
-                assert not unit_cube_map.any_hit(a, a)
                 assert f_block(a, a, unit_cube_map) == 0
                 assert unit_cube_map.first_hit(a, a) == (np.inf, -1)
 
@@ -131,10 +130,9 @@ class TestCullChangesNothing:
             owner = gmap.tri_building
             by_building = np.stack([blocked[:, owner == k].any(axis=1)
                                     for k in range(len(gmap.ids))], axis=1)
-            assert np.array_equal(gmap.segment_hits(a, b), by_building)
+            assert np.array_equal(gmap.segment_hits(a, b),
+                                  by_building.any(axis=1))
             cols = [gmap.ids.tolist().index(x) for x in subset]
-            assert np.array_equal(gmap.segment_hits(a, b, subset),
-                                  by_building[:, cols])
             # a pair list holds only the (segment, building) pairs it names,
             # one segment per group or the whole batch in one group
             mask = np.arange(len(a))[:, None] % 3 != np.arange(len(cols))
@@ -146,9 +144,6 @@ class TestCullChangesNothing:
                                  np.zeros(len(cols), dtype=np.int64),
                                  np.array(cols, dtype=np.int64))
             assert np.array_equal(one, by_building[:, cols].any(axis=0))
-            assert gmap.any_hit(a, b) is bool(blocked.any())
-            assert gmap.any_hit(a, b, subset) is bool(
-                by_building[:, cols].any())
             assert np.array_equal(f_block(a, b, gmap), blocked.any(axis=1))
             t, tri = gmap.first_hit(a, b)
             assert (t.dtype, tri.dtype, t.shape, tri.shape) == (
@@ -159,18 +154,15 @@ class TestCullChangesNothing:
                 one_t, one_tri = gmap.first_hit(a[i], b[i])
                 assert t[i].tobytes() == np.float64(one_t).tobytes()
                 assert tri[i] == one_tri
-                assert gmap.any_hit(a[i], b[i]) is bool(blocked[i].any())
                 assert f_block(a[i], b[i], gmap) == blocked[i].any()
-                assert gmap.any_hit(a[i], b[i], subset) is bool(
-                    by_building[i, cols].any())
 
     @settings(max_examples=300, deadline=None)
     @given(scene_and_segments())
     def test_whole_map_cull_keeps_every_pair(self, case):
         """A whole-map query hands the kernel the same (segment, triangle)
-        rows, in the same order, as a query naming every building, which
-        skips the bounding-box cull; so ``kernels.triangles_tested`` does
-        not change."""
+        rows, in the same order, as pairing every segment with every
+        building, which skips the bounding-box cull; so
+        ``kernels.triangles_tested`` does not change."""
         gmap, _subset, (a, b) = case
         rows = []
         kernel = kernels.segment_triangles
@@ -179,12 +171,14 @@ class TestCullChangesNothing:
             rows.append(args[:5])
             return kernel(*args)
 
-        every = gmap.ids.tolist()
+        seg, pos = np.indices((len(a), len(gmap.ids))).reshape(2, -1)
         with patch.object(kernels, "segment_triangles", recording):
             culled = gmap.segment_hits(a, b)
             assert len(rows) <= 1
             whole, rows[:] = rows[:], []
-            assert np.array_equal(gmap.segment_hits(a, b, every), culled)
+            row, _tri, t = gmap._pairs(a, b, seg, pos)
+        every = np.bincount(seg[row[np.isfinite(t)]], minlength=len(a)) > 0
+        assert np.array_equal(every, culled)
         assert len(rows) == len(whole)
         for got, want in zip(whole, rows):
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
@@ -195,12 +189,11 @@ class TestCullChangesNothing:
         none = np.empty((0, 3))
         t, tri = canyon_map.first_hit(none, none)
         assert t.shape == tri.shape == (0,)
-        assert canyon_map.segment_hits(none, none).shape == (0, 5)
+        assert canyon_map.segment_hits(none, none).shape == (0,)
         no_pair = np.empty(0, dtype=np.int64)
         assert canyon_map.pair_hits(none, none, np.zeros(1, dtype=np.int64),
                                     no_pair, no_pair).shape == (0,)
         assert f_block(none, none, canyon_map).shape == (0,)
-        assert not canyon_map.any_hit(none, none)
 
     def test_tie_goes_to_lowest_id_across_interleaved_buildings(self):
         """Two boxes share the wall plane x = 1 and the segment crosses it
