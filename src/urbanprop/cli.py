@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .config import csv_rows, load_config, load_route, ScenarioConfig
+from .config import csv_table, load_config, load_route, ScenarioConfig
 from .doppler import route_doppler, route_velocities
 from .errors import ConfigError, DataShapeError, NumericalDomainError, UrbanPropError
 from .geometry import load_map
 from .metrics import empirical_cdf, ks_distance, rmse
-from .pipeline import predict_route
+from .pipeline import BLOCK, pool_width, predict_route
 
 MODEL_COLUMNS = ("pl_model_db", "pl_simplified_db", "pl_gpp_db",
                  "pl_free_space_db")
@@ -61,10 +61,10 @@ def _predict(args, check_route=None):
     if check_route is not None:
         check_route(route)
     _make_output_dir(cfg.output_dir)
-    ran = min(args.workers, len(route.t))   # predict_route's pool width
-    if ran < args.workers:
+    ran, bound = pool_width(args.workers, len(route.t))
+    if bound is not None:
         print(f"warning: {args.workers} workers asked for, {ran} ran: no "
-              "more than the route's positions", file=sys.stderr)
+              f"more than {bound}", file=sys.stderr)
     return cfg, route, predict_route(cfg, gmap, route, workers=args.workers)
 
 
@@ -118,30 +118,15 @@ def run_doppler(args):
     return path
 
 
-def _read_reference(path):
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv_rows(fh)
-            if reader.fieldnames != ["index", "value"]:
-                raise DataShapeError(
-                    f"reference {path} must have header 'index,value'")
-            return _finite_column([row["value"] for row in reader], "reference")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read reference file {path}: {exc}") from exc
-
-
-def _read_predictions(path):
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv_rows(fh)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read predictions file {path}: {exc}") from exc
-    names = [col for col in MODEL_COLUMNS if col in (reader.fieldnames or ())]
-    if not names:
-        raise DataShapeError(f"no model columns found in {path}")
-    return {col: _finite_column([r[col] for r in rows],
-                                f"predictions column {col}") for col in names}
+def _read_table(path, what):
+    """Header and rows of the CSV ``what`` at ``path``, whose ``index``
+    column, where it has one, must read 0, 1, ...: rows pair by position."""
+    names, rows = csv_table(path, what)
+    for i, row in enumerate(rows if "index" in names else ()):
+        if (row["index"] or "").strip() != str(i):
+            raise DataShapeError(
+                f"bad {what} row {i}: index {row['index']!r}, expected {i}")
+    return names, rows
 
 
 def _finite_column(cells, what):
@@ -162,8 +147,17 @@ def _finite_column(cells, what):
 def run_compare(args):
     if not args.reference or not args.predictions:
         raise ConfigError("compare requires --reference and --predictions")
-    reference = _read_reference(args.reference)
-    models = _read_predictions(args.predictions)
+    names, rows = _read_table(args.reference, "reference")
+    if names != ["index", "value"]:
+        raise DataShapeError(
+            f"reference {args.reference} must have header 'index,value'")
+    reference = _finite_column([row["value"] for row in rows], "reference")
+    names, rows = _read_table(args.predictions, "predictions")
+    models = {col: _finite_column([row[col] for row in rows],
+                                  f"predictions column {col}")
+              for col in MODEL_COLUMNS if col in names}
+    if not models:
+        raise DataShapeError(f"no model columns found in {args.predictions}")
     for name, series in sorted(models.items()):
         if len(series) != len(reference):
             raise DataShapeError(
@@ -203,8 +197,9 @@ def build_parser():
         description="Site-specific urban radio propagation simulator")
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for route evaluation "
-                        "(at least 1)")
+                        help="worker processes for route evaluation (at "
+                        f"least 1), one task per block of {BLOCK} positions; "
+                        "no more run than blocks or usable CPUs")
     parser.add_argument("--output", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("identify", help="per-position visibility report")

@@ -108,37 +108,36 @@ def _is_number(v):
                                     and abs(v) <= sys.float_info.max)
 
 
-def csv_rows(fh):
-    """A ``csv.DictReader`` over ``fh`` keyed by the header names stripped of
-    surrounding blanks; ``fieldnames`` is None for an empty file."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is not None:
-        reader.fieldnames = [c.strip() for c in reader.fieldnames]
-    return reader
+def csv_table(path, what, error=ConfigError):
+    """Header names, stripped of surrounding blanks, and row dicts of the
+    CSV ``what`` at ``path``; raises ``error`` if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            reader.fieldnames = [c.strip() for c in reader.fieldnames or ()]
+            return reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def load_route(path):
     """Route CSV with header ``t,x,y,z``, finite values and strictly
     increasing timestamps, as a ``Route`` of read-only arrays."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv_rows(fh)
-            if reader.fieldnames != ["t", "x", "y", "z"]:
-                raise RouteError(f"route {path} must have header 't,x,y,z'")
-            table = []
-            for i, row in enumerate(reader):
-                try:
-                    t, *xyz = (float(row[c]) for c in "txyz")
-                except (TypeError, ValueError) as exc:
-                    raise RouteError(f"bad route row {i}: {exc}") from exc
-                if not math.isfinite(t):
-                    raise RouteError(f"bad route row {i}: non-finite timestamp {t}")
-                if not all(map(math.isfinite, xyz)):
-                    raise RouteError(f"bad route row {i}: non-finite coordinate "
-                                     f"in {xyz}")
-                table.append((t, *xyz))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RouteError(f"cannot read route file {path}: {exc}") from exc
+    names, rows = csv_table(path, "route", RouteError)
+    if names != ["t", "x", "y", "z"]:
+        raise RouteError(f"route {path} must have header 't,x,y,z'")
+    table = []
+    for i, row in enumerate(rows):
+        try:
+            t, *xyz = (float(row[c]) for c in "txyz")
+        except (TypeError, ValueError) as exc:
+            raise RouteError(f"bad route row {i}: {exc}") from exc
+        if not math.isfinite(t):
+            raise RouteError(f"bad route row {i}: non-finite timestamp {t}")
+        if not all(map(math.isfinite, xyz)):
+            raise RouteError(f"bad route row {i}: non-finite coordinate "
+                             f"in {xyz}")
+        table.append((t, *xyz))
     if not table:
         raise RouteError("route must contain at least one point")
     table = np.array(table)

@@ -8,10 +8,10 @@ route is walked in blocks of ``BLOCK`` positions: one candidate pass, the
 visibility scans, one chain pass (``link.chain_table``) and one field pass
 (``link.chain_fields``) per block, then each position's cut of them.  A
 worker pool gets the scene ``(cfg, gmap)`` once per worker, through its
-initializer, and returns the rows of contiguous chunks of positions.
+initializer, and returns the rows of one block per task.
 """
 
-import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -87,21 +87,16 @@ def _concat(parts):
                          for f in fields(RouteResult)))
 
 
-def _predict_rows(cfg, gmap, positions):
-    """The ``RouteResult`` of ``positions``, each block's rows joined once it
-    is done, so that one block's single-row results are held at a time."""
-    blocks = []
-    for i in range(0, len(positions), BLOCK):
-        block = positions[i:i + BLOCK]
-        # through the module, so that a wrapper set on its attribute sees it
-        idents = identify.initial_identification(cfg.tx, block, gmap,
-                                                 cfg.corridor_width_m)
-        passes = _block_passes(cfg, gmap, block, [
-            identify.visible_identification(segs, cls, gmap)
-            for cls, segs in idents])
-        blocks.append(_concat([predict_position(cfg, gmap, rx, passes, k)
-                               for k, rx in enumerate(block)]))
-    return _concat(blocks)
+def _predict_block(cfg, gmap, positions):
+    """The ``RouteResult`` of a block of ``positions``."""
+    # through the module, so that a wrapper set on its attribute sees it
+    idents = identify.initial_identification(cfg.tx, positions, gmap,
+                                             cfg.corridor_width_m)
+    passes = _block_passes(cfg, gmap, positions, [
+        identify.visible_identification(segs, cls, gmap)
+        for cls, segs in idents])
+    return _concat([predict_position(cfg, gmap, rx, passes, k)
+                    for k, rx in enumerate(positions)])
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker
@@ -113,26 +108,35 @@ def _init_worker(cfg, gmap):
 
 
 def _predict_in_worker(positions):
-    return _predict_rows(*_scene, positions)
+    return _predict_block(*_scene, positions)
+
+
+def pool_width(workers, n_positions):
+    """``(width, bound)``: the processes ``predict_route`` runs ``n_positions``
+    on for ``workers``, and the bound that cut it, or None; 1 is no pool."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min((workers, None),
+               (-(-n_positions // BLOCK), f"one per block of {BLOCK} positions"),
+               (cpus, "one per CPU this process may run on"),
+               key=lambda bound: bound[0])
 
 
 def predict_route(cfg, gmap, route, workers=1):
     """The ``RouteResult`` of every point of a ``config.Route``, in input order.
 
-    ``workers`` above 1 evaluates the route's P positions in a process pool
-    of at most P workers; each chunk of ``ceil(P / (4 * workers))``
-    consecutive positions goes to one worker, which returns its rows.
+    The route is cut into blocks of ``BLOCK`` consecutive positions, run in
+    this process, or as the tasks of a pool if ``pool_width`` is above 1.
     """
     positions = route.xyz
     if not len(positions):
         raise RouteError("route must contain at least one point")
-    workers = min(workers, len(positions))
-    if workers <= 1:
-        return _predict_rows(cfg, gmap, positions)
+    blocks = [positions[i:i + BLOCK] for i in range(0, len(positions), BLOCK)]
+    width = pool_width(workers, len(positions))[0]
+    if width <= 1:
+        return _concat([_predict_block(cfg, gmap, block) for block in blocks])
     # imported here: the pool's modules add about 1 MB to a 1-worker run
     from concurrent.futures import ProcessPoolExecutor
-    size = math.ceil(len(positions) / (4 * workers))
-    chunks = [positions[i:i + size] for i in range(0, len(positions), size)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=width, initializer=_init_worker,
                              initargs=(cfg, gmap)) as pool:
-        return _concat(list(pool.map(_predict_in_worker, chunks)))
+        return _concat(list(pool.map(_predict_in_worker, blocks)))

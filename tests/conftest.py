@@ -1,7 +1,9 @@
 """Shared fixtures: canonical box scenes and scenario configuration."""
 
+import concurrent.futures
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -137,3 +139,27 @@ def scenario(tmp_path_factory):
     }))
     return {"root": root, "map": map_path, "route": route_path,
             "config": cfg_path}
+
+
+def set_usable_cpus(monkeypatch, n):
+    """Make ``n`` CPUs the ones this process may run on, as the pool's width
+    rule reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """The width of each process pool started, in order.  The pools are
+    real; eight CPUs are usable, so that the route and the worker count
+    decide each width on any host."""
+    widths = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        widths.append(max_workers)
+        return executor(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    set_usable_cpus(monkeypatch, 8)
+    return widths

@@ -1,12 +1,12 @@
 """End-to-end CLI tests: exit codes, determinism and metric round-trips."""
 
-import concurrent.futures
 import csv
 import json
 
 import pytest
 
-from conftest import CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict
+from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict,
+                      set_usable_cpus)
 from test_identify import GRID_BOXES, _grid_scene
 from urbanprop import cli, pipeline
 from urbanprop.cli import main
@@ -14,6 +14,24 @@ from urbanprop.cli import main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def street_scenario(scenario, tmp_path, n, degenerate_at=None):
+    """Config of ``n`` positions up street B of the scenario's corner scene,
+    the one at ``degenerate_at`` on the TX; its route file is the test's."""
+    route = tmp_path / "route.csv"
+    with open(route, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "z"])
+        for i in range(n):
+            xyz = ([0.0, 0.0, 2.0] if i == degenerate_at
+                   else [59.0, 60.0 * i / (n - 1), 2.0])
+            writer.writerow([0.5 * i, *xyz])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                               "route_path": str(route),
+                               "tx": [0.0, 0.0, 2.0]}))
+    return cfg
 
 
 class TestExitCodes:
@@ -351,6 +369,34 @@ class TestExitCodes:
         assert " row 1: " in err[0]
         assert not (tmp_path / "o").exists()
 
+    # rows pair by position, so each file's index must read 0, 1, ..., n-1:
+    # a reversed reference paired its rows with the wrong predictions, and
+    # a shifted one was accepted
+    @pytest.mark.parametrize("file, rows, row, cell", [
+        ("reference", ["2,3.0", "1,2.0", "0,1.0"], 0, "2"),
+        ("reference", ["7,1.0", "8,2.0", "9,3.0"], 0, "7"),
+        ("reference", ["0,1.0", "1.0,2.0", "2,3.0"], 1, "1.0"),
+        ("predictions", ["0,1.0", "1,2.0", "3,3.0"], 2, "3"),
+        ("predictions", ["1,2.0", "0,1.0", "2,3.0"], 0, "1"),
+        ("predictions", ["0,1.0", "x,2.0", "2,3.0"], 1, "x")],
+        ids=["reference-reversed", "reference-shifted",
+             "reference-non-integer", "predictions-gap",
+             "predictions-swapped", "predictions-non-integer"])
+    def test_compare_index_out_of_order(self, tmp_path, capsys, file, rows,
+                                        row, cell):
+        ordered = ["0,1.0", "1,2.0", "2,3.0"]
+        ref = tmp_path / "ref.csv"
+        ref.write_text("\n".join(["index,value", *(
+            rows if file == "reference" else ordered)]) + "\n")
+        prd = tmp_path / "prd.csv"
+        prd.write_text("\n".join(["index,pl_model_db", *(
+            rows if file == "predictions" else ordered)]) + "\n")
+        assert run(["--output", tmp_path / "o", "compare",
+                    "--reference", ref, "--predictions", prd]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad {file} row {row}: index {cell!r}, expected {row}"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestPredict:
     def test_byte_identical_reruns(self, scenario, tmp_path, capsys):
@@ -364,75 +410,66 @@ class TestPredict:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["identify", "predict", "doppler"])
-    def test_workers_identical(self, scenario, tmp_path, capsys, command):
+    def test_workers_identical(self, scenario, tmp_path, capsys, pool_widths,
+                               command):
+        # two blocks, the last short: 2 and 3 workers both start a pool of 2
+        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 4)
         output = {"identify": "identify.jsonl", "predict": "predict.csv",
                   "doppler": "doppler.csv"}[command]
         outs = []
         for name, w in (("w1", 1), ("w2", 2), ("w3", 3)):
             out = tmp_path / name
-            assert run(["--config", scenario["config"], "--workers", w,
+            assert run(["--config", cfg, "--workers", w,
                         "--output", out, command]) == 0
             outs.append((out / output).read_bytes())
         capsys.readouterr()
+        assert pool_widths == [2, 2]
         assert outs[0] == outs[1] == outs[2]
 
-    @pytest.mark.parametrize("n_positions, pool_widths", [(2, [2]), (1, [])])
-    def test_pool_width_capped_by_positions(self, scenario, tmp_path, capsys,
-                                            monkeypatch, n_positions,
-                                            pool_widths):
-        route = tmp_path / "route.csv"
-        lines = scenario["route"].read_text().splitlines()
-        route.write_text("\n".join(lines[:1 + n_positions]) + "\n")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
-                                   "route_path": str(route)}))
-        widths = []
-
-        class RecordingExecutor:
-            """Runs the pool's tasks in this process, recording its width."""
-
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                widths.append(max_workers)
-                if initializer is not None:
-                    initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(pipeline, "_scene", None, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingExecutor)
+    # (positions, width): one full block, or two with the last short
+    @pytest.mark.parametrize("n_positions, ran", [
+        (pipeline.BLOCK + 1, 2), (pipeline.BLOCK, 1)])
+    def test_pool_width_capped_by_blocks(self, scenario, tmp_path, capsys,
+                                         pool_widths, n_positions, ran):
+        cfg = street_scenario(scenario, tmp_path, n_positions)
         outs, errs = [], []
         for name, w in (("w1", 1), ("w3", 3)):
             assert run(["--config", cfg, "--workers", w, "--output",
                         tmp_path / name, "predict"]) == 0
             outs.append((tmp_path / name / "predict.csv").read_bytes())
             errs.append(capsys.readouterr().err)
-        assert widths == pool_widths
+        assert pool_widths == ([ran] if ran > 1 else [])
         assert outs[0] == outs[1]
         # the clamp is reported in one line; 1 worker is never clamped
-        assert errs == ["", f"warning: 3 workers asked for, {n_positions} "
-                        "ran: no more than the route's positions\n"]
+        assert errs == ["", f"warning: 3 workers asked for, {ran} ran: no "
+                        f"more than one per block of {pipeline.BLOCK} "
+                        "positions\n"]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_width_capped_by_cpus(self, scenario, tmp_path, capsys,
+                                       monkeypatch, pool_widths):
+        # no more processes than CPUs this process may run on
+        set_usable_cpus(monkeypatch, 2)
+        cfg = street_scenario(scenario, tmp_path, 2 * pipeline.BLOCK + 1)
+        assert run(["--config", cfg, "--workers", 3, "--output",
+                    tmp_path / "o", "predict"]) == 0
+        assert pool_widths == [2]
+        assert capsys.readouterr().err == (
+            "warning: 3 workers asked for, 2 ran: no more than one per CPU "
+            "this process may run on\n")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,
-                                           workers):
-        route = tmp_path / "route.csv"
-        route.write_text("t,x,y,z\n0,59,0,2\n1,0,0,2\n2,59,6,2\n")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
-                                   "route_path": str(route),
-                                   "tx": [0.0, 0.0, 2.0]}))
+                                           pool_widths, workers):
+        # the RX on the TX, in the second and last, short block
+        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 2,
+                              degenerate_at=pipeline.BLOCK)
         assert run(["--config", cfg, "--workers", workers, "--output",
                     tmp_path / "o", "predict"]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: degenerate segment: endpoints coincide"]
+        assert pool_widths == ([2] if workers > 1 else [])
+        clamp = [f"warning: 3 workers asked for, 2 ran: no more than one per "
+                 f"block of {pipeline.BLOCK} positions"] * (workers == 3)
+        assert capsys.readouterr().err.splitlines() == [
+            *clamp, "error: degenerate segment: endpoints coincide"]
 
     def test_tx_at_a_roof_corner(self, tmp_path, capsys):
         """A TX at a roof corner of building 0 runs every command (exit 0):
@@ -556,6 +593,18 @@ class TestCompare:
         ref.write_text("index, value\n0,1.0\n1,2.0\n")
         prd = tmp_path / "prd.csv"
         prd.write_text("index, pl_model_db\n0,1.5\n1,2.5\n")
+        out = tmp_path / "cmp"
+        assert run(["--output", out, "compare", "--reference", ref,
+                    "--predictions", prd]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "compare.json").read_text())
+        assert report["rmse_per_model"]["pl_model_db"] == 0.5
+
+    def test_predictions_without_index(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("index,value\n0,1.0\n1,2.0\n")
+        prd = tmp_path / "prd.csv"
+        prd.write_text("pl_model_db\n1.5\n2.5\n")
         out = tmp_path / "cmp"
         assert run(["--output", out, "compare", "--reference", ref,
                     "--predictions", prd]) == 0

@@ -3,13 +3,14 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import CORNER_BOXES, TX, build_map
+from conftest import CORNER_BOXES, TX, build_map, set_usable_cpus
 from test_identify import _grid_scene
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
@@ -17,7 +18,7 @@ from urbanprop.errors import NumericalDomainError, RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import chain_table
-from urbanprop.pipeline import (BLOCK, RouteResult, _concat,
+from urbanprop.pipeline import (BLOCK, RouteResult, _concat, pool_width,
                                 predict_position, predict_route)
 
 
@@ -28,18 +29,44 @@ def corner_street_route(n):
                  np.stack([np.full(n, 59.0), y, np.full(n, 2.0)], axis=1))
 
 
-# (positions, workers): chunks of ceil(P / 4w) = 2 and 3 positions leave a
-# shorter last chunk; (2, 3) has fewer positions than workers.
-@pytest.mark.parametrize("n, workers", [(11, 1), (11, 2), (17, 2), (2, 3),
-                                        (17, 3)])
-def test_pool_matches_serial(cfg, corner_map, n, workers):
+# (positions, workers, widths of the pools started): the blocks are the
+# pool's tasks, so a route of one block runs in this process at any worker
+# count, and a pool is no wider than the route has blocks; every longer
+# route ends in a short block.
+POOL_CASES = [(11, 1, []), (11, 2, []), (2, 3, []), (BLOCK + 1, 2, [2]),
+              (BLOCK + 1, 3, [2]), (2 * BLOCK + 5, 4, [3])]
+
+
+@pytest.mark.parametrize("n, workers, widths", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in POOL_CASES])
+def test_pool_matches_serial(cfg, corner_map, pool_widths, n, workers,
+                             widths):
     """Every column matches the serial route in dtype, shape and bytes
     (object columns by value)."""
     route = corner_street_route(n)
     serial = predict_route(cfg, corner_map, route)
     pooled = predict_route(cfg, corner_map, route, workers=workers)
+    assert pool_widths == widths
     assert len(serial.los) == n
     assert_same_columns(pooled, serial)
+
+
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["affinity", "cpu_count"])
+def test_pool_width_bounded_by_usable_cpus(monkeypatch, affinity):
+    """The width is at most one per block and one per CPU this process may
+    run on: its affinity set, or the machine's CPU count where the platform
+    has no affinity call; the bound that cut it is named."""
+    if affinity:
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pool_width(8, 10 * BLOCK) == (
+        2, "one per CPU this process may run on")
+    assert pool_width(2, 10 * BLOCK) == (2, None)
+    assert pool_width(8, BLOCK) == (1, f"one per block of {BLOCK} positions")
 
 
 def assert_same_columns(got, want):
@@ -74,7 +101,7 @@ def test_empty_route_rejected_before_any_pool(cfg, corner_map, monkeypatch,
                       workers=workers)
 
 
-def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
+def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch, pool_widths):
     gmap = build_map(CORNER_BOXES)
     pickles = []
 
@@ -84,9 +111,11 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch):
 
     monkeypatch.setattr(GeometryMap, "__getstate__", counting_getstate,
                         raising=False)
-    predict_route(cfg, gmap, corner_street_route(12), workers=2)
+    # five block tasks on a pool of two: shipping the map with each task
+    # would pickle it five times
+    predict_route(cfg, gmap, corner_street_route(4 * BLOCK + 1), workers=2)
+    assert pool_widths == [2]
     assert len(pickles) <= 2
-
 
 
 def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
@@ -182,12 +211,13 @@ def test_kernel_calls_stay_within_the_slice(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_route_equals_routes_of_one(cfg, corner_map, workers):
+def test_route_equals_routes_of_one(cfg, corner_map, pool_widths, workers):
     """Identification a block at a time gives every column the bytes of the
     positions evaluated one by one, on a route of more than two blocks
     whose length is not a multiple of the block."""
     route = corner_street_route(2 * BLOCK + 5)
     got = predict_route(cfg, corner_map, route, workers=workers)
+    assert pool_widths == ([workers] if workers > 1 else [])
     want = [predict_position(cfg, corner_map, rx) for rx in route.xyz]
     assert 0 < got.los.sum() < len(route.xyz)
     assert_same_columns(got, RouteResult(*(
