@@ -198,8 +198,8 @@ def build_parser():
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for route evaluation (at "
-                        f"least 1), one task per block of {BLOCK} positions; "
-                        "no more run than blocks or usable CPUs")
+                        f"least 1), one task per block of at most {BLOCK} "
+                        "positions; no more run than blocks or usable CPUs")
     parser.add_argument("--output", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("identify", help="per-position visibility report")

@@ -30,7 +30,7 @@ EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
 EPS_LEN = 1e-9     # minimal segment length, meters
 EPS_TOP = 0.5      # roof-ring height band, meters
 BOX_PAD = 1e-6     # culling-box padding, meters; keeps the cull conservative
-KERNEL_ROWS = 512  # pairs per kernel call; bounds its ~430 B/pair temporaries
+KERNEL_ROWS = 512  # pairs per kernel call, rows per cull: bounds their temporaries
 
 
 class GeometryMap:
@@ -201,6 +201,12 @@ class GeometryMap:
         pos = self._pos(building_id)
         return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
 
+    def roof_rows(self, pos):
+        """The roof-table rows of the buildings at the positions ``pos`` (an
+        int array), joined, and the number of each."""
+        size = self._ring_edge[pos + 1] - self._ring_edge[pos]
+        return ranges(self._ring_edge[pos], size), size
+
     def ring_wall_rows(self, rows):
         """The ``ring_dir`` rows of the ring walls at each roof-table row of
         the int array ``rows``, joined, and the number at each."""
@@ -216,11 +222,14 @@ class GeometryMap:
 
     def triangle(self, tri):
         """The three vertices of triangle ``tri`` of the soup."""
-        return self.tri_v0[tri], self.tri_v1[tri], self.tri_v2[tri]
+        return (self.tri_v0.take(tri, axis=0), self.tri_v1.take(tri, axis=0),
+                self.tri_v2.take(tri, axis=0))
 
     def _query(self, a, b):
-        """``(n, seg, tri, t)``: ``_pairs`` of the n segments a->b ((S, 3) or
-        (3,)) and the buildings whose boxes meet their joint bounding box."""
+        """``(n, seg, tri, t)``: the hits (``_pairs``) of the n segments a->b
+        ((S, 3) or (3,)) on the buildings whose boxes meet their joint
+        bounding box; row r pairs segment r // B with building r % B of
+        those B."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
         # BOX_PAD keeps the cull looser than the slab test, whose rounding
         # can admit a box a segment end only touches to within an ulp
@@ -229,34 +238,55 @@ class GeometryMap:
         hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
         pos = np.flatnonzero(((self.box_lo <= hi[:, None])
                               & (self.box_hi >= lo[:, None])).all(axis=0))
-        seg, col = np.indices((len(a), len(pos))).reshape(2, -1)
-        row, tri, t = self._pairs(a, b, seg, pos[col])
-        return len(a), seg[row], tri, t
+        m = max(len(pos), 1)
+        row, tri, t = self._pairs(a, b, len(a) * len(pos),
+                                  lambda r: (r // m, pos[r % m]))
+        return len(a), row // m, tri, t
 
-    def _pairs(self, a, b, seg, pos):
-        """``(row, tri, t)``: each (segment ``seg``, building position ``pos``)
-        row whose segment's closed range [0, 1] meets the padded box (so no
-        triangle an open segment can hit is culled) as one pair per triangle
-        of the building, ascending, with the pair's row and hit ``t``."""
+    def _pairs(self, a, b, n, rows):
+        """``(row, tri, t)`` of each hit of the rows ``0..n - 1``, where
+        ``rows(r)`` gives the (segment, building position) of the int rows
+        ``r``: a row whose segment's closed range [0, 1] meets the padded box
+        (so no triangle an open segment can hit is culled) is one pair per
+        triangle of the building, ascending.  Rows are culled ``KERNEL_ROWS``
+        at a time and their pairs formed as the kernel takes them, so every
+        kernel call but a query's last gets ``KERNEL_ROWS`` pairs."""
+        hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]  # row, tri, t
+        carry = np.empty((3, 0), dtype=np.int64)                # row, seg, tri
+
+        def test(pairs):
+            row, s, k = pairs
+            t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
+                                          *self.triangle(k), EPS_HIT)
+            hit = np.flatnonzero(t < np.inf)
+            hits.append((row[hit], k[hit], t[hit]))
         # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
         # (culled) in the plane of a padded face, too far away to hit it.
         with np.errstate(all="ignore"):
-            inv = (1.0 / (b - a))[seg]
-            t_lo = (self.box_lo.T[pos] - a[seg]) * inv
-            t_hi = (self.box_hi.T[pos] - a[seg]) * inv
-        enter = np.minimum(t_lo, t_hi).max(axis=1)
-        leave = np.maximum(t_lo, t_hi).min(axis=1)
-        del inv, t_lo, t_hi         # not held through the kernel slices
-        row = np.flatnonzero(np.maximum(enter, 0.0) <= np.minimum(leave, 1.0))
-        count = self._tri_count[pos[row]]
-        tri = self._tri_by_building[ranges(self._tri_edge[pos[row]], count)]
-        row = np.repeat(row, count)
-        seg, t = seg[row], np.empty(len(tri))
-        for i in range(0, len(tri), KERNEL_ROWS):
-            s, k = seg[i:i + KERNEL_ROWS], tri[i:i + KERNEL_ROWS]
-            t[i:i + KERNEL_ROWS] = kernels.segment_triangles(
-                a[s], b[s], *self.triangle(k), EPS_HIT)
-        return row, tri, t
+            for lo in range(0, n, KERNEL_ROWS):
+                r = np.arange(lo, min(lo + KERNEL_ROWS, n))
+                seg, pos = rows(r)
+                a_seg = a.take(seg, axis=0).T      # take: faster than indexing
+                inv = 1.0 / (b.take(seg, axis=0).T - a_seg)
+                t_lo = (self.box_lo.take(pos, axis=1) - a_seg) * inv
+                t_hi = (self.box_hi.take(pos, axis=1) - a_seg) * inv
+                keep = np.flatnonzero(
+                    np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
+                    <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0))
+                r, seg, pos = r[keep], seg[keep], pos[keep]
+                at, i = offsets(self._tri_count[pos]), 0
+                while i < at[-1]:
+                    q, k = ranges_at(at, np.arange(
+                        i, min(i + KERNEL_ROWS - carry.shape[1], at[-1])))
+                    tri = self._tri_by_building[self._tri_edge[pos[q]] + k]
+                    carry = np.concatenate([carry, [r[q], seg[q], tri]], axis=1)
+                    i += len(q)
+                    if carry.shape[1] == KERNEL_ROWS:
+                        test(carry)
+                        carry = carry[:, :0]
+        if carry.shape[1]:
+            test(carry)
+        return tuple(map(np.concatenate, zip(*hits)))
 
     def first_hit(self, a, b):
         """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
@@ -264,9 +294,7 @@ class GeometryMap:
         nothing is hit; of equally near hits, the lowest triangle id wins.
         (3,) endpoints give one ``(t, triangle id)`` of scalars."""
         n, seg, tri, t = self._query(a, b)
-        first = np.lexsort((tri, t, seg))
-        first = first[np.diff(seg[first], prepend=-1) != 0]
-        first = first[np.isfinite(t[first])]
+        first = first_per_group(seg, tri, t)
         t_min, tri_min = np.full(n, np.inf), np.full(n, -1)
         t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
         return ((float(t_min[0]), int(tri_min[0])) if np.ndim(b) == 1
@@ -275,25 +303,42 @@ class GeometryMap:
     def segment_hits(self, a, b):
         """(S,) booleans for the (S, 3) segments a->b: True where a face of
         the map blocks segment s."""
-        n, seg, _tri, t = self._query(a, b)
-        return np.bincount(seg[np.isfinite(t)], minlength=n) > 0
+        n, seg, _tri, _t = self._query(a, b)
+        return np.bincount(seg, minlength=n) > 0
 
-    def pair_hits(self, a, b, edge, group, pos):
-        """(N,) booleans: True where a face of the building at position
-        ``pos[n]`` blocks an open segment of group ``group[n]``; group g is
-        the non-empty rows ``edge[g]:edge[g + 1]`` of the (S, 3) a->b (all
-        three are int arrays).  A pair whose group's box, padded by
-        ``BOX_PAD``, misses the building's is dropped, as the slab test
-        would drop it; the rest are slab-tested per segment."""
-        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]) - BOX_PAD
-        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]) + BOX_PAD
-        pair = np.flatnonzero(((self.box_lo.T[pos] <= hi[group])
-                               & (self.box_hi.T[pos] >= lo[group])).all(axis=1))
-        size = np.diff(edge)[group[pair]]
-        seg = ranges(edge[group[pair]], size)
-        pair = np.repeat(pair, size)
-        row, _tri, t = self._pairs(a, b, seg, pos[pair])
-        return np.bincount(pair[row[np.isfinite(t)]], minlength=len(group)) > 0
+    def pair_hits(self, a, b, edge, first, count, pos):
+        """Booleans, group by group: True where a face of the building at
+        position ``pos[first[g] + k]``, k < ``count[g]``, blocks an open
+        segment of group g, the non-empty rows ``edge[g]:edge[g + 1]`` of the
+        (S, 3) a->b (all int arrays).  A pair whose group's box, padded by
+        ``BOX_PAD``, misses the building's is dropped, as the slab test would
+        drop it; the rest are slab-tested per segment.  Pairs are culled, and
+        paired with their segments, ``KERNEL_ROWS`` at a time."""
+        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).T - BOX_PAD
+        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).T + BOX_PAD
+        at, kept = offsets(count), [np.empty(0, dtype=np.int64)]
+
+        def pairs(r):           # the (group, building position) of pairs r
+            g, k = ranges_at(at, r)
+            return g, pos[first[g] + k]
+        for i in range(0, at[-1], KERNEL_ROWS):
+            r = np.arange(i, min(i + KERNEL_ROWS, at[-1]))
+            g, p = pairs(r)
+            kept.append(r[((self.box_lo.take(p, axis=1) <= hi.take(g, axis=1))
+                           & (self.box_hi.take(p, axis=1) >= lo.take(g, axis=1))
+                           ).all(axis=0)])
+        kept = np.concatenate(kept)
+        g = pairs(kept)[0]
+        seg_at = offsets(edge[g + 1] - edge[g])
+
+        def rows(r):            # segment k of the group of kept pair q
+            q, k = ranges_at(seg_at, r)
+            g, p = pairs(kept[q])
+            return edge[g] + k, p
+        row = self._pairs(a, b, seg_at[-1], rows)[0]
+        hit = np.zeros(at[-1], dtype=bool)
+        hit[kept[ranges_at(seg_at, row)[0]]] = True
+        return hit
 
 
 def ranges(lo, size):
@@ -301,9 +346,28 @@ def ranges(lo, size):
     return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
+def first_per_group(group, *keys):
+    """The first row of each group after a stable sort by ``keys``, the last
+    one first, as ``np.lexsort`` takes them."""
+    order = np.lexsort((*keys, group))
+    return order[np.diff(group[order], prepend=-1) != 0]
+
+
+def offsets(size):
+    """Start offsets (n + 1) of n joined ranges of the sizes ``size``."""
+    return np.concatenate(([0], np.cumsum(size)))
+
+
+def ranges_at(at, r):
+    """``(q, k)``: row r of joined ranges is row k of range q, which holds
+    the rows ``at[q]:at[q + 1]`` (``at`` from ``offsets``)."""
+    q = np.searchsorted(at, r, side="right") - 1
+    return q, r - at[q]
+
+
 def _edges(owner, n):
     """Start offsets (n + 1) of the groups of a sorted group-index array."""
-    return np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    return offsets(np.bincount(owner, minlength=n))
 
 
 def _raise_first_failure(*checks):

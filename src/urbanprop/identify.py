@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import EPS_LEN, line_2d, ranges, row_dot, side_2d
+from .geometry import (EPS_LEN, KERNEL_ROWS, first_per_group, line_2d,
+                       offsets, ranges_at, row_dot, side_2d)
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 CULL_MARGIN = 1.0  # candidate cull margin beyond the corridor, m
@@ -168,50 +169,63 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
     pairs = [ab for segs in ends for ab in segs]
     left_only = np.array([k == 1 for segs in ends for k in range(len(segs))])
     a, b = (np.array([ab[k] for ab in pairs]) for k in (0, 1))
-    # Only a building with a roof vertex in the sub-segments' joint xy
-    # bounding box, widened by the corridor, can flank one.  The margin
-    # keeps every vertex whose rounded t and dist could pass at the
-    # corridor's edge; all rows of those buildings are kept, since a
-    # candidate's nearest corner may lie outside the box.
-    reach = corridor_width + CULL_MARGIN
-    xy = np.concatenate([a, b])[:, :2]
-    near = ((gmap.roof_xy >= xy.min(axis=0) - reach)
-            & (gmap.roof_xy <= xy.max(axis=0) + reach)).all(axis=1)
-    rows = np.flatnonzero(np.isin(gmap.roof_owner, gmap.roof_owner[near]))
-    owner = gmap.roof_owner[rows]
-    # (SS, R): every sub-segment's line against every kept row
-    t, cross, dist = line_2d(gmap.roof_xy[rows], a.T[:, :, None], b.T[:, :, None])
-    kept = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
-    ss, col = np.nonzero(kept)
-    shape = (len(pairs), len(gmap.ids))
-    key = ss * shape[1] + owner[col]
-    flanking = np.bincount(key, minlength=np.prod(shape)).reshape(shape) > 0
-    votes = np.bincount(key, side_2d(cross[kept]),
-                        minlength=np.prod(shape)).reshape(shape)
-    left = flanking & (votes >= 0)
-    right = flanking & (votes < 0) & ~left_only[:, None]
-    # first row of each (sub-segment, candidate) after a stable sort by
-    # distance: rings ascend, so a tie goes to the lower vertex id
-    ss, col = np.nonzero((left | right)[:, owner])
-    order = np.lexsort((dist[ss, col], owner[col], ss))
-    ss, col = ss[order], col[order]
-    first = np.diff(ss * shape[1] + owner[col], prepend=-1) != 0
-    ss, col = ss[first], col[first]
-    corners = list(zip(gmap.ids[owner[col]].tolist(), zip(
-        dist[ss, col].tolist(), rows[col].tolist(), t[ss, col].tolist())))
+    ss, pos, votes, dist, row, t = _flanking(a, b, gmap, corridor_width)
+    right = votes < 0
+    cand = np.flatnonzero(~right | ~left_only[ss])
+    ss, pos, right, dist = ss[cand], pos[cand], right[cand], dist[cand]
     # the visiting order: sub-segment, side (left first), distance, id
     edge = np.searchsorted(ss, np.arange(len(pairs) + 1))
-    near = owner[col][np.lexsort((gmap.ids[owner[col]], dist[ss, col],
-                                  right[ss, owner[col]], ss))]
-    del t, cross, dist, kept, votes   # not held through the query
+    near = pos[np.lexsort((gmap.ids[pos], dist, right, ss))]
     blocked = _blocked_by_block(near, ss, edge, a, b, gmap)
-    near, edge = gmap.ids[near].tolist(), edge.tolist()
-    subs = iter([SubSegment(sa, sb, gmap.ids[left[i]].tolist(),
-                            gmap.ids[right[i]].tolist(),
-                            dict(corners[edge[i]:edge[i + 1]]),
-                            near[edge[i]:edge[i + 1]], blocked[i])
-                 for i, (sa, sb) in enumerate(pairs)])
+    bid = gmap.ids[pos].tolist()
+    corners = list(zip(bid, zip(dist.tolist(), row[cand].tolist(),
+                                t[cand].tolist())))
+    near, edge, right = gmap.ids[near].tolist(), edge.tolist(), right.tolist()
+    subs = iter([SubSegment(
+        sa, sb, [c for c, r in zip(bid[lo:hi], right[lo:hi]) if not r],
+        [c for c, r in zip(bid[lo:hi], right[lo:hi]) if r],
+        dict(corners[lo:hi]), near[lo:hi], blocked[i])
+        for i, ((sa, sb), lo, hi) in enumerate(zip(pairs, edge, edge[1:]))])
     return [(cls, [next(subs) for _ in segs]) for cls, segs in zip(classes, ends)]
+
+
+def _flanking(a, b, gmap, corridor_width):
+    """Each (sub-segment, building position) pair, ascending, where a roof
+    vertex of the building counts for the sub-segment a->b: ``(ss, pos,
+    votes, dist, row, t)``, with the sum of the sides (``side_2d``) of its
+    counted vertices and the building's roof corner nearest the line (the
+    first row by distance: as rings ascend, a tie goes to the lower id).
+
+    Only a building whose box meets a sub-segment's xy box, widened by the
+    corridor, can have a vertex that counts; the margin keeps every vertex
+    whose rounded t and dist could pass at the corridor's edge.  Row r pairs
+    sub-segment r // m with building ``near[r % m]``; rows are culled, and
+    their buildings' vertices tested, ``KERNEL_ROWS`` rows at a time."""
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)     # (3, SS)
+    lo = np.minimum(a, b)[:2] - (corridor_width + CULL_MARGIN)
+    hi = np.maximum(a, b)[:2] + (corridor_width + CULL_MARGIN)
+    near = np.flatnonzero(((gmap.box_lo[:2] <= hi.max(axis=1)[:, None])
+                           & (gmap.box_hi[:2] >= lo.min(axis=1)[:, None])).all(axis=0))
+    n, m = a.shape[1] * len(near), max(len(near), 1)
+    found = []
+    for i in range(0, max(n, 1), KERNEL_ROWS):   # once with no rows: typed empties
+        ss, pos = np.divmod(np.arange(i, min(i + KERNEL_ROWS, n)), m)
+        pos = near.take(pos)    # take: faster than indexing
+        box = ((gmap.box_lo[:2].take(pos, axis=1) <= hi.take(ss, axis=1))
+               & (gmap.box_hi[:2].take(pos, axis=1) >= lo.take(ss, axis=1))).all(axis=0)
+        ss, pos = ss[box], pos[box]
+        row, size = gmap.roof_rows(pos)
+        group = np.repeat(np.arange(len(pos)), size)
+        t, cross, dist = line_2d(gmap.roof_xy.take(row, axis=0),
+                                 a.take(ss[group], axis=1), b.take(ss[group], axis=1))
+        ok = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
+        votes = np.bincount(group[ok], side_2d(cross[ok]), minlength=len(pos))
+        first = first_per_group(group, dist)
+        flank = np.bincount(group[ok], minlength=len(pos)) > 0
+        first = first[flank]
+        found.append((ss[flank], pos[flank], votes[flank], dist[first],
+                      row[first], t[first]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _blocked_by_block(pos, ss, edge, a, b, gmap):
@@ -221,19 +235,20 @@ def _blocked_by_block(pos, ss, edge, a, b, gmap):
     candidates of its sub-segment, the only entries the scan reads."""
     k = np.arange(len(ss)) - edge[ss]          # place in its sub-segment
     # each candidate's roof-table rows: the table ascends by building
-    lo = np.searchsorted(gmap.roof_owner, pos)
-    size = np.searchsorted(gmap.roof_owner, pos, side="right") - lo
-    verts = gmap.vertices[gmap.roof_vertex[ranges(lo, size)]]
+    rows, size = gmap.roof_rows(pos)
+    verts = gmap.vertices[gmap.roof_vertex[rows]]
     line_a, line_d = (np.repeat(x[ss], size, axis=0) for x in (a, b - a))
     t = row_dot(verts - line_a, line_d) / row_dot(line_d, line_d)
-    i = np.repeat(np.arange(len(ss)), k)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(k) - k, k) + edge[ss[i]]
-    hits = gmap.pair_hits(verts, line_a + t[:, None] * line_d,
-                          np.concatenate(([0], np.cumsum(size))), i, pos[j])
+    line_d *= t[:, None]
+    line_d += line_a            # the projections, in place
+    del line_a, t
+    # candidate i against the k[i] candidates before it on its sub-segment
+    hit = gmap.pair_hits(verts, line_d, offsets(size), edge[ss], k, pos)
+    i, j = ranges_at(offsets(k), np.flatnonzero(hit))
     n = np.diff(edge)
     base = np.cumsum(n * n) - n * n
     flat = np.zeros(int((n * n).sum()), dtype=bool)
-    flat[(base[ss[i]] + k[i] * n[ss[i]] + k[j])[hits]] = True
+    flat[base[ss[i]] + k[i] * n[ss[i]] + j] = True
     return [flat[o:o + m * m].reshape(m, m)
             for o, m in zip(base.tolist(), n.tolist())]
 

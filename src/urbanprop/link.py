@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import gpp_path_loss
 from .errors import NumericalDomainError
 from .fields import STAGE, cmul, diffraction_term, direct_field, recursive_chain
-from .geometry import EPS_LEN, f_block, row_dot
+from .geometry import EPS_LEN, f_block, first_per_group, row_dot
 
 C_LIGHT = 299792458.0
 ETA_0 = 120.0 * np.pi
@@ -79,12 +79,6 @@ def _angle(w, v):
                       w[:, 0] * v[:, 0] + w[:, 1] * v[:, 1])
 
 
-def _first_per_group(group, key):
-    """The first row of each group after a stable sort by ``key``."""
-    order = np.lexsort((key, group))
-    return order[np.diff(group[order], prepend=-1) != 0]
-
-
 def _reflection_branch(gmap, opposite, e, x):
     """Image of each RX ``x[n]`` across the nearest wall of the buildings
     ``opposite[n]`` (a list of ids), seen from the final edge ``e[n]``:
@@ -108,7 +102,7 @@ def _reflection_branch(gmap, opposite, e, x):
     i = np.flatnonzero((d_rx * row_dot(e - p0, nrm) > 0.0)
                        & (np.abs(denom) >= 1e-12) & (0.0 < t) & (t < 1.0)
                        & (inc_norm >= 1e-9))
-    i = i[_first_per_group(group[i], np.abs(d_rx[i]))]
+    i = i[first_per_group(group[i], np.abs(d_rx[i]))]
     incidence = np.arccos(np.clip(
         np.abs(row_dot(inc_dir[i], nrm[i])) / inc_norm[i], -1.0, 1.0))
     return (group[i], np.sqrt(row_dot(seg[i], seg[i])), wall_point[i],
@@ -164,7 +158,7 @@ def chain_table(vis_list, tx, rxs, gmap):
     walls = gmap.ring_dir[w]
     score = np.abs(walls[:, 0] * inc[group, 0] + walls[:, 1] * inc[group, 1])
     screen = np.tile([1.0, 0.0], (len(row), 1))
-    screen[framed] = walls[_first_per_group(group, -score)]
+    screen[framed] = walls[first_per_group(group, -score)]
     a_back = _angle(screen[framed], -inc[framed])   # back toward the source
     orient, alpha_s = np.ones(len(row)), np.full(len(row), np.pi / 2.0)
     orient[framed] = np.where(a_back >= 0.0, 1.0, -1.0)

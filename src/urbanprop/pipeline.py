@@ -4,11 +4,12 @@ rows of a route gathered into one table of columns.
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
 position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
-route is walked in blocks of ``BLOCK`` positions: one candidate pass, the
-visibility scans, one chain pass (``link.chain_table``) and one field pass
-(``link.chain_fields``) per block, then each position's cut of them.  A
-worker pool gets the scene ``(cfg, gmap)`` once per worker, through its
-initializer, and returns the rows of one block per task.
+route is cut into the fewest blocks of at most ``BLOCK`` positions, of
+sizes that differ by at most one, and walked a block at a time: one
+candidate pass, the visibility scans, one chain pass (``link.chain_table``)
+and one field pass (``link.chain_fields``) per block, then each position's
+cut of them.  A worker pool gets the scene ``(cfg, gmap)`` once per worker,
+through its initializer, and returns the rows of one block per task.
 """
 
 import os
@@ -22,9 +23,10 @@ from .identify import identify_position
 from .link import chain_fields, chain_table, extract_chain, total_field
 
 NO_POINT = np.full(3, np.nan)
-# Positions identified together: enough to spread the fixed cost of the
-# block passes, few enough that their arrays stay small.
-BLOCK = 16
+# Most positions identified together: enough to spread the fixed cost of the
+# block passes.  Their candidate and occlusion tests run KERNEL_ROWS rows at
+# a time, so their arrays grow with their work, not with the block's extent.
+BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -125,13 +127,14 @@ def pool_width(workers, n_positions):
 def predict_route(cfg, gmap, route, workers=1):
     """The ``RouteResult`` of every point of a ``config.Route``, in input order.
 
-    The route is cut into blocks of ``BLOCK`` consecutive positions, run in
-    this process, or as the tasks of a pool if ``pool_width`` is above 1.
+    The route is cut into ceil(P / ``BLOCK``) blocks of consecutive
+    positions whose sizes differ by at most one, run in this process, or as
+    the tasks of a pool if ``pool_width`` is above 1.
     """
     positions = route.xyz
     if not len(positions):
         raise RouteError("route must contain at least one point")
-    blocks = [positions[i:i + BLOCK] for i in range(0, len(positions), BLOCK)]
+    blocks = np.array_split(positions, -(-len(positions) // BLOCK))
     width = pool_width(workers, len(positions))[0]
     if width <= 1:
         return _concat([_predict_block(cfg, gmap, block) for block in blocks])

@@ -1,19 +1,24 @@
 """Alternating-pairs benchmark campaign: a parent checkout against a change.
 
     python3 tests/campaign.py PARENT_DIR CHANGE_DIR --workload grid400_doppler \\
-        --pairs 10 --seconds 40 --first-seed 100
+        [--workload grid100_identify ...] --pairs 10 --seconds 40 \\
+        --first-seed 100
 
-Pair k runs ``python3 perfbench/run.py --workload W --seed N+k --seconds S
---trace 0`` once in each checkout, as a new process started there; even
-pairs run the parent first, odd pairs the change.  Only the last line of a
+Pair k of workload W runs ``python3 perfbench/run.py --workload W --seed
+N+k --seconds S --trace 0`` once in each checkout, as a new process started
+there; even pairs run the parent first, odd pairs the change.  Pair k of
+every workload runs before pair k + 1 of any.  Only the last line of a
 run's standard output, its result object, is read.
 
-The script prints each pair as it finishes, then, per end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles, how many pairs the
-change won (ties count for neither side) and whether a gain holds: the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile range.  It exits 1 when a
-run fails or reports a failed position.
+The script prints each pair as it finishes, then, per workload and per
+end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
+how many pairs the change won and lost (ties count for neither side), and
+whether a gain holds or a loss is flagged.  A gain holds when the change
+wins at least nine tenths of the pairs and its median beats the parent's by
+more than the parent's interquartile range; a loss is flagged when the
+change loses at least nine tenths of the pairs and its median is worse
+than the parent's by more than that range.  It exits 1 when a run fails,
+reports a failed position, or a loss is flagged.
 
 Like ``identity.py``, pytest does not collect this file.
 """
@@ -56,32 +61,39 @@ def quartiles(values):
 
 
 def summarize(name, better, pairs):
-    """Lines reporting one metric over the ``(parent, change)`` pairs."""
+    """``(lines, lost)``: lines reporting one metric over the ``(parent,
+    change)`` pairs, and whether a loss is flagged."""
     sign = 1.0 if better == "higher" else -1.0
     pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
     if not pairs:
-        return [f"{name}: no values"]
+        return [f"{name}: no values"], False
     parent = quartiles([p for p, _c in pairs])
     change = quartiles([c for _p, c in pairs])
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    losses = sum(sign * (c - p) < 0 for p, c in pairs)
     gain = sign * (change[1] - parent[1])
     iqr = parent[2] - parent[0]
-    holds = wins >= math.ceil(0.9 * len(pairs)) and gain > iqr
+    most = math.ceil(0.9 * len(pairs))
+    holds = wins >= most and gain > iqr
+    lost = losses >= most and -gain > iqr
+    verdict = ("gain holds" if holds else "LOSS flagged" if lost
+               else "neither a gain nor a loss shown")
     return [
         f"{name} ({better} is better)",
         f"  parent median {parent[1]:.6g}  quartiles {parent[0]:.6g} .. "
         f"{parent[2]:.6g}",
         f"  change median {change[1]:.6g}  quartiles {change[0]:.6g} .. "
         f"{change[2]:.6g}",
-        f"  change wins {wins}/{len(pairs)}; median gain {gain:.6g} against "
-        f"parent IQR {iqr:.6g}: gain {'holds' if holds else 'not shown'}"]
+        f"  change wins {wins}/{len(pairs)}, loses {losses}/{len(pairs)}; "
+        f"median gain {gain:.6g} against parent IQR {iqr:.6g}: {verdict}"], lost
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload of the benchmark; repeat for more")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
@@ -90,20 +102,29 @@ def main(argv=None):
               encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
 
-    runs = []
+    runs = {workload: [] for workload in args.workload}
     for k in range(args.pairs):
         seed = args.first_seed + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        got = {side: run_once(getattr(args, side), args.workload, seed,
-                              args.seconds) for side in order}
-        runs.append((got["parent"], got["change"]))
-        print(f"pair {k + 1} seed {seed} ({order[0]} first): " + "; ".join(
-            f"{m['name']} {got['parent'].get(m['name'])} -> "
-            f"{got['change'].get(m['name'])}" for m in metrics), flush=True)
-    for m in metrics:
-        print("\n".join(summarize(m["name"], m["better"], [
-            (p.get(m["name"]), c.get(m["name"])) for p, c in runs])))
-    return 0
+        for workload in runs:
+            got = {side: run_once(getattr(args, side), workload, seed,
+                                  args.seconds) for side in order}
+            runs[workload].append((got["parent"], got["change"]))
+            print(f"{workload} pair {k + 1} seed {seed} ({order[0]} first): "
+                  + "; ".join(f"{m['name']} {got['parent'].get(m['name'])} -> "
+                              f"{got['change'].get(m['name'])}"
+                              for m in metrics), flush=True)
+    lost = []
+    for workload, pairs in runs.items():
+        print(f"== {workload}")
+        for m in metrics:
+            lines, loss = summarize(m["name"], m["better"], [
+                (p.get(m["name"]), c.get(m["name"])) for p, c in pairs])
+            print("\n".join(lines))
+            lost += [f"{workload} {m['name']}"] * loss
+    if lost:
+        print("loss flagged: " + ", ".join(lost))
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

@@ -412,7 +412,7 @@ class TestPredict:
     @pytest.mark.parametrize("command", ["identify", "predict", "doppler"])
     def test_workers_identical(self, scenario, tmp_path, capsys, pool_widths,
                                command):
-        # two blocks, the last short: 2 and 3 workers both start a pool of 2
+        # two blocks: 2 and 3 workers both start a pool of 2
         cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 4)
         output = {"identify": "identify.jsonl", "predict": "predict.csv",
                   "doppler": "doppler.csv"}[command]
@@ -426,11 +426,12 @@ class TestPredict:
         assert pool_widths == [2, 2]
         assert outs[0] == outs[1] == outs[2]
 
-    # (positions, width): one full block, or two with the last short
-    @pytest.mark.parametrize("n_positions, ran", [
-        (pipeline.BLOCK + 1, 2), (pipeline.BLOCK, 1)])
+    # (positions, width) in blocks of at most 16: one full block, or two
+    @pytest.mark.parametrize("n_positions, ran", [(17, 2), (16, 1)])
     def test_pool_width_capped_by_blocks(self, scenario, tmp_path, capsys,
-                                         pool_widths, n_positions, ran):
+                                         monkeypatch, pool_widths,
+                                         n_positions, ran):
+        monkeypatch.setattr(pipeline, "BLOCK", 16)
         cfg = street_scenario(scenario, tmp_path, n_positions)
         outs, errs = [], []
         for name, w in (("w1", 1), ("w3", 3)):
@@ -460,7 +461,7 @@ class TestPredict:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,
                                            pool_widths, workers):
-        # the RX on the TX, in the second and last, short block
+        # the RX on the TX, in the second and last block
         cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 2,
                               degenerate_at=pipeline.BLOCK)
         assert run(["--config", cfg, "--workers", workers, "--output",

@@ -26,6 +26,13 @@ def _soup(gmap, idx=slice(None)):
     return gmap.tri_v0[idx], gmap.tri_v1[idx], gmap.tri_v2[idx]
 
 
+def _listed(edge, group, pos):
+    """``pair_hits``'s arguments for the segment groups at ``edge`` and the
+    (group, building position) pairs ``group``/``pos``, by group."""
+    count = np.bincount(group, minlength=len(edge) - 1)
+    return edge, np.cumsum(count) - count, count, pos
+
+
 def dense(a, b, v0, v1, v2):
     """(S, M) hit parameters of every segment against every triangle, one
     kernel row per (segment, triangle) pair."""
@@ -138,11 +145,12 @@ class TestCullChangesNothing:
             mask = np.arange(len(a))[:, None] % 3 != np.arange(len(cols))
             seg, k = np.nonzero(mask)
             pos = np.array(cols, dtype=np.int64)[k]
-            got = gmap.pair_hits(a, b, np.arange(len(a) + 1), seg, pos)
+            got = gmap.pair_hits(a, b,
+                                 *_listed(np.arange(len(a) + 1), seg, pos))
             assert np.array_equal(got, by_building[seg, pos])
-            one = gmap.pair_hits(a, b, np.array([0, len(a)]),
-                                 np.zeros(len(cols), dtype=np.int64),
-                                 np.array(cols, dtype=np.int64))
+            one = gmap.pair_hits(a, b, *_listed(
+                np.array([0, len(a)]), np.zeros(len(cols), dtype=np.int64),
+                np.array(cols, dtype=np.int64)))
             assert np.array_equal(one, by_building[:, cols].any(axis=0))
             assert np.array_equal(f_block(a, b, gmap), blocked.any(axis=1))
             t, tri = gmap.first_hit(a, b)
@@ -176,8 +184,9 @@ class TestCullChangesNothing:
             culled = gmap.segment_hits(a, b)
             assert len(rows) <= 1
             whole, rows[:] = rows[:], []
-            row, _tri, t = gmap._pairs(a, b, seg, pos)
-        every = np.bincount(seg[row[np.isfinite(t)]], minlength=len(a)) > 0
+            row, _tri, _t = gmap._pairs(a, b, len(seg),
+                                        lambda r: (seg[r], pos[r]))
+        every = np.bincount(seg[row], minlength=len(a)) > 0
         assert np.array_equal(every, culled)
         assert len(rows) == len(whole)
         for got, want in zip(whole, rows):
@@ -191,8 +200,8 @@ class TestCullChangesNothing:
         assert t.shape == tri.shape == (0,)
         assert canyon_map.segment_hits(none, none).shape == (0,)
         no_pair = np.empty(0, dtype=np.int64)
-        assert canyon_map.pair_hits(none, none, np.zeros(1, dtype=np.int64),
-                                    no_pair, no_pair).shape == (0,)
+        assert canyon_map.pair_hits(none, none, *_listed(
+            np.zeros(1, dtype=np.int64), no_pair, no_pair)).shape == (0,)
         assert f_block(none, none, canyon_map).shape == (0,)
 
     def test_tie_goes_to_lowest_id_across_interleaved_buildings(self):
@@ -258,7 +267,7 @@ class TestPairHits:
             b = a + rng.uniform(-40.0, 40.0, a.shape)
             group = np.repeat(np.arange(len(sizes)), len(boxes))
             pos = np.tile(np.arange(len(boxes)), len(sizes))
-            got = gmap.pair_hits(a, b, edge, group, pos)
+            got = gmap.pair_hits(a, b, *_listed(edge, group, pos))
             for n, (g, p) in enumerate(zip(group.tolist(), pos.tolist())):
                 tris = gmap.triangle(np.flatnonzero(gmap.tri_building == p))
                 x0, y0, x1, y1, h = boxes[p][1]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CORNER_BOXES, TX, build_map, set_usable_cpus
-from test_identify import _grid_scene
+from test_identify import _grid_scene, pt
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import NumericalDomainError, RouteError
@@ -29,20 +29,32 @@ def corner_street_route(n):
                  np.stack([np.full(n, 59.0), y, np.full(n, 2.0)], axis=1))
 
 
+def fine_grid_scene():
+    """``_grid_scene`` with each of its two streets sampled at ``BLOCK`` + 1
+    points over the same span, so that its route is longer than two
+    blocks."""
+    gmap, tx, _route = _grid_scene()
+    s = np.linspace(-20.0, 190.0, BLOCK + 1)
+    return gmap, tx, [pt(x, 40.0) for x in s] + [pt(140.0, y) for y in s]
+
+
+# The pool's layout cases run in blocks of at most 16: the rules they check
+# do not depend on the block size, and their routes stay short.
+POOL_BLOCK = 16
 # (positions, workers, widths of the pools started): the blocks are the
 # pool's tasks, so a route of one block runs in this process at any worker
-# count, and a pool is no wider than the route has blocks; every longer
-# route ends in a short block.
-POOL_CASES = [(11, 1, []), (11, 2, []), (2, 3, []), (BLOCK + 1, 2, [2]),
-              (BLOCK + 1, 3, [2]), (2 * BLOCK + 5, 4, [3])]
+# count, and a pool is no wider than the route has blocks.
+POOL_CASES = [(11, 1, []), (11, 2, []), (2, 3, []), (POOL_BLOCK + 1, 2, [2]),
+              (POOL_BLOCK + 1, 3, [2]), (2 * POOL_BLOCK + 5, 4, [3])]
 
 
 @pytest.mark.parametrize("n, workers, widths", [
     pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in POOL_CASES])
-def test_pool_matches_serial(cfg, corner_map, pool_widths, n, workers,
-                             widths):
+def test_pool_matches_serial(cfg, corner_map, pool_widths, monkeypatch, n,
+                             workers, widths):
     """Every column matches the serial route in dtype, shape and bytes
     (object columns by value)."""
+    monkeypatch.setattr(pipeline, "BLOCK", POOL_BLOCK)
     route = corner_street_route(n)
     serial = predict_route(cfg, corner_map, route)
     pooled = predict_route(cfg, corner_map, route, workers=workers)
@@ -122,7 +134,7 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     """One kernel call at most for the LOS query, one for the visibility
     filter of the position's block and one per chain, however many
     candidates; over a route, one LOS query per block of positions."""
-    gmap, tx, route = _grid_scene()
+    gmap, tx, route = fine_grid_scene()
     cfg = ScenarioConfig(tx=tx)
     calls = []
     kernel = kernels.segment_triangles
@@ -150,10 +162,15 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
         sides = res.sides[0]
         most = max(most, len(sides["left"] + sides["right"]))
     assert most >= 8
+    # A block's LOS query tests more pairs than one kernel call takes, so
+    # the slices are widened to the most pairs a LOS query of the whole
+    # route can test: each query is then one kernel call.
+    monkeypatch.setattr(geometry, "KERNEL_ROWS",
+                        len(route) * len(gmap.tri_building))
     calls.clear()
     res = predict_route(cfg, gmap, Route(np.arange(len(route), dtype=np.float64),
                                          np.array(route)))
-    assert len(route) > BLOCK and (~res.los).sum() >= 3
+    assert len(route) > 2 * BLOCK and (~res.los).sum() >= 3
     assert sum(calls) <= math.ceil(len(route) / BLOCK)
 
 
@@ -163,7 +180,7 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
     ``total_field`` and ``predict_position``, as looked up in ``pipeline``,
     once per position: the benchmark times and counts those layers through
     wrappers set on these names."""
-    gmap, tx, route = _grid_scene()
+    gmap, tx, route = fine_grid_scene()
     calls = Counter()
 
     def counting(name, fn):
@@ -178,7 +195,7 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
         np.arange(len(route), dtype=np.float64), np.array(route)))
-    assert len(route) > BLOCK and res.n_stages.sum() > len(route)
+    assert len(route) > 2 * BLOCK and res.n_stages.sum() > len(route)
     assert 0 < calls["f_block"] <= math.ceil(len(route) / BLOCK)
     assert 0 < calls["recursive_chain"] <= math.ceil(len(route) / BLOCK)
     for name in ("extract_chain", "total_field", "predict_position"):
@@ -223,6 +240,36 @@ def test_route_equals_routes_of_one(cfg, corner_map, pool_widths, workers):
     assert_same_columns(got, RouteResult(*(
         np.concatenate([getattr(row, f.name) for row in want])
         for f in dataclasses.fields(RouteResult))))
+
+
+@pytest.mark.parametrize("scene", ["grid", "corner"])
+def test_block_size_changes_no_output_byte(cfg, corner_map, monkeypatch,
+                                           pool_widths, scene):
+    """Every column keeps its bytes at any block size, in this process and
+    on a pool of 2, and a route is cut into blocks that differ in size by
+    at most one position."""
+    if scene == "grid":
+        gmap, tx, route = _grid_scene()
+        cfg = ScenarioConfig(tx=tx)
+        route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
+    else:
+        gmap, route = corner_map, corner_street_route(2 * BLOCK + 5)
+    want = predict_route(cfg, gmap, route)
+    sizes, block = [], pipeline._predict_block
+
+    def recording(cfg, gmap, positions):
+        sizes.append(len(positions))
+        return block(cfg, gmap, positions)
+
+    monkeypatch.setattr(pipeline, "_predict_block", recording)
+    for size in (1, 7, 16, 3 * BLOCK):
+        monkeypatch.setattr(pipeline, "BLOCK", size)
+        sizes.clear()
+        assert_same_columns(predict_route(cfg, gmap, route), want)
+        assert len(sizes) == math.ceil(len(route.t) / size)
+        assert sum(sizes) == len(route.t) and max(sizes) - min(sizes) <= 1
+        assert_same_columns(predict_route(cfg, gmap, route, workers=2), want)
+    assert pool_widths == [2, 2, 2]
 
 
 def test_array_holding_results_compare_by_identity(cfg, corner_map):
@@ -277,11 +324,49 @@ def test_transient_memory_bounded_by_the_block(cfg, corner_map):
     assert transient[640] < 2 * transient[160]
 
 
+@pytest.mark.parametrize("query", ["segment_hits", "first_hit"])
+def test_occlusion_query_memory_bounded(monkeypatch, query):
+    """The traced peak of an occlusion query from the grid fixture's TX to
+    S and to 8 S points along its streets grows by no more than the larger
+    query's output plus a fixed 64 KB: rows are culled, and their pairs
+    tested, a slice at a time, so the pairs a query tests, several times
+    ``KERNEL_ROWS`` here, are never held at once."""
+    gmap, tx, _route = _grid_scene()
+    kernel, pairs = kernels.segment_triangles, []
+
+    def counting(*args):
+        pairs.append(len(args[2]))
+        return kernel(*args)
+
+    def traced(n):
+        s = np.linspace(-20.0, 190.0, n)
+        rx = np.array([pt(x, 40.0) for x in s] + [pt(140.0, y) for y in s])
+        a = np.broadcast_to(tx, rx.shape)
+        pairs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "segment_triangles", counting)
+            getattr(gmap, query)(a, rx)                 # and warm caches
+        tracemalloc.start()
+        try:
+            out = getattr(gmap, query)(a, rx)
+            _held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, sum(x.nbytes for x in (out if query == "first_hit"
+                                            else (out,)))
+
+    small, _out = traced(16)
+    big, out = traced(128)
+    assert sum(pairs) > 4 * geometry.KERNEL_ROWS
+    assert big - small <= out + 64 * 1024
+
+
 def test_route_peak_memory_pinned():
-    """The traced peak of a route on the grid fixture (30 positions, two
-    blocks) stays under 500 KB: 465 KB measured once the block queries stop
-    holding their dead intermediates through the kernel slices, 575 KB
-    before."""
+    """The traced peak of a route on the grid fixture (30 positions, one
+    block) stays under 500 KB: 410 KB measured once the candidate and
+    occlusion passes run in slices; in blocks of 16, 465 KB once the block
+    queries stopped holding their dead intermediates through the kernel
+    slices, 575 KB before."""
     gmap, tx, route = _grid_scene()
     cfg = ScenarioConfig(tx=tx)
     route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
