@@ -2,11 +2,11 @@
 
 The map is loaded from JSON into immutable arrays.  Faces are simple planar
 polygons, fan-triangulated once at load time into a triangle soup that the
-map's three occlusion queries run against (see ``kernels``): the first
-face hit (``first_hit``), a blocked flag per segment (``segment_hits``) and
-per (segment group, building) pair (``pair_hits``).  The map is the only
-code that culls the soup, pairs segments with triangles and calls the
-kernel.  All predicates are pure functions, safe to call in parallel.
+map's two occlusion queries run against (see ``kernels``), each in one pass
+that culls and then tests: the first face hit per segment (``first_hit``)
+and a blocked flag per (segment group, building) pair (``pair_hits``).  The
+map is the only code that culls the soup, pairs segments with triangles and
+calls the kernel.  All predicates are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -48,10 +48,10 @@ class GeometryMap:
     top, ascending per building), ``roof_xy`` and ``roof_owner`` (building
     position); the ring walls at each roof-table row (``ring_dir``, rows by
     ``ring_wall_rows``) and each building's vertical faces
-    (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its three
-    occlusion queries (``first_hit``, ``segment_hits``, ``pair_hits``) cull
-    per (segment, box) and test the kept (segment, triangle) pairs in
-    kernel calls of at most ``KERNEL_ROWS`` pairs.
+    (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its two
+    occlusion queries (``first_hit``, ``pair_hits``) cull every (segment,
+    box) row first, then test the kept (segment, triangle) pairs in kernel
+    calls of ``KERNEL_ROWS`` pairs.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -225,11 +225,48 @@ class GeometryMap:
         return (self.tri_v0.take(tri, axis=0), self.tri_v1.take(tri, axis=0),
                 self.tri_v2.take(tri, axis=0))
 
-    def _query(self, a, b):
-        """``(n, seg, tri, t)``: the hits (``_pairs``) of the n segments a->b
-        ((S, 3) or (3,)) on the buildings whose boxes meet their joint
-        bounding box; row r pairs segment r // B with building r % B of
-        those B."""
+    def _pairs(self, a, b, n, rows):
+        """``(row, tri, t)`` of each hit of the rows ``0..n - 1``, where
+        ``rows(r)`` gives the (segment, building position) of the int rows
+        ``r``: a row whose segment's closed range [0, 1] meets the padded box
+        (so no triangle an open segment can hit is culled) is one pair per
+        triangle of the building, ascending.  All rows are culled first,
+        ``KERNEL_ROWS`` at a time, keeping the ids of those that pass; their
+        pairs are then tested in kernel calls of ``KERNEL_ROWS`` pairs, so
+        every call but a query's last is full."""
+        def cull(lo):   # the rows of the slice from lo whose segment meets the box
+            r = np.arange(lo, min(lo + KERNEL_ROWS, n))
+            seg, pos = rows(r)
+            a_seg = a.take(seg, axis=0).T      # take: faster than indexing
+            inv = 1.0 / (b.take(seg, axis=0).T - a_seg)
+            t_lo = (self.box_lo.take(pos, axis=1) - a_seg) * inv
+            t_hi = (self.box_hi.take(pos, axis=1) - a_seg) * inv
+            return r[np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
+                     <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0)]
+        # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
+        # (culled) in the plane of a padded face, too far away to hit it.
+        with np.errstate(all="ignore"):
+            r = np.concatenate([np.empty(0, dtype=np.int64)]
+                               + [cull(lo) for lo in range(0, n, KERNEL_ROWS)])
+        at = offsets(self._tri_count[rows(r)[1]])
+        hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]  # row, tri, t
+        for i in range(0, at[-1], KERNEL_ROWS):
+            q, k = ranges_at(at, np.arange(i, min(i + KERNEL_ROWS, at[-1])))
+            seg, pos = (x[q - q[0]] for x in rows(r[q[0]:q[-1] + 1]))   # once a row
+            tri = self._tri_by_building[self._tri_edge[pos] + k]
+            t = kernels.segment_triangles(a.take(seg, axis=0), b.take(seg, axis=0),
+                                          *self.triangle(tri), EPS_HIT)
+            hit = np.flatnonzero(t < np.inf)
+            hits.append((r[q[hit]], tri[hit], t[hit]))
+        return tuple(map(np.concatenate, zip(*hits)))
+
+    def first_hit(self, a, b):
+        """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
+        faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
+        nothing is hit; of equally near hits, the lowest triangle id wins.
+        (3,) endpoints give one ``(t, triangle id)`` of scalars.  Segments
+        pair with the buildings whose boxes meet their joint bounding box."""
+        one = np.ndim(b) == 1
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
         # BOX_PAD keeps the cull looser than the slab test, whose rounding
         # can admit a box a segment end only touches to within an ulp
@@ -241,70 +278,11 @@ class GeometryMap:
         m = max(len(pos), 1)
         row, tri, t = self._pairs(a, b, len(a) * len(pos),
                                   lambda r: (r // m, pos[r % m]))
-        return len(a), row // m, tri, t
-
-    def _pairs(self, a, b, n, rows):
-        """``(row, tri, t)`` of each hit of the rows ``0..n - 1``, where
-        ``rows(r)`` gives the (segment, building position) of the int rows
-        ``r``: a row whose segment's closed range [0, 1] meets the padded box
-        (so no triangle an open segment can hit is culled) is one pair per
-        triangle of the building, ascending.  Rows are culled ``KERNEL_ROWS``
-        at a time and their pairs formed as the kernel takes them, so every
-        kernel call but a query's last gets ``KERNEL_ROWS`` pairs."""
-        hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]  # row, tri, t
-        carry = np.empty((3, 0), dtype=np.int64)                # row, seg, tri
-
-        def test(pairs):
-            row, s, k = pairs
-            t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
-                                          *self.triangle(k), EPS_HIT)
-            hit = np.flatnonzero(t < np.inf)
-            hits.append((row[hit], k[hit], t[hit]))
-        # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
-        # (culled) in the plane of a padded face, too far away to hit it.
-        with np.errstate(all="ignore"):
-            for lo in range(0, n, KERNEL_ROWS):
-                r = np.arange(lo, min(lo + KERNEL_ROWS, n))
-                seg, pos = rows(r)
-                a_seg = a.take(seg, axis=0).T      # take: faster than indexing
-                inv = 1.0 / (b.take(seg, axis=0).T - a_seg)
-                t_lo = (self.box_lo.take(pos, axis=1) - a_seg) * inv
-                t_hi = (self.box_hi.take(pos, axis=1) - a_seg) * inv
-                keep = np.flatnonzero(
-                    np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
-                    <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0))
-                r, seg, pos = r[keep], seg[keep], pos[keep]
-                at, i = offsets(self._tri_count[pos]), 0
-                while i < at[-1]:
-                    q, k = ranges_at(at, np.arange(
-                        i, min(i + KERNEL_ROWS - carry.shape[1], at[-1])))
-                    tri = self._tri_by_building[self._tri_edge[pos[q]] + k]
-                    carry = np.concatenate([carry, [r[q], seg[q], tri]], axis=1)
-                    i += len(q)
-                    if carry.shape[1] == KERNEL_ROWS:
-                        test(carry)
-                        carry = carry[:, :0]
-        if carry.shape[1]:
-            test(carry)
-        return tuple(map(np.concatenate, zip(*hits)))
-
-    def first_hit(self, a, b):
-        """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
-        faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
-        nothing is hit; of equally near hits, the lowest triangle id wins.
-        (3,) endpoints give one ``(t, triangle id)`` of scalars."""
-        n, seg, tri, t = self._query(a, b)
+        seg = row // m
         first = first_per_group(seg, tri, t)
-        t_min, tri_min = np.full(n, np.inf), np.full(n, -1)
+        t_min, tri_min = np.full(len(a), np.inf), np.full(len(a), -1)
         t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
-        return ((float(t_min[0]), int(tri_min[0])) if np.ndim(b) == 1
-                else (t_min, tri_min))
-
-    def segment_hits(self, a, b):
-        """(S,) booleans for the (S, 3) segments a->b: True where a face of
-        the map blocks segment s."""
-        n, seg, _tri, _t = self._query(a, b)
-        return np.bincount(seg, minlength=n) > 0
+        return (float(t_min[0]), int(tri_min[0])) if one else (t_min, tri_min)
 
     def pair_hits(self, a, b, edge, first, count, pos):
         """Booleans, group by group: True where a face of the building at
@@ -514,6 +492,6 @@ def side_2d(cross):
 
 def f_block(a, b, gmap):
     """1 iff a face of the map blocks the open segment a-b, per row of (S, 3)
-    endpoints: ``segment_hits`` as ints, kept for the benchmark's hook."""
-    blocked = gmap.segment_hits(a, b).astype(np.int64)
-    return blocked if np.ndim(a) == 2 else int(blocked[0])
+    endpoints: ``first_hit``'s hit flag as ints, kept for the benchmark's hook."""
+    hit = np.asarray(gmap.first_hit(a, b)[1]) >= 0
+    return hit.astype(np.int64) if hit.ndim else int(hit)

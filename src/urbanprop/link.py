@@ -87,7 +87,8 @@ def _reflection_branch(gmap, opposite, e, x):
     w, size = gmap.wall_rows([bid for ids in opposite for bid in ids])
     group = np.repeat(np.repeat(np.arange(len(opposite)),
                                 [len(ids) for ids in opposite]), size)
-    nrm, p0, e, x = gmap.wall_normal[w], gmap.wall_point[w], e[group], x[group]
+    nrm, p0 = gmap.wall_normal.take(w, axis=0), gmap.wall_point.take(w, axis=0)
+    e, x = e.take(group, axis=0), x.take(group, axis=0)   # take: faster than indexing
     d_rx = row_dot(x - p0, nrm)
     image = x - 2.0 * d_rx[:, None] * nrm
     seg = image - e
@@ -130,11 +131,11 @@ def chain_table(vis_list, tx, rxs, gmap):
     _s, t, _bid, row, side, subs = zip(*rows) if rows else [()] * 6
     row = np.array(row, dtype=np.int64)
     a_z, b_z = (np.array([getattr(sub, k)[2] for sub in subs]) for k in "ab")
-    edge = np.column_stack([gmap.roof_xy[row],
+    edge = np.column_stack([gmap.roof_xy.take(row, axis=0),
                             a_z + np.clip(t, 0.0, 1.0) * (b_z - a_z)])
     keep = np.flatnonzero(np.sqrt(row_dot(edge - tx, edge - tx)) > EPS_LEN)
     start = np.searchsorted(keep, start)
-    row, edge = row[keep], edge[keep]
+    row, edge = row[keep], edge.take(keep, axis=0)
     terminal = np.full(len(vis_list), np.nan, TERMINAL)
     if not len(row):
         return ChainTable(start, np.zeros(0, STAGE), vis_list, terminal)
@@ -155,10 +156,10 @@ def chain_table(vis_list, tx, rxs, gmap):
     w, group = w[framed[group]], group[framed[group]]
     with np.errstate(all="ignore"):
         inc = inc / inc_n[:, None]
-    walls = gmap.ring_dir[w]
-    score = np.abs(walls[:, 0] * inc[group, 0] + walls[:, 1] * inc[group, 1])
+    walls = gmap.ring_dir.take(w, axis=0)
+    score = np.abs((walls * inc.take(group, axis=0)).sum(axis=1))
     screen = np.tile([1.0, 0.0], (len(row), 1))
-    screen[framed] = walls[first_per_group(group, -score)]
+    screen[framed] = walls.take(first_per_group(group, -score), axis=0)
     a_back = _angle(screen[framed], -inc[framed])   # back toward the source
     orient, alpha_s = np.ones(len(row)), np.full(len(row), np.pi / 2.0)
     orient[framed] = np.where(a_back >= 0.0, 1.0, -1.0)
@@ -177,7 +178,7 @@ def chain_table(vis_list, tx, rxs, gmap):
     # the terminal, in the screen frame of the last stage, whose corner it is
     hit, r, wall_point, image, incidence = _reflection_branch(
         gmap, [(subs[k].right, subs[k].left)[side[k]] for k in keep[last].tolist()],
-        edge[last], rxs[has])
+        edge.take(last, axis=0), rxs[has])
     term = np.zeros(len(last), TERMINAL)
     term["edge"], term["psi"], term["beta"] = edge[last], phi[last], alpha_s[last]
     term["length_direct"] = term["length_reflected"] = dist_next[last]

@@ -137,7 +137,7 @@ class TestCullChangesNothing:
             owner = gmap.tri_building
             by_building = np.stack([blocked[:, owner == k].any(axis=1)
                                     for k in range(len(gmap.ids))], axis=1)
-            assert np.array_equal(gmap.segment_hits(a, b),
+            assert np.array_equal(gmap.first_hit(a, b)[1] >= 0,
                                   by_building.any(axis=1))
             cols = [gmap.ids.tolist().index(x) for x in subset]
             # a pair list holds only the (segment, building) pairs it names,
@@ -181,7 +181,7 @@ class TestCullChangesNothing:
 
         seg, pos = np.indices((len(a), len(gmap.ids))).reshape(2, -1)
         with patch.object(kernels, "segment_triangles", recording):
-            culled = gmap.segment_hits(a, b)
+            culled = f_block(a, b, gmap).astype(bool)
             assert len(rows) <= 1
             whole, rows[:] = rows[:], []
             row, _tri, _t = gmap._pairs(a, b, len(seg),
@@ -198,7 +198,7 @@ class TestCullChangesNothing:
         none = np.empty((0, 3))
         t, tri = canyon_map.first_hit(none, none)
         assert t.shape == tri.shape == (0,)
-        assert canyon_map.segment_hits(none, none).shape == (0,)
+        assert (canyon_map.first_hit(none, none)[1] >= 0).shape == (0,)
         no_pair = np.empty(0, dtype=np.int64)
         assert canyon_map.pair_hits(none, none, *_listed(
             np.zeros(1, dtype=np.int64), no_pair, no_pair)).shape == (0,)

@@ -324,7 +324,7 @@ def test_transient_memory_bounded_by_the_block(cfg, corner_map):
     assert transient[640] < 2 * transient[160]
 
 
-@pytest.mark.parametrize("query", ["segment_hits", "first_hit"])
+@pytest.mark.parametrize("query", ["f_block", "first_hit"])
 def test_occlusion_query_memory_bounded(monkeypatch, query):
     """The traced peak of an occlusion query from the grid fixture's TX to
     S and to 8 S points along its streets grows by no more than the larger
@@ -332,6 +332,8 @@ def test_occlusion_query_memory_bounded(monkeypatch, query):
     tested, a slice at a time, so the pairs a query tests, several times
     ``KERNEL_ROWS`` here, are never held at once."""
     gmap, tx, _route = _grid_scene()
+    run = {"f_block": lambda a, b: geometry.f_block(a, b, gmap),
+           "first_hit": gmap.first_hit}[query]
     kernel, pairs = kernels.segment_triangles, []
 
     def counting(*args):
@@ -345,20 +347,66 @@ def test_occlusion_query_memory_bounded(monkeypatch, query):
         pairs.clear()
         with monkeypatch.context() as m:
             m.setattr(kernels, "segment_triangles", counting)
-            getattr(gmap, query)(a, rx)                 # and warm caches
+            run(a, rx)                                  # and warm caches
         tracemalloc.start()
         try:
-            out = getattr(gmap, query)(a, rx)
+            out = run(a, rx)
             _held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, sum(x.nbytes for x in (out if query == "first_hit"
+        return peak, sum(x.nbytes for x in (out if isinstance(out, tuple)
                                             else (out,)))
 
     small, _out = traced(16)
     big, out = traced(128)
     assert sum(pairs) > 4 * geometry.KERNEL_ROWS
     assert big - small <= out + 64 * 1024
+
+
+def test_kernel_calls_stay_full(monkeypatch):
+    """With ``KERNEL_ROWS`` at 40, every kernel call of a route block's
+    LOS query (``first_hit``), chain query (``f_block``) and visibility
+    query (``pair_hits``) but the last gets exactly 40 pairs, and the calls
+    together test the (segment, triangle) rows of the same query run as one
+    call, in order: the pairs of one cull slice are not tested apart from
+    the next slice's."""
+    gmap, tx, route = _grid_scene()
+    cfg = ScenarioConfig(tx=tx)
+    args = {}
+
+    def capture(name, fn):
+        def wrapper(*a):
+            args.setdefault(name, a)        # a block's first call of each
+            return fn(*a)
+        return wrapper
+
+    queries = {"first_hit": GeometryMap.first_hit,
+               "pair_hits": GeometryMap.pair_hits, "f_block": link.f_block}
+    with monkeypatch.context() as m:
+        for name, fn in queries.items():
+            m.setattr(link if name == "f_block" else GeometryMap, name,
+                      capture(name, fn))
+        predict_route(cfg, gmap, Route(np.arange(len(route), dtype=np.float64),
+                                       np.array(route)))
+    assert len(route) <= BLOCK and set(args) == set(queries)
+    kernel, calls = kernels.segment_triangles, []
+
+    def recording(*a):
+        calls.append(a[:5])
+        return kernel(*a)
+
+    monkeypatch.setattr(kernels, "segment_triangles", recording)
+    for name, fn in queries.items():
+        sizes, joined = {}, {}
+        for rows in (40, 10 ** 6):
+            monkeypatch.setattr(geometry, "KERNEL_ROWS", rows)
+            calls.clear()
+            fn(*args[name])
+            sizes[rows] = [len(c[2]) for c in calls]
+            joined[rows] = [np.concatenate(x).tobytes() for x in zip(*calls)]
+        cut = sizes[40]
+        assert len(cut) > 2 and set(cut[:-1]) == {40} and cut[-1] <= 40, name
+        assert sizes[10 ** 6] == [sum(cut)] and joined[40] == joined[10 ** 6], name
 
 
 def test_route_peak_memory_pinned():
