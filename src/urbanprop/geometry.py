@@ -30,7 +30,7 @@ EPS_SIDE = 1e-9    # collinearity threshold for the side test, m^2
 EPS_LEN = 1e-9     # minimal segment length, meters
 EPS_TOP = 0.5      # roof-ring height band, meters
 BOX_PAD = 1e-6     # culling-box padding, meters; keeps the cull conservative
-KERNEL_ROWS = 512  # pairs per kernel call, rows per cull: bounds their temporaries
+KERNEL_ROWS = 512  # rows per slice of a block pass (sliced): bounds its arrays
 
 
 class GeometryMap:
@@ -50,8 +50,8 @@ class GeometryMap:
     ``ring_wall_rows``) and each building's vertical faces
     (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its two
     occlusion queries (``first_hit``, ``pair_hits``) cull every (segment,
-    box) row first, then test the kept (segment, triangle) pairs in kernel
-    calls of ``KERNEL_ROWS`` pairs.
+    box) row first, then test the kept (segment, triangle) pairs, each in
+    ``sliced`` passes of ``KERNEL_ROWS`` rows.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -230,35 +230,32 @@ class GeometryMap:
         ``rows(r)`` gives the (segment, building position) of the int rows
         ``r``: a row whose segment's closed range [0, 1] meets the padded box
         (so no triangle an open segment can hit is culled) is one pair per
-        triangle of the building, ascending.  All rows are culled first,
-        ``KERNEL_ROWS`` at a time, keeping the ids of those that pass; their
-        pairs are then tested in kernel calls of ``KERNEL_ROWS`` pairs, so
-        every call but a query's last is full."""
-        def cull(lo):   # the rows of the slice from lo whose segment meets the box
-            r = np.arange(lo, min(lo + KERNEL_ROWS, n))
+        triangle of the building, ascending.  A ``sliced`` cull keeps each
+        passing row with its segment and building, then a ``sliced`` test of
+        their pairs fills every kernel call but a query's last."""
+        def cull(r):    # the rows r whose segment meets the box, with their keys
             seg, pos = rows(r)
             a_seg = a.take(seg, axis=0).T      # take: faster than indexing
             inv = 1.0 / (b.take(seg, axis=0).T - a_seg)
             t_lo = (self.box_lo.take(pos, axis=1) - a_seg) * inv
             t_hi = (self.box_hi.take(pos, axis=1) - a_seg) * inv
-            return r[np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
-                     <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0)]
+            keep = (np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
+                    <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0))
+            return r[keep], seg[keep], pos[keep]
         # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
         # (culled) in the plane of a padded face, too far away to hit it.
         with np.errstate(all="ignore"):
-            r = np.concatenate([np.empty(0, dtype=np.int64)]
-                               + [cull(lo) for lo in range(0, n, KERNEL_ROWS)])
-        at = offsets(self._tri_count[rows(r)[1]])
-        hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]  # row, tri, t
-        for i in range(0, at[-1], KERNEL_ROWS):
-            q, k = ranges_at(at, np.arange(i, min(i + KERNEL_ROWS, at[-1])))
-            seg, pos = (x[q - q[0]] for x in rows(r[q[0]:q[-1] + 1]))   # once a row
-            tri = self._tri_by_building[self._tri_edge[pos] + k]
-            t = kernels.segment_triangles(a.take(seg, axis=0), b.take(seg, axis=0),
+            r, seg, pos = sliced(n, cull)
+        at = offsets(self._tri_count[pos])
+        def hits(i):    # the hits of the kept rows' pairs i
+            q, k = ranges_at(at, i)
+            tri = self._tri_by_building[self._tri_edge[pos.take(q)] + k]
+            s = seg.take(q)
+            t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
                                           *self.triangle(tri), EPS_HIT)
             hit = np.flatnonzero(t < np.inf)
-            hits.append((r[q[hit]], tri[hit], t[hit]))
-        return tuple(map(np.concatenate, zip(*hits)))
+            return r.take(q[hit]), tri[hit], t[hit]
+        return sliced(at[-1], hits, (np.empty(0, np.int64),) * 2 + (np.empty(0),))
 
     def first_hit(self, a, b):
         """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
@@ -290,33 +287,36 @@ class GeometryMap:
         segment of group g, the non-empty rows ``edge[g]:edge[g + 1]`` of the
         (S, 3) a->b (all int arrays).  A pair whose group's box, padded by
         ``BOX_PAD``, misses the building's is dropped, as the slab test would
-        drop it; the rest are slab-tested per segment.  Pairs are culled, and
-        paired with their segments, ``KERNEL_ROWS`` at a time."""
+        drop it; the rest are slab-tested per segment.  A ``sliced`` cull
+        keeps each passing pair with its group and building."""
         lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).T - BOX_PAD
         hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).T + BOX_PAD
-        at, kept = offsets(count), [np.empty(0, dtype=np.int64)]
-
-        def pairs(r):           # the (group, building position) of pairs r
+        at = offsets(count)
+        def cull(r):    # the pairs r whose boxes meet, with their keys
             g, k = ranges_at(at, r)
-            return g, pos[first[g] + k]
-        for i in range(0, at[-1], KERNEL_ROWS):
-            r = np.arange(i, min(i + KERNEL_ROWS, at[-1]))
-            g, p = pairs(r)
-            kept.append(r[((self.box_lo.take(p, axis=1) <= hi.take(g, axis=1))
-                           & (self.box_hi.take(p, axis=1) >= lo.take(g, axis=1))
-                           ).all(axis=0)])
-        kept = np.concatenate(kept)
-        g = pairs(kept)[0]
+            p = pos[first[g] + k]
+            keep = ((self.box_lo.take(p, axis=1) <= hi.take(g, axis=1))
+                    & (self.box_hi.take(p, axis=1) >= lo.take(g, axis=1))).all(axis=0)
+            return r[keep], g[keep], p[keep]
+        kept, g, p = sliced(at[-1], cull)
         seg_at = offsets(edge[g + 1] - edge[g])
-
         def rows(r):            # segment k of the group of kept pair q
             q, k = ranges_at(seg_at, r)
-            g, p = pairs(kept[q])
-            return edge[g] + k, p
+            return edge[g[q]] + k, p[q]
         row = self._pairs(a, b, seg_at[-1], rows)[0]
         hit = np.zeros(at[-1], dtype=bool)
         hit[kept[ranges_at(seg_at, row)[0]]] = True
         return hit
+
+
+def sliced(n, fn, empty=None):
+    """``fn`` over the int rows ``0..n - 1``, ``KERNEL_ROWS`` at a time, its
+    tuples of arrays joined.  With no rows, ``empty`` if given (``fn`` is
+    not called), else ``fn`` of zero rows, so the arrays keep their dtypes."""
+    if n == 0 and empty is not None:
+        return empty
+    return tuple(map(np.concatenate, zip(*[fn(np.arange(i, min(i + KERNEL_ROWS, n)))
+                                           for i in range(0, max(n, 1), KERNEL_ROWS)])))
 
 
 def ranges(lo, size):

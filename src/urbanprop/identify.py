@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import (EPS_LEN, KERNEL_ROWS, first_per_group, line_2d,
-                       offsets, ranges_at, row_dot, side_2d)
+from .geometry import (EPS_LEN, first_per_group, line_2d, offsets, ranges_at,
+                       row_dot, side_2d, sliced)
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 CULL_MARGIN = 1.0  # candidate cull margin beyond the corridor, m
@@ -199,17 +199,16 @@ def _flanking(a, b, gmap, corridor_width):
     Only a building whose box meets a sub-segment's xy box, widened by the
     corridor, can have a vertex that counts; the margin keeps every vertex
     whose rounded t and dist could pass at the corridor's edge.  Row r pairs
-    sub-segment r // m with building ``near[r % m]``; rows are culled, and
-    their buildings' vertices tested, ``KERNEL_ROWS`` rows at a time."""
+    sub-segment r // m with building ``near[r % m]``; a ``sliced`` pass culls
+    the rows and keeps each flanking row's keys with its votes and corner."""
     a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)     # (3, SS)
     lo = np.minimum(a, b)[:2] - (corridor_width + CULL_MARGIN)
     hi = np.maximum(a, b)[:2] + (corridor_width + CULL_MARGIN)
     near = np.flatnonzero(((gmap.box_lo[:2] <= hi.max(axis=1)[:, None])
                            & (gmap.box_hi[:2] >= lo.min(axis=1)[:, None])).all(axis=0))
-    n, m = a.shape[1] * len(near), max(len(near), 1)
-    found = []
-    for i in range(0, max(n, 1), KERNEL_ROWS):   # once with no rows: typed empties
-        ss, pos = np.divmod(np.arange(i, min(i + KERNEL_ROWS, n)), m)
+    m = max(len(near), 1)
+    def scan(r):    # the flanking rows of r, with their keys, votes and corners
+        ss, pos = np.divmod(r, m)
         pos = near.take(pos)    # take: faster than indexing
         box = ((gmap.box_lo[:2].take(pos, axis=1) <= hi.take(ss, axis=1))
                & (gmap.box_hi[:2].take(pos, axis=1) >= lo.take(ss, axis=1))).all(axis=0)
@@ -220,12 +219,11 @@ def _flanking(a, b, gmap, corridor_width):
                                  a.take(ss[group], axis=1), b.take(ss[group], axis=1))
         ok = (t >= 0.0) & (t <= 1.0) & (dist <= corridor_width)
         votes = np.bincount(group[ok], side_2d(cross[ok]), minlength=len(pos))
-        first = first_per_group(group, dist)
         flank = np.bincount(group[ok], minlength=len(pos)) > 0
-        first = first[flank]
-        found.append((ss[flank], pos[flank], votes[flank], dist[first],
-                      row[first], t[first]))
-    return tuple(map(np.concatenate, zip(*found)))
+        first = first_per_group(group, dist)[flank]
+        return (ss[flank], pos[flank], votes[flank], dist[first], row[first],
+                t[first])
+    return sliced(a.shape[1] * len(near), scan)
 
 
 def _blocked_by_block(pos, ss, edge, a, b, gmap):

@@ -24,8 +24,9 @@ from .link import chain_fields, chain_table, extract_chain, total_field
 
 NO_POINT = np.full(3, np.nan)
 # Most positions identified together: enough to spread the fixed cost of the
-# block passes.  Their candidate and occlusion tests run KERNEL_ROWS rows at
-# a time, so their arrays grow with their work, not with the block's extent.
+# block passes.  Their candidate and occlusion passes run in geometry.sliced,
+# KERNEL_ROWS rows at a time, each cull keeping its survivors' keys, so their
+# arrays grow with their work, not with the block's extent.
 BLOCK = 64
 
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import UNIT_CUBE, build_map, build_map_dict
 from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
+from urbanprop import geometry
 from urbanprop.errors import MapValidationError, NumericalDomainError
-from urbanprop.geometry import f_block, line_2d, map_from_dict, side_2d
+from urbanprop.geometry import f_block, line_2d, map_from_dict, side_2d, sliced
 from urbanprop.identify import identify_position
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -388,6 +389,28 @@ class TestOcclusion:
     def test_unknown_building_id(self, unit_cube_map, query):
         with pytest.raises(MapValidationError, match="unknown building id 7"):
             query(unit_cube_map)
+
+
+@pytest.mark.parametrize("given_empty", [False, True])
+@pytest.mark.parametrize("n", [0, 4, 5])
+def test_sliced_joins_to_one_call(monkeypatch, n, given_empty):
+    """``sliced`` runs a function over the rows ``0..n - 1`` in slices of
+    ``KERNEL_ROWS`` (4 here) and joins its arrays to those of one call over
+    every row, dtypes included; with no rows and ``empty`` given, it returns
+    ``empty`` and never calls the function."""
+    def fn(r):      # row by row: filtered ints, floats and booleans
+        return r[r % 3 != 0], 0.5 * r, r % 2 == 0
+
+    monkeypatch.setattr(geometry, "KERNEL_ROWS", 4)
+    slices = []
+    empty = (np.empty(0, np.int64), np.empty(0), np.empty(0, bool))
+    got = sliced(n, lambda r: slices.append(r.tolist()) or fn(r),
+                 empty if given_empty else None)
+    want = fn(np.arange(n))
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert slices == ([] if n == 0 and given_empty else
+                      {0: [[]], 4: [[0, 1, 2, 3]], 5: [[0, 1, 2, 3], [4]]}[n])
 
 
 def _random_boxes(rng, max_boxes=10):

@@ -204,27 +204,36 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
 
 @pytest.mark.parametrize("rows", [None, 40])
 def test_kernel_calls_stay_within_the_slice(monkeypatch, rows):
-    """No kernel call of a route gets more pairs than ``KERNEL_ROWS``; with
-    a smaller constant, more queries are cut, and the columns keep their
-    bytes."""
+    """No kernel call of a route gets more pairs than ``KERNEL_ROWS``, and
+    no slice of the candidate pass looks up the roof rows of more buildings;
+    with a smaller constant, more queries and the candidate pass are cut,
+    and the columns keep their bytes."""
     gmap, tx, route = _grid_scene()
     cfg = ScenarioConfig(tx=tx)
     route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
     want = predict_route(cfg, gmap, route)
-    calls = []
-    kernel = kernels.segment_triangles
+    calls, cut = [], []
+    kernel, flanking = kernels.segment_triangles, identify._flanking
 
     def recording(*args):
         calls.append(len(args[2]))
         return kernel(*args)
 
+    def candidates(a, b, gmap, width):  # the buildings of each candidate slice
+        roof_rows = gmap.roof_rows
+        with monkeypatch.context() as m:
+            m.setattr(gmap, "roof_rows",
+                      lambda pos: cut.append(len(pos)) or roof_rows(pos))
+            return flanking(a, b, gmap, width)
+
     monkeypatch.setattr(kernels, "segment_triangles", recording)
+    monkeypatch.setattr(identify, "_flanking", candidates)
     if rows is not None:
         monkeypatch.setattr(geometry, "KERNEL_ROWS", rows)
     assert_same_columns(predict_route(cfg, gmap, route), want)
-    assert max(calls) <= geometry.KERNEL_ROWS
+    assert max(calls + cut) <= geometry.KERNEL_ROWS
     if rows is not None:
-        assert calls.count(rows) >= 10
+        assert calls.count(rows) >= 10 and len(cut) >= 10
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
