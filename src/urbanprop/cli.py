@@ -19,7 +19,7 @@ from .doppler import route_doppler, route_velocities
 from .errors import ConfigError, DataShapeError, NumericalDomainError, UrbanPropError
 from .geometry import load_map
 from .metrics import empirical_cdf, ks_distance, rmse
-from .pipeline import BLOCK, pool_width, predict_route
+from .pipeline import BLOCK, POOL_BLOCKS, pool_width, predict_route
 
 MODEL_COLUMNS = ("pl_model_db", "pl_simplified_db", "pl_gpp_db",
                  "pl_free_space_db")
@@ -198,8 +198,8 @@ def build_parser():
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for route evaluation (at "
-                        f"least 1), one task per block of at most {BLOCK} "
-                        "positions; no more run than blocks or usable CPUs")
+                        f"least 1); no more run than one per {POOL_BLOCKS} "
+                        f"blocks of {BLOCK} positions or one per usable CPU")
     parser.add_argument("--output", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("identify", help="per-position visibility report")

@@ -166,7 +166,8 @@ def chain_table(vis_list, tx, rxs, gmap):
     alpha_s[framed] = orient[framed] * a_back
 
     def depart(k, v):   # angles of the 2D rows v from the screens of stages k
-        return (orient[k] * _angle(screen[k], v)) % (2.0 * np.pi)
+        a = (orient[k] * _angle(screen[k], v)) % (2.0 * np.pi)
+        return np.where(a == 2.0 * np.pi, 0.0, a)   # -1e-17 % 2pi is 2pi
     out, to_tx = nxt - edge, edge - tx
     dist_next, d_tx = np.sqrt(row_dot(out, out)), np.sqrt(row_dot(to_tx, to_tx))
     phi = depart(slice(None), out[:, :2])

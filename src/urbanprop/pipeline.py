@@ -8,8 +8,10 @@ route is cut into the fewest blocks of at most ``BLOCK`` positions, of
 sizes that differ by at most one, and walked a block at a time: one
 candidate pass, the visibility scans, one chain pass (``link.chain_table``)
 and one field pass (``link.chain_fields``) per block, then each position's
-cut of them.  A worker pool gets the scene ``(cfg, gmap)`` once per worker,
-through its initializer, and returns the rows of one block per task.
+cut of them.  A route of at least ``2 * POOL_BLOCKS`` blocks may run on a
+worker pool, one worker per ``POOL_BLOCKS`` blocks; a pool worker gets the
+scene ``(cfg, gmap)`` once, through its initializer, and returns the rows of
+one block per task.
 """
 
 import os
@@ -28,6 +30,14 @@ NO_POINT = np.full(3, np.nan)
 # KERNEL_ROWS rows at a time, each cull keeping its survivors' keys, so their
 # arrays grow with their work, not with the block's extent.
 BLOCK = 64
+# Blocks per pool worker, at the least: a pool's start and its workers' cold
+# caches cost more than a few blocks take in this process.  Read off the
+# tables of tests/crossover.py kept in CHANGES.md (seed-21 grid1600, 2-core
+# shared host): a pool of 2 lost most runs at 2 and 3 blocks in all six
+# sets that ran them, split eight sets at 4 and won most runs from 5 on in
+# all but one (at 6), so 2 * POOL_BLOCKS = 6 is the first threshold past
+# the split.  Earlier sets saw it lose at up to 5 blocks.
+POOL_BLOCKS = 3
 
 
 @dataclass(eq=False)
@@ -116,11 +126,14 @@ def _predict_in_worker(positions):
 
 def pool_width(workers, n_positions):
     """``(width, bound)``: the processes ``predict_route`` runs ``n_positions``
-    on for ``workers``, and the bound that cut it, or None; 1 is no pool."""
+    on for ``workers``, and the bound that cut it, or None; 1 is no pool.
+    The width is at most one per ``POOL_BLOCKS`` blocks of the route and one
+    per CPU this process may run on."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min((workers, None),
-               (-(-n_positions // BLOCK), f"one per block of {BLOCK} positions"),
+               (max(-(-n_positions // BLOCK) // POOL_BLOCKS, 1),
+                f"one per {POOL_BLOCKS} blocks of {BLOCK} positions"),
                (cpus, "one per CPU this process may run on"),
                key=lambda bound: bound[0])
 

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict,
                       set_usable_cpus)
+from identity import Scene, _grid_module, write_inputs
 from test_identify import GRID_BOXES, _grid_scene
 from urbanprop import cli, pipeline
 from urbanprop.cli import main
@@ -410,10 +412,11 @@ class TestPredict:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["identify", "predict", "doppler"])
-    def test_workers_identical(self, scenario, tmp_path, capsys, pool_widths,
-                               command):
-        # two blocks: 2 and 3 workers both start a pool of 2
-        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 4)
+    def test_workers_identical(self, scenario, tmp_path, capsys, monkeypatch,
+                               pool_widths, command):
+        # seven blocks of at most 10: 2 and 3 workers both start a pool of 2
+        monkeypatch.setattr(pipeline, "BLOCK", 10)
+        cfg = street_scenario(scenario, tmp_path, 68)
         output = {"identify": "identify.jsonl", "predict": "predict.csv",
                   "doppler": "doppler.csv"}[command]
         outs = []
@@ -426,12 +429,15 @@ class TestPredict:
         assert pool_widths == [2, 2]
         assert outs[0] == outs[1] == outs[2]
 
-    # (positions, width) in blocks of at most 16: one full block, or two
-    @pytest.mark.parametrize("n_positions, ran", [(17, 2), (16, 1)])
+    # (positions, width) in blocks of at most 3: one block short of two
+    # workers' share, or just enough
+    @pytest.mark.parametrize("n_positions, ran", [
+        (3 * (2 * pipeline.POOL_BLOCKS - 1), 1),
+        (3 * 2 * pipeline.POOL_BLOCKS - 1, 2)])
     def test_pool_width_capped_by_blocks(self, scenario, tmp_path, capsys,
                                          monkeypatch, pool_widths,
                                          n_positions, ran):
-        monkeypatch.setattr(pipeline, "BLOCK", 16)
+        monkeypatch.setattr(pipeline, "BLOCK", 3)
         cfg = street_scenario(scenario, tmp_path, n_positions)
         outs, errs = [], []
         for name, w in (("w1", 1), ("w3", 3)):
@@ -443,14 +449,33 @@ class TestPredict:
         assert outs[0] == outs[1]
         # the clamp is reported in one line; 1 worker is never clamped
         assert errs == ["", f"warning: 3 workers asked for, {ran} ran: no "
-                        f"more than one per block of {pipeline.BLOCK} "
-                        "positions\n"]
+                        f"more than one per {pipeline.POOL_BLOCKS} blocks of "
+                        f"{pipeline.BLOCK} positions\n"]
+
+    def test_two_block_route_runs_in_this_process(self, scenario, tmp_path,
+                                                  capsys, pool_widths):
+        """A route of two blocks, the benchmark's shape, starts no pool at 2
+        workers: the command says so in one line and writes the bytes of
+        1 worker."""
+        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 4)
+        outs, errs = [], []
+        for name, w in (("w1", 1), ("w2", 2)):
+            assert run(["--config", cfg, "--workers", w, "--output",
+                        tmp_path / name, "predict"]) == 0
+            outs.append((tmp_path / name / "predict.csv").read_bytes())
+            errs.append(capsys.readouterr().err)
+        assert pool_widths == []
+        assert outs[0] == outs[1]
+        assert errs == ["", "warning: 2 workers asked for, 1 ran: no more "
+                        "than one per 3 blocks of 64 positions\n"]
 
     def test_pool_width_capped_by_cpus(self, scenario, tmp_path, capsys,
                                        monkeypatch, pool_widths):
-        # no more processes than CPUs this process may run on
+        # no more processes than CPUs this process may run on: 17 blocks of
+        # at most 8 allow a pool of 5
         set_usable_cpus(monkeypatch, 2)
-        cfg = street_scenario(scenario, tmp_path, 2 * pipeline.BLOCK + 1)
+        monkeypatch.setattr(pipeline, "BLOCK", 8)
+        cfg = street_scenario(scenario, tmp_path, 129)
         assert run(["--config", cfg, "--workers", 3, "--output",
                     tmp_path / "o", "predict"]) == 0
         assert pool_widths == [2]
@@ -460,15 +485,16 @@ class TestPredict:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,
-                                           pool_widths, workers):
-        # the RX on the TX, in the second and last block
-        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 2,
-                              degenerate_at=pipeline.BLOCK)
+                                           monkeypatch, pool_widths, workers):
+        # the RX on the TX, in the last of seven blocks of at most 10
+        monkeypatch.setattr(pipeline, "BLOCK", 10)
+        cfg = street_scenario(scenario, tmp_path, 66, degenerate_at=64)
         assert run(["--config", cfg, "--workers", workers, "--output",
                     tmp_path / "o", "predict"]) == 4
         assert pool_widths == ([2] if workers > 1 else [])
         clamp = [f"warning: 3 workers asked for, 2 ran: no more than one per "
-                 f"block of {pipeline.BLOCK} positions"] * (workers == 3)
+                 f"{pipeline.POOL_BLOCKS} blocks of {pipeline.BLOCK} "
+                 "positions"] * (workers == 3)
         assert capsys.readouterr().err.splitlines() == [
             *clamp, "error: degenerate segment: endpoints coincide"]
 
@@ -498,6 +524,29 @@ class TestPredict:
         assert any(0 in b and n == len(b) - 1 for b, n in zip(ids, n_stages))
         assert all(n == len(b) - (0 in b and n < len(b))
                    for b, n in zip(ids, n_stages))
+
+    @pytest.mark.parametrize("degrees", [30.0, 5.0])
+    def test_rotated_grid_scene_runs(self, tmp_path, capsys, degrees):
+        """The seed-21 grid city of 10 x 10 buildings, its TX and route
+        turned about the origin, runs to exit 0: a departure angle just
+        below 0 folds to 0, where ``% 2pi`` gave exactly 2pi and the
+        route aborted with exit 4."""
+        grid = _grid_module()
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+
+        def turn(x, y):
+            return c * x - s * y, s * x + c * y
+
+        raw = grid.city_map(10, 21)
+        raw["vertices"] = [[*turn(x, y), z] for x, y, z in raw["vertices"]]
+        tx = grid.tx_position(10)
+        route = [(t, *turn(x, y), z)
+                 for t, x, y, z in grid.route_points(10, 2.5)]
+        cfg = write_inputs(Scene("rotated", raw, [*turn(*tx[:2]), tx[2]],
+                                 route, 1), tmp_path / "in")
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "predict"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_columns_and_rows(self, scenario, tmp_path, capsys):
         out = tmp_path / "o"

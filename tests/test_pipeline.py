@@ -18,8 +18,8 @@ from urbanprop.errors import NumericalDomainError, RouteError
 from urbanprop.geometry import GeometryMap
 from urbanprop.identify import identify_position
 from urbanprop.link import chain_table
-from urbanprop.pipeline import (BLOCK, RouteResult, _concat, pool_width,
-                                predict_position, predict_route)
+from urbanprop.pipeline import (BLOCK, POOL_BLOCKS, RouteResult, _concat,
+                                pool_width, predict_position, predict_route)
 
 
 def corner_street_route(n):
@@ -38,14 +38,16 @@ def fine_grid_scene():
     return gmap, tx, [pt(x, 40.0) for x in s] + [pt(140.0, y) for y in s]
 
 
-# The pool's layout cases run in blocks of at most 16: the rules they check
+# The pool's layout cases run in blocks of at most 3: the rules they check
 # do not depend on the block size, and their routes stay short.
-POOL_BLOCK = 16
-# (positions, workers, widths of the pools started): the blocks are the
-# pool's tasks, so a route of one block runs in this process at any worker
-# count, and a pool is no wider than the route has blocks.
-POOL_CASES = [(11, 1, []), (11, 2, []), (2, 3, []), (POOL_BLOCK + 1, 2, [2]),
-              (POOL_BLOCK + 1, 3, [2]), (2 * POOL_BLOCK + 5, 4, [3])]
+LAYOUT_BLOCK = 3
+# (positions, workers, widths of the pools started) at POOL_BLOCKS = 3: the
+# blocks are the pool's tasks and each worker needs POOL_BLOCKS of them, so
+# routes of 4 and 5 blocks (11 and 15 positions) run in this process at any
+# worker count, 6 blocks (17) start a pool of 2 at 2 or 3 workers, and 13
+# blocks (37) one of 4.
+POOL_CASES = [(11, 1, []), (11, 2, []), (2, 3, []), (15, 2, []), (17, 2, [2]),
+              (17, 3, [2]), (37, 4, [4])]
 
 
 @pytest.mark.parametrize("n, workers, widths", [
@@ -54,7 +56,7 @@ def test_pool_matches_serial(cfg, corner_map, pool_widths, monkeypatch, n,
                              workers, widths):
     """Every column matches the serial route in dtype, shape and bytes
     (object columns by value)."""
-    monkeypatch.setattr(pipeline, "BLOCK", POOL_BLOCK)
+    monkeypatch.setattr(pipeline, "BLOCK", LAYOUT_BLOCK)
     route = corner_street_route(n)
     serial = predict_route(cfg, corner_map, route)
     pooled = predict_route(cfg, corner_map, route, workers=workers)
@@ -66,9 +68,10 @@ def test_pool_matches_serial(cfg, corner_map, pool_widths, monkeypatch, n,
 @pytest.mark.parametrize("affinity", [True, False],
                          ids=["affinity", "cpu_count"])
 def test_pool_width_bounded_by_usable_cpus(monkeypatch, affinity):
-    """The width is at most one per block and one per CPU this process may
-    run on: its affinity set, or the machine's CPU count where the platform
-    has no affinity call; the bound that cut it is named."""
+    """The width is at most one per ``POOL_BLOCKS`` blocks and one per CPU
+    this process may run on: its affinity set, or the machine's CPU count
+    where the platform has no affinity call; the bound that cut it is
+    named.  A pool starts from ``2 * POOL_BLOCKS`` blocks."""
     if affinity:
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -78,7 +81,11 @@ def test_pool_width_bounded_by_usable_cpus(monkeypatch, affinity):
     assert pool_width(8, 10 * BLOCK) == (
         2, "one per CPU this process may run on")
     assert pool_width(2, 10 * BLOCK) == (2, None)
-    assert pool_width(8, BLOCK) == (1, f"one per block of {BLOCK} positions")
+    per_blocks = f"one per {POOL_BLOCKS} blocks of {BLOCK} positions"
+    assert pool_width(8, BLOCK) == (1, per_blocks)
+    # 2 * POOL_BLOCKS - 1 blocks, then 2 * POOL_BLOCKS
+    assert pool_width(2, (2 * POOL_BLOCKS - 1) * BLOCK) == (1, per_blocks)
+    assert pool_width(2, (2 * POOL_BLOCKS - 1) * BLOCK + 1) == (2, None)
 
 
 def assert_same_columns(got, want):
@@ -123,8 +130,9 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch, pool_widths):
 
     monkeypatch.setattr(GeometryMap, "__getstate__", counting_getstate,
                         raising=False)
-    # five block tasks on a pool of two: shipping the map with each task
-    # would pickle it five times
+    # seventeen block tasks of at most 16 positions on a pool of two:
+    # shipping the map with each task would pickle it seventeen times
+    monkeypatch.setattr(pipeline, "BLOCK", 16)
     predict_route(cfg, gmap, corner_street_route(4 * BLOCK + 1), workers=2)
     assert pool_widths == [2]
     assert len(pickles) <= 2
@@ -237,11 +245,14 @@ def test_kernel_calls_stay_within_the_slice(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_route_equals_routes_of_one(cfg, corner_map, pool_widths, workers):
+def test_route_equals_routes_of_one(cfg, corner_map, monkeypatch, pool_widths,
+                                    workers):
     """Identification a block at a time gives every column the bytes of the
     positions evaluated one by one, on a route of more than two blocks
     whose length is not a multiple of the block."""
     route = corner_street_route(2 * BLOCK + 5)
+    if workers > 1:   # blocks of at most 8: 17, enough for a pool of 3
+        monkeypatch.setattr(pipeline, "BLOCK", 8)
     got = predict_route(cfg, corner_map, route, workers=workers)
     assert pool_widths == ([workers] if workers > 1 else [])
     want = [predict_position(cfg, corner_map, rx) for rx in route.xyz]
@@ -257,8 +268,8 @@ def test_block_size_changes_no_output_byte(cfg, corner_map, monkeypatch,
     """Every column keeps its bytes at any block size, in this process and
     on a pool of 2, and a route is cut into blocks that differ in size by
     at most one position."""
-    if scene == "grid":
-        gmap, tx, route = _grid_scene()
+    if scene == "grid":   # 130 positions: 19 blocks of 7, 9 of 16
+        gmap, tx, route = fine_grid_scene()
         cfg = ScenarioConfig(tx=tx)
         route = Route(np.arange(len(route), dtype=np.float64), np.array(route))
     else:
