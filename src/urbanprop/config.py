@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDomainError, RouteError
+from .errors import ConfigError, DataShapeError, NumericalDomainError, RouteError
 from .link import PL_CAP_DB, MaterialConfig
 
 
@@ -108,22 +108,29 @@ def _is_number(v):
                                     and abs(v) <= sys.float_info.max)
 
 
-def csv_table(path, what, error=ConfigError):
+def csv_table(path, what, error=ConfigError, row_error=DataShapeError):
     """Header names, stripped of surrounding blanks, and row dicts of the
-    CSV ``what`` at ``path``; raises ``error`` if it cannot be read."""
+    CSV ``what`` at ``path``, blank lines skipped; raises ``error`` if it
+    cannot be read, ``row_error`` for the first row whose cell count is not
+    the header's."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            reader.fieldnames = [c.strip() for c in reader.fieldnames or ()]
-            return reader.fieldnames, list(reader)
+            reader = csv.reader(fh)
+            names = [c.strip() for c in next(reader, ())]
+            rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            raise row_error(f"bad {what} row {i}: {len(row)} cells, header "
+                            f"has {len(names)}")
+    return names, [dict(zip(names, row)) for row in rows]
 
 
 def load_route(path):
     """Route CSV with header ``t,x,y,z``, finite values and strictly
     increasing timestamps, as a ``Route`` of read-only arrays."""
-    names, rows = csv_table(path, "route", RouteError)
+    names, rows = csv_table(path, "route", RouteError, RouteError)
     if names != ["t", "x", "y", "z"]:
         raise RouteError(f"route {path} must have header 't,x,y,z'")
     table = []

@@ -2,11 +2,13 @@
 
 The map is loaded from JSON into immutable arrays.  Faces are simple planar
 polygons, fan-triangulated once at load time into a triangle soup that the
-map's two occlusion queries run against (see ``kernels``), each in one pass
-that culls and then tests: the first face hit per segment (``first_hit``)
-and a blocked flag per (segment group, building) pair (``pair_hits``).  The
-map is the only code that culls the soup, pairs segments with triangles and
-calls the kernel.  All predicates are pure functions, safe to call in parallel.
+map's two occlusion queries run against (see ``kernels``): the first face
+hit per segment (``first_hit``) and a blocked flag per (segment group,
+building) pair (``pair_hits``).  Both run one pass that culls and then
+tests (``GeometryMap._hits``); ``first_hit`` is one group of all its
+segments against every building.  The map is the only code that culls the
+soup, pairs segments with triangles and calls the kernel.  All predicates
+are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -49,9 +51,10 @@ class GeometryMap:
     position); the ring walls at each roof-table row (``ring_dir``, rows by
     ``ring_wall_rows``) and each building's vertical faces
     (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its two
-    occlusion queries (``first_hit``, ``pair_hits``) cull every (segment,
-    box) row first, then test the kept (segment, triangle) pairs, each in
-    ``sliced`` passes of ``KERNEL_ROWS`` rows.
+    occlusion queries (``first_hit``, ``pair_hits``) share one pass,
+    ``_hits``: a box cull of (segment group, building) pairs, a slab cull
+    of (segment, building) rows, then a test of the kept (segment,
+    triangle) pairs, each in ``sliced`` passes of ``KERNEL_ROWS`` rows.
     """
 
     def __init__(self, vertices, face_vertices, face_building, ids):
@@ -225,57 +228,70 @@ class GeometryMap:
         return (self.tri_v0.take(tri, axis=0), self.tri_v1.take(tri, axis=0),
                 self.tri_v2.take(tri, axis=0))
 
-    def _pairs(self, a, b, n, rows):
-        """``(row, tri, t)`` of each hit of the rows ``0..n - 1``, where
-        ``rows(r)`` gives the (segment, building position) of the int rows
-        ``r``: a row whose segment's closed range [0, 1] meets the padded box
-        (so no triangle an open segment can hit is culled) is one pair per
-        triangle of the building, ascending.  A ``sliced`` cull keeps each
-        passing row with its segment and building, then a ``sliced`` test of
-        their pairs fills every kernel call but a query's last."""
-        def cull(r):    # the rows r whose segment meets the box, with their keys
-            seg, pos = rows(r)
+    def _hits(self, a, b, edge, first, count, pos):
+        """``(pair, segment, triangle, t)`` of each hit of the (segment group,
+        building) pairs, group by group: pair k < ``count[g]`` of group g,
+        the non-empty rows ``edge[g]:edge[g + 1]`` of the (S, 3) a->b, is
+        the building at position ``pos[first[g] + k]`` (all int arrays).
+        Three ``sliced`` passes, each keeping its survivors' keys: a pair is
+        kept if its group's box, padded by ``BOX_PAD``, meets the building's;
+        a (segment, building) row of a kept pair if the segment's closed
+        range [0, 1] meets the padded box (so no triangle an open segment
+        can hit is culled); a kept row is one kernel pair per triangle of
+        the building, ascending, so every kernel call but a query's last is
+        full."""
+        # BOX_PAD keeps the cull looser than the slab test, whose rounding
+        # can admit a box a segment end only touches to within an ulp
+        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).T - BOX_PAD
+        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).T + BOX_PAD
+        at = offsets(count)
+        def boxes(r):   # the pairs r whose boxes meet, with their keys
+            g, k = ranges_at(at, r)
+            p = pos[first[g] + k]
+            keep = ((self.box_lo.take(p, axis=1) <= hi.take(g, axis=1))
+                    & (self.box_hi.take(p, axis=1) >= lo.take(g, axis=1))).all(axis=0)
+            return r[keep], g[keep], p[keep]
+        pair, g, p = sliced(at[-1], boxes)
+        seg_at = offsets(edge[g + 1] - edge[g])
+        def slab(r):    # the rows r whose segment meets the box, with their keys
+            q, k = ranges_at(seg_at, r)
+            seg, p_q = edge[g.take(q)] + k, p.take(q)
             a_seg = a.take(seg, axis=0).T      # take: faster than indexing
             inv = 1.0 / (b.take(seg, axis=0).T - a_seg)
-            t_lo = (self.box_lo.take(pos, axis=1) - a_seg) * inv
-            t_hi = (self.box_hi.take(pos, axis=1) - a_seg) * inv
+            t_lo = (self.box_lo.take(p_q, axis=1) - a_seg) * inv
+            t_hi = (self.box_hi.take(p_q, axis=1) - a_seg) * inv
             keep = (np.maximum(np.minimum(t_lo, t_hi).max(axis=0), 0.0)
                     <= np.minimum(np.maximum(t_lo, t_hi).min(axis=0), 1.0))
-            return r[keep], seg[keep], pos[keep]
+            return pair.take(q[keep]), seg[keep], p_q[keep]
         # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
         # (culled) in the plane of a padded face, too far away to hit it.
         with np.errstate(all="ignore"):
-            r, seg, pos = sliced(n, cull)
-        at = offsets(self._tri_count[pos])
-        def hits(i):    # the hits of the kept rows' pairs i
-            q, k = ranges_at(at, i)
-            tri = self._tri_by_building[self._tri_edge[pos.take(q)] + k]
+            pair, seg, p = sliced(seg_at[-1], slab)
+        at = offsets(self._tri_count[p])
+        def test(r):    # the hits of the kept rows' kernel pairs r
+            q, k = ranges_at(at, r)
+            tri = self._tri_by_building[self._tri_edge[p.take(q)] + k]
             s = seg.take(q)
             t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
                                           *self.triangle(tri), EPS_HIT)
             hit = np.flatnonzero(t < np.inf)
-            return r.take(q[hit]), tri[hit], t[hit]
-        return sliced(at[-1], hits, (np.empty(0, np.int64),) * 2 + (np.empty(0),))
+            return pair.take(q[hit]), s[hit], tri[hit], t[hit]
+        return sliced(at[-1], test, (np.empty(0, np.int64),) * 3 + (np.empty(0),))
 
     def first_hit(self, a, b):
         """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
         faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
         nothing is hit; of equally near hits, the lowest triangle id wins.
-        (3,) endpoints give one ``(t, triangle id)`` of scalars.  Segments
+        (3,) endpoints give one ``(t, triangle id)`` of scalars.  The
+        segments are one ``_hits`` group against every building, so they
         pair with the buildings whose boxes meet their joint bounding box."""
         one = np.ndim(b) == 1
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
-        # BOX_PAD keeps the cull looser than the slab test, whose rounding
-        # can admit a box a segment end only touches to within an ulp
-        ends = np.concatenate([a, b])
-        lo = np.fmin.reduce(ends, axis=0, initial=np.inf) - BOX_PAD
-        hi = np.fmax.reduce(ends, axis=0, initial=-np.inf) + BOX_PAD
-        pos = np.flatnonzero(((self.box_lo <= hi[:, None])
-                              & (self.box_hi >= lo[:, None])).all(axis=0))
-        m = max(len(pos), 1)
-        row, tri, t = self._pairs(a, b, len(a) * len(pos),
-                                  lambda r: (r // m, pos[r % m]))
-        seg = row // m
+        edge = np.unique([0, len(a)])       # no group when there is no segment
+        n = len(edge) - 1
+        _pair, seg, tri, t = self._hits(a, b, edge, np.zeros(n, np.int64),
+                                        np.full(n, len(self.ids)),
+                                        np.arange(len(self.ids)))
         first = first_per_group(seg, tri, t)
         t_min, tri_min = np.full(len(a), np.inf), np.full(len(a), -1)
         t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
@@ -285,27 +301,9 @@ class GeometryMap:
         """Booleans, group by group: True where a face of the building at
         position ``pos[first[g] + k]``, k < ``count[g]``, blocks an open
         segment of group g, the non-empty rows ``edge[g]:edge[g + 1]`` of the
-        (S, 3) a->b (all int arrays).  A pair whose group's box, padded by
-        ``BOX_PAD``, misses the building's is dropped, as the slab test would
-        drop it; the rest are slab-tested per segment.  A ``sliced`` cull
-        keeps each passing pair with its group and building."""
-        lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).T - BOX_PAD
-        hi = np.maximum.reduceat(np.maximum(a, b), edge[:-1]).T + BOX_PAD
-        at = offsets(count)
-        def cull(r):    # the pairs r whose boxes meet, with their keys
-            g, k = ranges_at(at, r)
-            p = pos[first[g] + k]
-            keep = ((self.box_lo.take(p, axis=1) <= hi.take(g, axis=1))
-                    & (self.box_hi.take(p, axis=1) >= lo.take(g, axis=1))).all(axis=0)
-            return r[keep], g[keep], p[keep]
-        kept, g, p = sliced(at[-1], cull)
-        seg_at = offsets(edge[g + 1] - edge[g])
-        def rows(r):            # segment k of the group of kept pair q
-            q, k = ranges_at(seg_at, r)
-            return edge[g[q]] + k, p[q]
-        row = self._pairs(a, b, seg_at[-1], rows)[0]
-        hit = np.zeros(at[-1], dtype=bool)
-        hit[kept[ranges_at(seg_at, row)[0]]] = True
+        (S, 3) a->b (all int arrays): the flags set at ``_hits``' pairs."""
+        hit = np.zeros(np.sum(count), dtype=bool)
+        hit[self._hits(a, b, edge, first, count, pos)[0]] = True
         return hit
 
 
@@ -466,14 +464,14 @@ def _integral(x):
 def line_2d(pts, a, b):
     """Where points lie relative to the horizontal line through a->b.
 
-    ``pts`` is (N, 2) or (N, 3) and ``a``/``b`` are points, or (3, S, 1)
-    stacks of S lines for (S, N) results; heights are ignored.  Each entry
-    is computed alone, so it has the bits of the one-line call.  Returns
-    arrays ``(t, cross, dist)``: the unclamped line
-    parameter (0 at ``a``, 1 at ``b``), the z-component of the 2D cross
-    product (positive on the left) and the perpendicular distance.  A line
-    with no horizontal length gives NaN ``t`` and ``dist``, without a
-    warning, so no point lies on it.
+    ``pts`` is (N, 2) or (N, 3).  ``a``/``b`` are two points, one line for
+    every point, or (3, N) stacks of ends, one line per point (column k
+    for point k); heights are ignored.  Each entry is computed alone, so
+    it has the bits of the one-line call.  Returns (N,) arrays ``(t,
+    cross, dist)``: the unclamped line parameter (0 at ``a``, 1 at ``b``),
+    the z-component of the 2D cross product (positive on the left) and the
+    perpendicular distance.  A line with no horizontal length gives NaN
+    ``t`` and ``dist``, without a warning, so no point lies on it.
     """
     ax, ay = a[0], a[1]
     dx, dy = b[0] - ax, b[1] - ay

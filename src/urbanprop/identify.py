@@ -2,11 +2,12 @@
 
 Two passes: candidate selection by side of the propagation line (with NLOS
 links split at the breakpoint into TX-bp and bp-RX sub-segments, the latter
-contributing left-side buildings only) and the blocked-by matrices of the
+contributing left-side buildings only) and the blocked-by flags of the
 visibility filter, both once over a batch of route positions, then, per
 position, near-to-far visibility filtering where a building is kept only if
 none of its roof-ring vertex-to-projection segments is blocked by an
-already accepted building.
+already accepted building.  The flags stay as the occlusion query lays
+them out, each candidate against those visited before it.
 
 Points (TX, RX, breakpoint, sub-segment ends) are ``(3,)`` float64 arrays.
 All functions are pure over the immutable map; route positions are
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalDomainError
-from .geometry import (EPS_LEN, first_per_group, line_2d, offsets, ranges_at,
-                       row_dot, side_2d, sliced)
+from .geometry import (EPS_LEN, first_per_group, line_2d, offsets, row_dot,
+                       side_2d, sliced)
 
 EPS_TIE = 1e-9     # perpendicular-distance tie threshold, m
 CULL_MARGIN = 1.0  # candidate cull margin beyond the corridor, m
@@ -46,8 +47,9 @@ class SubSegment:
     the sub-segment line: ``(distance, roof-table row, unclamped line
     parameter)``, the row indexing the map's ``roof_vertex``/``roof_xy``.
     ``near`` lists the candidates left then right, each by distance, then
-    id; ``blocked`` (K, K) is True at [i, j < i] when a face of ``near[j]``
-    blocks a roof-ring vertex-to-projection segment of ``near[i]``.
+    id; ``blocked`` holds K(K - 1)/2 flags, candidate after candidate: flag
+    i(i - 1)/2 + j, j < i, is True when a face of ``near[j]`` blocks a
+    roof-ring vertex-to-projection segment of ``near[i]``.
     """
 
     a: np.ndarray
@@ -56,7 +58,7 @@ class SubSegment:
     right: list = field(default_factory=list)
     corner: dict = field(default_factory=dict)
     near: list = field(default_factory=list)
-    blocked: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), bool))
+    blocked: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
 
 
 @dataclass
@@ -154,8 +156,8 @@ def initial_identification(tx, route, gmap, corridor_width=100.0):
     ``corridor_width`` of its line; each building goes to the side most of
     its counted vertices lie on (ties left), and the bp-RX sub-segment keeps
     the left side only.  The same pass records each candidate's roof corner
-    nearest the line, and one occlusion query fills every sub-segment's
-    blocked-by matrix.  Returns a list of ``(LinkClassification,
+    nearest the line, and one occlusion query gives every sub-segment's
+    blocked-by flags.  Returns a list of ``(LinkClassification,
     [SubSegment, ...])``.
     """
     route = np.asarray(route, dtype=np.float64).reshape(-1, 3)
@@ -227,10 +229,11 @@ def _flanking(a, b, gmap, corridor_width):
 
 
 def _blocked_by_block(pos, ss, edge, a, b, gmap):
-    """Each sub-segment a->b's blocked-by matrix, from one ``pair_hits``
+    """Each sub-segment a->b's blocked-by flags, from one ``pair_hits``
     query of every candidate (``pos``, building positions in visiting order
     per sub-segment ``ss``, starting at ``edge``) against the earlier
-    candidates of its sub-segment, the only entries the scan reads."""
+    candidates of its sub-segment, the only pairs the scan reads: a view
+    of the flags as the query lays them out, candidate after candidate."""
     k = np.arange(len(ss)) - edge[ss]          # place in its sub-segment
     # each candidate's roof-table rows: the table ascends by building
     rows, size = gmap.roof_rows(pos)
@@ -242,13 +245,8 @@ def _blocked_by_block(pos, ss, edge, a, b, gmap):
     del line_a, t
     # candidate i against the k[i] candidates before it on its sub-segment
     hit = gmap.pair_hits(verts, line_d, offsets(size), edge[ss], k, pos)
-    i, j = ranges_at(offsets(k), np.flatnonzero(hit))
-    n = np.diff(edge)
-    base = np.cumsum(n * n) - n * n
-    flat = np.zeros(int((n * n).sum()), dtype=bool)
-    flat[base[ss[i]] + k[i] * n[ss[i]] + j] = True
-    return [flat[o:o + m * m].reshape(m, m)
-            for o, m in zip(base.tolist(), n.tolist())]
+    at = offsets(k)[edge].tolist()
+    return [hit[lo:hi] for lo, hi in zip(at, at[1:])]
 
 
 # -- Visibility filtering --------------------------------------------------
@@ -260,16 +258,17 @@ def visible_identification(segs, cls, gmap):
     Within a sub-segment, buildings are visited in ``near`` order and kept
     only if no previously accepted building blocks one of their roof-ring
     vertex-to-projection segments, as read from the record's blocked-by
-    matrix.  Sub-segments are filtered independently; ``gmap`` is unused.
+    flags.  Sub-segments are filtered independently; ``gmap`` is unused.
     """
     visible = []
     for sub in segs:
         if np.linalg.norm(sub.b - sub.a) <= EPS_LEN:
             raise NumericalDomainError("degenerate segment: endpoints coincide")
-        accepted = []
-        for i, row in enumerate(sub.blocked.tolist()):
-            if not any(row[j] for j in accepted):
+        accepted, at, flags = [], 0, sub.blocked.tolist()
+        for i in range(len(sub.near)):      # candidate i's flags start at at
+            if not any(flags[at + j] for j in accepted):
                 accepted.append(i)
+            at += i
         visible.append(replace(
             sub, left=[sub.near[i] for i in accepted if i < len(sub.left)],
             right=[sub.near[i] for i in accepted if i >= len(sub.left)]))

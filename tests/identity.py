@@ -1,5 +1,5 @@
 """Byte-identity scene list: the ``identify``, ``predict`` and ``doppler``
-outputs of 27 fixed scenes (81 files), for comparing two versions of the
+outputs of 28 fixed scenes (84 files), for comparing two versions of the
 program output by output.
 
     PYTHONPATH=src python tests/identity.py OUT_BEFORE
@@ -17,6 +17,8 @@ a temporary directory, so only outputs are compared.  The scenes:
 
 - the benchmark's grid cities at n = 10 (2.5 m step), 20 and 40 (5 m
   step), seeds 0, 1, 2 and 21, and seed 21 again at 2 workers;
+- n = 10, seed 21 at a 0.5 m step and 2 workers: 811 positions, 13 blocks,
+  enough for the route to run on the worker pool;
 - n = 10, seeds 3 and 4, with the TX raised to 15, 25 and 45 m, above
   some roofs;
 - the canyon and corner fixtures on L-shaped routes, and their y-mirrors
@@ -140,6 +142,8 @@ def scenes():
         for seed, workers in ((0, 1), (1, 1), (2, 1), (21, 1), (21, 2)):
             out.append(Scene(f"grid{n}_s{seed}_w{workers}", grid.city_map(n, seed),
                              grid.tx_position(n), route, workers))
+    out.append(Scene("grid10_s21_w2_step0.5", grid.city_map(10, 21),
+                     grid.tx_position(10), grid.route_points(10, 0.5), 2))
     for seed in (3, 4):
         for tx_z in (15.0, 25.0, 45.0):
             x, y, _z = grid.tx_position(10)

@@ -183,6 +183,23 @@ class TestExitCodes:
                        f"[{bad}, {float(y)}, {float(z)}]"]
         assert not (tmp_path / "o").exists()
 
+    # a fifth cell was dropped, so the row loaded as its first four; a
+    # short row failed on float(None)
+    @pytest.mark.parametrize("cells", [5, 3])
+    def test_route_row_cell_count(self, scenario, tmp_path, capsys, cells):
+        rows = scenario["route"].read_text().splitlines()
+        rows[2] = ",".join((rows[2].split(",") + ["99"])[:cells])
+        route = tmp_path / "route.csv"
+        route.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
+                                   "route_path": str(route)}))
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad route row 1: {cells} cells, header has 4"]
+        assert not (tmp_path / "o").exists()
+
     # the whole route was predicted before Doppler refused it, and the
     # output directory was left behind
     def test_one_point_doppler_route(self, scenario, tmp_path, capsys,
@@ -369,6 +386,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert " row 1: " in err[0]
+        assert not (tmp_path / "o").exists()
+
+    # an extra cell was dropped and compare exited 0
+    @pytest.mark.parametrize("file", ["reference", "predictions"])
+    def test_compare_row_with_extra_cell(self, tmp_path, capsys, file):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("index,value\n0,1.0\n1,2.0,7\n" if file == "reference"
+                       else "index,value\n0,1.0\n1,2.0\n")
+        prd = tmp_path / "prd.csv"
+        prd.write_text("index,pl_model_db\n0,1.0\n1,2.5,9\n"
+                       if file == "predictions"
+                       else "index,pl_model_db\n0,1.0\n1,2.5\n")
+        assert run(["--output", tmp_path / "o", "compare",
+                    "--reference", ref, "--predictions", prd]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad {file} row 1: 3 cells, header has 2"]
         assert not (tmp_path / "o").exists()
 
     # rows pair by position, so each file's index must read 0, 1, ..., n-1:

@@ -355,6 +355,17 @@ class TestSide:
                     (t[k], cross[k], dist[k]),
                     (((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy),
                      c, abs(c) / np.hypot(dx, dy)))
+        # (3, N) stacks, one line per point (here the line and its reverse
+        # in turn), as the candidate pass passes them: each point has the
+        # bits of its own one-line call
+        flip = np.arange(len(pts)) % 2 == 1
+        a, b = pt(ax, ay)[:, None], pt(bx, by)[:, None]
+        la, lb = np.where(flip, b, a), np.where(flip, a, b)
+        stack = line_2d(np.array(pts), la, lb)
+        for k in range(len(pts)):
+            one = line_2d(np.array(pts[k:k + 1]), la[:, k], lb[:, k])
+            for x, y in zip(stack, one):
+                assert x[k:k + 1].tobytes() == y.tobytes()
 
 
 # -- occlusion ---------------------------------------------------------------

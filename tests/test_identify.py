@@ -752,6 +752,31 @@ class TestVisibilityScan:
         if scene == "grid":
             assert hidden >= 10
 
+    @pytest.mark.parametrize("scene", ["corner", "rotated", "grid"])
+    def test_every_flag_matches_its_pair(self, scene, canyon_map, corner_map,
+                                         tx):
+        """Every blocked-by flag, the ones against candidates the scan
+        rejected too, equals the dense test of its own pair: flag
+        i(i - 1)/2 + j, j < i, is True when a face of ``near[j]`` blocks a
+        roof-ring vertex-to-projection segment of ``near[i]``."""
+        gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
+        flags = unread = 0          # unread: True against a rejected building
+        for cls, segs in initial_identification(tx, route, gmap):
+            for sub, vis in zip(segs, visible_identification(segs, cls,
+                                                             gmap).visible):
+                pairs = [(sub.near[i], sub.near[j])
+                         for i in range(len(sub.near)) for j in range(i)]
+                want = [not _is_visible(bid, sub.a, sub.b - sub.a, gmap, [by])
+                        for bid, by in pairs]
+                assert sub.blocked.ndim == 1
+                assert sub.blocked.tolist() == want
+                flags += len(want)
+                unread += sum(w and by not in vis.left + vis.right
+                              for w, (_bid, by) in zip(want, pairs))
+        assert flags >= 30
+        if scene != "rotated":
+            assert unread >= 5
+
 
 class TestBlockEqualsAlone:
     @pytest.mark.parametrize("width", [100.0, 10.0])

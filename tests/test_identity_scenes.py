@@ -14,7 +14,7 @@ from urbanprop.geometry import load_map
 
 def test_every_scene_loads(tmp_path):
     listed = scenes()
-    assert len({scene.name for scene in listed}) == len(listed) == 27
+    assert len({scene.name for scene in listed}) == len(listed) == 28
     for scene in listed:
         cfg = load_config(write_inputs(scene, tmp_path / scene.name))
         assert len(load_map(cfg.map_path).ids) == len(scene.map["buildings"])

@@ -167,30 +167,31 @@ class TestCullChangesNothing:
     @settings(max_examples=300, deadline=None)
     @given(scene_and_segments())
     def test_whole_map_cull_keeps_every_pair(self, case):
-        """A whole-map query hands the kernel the same (segment, triangle)
-        rows, in the same order, as pairing every segment with every
-        building, which skips the bounding-box cull; so
-        ``kernels.triangles_tested`` does not change."""
+        """A whole-map query, one group of every segment culled by their
+        joint bounding box, hands the kernel the same (segment, triangle)
+        rows, and as many, as one group per segment against every building,
+        which skips that cull; so ``kernels.triangles_tested`` does not
+        change.  The rows are compared as a sorted list: the whole-map
+        query pairs them building by building."""
         gmap, _subset, (a, b) = case
         rows = []
         kernel = kernels.segment_triangles
 
         def recording(*args):
-            rows.append(args[:5])
+            rows.extend(np.concatenate(args[:5], axis=1))
             return kernel(*args)
 
-        seg, pos = np.indices((len(a), len(gmap.ids))).reshape(2, -1)
+        n, m = len(a), len(gmap.ids)
         with patch.object(kernels, "segment_triangles", recording):
             culled = f_block(a, b, gmap).astype(bool)
-            assert len(rows) <= 1
             whole, rows[:] = rows[:], []
-            row, _tri, _t = gmap._pairs(a, b, len(seg),
-                                        lambda r: (seg[r], pos[r]))
-        every = np.bincount(seg[row], minlength=len(a)) > 0
-        assert np.array_equal(every, culled)
+            every = gmap.pair_hits(a, b, *_listed(
+                np.arange(n + 1), np.repeat(np.arange(n), m),
+                np.tile(np.arange(m), n)))
         assert len(rows) == len(whole)
-        for got, want in zip(whole, rows):
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert np.array_equal(every.reshape(n, m).any(axis=1), culled)
+        assert (sorted(x.tobytes() for x in whole)
+                == sorted(x.tobytes() for x in rows))
 
     def test_empty_batch(self, canyon_map):
         """Zero segments, as a one-stage chain's ``f_block`` passes, give
