@@ -8,8 +8,8 @@ an evaluation harness.
 
 from .geometry import GeometryMap, load_map
 from .identify import (LinkClassification, VisibilitySet, classify_link,
-                       compute_breakpoint, identify_position,
-                       initial_identification, visible_identification)
+                       identify_position, initial_identification,
+                       visible_identification)
 from .fields import (STAGE, direct_field, recursive_chain, stage_transfer,
                      transition_function)
 from .link import (ChainTable, LinkPrediction, MaterialConfig, chain_fields,

@@ -43,6 +43,12 @@ class ScenarioConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        tx = self.tx.tolist() if isinstance(self.tx, np.ndarray) else self.tx
+        if not (isinstance(tx, (list, tuple)) and len(tx) == 3
+                and all(map(_is_number, tx)) and all(map(math.isfinite, tx))):
+            raise ConfigError(f"config field 'tx' must be [x, y, z] of finite "
+                              f"numbers, got {self.tx!r}")
+        self.tx = _read_only(tx)
         for name in ("map_path", "route_path", "output_dir"):
             v = getattr(self, name)
             allowed = str if name == "output_dir" else (str, type(None))
@@ -90,15 +96,7 @@ def config_from_dict(raw):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "tx" in kwargs:
-        tx = kwargs["tx"]
-        if not (isinstance(tx, list) and len(tx) == 3
-                and all(map(_is_number, tx)) and all(map(math.isfinite, tx))):
-            raise ConfigError(f"config field 'tx' must be [x, y, z] of finite "
-                              f"numbers, got {tx!r}")
-        kwargs["tx"] = _read_only(tx)
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**raw)
 
 
 def _is_number(v):

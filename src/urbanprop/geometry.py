@@ -194,16 +194,6 @@ class GeometryMap:
         except KeyError:
             raise MapValidationError(f"unknown building id {building_id}") from None
 
-    def top_vertices(self, building_id):
-        """Indices of the building's roof-ring vertices, ascending (a read-only
-        view into ``roof_vertex``).
-
-        A vertex is top-level when its height is within ``EPS_TOP`` of the
-        building's maximum height.
-        """
-        pos = self._pos(building_id)
-        return self.roof_vertex[self._ring_edge[pos]:self._ring_edge[pos + 1]]
-
     def roof_rows(self, pos):
         """The roof-table rows of the buildings at the positions ``pos`` (an
         int array), joined, and the number of each."""

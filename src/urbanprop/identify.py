@@ -88,59 +88,55 @@ def _flatten(segs):
 # -- LOS / breakpoint ------------------------------------------------------
 
 
-def classify_link(tx, rx, gmap):
-    """LOS/NLOS classification of the TX-RX segments against every face.
+def classify_link(tx, route, gmap):
+    """LOS/NLOS classification of the TX-RX segments of a (P, 3) route
+    against every face: a list of P ``LinkClassification``.
 
-    ``rx`` is a (P, 3) route, for a list of P ``LinkClassification``, or one
-    (3,) point, for one.  One occlusion query over the whole map classifies
-    every link: its nearest hit triangle (of equally near ones, the lowest
-    id) names the blocking building and anchors the breakpoint.
+    One occlusion query over the whole map classifies every link: its
+    nearest hit triangle (of equally near ones, the lowest id) names the
+    blocking building.  One array pass over the NLOS links then places each
+    breakpoint, a diffraction corner of that building: among its roof-ring
+    corners on the RX side of the hit face (the closed half-space), those
+    within ``EPS_TIE`` of the smallest horizontal distance to the TX-RX
+    line, the left-side one, then the lower vertex index.  Each corner is
+    measured against the nearest, so of a chain of near-ties spanning more
+    than ``EPS_TIE`` the far end is out.  The corner is placed at the
+    height of the TX-RX line at that horizontal location.  A link with no
+    such corner, or whose TX-RX line has no horizontal length, has no
+    breakpoint: the first in route order raises.
     """
-    route = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
+    route = np.asarray(route, dtype=np.float64)
+    if route.ndim != 2 or route.shape[1] != 3:
+        raise ValueError("route must be a (P, 3) array of points")
     _t, tris = gmap.first_hit(np.broadcast_to(tx, route.shape), route)
-    out = [LinkClassification(True) if tri < 0 else LinkClassification(
-        False, breakpoint=compute_breakpoint(tx, r, tri, gmap),
-        blocking_building=int(gmap.ids[gmap.tri_building[tri]]))
-        for r, tri in zip(route, tris.tolist())]
-    return out if np.ndim(rx) == 2 else out[0]
-
-
-def compute_breakpoint(tx, rx, tri, gmap):
-    """Diffraction corner of the building owning triangle ``tri``, the first
-    face the TX-RX segment hits.
-
-    Among the building's roof-ring corners on the RX side of that face (the
-    closed half-space), takes those within ``EPS_TIE`` of the smallest
-    horizontal distance to the TX-RX line and picks the left-side one, then
-    the lower vertex index.  Each corner is measured against the nearest,
-    so of a chain of near-ties spanning more than ``EPS_TIE`` the far end is
-    out.  The corner is returned at the height of the TX-RX line at that
-    horizontal location.  A TX-RX line with no horizontal length has no
-    breakpoint.
-    """
-    blocking_id = int(gmap.ids[gmap.tri_building[tri]])
+    tri, rx = tris[tris >= 0], route[tris >= 0]
+    pos = gmap.tri_building[tri]
     v0, v1, v2 = gmap.triangle(tri)
-    # np.cross written out by component: the same bits, without its
-    # per-call axis handling, which cost more than the rest of this function
-    (ax, ay, az), (bx, by, bz) = (v1 - v0).tolist(), (v2 - v0).tolist()
-    nrm = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-    offset = nrm @ v0
-    rx_sign = np.sign(rx @ nrm - offset)
-
-    ring = gmap.top_vertices(blocking_id)
-    corners = gmap.vertices[ring]
-    ok = (rx_sign == 0) | (np.sign(row_dot(corners, nrm) - offset) != -rx_sign)
-    if not ok.any():
+    nrm = np.cross(v1 - v0, v2 - v0)
+    offset = row_dot(nrm, v0)
+    rx_sign = np.sign(row_dot(rx, nrm) - offset)
+    # each NLOS link's rows: its blocking building's roof corners
+    rows, size = gmap.roof_rows(pos)
+    group, at = np.repeat(np.arange(len(tri)), size), offsets(size)[:-1]
+    ring = gmap.roof_vertex[rows]
+    corners = gmap.vertices.take(ring, axis=0)
+    ok = ((rx_sign[group] == 0) | (np.sign(row_dot(corners, nrm[group])
+                                           - offset[group]) != -rx_sign[group]))
+    tline, cross, dist = line_2d(corners, tx, rx.take(group, axis=0).T)
+    no_corner = ~np.logical_or.reduceat(ok, at)
+    bad = np.flatnonzero(no_corner | ~np.logical_and.reduceat(np.isfinite(tline), at))
+    if len(bad):
         raise DegenerateGeometryError(
-            f"building {blocking_id} has no roof corner on the RX side of the hit face")
-    tline, cross, dist = line_2d(corners, tx, rx)
-    if not np.isfinite(tline).all():
-        raise DegenerateGeometryError(
+            f"building {gmap.ids[pos[bad[0]]]} has no roof corner on the RX "
+            "side of the hit face" if no_corner[bad[0]] else
             "the TX-RX line has no horizontal length; no breakpoint")
-    near = np.flatnonzero(ok & (dist <= dist[ok].min() + EPS_TIE))
-    k = near[np.lexsort((ring[near], -side_2d(cross[near])))[0]]
-    z = tx[2] + tline[k] * (rx[2] - tx[2])
-    return np.array([corners[k, 0], corners[k, 1], z])
+    least = np.minimum.reduceat(np.where(ok, dist, np.inf), at)
+    near = np.flatnonzero(ok & (dist <= least[group] + EPS_TIE))
+    k = near[first_per_group(group[near], ring[near], -side_2d(cross[near]))]
+    z = tx[2] + tline[k] * (rx[:, 2] - tx[2])
+    bps, bids = iter(np.column_stack((corners[k, :2], z))), iter(gmap.ids[pos].tolist())
+    return [LinkClassification(True) if t < 0 else
+            LinkClassification(False, next(bps), next(bids)) for t in tris.tolist()]
 
 
 # -- Candidate selection (initial identification) --------------------------

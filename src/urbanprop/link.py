@@ -137,8 +137,6 @@ def chain_table(vis_list, tx, rxs, gmap):
     start = np.searchsorted(keep, start)
     row, edge = row[keep], edge.take(keep, axis=0)
     terminal = np.full(len(vis_list), np.nan, TERMINAL)
-    if not len(row):
-        return ChainTable(start, np.zeros(0, STAGE), vis_list, terminal)
     has = np.diff(start) > 0
     head, last = start[:-1][has], start[1:][has] - 1
     prev, nxt = np.roll(edge, 1, axis=0), np.roll(edge, -1, axis=0)

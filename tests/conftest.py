@@ -52,6 +52,12 @@ def build_map(boxes):
     return map_from_dict(build_map_dict(boxes))
 
 
+def roof_ring(gmap, bid):
+    """The roof-ring vertex ids of building ``bid``, ascending."""
+    rows, _size = gmap.roof_rows(np.array([gmap.ids.tolist().index(bid)]))
+    return gmap.roof_vertex[rows]
+
+
 UNIT_CUBE = [(0, (0.0, 0.0, 1.0, 1.0, 1.0))]
 
 # Straight street along x at y = 0; the first block exists on the left side

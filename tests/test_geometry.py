@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT_CUBE, build_map, build_map_dict
+from conftest import UNIT_CUBE, build_map, build_map_dict, roof_ring
 from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop import geometry
@@ -94,7 +94,7 @@ def _array_digest(gmap):
 def _ring_neighbors_loop(raw, gmap, bid, vid):
     """Ring-wall directions at a corner, walked face by face as
     ``link._ring_neighbors`` did before the map held them as a table."""
-    top = set(int(v) for v in gmap.top_vertices(bid))
+    top = set(int(v) for v in roof_ring(gmap, bid))
     here = gmap.vertices[vid][:2]
     dirs = []
     for f in raw["faces"]:
@@ -162,9 +162,10 @@ class TestMapLoading:
         with pytest.raises(MapValidationError, match="building 5"):
             map_from_dict(raw)
 
-    def test_top_vertices_are_roof_ring(self, unit_cube_map):
-        ids = unit_cube_map.top_vertices(0)
-        assert sorted(ids.tolist()) == [4, 5, 6, 7]
+    def test_roof_rows_are_roof_ring(self, unit_cube_map):
+        rows, size = unit_cube_map.roof_rows(np.array([0]))
+        assert size.tolist() == [4]
+        assert unit_cube_map.roof_vertex[rows].tolist() == [4, 5, 6, 7]
 
     # the first two used to load truncated, the face as (0, 1, 5, 4) and the
     # building as 0; the third raised OverflowError.  The rest sit at a late
@@ -263,8 +264,8 @@ class TestMapLoading:
             assert np.array_equal(gmap.face_normal[fi],
                                   nrm / np.linalg.norm(nrm))
         assert gmap.ids.tolist() == [7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6]
-        for pos, bid in enumerate(gmap.ids.tolist()):
-            ring = gmap.top_vertices(bid)
+        for pos in range(len(gmap.ids)):
+            ring = gmap.roof_vertex[gmap.roof_rows(np.array([pos]))[0]]
             assert ring.tolist() == sorted(ring.tolist())
             assert np.array_equal(gmap.roof_vertex[gmap.roof_owner == pos], ring)
             assert np.array_equal(gmap.roof_xy[gmap.roof_owner == pos],
@@ -394,9 +395,8 @@ class TestOcclusion:
             assert f_block(a, b, canyon_map) == f_block(b, a, canyon_map)
 
     @pytest.mark.parametrize("query", [
-        lambda m: m.top_vertices(7),
         lambda m: m.wall_rows([7]),
-    ], ids=["top_vertices", "wall_rows"])
+    ], ids=["wall_rows"])
     def test_unknown_building_id(self, unit_cube_map, query):
         with pytest.raises(MapValidationError, match="unknown building id 7"):
             query(unit_cube_map)

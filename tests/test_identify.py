@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (CORNER_BOXES, build_map, build_map_dict, canyon_route,
-                      corner_route)
+                      corner_route, roof_ring)
 from identity import prism
 from oracles import OracleScene, oracle_identify
 from test_geometry import _rotated_boxes
@@ -19,9 +19,8 @@ from urbanprop import kernels
 from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
 from urbanprop.geometry import EPS_HIT, line_2d, map_from_dict, side_2d
 from urbanprop.identify import (EPS_TIE, LinkClassification, VisibilitySet,
-                                classify_link, compute_breakpoint,
-                                identify_position, initial_identification,
-                                visible_identification)
+                                classify_link, identify_position,
+                                initial_identification, visible_identification)
 from urbanprop.link import chain_table
 
 
@@ -29,22 +28,28 @@ def pt(x, y, z=2.0):
     return np.array([x, y, z], dtype=np.float64)
 
 
+def classify_one(tx, rx, gmap):
+    """``classify_link`` of the one-position route ``[rx]``."""
+    cls, = classify_link(tx, np.array([rx]), gmap)
+    return cls
+
+
 # -- LOS / NLOS classification ----------------------------------------------
 
 
 class TestClassifyLink:
     def test_empty_map_is_los(self, empty_map):
-        cls = classify_link(pt(0, 0), pt(100, 50), empty_map)
+        cls = classify_one(pt(0, 0), pt(100, 50), empty_map)
         assert cls.los and cls.breakpoint is None
 
     def test_cube_on_segment_blocks(self, unit_cube_map):
-        cls = classify_link(pt(-2, 0.5, 0.5), pt(3, 0.5, 0.5), unit_cube_map)
+        cls = classify_one(pt(-2, 0.5, 0.5), pt(3, 0.5, 0.5), unit_cube_map)
         assert not cls.los
         assert cls.blocking_building == 0
         assert cls.breakpoint is not None
 
     def test_offset_cube_does_not_block(self, unit_cube_map):
-        cls = classify_link(pt(-2, 3, 0.5), pt(3, 3, 0.5), unit_cube_map)
+        cls = classify_one(pt(-2, 3, 0.5), pt(3, 3, 0.5), unit_cube_map)
         assert cls.los
 
     def test_invariant_enforced(self):
@@ -60,7 +65,7 @@ class TestBreakpoint:
         # around the corner: building 0 blocks; of its roof corners on the
         # RX side of the hit wall, (20, 8) lies closest to the TX-RX line
         rx = pt(59.0, 14.0)
-        cls = classify_link(tx, rx, corner_map)
+        cls = classify_one(tx, rx, corner_map)
         assert not cls.los and cls.blocking_building == 0
         bp = cls.breakpoint
         assert (bp[0], bp[1]) == (20.0, 8.0)
@@ -71,7 +76,7 @@ class TestBreakpoint:
         # roof corners selects the corner facing the street intersection
         gmap = build_map([(0, (60.0, 10.0, 90.0, 40.0, 12.0))])
         tx, rx = pt(0.0, 0.0), pt(80.0, 45.0)
-        cls = classify_link(tx, rx, gmap)
+        cls = classify_one(tx, rx, gmap)
         assert not cls.los
         dists = {(cx, cy): abs(80.0 * cy - 45.0 * cx) / np.hypot(80.0, 45.0)
                  for cx in (60.0, 90.0) for cy in (10.0, 40.0)}
@@ -81,7 +86,7 @@ class TestBreakpoint:
     def test_breakpoint_height_follows_line(self, corner_map):
         tx = pt(0.0, 0.0)
         rx = pt(59.0, 14.0, 10.0)
-        cls = classify_link(tx, rx, corner_map)
+        cls = classify_one(tx, rx, corner_map)
         bp = cls.breakpoint
         # height is taken on the TX-RX line at the corner's projected position
         t = (bp[0] * rx[0] + bp[1] * rx[1]) / (rx[0] ** 2 + rx[1] ** 2)
@@ -92,7 +97,7 @@ class TestBreakpoint:
         # distance; left side wins, then the lower vertex index
         gmap = build_map([(0, (10.0, -5.0, 20.0, 5.0, 8.0))])
         tx, rx = pt(0.0, 0.0), pt(30.0, 0.0)
-        bp = classify_link(tx, rx, gmap).breakpoint
+        bp = classify_one(tx, rx, gmap).breakpoint
         # left (+y) corners are vertex ids 6 (20,5) and 7 (10,5); id 6 wins
         assert (bp[0], bp[1]) == (20.0, 5.0)
 
@@ -102,7 +107,7 @@ class TestBreakpoint:
         gmap = build_map([(0, (0.0, 0.0, 10.0, 10.0, 10.0))])
         with pytest.raises(DegenerateGeometryError,
                            match="^the TX-RX line has no horizontal length"):
-            classify_link(pt(5, 5, 20), pt(5, 5, 5), gmap)
+            classify_one(pt(5, 5, 20), pt(5, 5, 5), gmap)
 
     def test_no_corner_on_rx_side_is_checked_first(self):
         # building 0 is a low wall across the line plus a tall tower behind
@@ -118,7 +123,7 @@ class TestBreakpoint:
                        (pt(11.0, 0.0, 20.0), pt(11.0, 0.0, 1.0))):
             with pytest.raises(DegenerateGeometryError, match="^building 0 has "
                                "no roof corner on the RX side of the hit face$"):
-                classify_link(tx, rx, gmap)
+                classify_one(tx, rx, gmap)
 
     def test_chained_near_ties_keep_the_lower_id(self):
         # three right-side corners 0.6e-9 m apart: (16, -5 - 0.6e-9) and
@@ -134,7 +139,7 @@ class TestBreakpoint:
             f["v"] = f["v"][3:] + f["v"][:3]
         gmap = map_from_dict({"vertices": verts, "faces": faces,
                               "buildings": [{"id": 0}]})
-        bp = classify_link(pt(0.0, 0.0), pt(40.0, 0.0), gmap).breakpoint
+        bp = classify_one(pt(0.0, 0.0), pt(40.0, 0.0), gmap).breakpoint
         assert bp.tolist() == [16.0, -5.0 - 0.6e-9, 2.0]
         assert _scan_breakpoint(pt(0.0, 0.0), pt(40.0, 0.0),
                                 gmap.first_hit(pt(0.0, 0.0), pt(40.0, 0.0))[1],
@@ -168,23 +173,24 @@ class TestBreakpoint:
             gap = np.abs(dist[:, None] - dist)
             if ((gap <= 2.0 * EPS_TIE) & (gap > 1e-12)).any():
                 continue
-            got = _outcome(compute_breakpoint, tx, rx, tri, gmap)
+            got = _outcome(classify_one, tx, rx, gmap)
             if isinstance(want, str):
                 assert got == want
             else:
-                assert got.tobytes() == want.tobytes()
+                assert got.breakpoint.tobytes() == want.tobytes()
 
 
 def _scan_breakpoint(tx, rx, tri, gmap):
-    """``compute_breakpoint`` as the corner-by-corner scan it once was, with
-    a tolerance comparator on distance, then (-side, vertex id): the
-    breakpoint or the error message, and the eligible corners' distances."""
+    """The breakpoint of a link whose first hit face is triangle ``tri``,
+    as the corner-by-corner scan it once was, with a tolerance comparator on
+    distance, then (-side, vertex id): the breakpoint or the error message,
+    and the eligible corners' distances."""
     blocking_id = int(gmap.ids[gmap.tri_building[tri]])
     v0, v1, v2 = gmap.triangle(tri)
     nrm = np.cross(v1 - v0, v2 - v0)
     offset = nrm @ v0
     rx_sign = np.sign(rx @ nrm - offset)
-    ring = gmap.top_vertices(blocking_id)
+    ring = roof_ring(gmap, blocking_id)
     corners = gmap.vertices[ring]
     tline, cross, dist = line_2d(corners, tx, rx)
     left = side_2d(cross)
@@ -255,7 +261,9 @@ def _two_query_classification(tx, rx, gmap):
     """``(blocking building, breakpoint)`` as LOS classification once found
     them, with two occlusion queries: the building owning the nearest hit
     face of the whole map, then the nearest hit face of that building
-    alone; ``(None, None)`` for a clear link."""
+    alone, which anchors the corner-by-corner scan (a breakpoint or an error
+    message); ``(None, None)`` for a clear link.  On box scenes no three
+    eligible corners chain near-ties, so the scan's comparator is exact."""
     _t, tri = gmap.first_hit(tx, rx)
     if tri < 0:
         return None, None
@@ -263,7 +271,7 @@ def _two_query_classification(tx, rx, gmap):
     tris = np.flatnonzero(gmap.tri_building == gmap.tri_building[tri])
     t = kernels.segment_triangles(tx, rx, *gmap.triangle(tris), EPS_HIT)
     tri = int(tris[np.argmin(t)])     # the lowest id of equally near hits
-    return bid, compute_breakpoint(tx, rx, tri, gmap)
+    return bid, _scan_breakpoint(tx, rx, tri, gmap)[0]
 
 
 def _outcome(fn, *args):
@@ -277,15 +285,14 @@ def _assert_single_query_agrees(tx, rx, gmap):
     """``classify_link``'s one whole-map query names the same building and
     anchors the same breakpoint, bit for bit, as the two-query version.
     Returns True for a blocked link."""
-    want = _outcome(_two_query_classification, tx, rx, gmap)
-    got = _outcome(classify_link, tx, rx, gmap)
-    if isinstance(want, str):
-        assert got == want
-        return True
-    bid, bp = want
+    bid, bp = _two_query_classification(tx, rx, gmap)
+    got = _outcome(classify_one, tx, rx, gmap)
     if bid is None:
         assert got.los
         return False
+    if isinstance(bp, str):
+        assert got == bp
+        return True
     assert not got.los and got.blocking_building == bid
     assert got.breakpoint.tobytes() == bp.tobytes()
     return True
@@ -457,16 +464,6 @@ class TestPerPositionIndependence:
 # -- route identification against the per-position passes ------------------
 
 
-def _position_classification(tx, rx, gmap):
-    """``classify_link`` as it was: one whole-map query per position."""
-    _t, tri = gmap.first_hit(tx, rx)
-    if tri < 0:
-        return LinkClassification(True)
-    return LinkClassification(
-        False, breakpoint=compute_breakpoint(tx, rx, tri, gmap),
-        blocking_building=int(gmap.ids[gmap.tri_building[tri]]))
-
-
 def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
     """Candidate selection as it was: one pass over the whole roof-vertex
     table per sub-segment."""
@@ -487,12 +484,13 @@ def _segment_candidates(a, b, gmap, corridor_width, left_only=False):
 
 
 def _per_position_identification(tx, route, gmap, corridor_width):
-    """``initial_identification`` as it was, position by position: each
+    """``initial_identification`` as it was, position by position, each a
+    one-position route: each
     position's classification and its sub-segments' ``(a, b, left, right,
     corner)``, or the message of the first ``DegenerateGeometryError``."""
     out = []
     for r in route:
-        cls = _outcome(_position_classification, tx, r, gmap)
+        cls = _outcome(classify_one, tx, r, gmap)
         if isinstance(cls, str):
             return cls
         ends = ([(tx, r, False)] if cls.los else
@@ -539,14 +537,19 @@ class TestRouteIdentification:
         if scene in ("corner", "grid"):
             assert nlos >= 3
 
-    def test_single_point_keeps_scalar_classification(self, corner_map, tx):
+    def test_route_rows_equal_one_position_routes(self, corner_map, tx):
+        """Each row of a route's classification is that of its position
+        alone, and a (3,) point is no route."""
         route = np.array(corner_route())
         batch = classify_link(tx, route, corner_map)
         assert isinstance(batch, list) and len(batch) == len(route)
         for rx, cls in zip(route, batch):
-            one = classify_link(tx, rx, corner_map)
+            one = classify_one(tx, rx, corner_map)
             assert (one.los, one.blocking_building, _bits(one.breakpoint)) == (
                 cls.los, cls.blocking_building, _bits(cls.breakpoint))
+        for bad in (route[0], route[:, :2], route[None]):
+            with pytest.raises(ValueError, match=r"\(P, 3\)"):
+                classify_link(tx, bad, corner_map)
 
     @settings(max_examples=150, deadline=None)
     @given(box_scenes(), st.data())
@@ -619,12 +622,12 @@ class TestRouteIdentification:
 
 def _building_line_distance(bid, gmap, a, b):
     """Per-building distance the visibility sort once computed."""
-    return line_2d(gmap.vertices[gmap.top_vertices(bid)], a, b)[2].min()
+    return line_2d(gmap.vertices[roof_ring(gmap, bid)], a, b)[2].min()
 
 
 def _corner_for_line(gmap, bid, a, b):
     """Per-building corner the chain was once anchored at."""
-    ring = gmap.top_vertices(bid)
+    ring = roof_ring(gmap, bid)
     c = gmap.vertices[ring]
     t, _cross, dist = line_2d(c, a, b)
     k = np.argmin(dist)       # rings ascend, so a tie goes to the lower index
@@ -696,7 +699,7 @@ class TestCornerRecord:
                     assert gmap.roof_vertex[row] == want_vid
                     assert np.float64(t).tobytes() == want_t.tobytes()
                     assert next(edges).tobytes() == edge.tobytes()
-                    ring = gmap.vertices[gmap.top_vertices(bid)]
+                    ring = gmap.vertices[roof_ring(gmap, bid)]
                     ties += (line_2d(ring, sub.a, sub.b)[2] == want_dist).sum() > 1
                     checked += 1
         assert checked >= 10
@@ -713,7 +716,7 @@ def _is_visible(bid, line_a, line_d, gmap, occluders):
     kernel over the occluders' triangles."""
     if not occluders:
         return True
-    verts = gmap.vertices[gmap.top_vertices(bid)]
+    verts = gmap.vertices[roof_ring(gmap, bid)]
     t = (verts - line_a) @ line_d / (line_d @ line_d)
     proj = line_a + t[:, None] * line_d
     pos = [gmap.ids.tolist().index(o) for o in occluders]

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import CORNER_BOXES, TX, build_map, set_usable_cpus
+from identity import _grid_module
 from test_identify import _grid_scene, pt
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.errors import NumericalDomainError, RouteError
-from urbanprop.geometry import GeometryMap
+from urbanprop.geometry import GeometryMap, map_from_dict
 from urbanprop.identify import identify_position
 from urbanprop.link import chain_table
 from urbanprop.pipeline import (BLOCK, POOL_BLOCKS, RouteResult, _concat,
@@ -183,11 +184,12 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
 
 
 def test_hooked_names_run_per_block_and_per_position(monkeypatch):
-    """Over a route, the chain's ``f_block`` query and the field pass's
-    ``recursive_chain`` run at most once per block, and ``extract_chain``,
-    ``total_field`` and ``predict_position``, as looked up in ``pipeline``,
-    once per position: the benchmark times and counts those layers through
-    wrappers set on these names."""
+    """Over a route, the LOS and breakpoint pass ``classify_link``, the
+    chain's ``f_block`` query and the field pass's ``recursive_chain`` run
+    at most once per block, and ``extract_chain``, ``total_field`` and
+    ``predict_position``, as looked up in ``pipeline``, once per position:
+    the benchmark times and counts those layers through wrappers set on
+    these names."""
     gmap, tx, route = fine_grid_scene()
     calls = Counter()
 
@@ -197,15 +199,15 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in [(link, "f_block"), (link, "recursive_chain"),
-                      (pipeline, "extract_chain"),
+    for mod, name in [(identify, "classify_link"), (link, "f_block"),
+                      (link, "recursive_chain"), (pipeline, "extract_chain"),
                       (pipeline, "total_field"), (pipeline, "predict_position")]:
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
         np.arange(len(route), dtype=np.float64), np.array(route)))
     assert len(route) > 2 * BLOCK and res.n_stages.sum() > len(route)
-    assert 0 < calls["f_block"] <= math.ceil(len(route) / BLOCK)
-    assert 0 < calls["recursive_chain"] <= math.ceil(len(route) / BLOCK)
+    for name in ("classify_link", "f_block", "recursive_chain"):
+        assert 0 < calls[name] <= math.ceil(len(route) / BLOCK), name
     for name in ("extract_chain", "total_field", "predict_position"):
         assert calls[name] == len(route), name
 
@@ -481,3 +483,52 @@ def test_rx_at_its_chains_last_corner():
     with pytest.raises(NumericalDomainError,
                        match="^stage 0: distance and k must be positive$"):
         predict_route(cfg, gmap, Route(np.zeros(1), np.array([[0.0, 0.0, 1.5]])))
+
+
+def _moved_grid_route(move):
+    """The route of the seed-21 grid city of 10 x 10 buildings at a 2.5 m
+    step, its map, TX and route each mapped through ``move(x, y)``."""
+    grid = _grid_module()
+    raw = grid.city_map(10, 21)
+    raw["vertices"] = [[*move(x, y), z] for x, y, z in raw["vertices"]]
+    x, y, z = grid.tx_position(10)
+    rows = np.array([(*move(x, y), z)
+                     for _t, x, y, z in grid.route_points(10, 2.5)])
+    return predict_route(ScenarioConfig(tx=[*move(x, y), z]), map_from_dict(raw),
+                         Route(np.arange(len(rows), dtype=np.float64), rows))
+
+
+PL_COLUMNS = ("pl_model_db", "pl_simplified_db", "pl_gpp_db",
+              "pl_free_space_db")
+
+
+def test_quarter_turns_and_shifts_keep_the_route():
+    """Results depend on the scene, not its frame, where the frame change
+    is exact: each quarter turn (x, y) -> (-y, x) keeps every path loss,
+    field and power byte for byte, and the candidate and visible sets;
+    a shift by millions of metres keeps the LOS flags, stage counts and
+    sets, and the path loss to 1e-9 dB (2e-13 dB measured)."""
+    want = _moved_grid_route(lambda x, y: (x, y))
+    assert (~want.los).sum() >= 20 and want.n_stages.max() >= 3
+
+    def same_sets(got):
+        assert got.los.tolist() == want.los.tolist()
+        assert got.n_stages.tolist() == want.n_stages.tolist()
+        assert got.sides.tolist() == want.sides.tolist()
+        assert got.visible.tolist() == want.visible.tolist()
+
+    for turns in (1, 2, 3):
+        def turn(x, y, turns=turns):
+            for _ in range(turns):
+                x, y = -y, x
+            return x, y
+        got = _moved_grid_route(turn)
+        same_sets(got)
+        for name in PL_COLUMNS + ("e_total", "power"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for dx, dy in ((5e5, 4.4e6), (3.3e6, 5.5e6)):
+        got = _moved_grid_route(lambda x, y: (x + dx, y + dy))
+        same_sets(got)
+        for name in PL_COLUMNS:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0.0, atol=1e-9, err_msg=name)
