@@ -1,14 +1,14 @@
 """3D environment model and the exact geometric predicates under it.
 
-The map is loaded from JSON into immutable arrays.  Faces are simple planar
-polygons, fan-triangulated once at load time into a triangle soup that the
-map's two occlusion queries run against (see ``kernels``): the first face
-hit per segment (``first_hit``) and a blocked flag per (segment group,
-building) pair (``pair_hits``).  Both run one pass that culls and then
-tests (``GeometryMap._hits``); ``first_hit`` is one group of all its
-segments against every building.  The map is the only code that culls the
-soup, pairs segments with triangles and calls the kernel.  All predicates
-are pure functions, safe to call in parallel.
+The parsed JSON map is converted once, then built by array passes into
+immutable arrays.  Faces are simple planar polygons, fan-triangulated at
+load into a triangle soup that the map's two occlusion queries run against
+(see ``kernels``): the first face hit per segment (``first_hit``) and a
+blocked flag per (segment group, building) pair (``pair_hits``).  Both run
+one pass that culls and then tests (``GeometryMap._hits``); ``first_hit``
+is one group of all its segments against every building.  The map is the
+only code that culls the soup, pairs segments with triangles and calls the
+kernel.  All predicates are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -18,7 +18,9 @@ y north, z up).  Geographic input must be pre-projected.  A point is a
 import json
 import numbers
 import sys
+from functools import reduce
 from itertools import chain
+from operator import iadd
 
 import numpy as np
 
@@ -38,9 +40,9 @@ KERNEL_ROWS = 512  # rows per slice of a block pass (sliced): bounds its arrays
 class GeometryMap:
     """Immutable 3D environment, held as arrays built once at load.
 
-    ``GeometryMap(vertices, face_vertices, face_building, ids)`` takes the
-    (N, 3) vertex array, each face's vertex ids and building id, and the
-    building ids.  It validates them and stores, with array operations:
+    ``GeometryMap(vertices, face_ids, face_sizes, face_building, ids)`` takes
+    the (N, 3) vertices, all faces' vertex ids joined, each face's number of
+    them and building id, and the building ids; it validates them and stores:
     ``tri_v0/v1/v2``, the fan-triangulated faces, with ``tri_building``
     (building position in ``ids``); ``face_normal`` (F, 3), each face's unit
     normal from its leading vertices (NaN for a degenerate triangle);
@@ -57,55 +59,61 @@ class GeometryMap:
     triangle) pairs, each in ``sliced`` passes of ``KERNEL_ROWS`` rows.
     """
 
-    def __init__(self, vertices, face_vertices, face_building, ids):
+    def __init__(self, vertices, face_ids, face_sizes, face_building, ids):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         if not np.isfinite(self.vertices).all():
             i = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0]
             raise MapValidationError(f"non-finite vertex coordinate at index {i}")
         self.ids = np.array(ids, dtype=np.int64)
-        if len(np.unique(self.ids)) != len(self.ids):
+        order = np.argsort(self.ids)
+        if (np.diff(self.ids[order]) == 0).any():
             raise MapValidationError("duplicate building id")
         self._position = dict(zip(self.ids.tolist(), range(len(self.ids))))
-        self._load_buildings(*self._load_faces(
-            face_vertices, np.array(face_building, dtype=np.int64)))
+        face_bid, flat, sizes = (np.fromiter(x, dtype=np.int64, count=len(x))
+                                 for x in (face_building, face_ids, face_sizes))
+        self._load_buildings(*self._load_faces(flat, sizes, face_bid, order))
 
     # -- construction ------------------------------------------------------
 
-    def _load_faces(self, face_vertices, face_bid):
+    def _load_faces(self, flat, sizes, face_bid, order):
         """Validate the faces and store their normals and triangles.  Returns
-        the flat vertex ids of all faces, the face of each, each face's
-        start and size in them, and each face's building position."""
+        each face's start and size in ``flat``, building position and v[0]."""
         n = len(self.vertices)
-        sizes = np.fromiter(map(len, face_vertices), dtype=np.int64,
-                            count=len(face_vertices))
-        flat = np.fromiter(chain.from_iterable(face_vertices), dtype=np.int64,
-                           count=int(sizes.sum()))
-        owner = np.repeat(np.arange(len(sizes)), sizes)
         starts = np.cumsum(sizes) - sizes
-        outside = (flat < 0) | (flat >= n)
+        outside = np.flatnonzero((flat < 0) | (flat >= n))
+        holder = np.searchsorted(starts, outside, side="right") - 1    # their faces
+        rank = np.searchsorted(self.ids, face_bid, sorter=order)    # id's sort rank
+        unknown = np.append(self.ids[order], 0)[rank] != face_bid
+        unknown |= rank == len(order)
         _raise_first_failure(
             (sizes < 3, lambda i: f"face {i} has fewer than 3 vertices"),
-            (np.bincount(owner[outside], minlength=len(sizes)) > 0,
+            (np.bincount(holder, minlength=len(sizes)) > 0,
              lambda i: f"face {i} references vertex "
-             f"{flat[(owner == i) & outside][0]} of a {n}-vertex map"),
-            (~np.isin(face_bid, self.ids), lambda i: f"face {i} references "
-             f"unknown building {face_bid[i]}"))
+             f"{flat[outside[holder == i][0]]} of a {n}-vertex map"),
+            (unknown, lambda i: f"face {i} references unknown building {face_bid[i]}"))
 
         # rows are gathered with take: the same copy as fancy indexing, faster
-        v = self.vertices.take(flat, axis=0)    # at each face-vertex occurrence
-        p0 = v.take(starts, axis=0)
-        nrm = np.cross(v.take(starts + 1, axis=0) - p0,
-                       v.take(starts + 2, axis=0) - p0)
+        p0, e1, e2 = self.vertices.take(flat.take(starts + [[0], [1], [2]]), axis=0)
+        e1, e2 = e1 - p0, e2 - p0
+        nrm = np.cross(e1, e2)
         # Row dot products through matmul sum like the 1-D np.linalg.norm,
         # so each normal equals the one computed face by face, bit for bit.
         norm = np.sqrt(row_dot(nrm, nrm))
+        # fan triangulation: triangle k of a face is (v[0], v[k + 1], v[k + 2])
+        fans = sizes - 2
+        k1 = ranges(starts + 1, fans)      # the rows of the v[k + 1]
+        self.tri_v0 = np.repeat(p0, fans, axis=0)
+        self.tri_v1, self.tri_v2 = self.vertices.take(flat.take(k1 + [[0], [1]]), axis=0)
+
+        # planarity at v[1] and each triangle's v[k + 2]: every vertex but v[0],
+        # at distance 0 exactly (or NaN without a normal, which fmax skips)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.face_normal = nrm / norm[:, None]
-            dist = np.abs(row_dot(v - np.repeat(p0, sizes, axis=0),
-                                  np.repeat(self.face_normal, sizes, axis=0)))
+            dist = np.abs(row_dot(self.tri_v2 - self.tri_v0,
+                                  np.repeat(self.face_normal, fans, axis=0)))
+            worst = np.fmax(np.abs(row_dot(e1, self.face_normal)),
+                            np.fmax.reduceat(dist, np.cumsum(fans) - fans))
         self.face_normal.flags.writeable = False
-        worst = np.zeros(len(sizes))
-        np.fmax.at(worst, owner, dist)      # skips the NaN of a degenerate face
         polygon = sizes > 3        # a triangle is planar by construction
         _raise_first_failure(
             (polygon & (norm == 0.0),
@@ -113,34 +121,24 @@ class GeometryMap:
             (polygon & (worst > EPS_PLANE),
              lambda i: f"face {i} is non-planar by {worst[i]:.2e} m"))
 
-        # fan triangulation: triangle k of a face is (v[0], v[k + 1], v[k + 2])
-        fans = sizes - 2
-        tri_face = np.repeat(np.arange(len(sizes)), fans)
-        first = starts[tri_face]
-        k = np.arange(len(tri_face)) - np.repeat(np.cumsum(fans) - fans, fans)
-        self.tri_v0 = v.take(first, axis=0)
-        self.tri_v1 = v.take(first + k + 1, axis=0)
-        self.tri_v2 = v.take(first + k + 2, axis=0)
-        order = np.argsort(self.ids)
-        face_pos = order[np.searchsorted(self.ids, face_bid, sorter=order)]
-        self.tri_building = face_pos[tri_face]
+        face_pos = order[rank]
+        self.tri_building = np.repeat(face_pos, fans)
         self._tri_by_building = np.argsort(self.tri_building, kind="stable")
         self._tri_edge = _edges(self.tri_building, len(self.ids))
         self._tri_count = np.diff(self._tri_edge)
-        return flat, owner, starts, sizes, face_pos
+        return flat, starts, sizes, face_pos, p0
 
-    def _load_buildings(self, flat, owner, starts, sizes, face_pos):
-        """Validate the buildings, then store their boxes, roof rings, ring
-        walls and vertical faces."""
+    def _load_buildings(self, flat, starts, sizes, face_pos, p0):
+        """Validate the buildings, then store their boxes and roof and wall tables."""
         n_faces = np.bincount(face_pos, minlength=len(self.ids))
         _raise_first_failure(
             (n_faces == 0, lambda i: f"building {self.ids[i]} has no faces"))
 
         # each building's vertices, as sorted unique (position, vertex) keys
         n = len(self.vertices)
-        key = face_pos[owner] * n + flat       # one per face-vertex occurrence
+        key = np.repeat(face_pos * n, sizes) + flat     # at each face-vertex row
         pair = np.sort(key)
-        pair = pair[np.diff(pair, prepend=-1) != 0]
+        pair = np.concatenate((pair[:1], pair[1:][pair[1:] != pair[:-1]]))
         pair_b, pair_v = np.divmod(pair, n)
         counts = np.bincount(pair_b, minlength=len(self.ids))
         pts = self.vertices.take(pair_v, axis=0)
@@ -149,7 +147,8 @@ class GeometryMap:
         self.box_lo = np.ascontiguousarray(
             np.minimum.reduceat(pts, starts_b).T - BOX_PAD)
         self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
-        ring = np.flatnonzero(pts[:, 2] >= np.repeat(hi[:, 2], counts) - EPS_TOP)
+        top = hi[:, 2] - EPS_TOP
+        ring = np.flatnonzero(pts[:, 2] >= np.repeat(top, counts))
         roof_key = pair[ring]
         self.roof_vertex = pair_v[ring]
         self.roof_vertex.flags.writeable = False
@@ -157,33 +156,31 @@ class GeometryMap:
         self.roof_owner = pair_b[ring]
         self._ring_edge = _edges(self.roof_owner, len(self.ids))
 
-        # Ring walls: at each occurrence of a roof vertex in a face of its
-        # building, the unit directions to the previous and then the next
-        # vertex of the face that lie on the same roof ring.  Kept in face
-        # order with duplicates, since the order decides ties in link.  Only
-        # the occurrences of roof vertices are paired with their neighbours.
-        row = np.searchsorted(roof_key, key)    # each occurrence's roof row,
-        row[roof_key.take(row, mode="clip") != key] = -1    # -1 off the roof
-        here = np.repeat(np.flatnonzero(row >= 0), 2)
-        o = owner[here]
-        step = np.tile([-1, 1], len(here) // 2)     # previous, then next
-        nb = starts[o] + (here - starts[o] + step) % sizes[o]
-        on_roof = row[nb] >= 0
-        here, nb = here[on_roof], nb[on_roof]
+        # Ring walls: at each face-vertex row on its building's roof, the unit
+        # directions to the previous and then the next vertex of the face on
+        # the same roof ring, by roof-table row (as their keys order) and then
+        # in face order, duplicates kept: the order decides ties in link.
+        roof = self.vertices[:, 2].take(flat) >= np.repeat(top.take(face_pos), sizes)
+        nb = np.arange(len(flat)) + np.array([[-1], [1]])   # previous, next row
+        nb[0, starts], nb[1, starts + sizes - 1] = starts + sizes - 1, starts
+        here = np.flatnonzero(roof)[np.argsort(key[roof], kind="stable")]
+        nb = nb.take(here, axis=1).T.ravel()        # at each roof row, in turn
+        wall = np.flatnonzero(roof.take(nb))
+        here, nb = here.take(wall >> 1), nb.take(wall)
         xy = self.vertices[:, :2]
-        d = xy.take(flat[nb], axis=0) - xy.take(flat[here], axis=0)
+        d = xy.take(flat.take(nb), axis=0) - xy.take(flat.take(here), axis=0)
         norm = np.hypot(d[:, 0], d[:, 1])
         wall = np.flatnonzero(norm > 1e-9)
-        wall = wall[np.argsort(row[here[wall]], kind="stable")]
-        self.ring_dir = d[wall] / norm[wall, None]
-        self._ring_dir_edge = _edges(row[here[wall]], len(self.roof_vertex))
+        self.ring_dir = d.take(wall, axis=0) / norm.take(wall)[:, None]
+        self._ring_dir_edge = np.append(
+            np.searchsorted(key.take(here.take(wall)), roof_key), len(wall))
 
         # vertical faces per building, ascending face index; a degenerate
         # face's NaN normal is not vertical
         vertical = np.flatnonzero(np.abs(self.face_normal[:, 2]) < 0.1)
         vertical = vertical[np.argsort(face_pos[vertical], kind="stable")]
         self.wall_normal = self.face_normal[vertical]
-        self.wall_point = self.vertices.take(flat[starts[vertical]], axis=0)
+        self.wall_point = p0.take(vertical, axis=0)
         self._wall_edge = _edges(face_pos[vertical], len(self.ids))
 
     # -- accessors ---------------------------------------------------------
@@ -375,8 +372,9 @@ def map_from_dict(raw):
 
     Coordinates must be real numbers, vertex and building ids integral
     ones; keys outside the schema, such as a declared origin, are ignored.
-    The entries are checked in bulk; only a document with a bad entry or an
-    integral float id is walked entry by entry, naming the first bad one.
+    Coordinates and face vertex ids are each joined once and checked by one
+    pass over their types; only a document with a bad entry or an integral
+    float id is walked entry by entry (``_entries``), naming the first bad one.
     """
     if not isinstance(raw, dict):
         raise MapValidationError("map must be a JSON object")
@@ -385,7 +383,7 @@ def map_from_dict(raw):
             raise MapValidationError(f"map has no '{key}' array")
     coords = raw["vertices"]
     try:
-        flat = list(chain.from_iterable(coords))
+        flat = reduce(iadd, coords, [])
     except TypeError as exc:
         raise MapValidationError(
             f"'vertices' must be an array of [x, y, z]: {exc}") from exc
@@ -398,7 +396,7 @@ def map_from_dict(raw):
     if set(map(len, coords)) - {3}:
         raise MapValidationError("'vertices' must be an array of [x, y, z]")
     try:
-        vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
+        flat = np.fromiter(flat, dtype=np.float64, count=len(flat))
     except OverflowError:   # a JSON integer beyond the float range
         i = next(k for k, x in enumerate(flat) if abs(x) > sys.float_info.max) // 3
         raise MapValidationError(f"bad vertex entry at index {i}: too large") from None
@@ -408,16 +406,17 @@ def map_from_dict(raw):
         face_vertices = [f["v"] for f in faces]
         face_building = [f["building"] for f in faces]
         ids = [b["id"] for b in buildings]
-        # one pass of type over all ids: int only, so not a bool or a float
-        checked = (set(map(type, face_vertices)) <= {list}
-                   and set(map(type, chain(chain.from_iterable(face_vertices),
-                                           face_building, ids))) <= {int})
+        # one type pass over all ids: int only, not a bool, float or str (a bad "v")
+        face_ids = reduce(iadd, face_vertices, [])
+        checked = set(map(type, chain(face_ids, face_building, ids))) <= {int}
     except (KeyError, TypeError, ValueError):
         checked = False
     if not checked:
         face_vertices, face_building, ids = _entries(faces, buildings)
+        face_ids = reduce(iadd, face_vertices, [])
     try:
-        return GeometryMap(vertices, face_vertices, face_building, ids)
+        return GeometryMap(flat, face_ids, [*map(len, face_vertices)],
+                           face_building, ids)
     except OverflowError as exc:
         raise MapValidationError(f"vertex or building id beyond 64 bits: {exc}") from exc
 

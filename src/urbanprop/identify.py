@@ -96,14 +96,15 @@ def classify_link(tx, route, gmap):
     nearest hit triangle (of equally near ones, the lowest id) names the
     blocking building.  One array pass over the NLOS links then places each
     breakpoint, a diffraction corner of that building: among its roof-ring
-    corners on the RX side of the hit face (the closed half-space), those
-    within ``EPS_TIE`` of the smallest horizontal distance to the TX-RX
-    line, the left-side one, then the lower vertex index.  Each corner is
-    measured against the nearest, so of a chain of near-ties spanning more
-    than ``EPS_TIE`` the far end is out.  The corner is placed at the
-    height of the TX-RX line at that horizontal location.  A link with no
-    such corner, or whose TX-RX line has no horizontal length, has no
-    breakpoint: the first in route order raises.
+    corners on the RX side of the hit face (the closed half-space; RX is in
+    its plane only by rounding on a near-grazing hit, as a link meets a
+    plane through RX only at RX, outside the open segment), those within
+    ``EPS_TIE`` of the least horizontal distance to the TX-RX line, the
+    left-side one, then the lower vertex index.  Each corner is measured
+    against the nearest, so of a chain of near-ties spanning more than
+    ``EPS_TIE`` the far end is out.  The corner is placed at the height of
+    the TX-RX line there.  A link with no such corner, or whose TX-RX line
+    has no horizontal length, has no breakpoint: the first one raises.
     """
     route = np.asarray(route, dtype=np.float64)
     if route.ndim != 2 or route.shape[1] != 3:

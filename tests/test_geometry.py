@@ -3,6 +3,7 @@ oracle on random box scenes."""
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_CUBE, build_map, build_map_dict, roof_ring
-from identity import polygon_city
+from identity import _grid_module, polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop import geometry
 from urbanprop.errors import MapValidationError, NumericalDomainError
-from urbanprop.geometry import f_block, line_2d, map_from_dict, side_2d, sliced
+from urbanprop.geometry import (f_block, line_2d, load_map, map_from_dict,
+                                side_2d, sliced)
 from urbanprop.identify import identify_position
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -91,6 +93,21 @@ def _array_digest(gmap):
     return h.hexdigest()
 
 
+# the benchmark's seed-21 n = 10 city (perfbench/scene.py), with ids as
+# written and as integral floats, which load entry by entry
+BENCH_CITY10 = "e20c875fcc198b329e031b62c438abbbf016937f425ccc91f4e1782a3979ab3d"
+
+
+def _float_ids(raw):
+    """The map dict with every vertex and building id an integral float."""
+    for f in raw["faces"]:
+        f["v"] = [float(v) for v in f["v"]]
+        f["building"] = float(f["building"])
+    for b in raw["buildings"]:
+        b["id"] = float(b["id"])
+    return raw
+
+
 def _ring_neighbors_loop(raw, gmap, bid, vid):
     """Ring-wall directions at a corner, walked face by face as
     ``link._ring_neighbors`` did before the map held them as a table."""
@@ -144,8 +161,46 @@ class TestMapLoading:
     def test_dangling_vertex_reference(self):
         raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0))])
         raw["faces"][0]["v"] = [0, 1, 99]
-        with pytest.raises(MapValidationError, match="face 0"):
+        with pytest.raises(MapValidationError,
+                           match="^face 0 references vertex 99 of a 8-vertex map$"):
             map_from_dict(raw)
+
+    # each message of the loader, whole; ``path`` is the keys down to the
+    # entry that is set to ``value`` (or deleted)
+    @pytest.mark.parametrize("path, value, message", [
+        (("faces", 2, "v"), [0, 1], "face 2 has fewer than 3 vertices"),
+        (("buildings", 1, "id"), 0, "duplicate building id"),
+        (("faces", 3, "building"), 9, "face 3 references unknown building 9"),
+        (("vertices", 3), [0.0, 1.0], "'vertices' must be an array of [x, y, z]"),
+        (("vertices", 3), 5,
+         "'vertices' must be an array of [x, y, z]: 'int' object is not iterable"),
+        (("faces",), MISSING, "map has no 'faces' array")])
+    def test_loader_message(self, path, value, message):
+        raw = build_map_dict([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
+                              (1, (3.0, 0.0, 4.0, 1.0, 2.0))])
+        *down, last = path
+        holder = raw
+        for key in down:
+            holder = holder[key]
+        if value is MISSING:
+            del holder[last]
+        else:
+            holder[last] = value
+        with pytest.raises(MapValidationError, match=f"^{re.escape(message)}$"):
+            map_from_dict(raw)
+
+    def test_load_map_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vertices": [1,', encoding="utf-8")
+        with pytest.raises(MapValidationError, match=re.escape(
+                f"malformed JSON in {bad}: Expecting value: line 1 column 17 "
+                f"(char 16)") + "$"):
+            load_map(bad)
+        missing = tmp_path / "missing.json"
+        with pytest.raises(MapValidationError, match="^" + re.escape(
+                f"cannot read map file {missing}: [Errno 2] No such file or "
+                f"directory: '{missing}'") + "$"):
+            load_map(missing)
 
     def test_empty_map_is_valid(self, empty_map):
         assert empty_map.ids.tolist() == []
@@ -306,8 +361,16 @@ class TestMapLoading:
         (_shared_wall_pair,
          "7a39ce0cfebba2033ca823aaa40e1a3bed54bec6a796b20c1edd915876d8c30a"),
         (lambda: polygon_city(0),
-         "7534e4715ff38c7774f222ff97ab087fae8f7f62b241ccd67b63ab6201537215")],
-        ids=["grid10", "rotated", "l_prism", "shared_wall", "polygons6"])
+         "7534e4715ff38c7774f222ff97ab087fae8f7f62b241ccd67b63ab6201537215"),
+        (lambda: _grid_module().city_map(10, 21), BENCH_CITY10),
+        (lambda: _float_ids(_grid_module().city_map(10, 21)), BENCH_CITY10),
+        (lambda: _grid_module().city_map(20, 21),
+         "a40bb6c0ae7ba248413a3d2d33465106629ae882d1d36c52345fd3de2fb01e6e"),
+        (lambda: _grid_module().city_map(40, 21),
+         "7b58eef250ecf8b08bcc756ae2bf3af77c7f56fad30fcc6d8ab396559a791455")],
+        ids=["grid10", "rotated", "l_prism", "shared_wall", "polygons6",
+             "bench_city10", "bench_city10_float_ids", "bench_city20",
+             "bench_city40"])
     def test_arrays_are_pinned(self, make, digest):
         assert _array_digest(map_from_dict(make())) == digest
 
