@@ -94,11 +94,15 @@ class GeometryMap:
 
         # rows are gathered with take: the same copy as fancy indexing, faster
         p0, e1, e2 = self.vertices.take(flat.take(starts + [[0], [1], [2]]), axis=0)
-        e1, e2 = e1 - p0, e2 - p0
-        nrm = np.cross(e1, e2)
-        # Row dot products through matmul sum like the 1-D np.linalg.norm,
-        # so each normal equals the one computed face by face, bit for bit.
-        norm = np.sqrt(row_dot(nrm, nrm))
+        # finite coordinates can still overflow here: such a face is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            e1, e2 = e1 - p0, e2 - p0
+            nrm = np.cross(e1, e2)
+            # Row dot products through matmul sum like the 1-D np.linalg.norm,
+            # so each normal equals the one computed face by face, bit for bit.
+            norm = np.sqrt(row_dot(nrm, nrm))
+        _raise_first_failure((~np.isfinite(norm), lambda i:
+                              f"face {i} has a normal beyond the float range"))
         # fan triangulation: triangle k of a face is (v[0], v[k + 1], v[k + 2])
         fans = sizes - 2
         k1 = ranges(starts + 1, fans)      # the rows of the v[k + 1]
@@ -266,13 +270,12 @@ class GeometryMap:
         return sliced(at[-1], test, (np.empty(0, np.int64),) * 3 + (np.empty(0),))
 
     def first_hit(self, a, b):
-        """Nearest hit of each open segment a->b ((S, 3) rows) on the map's
-        faces: ``(t, triangle id)`` arrays of (S,), ``(inf, -1)`` where
-        nothing is hit; of equally near hits, the lowest triangle id wins.
-        (3,) endpoints give one ``(t, triangle id)`` of scalars.  The
-        segments are one ``_hits`` group against every building, so they
-        pair with the buildings whose boxes meet their joint bounding box."""
-        one = np.ndim(b) == 1
+        """Nearest hit of each open segment a->b ((S, 3) rows; (3,)
+        endpoints are one row) on the map's faces: ``(t, triangle id)``
+        arrays of (S,), ``(inf, -1)`` where nothing is hit; of equally near
+        hits, the lowest triangle id wins.  The segments are one ``_hits``
+        group against every building, so they pair with the buildings whose
+        boxes meet their joint bounding box."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
         edge = np.unique([0, len(a)])       # no group when there is no segment
         n = len(edge) - 1
@@ -282,7 +285,7 @@ class GeometryMap:
         first = first_per_group(seg, tri, t)
         t_min, tri_min = np.full(len(a), np.inf), np.full(len(a), -1)
         t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
-        return (float(t_min[0]), int(tri_min[0])) if one else (t_min, tri_min)
+        return t_min, tri_min
 
     def pair_hits(self, a, b, edge, first, count, pos):
         """Booleans, group by group: True where a face of the building at
@@ -480,5 +483,4 @@ def side_2d(cross):
 def f_block(a, b, gmap):
     """1 iff a face of the map blocks the open segment a-b, per row of (S, 3)
     endpoints: ``first_hit``'s hit flag as ints, kept for the benchmark's hook."""
-    hit = np.asarray(gmap.first_hit(a, b)[1]) >= 0
-    return hit.astype(np.int64) if hit.ndim else int(hit)
+    return (gmap.first_hit(a, b)[1] >= 0).astype(np.int64)

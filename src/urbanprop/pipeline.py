@@ -3,15 +3,15 @@ rows of a route gathered into one table of columns.
 
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
-position is a ``(3,)`` float64 array, a row of the route's ``xyz``.  The
-route is cut into the fewest blocks of at most ``BLOCK`` positions, of
-sizes that differ by at most one, and walked a block at a time: one
-candidate pass, the visibility scans, one chain pass (``link.chain_table``)
-and one field pass (``link.chain_fields``) per block, then each position's
-cut of them.  A route of at least ``2 * POOL_BLOCKS`` blocks may run on a
-worker pool, one worker per ``POOL_BLOCKS`` blocks; a pool worker gets the
-scene ``(cfg, gmap)`` once, through its initializer, and returns the rows of
-one block per task.
+position is a ``(3,)`` float64 array, a row of the route's ``xyz``; a lone
+position runs as a block of one.  The route is cut into the fewest blocks of
+at most ``BLOCK`` positions, of sizes that differ by at most one, and walked
+a block at a time: one candidate pass, the visibility scans, one chain pass
+(``link.chain_table``) and one field pass (``link.chain_fields``) per block,
+then each position's cut of them.  A route of at least ``2 * POOL_BLOCKS``
+blocks may run on a worker pool, one worker per ``POOL_BLOCKS`` blocks; a
+pool worker gets the scene ``(cfg, gmap)`` once, through its initializer,
+and returns the rows of one block per task.
 """
 
 import os
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import identify
 from .errors import RouteError
-from .identify import identify_position
+# not called here: the benchmark hooks pipeline.identify_position
+from .identify import identify_position  # noqa: F401
 from .link import chain_fields, chain_table, extract_chain, total_field
 
 NO_POINT = np.full(3, np.nan)
@@ -66,19 +67,12 @@ class RouteResult:
     wall_point: np.ndarray
 
 
-def _block_passes(cfg, gmap, rxs, vis_list):
-    """The ``(chain_table, chain_fields)`` of a block of positions."""
-    table = chain_table(vis_list, cfg.tx, rxs, gmap)
-    return table, chain_fields(table, cfg.material, cfg.p_t_watts, cfg.tx, rxs,
-                               cfg.freq_hz, cfg.g_r_linear, cfg.pl_cap_db)
-
-
 def predict_position(cfg, gmap, rx, block=None, i=0):
-    """The ``RouteResult`` row of one receiver position, cut from the
-    ``_block_passes`` of its block at row ``i``, or of a block of one."""
+    """The ``RouteResult`` row of one receiver position: row ``i`` of the
+    ``(chain_table, chain_fields)`` passes ``block`` of its block, or, with
+    no ``block``, the ``_predict_block`` of a block of one."""
     if block is None:
-        block = _block_passes(cfg, gmap, np.reshape(rx, (1, 3)), [
-            identify_position(cfg.tx, rx, gmap, cfg.corridor_width_m)])
+        return _predict_block(cfg, gmap, np.reshape(rx, (1, 3)))
     table, preds = block
     stages, _term = extract_chain(table, i)
     pred = total_field(preds, i)
@@ -105,9 +99,11 @@ def _predict_block(cfg, gmap, positions):
     # through the module, so that a wrapper set on its attribute sees it
     idents = identify.initial_identification(cfg.tx, positions, gmap,
                                              cfg.corridor_width_m)
-    passes = _block_passes(cfg, gmap, positions, [
-        identify.visible_identification(segs, cls, gmap)
-        for cls, segs in idents])
+    table = chain_table([identify.visible_identification(segs, cls, gmap)
+                         for cls, segs in idents], cfg.tx, positions, gmap)
+    passes = table, chain_fields(table, cfg.material, cfg.p_t_watts, cfg.tx,
+                                 positions, cfg.freq_hz, cfg.g_r_linear,
+                                 cfg.pl_cap_db)
     return _concat([predict_position(cfg, gmap, rx, passes, k)
                     for k, rx in enumerate(positions)])
 

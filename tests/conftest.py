@@ -1,15 +1,27 @@
-"""Shared fixtures: canonical box scenes and scenario configuration."""
+"""Shared fixtures: canonical box scenes and scenario configuration, and the
+one helper set that writes, moves and reads scenes: ``Scene``,
+``write_inputs``, ``grid_module`` and ``grid_scene``, ``moved`` (with
+``rotation``) and ``read_rows``."""
 
 import concurrent.futures
 import csv
+import importlib.util
 import json
+import math
 import os
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from urbanprop.config import ScenarioConfig
 from urbanprop.geometry import map_from_dict
+
+SCENE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "scene.py"
+
+# a map dict, a TX [x, y, z], route rows (t, x, y, z) and a worker count
+Scene = namedtuple("Scene", "name map tx route workers")
 
 
 def box_entry(bid, x0, y0, x1, y1, h, z0=0.0):
@@ -129,22 +141,75 @@ def corner_route():
 def scenario(tmp_path_factory):
     """Corner-scene map, route and config files on disk."""
     root = tmp_path_factory.mktemp("scenario")
-    map_path = root / "map.json"
-    map_path.write_text(json.dumps(build_map_dict(CORNER_BOXES)))
-    route_path = root / "route.csv"
-    with open(route_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    write_inputs(Scene("corner", build_map_dict(CORNER_BOXES), TX.tolist(),
+                       [(0.5 * i, 59.0, y, 2.0)
+                        for i, y in enumerate(CORNER_ROUTE_Y)], 1), root)
+    return {"map": root / "map.json", "route": root / "route.csv",
+            "config": root / "scenario.json"}
+
+
+def write_inputs(scene, directory):
+    """Write the scene's map, route and config to ``directory``; return the
+    config path."""
+    os.makedirs(directory, exist_ok=True)
+    paths = {k: os.path.join(directory, k) for k in
+             ("map.json", "route.csv", "scenario.json")}
+    with open(paths["map.json"], "w", encoding="utf-8") as fh:
+        json.dump(scene.map, fh, separators=(",", ":"))
+    with open(paths["route.csv"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "x", "y", "z"])
-        for i, y in enumerate(CORNER_ROUTE_Y):
-            writer.writerow([0.5 * i, 59.0, y, 2.0])
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps({
-        "map_path": str(map_path),
-        "route_path": str(route_path),
-        "tx": [0.0, 0.0, 2.0],
-    }))
-    return {"root": root, "map": map_path, "route": route_path,
-            "config": cfg_path}
+        writer.writerows(scene.route)
+    with open(paths["scenario.json"], "w", encoding="utf-8") as fh:
+        json.dump({"map_path": paths["map.json"],
+                   "route_path": paths["route.csv"], "tx": scene.tx}, fh)
+    return paths["scenario.json"]
+
+
+def read_rows(path):
+    """The rows of an output file: JSONL records as parsed, CSV rows as
+    dicts of text."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if os.fspath(path).endswith(".jsonl"):
+            return [json.loads(line) for line in fh if line.strip()]
+        return list(csv.DictReader(fh))
+
+
+def grid_module():
+    """``perfbench/scene.py``, loaded by path (read only)."""
+    spec = importlib.util.spec_from_file_location("perfbench_scene", SCENE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def grid_scene(n, seed, step=2.5, workers=1):
+    """The benchmark's n x n grid city for ``seed``, its TX and its route
+    sampled every ``step`` metres."""
+    grid = grid_module()
+    return Scene(f"grid{n}_s{seed}_w{workers}", grid.city_map(n, seed),
+                 grid.tx_position(n), grid.route_points(n, step), workers)
+
+
+def rotation(degrees):
+    """``move(x, y)``: a turn by ``degrees`` about the origin."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return lambda x, y: (c * x - s * y, s * x + c * y)
+
+
+def moved(scene, move):
+    """``scene`` with its vertices, TX and route mapped through ``move(x,
+    y)``.  Where ``move`` flips orientation, each face's vertex order is
+    reversed, so that its normal still points out of the building."""
+    (x0, y0), (x1, y1), (x2, y2) = (move(x, y) for x, y in
+                                    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    raw = {**scene.map, "vertices": [[*move(x, y), z]
+                                     for x, y, z in scene.map["vertices"]]}
+    if (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0):
+        raw["faces"] = [{**f, "v": f["v"][::-1]} for f in raw["faces"]]
+    x, y, z = scene.tx
+    return scene._replace(map=raw, tx=[*move(x, y), z], route=[
+        (t, *move(x, y), z) for t, x, y, z in scene.route])
 
 
 def set_usable_cpus(monkeypatch, n):

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from identity import _grid_module
+from conftest import grid_module
 from test_pipeline import assert_same_columns
 from urbanprop import pipeline
 from urbanprop.config import Route, ScenarioConfig
@@ -73,7 +73,7 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=9)
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
-    scene = _grid_module()
+    scene = grid_module()
     gmap = map_from_dict(scene.city_map(args.n, args.seed))
     cfg = ScenarioConfig(tx=np.array(scene.tx_position(args.n)))
     dense = np.array(scene.route_points(args.n, DENSE_STEP))

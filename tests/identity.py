@@ -1,5 +1,5 @@
 """Byte-identity scene list: the ``identify``, ``predict`` and ``doppler``
-outputs of 28 fixed scenes (84 files), for comparing two versions of the
+outputs of 29 fixed scenes (87 files), for comparing two versions of the
 program output by output.
 
     PYTHONPATH=src python tests/identity.py OUT_BEFORE
@@ -21,6 +21,8 @@ a temporary directory, so only outputs are compared.  The scenes:
   enough for the route to run on the worker pool;
 - n = 10, seeds 3 and 4, with the TX raised to 15, 25 and 45 m, above
   some roofs;
+- the seed-21 n = 10 city, its TX and route turned 30 degrees about the
+  origin (``TestPredict::test_rotated_grid_scene_runs[30.0]``);
 - the canyon and corner fixtures on L-shaped routes, and their y-mirrors
   (y negated and each face's vertex order reversed);
 - two seeded 6 x 6 cities of polygon prisms on a 50 m pitch: 5-, 6- and
@@ -28,42 +30,27 @@ a temporary directory, so only outputs are compared.  The scenes:
   L-shapes.
 
 Like ``oracles.py``, pytest does not collect this file;
-``test_identity_scenes.py`` checks that every scene loads.
+``test_identity_scenes.py`` checks that every scene loads.  The scenes are
+written and moved through the helper set of ``conftest.py``.
 """
 
 import contextlib
-import csv
-import importlib.util
 import io
-import json
 import math
 import os
 import random
 import sys
 import tempfile
-from collections import namedtuple
-from pathlib import Path
 
-from conftest import CANYON_BOXES, CORNER_BOXES, TX, build_map_dict
+from conftest import (CANYON_BOXES, CORNER_BOXES, TX, Scene, build_map_dict,
+                      grid_scene, moved, read_rows, rotation, write_inputs)
 from urbanprop import cli
-
-SCENE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "scene.py"
 
 COMMANDS = ("identify", "predict", "doppler")
 
 # output fields compared exactly; every other field is a number
 EXACT = {"index", "los", "bp", "sides", "visible", "n_stages", "n_paths"}
 COMPARE_REL = 1e-9
-
-Scene = namedtuple("Scene", "name map tx route workers")
-
-
-def _grid_module():
-    """``perfbench/scene.py``, loaded by path (read only)."""
-    spec = importlib.util.spec_from_file_location("perfbench_scene", SCENE_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _l_route(east, y0, x_turn, north, z=1.5, dt=0.5):
@@ -72,16 +59,6 @@ def _l_route(east, y0, x_turn, north, z=1.5, dt=0.5):
     through the y values ``north``."""
     xy = [(x, y0) for x in east] + [(x_turn, y) for y in north]
     return [(k * dt, x, y, z) for k, (x, y) in enumerate(xy)]
-
-
-def _mirror_y(raw, tx, route):
-    """The scene reflected in the x axis: y negated, each face's vertex
-    order reversed so its normal still points out of the building."""
-    flip = {**raw,
-            "vertices": [[x, 0.0 - y, z] for x, y, z in raw["vertices"]],
-            "faces": [{**f, "v": f["v"][::-1]} for f in raw["faces"]]}
-    return (flip, [tx[0], 0.0 - tx[1], tx[2]],
-            [(t, x, 0.0 - y, z) for t, x, y, z in route])
 
 
 def prism(bid, xy, h, offset):
@@ -135,20 +112,17 @@ def polygon_city(seed, n=6, pitch=50.0):
 
 def scenes():
     """Every scene of the list, in output order."""
-    grid = _grid_module()
-    out = []
-    for n, step in ((10, 2.5), (20, 5.0), (40, 5.0)):
-        route = grid.route_points(n, step)
-        for seed, workers in ((0, 1), (1, 1), (2, 1), (21, 1), (21, 2)):
-            out.append(Scene(f"grid{n}_s{seed}_w{workers}", grid.city_map(n, seed),
-                             grid.tx_position(n), route, workers))
-    out.append(Scene("grid10_s21_w2_step0.5", grid.city_map(10, 21),
-                     grid.tx_position(10), grid.route_points(10, 0.5), 2))
+    out = [grid_scene(n, seed, step, workers)
+           for n, step in ((10, 2.5), (20, 5.0), (40, 5.0))
+           for seed, workers in ((0, 1), (1, 1), (2, 1), (21, 1), (21, 2))]
+    out.append(grid_scene(10, 21, 0.5, 2)._replace(name="grid10_s21_w2_step0.5"))
     for seed in (3, 4):
         for tx_z in (15.0, 25.0, 45.0):
-            x, y, _z = grid.tx_position(10)
-            out.append(Scene(f"grid10_s{seed}_tx{tx_z:g}", grid.city_map(10, seed),
-                             [x, y, tx_z], grid.route_points(10, 2.5), 1))
+            scene = grid_scene(10, seed)
+            out.append(scene._replace(name=f"grid10_s{seed}_tx{tx_z:g}",
+                                      tx=[*scene.tx[:2], tx_z]))
+    out.append(moved(grid_scene(10, 21)._replace(name="grid10_s21_turn30"),
+                     rotation(30.0)))
     tx = TX.tolist()
     fixtures = {
         "canyon": (build_map_dict(CANYON_BOXES), _l_route(
@@ -160,29 +134,12 @@ def scenes():
     }
     for name, (raw, route) in fixtures.items():
         out.append(Scene(name, raw, tx, route, 1))
-        out.append(Scene(name + "_mirror", *_mirror_y(raw, tx, route), 1))
+        out.append(moved(Scene(name + "_mirror", raw, tx, route, 1),
+                         lambda x, y: (x, 0.0 - y)))
     for seed in (0, 1):
-        out.append(Scene(f"polygons6_s{seed}", polygon_city(seed),
-                         grid.tx_position(6), grid.route_points(6, 5.0), 1))
+        out.append(grid_scene(6, seed, 5.0)._replace(
+            name=f"polygons6_s{seed}", map=polygon_city(seed)))
     return out
-
-
-def write_inputs(scene, directory):
-    """Write the scene's map, route and config to ``directory``; return the
-    config path."""
-    os.makedirs(directory, exist_ok=True)
-    paths = {k: os.path.join(directory, k) for k in
-             ("map.json", "route.csv", "scenario.json")}
-    with open(paths["map.json"], "w", encoding="utf-8") as fh:
-        json.dump(scene.map, fh, separators=(",", ":"))
-    with open(paths["route.csv"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "y", "z"])
-        writer.writerows(scene.route)
-    with open(paths["scenario.json"], "w", encoding="utf-8") as fh:
-        json.dump({"map_path": paths["map.json"],
-                   "route_path": paths["route.csv"], "tx": scene.tx}, fh)
-    return paths["scenario.json"]
 
 
 def run(out):
@@ -202,12 +159,8 @@ def run(out):
 def _cells(path):
     """``{(row, field): value}`` of an output file: CSV cells as text,
     JSONL fields as parsed."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        if path.endswith(".jsonl"):
-            rows = [json.loads(line) for line in fh]
-        else:
-            rows = list(csv.DictReader(fh))
-    return {(i, k): v for i, row in enumerate(rows) for k, v in row.items()}
+    return {(i, k): v for i, row in enumerate(read_rows(path))
+            for k, v in row.items()}
 
 
 def relative_difference(a, b):

@@ -5,14 +5,13 @@ criterion.  Each test states its tolerance inline; regression constants are
 frozen at the value first computed on the fixture scenes.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from conftest import (CANYON_ROUTE_X, CORNER_BOXES, CORNER_ROUTE_Y, TX,
-                      build_map, build_map_dict, canyon_route, corner_route)
+from conftest import (CORNER_ROUTE_Y, TX, build_map, canyon_route,
+                      corner_route)
 from oracles import OracleScene, oracle_identify
 from test_fields import sommerfeld_halfplane, transition_quadrature
 from test_identify import random_scene
@@ -214,22 +213,13 @@ def test_criterion_09_metric_identities():
     assert ks_distance(xs, ys) == ks_distance(ys, xs)
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
+def test_criterion_10_end_to_end_determinism(scenario, tmp_path):
     """Two consecutive predict runs on the corner fixture are byte-identical."""
-    map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps(build_map_dict(CORNER_BOXES)))
-    route_path = tmp_path / "route.csv"
-    lines = ["t,x,y,z"] + [f"{0.5 * i},59.0,{y},2.0"
-                           for i, y in enumerate(CORNER_ROUTE_Y)]
-    route_path.write_text("\n".join(lines) + "\n")
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"map_path": str(map_path),
-                                    "route_path": str(route_path)}))
     outs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
-        assert cli_main(["--config", str(cfg_path), "--output", str(out),
-                         "predict"]) == 0
+        assert cli_main(["--config", str(scenario["config"]), "--output",
+                         str(out), "predict"]) == 0
         outs.append((out / "predict.csv").read_bytes())
     assert outs[0] == outs[1]
 

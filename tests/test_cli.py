@@ -2,13 +2,12 @@
 
 import csv
 import json
-import math
 
 import pytest
 
-from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, build_map_dict,
-                      set_usable_cpus)
-from identity import Scene, _grid_module, write_inputs
+from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, TX, Scene, build_map_dict,
+                      grid_scene, moved, read_rows, rotation, set_usable_cpus,
+                      write_inputs)
 from test_identify import GRID_BOXES, _grid_scene
 from urbanprop import cli, pipeline
 from urbanprop.cli import main
@@ -18,22 +17,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def street_scenario(scenario, tmp_path, n, degenerate_at=None):
-    """Config of ``n`` positions up street B of the scenario's corner scene,
-    the one at ``degenerate_at`` on the TX; its route file is the test's."""
-    route = tmp_path / "route.csv"
-    with open(route, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for i in range(n):
-            xyz = ([0.0, 0.0, 2.0] if i == degenerate_at
-                   else [59.0, 60.0 * i / (n - 1), 2.0])
-            writer.writerow([0.5 * i, *xyz])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"map_path": str(scenario["map"]),
-                               "route_path": str(route),
-                               "tx": [0.0, 0.0, 2.0]}))
-    return cfg
+def street_scenario(tmp_path, n, degenerate_at=None):
+    """Config of ``n`` positions up street B of the corner scene, the one at
+    ``degenerate_at`` on the TX, written to the test's directory."""
+    route = [(0.5 * i, *(TX.tolist() if i == degenerate_at
+                         else (59.0, 60.0 * i / (n - 1), 2.0)))
+             for i in range(n)]
+    return write_inputs(Scene("street", build_map_dict(CORNER_BOXES),
+                              TX.tolist(), route, 1), tmp_path)
 
 
 class TestExitCodes:
@@ -59,6 +50,16 @@ class TestExitCodes:
                     "identify"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: bad vertex entry at index 0: too large"]
+
+    def test_face_normal_beyond_float_range(self, tmp_path, capsys):
+        # finite corners whose face normals overflow: NaN walls before
+        cfg = write_inputs(Scene("huge", build_map_dict(
+            [(0, (0, 0, 1e300, 1e300, 1e300))]), TX.tolist(),
+            [(0.0, 59.0, 0.0, 2.0)], 1), tmp_path)
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "identify"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: face 0 has a normal beyond the float range"]
 
     def test_missing_config_flag(self, capsys):
         assert run(["predict"]) == 2
@@ -445,11 +446,11 @@ class TestPredict:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["identify", "predict", "doppler"])
-    def test_workers_identical(self, scenario, tmp_path, capsys, monkeypatch,
+    def test_workers_identical(self, tmp_path, capsys, monkeypatch,
                                pool_widths, command):
         # seven blocks of at most 10: 2 and 3 workers both start a pool of 2
         monkeypatch.setattr(pipeline, "BLOCK", 10)
-        cfg = street_scenario(scenario, tmp_path, 68)
+        cfg = street_scenario(tmp_path, 68)
         output = {"identify": "identify.jsonl", "predict": "predict.csv",
                   "doppler": "doppler.csv"}[command]
         outs = []
@@ -467,11 +468,10 @@ class TestPredict:
     @pytest.mark.parametrize("n_positions, ran", [
         (3 * (2 * pipeline.POOL_BLOCKS - 1), 1),
         (3 * 2 * pipeline.POOL_BLOCKS - 1, 2)])
-    def test_pool_width_capped_by_blocks(self, scenario, tmp_path, capsys,
-                                         monkeypatch, pool_widths,
-                                         n_positions, ran):
+    def test_pool_width_capped_by_blocks(self, tmp_path, capsys, monkeypatch,
+                                         pool_widths, n_positions, ran):
         monkeypatch.setattr(pipeline, "BLOCK", 3)
-        cfg = street_scenario(scenario, tmp_path, n_positions)
+        cfg = street_scenario(tmp_path, n_positions)
         outs, errs = [], []
         for name, w in (("w1", 1), ("w3", 3)):
             assert run(["--config", cfg, "--workers", w, "--output",
@@ -485,12 +485,12 @@ class TestPredict:
                         f"more than one per {pipeline.POOL_BLOCKS} blocks of "
                         f"{pipeline.BLOCK} positions\n"]
 
-    def test_two_block_route_runs_in_this_process(self, scenario, tmp_path,
-                                                  capsys, pool_widths):
+    def test_two_block_route_runs_in_this_process(self, tmp_path, capsys,
+                                                  pool_widths):
         """A route of two blocks, the benchmark's shape, starts no pool at 2
         workers: the command says so in one line and writes the bytes of
         1 worker."""
-        cfg = street_scenario(scenario, tmp_path, pipeline.BLOCK + 4)
+        cfg = street_scenario(tmp_path, pipeline.BLOCK + 4)
         outs, errs = [], []
         for name, w in (("w1", 1), ("w2", 2)):
             assert run(["--config", cfg, "--workers", w, "--output",
@@ -502,13 +502,13 @@ class TestPredict:
         assert errs == ["", "warning: 2 workers asked for, 1 ran: no more "
                         "than one per 3 blocks of 64 positions\n"]
 
-    def test_pool_width_capped_by_cpus(self, scenario, tmp_path, capsys,
-                                       monkeypatch, pool_widths):
+    def test_pool_width_capped_by_cpus(self, tmp_path, capsys, monkeypatch,
+                                       pool_widths):
         # no more processes than CPUs this process may run on: 17 blocks of
         # at most 8 allow a pool of 5
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(pipeline, "BLOCK", 8)
-        cfg = street_scenario(scenario, tmp_path, 129)
+        cfg = street_scenario(tmp_path, 129)
         assert run(["--config", cfg, "--workers", 3, "--output",
                     tmp_path / "o", "predict"]) == 0
         assert pool_widths == [2]
@@ -517,11 +517,11 @@ class TestPredict:
             "this process may run on\n")
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_degenerate_position_exit_code(self, scenario, tmp_path, capsys,
+    def test_degenerate_position_exit_code(self, tmp_path, capsys,
                                            monkeypatch, pool_widths, workers):
         # the RX on the TX, in the last of seven blocks of at most 10
         monkeypatch.setattr(pipeline, "BLOCK", 10)
-        cfg = street_scenario(scenario, tmp_path, 66, degenerate_at=64)
+        cfg = street_scenario(tmp_path, 66, degenerate_at=64)
         assert run(["--config", cfg, "--workers", workers, "--output",
                     tmp_path / "o", "predict"]) == 4
         assert pool_widths == ([2] if workers > 1 else [])
@@ -535,23 +535,19 @@ class TestPredict:
         """A TX at a roof corner of building 0 runs every command (exit 0):
         identification keeps building 0 in the visible sets, and the
         chains anchored at that corner leave it out."""
-        (tmp_path / "map.json").write_text(json.dumps(build_map_dict(GRID_BOXES)))
         route = _grid_scene()[2]
-        (tmp_path / "route.csv").write_text("t,x,y,z\n" + "".join(
-            f"{k},{x},{y},{z}\n" for k, (x, y, z) in enumerate(route)))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"map_path": str(tmp_path / "map.json"),
-                                   "route_path": str(tmp_path / "route.csv"),
-                                   "tx": [30.0, 30.0, 12.0]}))
+        cfg = write_inputs(Scene("roof_corner", build_map_dict(GRID_BOXES),
+                                 [30.0, 30.0, 12.0],
+                                 [(k, *rx) for k, rx in enumerate(route)], 1),
+                           tmp_path)
         for command in ("identify", "predict", "doppler"):
             assert run(["--config", cfg, "--output", tmp_path / "o",
                         command]) == 0, command
         assert capsys.readouterr().err == ""
-        with open(tmp_path / "o" / "identify.jsonl") as fh:
-            ids = [set(sum(json.loads(line)["visible"].values(), []))
-                   for line in fh]
-        with open(tmp_path / "o" / "predict.csv", newline="") as fh:
-            n_stages = [int(r["n_stages"]) for r in csv.DictReader(fh)]
+        ids = [set(sum(r["visible"].values(), []))
+               for r in read_rows(tmp_path / "o" / "identify.jsonl")]
+        n_stages = [int(r["n_stages"])
+                    for r in read_rows(tmp_path / "o" / "predict.csv")]
         assert len(n_stages) == len(route)
         # building 0 visible, its stage dropped where its corner is the TX's
         assert any(0 in b and n == len(b) - 1 for b, n in zip(ids, n_stages))
@@ -564,19 +560,8 @@ class TestPredict:
         turned about the origin, runs to exit 0: a departure angle just
         below 0 folds to 0, where ``% 2pi`` gave exactly 2pi and the
         route aborted with exit 4."""
-        grid = _grid_module()
-        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
-
-        def turn(x, y):
-            return c * x - s * y, s * x + c * y
-
-        raw = grid.city_map(10, 21)
-        raw["vertices"] = [[*turn(x, y), z] for x, y, z in raw["vertices"]]
-        tx = grid.tx_position(10)
-        route = [(t, *turn(x, y), z)
-                 for t, x, y, z in grid.route_points(10, 2.5)]
-        cfg = write_inputs(Scene("rotated", raw, [*turn(*tx[:2]), tx[2]],
-                                 route, 1), tmp_path / "in")
+        cfg = write_inputs(moved(grid_scene(10, 21), rotation(degrees)),
+                           tmp_path / "in")
         assert run(["--config", cfg, "--output", tmp_path / "o",
                     "predict"]) == 0
         assert capsys.readouterr().err == ""

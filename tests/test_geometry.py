@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT_CUBE, build_map, build_map_dict, roof_ring
-from identity import _grid_module, polygon_city
+from conftest import (UNIT_CUBE, build_map, build_map_dict, grid_module,
+                      roof_ring)
+from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop import geometry
 from urbanprop.errors import MapValidationError, NumericalDomainError
@@ -310,6 +311,12 @@ class TestMapLoading:
                            match=r"^face 6 has collinear leading vertices$"):
             map_from_dict(raw)
 
+    def test_face_normal_beyond_float_range_rejected(self):
+        # finite corners whose normals overflow: 4 NaN walls were stored
+        with pytest.raises(MapValidationError,
+                           match="^face 0 has a normal beyond the float range$"):
+            map_from_dict(build_map_dict([(0, (0, 0, 1e300, 1e300, 1e300))]))
+
     def test_load_time_topology_matches_per_face_and_per_building(self):
         raw = _rotated_boxes()
         gmap = map_from_dict(raw)
@@ -362,11 +369,11 @@ class TestMapLoading:
          "7a39ce0cfebba2033ca823aaa40e1a3bed54bec6a796b20c1edd915876d8c30a"),
         (lambda: polygon_city(0),
          "7534e4715ff38c7774f222ff97ab087fae8f7f62b241ccd67b63ab6201537215"),
-        (lambda: _grid_module().city_map(10, 21), BENCH_CITY10),
-        (lambda: _float_ids(_grid_module().city_map(10, 21)), BENCH_CITY10),
-        (lambda: _grid_module().city_map(20, 21),
+        (lambda: grid_module().city_map(10, 21), BENCH_CITY10),
+        (lambda: _float_ids(grid_module().city_map(10, 21)), BENCH_CITY10),
+        (lambda: grid_module().city_map(20, 21),
          "a40bb6c0ae7ba248413a3d2d33465106629ae882d1d36c52345fd3de2fb01e6e"),
-        (lambda: _grid_module().city_map(40, 21),
+        (lambda: grid_module().city_map(40, 21),
          "7b58eef250ecf8b08bcc756ae2bf3af77c7f56fad30fcc6d8ab396559a791455")],
         ids=["grid10", "rotated", "l_prism", "shared_wall", "polygons6",
              "bench_city10", "bench_city10_float_ids", "bench_city20",
@@ -437,16 +444,17 @@ class TestSide:
 
 class TestOcclusion:
     def test_segment_through_cube(self, unit_cube_map):
-        assert f_block(pt(-1, 0.5, 0.5), pt(2, 0.5, 0.5), unit_cube_map) == 1
+        assert f_block(pt(-1, 0.5, 0.5), pt(2, 0.5, 0.5), unit_cube_map)[0] == 1
 
     def test_segment_above_roof(self, unit_cube_map):
-        assert f_block(pt(-1, 0.5, 1.5), pt(2, 0.5, 1.5), unit_cube_map) == 0
+        assert f_block(pt(-1, 0.5, 1.5), pt(2, 0.5, 1.5), unit_cube_map)[0] == 0
 
     def test_grazing_roof_misses(self, unit_cube_map):
-        assert f_block(pt(-1, 0.5, 1.001), pt(2, 0.5, 1.001), unit_cube_map) == 0
+        assert f_block(pt(-1, 0.5, 1.001), pt(2, 0.5, 1.001),
+                       unit_cube_map)[0] == 0
 
     def test_endpoint_on_face_not_blocked(self, unit_cube_map):
-        assert f_block(pt(-1, 0.5, 0.5), pt(0.0, 0.5, 0.5), unit_cube_map) == 0
+        assert f_block(pt(-1, 0.5, 0.5), pt(0.0, 0.5, 0.5), unit_cube_map)[0] == 0
 
     def test_symmetry(self, canyon_map):
         rng = np.random.default_rng(3)
@@ -455,7 +463,7 @@ class TestOcclusion:
             b = rng.uniform(-10, 140, 3)
             if np.linalg.norm(a - b) < 1e-3:
                 continue
-            assert f_block(a, b, canyon_map) == f_block(b, a, canyon_map)
+            assert f_block(a, b, canyon_map)[0] == f_block(b, a, canyon_map)[0]
 
     @pytest.mark.parametrize("query", [
         lambda m: m.wall_rows([7]),
@@ -524,7 +532,7 @@ class TestOcclusionOracle:
                 if degen:
                     continue
                 tri_blocked = segment_blocked_by_triangles(a[i], b[i], *tris)
-                got = f_block(a[i], b[i], gmap)
+                got = f_block(a[i], b[i], gmap)[0]
                 assert got == int(blocked) == int(tri_blocked)
                 n_checked += 1
         assert n_checked >= 8000

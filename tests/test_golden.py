@@ -25,7 +25,8 @@ import os
 
 import pytest
 
-from conftest import CANYON_BOXES, CANYON_ROUTE_X, TX, build_map_dict
+from conftest import (CANYON_BOXES, CANYON_ROUTE_X, TX, Scene, build_map_dict,
+                      read_rows, write_inputs)
 from urbanprop.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -61,38 +62,17 @@ def scenes():
     return {"canyon": canyon, "grid100": _grid_scene()}
 
 
-def _write_inputs(directory, boxes, tx, xy):
-    os.makedirs(directory, exist_ok=True)
-    map_path = os.path.join(directory, "map.json")
-    route_path = os.path.join(directory, "route.csv")
-    config_path = os.path.join(directory, "scenario.json")
-    with open(map_path, "w", encoding="utf-8") as fh:
-        json.dump(build_map_dict(boxes), fh)
-    with open(route_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "y", "z"])
-        writer.writerows((0.5 * k, x, y, 1.5) for k, (x, y) in enumerate(xy))
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump({"map_path": map_path, "route_path": route_path, "tx": tx}, fh)
-    return config_path
-
-
-def _read_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        if path.endswith(".jsonl"):
-            return [json.loads(line) for line in fh if line.strip()]
-        return list(csv.DictReader(fh))
-
-
 def run_corpus(work_dir):
     """``{command: rows}`` of every scene, each row tagged with its scene."""
     out = {command: [] for command in COMMANDS}
     for name, (boxes, tx, xy) in scenes().items():
         scene_dir = os.path.join(work_dir, name)
-        config = _write_inputs(scene_dir, boxes, tx, xy)
+        route = [(0.5 * k, x, y, 1.5) for k, (x, y) in enumerate(xy)]
+        config = write_inputs(Scene(name, build_map_dict(boxes), tx, route, 1),
+                              scene_dir)
         for command, filename in COMMANDS.items():
             assert main(["--config", config, "--output", scene_dir, command]) == 0
-            rows = _read_rows(os.path.join(scene_dir, filename))
+            rows = read_rows(os.path.join(scene_dir, filename))
             out[command] += [{"scene": name, **row} for row in rows]
     return out
 
@@ -147,7 +127,7 @@ def corpus(tmp_path_factory):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_matches_golden_corpus(corpus, command):
-    want = _read_rows(os.path.join(GOLDEN_DIR, COMMANDS[command]))
+    want = read_rows(os.path.join(GOLDEN_DIR, COMMANDS[command]))
     assert mismatches(corpus[command], want) == []
 
 

@@ -142,7 +142,7 @@ class TestBreakpoint:
         bp = classify_one(pt(0.0, 0.0), pt(40.0, 0.0), gmap).breakpoint
         assert bp.tolist() == [16.0, -5.0 - 0.6e-9, 2.0]
         assert _scan_breakpoint(pt(0.0, 0.0), pt(40.0, 0.0),
-                                gmap.first_hit(pt(0.0, 0.0), pt(40.0, 0.0))[1],
+                                gmap.first_hit(pt(0.0, 0.0), pt(40.0, 0.0))[1][0],
                                 gmap)[0].tolist() == [20.0, -5.0, 2.0]
 
     @settings(max_examples=200, deadline=None)
@@ -166,7 +166,7 @@ class TestBreakpoint:
                 tx[1] = aim[1] = data.draw(st.integers(
                     int(np.ceil(lo[1])), int(np.floor(hi[1]))))
             rx = aim + data.draw(st.floats(0.1, 2.0)) * (aim - tx)
-            _t, tri = gmap.first_hit(tx, rx)
+            tri = gmap.first_hit(tx, rx)[1][0]
             if tri < 0:
                 continue
             want, dist = _scan_breakpoint(tx, rx, tri, gmap)
@@ -264,7 +264,7 @@ def _two_query_classification(tx, rx, gmap):
     alone, which anchors the corner-by-corner scan (a breakpoint or an error
     message); ``(None, None)`` for a clear link.  On box scenes no three
     eligible corners chain near-ties, so the scan's comparator is exact."""
-    _t, tri = gmap.first_hit(tx, rx)
+    tri = gmap.first_hit(tx, rx)[1][0]
     if tri < 0:
         return None, None
     bid = int(gmap.ids[gmap.tri_building[tri]])

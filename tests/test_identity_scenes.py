@@ -7,14 +7,15 @@ import json
 
 import pytest
 
-from identity import compare, scenes, write_inputs
+from conftest import write_inputs
+from identity import compare, scenes
 from urbanprop.config import load_config, load_route
 from urbanprop.geometry import load_map
 
 
 def test_every_scene_loads(tmp_path):
     listed = scenes()
-    assert len({scene.name for scene in listed}) == len(listed) == 28
+    assert len({scene.name for scene in listed}) == len(listed) == 29
     for scene in listed:
         cfg = load_config(write_inputs(scene, tmp_path / scene.name))
         assert len(load_map(cfg.map_path).ids) == len(scene.map["buildings"])

@@ -51,8 +51,9 @@ class TestZeroLengthSegment:
                 a = np.array(p)
                 assert np.all(np.isinf(
                     kernels.segment_triangles(a, a, *soup, EPS_HIT)))
-                assert f_block(a, a, unit_cube_map) == 0
-                assert unit_cube_map.first_hit(a, a) == (np.inf, -1)
+                assert f_block(a, a, unit_cube_map)[0] == 0
+                t, tri = unit_cube_map.first_hit(a, a)
+                assert (t[0], tri[0]) == (np.inf, -1)
 
 
 @st.composite
@@ -157,12 +158,12 @@ class TestCullChangesNothing:
             assert (t.dtype, tri.dtype, t.shape, tri.shape) == (
                 np.float64, np.int64, (len(a),), (len(a),))
             for i in range(len(a)):
-                assert gmap.first_hit(a[i], b[i]) == _nearest(full[i])
-                # the batch row holds the same bits as the one-row call
                 one_t, one_tri = gmap.first_hit(a[i], b[i])
-                assert t[i].tobytes() == np.float64(one_t).tobytes()
-                assert tri[i] == one_tri
-                assert f_block(a[i], b[i], gmap) == blocked[i].any()
+                assert (one_t[0], one_tri[0]) == _nearest(full[i])
+                # the batch row holds the same bits as the one-row call
+                assert t[i].tobytes() == one_t[0].tobytes()
+                assert tri[i] == one_tri[0]
+                assert f_block(a[i], b[i], gmap)[0] == blocked[i].any()
 
     @settings(max_examples=300, deadline=None)
     @given(scene_and_segments())
@@ -217,7 +218,7 @@ class TestCullChangesNothing:
         a, b = np.array([[0.5, 0.5, 0.5]]), np.array([[1.5, 0.5, 0.5]])
         row = dense(a, b, *_soup(gmap))[0]
         assert (row == 0.5).sum() == 4
-        t, tri = gmap.first_hit(a[0], b[0])
+        t, tri = (x[0] for x in gmap.first_hit(a[0], b[0]))
         assert (t, tri) == _nearest(row)
         assert gmap.ids[gmap.tri_building[tri]] == 1
         # in a batch, behind a segment that hits nothing and one that hits
@@ -226,7 +227,8 @@ class TestCullChangesNothing:
         b3 = np.array([[6.0, 6.0, 6.0], [0.5, 0.5, 0.5], b[0]])
         t3, tri3 = gmap.first_hit(a3, b3)
         assert (t3[0], tri3[0]) == (np.inf, -1)
-        assert tri3[1] >= 0 and (t3[1], tri3[1]) == gmap.first_hit(a3[1], b3[1])
+        assert tri3[1] >= 0 and (t3[1], tri3[1]) == tuple(
+            x[0] for x in gmap.first_hit(a3[1], b3[1]))
         assert (t3[2], tri3[2]) == (t, tri)
 
 
@@ -246,7 +248,8 @@ def test_triangles_tested_counts_pairs(canyon_map, monkeypatch):
     b = np.array([[75.0, -40.0, 5.0], [35.0, 0.0, 5.0]])
     assert f_block(a, b, canyon_map).tolist() == [1, 1]
     assert calls == [24]
-    assert build_map([]).first_hit(a[0], b[0]) == (np.inf, -1)
+    t, tri = build_map([]).first_hit(a[0], b[0])
+    assert (t[0], tri[0]) == (np.inf, -1)
     assert calls == [24]
 
 

@@ -10,8 +10,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import CORNER_BOXES, TX, build_map, set_usable_cpus
-from identity import _grid_module
+from conftest import (CORNER_BOXES, TX, build_map, grid_scene, moved,
+                      set_usable_cpus)
 from test_identify import _grid_scene, pt
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
@@ -210,6 +210,20 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
         assert 0 < calls[name] <= math.ceil(len(route) / BLOCK), name
     for name in ("extract_chain", "total_field", "predict_position"):
         assert calls[name] == len(route), name
+
+
+def test_a_position_is_a_block_of_one(cfg, corner_map, monkeypatch):
+    """``predict_position`` without a block runs the route's block path:
+    one ``_predict_block`` call, on the one position."""
+    calls, block = [], pipeline._predict_block
+
+    def recording(cfg, gmap, positions):
+        calls.append(positions.tolist())
+        return block(cfg, gmap, positions)
+
+    monkeypatch.setattr(pipeline, "_predict_block", recording)
+    res = predict_position(cfg, corner_map, pt(59.0, 45.0))
+    assert calls == [[[59.0, 45.0, 2.0]]] and len(res.los) == 1
 
 
 @pytest.mark.parametrize("rows", [None, 40])
@@ -488,13 +502,9 @@ def test_rx_at_its_chains_last_corner():
 def _moved_grid_route(move):
     """The route of the seed-21 grid city of 10 x 10 buildings at a 2.5 m
     step, its map, TX and route each mapped through ``move(x, y)``."""
-    grid = _grid_module()
-    raw = grid.city_map(10, 21)
-    raw["vertices"] = [[*move(x, y), z] for x, y, z in raw["vertices"]]
-    x, y, z = grid.tx_position(10)
-    rows = np.array([(*move(x, y), z)
-                     for _t, x, y, z in grid.route_points(10, 2.5)])
-    return predict_route(ScenarioConfig(tx=[*move(x, y), z]), map_from_dict(raw),
+    scene = moved(grid_scene(10, 21), move)
+    rows = np.array([rx[1:] for rx in scene.route])
+    return predict_route(ScenarioConfig(tx=scene.tx), map_from_dict(scene.map),
                          Route(np.arange(len(rows), dtype=np.float64), rows))
 
 
