@@ -12,8 +12,8 @@ from .identify import (LinkClassification, VisibilitySet, classify_link,
                        visible_identification)
 from .fields import (STAGE, direct_field, recursive_chain, stage_transfer,
                      transition_function)
-from .link import (ChainTable, LinkPrediction, MaterialConfig, chain_fields,
-                   chain_table, extract_chain, friis_path_loss_db, path_loss,
+from .link import (ChainTable, LinkPrediction, chain_fields, chain_table,
+                   extract_chain, friis_path_loss_db, path_loss,
                    reflection_coefficient, slope_coefficient, total_field)
 from .baselines import gpp_path_loss
 from .doppler import (doppler_shift, gpp_doppler_estimate, rms_spread,

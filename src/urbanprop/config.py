@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, DataShapeError, NumericalDomainError, RouteError
-from .link import PL_CAP_DB, MaterialConfig
+from .errors import ConfigError, DataShapeError, RouteError
+from .link import PL_CAP_DB
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +63,10 @@ class ScenarioConfig:
                                   f"got {v!r}")
             if name != "eps_r" and not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"config field '{name}' must be positive, got {v}")
-        try:
-            self.material      # MaterialConfig checks eps_r and polarization
-        except NumericalDomainError as exc:
-            raise ConfigError(f"config: {exc}") from exc
-
-    @property
-    def material(self):
-        return MaterialConfig(self.eps_r, self.polarization)
+        if self.polarization not in ("H", "V"):
+            raise ConfigError("config: polarization must be 'H' or 'V'")
+        if not 1.0 < self.eps_r < math.inf:
+            raise ConfigError("config: eps_r must be finite and exceed 1")
 
     def defaults_dump(self):
         d = asdict(self)

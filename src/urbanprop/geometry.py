@@ -172,8 +172,14 @@ class GeometryMap:
         wall = np.flatnonzero(roof.take(nb))
         here, nb = here.take(wall >> 1), nb.take(wall)
         xy = self.vertices[:, :2]
-        d = xy.take(flat.take(nb), axis=0) - xy.take(flat.take(here), axis=0)
-        norm = np.hypot(d[:, 0], d[:, 1])
+        # finite coordinates can still overflow here: such a face is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = xy.take(flat.take(nb), axis=0) - xy.take(flat.take(here), axis=0)
+            norm = np.hypot(d[:, 0], d[:, 1])
+        holder = np.searchsorted(starts, here[~np.isfinite(norm)], "right") - 1
+        _raise_first_failure(
+            (np.bincount(holder, minlength=len(sizes)) > 0,
+             lambda i: f"face {i} has a ring wall beyond the float range"))
         wall = np.flatnonzero(norm > 1e-9)
         self.ring_dir = d.take(wall, axis=0) / norm.take(wall)[:, None]
         self._ring_dir_edge = np.append(

@@ -35,18 +35,6 @@ TERMINAL = np.dtype([("edge", "f8", 3), ("length_direct", "f8"),
                      ("wall_incidence", "f8")])
 
 
-@dataclass(frozen=True)
-class MaterialConfig:
-    eps_r: float = 6.0
-    polarization: str = "V"          # "H" or "V"
-
-    def __post_init__(self):
-        if self.polarization not in ("H", "V"):
-            raise NumericalDomainError("polarization must be 'H' or 'V'")
-        if not 1.0 < self.eps_r < np.inf:
-            raise NumericalDomainError("eps_r must be finite and exceed 1")
-
-
 @dataclass(eq=False)
 class ChainTable:
     """A block's chains: position i's ``STAGE`` rows ``stages[start[i]:
@@ -196,17 +184,16 @@ def extract_chain(table, i):
     return table.stages[lo:hi], table.terminal[i] if hi > lo else None
 
 
-def reflection_coefficient(theta, material):
-    """Fresnel wall reflection coefficient for H or V polarization at
-    incidence ``theta`` from the wall normal, in [0, pi/2)."""
+def reflection_coefficient(theta, eps_r, polarization):
+    """Fresnel coefficient of a wall of permittivity ``eps_r`` for "H" or "V"
+    ``polarization`` at incidence ``theta`` from its normal, in [0, pi/2)."""
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((0.0 <= theta) & (theta < np.pi / 2.0)):
         raise NumericalDomainError("theta must be in [0, pi/2)")
-    eps = material.eps_r
     s2 = np.sin(theta) ** 2
-    if np.any(eps < s2):
+    if np.any(eps_r < s2):
         raise NumericalDomainError("eps_r below sin^2(theta)")
-    root = (1.0 if material.polarization == "H" else 1.0 / eps) * np.sqrt(eps - s2)
+    root = (1.0 if polarization == "H" else 1.0 / eps_r) * np.sqrt(eps_r - s2)
     return (np.cos(theta) - root) / (np.cos(theta) + root)
 
 
@@ -227,11 +214,12 @@ def slope_coefficient(kind, term, k):
     return cmul(pref, terms[0] - terms[1])
 
 
-def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
-                 pl_cap_db=PL_CAP_DB):
-    """``LinkPrediction`` columns of a ``chain_table``: the terminal branches
-    fed with the recursive chain field at the final edge (full model) or free
-    space to it (simplified), plus the direct field where LOS."""
+def chain_fields(table, cfg, rxs):
+    """``LinkPrediction`` columns of a ``chain_table`` at ``rxs`` in scenario
+    ``cfg``: the terminal branches fed with the recursive chain field at the
+    final edge (full model) or free space to it (simplified), plus the direct
+    field where LOS."""
+    p_t, tx, freq, g_r = cfg.p_t_watts, cfg.tx, cfg.freq_hz, cfg.g_r_linear
     k = 2.0 * np.pi * freq / C_LIGHT
     los = np.array([vis.classification.los for vis in table.vis], dtype=bool)
     d3d = np.sqrt(row_dot(rxs - tx, rxs - tx))
@@ -246,14 +234,15 @@ def chain_fields(table, material, p_t, tx, rxs, freq, g_r=1.0,
         w = np.flatnonzero(~los[h] & ~np.isnan(term["wall_point"][:, 0]))
         kind, term = np.repeat(["I", "II"], [len(h), len(w)]), term[np.r_[:len(h), w]]
         source = np.concatenate([e_n, reflection_coefficient(
-            term["wall_incidence"][len(h):], material)[:, None] * e_n[w]])
+            term["wall_incidence"][len(h):], cfg.eps_r,
+            cfg.polarization)[:, None] * e_n[w]])
         ell = np.where(kind == "II", term["length_reflected"], term["length_direct"])
         branch = cmul(cmul(source, slope_coefficient(kind, term, k)[:, None])
                       * np.sqrt(term["d_n"] / (ell * (term["d_n"] + ell)))[:, None],
                       np.exp(-1j * k * ell)[:, None])
         comps[h, :, 1], comps[h[w], :, 2] = branch[:len(h)], branch[len(h):]
     e = comps[:, :, 0] + comps[:, :, 1] + comps[:, :, 2]
-    _p_r, pl_db, capped = path_loss(e, p_t, g_r, freq, pl_cap_db=pl_cap_db)
+    _p_r, pl_db, capped = path_loss(e, p_t, g_r, freq, cfg.pl_cap_db)
     return LinkPrediction(
         pl_db[:, 0], pl_db[:, 1], e[:, 0],
         dict(zip(("direct", "final_I", "final_II"), comps[:, 0].T)),

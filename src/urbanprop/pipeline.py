@@ -4,14 +4,14 @@ rows of a route gathered into one table of columns.
 Every function here is pure over the immutable map, so route positions can
 be evaluated in parallel and reassembled in input order.  A receiver
 position is a ``(3,)`` float64 array, a row of the route's ``xyz``; a lone
-position runs as a block of one.  The route is cut into the fewest blocks of
-at most ``BLOCK`` positions, of sizes that differ by at most one, and walked
-a block at a time: one candidate pass, the visibility scans, one chain pass
-(``link.chain_table``) and one field pass (``link.chain_fields``) per block,
-then each position's cut of them.  A route of at least ``2 * POOL_BLOCKS``
-blocks may run on a worker pool, one worker per ``POOL_BLOCKS`` blocks; a
-pool worker gets the scene ``(cfg, gmap)`` once, through its initializer,
-and returns the rows of one block per task.
+position is a route of one point.  The route is cut into the fewest blocks
+of at most ``BLOCK`` positions, of sizes that differ by at most one, and
+walked a block at a time: one candidate pass, the visibility scans, one
+chain pass (``link.chain_table``) and one field pass (``link.chain_fields``)
+per block, then each position's cut of them.  A route of at least
+``2 * POOL_BLOCKS`` blocks may run on a worker pool, one worker per
+``POOL_BLOCKS`` blocks; a pool worker gets the scene ``(cfg, gmap)`` once,
+through its initializer, and returns the rows of one block per task.
 """
 
 import os
@@ -67,12 +67,9 @@ class RouteResult:
     wall_point: np.ndarray
 
 
-def predict_position(cfg, gmap, rx, block=None, i=0):
-    """The ``RouteResult`` row of one receiver position: row ``i`` of the
-    ``(chain_table, chain_fields)`` passes ``block`` of its block, or, with
-    no ``block``, the ``_predict_block`` of a block of one."""
-    if block is None:
-        return _predict_block(cfg, gmap, np.reshape(rx, (1, 3)))
+def predict_position(block, i):
+    """The ``RouteResult`` row of position ``i`` of a block: its cut of the
+    block's ``(chain_table, chain_fields)`` passes ``block``."""
     table, preds = block
     stages, _term = extract_chain(table, i)
     pred = total_field(preds, i)
@@ -101,11 +98,8 @@ def _predict_block(cfg, gmap, positions):
                                              cfg.corridor_width_m)
     table = chain_table([identify.visible_identification(segs, cls, gmap)
                          for cls, segs in idents], cfg.tx, positions, gmap)
-    passes = table, chain_fields(table, cfg.material, cfg.p_t_watts, cfg.tx,
-                                 positions, cfg.freq_hz, cfg.g_r_linear,
-                                 cfg.pl_cap_db)
-    return _concat([predict_position(cfg, gmap, rx, passes, k)
-                    for k, rx in enumerate(positions)])
+    passes = table, chain_fields(table, cfg, positions)
+    return _concat([predict_position(passes, k) for k in range(len(positions))])
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker

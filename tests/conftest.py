@@ -1,24 +1,22 @@
-"""Shared fixtures: canonical box scenes and scenario configuration, and the
+"""Shared fixtures: canonical box scenes and scenario configuration, the
 one helper set that writes, moves and reads scenes: ``Scene``,
 ``write_inputs``, ``grid_module`` and ``grid_scene``, ``moved`` (with
-``rotation``) and ``read_rows``."""
+``rotation``) and ``read_rows``, and ``predict_one`` for a lone position."""
 
 import concurrent.futures
 import csv
-import importlib.util
 import json
 import math
 import os
 from collections import namedtuple
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from urbanprop.config import ScenarioConfig
+from benchscene import grid_module
+from urbanprop.config import Route, ScenarioConfig
 from urbanprop.geometry import map_from_dict
-
-SCENE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "scene.py"
+from urbanprop.pipeline import predict_route
 
 # a map dict, a TX [x, y, z], route rows (t, x, y, z) and a worker count
 Scene = namedtuple("Scene", "name map tx route workers")
@@ -71,6 +69,14 @@ def roof_ring(gmap, bid):
 
 
 UNIT_CUBE = [(0, (0.0, 0.0, 1.0, 1.0, 1.0))]
+
+# one finite, planar face in y = 0 whose last roof-ring wall, from x = 1.7e308
+# to x = -1.7e308, is longer than the float range
+RING_OVERFLOW_MAP = {
+    "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 10.0],
+                 [1.7e308, 0.0, 10.0], [-1.7e308, 0.0, 10.0]],
+    "faces": [{"building": 0, "v": [0, 1, 2, 3, 4]}],
+    "buildings": [{"id": 0}]}
 
 # Straight street along x at y = 0; the first block exists on the left side
 # only, so nearby receivers get single-stage chains.
@@ -129,6 +135,12 @@ def cfg():
     return ScenarioConfig(tx=TX)
 
 
+def predict_one(cfg, gmap, rx):
+    """The ``RouteResult`` of the lone position ``rx``: ``predict_route`` of a
+    one-point route."""
+    return predict_route(cfg, gmap, Route(np.zeros(1), np.reshape(rx, (1, 3))))
+
+
 def canyon_route():
     return [np.array([x, 0.0, 2.0]) for x in CANYON_ROUTE_X]
 
@@ -173,14 +185,6 @@ def read_rows(path):
         if os.fspath(path).endswith(".jsonl"):
             return [json.loads(line) for line in fh if line.strip()]
         return list(csv.DictReader(fh))
-
-
-def grid_module():
-    """``perfbench/scene.py``, loaded by path (read only)."""
-    spec = importlib.util.spec_from_file_location("perfbench_scene", SCENE_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def grid_scene(n, seed, step=2.5, workers=1):

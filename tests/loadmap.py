@@ -20,7 +20,6 @@ was faster.  ``--rounds 1 --calls 1`` is its quickest run.  Like
 """
 
 import argparse
-import importlib.util
 import json
 import os
 import statistics
@@ -30,7 +29,8 @@ import tempfile
 import time
 from pathlib import Path
 
-SCENE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "scene.py"
+from benchscene import grid_module
+
 SIDES = (10, 20, 40)
 SEED = 21
 STAGES = ("json.loads", "map_from_dict", "load_map")
@@ -74,9 +74,7 @@ def run_child(checkout, calls, paths):
 
 def write_maps(directory):
     """``{n: path}`` of the seed-21 grid maps, written as the benchmark does."""
-    spec = importlib.util.spec_from_file_location("perfbench_scene", SCENE_PY)
-    scene = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scene)
+    scene = grid_module()
     paths = {}
     for n in SIDES:
         paths[n] = os.path.join(directory, f"grid{n * n}.json")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (CORNER_ROUTE_Y, TX, build_map, canyon_route,
-                      corner_route)
+                      corner_route, predict_one)
 from oracles import OracleScene, oracle_identify
 from test_fields import sommerfeld_halfplane, transition_quadrature
 from test_identify import random_scene
@@ -22,9 +22,9 @@ from urbanprop.doppler import (doppler_shift, gpp_doppler_estimate,
 from urbanprop.baselines import gpp_path_loss
 from urbanprop.fields import stage_transfer, transition_function
 from urbanprop.identify import identify_position
-from urbanprop.link import MaterialConfig, friis_path_loss_db, reflection_coefficient
+from urbanprop.link import friis_path_loss_db, reflection_coefficient
 from urbanprop.metrics import ks_distance, rmse
-from urbanprop.pipeline import predict_position, predict_route
+from urbanprop.pipeline import predict_route
 
 C = 299792458.0
 F58 = 5.8e9
@@ -47,7 +47,7 @@ def test_criterion_01_friis_reduction(empty_map):
         u[2] = abs(u[2]) * 0.01
         u = u / np.linalg.norm(u)
         rx = cfg.tx + d * u
-        res = predict_position(cfg, empty_map, rx)
+        res = predict_one(cfg, empty_map, rx)
         assert abs(res.pl_model_db[0] - friis_path_loss_db(d, f)) < 1e-9
     assert time.perf_counter() - t0 < 1.0
 
@@ -149,12 +149,12 @@ def test_criterion_06_recursion_base_equivalence(canyon_map, corner_map, cfg):
     > 1 dB divergence on the >= 2-stage deep-NLOS corner positions, with the
     gap frozen at 41.616966 dB +- 0.01."""
     for rx in canyon_route():
-        res = predict_position(cfg, canyon_map, rx)
+        res = predict_one(cfg, canyon_map, rx)
         if res.n_stages[0] <= 1:
             assert abs(res.pl_simplified_db[0] - res.pl_model_db[0]) < 1e-9
     deep = 0
     for rx in corner_route():
-        res = predict_position(cfg, corner_map, rx)
+        res = predict_one(cfg, corner_map, rx)
         if res.n_stages[0] >= 2 and not res.los[0]:
             gap = res.pl_model_db[0] - res.pl_simplified_db[0]
             assert abs(gap) > 1.0
@@ -167,17 +167,15 @@ def test_criterion_07_reflection_limits():
     """Conducting limits within 1e-3 at eps_r = 1e8; |R| <= 1 on a 100x100
     (theta, eps_r) grid for both polarizations."""
     for theta in (0.0, 0.4, 0.7, 1.2):
-        assert abs(reflection_coefficient(theta, MaterialConfig(1e8, "H"))
-                   + 1.0) < 1e-3
-        assert abs(reflection_coefficient(theta, MaterialConfig(1e8, "V"))
-                   - 1.0) < 1e-3
+        assert abs(reflection_coefficient(theta, 1e8, "H") + 1.0) < 1e-3
+        assert abs(reflection_coefficient(theta, 1e8, "V") - 1.0) < 1e-3
     thetas = np.linspace(0.0, np.pi / 2.0 - 1e-6, 100)
     epss = np.logspace(np.log10(1.01), 8.0, 100)
     for pol in ("H", "V"):
         for eps in epss:
-            m = MaterialConfig(float(eps), pol)
             for theta in thetas:
-                assert abs(reflection_coefficient(float(theta), m)) <= 1.0 + 1e-12
+                assert abs(reflection_coefficient(float(theta), float(eps),
+                                                  pol)) <= 1.0 + 1e-12
 
 
 def test_criterion_08_doppler_identities(corner_map, cfg):
@@ -229,10 +227,10 @@ def test_criterion_11_qualitative_shape(corner_map, cfg):
     geometry-flat and monotone in distance; the simplified model departs from
     the full model on multi-edge segments."""
     nlos_rx = np.array([59.0, 45.0, 2.0])
-    nlos = predict_position(cfg, corner_map, nlos_rx)
+    nlos = predict_one(cfg, corner_map, nlos_rx)
     assert not nlos.los[0]
     d = float(np.linalg.norm(nlos_rx - TX))
-    los = predict_position(cfg, corner_map, np.array([d, 0.0, 2.0]))
+    los = predict_one(cfg, corner_map, np.array([d, 0.0, 2.0]))
     assert los.los[0]
     assert nlos.pl_model_db[0] > los.pl_model_db[0]
 
@@ -245,7 +243,7 @@ def test_criterion_11_qualitative_shape(corner_map, cfg):
 
     diverged = False
     for rx in corner_route():
-        res = predict_position(cfg, corner_map, rx)
+        res = predict_one(cfg, corner_map, rx)
         if res.n_stages[0] >= 2 and not res.los[0]:
             diverged |= abs(res.pl_simplified_db[0] - res.pl_model_db[0]) > 1.0
     assert diverged

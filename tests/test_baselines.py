@@ -4,10 +4,9 @@ simplified variant."""
 import numpy as np
 import pytest
 
-from conftest import canyon_route, corner_route
+from conftest import corner_route, predict_one
 from urbanprop.baselines import gpp_path_loss
 from urbanprop.errors import NumericalDomainError
-from urbanprop.pipeline import predict_position
 
 
 class TestGppPathLoss:
@@ -49,19 +48,19 @@ class TestGppPathLoss:
 
 class TestSimplifiedModel:
     def test_empty_map_identical(self, empty_map, cfg):
-        res = predict_position(cfg, empty_map, np.array([120.0, 10.0, 2.0]))
+        res = predict_one(cfg, empty_map, np.array([120.0, 10.0, 2.0]))
         assert res.pl_simplified_db[0] == res.pl_model_db[0]
 
     def test_single_stage_identical(self, canyon_map, cfg):
         # receiver beside the first (left-only) block: one-stage chain
-        res = predict_position(cfg, canyon_map, np.array([30.0, 0.0, 2.0]))
+        res = predict_one(cfg, canyon_map, np.array([30.0, 0.0, 2.0]))
         assert res.n_stages[0] == 1
         assert abs(res.pl_simplified_db[0] - res.pl_model_db[0]) < 1e-9
 
     def test_multi_stage_differs(self, corner_map, cfg):
         seen = False
         for rx in corner_route():
-            res = predict_position(cfg, corner_map, rx)
+            res = predict_one(cfg, corner_map, rx)
             if res.n_stages[0] >= 2 and not res.los[0]:
                 assert abs(res.pl_simplified_db[0] - res.pl_model_db[0]) > 1.0
                 seen = True

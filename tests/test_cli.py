@@ -5,12 +5,18 @@ import json
 
 import pytest
 
-from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, TX, Scene, build_map_dict,
-                      grid_scene, moved, read_rows, rotation, set_usable_cpus,
-                      write_inputs)
+from conftest import (CORNER_BOXES, CORNER_ROUTE_Y, RING_OVERFLOW_MAP, TX,
+                      Scene, build_map_dict, grid_scene, moved, read_rows,
+                      rotation, set_usable_cpus, write_inputs)
 from test_identify import GRID_BOXES, _grid_scene
 from urbanprop import cli, pipeline
 from urbanprop.cli import main
+
+# the whole stderr of a config whose material the model cannot use
+MATERIAL_ERRORS = [
+    (("polarization", "X"), "error: config: polarization must be 'H' or 'V'"),
+    (("eps_r", 0.5), "error: config: eps_r must be finite and exceed 1"),
+    (("eps_r", 1.0), "error: config: eps_r must be finite and exceed 1")]
 
 
 def run(args):
@@ -60,6 +66,15 @@ class TestExitCodes:
                     "identify"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: face 0 has a normal beyond the float range"]
+
+    def test_ring_wall_beyond_float_range(self, tmp_path, capsys):
+        # a finite, planar face whose roof-ring wall overflows: it loaded
+        cfg = write_inputs(Scene("huge", RING_OVERFLOW_MAP, TX.tolist(),
+                                 [(0.0, 59.0, 0.0, 2.0)], 1), tmp_path)
+        assert run(["--config", cfg, "--output", tmp_path / "o",
+                    "identify"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: face 0 has a ring wall beyond the float range"]
 
     def test_missing_config_flag(self, capsys):
         assert run(["predict"]) == 2
@@ -111,7 +126,8 @@ class TestExitCodes:
     # a tx object escaped as KeyError, a 4-element tx was cut to 3 values, a
     # number for a path reached open() as a file descriptor (one above any
     # descriptor limit, so no open file of this process can be read), and an
-    # integer too large for a float loaded or failed inside numpy
+    # integer too large for a float loaded or failed inside numpy; the
+    # scenario's material messages are pinned whole
     @pytest.mark.parametrize("field, value", [
         ("polarization", "X"), ("eps_r", 0.5),
         ("pl_cap_db", -5.0), ("pl_cap_db", float("nan")),
@@ -123,7 +139,7 @@ class TestExitCodes:
         pytest.param("freq_hz", 10**400, id="freq_hz-1e400"),
         pytest.param("p_t_watts", 10**400, id="p_t_watts-1e400"),
         pytest.param("tx", [0, float("nan"), 2], id="tx-nan"),
-        pytest.param("tx", [float("inf"), 0, 2], id="tx-inf")])
+        pytest.param("tx", [float("inf"), 0, 2], id="tx-inf"), ("eps_r", 1.0)])
     def test_bad_config_value_fails_at_load(self, scenario, tmp_path, capsys,
                                             field, value):
         cfg = tmp_path / "cfg.json"
@@ -132,7 +148,11 @@ class TestExitCodes:
                                    field: value}))
         assert run(["--config", cfg, "--output", tmp_path / "o",
                     "predict"]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        for key, message in MATERIAL_ERRORS:
+            if key == (field, value):
+                assert err.splitlines() == [message]
         assert not (tmp_path / "o").exists()
 
     # a bool passed as a number (a 1 m corridor, "freq_hz": true in the

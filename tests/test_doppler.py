@@ -4,13 +4,13 @@ the empirical estimate."""
 import numpy as np
 import pytest
 
-from conftest import TX, corner_route
+from conftest import corner_route, predict_one
 from test_identify import _grid_scene
 from urbanprop.config import Route, ScenarioConfig
 from urbanprop.doppler import (doppler_shift, gpp_doppler_estimate,
                                rms_spread, route_doppler, route_velocities)
 from urbanprop.errors import NumericalDomainError, RouteError
-from urbanprop.pipeline import predict_position, predict_route
+from urbanprop.pipeline import predict_route
 
 F58 = 5.8e9
 LAM = 299792458.0 / F58
@@ -190,14 +190,14 @@ class TestRouteVelocities:
 
 class TestPathPowers:
     def test_open_field_single_path(self, empty_map, cfg):
-        res = predict_position(cfg, empty_map, np.array([80.0, 0.0, 2.0]))
+        res = predict_one(cfg, empty_map, np.array([80.0, 0.0, 2.0]))
         assert (res.power[0, :, 0] > 0.0).all()
         assert (res.power[0, :, 1:] == 0.0).all()
         assert np.isnan(res.edge).all() and np.isnan(res.wall_point).all()
 
     def test_nlos_components(self, corner_map, cfg):
         rx = np.array([59.0, 30.0, 2.0])
-        res = predict_position(cfg, corner_map, rx)
+        res = predict_one(cfg, corner_map, rx)
         assert not res.los[0]
         assert 1 <= np.count_nonzero(res.power[0, 0]) <= 2
         assert res.power[0, 0, 1] > 0.0

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (UNIT_CUBE, build_map, build_map_dict, grid_module,
-                      roof_ring)
+from conftest import (RING_OVERFLOW_MAP, UNIT_CUBE, build_map, build_map_dict,
+                      grid_module, roof_ring)
 from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop import geometry
@@ -316,6 +316,13 @@ class TestMapLoading:
         with pytest.raises(MapValidationError,
                            match="^face 0 has a normal beyond the float range$"):
             map_from_dict(build_map_dict([(0, (0, 0, 1e300, 1e300, 1e300))]))
+
+    def test_ring_wall_beyond_float_range_rejected(self):
+        # a finite, planar face whose roof-ring wall overflows: it loaded
+        # with a NaN ring_dir row and an overflow warning
+        with pytest.raises(MapValidationError, match="^face 0 has a ring wall "
+                           "beyond the float range$"):
+            map_from_dict(RING_OVERFLOW_MAP)
 
     def test_load_time_topology_matches_per_face_and_per_building(self):
         raw = _rotated_boxes()

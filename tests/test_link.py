@@ -9,21 +9,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (CORNER_BOXES, build_map, build_map_dict, canyon_route,
-                      corner_route)
+                      corner_route, predict_one)
 from test_identify import _edge_points, _fixture_scene, _grid_scene
 from test_kernels import box_scenes
 from urbanprop.config import ScenarioConfig
-from urbanprop.errors import DegenerateGeometryError, NumericalDomainError
+from urbanprop.errors import (ConfigError, DegenerateGeometryError,
+                              NumericalDomainError)
 from urbanprop.fields import direct_field, recursive_chain, transition_function
 from urbanprop.geometry import map_from_dict
 from urbanprop.identify import (identify_position, initial_identification,
                                 visible_identification)
-from urbanprop.link import (C_LIGHT, TERMINAL, ChainTable, MaterialConfig,
-                            _reflection_branch, chain_fields, chain_table,
-                            extract_chain, friis_path_loss_db, path_loss,
-                            received_power, reflection_coefficient,
-                            slope_coefficient, total_field)
-from urbanprop.pipeline import BLOCK, NO_POINT, predict_position
+from urbanprop.link import (C_LIGHT, TERMINAL, ChainTable, _reflection_branch,
+                            chain_fields, chain_table, extract_chain,
+                            friis_path_loss_db, path_loss, received_power,
+                            reflection_coefficient, slope_coefficient,
+                            total_field)
+from urbanprop.pipeline import BLOCK, NO_POINT
 
 F58 = 5.8e9
 K58 = 2.0 * np.pi * F58 / 299792458.0
@@ -41,12 +42,11 @@ def _chain(vis, tx, rx, gmap):
     return extract_chain(chain_table([vis], tx, rx[None], gmap), 0)
 
 
-def _prediction(vis, tx, rx, gmap, material, p_t, freq, **kw):
-    """``total_field`` of one position, cut from the ``chain_fields`` of its
-    chain table of one."""
-    table = chain_table([vis], tx, rx[None], gmap)
-    return total_field(chain_fields(table, material, p_t, tx, rx[None], freq,
-                                    **kw), 0)
+def _prediction(vis, rx, gmap, cfg):
+    """``total_field`` of one position in the scenario ``cfg``, cut from the
+    ``chain_fields`` of its chain table of one."""
+    table = chain_table([vis], cfg.tx, rx[None], gmap)
+    return total_field(chain_fields(table, cfg, rx[None]), 0)
 
 
 class TestExtractChain:
@@ -243,8 +243,7 @@ def _block_equals_alone(gmap, tx, route, corridor):
 
     def passes(vis, rxs):
         table = chain_table(vis, tx, rxs, gmap)
-        return table, chain_fields(table, cfg.material, 1.0, tx, rxs, F58,
-                                   g_r=2.0, pl_cap_db=150.0)
+        return table, chain_fields(table, cfg, rxs)
 
     route = np.array(route)
     for i in range(0, len(route), BLOCK):
@@ -313,34 +312,34 @@ class TestChainBlockEqualsAlone:
 
 class TestReflectionCoefficient:
     def test_conducting_limits(self):
-        h = reflection_coefficient(0.7, MaterialConfig(1e8, "H"))
-        v = reflection_coefficient(0.7, MaterialConfig(1e8, "V"))
+        h = reflection_coefficient(0.7, 1e8, "H")
+        v = reflection_coefficient(0.7, 1e8, "V")
         assert abs(h + 1.0) < 1e-3
         assert abs(v - 1.0) < 1e-3
 
     def test_normal_incidence_concrete(self):
-        got = reflection_coefficient(0.0, MaterialConfig(6.0, "H"))
+        got = reflection_coefficient(0.0, 6.0, "H")
         assert got == pytest.approx((1 - np.sqrt(6)) / (1 + np.sqrt(6)), abs=1e-9)
 
     def test_grazing_limit(self):
         # the formula tends to -1 as incidence approaches the wall plane
-        got = reflection_coefficient(np.pi / 2 - 1e-6, MaterialConfig(6.0, "H"))
+        got = reflection_coefficient(np.pi / 2 - 1e-6, 6.0, "H")
         assert got == pytest.approx(-1.0, abs=1e-3)
 
     def test_magnitude_bounded(self):
         for theta in np.linspace(0.0, np.pi / 2 - 1e-3, 100):
             for eps in np.linspace(1.01, 80.0, 100):
                 for pol in ("H", "V"):
-                    r = reflection_coefficient(theta, MaterialConfig(eps, pol))
+                    r = reflection_coefficient(theta, eps, pol)
                     assert abs(r) <= 1.0 + 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(NumericalDomainError):
-            reflection_coefficient(-0.1, MaterialConfig())
-        with pytest.raises(NumericalDomainError):
-            MaterialConfig(0.5, "V")
-        with pytest.raises(NumericalDomainError):
-            MaterialConfig(6.0, "X")
+            reflection_coefficient(-0.1, 6.0, "V")
+        with pytest.raises(ConfigError, match="eps_r must be finite"):
+            ScenarioConfig(eps_r=0.5)
+        with pytest.raises(ConfigError, match="polarization must be"):
+            ScenarioConfig(polarization="X")
 
 
 # -- slope coefficient -------------------------------------------------------
@@ -462,9 +461,8 @@ class TestPathLoss:
         gmap = build_map([(0, (30.0, 10.0, 60.0, 20.0, 15.0))])
         tx, rx = pt(0, 0), pt(90, 0)
         vis = identify_position(tx, rx, gmap)
-        m = MaterialConfig()
-        p1 = _prediction(vis, tx, rx, gmap, m, 1.0, F58)
-        p9 = _prediction(vis, tx, rx, gmap, m, 9.0, F58)
+        p1, p9 = (_prediction(vis, rx, gmap, ScenarioConfig(tx=tx, p_t_watts=p))
+                  for p in (1.0, 9.0))
         assert (p1.pl_db, p1.pl_simplified_db) == (p9.pl_db, p9.pl_simplified_db)
 
     def test_domain_errors(self):
@@ -479,7 +477,7 @@ class TestTotalField:
         rx = pt(200, 40)
         vis = identify_position(tx, rx, empty_map)
         stages, term = _chain(vis, tx, rx, empty_map)
-        pred = _prediction(vis, tx, rx, empty_map, MaterialConfig(), 1.0, F58)
+        pred = _prediction(vis, rx, empty_map, ScenarioConfig(tx=tx))
         d = float(np.linalg.norm(rx - tx))
         assert vis.classification.los and len(stages) == 0
         assert pred.pl_simplified_db == pred.pl_db
@@ -490,23 +488,23 @@ class TestTotalField:
         # the TX-RX line has no horizontal length: no candidates, no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = predict_position(cfg, canyon_map, pt(0, 0, 10))
+            res = predict_one(cfg, canyon_map, pt(0, 0, 10))
         assert res.los[0] and res.n_stages[0] == 0
         assert res.pl_model_db[0] == pytest.approx(res.pl_free_space_db[0], abs=1e-9)
 
     def test_nlos_exceeds_matched_los(self, corner_map, cfg):
         # deep-NLOS corner position vs an open-street LOS position at the
         # same 3D distance
-        nlos = predict_position(cfg, corner_map, pt(59, 45))
+        nlos = predict_one(cfg, corner_map, pt(59, 45))
         assert not nlos.los[0]
         d = float(np.linalg.norm(pt(59, 45) - cfg.tx))
-        los = predict_position(cfg, corner_map, pt(d, 0))
+        los = predict_one(cfg, corner_map, pt(d, 0))
         assert los.los[0]
         assert nlos.pl_model_db[0] > los.pl_model_db[0]
 
     def test_shadow_attenuates_below_friis(self, corner_map, cfg):
         for rx in corner_route():
-            res = predict_position(cfg, corner_map, rx)
+            res = predict_one(cfg, corner_map, rx)
             if not res.los[0]:
                 assert res.pl_model_db[0] >= res.pl_free_space_db[0]
 
@@ -514,19 +512,19 @@ class TestTotalField:
         rx = pt(95, 0)
         vis = identify_position(tx, rx, canyon_map)
         # force NLOS-style composition check through the component split:
-        pred = _prediction(vis, tx, rx, canyon_map, MaterialConfig(), 1.0, F58)
+        pred = _prediction(vis, rx, canyon_map, ScenarioConfig(tx=tx))
         assert pred.e_total == pred.components["direct"] \
             + pred.components["final_I"] + pred.components["final_II"]
 
 
-def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
-                    simplified, pl_cap_db):
-    """Reference: one model's ``(pl_db, components, capped)``, composed on
-    its own, the way each model was once computed by a call of its own,
-    one position's scalars at a time."""
-    d3d = float(np.linalg.norm(rx - tx))
+def _two_call_field(vis, stages, term, cfg, rx, simplified):
+    """Reference: one model's ``(pl_db, components, capped)`` in the scenario
+    ``cfg``, composed on its own, the way each model was once computed by a
+    call of its own, one position's scalars at a time."""
+    p_t, g_r, freq = cfg.p_t_watts, cfg.g_r_linear, cfg.freq_hz
+    k = 2.0 * np.pi * freq / C_LIGHT
+    d3d = float(np.linalg.norm(rx - cfg.tx))
     los = vis.classification.los
-    freq = k * C_LIGHT / (2.0 * np.pi)
     comp = {"direct": 0j, "final_I": 0j, "final_II": 0j}
     if los:
         comp["direct"] = direct_field(p_t, d3d, k)
@@ -542,12 +540,12 @@ def _two_call_field(vis, stages, term, material, p_t, tx, rx, k, g_r,
                            * np.exp(-1j * k * ell))
         if not los and not np.isnan(term["wall_point"]).any():
             a_ii = np.sqrt(term["d_n"] / (r * (term["d_n"] + r)))
-            refl = reflection_coefficient(term["wall_incidence"], material)
+            refl = reflection_coefficient(term["wall_incidence"], cfg.eps_r,
+                                          cfg.polarization)
             comp["final_II"] = (refl * e_n * slope_coefficient("II", term, k)
                                 * a_ii * np.exp(-1j * k * r))
     e_total = comp["direct"] + comp["final_I"] + comp["final_II"]
-    _p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq,
-                                    pl_cap_db=pl_cap_db)
+    _p_r, pl_db, capped = path_loss(e_total, p_t, g_r, freq, cfg.pl_cap_db)
     return pl_db, comp, capped
 
 
@@ -569,10 +567,8 @@ class TestOneComposition:
         for rx in route:
             vis = identify_position(tx, rx, gmap)
             stages, term = _chain(vis, tx, rx, gmap)
-            pred = _prediction(vis, tx, rx, gmap, cfg.material, 1.0, F58,
-                               g_r=2.0, pl_cap_db=150.0)
-            models = [_two_call_field(vis, stages, term, cfg.material, 1.0,
-                                      tx, rx, K58, 2.0, simplified, 150.0)
+            pred = _prediction(vis, rx, gmap, cfg)
+            models = [_two_call_field(vis, stages, term, cfg, rx, simplified)
                       for simplified in (False, True)]
             (pl, comp, capped), (pl_s, comp_s, _capped) = models
             assert (pred.pl_db, pred.pl_simplified_db, pred.capped) == (
@@ -597,8 +593,8 @@ class TestOneComposition:
         apart = 0
         for rx in corner_route():
             vis = identify_position(tx, rx, corner_map)
-            pred = _prediction(vis, tx, rx, corner_map, MaterialConfig(), 1.0,
-                               freq)
+            pred = _prediction(vis, rx, corner_map,
+                               ScenarioConfig(tx=tx, freq_hz=freq))
             powers = [received_power(e, 1.0, freq)
                       for e in pred.components.values()]
             assert pred.power[0].tolist() == powers

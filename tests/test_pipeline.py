@@ -9,9 +9,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import (CORNER_BOXES, TX, build_map, grid_scene, moved,
-                      set_usable_cpus)
+from conftest import (CORNER_BOXES, TX, Scene, build_map, build_map_dict,
+                      grid_scene, moved, predict_one, set_usable_cpus)
 from test_identify import _grid_scene, pt
 from urbanprop import geometry, identify, kernels, link, pipeline
 from urbanprop.config import Route, ScenarioConfig
@@ -20,7 +21,7 @@ from urbanprop.geometry import GeometryMap, map_from_dict
 from urbanprop.identify import identify_position
 from urbanprop.link import chain_table
 from urbanprop.pipeline import (BLOCK, POOL_BLOCKS, RouteResult, _concat,
-                                pool_width, predict_position, predict_route)
+                                pool_width, predict_route)
 
 
 def corner_street_route(n):
@@ -166,7 +167,7 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     most = 0
     for rx in route:
         calls.clear()
-        res = predict_position(cfg, gmap, rx)
+        res = predict_one(cfg, gmap, rx)
         assert len(calls) <= 3
         sides = res.sides[0]
         most = max(most, len(sides["left"] + sides["right"]))
@@ -213,7 +214,7 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
 
 
 def test_a_position_is_a_block_of_one(cfg, corner_map, monkeypatch):
-    """``predict_position`` without a block runs the route's block path:
+    """A lone position, a route of one point, runs the route's block path:
     one ``_predict_block`` call, on the one position."""
     calls, block = [], pipeline._predict_block
 
@@ -222,7 +223,7 @@ def test_a_position_is_a_block_of_one(cfg, corner_map, monkeypatch):
         return block(cfg, gmap, positions)
 
     monkeypatch.setattr(pipeline, "_predict_block", recording)
-    res = predict_position(cfg, corner_map, pt(59.0, 45.0))
+    res = predict_one(cfg, corner_map, pt(59.0, 45.0))
     assert calls == [[[59.0, 45.0, 2.0]]] and len(res.los) == 1
 
 
@@ -271,7 +272,7 @@ def test_route_equals_routes_of_one(cfg, corner_map, monkeypatch, pool_widths,
         monkeypatch.setattr(pipeline, "BLOCK", 8)
     got = predict_route(cfg, corner_map, route, workers=workers)
     assert pool_widths == ([workers] if workers > 1 else [])
-    want = [predict_position(cfg, corner_map, rx) for rx in route.xyz]
+    want = [predict_one(cfg, corner_map, rx) for rx in route.xyz]
     assert 0 < got.los.sum() < len(route.xyz)
     assert_same_columns(got, RouteResult(*(
         np.concatenate([getattr(row, f.name) for row in want])
@@ -313,7 +314,7 @@ def test_array_holding_results_compare_by_identity(cfg, corner_map):
     ``==`` compared the arrays and raised, and ``hash`` raised on an NLOS
     classification."""
     rx = np.array([59.0, 30.0, 2.0])
-    first, second = (predict_position(cfg, corner_map, rx) for _ in range(2))
+    first, second = (predict_one(cfg, corner_map, rx) for _ in range(2))
     assert not first.los[0]
     vis, other = (identify_position(cfg.tx, rx, corner_map) for _ in range(2))
     route = corner_street_route(3)
@@ -499,17 +500,37 @@ def test_rx_at_its_chains_last_corner():
         predict_route(cfg, gmap, Route(np.zeros(1), np.array([[0.0, 0.0, 1.5]])))
 
 
-def _moved_grid_route(move):
-    """The route of the seed-21 grid city of 10 x 10 buildings at a 2.5 m
-    step, its map, TX and route each mapped through ``move(x, y)``."""
-    scene = moved(grid_scene(10, 21), move)
+def _scene_route(scene):
+    """``predict_route`` of a ``Scene``'s route, one second per point."""
     rows = np.array([rx[1:] for rx in scene.route])
     return predict_route(ScenarioConfig(tx=scene.tx), map_from_dict(scene.map),
                          Route(np.arange(len(rows), dtype=np.float64), rows))
 
 
+def _moved_grid_route(move):
+    """The route of the seed-21 grid city of 10 x 10 buildings at a 2.5 m
+    step, its map, TX and route each mapped through ``move(x, y)``."""
+    return _scene_route(moved(grid_scene(10, 21), move))
+
+
 PL_COLUMNS = ("pl_model_db", "pl_simplified_db", "pl_gpp_db",
               "pl_free_space_db")
+
+
+def _assert_same_sets(got, want):
+    """The LOS flags, stage counts and candidate and visible sets agree."""
+    assert got.los.tolist() == want.los.tolist()
+    assert got.n_stages.tolist() == want.n_stages.tolist()
+    assert got.sides.tolist() == want.sides.tolist()
+    assert got.visible.tolist() == want.visible.tolist()
+
+
+def _assert_shifted(got, want):
+    """A shifted frame's route: the same sets, path loss to 1e-9 dB."""
+    _assert_same_sets(got, want)
+    for name in PL_COLUMNS:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0.0, atol=1e-9, err_msg=name)
 
 
 def test_quarter_turns_and_shifts_keep_the_route():
@@ -520,25 +541,55 @@ def test_quarter_turns_and_shifts_keep_the_route():
     sets, and the path loss to 1e-9 dB (2e-13 dB measured)."""
     want = _moved_grid_route(lambda x, y: (x, y))
     assert (~want.los).sum() >= 20 and want.n_stages.max() >= 3
-
-    def same_sets(got):
-        assert got.los.tolist() == want.los.tolist()
-        assert got.n_stages.tolist() == want.n_stages.tolist()
-        assert got.sides.tolist() == want.sides.tolist()
-        assert got.visible.tolist() == want.visible.tolist()
-
     for turns in (1, 2, 3):
         def turn(x, y, turns=turns):
             for _ in range(turns):
                 x, y = -y, x
             return x, y
         got = _moved_grid_route(turn)
-        same_sets(got)
+        _assert_same_sets(got, want)
         for name in PL_COLUMNS + ("e_total", "power"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     for dx, dy in ((5e5, 4.4e6), (3.3e6, 5.5e6)):
-        got = _moved_grid_route(lambda x, y: (x + dx, y + dy))
-        same_sets(got)
-        for name in PL_COLUMNS:
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=0.0, atol=1e-9, err_msg=name)
+        _assert_shifted(_moved_grid_route(lambda x, y: (x + dx, y + dy)), want)
+
+
+@st.composite
+def box_cities(draw):
+    """A 4 x 4 grid city at a 50 m pitch: each 30 m lot built at 60 % odds,
+    with an integer height of 5 to 40 m; a TX at a street crossing; and an
+    L-shaped route along the streets (x or y a multiple of 50 m) at a 2.5 m
+    step, from one crossing to another through a third."""
+    boxes = [(k, (50.0 * i + 10.0, 50.0 * j + 10.0, 50.0 * i + 40.0,
+                  50.0 * j + 40.0, float(draw(st.integers(5, 40)))))
+             for k, (i, j) in enumerate(np.ndindex(4, 4))
+             if draw(st.integers(0, 4)) < 3]
+    street = st.integers(0, 4).map(lambda i: 50.0 * i)
+    x1, y0 = draw(street), draw(street)
+    # the other ends, on other streets: (x1 + 50 k) % 250, k in 1..4
+    x0, y1 = ((c + draw(street.filter(bool))) % 250.0 for c in (x1, y0))
+    leg = lambda a, b: a + np.sign(b - a) * np.arange(0.0, abs(b - a), 2.5)
+    route = ([(x, y0) for x in leg(x0, x1)] + [(x1, y) for y in leg(y0, y1)]
+             + [(x1, y1)])
+    return Scene("box city", build_map_dict(boxes),
+                 [draw(street), draw(street), float(draw(st.integers(2, 30)))],
+                 [(0.0, x, y, 1.5) for x, y in route], 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_cities(), st.integers(-10 ** 5, 10 ** 5), st.integers(-10 ** 5, 10 ** 5))
+def test_integer_shifts_keep_box_city_routes(scene, dx, dy):
+    """A box city's route, shifted by whole metres: both frames fail with
+    the same domain error, or agree as a shift must (same sets, path loss
+    to 1e-9 dB)."""
+    outcomes = []
+    for frame in (scene, moved(scene, lambda x, y: (x + dx, y + dy))):
+        try:
+            outcomes.append(_scene_route(frame))
+        except NumericalDomainError as exc:
+            outcomes.append(str(exc))
+    want, got = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        _assert_shifted(got, want)
