@@ -58,16 +58,21 @@ def gpp_doppler_estimate(v_mag, freq):
 
 def route_velocities(route):
     """Central finite-difference velocities (forward/backward at the ends)
-    of a ``config.Route``."""
+    of a ``config.Route``; a ``RouteError`` names the first row whose
+    velocity or speed is beyond the float range."""
     t, pos = route.t, route.xyz
     if len(t) < 2:
         raise RouteError("route must contain at least two points for Doppler")
     if np.any(np.diff(t) <= 0.0):
         raise RouteError("route timestamps must be strictly increasing")
     v = np.empty_like(pos)
-    v[0] = (pos[1] - pos[0]) / (t[1] - t[0])
-    v[-1] = (pos[-1] - pos[-2]) / (t[-1] - t[-2])
-    v[1:-1] = (pos[2:] - pos[:-2]) / (t[2:] - t[:-2])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v[0] = (pos[1] - pos[0]) / (t[1] - t[0])
+        v[-1] = (pos[-1] - pos[-2]) / (t[-1] - t[-2])
+        v[1:-1] = (pos[2:] - pos[:-2]) / (t[2:] - t[:-2])[:, None]
+        bad = np.flatnonzero(~np.isfinite(row_dot(v, v)))
+    if len(bad):
+        raise RouteError(f"bad route row {bad[0]}: velocity beyond the float range")
     return v
 
 

@@ -4,11 +4,15 @@ The parsed JSON map is converted once, then built by array passes into
 immutable arrays.  Faces are simple planar polygons, fan-triangulated at
 load into a triangle soup that the map's two occlusion queries run against
 (see ``kernels``): the first face hit per segment (``first_hit``) and a
-blocked flag per (segment group, building) pair (``pair_hits``).  Both run
-one pass that culls and then tests (``GeometryMap._hits``); ``first_hit``
-is one group of all its segments against every building.  The map is the
-only code that culls the soup, pairs segments with triangles and calls the
-kernel.  All predicates are pure functions, safe to call in parallel.
+blocked flag per (segment group, building) pair (``pair_hits``); the
+chain's ``f_block`` is a blocked flag per segment.  All run one pass that
+culls and then tests (``GeometryMap._hits``); ``first_hit`` and
+``f_block`` are one group of all their segments against every building.
+The nearest-hit query tests every kept row; the flag queries test in two
+rounds, each key's first kept row and then the rest of the keys still
+unhit, so they stop at a key's first hit.  The map is the only code that
+culls the soup, pairs segments with triangles and calls the kernel.  All
+predicates are pure functions, safe to call in parallel.
 
 Coordinates are meters in a right-handed local planar frame (x east,
 y north, z up).  Geographic input must be pre-projected.  A point is a
@@ -53,10 +57,11 @@ class GeometryMap:
     position); the ring walls at each roof-table row (``ring_dir``, rows by
     ``ring_wall_rows``) and each building's vertical faces
     (``wall_normal``/``wall_point``, rows by ``wall_rows``).  Its two
-    occlusion queries (``first_hit``, ``pair_hits``) share one pass,
-    ``_hits``: a box cull of (segment group, building) pairs, a slab cull
-    of (segment, building) rows, then a test of the kept (segment,
-    triangle) pairs, each in ``sliced`` passes of ``KERNEL_ROWS`` rows.
+    occlusion queries (``first_hit``, ``pair_hits``) and ``f_block`` share
+    one pass, ``_hits``: a box cull of (segment group, building) pairs, a
+    slab cull of (segment, building) rows, then a test of the kept
+    (segment, triangle) pairs, in one round or, for a flag, two, each in
+    ``sliced`` passes of ``KERNEL_ROWS`` rows.
     """
 
     def __init__(self, vertices, face_ids, face_sizes, face_building, ids):
@@ -225,8 +230,8 @@ class GeometryMap:
         return (self.tri_v0.take(tri, axis=0), self.tri_v1.take(tri, axis=0),
                 self.tri_v2.take(tri, axis=0))
 
-    def _hits(self, a, b, edge, first, count, pos):
-        """``(pair, segment, triangle, t)`` of each hit of the (segment group,
+    def _hits(self, a, b, edge, first, count, pos, flag=None):
+        """``(pair, segment, triangle, t)`` of the hits of the (segment group,
         building) pairs, group by group: pair k < ``count[g]`` of group g,
         the non-empty rows ``edge[g]:edge[g + 1]`` of the (S, 3) a->b, is
         the building at position ``pos[first[g] + k]`` (all int arrays).
@@ -235,8 +240,12 @@ class GeometryMap:
         a (segment, building) row of a kept pair if the segment's closed
         range [0, 1] meets the padded box (so no triangle an open segment
         can hit is culled); a kept row is one kernel pair per triangle of
-        the building, ascending, so every kernel call but a query's last is
-        full."""
+        the building, ascending, and every kernel call of a round of tests
+        but its last is full.  Without ``flag`` one round tests every kept
+        row.  ``flag``, a key's place in the tuple (0 pair, 1 segment), asks
+        only whether each key is hit: round 1 tests each key's first kept
+        row, round 2 the other kept rows of the keys still unhit, and only
+        some of the hits are returned."""
         # BOX_PAD keeps the cull looser than the slab test, whose rounding
         # can admit a box a segment end only touches to within an ulp
         lo = np.minimum.reduceat(np.minimum(a, b), edge[:-1]).T - BOX_PAD
@@ -263,31 +272,45 @@ class GeometryMap:
         # d == 0 on an axis gives t = -inf/+inf inside/outside the slab, or NaN
         # (culled) in the plane of a padded face, too far away to hit it.
         with np.errstate(all="ignore"):
-            pair, seg, p = sliced(seg_at[-1], slab)
-        at = offsets(self._tri_count[p])
-        def test(r):    # the hits of the kept rows' kernel pairs r
-            q, k = ranges_at(at, r)
-            tri = self._tri_by_building[self._tri_edge[p.take(q)] + k]
-            s = seg.take(q)
-            t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
-                                          *self.triangle(tri), EPS_HIT)
-            hit = np.flatnonzero(t < np.inf)
-            return pair.take(q[hit]), s[hit], tri[hit], t[hit]
-        return sliced(at[-1], test, (np.empty(0, np.int64),) * 3 + (np.empty(0),))
+            kept = sliced(seg_at[-1], slab)
+        def test(rows):     # the hits of the kernel pairs of the kept rows[rows]
+            pair, seg, p = (x[rows] for x in kept)
+            at = offsets(self._tri_count[p])
+            def run(r):
+                q, k = ranges_at(at, r)
+                tri = self._tri_by_building[self._tri_edge[p.take(q)] + k]
+                s = seg.take(q)
+                t = kernels.segment_triangles(a.take(s, axis=0), b.take(s, axis=0),
+                                              *self.triangle(tri), EPS_HIT)
+                hit = np.flatnonzero(t < np.inf)
+                return pair.take(q[hit]), s[hit], tri[hit], t[hit]
+            return sliced(at[-1], run, (np.empty(0, np.int64),) * 3 + (np.empty(0),))
+        if flag is None:
+            return test(slice(None))
+        key = kept[flag]
+        lead = np.zeros(len(key), dtype=bool)     # the first kept row of each key
+        lead[np.unique(key, return_index=True)[1]] = True
+        hits = test(lead)
+        return tuple(map(np.concatenate,
+                         zip(hits, test(~lead & ~np.isin(key, hits[flag])))))
+
+    def _whole(self, a, b, flag=None):
+        """``_hits`` of the (S, 3) segments a->b as one group against every
+        building, so they pair with the buildings whose boxes meet their
+        joint bounding box."""
+        edge = np.unique([0, len(a)])       # no group when there is no segment
+        n = len(edge) - 1
+        return self._hits(a, b, edge, np.zeros(n, np.int64),
+                          np.full(n, len(self.ids)), np.arange(len(self.ids)), flag)
 
     def first_hit(self, a, b):
         """Nearest hit of each open segment a->b ((S, 3) rows; (3,)
         endpoints are one row) on the map's faces: ``(t, triangle id)``
         arrays of (S,), ``(inf, -1)`` where nothing is hit; of equally near
-        hits, the lowest triangle id wins.  The segments are one ``_hits``
-        group against every building, so they pair with the buildings whose
-        boxes meet their joint bounding box."""
+        hits, the lowest triangle id wins.  Every kept row of ``_whole``'s
+        one group is tested."""
         a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
-        edge = np.unique([0, len(a)])       # no group when there is no segment
-        n = len(edge) - 1
-        _pair, seg, tri, t = self._hits(a, b, edge, np.zeros(n, np.int64),
-                                        np.full(n, len(self.ids)),
-                                        np.arange(len(self.ids)))
+        _pair, seg, tri, t = self._whole(a, b)
         first = first_per_group(seg, tri, t)
         t_min, tri_min = np.full(len(a), np.inf), np.full(len(a), -1)
         t_min[seg[first]], tri_min[seg[first]] = t[first], tri[first]
@@ -297,9 +320,9 @@ class GeometryMap:
         """Booleans, group by group: True where a face of the building at
         position ``pos[first[g] + k]``, k < ``count[g]``, blocks an open
         segment of group g, the non-empty rows ``edge[g]:edge[g + 1]`` of the
-        (S, 3) a->b (all int arrays): the flags set at ``_hits``' pairs."""
+        (S, 3) a->b (all int arrays): ``_hits``' flags by pair."""
         hit = np.zeros(np.sum(count), dtype=bool)
-        hit[self._hits(a, b, edge, first, count, pos)[0]] = True
+        hit[self._hits(a, b, edge, first, count, pos, flag=0)[0]] = True
         return hit
 
 
@@ -488,5 +511,9 @@ def side_2d(cross):
 
 def f_block(a, b, gmap):
     """1 iff a face of the map blocks the open segment a-b, per row of (S, 3)
-    endpoints: ``first_hit``'s hit flag as ints, kept for the benchmark's hook."""
-    return (gmap.first_hit(a, b)[1] >= 0).astype(np.int64)
+    endpoints ((3,) endpoints are one row): ``first_hit``'s one group with
+    ``_hits``' flags by segment, as ints; the name is the benchmark's hook."""
+    a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 3) for x in (a, b))
+    hit = np.zeros(len(a), dtype=np.int64)
+    hit[gmap._whole(a, b, flag=1)[1]] = 1
+    return hit

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import grid_scene, write_inputs
 from urbanprop import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -57,3 +58,26 @@ def test_traced_command_feeds_every_metric(spans, scenario, tmp_path, capsys,
                                if observer is not None}
     metrics = spans.command_metrics(tracer)
     assert [name for name, value in metrics.items() if value is None] == []
+
+
+def test_grid400_doppler_counters(spans, tmp_path, capsys):
+    """The kernel and chain-query counters of the seed-21 grid400 doppler
+    command, on the scene as the benchmark writes it: 40 kernel calls and
+    19,896 (segment, triangle) pairs since the flag queries stop at their
+    first hit (67 and 33,432 when every kept row was tested), and one
+    ``f_block`` query per block of the 82-position route."""
+    modules = {mod: importlib.import_module(f"urbanprop.{mod}")
+               for mod, _attr, _span, _observer in spans.HOOKS}
+    cfg = write_inputs(grid_scene(20, 21, step=5.0), tmp_path / "in")
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        code = tracer.root("cli", cli.main, [
+            "--config", cfg, "--output", str(tmp_path / "out"), "doppler"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = spans.command_metrics(tracer)
+    assert [metrics[name] for name in ("kernels.calls", "kernels.triangles_tested",
+                                       "geometry.f_block_calls")] == [40, 19896, 2]

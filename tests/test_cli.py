@@ -240,6 +240,18 @@ class TestExitCodes:
                        "Doppler"]
         assert calls == [] and not out.exists()
 
+    # doppler exited 0 with inf speeds and nan means, and numpy warned
+    # "overflow encountered in divide"
+    def test_overflowing_route_velocity(self, tmp_path, capsys):
+        scene = grid_scene(4, 21)
+        route = [(k * 1e-320, *row[1:]) for k, row in enumerate(scene.route[:5])]
+        cfg = write_inputs(scene._replace(route=route), tmp_path / "in")
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--output", out, "doppler"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad route row 0: velocity beyond the float range\n")
+        assert not out.exists()
+
     # compare created the output directory before reading its inputs
     @pytest.mark.parametrize("missing", ["reference", "predictions"])
     def test_failed_compare_leaves_no_output_dir(self, tmp_path, capsys,

@@ -187,6 +187,19 @@ class TestRouteVelocities:
         with pytest.raises(RouteError):
             route_velocities(Route(np.array([0.0]), np.zeros((1, 3))))
 
+    @pytest.mark.parametrize("t, x, row", [
+        ([-1.0, -1e-320, 0.0, 1e-320, 1.0], [0.0, 1, 2, 3, 4], 2),   # velocity
+        ([-1.0, -1e-200, 0.0, 1e-200, 1.0], [0.0, 1, 2, 3, 4], 2),   # speed
+        ([0.0, 1, 2, 3, 4], [0.0, 1e200, 2e200, 3e200, 4e200], 0),   # all
+    ])
+    def test_overflow_names_the_first_row(self, t, x, row):
+        """A velocity or speed beyond the float range is a route error
+        naming its first row, raised without a numpy warning."""
+        route = Route(np.array(t), np.column_stack([x, np.zeros((5, 2))]))
+        with pytest.raises(RouteError, match=(
+                f"^bad route row {row}: velocity beyond the float range$")):
+            route_velocities(route)
+
 
 class TestPathPowers:
     def test_open_field_single_path(self, empty_map, cfg):

@@ -168,12 +168,14 @@ class TestCullChangesNothing:
     @settings(max_examples=300, deadline=None)
     @given(scene_and_segments())
     def test_whole_map_cull_keeps_every_pair(self, case):
-        """A whole-map query, one group of every segment culled by their
-        joint bounding box, hands the kernel the same (segment, triangle)
-        rows, and as many, as one group per segment against every building,
-        which skips that cull; so ``kernels.triangles_tested`` does not
-        change.  The rows are compared as a sorted list: the whole-map
-        query pairs them building by building."""
+        """The whole-map nearest-hit query, one group of every segment
+        culled by their joint bounding box, hands the kernel the same
+        (segment, triangle) rows, and as many, as ``_hits`` with one group
+        per segment against every building and no flag, which skips that
+        cull.  The rows are compared as a sorted list: the whole-map query
+        pairs them building by building.  The segment flags of ``f_block``,
+        which share that grouping, are the pair flags of one group per
+        segment, any over the buildings."""
         gmap, _subset, (a, b) = case
         rows = []
         kernel = kernels.segment_triangles
@@ -183,16 +185,18 @@ class TestCullChangesNothing:
             return kernel(*args)
 
         n, m = len(a), len(gmap.ids)
+        listed = _listed(np.arange(n + 1), np.repeat(np.arange(n), m),
+                         np.tile(np.arange(m), n))
         with patch.object(kernels, "segment_triangles", recording):
-            culled = f_block(a, b, gmap).astype(bool)
+            gmap.first_hit(a, b)
             whole, rows[:] = rows[:], []
-            every = gmap.pair_hits(a, b, *_listed(
-                np.arange(n + 1), np.repeat(np.arange(n), m),
-                np.tile(np.arange(m), n)))
+            gmap._hits(a, b, *listed)
         assert len(rows) == len(whole)
-        assert np.array_equal(every.reshape(n, m).any(axis=1), culled)
         assert (sorted(x.tobytes() for x in whole)
                 == sorted(x.tobytes() for x in rows))
+        every = gmap.pair_hits(a, b, *listed)
+        assert np.array_equal(every.reshape(n, m).any(axis=1),
+                              f_block(a, b, gmap).astype(bool))
 
     def test_empty_batch(self, canyon_map):
         """Zero segments, as a one-stage chain's ``f_block`` passes, give
@@ -230,6 +234,74 @@ class TestCullChangesNothing:
         assert tri3[1] >= 0 and (t3[1], tri3[1]) == tuple(
             x[0] for x in gmap.first_hit(a3[1], b3[1]))
         assert (t3[2], tri3[2]) == (t, tri)
+
+
+class TestFlagRounds:
+    """The flag queries, ``pair_hits`` by pair and ``f_block`` by segment,
+    test each key's first kept row, then the other kept rows of the keys
+    that row left unhit; a flag must still be set exactly when any of the
+    key's rows hits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scene_and_segments(), st.data())
+    def test_flags_equal_any_hit(self, case, data):
+        """Both flags equal the any-hit of the unculled kernel over the
+        whole triangle soup: ``pair_hits`` on the batch cut into groups of
+        consecutive segments at random, each paired with a random list of
+        buildings, and ``f_block`` per segment.  Two segments lead the
+        batch to favour a second round: one inside building 0, whose slab
+        test passes although it hits nothing, and one leaving building 0's
+        west face, where the endpoint exclusion drops the row that comes
+        first (building 0 has the lowest position)."""
+        gmap, _subset, (a, b) = case
+        v = np.concatenate(gmap.triangle(np.flatnonzero(gmap.tri_building == 0)))
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        mid = (lo + hi) / 2.0
+        a = np.concatenate(([mid, [lo[0], mid[1], mid[2]]], a))
+        b = np.concatenate(([mid + (hi - lo) / 4.0, [-30.0, mid[1], mid[2]]], b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocked = np.isfinite(dense(a, b, *_soup(gmap)))
+            cuts = data.draw(st.sets(st.integers(1, len(a) - 1)))
+            edge = np.array([0, *sorted(cuts), len(a)])
+            lists = [data.draw(st.lists(st.integers(0, len(gmap.ids) - 1),
+                                        unique=True)) for _ in edge[1:]]
+            group = np.repeat(np.arange(len(lists)), [*map(len, lists)])
+            pos = np.array(sum(lists, []), dtype=np.int64)
+            got = gmap.pair_hits(a, b, *_listed(edge, group, pos))
+            want = [blocked[edge[g]:edge[g + 1], gmap.tri_building == p].any()
+                    for g, p in zip(group.tolist(), pos.tolist())]
+            assert got.tolist() == want
+            assert f_block(a, b, gmap).tolist() == blocked.any(axis=1).tolist()
+
+    def test_a_later_row_sets_the_flag(self, monkeypatch):
+        """A key whose first kept row misses is flagged by a later one, in
+        a second kernel call.  By pair: the first segment of the group lies
+        inside the box, so its slab test passes but no face is hit, and the
+        second crosses a wall.  By segment: the segment starts on a wall of
+        building 0 (its lowest-position box, whose row comes first), which
+        the endpoint exclusion does not count, and crosses building 1."""
+        gmap = build_map([(0, (0.0, 0.0, 1.0, 1.0, 1.0)),
+                          (1, (3.0, 0.0, 4.0, 1.0, 1.0))])
+        calls = []
+        kernel = kernels.segment_triangles
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, "segment_triangles", counting)
+        a = np.array([[0.4, 0.5, 0.5], [0.5, -1.0, 0.5]])
+        b = np.array([[0.6, 0.5, 0.5], [0.5, 2.0, 0.5]])
+        one = np.zeros(1, dtype=np.int64)
+        assert gmap.pair_hits(a, b, np.array([0, 2]), one, one + 1,
+                              one).tolist() == [True]
+        assert calls == [12, 12]
+        calls.clear()
+        a, b = np.array([[1.0, 0.5, 0.5]]), np.array([[5.0, 0.5, 0.5]])
+        assert f_block(a, b, gmap).tolist() == [1]
+        assert calls == [12, 12]
+        assert gmap.first_hit(a, b)[0][0] == 0.5
 
 
 def test_triangles_tested_counts_pairs(canyon_map, monkeypatch):

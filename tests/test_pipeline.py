@@ -141,9 +141,10 @@ def test_map_pickled_at_most_once_per_worker(cfg, monkeypatch, pool_widths):
 
 
 def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
-    """One kernel call at most for the LOS query, one for the visibility
-    filter of the position's block and one per chain, however many
-    candidates; over a route, one LOS query per block of positions."""
+    """At most five kernel calls per lone position, however many
+    candidates: one for the LOS query, and at most one per round (two) for
+    each of the flag queries, the visibility filter's and the chain's; over
+    a route, one LOS query per block of positions."""
     gmap, tx, route = fine_grid_scene()
     cfg = ScenarioConfig(tx=tx)
     calls = []
@@ -168,7 +169,7 @@ def test_kernel_calls_do_not_grow_with_candidates(monkeypatch):
     for rx in route:
         calls.clear()
         res = predict_one(cfg, gmap, rx)
-        assert len(calls) <= 3
+        assert len(calls) <= 5
         sides = res.sides[0]
         most = max(most, len(sides["left"] + sides["right"]))
     assert most >= 8
@@ -364,13 +365,17 @@ def test_transient_memory_bounded_by_the_block(cfg, corner_map):
 @pytest.mark.parametrize("query", ["f_block", "first_hit"])
 def test_occlusion_query_memory_bounded(monkeypatch, query):
     """The traced peak of an occlusion query from the grid fixture's TX to
-    S and to 8 S points along its streets grows by no more than the larger
-    query's output plus a fixed 64 KB: rows are culled, and their pairs
-    tested, a slice at a time, so the pairs a query tests, several times
-    ``KERNEL_ROWS`` here, are never held at once."""
+    points along its streets, 2 x 16 then 2 x 128, grows by no more than the
+    larger query's output plus a fixed 64 KB: rows are culled, and their
+    pairs tested, a slice at a time, so the pairs a query tests, several
+    times ``KERNEL_ROWS`` here, are never held at once.  ``f_block`` tests
+    only the first kept row of most segments, so its queries take 2 x 48
+    and 2 x 256 points: the smaller one still fills a slice, and the larger
+    one spans more than four."""
     gmap, tx, _route = _grid_scene()
     run = {"f_block": lambda a, b: geometry.f_block(a, b, gmap),
            "first_hit": gmap.first_hit}[query]
+    small_n, big_n = {"f_block": (48, 256), "first_hit": (16, 128)}[query]
     kernel, pairs = kernels.segment_triangles, []
 
     def counting(*args):
@@ -394,19 +399,20 @@ def test_occlusion_query_memory_bounded(monkeypatch, query):
         return peak, sum(x.nbytes for x in (out if isinstance(out, tuple)
                                             else (out,)))
 
-    small, _out = traced(16)
-    big, out = traced(128)
+    small, _out = traced(small_n)
+    big, out = traced(big_n)
     assert sum(pairs) > 4 * geometry.KERNEL_ROWS
     assert big - small <= out + 64 * 1024
 
 
 def test_kernel_calls_stay_full(monkeypatch):
     """With ``KERNEL_ROWS`` at 40, every kernel call of a route block's
-    LOS query (``first_hit``), chain query (``f_block``) and visibility
-    query (``pair_hits``) but the last gets exactly 40 pairs, and the calls
-    together test the (segment, triangle) rows of the same query run as one
-    call, in order: the pairs of one cull slice are not tested apart from
-    the next slice's."""
+    LOS query (``first_hit``) but the last gets exactly 40 pairs; so does
+    every call of its chain query (``f_block``) and visibility query
+    (``pair_hits``) but the last of each of their two test rounds.  The
+    calls together test the (segment, triangle) rows of the same query run
+    with one call per round, in order: the pairs of one cull slice are not
+    tested apart from the next slice's."""
     gmap, tx, route = _grid_scene()
     cfg = ScenarioConfig(tx=tx)
     args = {}
@@ -441,9 +447,15 @@ def test_kernel_calls_stay_full(monkeypatch):
             fn(*args[name])
             sizes[rows] = [len(c[2]) for c in calls]
             joined[rows] = [np.concatenate(x).tobytes() for x in zip(*calls)]
-        cut = sizes[40]
-        assert len(cut) > 2 and set(cut[:-1]) == {40} and cut[-1] <= 40, name
-        assert sizes[10 ** 6] == [sum(cut)] and joined[40] == joined[10 ** 6], name
+        cut, rounds = sizes[40], sizes[10 ** 6]
+        assert len(cut) > 2 and joined[40] == joined[10 ** 6], name
+        if name == "first_hit":
+            assert set(cut[:-1]) == {40} and cut[-1] <= 40, name
+            assert rounds == [sum(cut)], name
+        else:   # each round in full slices of 40 and a last one of the rest
+            assert 0 < len(rounds) <= 2, name
+            assert cut == [size for r in rounds for size in
+                           [40] * (r // 40) + [r % 40] * (r % 40 > 0)], name
 
 
 def test_route_peak_memory_pinned():
