@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import csv_table, load_config, load_route, ScenarioConfig
-from .doppler import route_doppler, route_velocities
+from .doppler import check_spread_range, route_doppler, route_velocities
 from .errors import ConfigError, DataShapeError, NumericalDomainError, UrbanPropError
 from .geometry import load_map
 from .metrics import empirical_cdf, ks_distance, rmse
@@ -46,7 +46,7 @@ def _open_output(path):
 
 def _predict(args, check_route=None):
     """Config, route and ``RouteResult`` of a scenario command; its output
-    directory is made once the route passes ``check_route``."""
+    directory is made once ``check_route(cfg, route)`` passes."""
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
     if args.workers < 1:
@@ -59,7 +59,7 @@ def _predict(args, check_route=None):
     gmap = load_map(cfg.map_path)
     route = load_route(cfg.route_path)
     if check_route is not None:
-        check_route(route)
+        check_route(cfg, route)
     _make_output_dir(cfg.output_dir)
     ran, bound = pool_width(args.workers, len(route.t))
     if bound is not None:
@@ -106,7 +106,8 @@ def run_predict(args):
 
 
 def run_doppler(args):
-    cfg, route, res = _predict(args, check_route=route_velocities)
+    cfg, route, res = _predict(args, check_route=lambda cfg, route: (
+        check_spread_range(route_velocities(route), cfg.freq_hz)))
     speed, _shifts, power, mean, spread, sigma_gpp = route_doppler(
         cfg, route, res)
     path = os.path.join(cfg.output_dir, "doppler.csv")

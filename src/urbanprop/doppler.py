@@ -76,6 +76,16 @@ def route_velocities(route):
     return v
 
 
+def check_spread_range(vels, freq):
+    """Raise a ``RouteError`` naming the first row of ``vels`` whose shift
+    deviations, up to 2 |v| / lambda, overflow in ``rms_spread``'s squares."""
+    with np.errstate(over="ignore"):
+        dev = 2.0 * np.sqrt(row_dot(vels, vels)) / (C_LIGHT / freq)
+        bad = np.flatnonzero(~np.isfinite(dev * dev))
+    if len(bad):
+        raise RouteError(f"bad route row {bad[0]}: Doppler spread beyond the float range")
+
+
 def route_doppler(cfg, route, result):
     """Doppler columns of a route from its ``pipeline.RouteResult``:
     ``(speed, shifts, power, mean, spread, sigma_gpp)``.
@@ -84,8 +94,11 @@ def route_doppler(cfg, route, result):
     arriving from the TX, the terminal edge and the wall point (NaN where
     there is none); ``power`` (P, 2, 3) is the full and simplified models'
     path power, 0 where a path is absent; ``mean`` and ``spread`` are (P, 2).
+    Rows whose velocity or spread is beyond the float range raise first
+    (``route_velocities``, ``check_spread_range``).
     """
     vels = route_velocities(route)
+    check_spread_range(vels, cfg.freq_hz)
     ends = np.stack(np.broadcast_arrays(cfg.tx, result.edge,
                                         result.wall_point), axis=1)
     arrival = ends - route.xyz[:, None, :]

@@ -18,12 +18,9 @@ from scipy.special import modfresnelm
 
 from .errors import NumericalDomainError
 
-# Transition-function branch thresholds.  The asymptotic series takes over
-# only where its truncation error is far below the 1e-6 accuracy target
-# (error ~ 105/(16 X^4), i.e. ~1e-10 at X=500); the closed small-argument
-# form is kept only for arguments too small to matter numerically.
+# F(X) takes its asymptotic series from here up, where the truncation error
+# 105/(16 X^4) is at most 1e-10, and the modified Fresnel form below.
 F_ASYMPTOTIC_MIN = 500.0
-F_SMALL_MAX = 1e-12
 
 # A chain stage: distances TX-to-edge and edge-to-next point (the terminal,
 # for the last stage), wedge and observation angles, and whether the edge's
@@ -55,12 +52,11 @@ def transition_function(x):
         raise NumericalDomainError(
             f"transition_function requires finite X > 0, got {x[bad][0]}")
     f = np.empty(x.shape, dtype=np.complex128)
-    big, small = x >= F_ASYMPTOTIC_MIN, x < F_SMALL_MAX
-    xi, xs, rest = 1.0 / x[big], x[small], x[~big]
+    big = x >= F_ASYMPTOTIC_MIN
+    xi, rest = 1.0 / x[big], x[~big]
     f[big] = 1.0 + xi * (0.5j + xi * (-0.75 + xi * -1.875j))
     sx = np.sqrt(rest)
     f[~big] = cmul(cmul(2j * sx, np.exp(1j * rest)), modfresnelm(sx)[0])
-    f[small] = np.sqrt(np.pi * xs) * np.exp(1j * (np.pi / 4.0 + xs))
     return f[()]
 
 

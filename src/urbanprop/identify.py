@@ -249,13 +249,13 @@ def _blocked_by_block(pos, ss, edge, a, b, gmap):
 # -- Visibility filtering --------------------------------------------------
 
 
-def visible_identification(segs, cls, gmap):
+def visible_identification(segs, cls):
     """Algorithm-2 pass: near-to-far visibility filtering of the candidates.
 
     Within a sub-segment, buildings are visited in ``near`` order and kept
     only if no previously accepted building blocks one of their roof-ring
     vertex-to-projection segments, as read from the record's blocked-by
-    flags.  Sub-segments are filtered independently; ``gmap`` is unused.
+    flags.  Sub-segments are filtered independently.
     """
     visible = []
     for sub in segs:
@@ -275,4 +275,4 @@ def visible_identification(segs, cls, gmap):
 def identify_position(tx, r, gmap, corridor_width=100.0):
     """Convenience wrapper: both passes for one receiver position."""
     (cls, segs), = initial_identification(tx, [r], gmap, corridor_width)
-    return visible_identification(segs, cls, gmap)
+    return visible_identification(segs, cls)

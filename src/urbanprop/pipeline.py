@@ -1,17 +1,17 @@
 """Route prediction pipeline: identification -> chain -> fields, with the
 rows of a route gathered into one table of columns.
 
-Every function here is pure over the immutable map, so route positions can
-be evaluated in parallel and reassembled in input order.  A receiver
-position is a ``(3,)`` float64 array, a row of the route's ``xyz``; a lone
-position is a route of one point.  The route is cut into the fewest blocks
-of at most ``BLOCK`` positions, of sizes that differ by at most one, and
-walked a block at a time: one candidate pass, the visibility scans, one
-chain pass (``link.chain_table``) and one field pass (``link.chain_fields``)
-per block, then each position's cut of them.  A route of at least
+Every function here is pure over the immutable map, so blocks can run in
+parallel and be joined in input order.  A receiver position is a ``(3,)``
+float64 array, a row of the route's ``xyz``; a lone position is a route of
+one point.  The route is cut into the fewest blocks of at most ``BLOCK``
+positions, of sizes that differ by at most one, each run as one candidate
+pass, the visibility scans, one chain pass (``link.chain_table``) and one
+field pass (``link.chain_fields``), then each position's row cut from
+them, stacked once into the block's columns.  A route of at least
 ``2 * POOL_BLOCKS`` blocks may run on a worker pool, one worker per
 ``POOL_BLOCKS`` blocks; a pool worker gets the scene ``(cfg, gmap)`` once,
-through its initializer, and returns the rows of one block per task.
+through its initializer, and returns one block's ``RouteResult`` per task.
 """
 
 import os
@@ -43,7 +43,8 @@ POOL_BLOCKS = 3
 
 @dataclass(eq=False)
 class RouteResult:
-    """Route columns: (P,) or (P, k) arrays, one row per route position.
+    """Route columns: (P,) or (P, k) arrays, one row per route position,
+    stacked once per block from its rows and joined across blocks.
 
     ``breakpoint``, the terminal ``edge`` and its ``wall_point`` are (P, 3),
     NaN where there is none.  ``sides``/``visible`` hold ``{"left": ids,
@@ -68,38 +69,35 @@ class RouteResult:
 
 
 def predict_position(block, i):
-    """The ``RouteResult`` row of position ``i`` of a block: its cut of the
-    block's ``(chain_table, chain_fields)`` passes ``block``."""
+    """Position ``i``'s row of a block, in ``RouteResult`` field order: its
+    cut of the block's ``(chain_table, chain_fields)`` passes ``block``."""
     table, preds = block
     stages, _term = extract_chain(table, i)
     pred = total_field(preds, i)
     vis, term = table.vis[i], table.terminal[i]
     los = vis.classification.los
-    row = dict(
-        los=los, breakpoint=NO_POINT if los else vis.classification.breakpoint,
-        sides=vis.flat_sides(), visible=vis.flat_visible(),
-        n_stages=len(stages), pl_model_db=pred.pl_db,
-        pl_simplified_db=pred.pl_simplified_db, pl_gpp_db=pred.pl_gpp_db,
-        pl_free_space_db=pred.pl_free_space_db, e_total=pred.e_total,
-        power=pred.power, edge=term["edge"], wall_point=term["wall_point"])
-    return RouteResult(**{name: np.array([v]) for name, v in row.items()})
+    return (los, NO_POINT if los else vis.classification.breakpoint,
+            vis.flat_sides(), vis.flat_visible(), len(stages), pred.pl_db,
+            pred.pl_simplified_db, pred.pl_gpp_db, pred.pl_free_space_db,
+            pred.e_total, pred.power, term["edge"], term["wall_point"])
 
 
 def _concat(parts):
-    """One ``RouteResult`` of the rows of ``parts``, in order."""
+    """One ``RouteResult`` of the rows of the blocks ``parts``, in order."""
     return RouteResult(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(RouteResult)))
 
 
 def _predict_block(cfg, gmap, positions):
-    """The ``RouteResult`` of a block of ``positions``."""
+    """The ``RouteResult`` of a block of ``positions``, one array per column."""
     # through the module, so that a wrapper set on its attribute sees it
     idents = identify.initial_identification(cfg.tx, positions, gmap,
                                              cfg.corridor_width_m)
-    table = chain_table([identify.visible_identification(segs, cls, gmap)
+    table = chain_table([identify.visible_identification(segs, cls)
                          for cls, segs in idents], cfg.tx, positions, gmap)
     passes = table, chain_fields(table, cfg, positions)
-    return _concat([predict_position(passes, k) for k in range(len(positions))])
+    rows = [predict_position(passes, k) for k in range(len(positions))]
+    return RouteResult(*map(np.array, zip(*rows)))
 
 
 _scene = None   # (cfg, gmap) of a pool worker, set by _init_worker

@@ -60,24 +60,40 @@ def test_traced_command_feeds_every_metric(spans, scenario, tmp_path, capsys,
     assert [name for name, value in metrics.items() if value is None] == []
 
 
-def test_grid400_doppler_counters(spans, tmp_path, capsys):
-    """The kernel and chain-query counters of the seed-21 grid400 doppler
-    command, on the scene as the benchmark writes it: 40 kernel calls and
-    19,896 (segment, triangle) pairs since the flag queries stop at their
-    first hit (67 and 33,432 when every kept row was tested), and one
-    ``f_block`` query per block of the 82-position route."""
+# (workload, grid n, route step, command, workers) -> kernel calls,
+# (segment, triangle) pairs, f_block queries, positions and route_velocities
+# calls of its seed-21 command: the pairs read 33,432 / 33,480 / 66,540 when
+# every kept row was tested, before the flag queries stopped at a first hit
+WORKLOAD_COUNTERS = [
+    (("grid400_doppler", 20, 5.0, "doppler", 1), [40, 19896, 2, 82, 2]),
+    (("grid1600_predict_w2", 40, 5.0, "predict", 2), [41, 19944, 2, 82, 0]),
+    (("grid100_identify", 10, 2.5, "identify", 1), [80, 39648, 3, 163, 0]),
+]
+
+
+@pytest.mark.parametrize("workload, counters", WORKLOAD_COUNTERS,
+                         ids=[w[0] for w, _c in WORKLOAD_COUNTERS])
+def test_workload_counters(spans, tmp_path, capsys, workload, counters):
+    """The exact counters of each benchmark workload's seed-21 command, on
+    the scene as the benchmark writes it and with its worker count: one
+    ``f_block`` query per block, one ``pipeline.position`` span per route
+    position, and ``route_velocities`` only in ``doppler``, where the
+    route check and the Doppler pass each call it once."""
+    _name, n, step, command, workers = workload
     modules = {mod: importlib.import_module(f"urbanprop.{mod}")
                for mod, _attr, _span, _observer in spans.HOOKS}
-    cfg = write_inputs(grid_scene(20, 21, step=5.0), tmp_path / "in")
+    cfg = write_inputs(grid_scene(n, 21, step=step), tmp_path / "in")
     tracer = spans.Tracer()
     tracer.install(modules)
     try:
         code = tracer.root("cli", cli.main, [
-            "--config", cfg, "--output", str(tmp_path / "out"), "doppler"])
+            "--config", cfg, "--output", str(tmp_path / "out"),
+            "--workers", str(workers), command])
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
     metrics = spans.command_metrics(tracer)
-    assert [metrics[name] for name in ("kernels.calls", "kernels.triangles_tested",
-                                       "geometry.f_block_calls")] == [40, 19896, 2]
+    assert [metrics[name] for name in (
+        "kernels.calls", "kernels.triangles_tested", "geometry.f_block_calls",
+        "pipeline.positions", "doppler.route_velocities_calls")] == counters

@@ -7,8 +7,9 @@ import pytest
 from conftest import corner_route, predict_one
 from test_identify import _grid_scene
 from urbanprop.config import Route, ScenarioConfig
-from urbanprop.doppler import (doppler_shift, gpp_doppler_estimate,
-                               rms_spread, route_doppler, route_velocities)
+from urbanprop.doppler import (check_spread_range, doppler_shift,
+                               gpp_doppler_estimate, rms_spread, route_doppler,
+                               route_velocities)
 from urbanprop.errors import NumericalDomainError, RouteError
 from urbanprop.pipeline import predict_route
 
@@ -199,6 +200,28 @@ class TestRouteVelocities:
         with pytest.raises(RouteError, match=(
                 f"^bad route row {row}: velocity beyond the float range$")):
             route_velocities(route)
+
+
+class TestSpreadRange:
+    @pytest.mark.parametrize("scale", [0.999, 1.001])
+    def test_either_side_of_the_bound(self, scale):
+        """A shift deviation is at most 2 |v| / lambda, reached by two
+        opposite paths, the second far weaker: just under the bound its
+        square is finite, just over it overflows, and the check names the
+        first row over it."""
+        top = np.sqrt(np.finfo(np.float64).max)    # largest finite square root
+        speed = scale * top * LAM / 2.0
+        vels = np.array([[0.0, 0.0, 0.0], [0.0, speed, 0.0], [speed, 0, 0]])
+        shifts, power = np.array([speed, -speed]) / LAM, np.array([1.0, 1e-9])
+        if scale < 1.0:
+            check_spread_range(vels, F58)
+            assert np.isfinite(rms_spread(shifts, power)).all()
+        else:
+            with pytest.raises(RouteError, match=(
+                    "^bad route row 1: Doppler spread beyond the float range$")):
+                check_spread_range(vels, F58)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                rms_spread(shifts, power)
 
 
 class TestPathPowers:

@@ -86,7 +86,8 @@ class TestTransitionFunction:
             assert 0.0 < abs(f) <= 1.0 + 1e-12
             assert -1e-12 <= np.angle(f) <= np.pi / 4.0 + 1e-12
 
-    @pytest.mark.parametrize("x", [1e-4, 1e-2, 0.5, 1.0, 10.0, 400.0])
+    @pytest.mark.parametrize("x", [np.nextafter(1e-12, 0.0), 1e-20, 1e-4,
+                                   1e-2, 0.5, 1.0, 10.0, 400.0])
     def test_against_quadrature(self, x):
         ref = transition_quadrature(x)
         assert abs(transition_function(x) - ref) <= 1e-6 * abs(ref)

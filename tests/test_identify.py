@@ -748,7 +748,7 @@ class TestVisibilityScan:
         gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
         hidden = 0
         for cls, segs in initial_identification(tx, route, gmap):
-            vis = visible_identification(segs, cls, gmap)
+            vis = visible_identification(segs, cls)
             for sub, vseg in zip(segs, vis.visible):
                 assert (vseg.left, vseg.right) == _scan_per_building(sub, gmap)
                 hidden += len(sub.left + sub.right) - len(vseg.left + vseg.right)
@@ -765,8 +765,7 @@ class TestVisibilityScan:
         gmap, tx, route = _fixture_scene(scene, canyon_map, corner_map, tx)
         flags = unread = 0          # unread: True against a rejected building
         for cls, segs in initial_identification(tx, route, gmap):
-            for sub, vis in zip(segs, visible_identification(segs, cls,
-                                                             gmap).visible):
+            for sub, vis in zip(segs, visible_identification(segs, cls).visible):
                 pairs = [(sub.near[i], sub.near[j])
                          for i in range(len(sub.near)) for j in range(i)]
                 want = [not _is_visible(bid, sub.a, sub.b - sub.a, gmap, [by])
@@ -799,7 +798,7 @@ class TestBlockEqualsAlone:
             idents = initial_identification(tx, block, gmap, width)
             mixed |= len({cls.los for cls, _segs in idents}) == 2
             for rx, (cls, segs) in zip(block, idents):
-                got = visible_identification(segs, cls, gmap)
+                got = visible_identification(segs, cls)
                 want = identify_position(tx, rx, gmap, width)
                 assert got.flat_visible() == want.flat_visible()
                 for sub, one, vis, vis_one in zip(segs, want.sides, got.visible,
@@ -830,9 +829,9 @@ class TestBlockEqualsAlone:
                 assert cls.los and segs[0].near == []
                 with pytest.raises(NumericalDomainError,
                                    match="degenerate segment: endpoints coincide"):
-                    visible_identification(segs, cls, gmap)
+                    visible_identification(segs, cls)
                 continue
-            assert (visible_identification(segs, cls, gmap).flat_visible()
+            assert (visible_identification(segs, cls).flat_visible()
                     == identify_position(tx, rx, gmap).flat_visible())
 
 

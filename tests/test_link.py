@@ -248,7 +248,7 @@ def _block_equals_alone(gmap, tx, route, corridor):
     route = np.array(route)
     for i in range(0, len(route), BLOCK):
         block = route[i:i + BLOCK]
-        vis = [visible_identification(segs, cls, gmap) for cls, segs in
+        vis = [visible_identification(segs, cls) for cls, segs in
                initial_identification(tx, block, gmap, corridor)]
         table, fields = passes(vis, block)
         seen["mixed block"] += len({v.classification.los for v in vis}) == 2

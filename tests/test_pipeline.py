@@ -214,6 +214,27 @@ def test_hooked_names_run_per_block_and_per_position(monkeypatch):
         assert calls[name] == len(route), name
 
 
+def test_a_route_result_per_block_and_one_join(monkeypatch):
+    """A block stacks its positions' rows into one ``RouteResult`` and the
+    route joins the blocks' into one more: 4 on the 3-block route, where a
+    single-row result per position made 134."""
+    gmap, tx, route = fine_grid_scene()
+    built = []
+
+    class Counted(RouteResult):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(len(self.los))
+
+    monkeypatch.setattr(pipeline, "RouteResult", Counted)
+    res = predict_route(ScenarioConfig(tx=tx), gmap, Route(
+        np.arange(len(route), dtype=np.float64), np.array(route)))
+    blocks = math.ceil(len(route) / BLOCK)
+    assert blocks == 3 and len(built) == blocks + 1
+    assert built == [44, 43, 43, len(route)]
+    assert isinstance(res, Counted) and len(res.los) == len(route)
+
+
 def test_a_position_is_a_block_of_one(cfg, corner_map, monkeypatch):
     """A lone position, a route of one point, runs the route's block path:
     one ``_predict_block`` call, on the one position."""
