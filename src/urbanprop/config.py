@@ -80,7 +80,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:   # bad JSON, not UTF-8, or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or too deep
         raise ConfigError(f"malformed JSON in config {path}: {exc}") from exc
     return config_from_dict(raw)
 

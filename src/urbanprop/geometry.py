@@ -19,6 +19,7 @@ y north, z up).  Geographic input must be pre-projected.  A point is a
 ``(3,)`` float64 array ``[x, y, z]``.
 """
 
+import gc
 import json
 import numbers
 import sys
@@ -81,8 +82,8 @@ class GeometryMap:
     # -- construction ------------------------------------------------------
 
     def _load_faces(self, flat, sizes, face_bid, order):
-        """Validate the faces and store their normals and triangles.  Returns
-        each face's start and size in ``flat``, building position and v[0]."""
+        """Validate the faces; store their normals, triangles and vertical walls.
+        Returns ``flat`` and each face's start, size and building position."""
         n = len(self.vertices)
         starts = np.cumsum(sizes) - sizes
         outside = np.flatnonzero((flat < 0) | (flat >= n))
@@ -115,80 +116,28 @@ class GeometryMap:
         self.tri_v1, self.tri_v2 = self.vertices.take(flat.take(k1 + [[0], [1]]), axis=0)
 
         # planarity at v[1] and each triangle's v[k + 2]: every vertex but v[0],
-        # at distance 0 exactly (or NaN without a normal, which fmax skips)
+        # at distance 0 exactly (or NaN without a normal, which is never far)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.face_normal = nrm / norm[:, None]
             dist = np.abs(row_dot(self.tri_v2 - self.tri_v0,
                                   np.repeat(self.face_normal, fans, axis=0)))
-            worst = np.fmax(np.abs(row_dot(e1, self.face_normal)),
-                            np.fmax.reduceat(dist, np.cumsum(fans) - fans))
+            lead = np.abs(row_dot(e1, self.face_normal))
         self.face_normal.flags.writeable = False
+        tri = np.cumsum(fans) - fans    # each face's first triangle
+        far = lead > EPS_PLANE          # at v[1], then at each triangle's v[k + 2]
+        far[np.searchsorted(tri, np.flatnonzero(dist > EPS_PLANE), "right") - 1] = True
         polygon = sizes > 3        # a triangle is planar by construction
         _raise_first_failure(
             (polygon & (norm == 0.0),
              lambda i: f"face {i} has collinear leading vertices"),
-            (polygon & (worst > EPS_PLANE),
-             lambda i: f"face {i} is non-planar by {worst[i]:.2e} m"))
+            (polygon & far, lambda i: "face %d is non-planar by %.2e m" % (
+                i, np.fmax.reduce(dist[tri[i]:tri[i] + fans[i]], initial=lead[i]))))
 
         face_pos = order[rank]
         self.tri_building = np.repeat(face_pos, fans)
         self._tri_by_building = np.argsort(self.tri_building, kind="stable")
         self._tri_edge = _edges(self.tri_building, len(self.ids))
         self._tri_count = np.diff(self._tri_edge)
-        return flat, starts, sizes, face_pos, p0
-
-    def _load_buildings(self, flat, starts, sizes, face_pos, p0):
-        """Validate the buildings, then store their boxes and roof and wall tables."""
-        n_faces = np.bincount(face_pos, minlength=len(self.ids))
-        _raise_first_failure(
-            (n_faces == 0, lambda i: f"building {self.ids[i]} has no faces"))
-
-        # each building's vertices, as sorted unique (position, vertex) keys
-        n = len(self.vertices)
-        key = np.repeat(face_pos * n, sizes) + flat     # at each face-vertex row
-        pair = np.sort(key)
-        pair = np.concatenate((pair[:1], pair[1:][pair[1:] != pair[:-1]]))
-        pair_b, pair_v = np.divmod(pair, n)
-        counts = np.bincount(pair_b, minlength=len(self.ids))
-        pts = self.vertices.take(pair_v, axis=0)
-        starts_b = np.cumsum(counts) - counts
-        hi = np.maximum.reduceat(pts, starts_b)
-        self.box_lo = np.ascontiguousarray(
-            np.minimum.reduceat(pts, starts_b).T - BOX_PAD)
-        self.box_hi = np.ascontiguousarray(hi.T + BOX_PAD)
-        top = hi[:, 2] - EPS_TOP
-        ring = np.flatnonzero(pts[:, 2] >= np.repeat(top, counts))
-        roof_key = pair[ring]
-        self.roof_vertex = pair_v[ring]
-        self.roof_vertex.flags.writeable = False
-        self.roof_xy = pts[ring, :2]
-        self.roof_owner = pair_b[ring]
-        self._ring_edge = _edges(self.roof_owner, len(self.ids))
-
-        # Ring walls: at each face-vertex row on its building's roof, the unit
-        # directions to the previous and then the next vertex of the face on
-        # the same roof ring, by roof-table row (as their keys order) and then
-        # in face order, duplicates kept: the order decides ties in link.
-        roof = self.vertices[:, 2].take(flat) >= np.repeat(top.take(face_pos), sizes)
-        nb = np.arange(len(flat)) + np.array([[-1], [1]])   # previous, next row
-        nb[0, starts], nb[1, starts + sizes - 1] = starts + sizes - 1, starts
-        here = np.flatnonzero(roof)[np.argsort(key[roof], kind="stable")]
-        nb = nb.take(here, axis=1).T.ravel()        # at each roof row, in turn
-        wall = np.flatnonzero(roof.take(nb))
-        here, nb = here.take(wall >> 1), nb.take(wall)
-        xy = self.vertices[:, :2]
-        # finite coordinates can still overflow here: such a face is rejected
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = xy.take(flat.take(nb), axis=0) - xy.take(flat.take(here), axis=0)
-            norm = np.hypot(d[:, 0], d[:, 1])
-        holder = np.searchsorted(starts, here[~np.isfinite(norm)], "right") - 1
-        _raise_first_failure(
-            (np.bincount(holder, minlength=len(sizes)) > 0,
-             lambda i: f"face {i} has a ring wall beyond the float range"))
-        wall = np.flatnonzero(norm > 1e-9)
-        self.ring_dir = d.take(wall, axis=0) / norm.take(wall)[:, None]
-        self._ring_dir_edge = np.append(
-            np.searchsorted(key.take(here.take(wall)), roof_key), len(wall))
 
         # vertical faces per building, ascending face index; a degenerate
         # face's NaN normal is not vertical
@@ -197,6 +146,58 @@ class GeometryMap:
         self.wall_normal = self.face_normal[vertical]
         self.wall_point = p0.take(vertical, axis=0)
         self._wall_edge = _edges(face_pos[vertical], len(self.ids))
+        return flat, starts, sizes, face_pos
+
+    def _load_buildings(self, flat, starts, sizes, face_pos):
+        """Validate the buildings, then store their boxes, roof and ring walls."""
+        _raise_first_failure((np.bincount(face_pos, minlength=len(self.ids)) == 0,
+                              lambda i: f"building {self.ids[i]} has no faces"))
+
+        # each building's vertices, as sorted unique (position, vertex) keys
+        n = len(self.vertices)
+        key = np.repeat(face_pos * n, sizes) + flat     # at each face-vertex row
+        here = np.argsort(key, kind="stable")   # the rows by key, in face order
+        pair = key.take(here)
+        pair = pair[np.diff(pair, prepend=-1) != 0]
+        pair_b, pair_v = np.divmod(pair, n)
+        counts = np.bincount(pair_b, minlength=len(self.ids))
+        pts = self.vertices.T.take(pair_v, axis=1)    # (3, P): its rows reduce fast
+        lo, hi = (f.reduceat(pts, np.cumsum(counts) - counts, axis=1)
+                  for f in (np.minimum, np.maximum))
+        self.box_lo, self.box_hi = lo - BOX_PAD, hi + BOX_PAD
+        top = hi[2] - EPS_TOP
+        ring = np.flatnonzero(pts[2] >= np.repeat(top, counts))
+        roof_key = pair[ring]
+        self.roof_vertex = pair_v[ring]
+        self.roof_vertex.flags.writeable = False
+        self.roof_xy = self.vertices[:, :2].take(self.roof_vertex, axis=0)
+        self.roof_owner = pair_b[ring]
+        self._ring_edge = _edges(self.roof_owner, len(self.ids))
+        del pair, pair_b, pair_v, pts   # the build's peak is faulted in on each load
+
+        # Ring walls: at each roof row of a face, the unit directions to the
+        # face's previous and then next vertex on the same roof ring, by roof-table
+        # row and then face order, duplicates kept: the order decides ties in link.
+        roof = self.vertices[:, 2].take(flat) >= np.repeat(top.take(face_pos), sizes)
+        here = here[roof.take(here)]            # the roof rows, by key
+        nb = np.arange(len(flat))[:, None] + [-1, 1]    # previous, next row
+        nb[starts, 0], nb[starts + sizes - 1, 1] = starts + sizes - 1, starts
+        nb = nb.take(here, axis=0).ravel()          # at each roof row, in turn
+        wall = np.flatnonzero(roof.take(nb))
+        here, nb = here.take(wall >> 1), nb.take(wall)
+        xy = self.vertices[:, :2]
+        # finite coordinates can still overflow here: such a face is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = xy.take(flat.take(nb), axis=0) - xy.take(flat.take(here), axis=0)
+            norm = np.hypot(d[:, 0], d[:, 1])
+        holder = np.searchsorted(starts, here[~np.isfinite(norm)], "right") - 1
+        _raise_first_failure((np.bincount(holder, minlength=len(sizes)) > 0, lambda i:
+                              f"face {i} has a ring wall beyond the float range"))
+        wall = np.flatnonzero(norm > 1e-9)
+        self.ring_dir = d.take(wall, axis=0)
+        self.ring_dir /= norm.take(wall)[:, None]
+        self._ring_dir_edge = np.append(
+            np.searchsorted(key.take(here.take(wall)), roof_key), len(wall))
 
     # -- accessors ---------------------------------------------------------
 
@@ -389,14 +390,23 @@ def load_map(path):
     Schema: ``{"vertices": [[x,y,z], ...], "faces": [{"building": id,
     "v": [i, ...]}, ...], "buildings": [{"id": id}, ...]}``.
     """
+    enabled = gc.isenabled()
+    gc.disable()    # until the parsed document is gone: a JSON tree has no cycles
+    try:            # the document lives in map_from_dict's frame only
+        return map_from_dict(_parse(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MapValidationError(f"cannot read map file {path}: {exc}") from exc
-    except ValueError as exc:   # bad JSON, not UTF-8, or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or too deep
         raise MapValidationError(f"malformed JSON in {path}: {exc}") from exc
-    return map_from_dict(raw)
 
 
 def map_from_dict(raw):

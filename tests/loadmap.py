@@ -1,6 +1,7 @@
 """Map load walls, a parent checkout against a change: in-process medians of
 ``json.loads``, ``geometry.map_from_dict`` and ``geometry.load_map`` on the
-benchmark's seed-21 grid maps.
+benchmark's seed-21 grid maps, with the collector passes and minor page
+faults of each call.
 
     python3 tests/loadmap.py PARENT_DIR CHANGE_DIR [--rounds 10] [--calls 30]
 
@@ -10,18 +11,25 @@ the benchmark writes them.  Each round starts one new process per
 checkout, the parent first in even rounds and the change first in odd
 ones.  That process imports ``urbanprop`` from the checkout's ``src`` and,
 per map, times ``--calls`` calls of each stage: ``json.loads`` of the
-file's text, ``map_from_dict`` of that freshly parsed document, and
-``load_map`` of the file.  It reports each stage's median.
+file's text, ``map_from_dict`` of that freshly parsed document (released
+as the call returns), ``load_map`` of the file, and ``load_map`` again
+right after a ``gc.collect()``, as ``perfbench/run.py`` times ``setup_s``.
+Each call also counts the garbage collector's passes (``gc.callbacks``) and
+the process's minor page faults (``resource.getrusage``).  It reports each
+stage's medians.
 
 It prints one table row per map and stage: the median of the rounds'
-medians on each side, change over parent, and how many rounds the change
-was faster.  ``--rounds 1 --calls 1`` is its quickest run.  Like
-``identity.py``, pytest does not collect this file.
+medians on each side, change over parent, how many rounds the change was
+faster, and the collector passes and minor faults per call on each side.
+``--rounds 1 --calls 1`` is its quickest run.  Like ``identity.py``, pytest
+does not collect this file.
 """
 
 import argparse
+import gc
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,32 +41,45 @@ from benchscene import grid_module
 
 SIDES = (10, 20, 40)
 SEED = 21
-STAGES = ("json.loads", "map_from_dict", "load_map")
+STAGES = ("json.loads", "map_from_dict", "load_map", "collect, load_map")
+
+
+def measure(fn, passes, collect=False):
+    """Seconds, collector passes and minor page faults of one call of ``fn``,
+    after a ``gc.collect()`` if ``collect``; ``passes`` grows by one per pass."""
+    if collect:
+        gc.collect()
+    n, faults = len(passes), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    fn()
+    wall = time.perf_counter() - start
+    return (wall, len(passes) - n,
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 
 
 def child(root, calls, paths):
-    """Per map path, ``{stage: median seconds}`` of ``calls`` calls, with
-    ``urbanprop`` imported from the checkout ``root``."""
+    """Per map path, ``{stage: [seconds, passes, faults]}``, medians of
+    ``calls`` calls, with ``urbanprop`` imported from the checkout ``root``."""
     sys.path.insert(0, str(Path(root).resolve() / "src"))
     from urbanprop import geometry
     if not Path(geometry.__file__).resolve().is_relative_to(Path(root).resolve()):
         raise SystemExit(f"urbanprop imported from {geometry.__file__}, "
                          f"not from {root}")
-    out = {}
+    passes, docs, out = [], [], {}
+    gc.callbacks.append(lambda phase, info: passes.append(1)
+                        if phase == "start" else None)
     for path in paths:
         text = Path(path).read_text(encoding="utf-8")
-        walls = {stage: [] for stage in STAGES}
+        runs = {stage: [] for stage in STAGES}
         for _ in range(calls):
-            t0 = time.perf_counter()
-            raw = json.loads(text)
-            t1 = time.perf_counter()
-            geometry.map_from_dict(raw)
-            t2 = time.perf_counter()
-            geometry.load_map(path)
-            t3 = time.perf_counter()
-            for stage, wall in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
-                walls[stage].append(wall)
-        out[path] = {stage: statistics.median(w) for stage, w in walls.items()}
+            for stage, call in zip(STAGES, (
+                    measure(lambda: docs.append(json.loads(text)), passes),
+                    measure(lambda: geometry.map_from_dict(docs.pop()), passes),
+                    measure(lambda: geometry.load_map(path), passes),
+                    measure(lambda: geometry.load_map(path), passes, True))):
+                runs[stage].append(call)
+        out[path] = {stage: [statistics.median(x) for x in zip(*r)]
+                     for stage, r in runs.items()}
     return out
 
 
@@ -106,19 +127,21 @@ def main(argv=None):
                 got[side].append(run_child(getattr(args, side), args.calls,
                                            list(paths.values())))
     print(f"seed-{SEED} grid maps, {args.rounds} rounds of {args.calls} calls; "
-          f"medians of the rounds' medians")
+          f"medians of the rounds' medians; passes and faults per call")
     print("| map | stage | parent | change | change / parent | rounds the "
-          "change won |")
-    print("|---|---|---|---|---|---|")
+          "change won | collector passes | minor faults |")
+    print("|---|---|---|---|---|---|---|---|")
     for n, path in paths.items():
         for stage in STAGES:
-            parent = [r[path][stage] for r in got["parent"]]
-            change = [r[path][stage] for r in got["change"]]
-            won = sum(c < p for p, c in zip(parent, change))
-            p, c = statistics.median(parent), statistics.median(change)
+            (p, pp, pf), (c, cp, cf) = (
+                [statistics.median(x) for x in zip(*(r[path][stage] for r in runs))]
+                for runs in (got["parent"], got["change"]))
+            won = sum(rc[path][stage][0] < rp[path][stage][0]
+                      for rp, rc in zip(got["parent"], got["change"]))
             print(f"| grid{n * n} ({sizes[n] / 1e3:.0f} KB) | {stage} "
                   f"| {1e3 * p:.2f} ms | {1e3 * c:.2f} ms | {c / p:.3f} "
-                  f"| {won} of {args.rounds} |", flush=True)
+                  f"| {won} of {args.rounds} | {pp:g} → {cp:g} "
+                  f"| {pf:g} → {cf:g} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, determinism and metric round-trips."""
 
 import csv
+import gc
 import json
 
 import pytest
@@ -365,6 +366,24 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(bad) in err[0]
+
+    # nesting beyond the parser's stack raised a RecursionError past main
+    # (exit 1, a traceback)
+    @pytest.mark.parametrize("reader", ["map", "config"])
+    def test_nesting_beyond_the_stack(self, scenario, tmp_path, capsys, reader):
+        deep = "[" * 200000 + "]" * 200000
+        bad = tmp_path / f"{reader}.json"
+        bad.write_text(deep if reader == "map" else '{"a": ' + deep + "}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_path": str(bad),
+                                   "route_path": str(scenario["route"])}))
+        assert run(["--config", bad if reader == "config" else cfg,
+                    "--output", tmp_path / "o", "predict"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: malformed JSON in "
+                                 f"{'config ' * (reader == 'config')}{bad}: ")
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one(self, tmp_path, capsys, workers):

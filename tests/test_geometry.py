@@ -1,7 +1,9 @@
 """Geometry model and predicate tests, including the brute-force occlusion
 oracle on random box scenes."""
 
+import gc
 import hashlib
+import json
 import random
 import re
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (RING_OVERFLOW_MAP, UNIT_CUBE, build_map, build_map_dict,
-                      grid_module, roof_ring)
+                      grid_module, grid_scene, roof_ring)
 from identity import polygon_city
 from oracles import segment_blocked_by_boxes, segment_blocked_by_triangles
 from urbanprop import geometry
@@ -202,6 +204,58 @@ class TestMapLoading:
                 f"cannot read map file {missing}: [Errno 2] No such file or "
                 f"directory: '{missing}'") + "$"):
             load_map(missing)
+
+    # nesting beyond the parser's stack raised a bare RecursionError
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(json.dumps(build_map_dict(UNIT_CUBE)), None, id="good"),
+        pytest.param(None, "cannot read map file ", id="missing"),
+        pytest.param('{"vertices": [1,', "malformed JSON in ", id="malformed"),
+        pytest.param("[" * 200000 + "]" * 200000, "malformed JSON in .*: maximum "
+                     "recursion depth exceeded while decoding a JSON array",
+                     id="deep"),
+        pytest.param('{"vertices": []}', "map has no 'faces' array", id="invalid")])
+    def test_load_map_leaves_the_collector_as_found(self, tmp_path, enabled,
+                                                    text, message):
+        path = tmp_path / "map.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if message is None:
+                load_map(path)
+            else:
+                with pytest.raises(MapValidationError, match=f"^{message}"):
+                    load_map(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_load_map_runs_no_collection(self, tmp_path):
+        # a parsed JSON tree has no cycles, so the collector pauses over the
+        # whole load, and the document is gone before it resumes
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(grid_scene(10, 21).map), encoding="utf-8")
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            load_map(path)
+            young = gc.get_count()[0]
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was else gc.disable)()
+        assert passes == []
+        # so the next container allocated starts no pass over the document
+        assert young < gc.get_threshold()[0]
 
     def test_empty_map_is_valid(self, empty_map):
         assert empty_map.ids.tolist() == []
